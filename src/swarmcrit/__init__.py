@@ -46,7 +46,7 @@ from .stability import (
     split_alpha,
     stationary_distribution,
 )
-from .pso import Particle, RunResult, SwarmState, init_swarm, optimize, pso_step
+from .pso import RunResult, SwarmState, init_swarm, optimize, pso_step
 from .benchmarks import (
     BenchmarkFunction,
     evaluate,
@@ -102,7 +102,6 @@ __all__ = [
     "neutral_alpha",
     "neutral_stability_curve",
     # pso
-    "Particle",
     "SwarmState",
     "RunResult",
     "init_swarm",

@@ -11,8 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import benchmarks, harness, io, pso, stability
 from .dynamics import SwarmParams
 
@@ -42,10 +40,10 @@ def _positive(value: str) -> float:
     return x
 
 
-def _omega_grid(args) -> np.ndarray:
+def _omega_grid(args):
     if args.omega_max < args.omega_min:
         raise ValueError("--omega-max must be >= --omega-min")
-    return np.round(np.arange(args.omega_min, args.omega_max + 1e-9, args.step), 10)
+    return harness.inclusive_grid(args.omega_min, args.omega_max, args.step)
 
 
 def build_parser() -> _Parser:
@@ -270,10 +268,6 @@ def _sweep_config(args) -> harness.SweepConfig:
             if key not in casts:
                 raise ValueError(f"unknown config key {key!r}")
             values[key] = casts[key](text)
-    omega_values = np.round(
-        np.arange(values["omega_min"], values["omega_max"] + 1e-9, values["omega_step"]), 10)
-    alpha_values = np.round(
-        np.arange(values["alpha_min"], values["alpha_max"] + 1e-9, values["alpha_step"]), 10)
     functions = None
     if values["functions"]:
         ids = [s.strip() for s in str(values["functions"]).split(",") if s.strip()]
@@ -281,8 +275,10 @@ def _sweep_config(args) -> harness.SweepConfig:
             benchmarks.make_function(fid, values["dim"], seed=values["seed"]) for fid in ids
         )
     return harness.SweepConfig(
-        omega_values=omega_values,
-        alpha_values=alpha_values,
+        omega_values=harness.inclusive_grid(
+            values["omega_min"], values["omega_max"], values["omega_step"]),
+        alpha_values=harness.inclusive_grid(
+            values["alpha_min"], values["alpha_max"], values["alpha_step"]),
         split=values["split"],
         iterations=values["iterations"],
         repetitions=values["repetitions"],
@@ -308,20 +304,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _read_curve_csv(path) -> stability.CriticalCurve:
-    meta, header, rows = io.read_csv(path)
-    if header != ["omega", "alpha_critical", "std_error", "status"]:
-        raise ValueError(f"unexpected curve header {header}")
-    points = tuple(
-        stability.CriticalPoint(float(r[0]), float(r[1]), float(r[2]), r[3]) for r in rows
-    )
-    return stability.CriticalCurve(
-        points=points,
-        ratio=meta.get("ratio", stability.RATIO_EQUAL),
-        method=meta.get("method", stability.METHOD_LYAPUNOV),
-    )
-
-
 def _cmd_region(args) -> int:
     if args.quantile > 1.0:
         raise ValueError("--quantile must lie in (0, 1]")
@@ -334,7 +316,7 @@ def _cmd_region(args) -> int:
         metadata={"sweep": args.sweep, "quantile": args.quantile},
     )
     if args.curve:
-        curve = _read_curve_csv(args.curve)
+        curve = stability.CriticalCurve.from_csv(args.curve)
         stats = harness.distance_to_curve(cells, curve)
         payload = {
             "tool_version": io.__version__,

@@ -1,6 +1,7 @@
 """Single-particle swarm dynamics: state containers, the random coefficient
-mixture, one-step maps in affine and homogeneous form, and the deterministic
-regime classifier.
+mixture, one-step maps in affine and homogeneous form (the array form of the
+affine update is shared by the optimiser and the scaled stability
+experiments), and the deterministic regime classifier.
 
 The homogeneous one-particle dynamics is ``z' = M z`` with ``z = (v, x)`` and
 
@@ -29,6 +30,7 @@ __all__ = [
     "build_step_matrix",
     "step_homogeneous",
     "step_affine",
+    "affine_update",
     "deterministic_regime",
 ]
 
@@ -260,6 +262,18 @@ def step_homogeneous(z: PhasePoint, m: StepMatrix) -> PhasePoint:
     return PhasePoint(v=v_new, x=x_new)
 
 
+def affine_update(omega, alpha1, alpha2, v, x, r1, r2, p, g):
+    """Array form of the affine update with fixed best positions.
+
+    Returns ``v' = omega*v + alpha1*r1*(p - x) + alpha2*r2*(g - x)`` and
+    ``x' = x + v'``, broadcasting over any array shapes.  Divergence is not
+    raised; non-finite entries are returned as they are.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_new = omega * v + alpha1 * r1 * (p - x) + alpha2 * r2 * (g - x)
+        return v_new, x + v_new
+
+
 def step_affine(
     z: PhasePoint,
     params: SwarmParams,
@@ -279,14 +293,8 @@ def step_affine(
     g = np.asarray(g, dtype=float)
     if np.any((r1 < 0) | (r1 > 1)) or np.any((r2 < 0) | (r2 > 1)):
         raise ValueError("r1 and r2 must lie componentwise in [0, 1]")
-    with np.errstate(over="ignore", invalid="ignore"):
-        v_new = (
-            params.omega * z.v
-            + params.alpha1 * r1 * (p - z.x)
-            + params.alpha2 * r2 * (g - z.x)
-        )
-        x_new = z.x + v_new
-    return PhasePoint(v=v_new, x=x_new)
+    v, x = affine_update(params.omega, params.alpha1, params.alpha2, z.v, z.x, r1, r2, p, g)
+    return PhasePoint(v=v, x=x)
 
 
 def deterministic_regime(omega: float, alpha: float) -> RegimeLabel:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -28,15 +29,14 @@ __all__ = [
     "aggregate_heatmap",
     "best_region",
     "distance_to_curve",
+    "inclusive_grid",
 ]
 
 
-def _default_omegas() -> np.ndarray:
-    return np.round(np.arange(-1.1, 1.1 + 1e-9, 0.1), 10)
-
-
-def _default_alphas() -> np.ndarray:
-    return np.round(np.arange(0.25, 5.0 + 1e-9, 0.25), 10)
+def inclusive_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """Values ``lo, lo + step, ...`` up to and including ``hi``, rounded to
+    10 decimals so that grid points print and compare as typed."""
+    return np.round(np.arange(lo, hi + 1e-9, step), 10)
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,8 @@ class SweepConfig:
     ``functions=None`` resolves to the full benchmark suite at ``dim``.
     """
 
-    omega_values: np.ndarray = field(default_factory=_default_omegas)
-    alpha_values: np.ndarray = field(default_factory=_default_alphas)
+    omega_values: np.ndarray = field(default_factory=partial(inclusive_grid, -1.1, 1.1, 0.1))
+    alpha_values: np.ndarray = field(default_factory=partial(inclusive_grid, 0.25, 5.0, 0.25))
     split: str = RATIO_EQUAL
     iterations: int = 2000
     repetitions: int = 100
@@ -93,6 +93,10 @@ class CellStats:
     repetitions: int
 
 
+# the sweep CSV has one column per CellStats field, in field order
+_SWEEP_HEADER = [f.name for f in fields(CellStats)]
+
+
 @dataclass(frozen=True)
 class SweepGrid:
     """All cell records of one sweep, in fixed (function, omega, alpha)
@@ -106,47 +110,14 @@ class SweepGrid:
     def to_csv(self, path, metadata: dict | None = None) -> None:
         from .io import write_csv
 
-        rows = [
-            (
-                c.function,
-                c.omega,
-                c.alpha,
-                c.iterations,
-                c.mean_best_cost,
-                c.median_best_cost,
-                c.divergence_fraction,
-                c.repetitions,
-            )
-            for c in self.cells
-        ]
-        header = [
-            "function",
-            "omega",
-            "alpha",
-            "iterations",
-            "mean_best_cost",
-            "median_best_cost",
-            "divergence_fraction",
-            "repetitions",
-        ]
-        write_csv(path, header, rows, metadata)
+        write_csv(path, _SWEEP_HEADER, [astuple(c) for c in self.cells], metadata)
 
     @classmethod
     def from_csv(cls, path) -> "SweepGrid":
         from .io import read_csv
 
         _, header, rows = read_csv(path)
-        expected = [
-            "function",
-            "omega",
-            "alpha",
-            "iterations",
-            "mean_best_cost",
-            "median_best_cost",
-            "divergence_fraction",
-            "repetitions",
-        ]
-        if header != expected:
+        if header != _SWEEP_HEADER:
             raise ValueError(f"unexpected sweep header {header}")
         cells = tuple(
             CellStats(

@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 __version__ = "0.1.0"
 
 
@@ -25,15 +27,10 @@ def _cell(value) -> str:
         return format_real(value)
     if isinstance(value, int):
         return str(value)
-    try:
-        import numpy as np
-
-        if isinstance(value, np.floating):
-            return format_real(float(value))
-        if isinstance(value, np.integer):
-            return str(int(value))
-    except ImportError:  # pragma: no cover
-        pass
+    if isinstance(value, np.floating):
+        return format_real(float(value))
+    if isinstance(value, np.integer):
+        return str(int(value))
     return str(value)
 
 

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PhasePoint, SwarmParams
+from .dynamics import SwarmParams, affine_update
 
 __all__ = [
-    "Particle",
     "SwarmState",
     "RunResult",
     "init_swarm",
@@ -74,15 +73,6 @@ class _CostAdapter:
 
 
 @dataclass(frozen=True)
-class Particle:
-    """State and personal-best record of one particle."""
-
-    state: PhasePoint
-    p_best: np.ndarray
-    p_best_cost: float
-
-
-@dataclass(frozen=True)
 class SwarmState:
     """Complete swarm snapshot; arrays are laid out (n_particles, dim)."""
 
@@ -102,17 +92,6 @@ class SwarmState:
     @property
     def dim(self) -> int:
         return self.positions.shape[1]
-
-    @property
-    def particles(self) -> list[Particle]:
-        return [
-            Particle(
-                state=PhasePoint(v=self.velocities[i], x=self.positions[i]),
-                p_best=self.p_best[i].copy(),
-                p_best_cost=float(self.p_best_cost[i]),
-            )
-            for i in range(self.n_particles)
-        ]
 
 
 @dataclass(frozen=True)
@@ -200,13 +179,10 @@ def pso_step(
     n, d = state.n_particles, state.dim
     r1 = rng.random((n, d))
     r2 = rng.random((n, d))
-    with np.errstate(over="ignore", invalid="ignore"):
-        velocities = (
-            params.omega * state.velocities
-            + params.alpha1 * r1 * (state.p_best - state.positions)
-            + params.alpha2 * r2 * (state.g_best - state.positions)
-        )
-        positions = state.positions + velocities
+    velocities, positions = affine_update(
+        params.omega, params.alpha1, params.alpha2,
+        state.velocities, state.positions, r1, r2, state.p_best, state.g_best,
+    )
     finite = np.isfinite(positions).all(axis=1) & np.isfinite(velocities).all(axis=1)
     diverged = state.diverged or not bool(finite.all())
     cost = np.full(n, np.inf)

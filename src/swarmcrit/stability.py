@@ -16,8 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 
 import numpy as np
+
+from .dynamics import affine_update
 
 __all__ = [
     "NumericOverflowError",
@@ -54,6 +58,8 @@ STATUS_UNRESOLVED = "UNRESOLVED"
 
 METHOD_LYAPUNOV = "LYAPUNOV_BISECTION"
 METHOD_ESCAPE = "ESCAPE_EQUALITY"
+
+_CURVE_HEADER = ["omega", "alpha_critical", "std_error", "status"]
 
 
 class NumericOverflowError(RuntimeError):
@@ -149,7 +155,24 @@ class CriticalCurve:
         from .io import write_csv
 
         rows = [(p.omega, p.alpha, p.std_error, p.status) for p in self.points]
-        write_csv(path, ["omega", "alpha_critical", "std_error", "status"], rows, metadata)
+        write_csv(path, _CURVE_HEADER, rows, metadata)
+
+    @classmethod
+    def from_csv(cls, path) -> "CriticalCurve":
+        """Read a curve written by :meth:`to_csv`; ``ratio`` and ``method``
+        come from the metadata lines, defaulting to the equal split and
+        Lyapunov bisection."""
+        from .io import read_csv
+
+        meta, header, rows = read_csv(path)
+        if header != _CURVE_HEADER:
+            raise ValueError(f"unexpected curve header {header}")
+        points = tuple(CriticalPoint(float(r[0]), float(r[1]), float(r[2]), r[3]) for r in rows)
+        return cls(
+            points=points,
+            ratio=meta.get("ratio", RATIO_EQUAL),
+            method=meta.get("method", METHOD_LYAPUNOV),
+        )
 
 
 @dataclass(frozen=True)
@@ -195,8 +218,8 @@ def split_alpha(alpha: float, ratio: str) -> tuple[float, float]:
     raise ValueError(f"unknown ratio {ratio!r}")
 
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
 
 def _draw_weights(rng, alpha1, alpha2, n, fixed_r):
@@ -206,6 +229,44 @@ def _draw_weights(rng, alpha1, alpha2, n, fixed_r):
     u1 = rng.random(n)
     u2 = rng.random(n)
     return alpha1 * u1 + alpha2 * u2
+
+
+def _start(rng, n):
+    """Random unit phase vectors ``(v, x) = (sin theta, cos theta)``."""
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    return np.sin(theta), np.cos(theta)
+
+
+def _step(omega, ar, v, x):
+    """The homogeneous step ``z' = M z``: ``v' = omega*v - ar*x; x' = v' + x``."""
+    v_new = omega * v - ar * x
+    return v_new, v_new + x
+
+
+def _normalise(v, x, k):
+    """Scale ``(v, x)`` to unit norm; returns ``(v, x, norm)``."""
+    norm = np.hypot(v, x)
+    # every norm must lie in (0, inf); NaN fails both comparisons
+    if np.count_nonzero((norm > 0.0) & (norm < np.inf)) < norm.size:
+        raise NumericOverflowError("renormalisation failed", step=k)
+    return v / norm, x / norm, norm
+
+
+def _orbit(rng, omega, alpha1, alpha2, v, x, steps, fixed_r=None):
+    """Renormalised orbit from ``(v, x)``: per step yields the growth
+    ``norm``, the new unit ``(v, x)`` and the weights ``ar`` drawn."""
+    for k in range(steps):
+        ar = _draw_weights(rng, alpha1, alpha2, v.size, fixed_r)
+        v, x, norm = _normalise(*_step(omega, ar, v, x), k)
+        yield norm, v, x, ar
+
+
+def _estimate(acc, steps, burn_in) -> LyapunovEstimate:
+    """Per-step mean of the accumulated log growth, error across trials."""
+    trials = acc.size
+    per_trial = acc / steps
+    std_error = float(per_trial.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    return LyapunovEstimate(float(per_trial.mean()), std_error, steps, trials, burn_in)
 
 
 def lyapunov_exponent(
@@ -246,26 +307,12 @@ def lyapunov_exponent(
     """
     if trials < 1 or steps < 1:
         raise ValueError("steps and trials must be >= 1")
-    rng = _rng(seed)
-    theta = rng.uniform(0.0, 2.0 * np.pi, trials)
-    x = np.cos(theta)
-    v = np.sin(theta)
+    rng = np.random.default_rng(seed)
+    orbit = _orbit(rng, omega, alpha1, alpha2, *_start(rng, trials), burn_in + steps, fixed_r)
     acc = np.zeros(trials)
-    for k in range(burn_in + steps):
-        ar = _draw_weights(rng, alpha1, alpha2, trials, fixed_r)
-        v_new = omega * v - ar * x
-        x_new = v_new + x
-        norm = np.hypot(v_new, x_new)
-        if not np.isfinite(norm).all() or np.any(norm == 0.0):
-            raise NumericOverflowError("renormalisation failed", step=k)
-        if k >= burn_in:
-            acc += np.log(norm)
-        v = v_new / norm
-        x = x_new / norm
-    per_trial = acc / steps
-    value = float(per_trial.mean())
-    std_error = float(per_trial.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return LyapunovEstimate(value, std_error, steps, trials, burn_in)
+    for norm, *_ in islice(orbit, burn_in, None):
+        acc += np.log(norm)
+    return _estimate(acc, steps, burn_in)
 
 
 def lyapunov_pair(
@@ -292,42 +339,22 @@ def lyapunov_pair(
         return top, bottom
     if trials < 1 or steps < 1:
         raise ValueError("steps and trials must be >= 1")
-    rng = _rng(seed)
-    theta = rng.uniform(0.0, 2.0 * np.pi, trials)
-    c, s = np.cos(theta), np.sin(theta)
-    # orthonormal frame per trial: q1 = (c, s), q2 = (-s, c) in (v, x)
-    q1v, q1x = c, s
+    rng = np.random.default_rng(seed)
+    s, c = _start(rng, trials)
+    # orthonormal frame per trial: q1 = (c, s), q2 = (-s, c) in (v, x); the
+    # first leg is the renormalised orbit, the second follows its matrices
+    orbit = _orbit(rng, omega, alpha1, alpha2, c, s, burn_in + steps, fixed_r)
     q2v, q2x = -s, c
     acc1 = np.zeros(trials)
     acc2 = np.zeros(trials)
-    for k in range(burn_in + steps):
-        ar = _draw_weights(rng, alpha1, alpha2, trials, fixed_r)
-        w1v = omega * q1v - ar * q1x
-        w1x = w1v + q1x
-        w2v = omega * q2v - ar * q2x
-        w2x = w2v + q2x
-        n1 = np.hypot(w1v, w1x)
-        if not np.isfinite(n1).all() or np.any(n1 == 0.0):
-            raise NumericOverflowError("renormalisation failed", step=k)
-        e1v, e1x = w1v / n1, w1x / n1
-        proj = e1v * w2v + e1x * w2x
-        w2v = w2v - proj * e1v
-        w2x = w2x - proj * e1x
-        n2 = np.hypot(w2v, w2x)
-        if not np.isfinite(n2).all() or np.any(n2 == 0.0):
-            raise NumericOverflowError("orthonormalisation collapsed", step=k)
+    for k, (n1, q1v, q1x, ar) in enumerate(orbit):
+        w2v, w2x = _step(omega, ar, q2v, q2x)
+        proj = q1v * w2v + q1x * w2x
+        q2v, q2x, n2 = _normalise(w2v - proj * q1v, w2x - proj * q1x, k)
         if k >= burn_in:
             acc1 += np.log(n1)
             acc2 += np.log(n2)
-        q1v, q1x = e1v, e1x
-        q2v, q2x = w2v / n2, w2x / n2
-    lam1 = acc1 / steps
-    lam2 = acc2 / steps
-    se = lambda a: float(a.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return (
-        LyapunovEstimate(float(lam1.mean()), se(lam1), steps, trials, burn_in),
-        LyapunovEstimate(float(lam2.mean()), se(lam2), steps, trials, burn_in),
-    )
+    return _estimate(acc1, steps, burn_in), _estimate(acc2, steps, burn_in)
 
 
 def stationary_distribution(
@@ -353,21 +380,12 @@ def stationary_distribution(
         raise ValueError("n_chains must be >= 2")
     if samples < n_chains:
         raise ValueError("samples must be >= n_chains")
-    rng = _rng(seed)
-    theta = rng.uniform(0.0, 2.0 * np.pi, n_chains)
-    x = np.cos(theta)
-    v = np.sin(theta)
+    rng = np.random.default_rng(seed)
     per_chain = -(-samples // n_chains)
+    orbit = _orbit(rng, omega, alpha1, alpha2, *_start(rng, n_chains), burn_in + per_chain)
     angles = np.empty((per_chain, n_chains))
-    for k in range(burn_in + per_chain):
-        ar = _draw_weights(rng, alpha1, alpha2, n_chains, None)
-        v_new = omega * v - ar * x
-        x_new = v_new + x
-        norm = np.hypot(v_new, x_new)
-        v = v_new / norm
-        x = x_new / norm
-        if k >= burn_in:
-            angles[k - burn_in] = np.arctan2(v, x)
+    for k, (_, v, x, _) in enumerate(islice(orbit, burn_in, None)):
+        angles[k] = np.arctan2(v, x)
     pooled = np.mod(angles.ravel()[:samples], 2.0 * np.pi)
     counts, _ = np.histogram(pooled, bins=bins, range=(0.0, 2.0 * np.pi))
     return AngularHistogram(mass=counts / counts.sum(), samples=samples)
@@ -388,7 +406,7 @@ def pushforward(
     measure the result reproduces the input up to discretisation and
     Monte-Carlo error.
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     bins = hist.bins
     centers = hist.bin_centers
     x = np.cos(centers)
@@ -396,9 +414,7 @@ def pushforward(
     out = np.zeros(bins)
     for _ in range(draws):
         ar = _draw_weights(rng, alpha1, alpha2, bins, None)
-        v_new = omega * v - ar * x
-        x_new = v_new + x
-        ang = np.mod(np.arctan2(v_new, x_new), 2.0 * np.pi)
+        ang = np.mod(np.arctan2(*_step(omega, ar, v, x)), 2.0 * np.pi)
         idx = np.minimum((ang * (bins / (2.0 * np.pi))).astype(np.intp), bins - 1)
         np.add.at(out, idx, hist.mass)
     return AngularHistogram(mass=out / draws, samples=hist.samples)
@@ -426,10 +442,8 @@ def escape_probability(
         raise ValueError("require r_in < 1 < r_out")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = _rng(seed)
-    theta = rng.uniform(0.0, 2.0 * np.pi, trials)
-    x = np.cos(theta)
-    v = np.sin(theta)
+    rng = np.random.default_rng(seed)
+    v, x = _start(rng, trials)
     n_conv = 0
     n_esc = 0
     rin2 = r_in * r_in
@@ -438,13 +452,12 @@ def escape_probability(
         if x.size == 0:
             break
         ar = _draw_weights(rng, alpha1, alpha2, x.size, None)
-        v = omega * v - ar * x
-        x = v + x
+        v, x = _step(omega, ar, v, x)
         norm2 = v * v + x * x
         conv = norm2 <= rin2
         esc = norm2 >= rout2
-        n_conv += int(conv.sum())
-        n_esc += int(esc.sum())
+        n_conv += int(np.count_nonzero(conv))
+        n_esc += int(np.count_nonzero(esc))
         keep = ~(conv | esc)
         if not keep.all():
             v = v[keep]
@@ -471,10 +484,12 @@ def _significant_probe(probe, max_level: int):
     return value, se, False
 
 
-def _stochastic_bisect(probe_at, lo, hi, tolerance, omega, max_level, max_evals=48):
-    """Bisect a noisy sign function; negative means inside the stable set.
+def _stochastic_bisect(probe, seed, ratio, lo, hi, tolerance, omega, max_level, max_evals=48):
+    """Bisect a noisy sign function of the combined weight; negative means
+    inside the stable set.
 
-    ``probe_at(alpha, level) -> (value, std_error)``.  Bracket endpoints
+    ``probe(alpha1, alpha2, level, child_seed) -> (value, std_error)``
+    takes the split weights and a fresh child of ``seed``.  Bracket endpoints
     must be sign-significant before bisection.  Far from the root probes
     separate from zero at the base budget; near the root the budget grows
     until the midpoint estimate is statistically consistent with zero,
@@ -483,21 +498,23 @@ def _stochastic_bisect(probe_at, lo, hi, tolerance, omega, max_level, max_evals=
     probe is still significant on a bracket 8x finer than the tolerance
     (possible only at extreme budgets) the midpoint is accepted as is.
     """
-    v_lo, se_lo, sig_lo = _significant_probe(lambda l: probe_at(lo, l), max_level)
-    if not sig_lo:
-        return CriticalPoint(omega, math.nan, math.nan, STATUS_UNRESOLVED)
-    if v_lo > 0:
-        return CriticalPoint(omega, math.nan, math.nan, STATUS_NO_CROSSING)
-    v_hi, se_hi, sig_hi = _significant_probe(lambda l: probe_at(hi, l), max_level)
-    if not sig_hi:
-        return CriticalPoint(omega, math.nan, math.nan, STATUS_UNRESOLVED)
-    if v_hi < 0:
-        return CriticalPoint(omega, math.nan, math.nan, STATUS_NO_CROSSING)
-    evals = 0
-    while True:
+    if tolerance < 0.01:
+        raise ValueError("tolerance must be >= 0.01")
+    ss = _seed_sequence(seed)
+
+    def probe_at(alpha, level):
+        return probe(*split_alpha(alpha, ratio), level, ss.spawn(1)[0])
+
+    # the low end must probe stable (negative), the high end unstable
+    for end, sign in ((lo, -1.0), (hi, 1.0)):
+        value, _, sig = _significant_probe(partial(probe_at, end), max_level)
+        if not sig:
+            return CriticalPoint(omega, math.nan, math.nan, STATUS_UNRESOLVED)
+        if value * sign < 0:
+            return CriticalPoint(omega, math.nan, math.nan, STATUS_NO_CROSSING)
+    for _ in range(max_evals):
         mid = 0.5 * (lo + hi)
-        value, se, sig = _significant_probe(lambda l: probe_at(mid, l), max_level)
-        evals += 1
+        value, se, sig = _significant_probe(partial(probe_at, mid), max_level)
         if not sig:
             # statistically at the root at full budget: |value| <= 3*se
             return CriticalPoint(omega, mid, 0.5 * (hi - lo), STATUS_OK)
@@ -507,8 +524,27 @@ def _stochastic_bisect(probe_at, lo, hi, tolerance, omega, max_level, max_evals=
             hi = mid
         if hi - lo <= tolerance / 8.0:
             return CriticalPoint(omega, 0.5 * (lo + hi), 0.5 * (hi - lo), STATUS_OK)
-        if evals >= max_evals:
-            return CriticalPoint(omega, math.nan, math.nan, STATUS_UNRESOLVED)
+    return CriticalPoint(omega, math.nan, math.nan, STATUS_UNRESOLVED)
+
+
+def _fraction_difference(p_pos, p_neg, n):
+    """Difference of two outcome fractions of ``n`` trials, with its error."""
+    diff = p_pos - p_neg
+    var = (p_pos + p_neg - diff * diff) / n
+    return diff, math.sqrt(max(var, 0.0))
+
+
+def _solve_curve(omega_grid, seed, solve) -> tuple[CriticalPoint, ...]:
+    """Validate an inertia grid, then ``solve(omega, seed=child)`` per point."""
+    omegas = [float(w) for w in omega_grid]
+    if not omegas:
+        raise ValueError("omega_grid must be non-empty")
+    if any(b <= a for a, b in zip(omegas, omegas[1:])):
+        raise ValueError("omega_grid must be strictly increasing")
+    if any(abs(w) > 1.1 + 1e-12 for w in omegas):
+        raise ValueError("omega_grid must lie within [-1.1, 1.1]")
+    children = _seed_sequence(seed).spawn(len(omegas))
+    return tuple(solve(w, seed=child) for w, child in zip(omegas, children))
 
 
 def critical_alpha(
@@ -540,15 +576,10 @@ def critical_alpha(
     adaptive budget cannot separate the probe from zero (expected near
     ``omega = +-1``).
     """
-    if tolerance < 0.01:
-        raise ValueError("tolerance must be >= 0.01")
     if method not in ("lyapunov", "escape"):
         raise ValueError(f"unknown method {method!r}")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
-    def probe_at(alpha, level):
-        a1, a2 = split_alpha(alpha, ratio)
-        child = ss.spawn(1)[0]
+    def probe(a1, a2, level, child):
         if method == "lyapunov":
             est = lyapunov_exponent(
                 omega, a1, a2, steps=steps * 2**level, trials=trials, burn_in=burn_in, seed=child
@@ -562,11 +593,9 @@ def critical_alpha(
             trials=escape_trials * 2**level,
             seed=child,
         )
-        diff = st.p_escaped - st.p_converged
-        var = (st.p_escaped + st.p_converged - diff * diff) / st.trials
-        return diff, math.sqrt(max(var, 0.0))
+        return _fraction_difference(st.p_escaped, st.p_converged, st.trials)
 
-    return _stochastic_bisect(probe_at, alpha_lo, alpha_max, tolerance, omega, max_level)
+    return _stochastic_bisect(probe, seed, ratio, alpha_lo, alpha_max, tolerance, omega, max_level)
 
 
 def critical_curve(
@@ -583,24 +612,10 @@ def critical_curve(
     their status markers.  Grid values must be strictly increasing and
     lie within [-1.1, 1.1].
     """
-    omegas = [float(w) for w in omega_grid]
-    if not omegas:
-        raise ValueError("omega_grid must be non-empty")
-    if any(b <= a for a, b in zip(omegas, omegas[1:])):
-        raise ValueError("omega_grid must be strictly increasing")
-    if any(abs(w) > 1.1 + 1e-12 for w in omegas):
-        raise ValueError("omega_grid must lie within [-1.1, 1.1]")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = ss.spawn(len(omegas))
-    points = []
-    for w, child in zip(omegas, children):
-        points.append(
-            critical_alpha(
-                w, ratio=ratio, tolerance=tolerance, seed=child, method=method, **budgets
-            )
-        )
+    solve = partial(critical_alpha, ratio=ratio, tolerance=tolerance, method=method, **budgets)
+    points = _solve_curve(omega_grid, seed, solve)
     method_name = METHOD_LYAPUNOV if method == "lyapunov" else METHOD_ESCAPE
-    return CriticalCurve(points=tuple(points), ratio=ratio, method=method_name)
+    return CriticalCurve(points=points, ratio=ratio, method=method_name)
 
 
 def finite_time_lyapunov(
@@ -632,44 +647,28 @@ def finite_time_lyapunov(
     """
     if steps < 1 or repetitions < 1:
         raise ValueError("steps and repetitions must be >= 1")
-    rng = _rng(seed)
-    theta = rng.uniform(0.0, 2.0 * np.pi, repetitions)
+    rng = np.random.default_rng(seed)
+    v, x = _start(rng, repetitions)
     if p == 0.0 and g == 0.0:
         # homogeneous case: track per-repetition log norms exactly
-        x = np.cos(theta)
-        v = np.sin(theta)
         ell = np.zeros(repetitions)
-        for k in range(steps):
-            u1 = rng.random(repetitions)
-            u2 = rng.random(repetitions)
-            ar = alpha1 * u1 + alpha2 * u2
-            v_new = omega * v - ar * x
-            x_new = v_new + x
-            norm = np.hypot(v_new, x_new)
-            if not np.isfinite(norm).all() or np.any(norm == 0.0):
-                raise NumericOverflowError("trajectory left floating range", step=k)
+        for norm, *_ in _orbit(rng, omega, alpha1, alpha2, v, x, steps):
             ell += np.log(norm)
-            v = v_new / norm
-            x = x_new / norm
         ell += np.log(z0_scale)
         m = ell.max()
         return float((m + np.log(np.mean(np.exp(ell - m)))) / steps)
-    x = z0_scale * np.cos(theta)
-    v = z0_scale * np.sin(theta)
+    x = z0_scale * x
+    v = z0_scale * v
     for k in range(steps):
         u1 = rng.random(repetitions)
         u2 = rng.random(repetitions)
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = omega * v + alpha1 * u1 * (p - x) + alpha2 * u2 * (g - x)
-            x = x + v
+        v, x = affine_update(omega, alpha1, alpha2, v, x, u1, u2, p, g)
         if not (np.isfinite(v).all() and np.isfinite(x).all()):
             raise NumericOverflowError("trajectory left floating range", step=k)
     return float(np.log(np.mean(np.hypot(x, v))) / steps)
 
 
-def _neutral_fractions(
-    omega, alpha1, alpha2, p_eff, g_eff, iterations, repetitions, r_in, r_out, rng
-):
+def _neutral_fractions(omega, alpha1, alpha2, config, repetitions, r_in, r_out, seed):
     """Convergence/divergence fractions of the scaled affine experiment.
 
     Trajectories start on the unit circle.  Convergence: the position
@@ -678,22 +677,22 @@ def _neutral_fractions(
     degenerates to the phase norm dropping below ``r_in``, matching the
     escape experiment.  Divergence: phase norm reaches ``r_out``.
     """
-    theta = rng.uniform(0.0, 2.0 * np.pi, repetitions)
-    x = np.cos(theta)
-    v = np.sin(theta)
+    rng = np.random.default_rng(seed)
+    p_eff = config.kappa * config.p
+    g_eff = config.kappa * config.g
+    v, x = _start(rng, repetitions)
     seg_lo = min(p_eff, g_eff)
     seg_hi = max(p_eff, g_eff)
     width = seg_hi - seg_lo
     degenerate = width == 0.0
     n_conv = 0
     n_div = 0
-    for _ in range(iterations):
+    for _ in range(config.iterations):
         if x.size == 0:
             break
         u1 = rng.random(x.size)
         u2 = rng.random(x.size)
-        v = omega * v + alpha1 * u1 * (p_eff - x) + alpha2 * u2 * (g_eff - x)
-        x = x + v
+        v, x = affine_update(omega, alpha1, alpha2, v, x, u1, u2, p_eff, g_eff)
         norm = np.hypot(x, v)
         if degenerate:
             conv = norm <= r_in
@@ -701,8 +700,8 @@ def _neutral_fractions(
             dist = np.maximum(np.maximum(seg_lo - x, x - seg_hi), 0.0)
             conv = dist <= r_in * width
         div = norm >= r_out
-        n_conv += int((conv & ~div).sum())
-        n_div += int((div & ~conv).sum())
+        n_conv += int(np.count_nonzero(conv & ~div))
+        n_div += int(np.count_nonzero(div & ~conv))
         keep = ~(conv | div)
         if not keep.all():
             v = v[keep]
@@ -724,24 +723,13 @@ def neutral_alpha(
 ) -> CriticalPoint:
     """Boundary weight where convergence and divergence fractions are equal
     in the scaled finite-time experiment."""
-    if tolerance < 0.01:
-        raise ValueError("tolerance must be >= 0.01")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    p_eff = config.kappa * config.p
-    g_eff = config.kappa * config.g
 
-    def probe_at(alpha, level):
-        a1, a2 = split_alpha(alpha, ratio)
-        child = ss.spawn(1)[0]
+    def probe(a1, a2, level, child):
         reps = config.repetitions * 2**level
-        p_conv, p_div = _neutral_fractions(
-            omega, a1, a2, p_eff, g_eff, config.iterations, reps, r_in, r_out, _rng(child)
-        )
-        diff = p_div - p_conv
-        var = (p_div + p_conv - diff * diff) / reps
-        return diff, math.sqrt(max(var, 0.0))
+        p_conv, p_div = _neutral_fractions(omega, a1, a2, config, reps, r_in, r_out, child)
+        return _fraction_difference(p_div, p_conv, reps)
 
-    return _stochastic_bisect(probe_at, alpha_lo, alpha_max, tolerance, omega, max_level)
+    return _stochastic_bisect(probe, seed, ratio, alpha_lo, alpha_max, tolerance, omega, max_level)
 
 
 def neutral_stability_curve(
@@ -753,16 +741,8 @@ def neutral_stability_curve(
     **kwargs,
 ) -> CriticalCurve:
     """Neutral-stability boundary over an inertia grid for one scaling
-    configuration.  Point failures are carried as status markers."""
-    omegas = [float(w) for w in omega_grid]
-    if not omegas:
-        raise ValueError("omega_grid must be non-empty")
-    if any(b <= a for a, b in zip(omegas, omegas[1:])):
-        raise ValueError("omega_grid must be strictly increasing")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = ss.spawn(len(omegas))
-    points = [
-        neutral_alpha(w, config, ratio=ratio, tolerance=tolerance, seed=child, **kwargs)
-        for w, child in zip(omegas, children)
-    ]
-    return CriticalCurve(points=tuple(points), ratio=ratio, method=METHOD_ESCAPE)
+    configuration.  Point failures are carried as status markers.  Grid
+    values must be strictly increasing and lie within [-1.1, 1.1]."""
+    solve = partial(neutral_alpha, config=config, ratio=ratio, tolerance=tolerance, **kwargs)
+    points = _solve_curve(omega_grid, seed, solve)
+    return CriticalCurve(points=points, ratio=ratio, method=METHOD_ESCAPE)

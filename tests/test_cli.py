@@ -65,11 +65,30 @@ def test_lyapunov_json_positive_above_critical(tmp_path):
     assert payload["alpha1"] == payload["alpha2"] == 2.4
 
 
-def test_identical_invocations_are_byte_identical(tmp_path):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    argv = ["lyapunov", "--omega", "0.5", "--alpha", "1.0", "--steps", "2000",
-            "--trials", "4", "--burn-in", "100", "--seed", "9"]
+_TINY = {
+    "lyapunov": ["--omega", "0.5", "--alpha", "1.0", "--steps", "2000", "--trials", "4",
+                 "--burn-in", "100"],
+    "curve": ["--omega-min", "0.4", "--omega-max", "0.4", "--tolerance", "0.05",
+              "--steps", "500", "--trials", "8"],
+    "stationary": ["--omega", "0.7", "--alpha", "0.5", "--bins", "64", "--samples", "2000",
+                   "--burn-in", "50", "--chains", "2"],
+    "escape": ["--omega", "0.5", "--alpha", "2.0", "--trials", "200", "--max-steps", "500"],
+    "optimize": ["--function", "rastrigin", "--dim", "2", "--omega", "0.7", "--alpha", "1.4",
+                 "--iterations", "20", "--particles", "5"],
+    "sweep": ["--omega-min", "0.4", "--omega-max", "0.7", "--omega-step", "0.3",
+              "--alpha-min", "1.0", "--alpha-max", "2.0", "--alpha-step", "1.0",
+              "--iterations", "10", "--repetitions", "2", "--functions", "sphere",
+              "--dim", "2", "--particles", "4"],
+    "scaling": ["--kappa", "0.5", "--iterations", "50", "--repetitions", "300",
+                "--omega-min", "0.4", "--omega-max", "0.4", "--tolerance", "0.05"],
+}
+
+
+@pytest.mark.parametrize("sub", list(_TINY))
+def test_identical_invocations_are_byte_identical(tmp_path, sub):
+    a = tmp_path / "a.out"
+    b = tmp_path / "b.out"
+    argv = [sub, *_TINY[sub], "--seed", "9"]
     assert run(argv + ["--output", str(a)]) == 0
     assert run(argv + ["--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()

@@ -213,11 +213,3 @@ def test_run_result_export(tmp_path):
     assert payload["seed"] == 17
     assert payload["diverged"] is False
 
-
-def test_particles_view():
-    params = SwarmParams(0.7, 0.7, 0.7, n_particles=4, dim=2)
-    state = init_swarm(params, (-1.0, 1.0), sphere, seed=18)
-    particles = state.particles
-    assert len(particles) == 4
-    assert particles[0].p_best_cost == state.p_best_cost[0]
-    assert particles[2].state.is_finite

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from swarmcrit.stability import (
     RATIO_SOCIAL_ONLY,
     STATUS_NO_CROSSING,
     STATUS_OK,
+    AngularHistogram,
     CriticalCurve,
     CriticalPoint,
     NumericOverflowError,
@@ -20,6 +22,7 @@ from swarmcrit.stability import (
     lyapunov_exponent,
     lyapunov_pair,
     neutral_alpha,
+    neutral_stability_curve,
     pushforward,
     split_alpha,
     stationary_distribution,
@@ -67,10 +70,31 @@ def test_sign_consistency_with_escape_across_curve():
             assert (est.value > 0) == (st.p_escaped > st.p_converged), (omega, alpha)
 
 
-def test_lyapunov_seed_determinism():
-    a = lyapunov_exponent(0.5, 0.5, 0.5, steps=2000, trials=4, burn_in=100, seed=42)
-    b = lyapunov_exponent(0.5, 0.5, 0.5, steps=2000, trials=4, burn_in=100, seed=42)
-    assert a == b
+_HIST = AngularHistogram(mass=np.full(64, 1 / 64), samples=64)
+
+_ESTIMATORS = {
+    "lyapunov_exponent": lambda seed: lyapunov_exponent(
+        0.5, 0.5, 0.5, steps=2000, trials=4, burn_in=100, seed=seed),
+    "lyapunov_pair": lambda seed: lyapunov_pair(
+        0.5, 0.5, 0.5, steps=2000, trials=4, burn_in=100, seed=seed),
+    "stationary_distribution": lambda seed: stationary_distribution(
+        0.7, 0.0, 2.5, bins=64, samples=4000, burn_in=100, n_chains=4, seed=seed).mass.tobytes(),
+    "pushforward": lambda seed: pushforward(
+        _HIST, 0.7, 0.0, 2.5, draws=200, seed=seed).mass.tobytes(),
+    "finite_time_lyapunov_homogeneous": lambda seed: finite_time_lyapunov(
+        0.7, 0.5, 0.5, steps=500, repetitions=8, seed=seed),
+    "finite_time_lyapunov_affine": lambda seed: finite_time_lyapunov(
+        0.6, 0.9, 0.9, p=0.07, g=0.0, steps=150, repetitions=200, seed=seed),
+    "neutral_alpha": lambda seed: neutral_alpha(
+        0.4, ScalingConfig(kappa=0.5, iterations=100, repetitions=500), tolerance=0.05,
+        seed=seed),
+}
+
+
+@pytest.mark.parametrize("estimator", list(_ESTIMATORS))
+def test_lyapunov_seed_determinism(estimator):
+    run = _ESTIMATORS[estimator]
+    assert run(42) == run(42)
 
 
 def test_lyapunov_estimator_consistency():
@@ -256,13 +280,17 @@ def test_critical_curve_markers_and_interpolation():
         assert inside.value < 0
 
 
-def test_critical_curve_validates_grid():
+@pytest.mark.parametrize("solve", [
+    critical_curve,
+    lambda grid, seed: neutral_stability_curve(ScalingConfig(kappa=1.0), grid, seed=seed),
+], ids=["critical_curve", "neutral_stability_curve"])
+def test_critical_curve_validates_grid(solve):
     with pytest.raises(ValueError):
-        critical_curve([], seed=1)
+        solve([], seed=1)
     with pytest.raises(ValueError):
-        critical_curve([0.5, 0.4], seed=1)
+        solve([0.5, 0.4], seed=1)
     with pytest.raises(ValueError):
-        critical_curve([0.0, 1.3], seed=1)
+        solve([0.0, 1.3], seed=1)
 
 
 def test_critical_curve_csv_roundtrip(tmp_path):
@@ -271,15 +299,19 @@ def test_critical_curve_csv_roundtrip(tmp_path):
         CriticalPoint(0.5, 4.5, 0.03, STATUS_OK),
         CriticalPoint(1.1, math.nan, math.nan, STATUS_NO_CROSSING),
     )
-    curve = CriticalCurve(points=points, ratio=RATIO_EQUAL, method="LYAPUNOV_BISECTION")
+    curve = CriticalCurve(points=points, ratio=RATIO_SOCIAL_ONLY, method="ESCAPE_EQUALITY")
     path = tmp_path / "curve.csv"
-    curve.to_csv(path, metadata={"seed": 7})
+    curve.to_csv(path, metadata={"seed": 7, "ratio": curve.ratio, "method": curve.method})
     text = path.read_text()
     assert text.startswith("# tool_version=")
     assert "omega,alpha_critical,std_error,status" in text
     assert "NO_CROSSING" in text
     # 17 significant digits round-trip
     assert "3.25" in text and "4.5" in text
+    loaded = CriticalCurve.from_csv(path)
+    assert (loaded.ratio, loaded.method) == (curve.ratio, curve.method)
+    # field by field, NaN matching NaN
+    np.testing.assert_equal([astuple(p) for p in loaded.points], [astuple(p) for p in points])
 
 
 # ---------------------------------------------------------------- finite time
