@@ -19,10 +19,10 @@ from swarmcrit import (
     best_region,
     critical_curve,
     distance_to_curve,
+    heatmap_to_csv,
     make_function,
     run_sweep,
 )
-from swarmcrit.harness import heatmap_to_csv
 from swarmcrit.io import write_csv
 
 HERE = Path(__file__).resolve().parent

@@ -20,6 +20,7 @@ __all__ = [
     "FUNCTION_IDS",
     "evaluate",
     "make_function",
+    "save_manifest",
     "suite",
     "suite_manifest",
 ]

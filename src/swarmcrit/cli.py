@@ -9,12 +9,14 @@ files.  Exit codes: 0 success, 1 validation error, 2 numeric failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from dataclasses import asdict
 
 from . import benchmarks, harness, io, pso, stability
 from .dynamics import SwarmParams
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "dispatch"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -33,11 +35,38 @@ def _ratio(value: str) -> str:
     return key
 
 
-def _positive(value: str) -> float:
+def _finite(value: str) -> float:
     x = float(value)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return x
+
+
+def _positive(value: str) -> float:
+    x = _finite(value)
     if x <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return x
+
+
+# sweep key -> (type, default, help); the key names the flag
+# (``--omega-min``) and the config file entry (``omega_min = ...``), and
+# both are read through the same type
+_SWEEP_KEYS = {
+    "omega_min": (_finite, -1.1, None),
+    "omega_max": (_finite, 1.1, None),
+    "omega_step": (_positive, 0.1, None),
+    "alpha_min": (_positive, 0.25, None),
+    "alpha_max": (_positive, 5.0, None),
+    "alpha_step": (_positive, 0.25, None),
+    "split": (_ratio, "equal", None),
+    "iterations": (int, 2000, None),
+    "repetitions": (int, 100, None),
+    "functions": (str, None, "comma-separated ids (default: full suite)"),
+    "dim": (int, 10, None),
+    "particles": (int, 25, None),
+    "seed": (int, 0, None),
+}
 
 
 def _omega_grid(args):
@@ -51,7 +80,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("lyapunov", parents=[], help="estimate the top Lyapunov exponent")
-    p.add_argument("--omega", type=float, required=True, help="inertia weight")
+    p.add_argument("--omega", type=_finite, required=True, help="inertia weight")
     p.add_argument("--alpha", type=_positive, required=True, help="combined attraction weight")
     p.add_argument("--split", type=_ratio, default="equal", help="equal | social-only (default equal)")
     p.add_argument("--steps", type=int, default=100_000, help="steps per trial (default 100000)")
@@ -62,8 +91,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("curve", help="solve the critical (omega, alpha) curve")
     p.add_argument("--ratio", type=_ratio, default="equal", help="equal | social-only (default equal)")
-    p.add_argument("--omega-min", type=float, default=-1.1)
-    p.add_argument("--omega-max", type=float, default=1.1)
+    p.add_argument("--omega-min", type=_finite, default=-1.1)
+    p.add_argument("--omega-max", type=_finite, default=1.1)
     p.add_argument("--step", type=_positive, default=0.1, help="omega grid step (default 0.1)")
     p.add_argument("--tolerance", type=_positive, default=0.02, help="alpha tolerance (default 0.02)")
     p.add_argument("--method", choices=["lyapunov", "escape"], default="lyapunov")
@@ -73,7 +102,7 @@ def build_parser() -> _Parser:
     p.add_argument("--output", required=True, help="output CSV path")
 
     p = sub.add_parser("stationary", help="estimate the stationary angular measure")
-    p.add_argument("--omega", type=float, required=True)
+    p.add_argument("--omega", type=_finite, required=True)
     p.add_argument("--alpha", type=_positive, required=True)
     p.add_argument("--split", type=_ratio, default="social_only",
                    help="equal | social-only (default social-only)")
@@ -85,7 +114,7 @@ def build_parser() -> _Parser:
     p.add_argument("--output", required=True, help="output CSV path")
 
     p = sub.add_parser("escape", help="inner/outer radius first-passage fractions")
-    p.add_argument("--omega", type=float, required=True)
+    p.add_argument("--omega", type=_finite, required=True)
     p.add_argument("--alpha", type=_positive, required=True)
     p.add_argument("--split", type=_ratio, default="equal")
     p.add_argument("--r-in", type=_positive, default=1e-6, help="inner radius (default 1e-6)")
@@ -101,7 +130,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dim", type=int, default=10, help="problem dimension (default 10)")
     p.add_argument("--rotated", action="store_true", help="apply a seeded random rotation")
     p.add_argument("--noncontinuous", action="store_true", help="apply the half-step rounding")
-    p.add_argument("--omega", type=float, required=True)
+    p.add_argument("--omega", type=_finite, required=True)
     p.add_argument("--alpha", type=_positive, required=True)
     p.add_argument("--split", type=_ratio, default="equal")
     p.add_argument("--iterations", type=int, default=2000, help="iterations (default 2000)")
@@ -112,20 +141,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="run the (omega, alpha) grid sweep")
     p.add_argument("--config", help="plain-text key=value config file")
-    p.add_argument("--omega-min", type=float, default=-1.1)
-    p.add_argument("--omega-max", type=float, default=1.1)
-    p.add_argument("--omega-step", type=_positive, default=0.1)
-    p.add_argument("--alpha-min", type=_positive, default=0.25)
-    p.add_argument("--alpha-max", type=_positive, default=5.0)
-    p.add_argument("--alpha-step", type=_positive, default=0.25)
-    p.add_argument("--split", type=_ratio, default="equal")
-    p.add_argument("--iterations", type=int, default=2000)
-    p.add_argument("--repetitions", type=int, default=100)
-    p.add_argument("--functions", help="comma-separated ids (default: full suite)")
-    p.add_argument("--dim", type=int, default=10)
-    p.add_argument("--particles", type=int, default=25)
+    for key, (kind, default, text) in _SWEEP_KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=kind, default=default, help=text)
     p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True, help="per-cell CSV path")
     p.add_argument("--heatmap", help="optional aggregated heatmap CSV path")
 
@@ -138,13 +156,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("scaling", help="neutral-stability curve of the scaled experiment")
     p.add_argument("--kappa", type=_positive, required=True, help="scale factor for p and g")
-    p.add_argument("--p", type=float, default=0.1, help="personal best position (default 0.1)")
-    p.add_argument("--g", type=float, default=0.0, help="global best position (default 0.0)")
+    p.add_argument("--p", type=_finite, default=0.1, help="personal best position (default 0.1)")
+    p.add_argument("--g", type=_finite, default=0.0, help="global best position (default 0.0)")
     p.add_argument("--iterations", type=int, default=200)
     p.add_argument("--repetitions", type=int, default=100_000)
     p.add_argument("--split", type=_ratio, default="equal")
-    p.add_argument("--omega-min", type=float, default=-1.0)
-    p.add_argument("--omega-max", type=float, default=1.0)
+    p.add_argument("--omega-min", type=_finite, default=-1.0)
+    p.add_argument("--omega-max", type=_finite, default=1.0)
     p.add_argument("--step", type=_positive, default=0.1)
     p.add_argument("--tolerance", type=_positive, default=0.02)
     p.add_argument("--seed", type=int, default=0)
@@ -166,11 +184,7 @@ def _cmd_lyapunov(args) -> int:
         "alpha": args.alpha,
         "alpha1": a1,
         "alpha2": a2,
-        "value": est.value,
-        "std_error": est.std_error,
-        "steps": est.steps,
-        "trials": est.trials,
-        "burn_in": est.burn_in,
+        **asdict(est),
     })
     return 0
 
@@ -213,13 +227,7 @@ def _cmd_escape(args) -> int:
         "omega": args.omega,
         "alpha": args.alpha,
         "split": args.split,
-        "p_converged": st.p_converged,
-        "p_escaped": st.p_escaped,
-        "p_undecided": st.p_undecided,
-        "trials": st.trials,
-        "r_in": st.r_in,
-        "r_out": st.r_out,
-        "max_steps": st.max_steps,
+        **asdict(st),
     })
     return 0
 
@@ -249,28 +257,19 @@ def _cmd_optimize(args) -> int:
 
 
 def _sweep_config(args) -> harness.SweepConfig:
-    values = {
-        "omega_min": args.omega_min, "omega_max": args.omega_max, "omega_step": args.omega_step,
-        "alpha_min": args.alpha_min, "alpha_max": args.alpha_max, "alpha_step": args.alpha_step,
-        "split": args.split, "iterations": args.iterations, "repetitions": args.repetitions,
-        "functions": args.functions, "dim": args.dim, "particles": args.particles,
-        "seed": args.seed,
-    }
+    """Flag values, overridden by the ``--config`` file values."""
+    values = {key: getattr(args, key) for key in _SWEEP_KEYS}
     if args.config:
-        raw = io.read_keyvalue_config(args.config)
-        casts = {
-            "omega_min": float, "omega_max": float, "omega_step": float,
-            "alpha_min": float, "alpha_max": float, "alpha_step": float,
-            "split": _ratio, "iterations": int, "repetitions": int,
-            "functions": str, "dim": int, "particles": int, "seed": int,
-        }
-        for key, text in raw.items():
-            if key not in casts:
+        for key, text in io.read_keyvalue_config(args.config).items():
+            if key not in _SWEEP_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-            values[key] = casts[key](text)
+            try:
+                values[key] = _SWEEP_KEYS[key][0](text)
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"config key {key}: {exc}") from exc
     functions = None
     if values["functions"]:
-        ids = [s.strip() for s in str(values["functions"]).split(",") if s.strip()]
+        ids = [s.strip() for s in values["functions"].split(",") if s.strip()]
         functions = tuple(
             benchmarks.make_function(fid, values["dim"], seed=values["seed"]) for fid in ids
         )
@@ -307,30 +306,21 @@ def _cmd_sweep(args) -> int:
 def _cmd_region(args) -> int:
     if args.quantile > 1.0:
         raise ValueError("--quantile must lie in (0, 1]")
+    if args.stats and not args.curve:
+        raise ValueError("--stats requires --curve")
+    curve = stability.CriticalCurve.from_csv(args.curve) if args.curve else None
     grid = harness.SweepGrid.from_csv(args.sweep)
     cells = harness.best_region(grid, quantile=args.quantile)
-    io.write_csv(
-        args.output,
-        ["omega", "alpha", "normalized_cost"],
-        cells,
-        metadata={"sweep": args.sweep, "quantile": args.quantile},
-    )
-    if args.curve:
-        curve = stability.CriticalCurve.from_csv(args.curve)
+    harness.heatmap_to_csv(cells, args.output, metadata={
+        "sweep": args.sweep, "quantile": args.quantile,
+    })
+    if args.stats:
         stats = harness.distance_to_curve(cells, curve)
-        payload = {
+        io.write_json(args.stats, {
             "tool_version": io.__version__,
             "quantile": args.quantile,
-            "mean": stats.mean,
-            "median": stats.median,
-            "max": stats.max,
-            "count": stats.count,
-            "skipped": stats.skipped,
-        }
-        if args.stats:
-            io.write_json(args.stats, payload)
-    elif args.stats:
-        raise ValueError("--stats requires --curve")
+            **asdict(stats),
+        })
     return 0
 
 

@@ -12,6 +12,8 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 from functools import partial
+from itertools import starmap
+from typing import get_type_hints
 
 import numpy as np
 
@@ -27,6 +29,7 @@ __all__ = [
     "DistanceStats",
     "run_sweep",
     "aggregate_heatmap",
+    "heatmap_to_csv",
     "best_region",
     "distance_to_curve",
     "inclusive_grid",
@@ -72,6 +75,9 @@ class SweepConfig:
             raise ValueError("iterations must be >= 0 and repetitions >= 1")
         if self.functions is not None:
             object.__setattr__(self, "functions", tuple(self.functions))
+            labels = [fn.label for fn in self.functions]
+            if len(set(labels)) < len(labels):
+                raise ValueError(f"repeated sweep functions in {labels}")
 
     def resolve_functions(self) -> tuple[BenchmarkFunction, ...]:
         if self.functions is not None:
@@ -93,8 +99,10 @@ class CellStats:
     repetitions: int
 
 
-# the sweep CSV has one column per CellStats field, in field order
+# the sweep CSV has one column per CellStats field, in field order, and
+# reads back through the field types
 _SWEEP_HEADER = [f.name for f in fields(CellStats)]
+_SWEEP_TYPES = list(get_type_hints(CellStats).values())
 
 
 @dataclass(frozen=True)
@@ -119,43 +127,33 @@ class SweepGrid:
         _, header, rows = read_csv(path)
         if header != _SWEEP_HEADER:
             raise ValueError(f"unexpected sweep header {header}")
-        cells = tuple(
-            CellStats(
-                function=r[0],
-                omega=float(r[1]),
-                alpha=float(r[2]),
-                iterations=int(r[3]),
-                mean_best_cost=float(r[4]),
-                median_best_cost=float(r[5]),
-                divergence_fraction=float(r[6]),
-                repetitions=int(r[7]),
-            )
-            for r in rows
-        )
+        cells = tuple(CellStats(*(t(v) for t, v in zip(_SWEEP_TYPES, r))) for r in rows)
         omegas = np.array(sorted({c.omega for c in cells}))
         alphas = np.array(sorted({c.alpha for c in cells}))
         labels = tuple(dict.fromkeys(c.function for c in cells))
         return cls(cells, omegas, alphas, labels)
 
 
-def _run_cell(args):
-    (fn, fn_idx, omega, i_w, alpha, i_a, split, iterations, n_particles, dim, reps, master) = args
-    alpha1, alpha2 = split_alpha(alpha, split)
+def _run_cell(config: SweepConfig, fn_idx, fn, i_w, i_a) -> CellStats:
+    omega = float(config.omega_values[i_w])
+    alpha = float(config.alpha_values[i_a])
+    alpha1, alpha2 = split_alpha(alpha, config.split)
     params = SwarmParams(
-        omega=omega, alpha1=alpha1, alpha2=alpha2, n_particles=n_particles, dim=dim
+        omega=omega, alpha1=alpha1, alpha2=alpha2, n_particles=config.n_particles, dim=config.dim
     )
+    reps = config.repetitions
     best = np.empty(reps)
     diverged = 0
     for rep in range(reps):
-        seed = np.random.SeedSequence([master, fn_idx, i_w, i_a, rep])
-        result = optimize(fn, params, iterations, bounds=fn.domain, seed=seed)
+        seed = np.random.SeedSequence([config.master_seed, fn_idx, i_w, i_a, rep])
+        result = optimize(fn, params, config.iterations, bounds=fn.domain, seed=seed)
         best[rep] = result.best_cost
         diverged += result.diverged
     return CellStats(
         function=fn.label,
         omega=omega,
         alpha=alpha,
-        iterations=iterations,
+        iterations=config.iterations,
         mean_best_cost=float(best.mean()),
         median_best_cost=float(np.median(best)),
         divergence_fraction=diverged / reps,
@@ -171,31 +169,18 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepGrid:
     cell means stay finite.
     """
     functions = config.resolve_functions()
-    tasks = []
-    for fn_idx, fn in enumerate(functions):
-        for i_w, omega in enumerate(config.omega_values):
-            for i_a, alpha in enumerate(config.alpha_values):
-                tasks.append(
-                    (
-                        fn,
-                        fn_idx,
-                        float(omega),
-                        i_w,
-                        float(alpha),
-                        i_a,
-                        config.split,
-                        config.iterations,
-                        config.n_particles,
-                        config.dim,
-                        config.repetitions,
-                        config.master_seed,
-                    )
-                )
+    tasks = [
+        (fn_idx, fn, i_w, i_a)
+        for fn_idx, fn in enumerate(functions)
+        for i_w in range(len(config.omega_values))
+        for i_a in range(len(config.alpha_values))
+    ]
+    run_cell = partial(_run_cell, config)
     if jobs <= 1:
-        cells = [_run_cell(t) for t in tasks]
+        cells = list(starmap(run_cell, tasks))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(_run_cell, tasks, chunksize=8))
+            cells = list(pool.map(run_cell, *zip(*tasks), chunksize=8))
     return SweepGrid(
         cells=tuple(cells),
         omega_values=np.asarray(config.omega_values, dtype=float),

@@ -12,7 +12,7 @@ run as diverged, cost evaluation for them is skipped and treated as +inf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -114,13 +114,7 @@ class RunResult:
         from .io import write_json
 
         payload = {
-            "params": {
-                "omega": params.omega,
-                "alpha1": params.alpha1,
-                "alpha2": params.alpha2,
-                "n_particles": params.n_particles,
-                "dim": params.dim,
-            },
+            "params": asdict(params),
             "seed": seed,
             "best_cost": self.best_cost,
             "best_position": [float(v) for v in self.best_position],

@@ -152,9 +152,13 @@ class CriticalCurve:
         return float(np.interp(omega, xs, ys))
 
     def to_csv(self, path, metadata: dict | None = None) -> None:
+        """Write the curve; ``ratio`` and ``method`` always go into the
+        metadata (after the caller's keys, or in their place), so that
+        :meth:`from_csv` reads them back."""
         from .io import write_csv
 
         rows = [(p.omega, p.alpha, p.std_error, p.status) for p in self.points]
+        metadata = {**(metadata or {}), "ratio": self.ratio, "method": self.method}
         write_csv(path, _CURVE_HEADER, rows, metadata)
 
     @classmethod

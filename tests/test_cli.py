@@ -36,6 +36,30 @@ def test_negative_alpha_exits_one_without_output(tmp_path, capsys):
     assert not out.exists()
 
 
+_INVALID = {
+    "lyapunov-alpha-nan": ["lyapunov", "--omega", "0.7", "--alpha", "nan"],
+    "optimize-alpha-inf": ["optimize", "--omega", "0.7", "--alpha", "inf", "--dim", "2",
+                           "--iterations", "5"],
+    "optimize-omega-nan": ["optimize", "--omega", "nan", "--alpha", "1.4", "--dim", "2",
+                           "--iterations", "5"],
+    "sweep-config-zero-step": ["sweep", "--config", "{config}"],
+}
+
+
+@pytest.mark.parametrize("case", list(_INVALID))
+def test_non_finite_and_zero_step_exit_one_without_output(tmp_path, case):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("functions = sphere\ndim = 2\nomega_step = 0\n")
+    out = tmp_path / "never.out"
+    argv = [a.format(config=config) for a in _INVALID[case]] + ["--output", str(out)]
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 1
+    assert not out.exists()
+
+
 def test_help_smoke(capsys):
     # every stochastic subcommand documents a seed; region is pure
     # post-processing of files
@@ -198,6 +222,22 @@ def test_sweep_with_config_file_and_jobs(tmp_path):
     assert len(hrows) == 4
 
 
+def test_sweep_config_file_beats_flags_and_flags_fill_in(tmp_path):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(
+        "omega_min = 0.4\nomega_max = 0.4\nalpha_min = 1.0\nalpha_max = 1.0\n"
+        "iterations = 5\nrepetitions = 1\nfunctions = sphere\ndim = 2\nseed = 11\n"
+    )
+    out = tmp_path / "sweep.csv"
+    code = run(["sweep", "--config", str(config), "--seed", "3", "--particles", "4",
+                "--dim", "3", "--output", str(out)])
+    assert code == 0
+    meta, _, rows = read_csv(out)
+    # seed and dim come from the file, particles from the flag
+    assert (meta["seed"], meta["dim"], meta["particles"]) == ("11", "2", "4")
+    assert len(rows) == 1
+
+
 def test_region_with_curve(tmp_path):
     sweep_csv = tmp_path / "sweep.csv"
     run(["sweep", "--omega-min", "0.4", "--omega-max", "0.7", "--omega-step", "0.3",
@@ -231,3 +271,4 @@ def test_region_stats_requires_curve(tmp_path):
     code = run(["region", "--sweep", str(sweep_csv), "--output",
                 str(tmp_path / "r.csv"), "--stats", str(tmp_path / "s.json")])
     assert code == 1
+    assert not (tmp_path / "r.csv").exists()

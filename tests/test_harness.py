@@ -78,6 +78,8 @@ def test_config_validation():
         _tiny_config(split="harmonic")
     with pytest.raises(ValueError):
         _tiny_config(repetitions=0)
+    with pytest.raises(ValueError, match="repeated"):
+        _tiny_config(functions=(make_function("sphere", 2, seed=1), make_function("sphere", 2, seed=2)))
 
 
 def test_aggregate_heatmap_normalisation():

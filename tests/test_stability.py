@@ -312,6 +312,11 @@ def test_critical_curve_csv_roundtrip(tmp_path):
     assert (loaded.ratio, loaded.method) == (curve.ratio, curve.method)
     # field by field, NaN matching NaN
     np.testing.assert_equal([astuple(p) for p in loaded.points], [astuple(p) for p in points])
+    # the curve records its own ratio and method when the caller does not
+    bare = tmp_path / "bare.csv"
+    curve.to_csv(bare)
+    loaded = CriticalCurve.from_csv(bare)
+    assert (loaded.ratio, loaded.method) == (curve.ratio, curve.method)
 
 
 # ---------------------------------------------------------------- finite time
