@@ -14,6 +14,7 @@ an algebraic identity for every realisation of ``r``.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,11 +49,11 @@ class SwarmParams:
     Parameters
     ----------
     omega : float
-        Inertia weight multiplying the previous velocity.
+        Inertia weight multiplying the previous velocity; finite.
     alpha1 : float
-        Attraction weight towards the personal best, >= 0.
+        Attraction weight towards the personal best, finite and >= 0.
     alpha2 : float
-        Attraction weight towards the global best, >= 0.
+        Attraction weight towards the global best, finite and >= 0.
     n_particles : int
         Swarm size, >= 1.
     dim : int
@@ -66,6 +67,8 @@ class SwarmParams:
     dim: int = 1
 
     def __post_init__(self):
+        if not all(math.isfinite(w) for w in (self.omega, self.alpha1, self.alpha2)):
+            raise ValueError("omega, alpha1 and alpha2 must be finite")
         if self.alpha1 < 0 or self.alpha2 < 0:
             raise ValueError("alpha1 and alpha2 must be nonnegative")
         if self.alpha1 + self.alpha2 <= 0:

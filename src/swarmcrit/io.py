@@ -2,12 +2,14 @@
 
 CSV files carry ``#``-prefixed metadata comment lines (tool version, seed,
 configuration echo) before the header row; reals are written with 17
-significant digits so round-tripping is exact.
+significant digits so round-tripping is exact.  JSON files are standard
+JSON: a non-finite real is written as ``null``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -76,8 +78,23 @@ def read_csv(path) -> tuple[dict, list[str], list[list[str]]]:
     return meta, header, rows
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float, however nested, replaced by
+    ``None``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write standard JSON: a non-finite real becomes ``null``, never the
+    non-standard ``NaN`` or ``Infinity``."""
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def read_keyvalue_config(path) -> dict[str, str]:

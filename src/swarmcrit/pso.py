@@ -8,6 +8,9 @@ evaluated, so results are reproducible under any evaluation order.
 
 No spatial or velocity clamping is performed; non-finite positions mark the
 run as diverged, cost evaluation for them is skipped and treated as +inf.
+The flag is set only once a position or velocity has overflowed to a
+non-finite value, so a swarm that grows without bound but stays finite
+within the budget is not flagged.
 """
 
 from __future__ import annotations
@@ -96,7 +99,13 @@ class SwarmState:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of one optimisation run."""
+    """Outcome of one optimisation run.
+
+    ``diverged`` means that a position or velocity overflowed to a
+    non-finite value within the budget.  A divergent run whose budget ends
+    before the overflow reports ``False``, so divergence fractions over
+    short runs are a lower bound.
+    """
 
     best_cost: float
     best_position: np.ndarray
@@ -223,7 +232,9 @@ def optimize(f, params: SwarmParams, iterations: int, bounds=(-100.0, 100.0), se
     divergence flag and the number of scheduled cost evaluations
     (``n_particles * (iterations + 1)``, counting initialisation; skipped
     evaluations of non-finite positions contribute +inf without calling
-    ``f``).
+    ``f``).  The divergence flag is set only when a position or velocity
+    has overflowed to a non-finite value within ``iterations``; see
+    :class:`RunResult`.
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")

@@ -10,6 +10,12 @@ All estimators are Monte-Carlo: the orbit average of the renormalised
 random product converges to the double integral over the angular measure
 and the matrix set by ergodicity.  Every function takes an explicit seed
 and is bit-reproducible for a fixed seed, independent of execution order.
+
+The renormalised orbits behind the Lyapunov, stationary-measure and
+homogeneous finite-time estimators advance in blocks of up to 256 steps:
+one call draws a block's weights from the same random stream, in the same
+order, as one draw per step would, and the log growth is summed step after
+step, so the results are bit-identical to a step-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 
 import numpy as np
 
@@ -226,13 +231,21 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
 
-def _draw_weights(rng, alpha1, alpha2, n, fixed_r):
-    """Per-trial combined weights alpha*r for one step."""
+# Orbits advance in blocks of at most _BLOCK_STEPS steps and _BLOCK_VALUES
+# lane-steps: the per-step numpy calls then write into preallocated rows, and
+# a block's buffers stay near 3 MB at any lane count.
+_BLOCK_STEPS = 256
+_BLOCK_VALUES = 1 << 16
+
+
+def _draw_weights(rng, alpha1, alpha2, shape, fixed_r=None):
+    """Combined weights alpha*r of ``shape = (..., n)``, one per lane and
+    step.  Each step draws its ``n`` values of ``u1``, then its ``n`` values
+    of ``u2``: the same stream as two ``rng.random(n)`` calls per step."""
     if fixed_r is not None:
-        return np.full(n, (alpha1 + alpha2) * fixed_r)
-    u1 = rng.random(n)
-    u2 = rng.random(n)
-    return alpha1 * u1 + alpha2 * u2
+        return np.full(shape, (alpha1 + alpha2) * fixed_r)
+    u = rng.random((*shape[:-1], 2, shape[-1]))
+    return alpha1 * u[..., 0, :] + alpha2 * u[..., 1, :]
 
 
 def _start(rng, n):
@@ -241,28 +254,59 @@ def _start(rng, n):
     return np.sin(theta), np.cos(theta)
 
 
-def _step(omega, ar, v, x):
-    """The homogeneous step ``z' = M z``: ``v' = omega*v - ar*x; x' = v' + x``."""
-    v_new = omega * v - ar * x
-    return v_new, v_new + x
+def _step(omega, ar, v, x, out=(None, None)):
+    """The homogeneous step ``z' = M z``: ``v' = omega*v - ar*x; x' = v' + x``,
+    written into ``out = (v', x')`` when given."""
+    # out arguments are positional: keywords cost a parse per call
+    v_new = np.multiply(omega, v, out[0])
+    np.subtract(v_new, ar * x, v_new)
+    return v_new, np.add(v_new, x, out[1])
 
 
-def _normalise(v, x, k):
-    """Scale ``(v, x)`` to unit norm; returns ``(v, x, norm)``."""
-    norm = np.hypot(v, x)
-    # every norm must lie in (0, inf); NaN fails both comparisons
-    if np.count_nonzero((norm > 0.0) & (norm < np.inf)) < norm.size:
-        raise NumericOverflowError("renormalisation failed", step=k)
-    return v / norm, x / norm, norm
+def _good_rows(norm):
+    """Number of leading rows of ``norm`` whose entries all lie in (0, inf)."""
+    # NaN fails both comparisons
+    ok = ((norm > 0.0) & (norm < np.inf)).all(axis=1)
+    return len(ok) if ok.all() else int(ok.argmin())
 
 
-def _orbit(rng, omega, alpha1, alpha2, v, x, steps, fixed_r=None):
-    """Renormalised orbit from ``(v, x)``: per step yields the growth
-    ``norm``, the new unit ``(v, x)`` and the weights ``ar`` drawn."""
-    for k in range(steps):
-        ar = _draw_weights(rng, alpha1, alpha2, v.size, fixed_r)
-        v, x, norm = _normalise(*_step(omega, ar, v, x), k)
-        yield norm, v, x, ar
+def _orbit(rng, omega, alpha1, alpha2, v, x, burn_in, steps, fixed_r=None):
+    """Renormalised orbit from ``(v, x)`` over ``burn_in + steps`` steps, in
+    blocks that never straddle the end of the burn-in.
+
+    Per block yields ``(k0, norm, phase, ar)``: row ``i`` of each array is
+    step ``k0 + i``'s growth, new unit ``(v, x)`` and weights.  A norm
+    outside (0, inf) raises :class:`NumericOverflowError` at its step, after
+    the rows before it have been yielded.
+    """
+    n = v.size
+    k_max = max(1, min(_BLOCK_STEPS, _BLOCK_VALUES // n))
+    end = burn_in + steps
+    bounds = [*range(0, burn_in, k_max), *range(burn_in, end, k_max), end]
+    for k0, k1 in zip(bounds, bounds[1:]):
+        ar = _draw_weights(rng, alpha1, alpha2, (k1 - k0, n), fixed_r)
+        phase = np.empty((k1 - k0, 2, n))
+        norm = np.empty((k1 - k0, n))
+        # a failed norm divides by 0 or NaN; _good_rows reports it instead
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for z, a, nz in zip(phase, ar, norm):
+                v, x = _step(omega, a, v, x, z)
+                np.hypot(v, x, nz)
+                np.divide(z, nz, z)
+            good = _good_rows(norm)
+        if good:
+            yield k0, norm[:good], phase[:good], ar[:good]
+        if good < k1 - k0:
+            raise NumericOverflowError("renormalisation failed", step=k0 + good)
+
+
+def _add_logs(acc, norm):
+    """``acc`` plus the logs of the rows of ``norm``, added one row after
+    another exactly as a per-step ``acc += np.log(norm)`` would."""
+    logs = np.log(norm)
+    logs[0] += acc
+    # accumulate, not reduce: numpy's reduce adds a single lane pairwise
+    return np.add.accumulate(logs, axis=0, out=logs)[-1]
 
 
 def _estimate(acc, steps, burn_in) -> LyapunovEstimate:
@@ -312,10 +356,11 @@ def lyapunov_exponent(
     if trials < 1 or steps < 1:
         raise ValueError("steps and trials must be >= 1")
     rng = np.random.default_rng(seed)
-    orbit = _orbit(rng, omega, alpha1, alpha2, *_start(rng, trials), burn_in + steps, fixed_r)
+    orbit = _orbit(rng, omega, alpha1, alpha2, *_start(rng, trials), burn_in, steps, fixed_r)
     acc = np.zeros(trials)
-    for norm, *_ in islice(orbit, burn_in, None):
-        acc += np.log(norm)
+    for k0, norm, _, _ in orbit:
+        if k0 >= burn_in:
+            acc = _add_logs(acc, norm)
     return _estimate(acc, steps, burn_in)
 
 
@@ -347,17 +392,27 @@ def lyapunov_pair(
     s, c = _start(rng, trials)
     # orthonormal frame per trial: q1 = (c, s), q2 = (-s, c) in (v, x); the
     # first leg is the renormalised orbit, the second follows its matrices
-    orbit = _orbit(rng, omega, alpha1, alpha2, c, s, burn_in + steps, fixed_r)
+    # one step at a time over each block's rows
+    orbit = _orbit(rng, omega, alpha1, alpha2, c, s, burn_in, steps, fixed_r)
     q2v, q2x = -s, c
     acc1 = np.zeros(trials)
     acc2 = np.zeros(trials)
-    for k, (n1, q1v, q1x, ar) in enumerate(orbit):
-        w2v, w2x = _step(omega, ar, q2v, q2x)
-        proj = q1v * w2v + q1x * w2x
-        q2v, q2x, n2 = _normalise(w2v - proj * q1v, w2x - proj * q1x, k)
-        if k >= burn_in:
-            acc1 += np.log(n1)
-            acc2 += np.log(n2)
+    for k0, n1, q1, ar in orbit:
+        n2 = np.empty_like(n1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for (q1v, q1x), a, n2i in zip(q1, ar, n2):
+                w2v, w2x = _step(omega, a, q2v, q2x)
+                proj = q1v * w2v + q1x * w2x
+                w2v -= proj * q1v
+                w2x -= proj * q1x
+                np.hypot(w2v, w2x, n2i)
+                q2v, q2x = w2v / n2i, w2x / n2i
+            good = _good_rows(n2)
+        if good < len(n2):
+            raise NumericOverflowError("renormalisation failed", step=k0 + good)
+        if k0 >= burn_in:
+            acc1 = _add_logs(acc1, n1)
+            acc2 = _add_logs(acc2, n2)
     return _estimate(acc1, steps, burn_in), _estimate(acc2, steps, burn_in)
 
 
@@ -386,10 +441,13 @@ def stationary_distribution(
         raise ValueError("samples must be >= n_chains")
     rng = np.random.default_rng(seed)
     per_chain = -(-samples // n_chains)
-    orbit = _orbit(rng, omega, alpha1, alpha2, *_start(rng, n_chains), burn_in + per_chain)
+    orbit = _orbit(rng, omega, alpha1, alpha2, *_start(rng, n_chains), burn_in, per_chain)
     angles = np.empty((per_chain, n_chains))
-    for k, (_, v, x, _) in enumerate(islice(orbit, burn_in, None)):
-        angles[k] = np.arctan2(v, x)
+    for k0, _, phase, _ in orbit:
+        if k0 >= burn_in:
+            # contiguous copies: numpy may take another arctan2 path on strides
+            v, x = np.ascontiguousarray(phase.transpose(1, 0, 2))
+            np.arctan2(v, x, out=angles[k0 - burn_in : k0 - burn_in + len(v)])
     pooled = np.mod(angles.ravel()[:samples], 2.0 * np.pi)
     counts, _ = np.histogram(pooled, bins=bins, range=(0.0, 2.0 * np.pi))
     return AngularHistogram(mass=counts / counts.sum(), samples=samples)
@@ -417,7 +475,7 @@ def pushforward(
     v = np.sin(centers)
     out = np.zeros(bins)
     for _ in range(draws):
-        ar = _draw_weights(rng, alpha1, alpha2, bins, None)
+        ar = _draw_weights(rng, alpha1, alpha2, (bins,))
         ang = np.mod(np.arctan2(*_step(omega, ar, v, x)), 2.0 * np.pi)
         idx = np.minimum((ang * (bins / (2.0 * np.pi))).astype(np.intp), bins - 1)
         np.add.at(out, idx, hist.mass)
@@ -455,7 +513,7 @@ def escape_probability(
     for _ in range(max_steps):
         if x.size == 0:
             break
-        ar = _draw_weights(rng, alpha1, alpha2, x.size, None)
+        ar = _draw_weights(rng, alpha1, alpha2, (x.size,))
         v, x = _step(omega, ar, v, x)
         norm2 = v * v + x * x
         conv = norm2 <= rin2
@@ -656,8 +714,8 @@ def finite_time_lyapunov(
     if p == 0.0 and g == 0.0:
         # homogeneous case: track per-repetition log norms exactly
         ell = np.zeros(repetitions)
-        for norm, *_ in _orbit(rng, omega, alpha1, alpha2, v, x, steps):
-            ell += np.log(norm)
+        for _, norm, _, _ in _orbit(rng, omega, alpha1, alpha2, v, x, 0, steps):
+            ell = _add_logs(ell, norm)
         ell += np.log(z0_scale)
         m = ell.max()
         return float((m + np.log(np.mean(np.exp(ell - m)))) / steps)

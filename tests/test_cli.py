@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from swarmcrit.cli import dispatch
-from swarmcrit.io import read_csv, read_keyvalue_config
+from swarmcrit.io import read_csv, read_keyvalue_config, write_json
+from swarmcrit.stability import CriticalCurve, CriticalPoint
 
 
 def run(argv):
@@ -272,3 +273,35 @@ def test_region_stats_requires_curve(tmp_path):
                 str(tmp_path / "r.csv"), "--stats", str(tmp_path / "s.json")])
     assert code == 1
     assert not (tmp_path / "r.csv").exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_write_json_writes_non_finite_reals_as_null(tmp_path):
+    out = tmp_path / "x.json"
+    write_json(out, {"a": float("nan"), "b": [1.5, float("inf"), (float("-inf"), 2)],
+                     "c": {"d": np.float64("nan"), "e": 3}})
+    payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert payload == {"a": None, "b": [1.5, None, [None, 2]], "c": {"d": None, "e": 3}}
+
+
+def test_region_stats_with_every_cell_skipped_is_standard_json(tmp_path):
+    sweep_csv = tmp_path / "sweep.csv"
+    run(["sweep", "--omega-min", "0.4", "--omega-max", "0.7", "--omega-step", "0.3",
+         "--alpha-min", "1.0", "--alpha-max", "2.0", "--alpha-step", "1.0",
+         "--iterations", "10", "--repetitions", "2", "--functions", "sphere",
+         "--dim", "2", "--particles", "5", "--seed", "1", "--output", str(sweep_csv)])
+    # resolved only below the swept inertia range, so every cell is skipped
+    curve_csv = tmp_path / "curve.csv"
+    CriticalCurve((CriticalPoint(0.0, 4.6, 0.01), CriticalPoint(0.1, 4.9, 0.01)),
+                  ratio="equal", method="LYAPUNOV_BISECTION").to_csv(curve_csv)
+    stats_json = tmp_path / "stats.json"
+    code = run(["region", "--sweep", str(sweep_csv), "--curve", str(curve_csv),
+                "--quantile", "1", "--output", str(tmp_path / "region.csv"),
+                "--stats", str(stats_json)])
+    assert code == 0
+    stats = json.loads(stats_json.read_text(), parse_constant=_reject_constant)
+    assert stats["count"] == 0 and stats["skipped"] == 4
+    assert stats["mean"] is None and stats["median"] is None and stats["max"] is None

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,14 @@ def test_swarm_params_validation():
     with pytest.raises(ValueError):
         SwarmParams(0.7, 0.5, 0.5, n_particles=0)
     assert SwarmParams(0.7, 0.3, 0.5).alpha == 0.8
+
+
+@pytest.mark.parametrize("field", ["omega", "alpha1", "alpha2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_swarm_params_rejects_non_finite_weights(field, value):
+    weights = {"omega": 0.7, "alpha1": 0.5, "alpha2": 0.5, field: value}
+    with pytest.raises(ValueError, match="finite"):
+        SwarmParams(**weights)
 
 
 def test_phase_point_finite_flag():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -13,6 +14,7 @@ from swarmcrit.stability import (
     AngularHistogram,
     CriticalCurve,
     CriticalPoint,
+    LyapunovEstimate,
     NumericOverflowError,
     ScalingConfig,
     critical_alpha,
@@ -95,6 +97,131 @@ _ESTIMATORS = {
 def test_lyapunov_seed_determinism(estimator):
     run = _ESTIMATORS[estimator]
     assert run(42) == run(42)
+
+
+# ---------------------------------------------------------------- blocked orbit vs per-step loop
+
+
+def _reference_orbit(rng, omega, alpha1, alpha2, v, x, steps, fixed_r=None):
+    """The renormalised orbit one step at a time: yields growth, unit (v, x)
+    and weights per step."""
+    for _ in range(steps):
+        if fixed_r is None:
+            u1 = rng.random(v.size)
+            u2 = rng.random(v.size)
+            ar = alpha1 * u1 + alpha2 * u2
+        else:
+            ar = np.full(v.size, (alpha1 + alpha2) * fixed_r)
+        v_new = omega * v - ar * x
+        x_new = v_new + x
+        norm = np.hypot(v_new, x_new)
+        v, x = v_new / norm, x_new / norm
+        yield norm, v, x, ar
+
+
+def _reference_estimate(acc, steps, burn_in):
+    per_trial = acc / steps
+    se = float(per_trial.std(ddof=1) / np.sqrt(acc.size)) if acc.size > 1 else 0.0
+    return LyapunovEstimate(float(per_trial.mean()), se, steps, acc.size, burn_in)
+
+
+def _reference(name, omega, a1, a2, steps, trials, burn_in, seed, fixed_r):
+    rng = np.random.default_rng(seed)
+    n = max(trials, 2) if name == "stationary" else trials
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    s, c = np.sin(theta), np.cos(theta)
+    if name == "pair":
+        orbit = _reference_orbit(rng, omega, a1, a2, c, s, burn_in + steps, fixed_r)
+    else:
+        orbit = _reference_orbit(rng, omega, a1, a2, s, c, burn_in + steps, fixed_r)
+    acc1, acc2, angles = np.zeros(n), np.zeros(n), []
+    q2v, q2x = -s, c
+    for k, (n1, q1v, q1x, ar) in enumerate(orbit):
+        w2v = omega * q2v - ar * q2x
+        w2x = w2v + q2x
+        proj = q1v * w2v + q1x * w2x
+        w2v, w2x = w2v - proj * q1v, w2x - proj * q1x
+        n2 = np.hypot(w2v, w2x)
+        q2v, q2x = w2v / n2, w2x / n2
+        if k >= burn_in:
+            acc1 += np.log(n1)
+            acc2 += np.log(n2)
+            angles.append(np.arctan2(q1v, q1x))
+    if name == "exponent":
+        return _reference_estimate(acc1, steps, burn_in)
+    if name == "pair":
+        return _reference_estimate(acc1, steps, burn_in), _reference_estimate(acc2, steps, burn_in)
+    if name == "stationary":
+        pooled = np.mod(np.array(angles).ravel()[: steps * n - 1], 2.0 * np.pi)
+        counts, _ = np.histogram(pooled, bins=64, range=(0.0, 2.0 * np.pi))
+        return tuple(counts / counts.sum())
+    ell = acc1 + np.log(1.5)
+    m = ell.max()
+    return float((m + np.log(np.mean(np.exp(ell - m)))) / steps)
+
+
+def _blocked(name, omega, a1, a2, steps, trials, burn_in, seed, fixed_r):
+    if name == "exponent":
+        return lyapunov_exponent(omega, a1, a2, steps, trials, burn_in, seed, fixed_r)
+    if name == "pair":
+        return lyapunov_pair(omega, a1, a2, steps, trials, burn_in, seed, fixed_r)
+    if name == "stationary":
+        n = max(trials, 2)
+        return tuple(stationary_distribution(omega, a1, a2, bins=64, samples=steps * n - 1,
+                                             burn_in=burn_in, n_chains=n, seed=seed).mass)
+    return finite_time_lyapunov(omega, a1, a2, z0_scale=1.5, steps=steps, repetitions=trials,
+                                seed=seed)
+
+
+# (steps, trials, burn_in, fixed_r); the orbit blocks hold up to 256 steps
+_ORBIT_CASES = {
+    "below_one_block": (100, 3, 50, None),
+    "exact_block_multiple": (412, 4, 100, None),
+    "burn_in_mid_block": (300, 5, 1000, None),
+    "no_burn_in": (600, 2, 0, None),
+    "fixed_r": (300, 3, 20, 0.37),
+    "one_trial": (700, 1, 30, None),
+    "lanes_shorten_block": (500, 300, 40, None),
+}
+
+
+@pytest.mark.parametrize("name, case", [
+    (name, case) for case, (*_, fixed_r) in _ORBIT_CASES.items()
+    for name in ("exponent", "pair", "stationary", "finite_time")
+    if fixed_r is None or name in ("exponent", "pair")  # the others have no fixed_r hook
+])
+def test_blocked_orbit_equals_per_step_loop(name, case):
+    steps, trials, burn_in, fixed_r = _ORBIT_CASES[case]
+    if name == "finite_time":
+        # no burn-in: run the same total number of steps
+        steps, burn_in = steps + burn_in, 0
+    args = (0.6, 1.1, 1.3, steps, trials, burn_in, 7, fixed_r)
+    assert _blocked(name, *args) == _reference(name, *args)
+
+
+@pytest.mark.parametrize("name", ["exponent", "pair", "stationary", "finite_time"])
+def test_blocked_orbit_generator_seed_ends_in_reference_state(name):
+    gen, ref_gen = np.random.default_rng(21), np.random.default_rng(21)
+    burn_in = 0 if name == "finite_time" else 70
+    blocked = _blocked(name, -0.4, 0.0, 3.1, 530, 3, burn_in, gen, None)
+    reference = _reference(name, -0.4, 0.0, 3.1, 530, 3, burn_in, ref_gen, None)
+    assert blocked == reference
+    assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+
+@pytest.mark.parametrize("estimator, omega, fixed_r, step", [
+    (lyapunov_exponent, 0.0, 0.5, 1),  # every matrix singular: (v, x) -> 0 at step 1
+    (lyapunov_exponent, math.nan, None, 0),
+    (lyapunov_pair, math.nan, None, 0),
+    (lyapunov_pair, 1e-310, None, 2),  # the second leg underflows first
+])
+def test_overflow_reports_first_failing_step_without_warning(estimator, omega, fixed_r, step):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflowError, match="renormalisation failed") as err:
+            estimator(omega, 1.0, 1.0, steps=1000, trials=4, burn_in=300, seed=3,
+                      fixed_r=fixed_r)
+    assert err.value.step == step
 
 
 def test_lyapunov_estimator_consistency():
