@@ -96,8 +96,10 @@ def _noncontinuous(z):
 class BenchmarkFunction:
     """One benchmark instance; pure and immutable after construction.
 
-    Calling evaluates a single point of shape (dim,) or a batch of shape
-    (n, dim).  The optimum ``x* = shift`` satisfies ``F(x*) = 0``.
+    Calling evaluates a single point of shape (dim,), a batch of shape
+    (n, dim), or a stack of batches of shape (..., n, dim), which returns
+    (..., n) and evaluates each (n, dim) batch bit for bit as a call on it
+    alone would.  The optimum ``x* = shift`` satisfies ``F(x*) = 0``.
     """
 
     id: str

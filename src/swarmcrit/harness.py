@@ -1,9 +1,12 @@
 """Parameter-sweep harness: grid runs, aggregation, best-region extraction
 and the distance-to-criticality metric.
 
-Cell seeds derive from ``SeedSequence([master_seed, function_index,
-omega_index, alpha_index, repetition])``, so results are bit-identical
-regardless of execution order or the number of worker processes.
+Each repetition of a cell is one swarm, seeded with
+``SeedSequence([master_seed, function_index, omega_index, alpha_index,
+repetition])``.  The swarms of one function run batched, in lockstep (see
+``pso.lockstep``), and each swarm's run does not depend on which swarms
+share its batch, so results are bit-identical regardless of where batches
+are cut, of execution order or of the number of worker processes.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ import numpy as np
 
 from .benchmarks import BenchmarkFunction, suite
 from .dynamics import SwarmParams
-from .pso import optimize
+from .pso import lockstep
+# not called here, but bench/spans.py wraps ``harness.optimize``
+from .pso import optimize  # noqa: F401
 from .stability import RATIO_EQUAL, RATIO_SOCIAL_ONLY, CriticalCurve, split_alpha
 
 __all__ = [
@@ -134,53 +139,70 @@ class SweepGrid:
         return cls(cells, omegas, alphas, labels)
 
 
-def _run_cell(config: SweepConfig, fn_idx, fn, i_w, i_a) -> CellStats:
-    omega = float(config.omega_values[i_w])
-    alpha = float(config.alpha_values[i_a])
-    alpha1, alpha2 = split_alpha(alpha, config.split)
-    params = SwarmParams(
-        omega=omega, alpha1=alpha1, alpha2=alpha2, n_particles=config.n_particles, dim=config.dim
-    )
-    reps = config.repetitions
-    best = np.empty(reps)
-    diverged = 0
-    for rep in range(reps):
-        seed = np.random.SeedSequence([config.master_seed, fn_idx, i_w, i_a, rep])
-        result = optimize(fn, params, config.iterations, bounds=fn.domain, seed=seed)
-        best[rep] = result.best_cost
-        diverged += result.diverged
-    return CellStats(
-        function=fn.label,
-        omega=omega,
-        alpha=alpha,
-        iterations=config.iterations,
-        mean_best_cost=float(best.mean()),
-        median_best_cost=float(np.median(best)),
-        divergence_fraction=diverged / reps,
-        repetitions=reps,
-    )
+# A batch holds at most _BATCH_VALUES particle coordinates (B * n * dim):
+# the 240 swarms of a 2-d, 25-particle valley sweep fit in one, and a
+# weierstrass batch's (B, n, dim, 21) temporaries stay near 3 MB.
+_BATCH_VALUES = 1 << 14
+
+
+def _run_batch(config: SweepConfig, fn_idx, fn, swarms) -> tuple[np.ndarray, np.ndarray]:
+    """Best costs and divergence flags of the (omega, alpha, repetition)
+    index triples ``swarms`` of one function, run in lockstep."""
+    params = []
+    for i_w, i_a, _ in swarms:
+        alpha1, alpha2 = split_alpha(float(config.alpha_values[i_a]), config.split)
+        params.append(SwarmParams(
+            omega=float(config.omega_values[i_w]), alpha1=alpha1, alpha2=alpha2,
+            n_particles=config.n_particles, dim=config.dim,
+        ))
+    seeds = (np.random.SeedSequence([config.master_seed, fn_idx, *swarm]) for swarm in swarms)
+    state = lockstep(fn, params, config.iterations, fn.domain, seeds)
+    return state.g_best_cost, state.diverged
 
 
 def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepGrid:
     """Run the full grid; deterministic for a fixed master seed and
     independent of ``jobs``.
 
-    Diverged repetitions report the best cost found before divergence, so
-    cell means stay finite.
+    Each function's swarms run in lockstep batches; with ``jobs > 1`` the
+    batches are cut small enough to give every worker one.  Diverged
+    repetitions report the best cost found before divergence, so cell
+    means stay finite.
     """
     functions = config.resolve_functions()
+    shape = (len(config.omega_values), len(config.alpha_values), config.repetitions)
+    swarms = list(np.ndindex(shape))
+    size = max(1, _BATCH_VALUES // (config.n_particles * config.dim))
+    if jobs > 1:
+        size = min(size, -(-len(swarms) * len(functions) // jobs))
     tasks = [
-        (fn_idx, fn, i_w, i_a)
+        (fn_idx, fn, swarms[i : i + size])
         for fn_idx, fn in enumerate(functions)
-        for i_w in range(len(config.omega_values))
-        for i_a in range(len(config.alpha_values))
+        for i in range(0, len(swarms), size)
     ]
-    run_cell = partial(_run_cell, config)
+    run_batch = partial(_run_batch, config)
     if jobs <= 1:
-        cells = list(starmap(run_cell, tasks))
+        batches = list(starmap(run_batch, tasks))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(run_cell, *zip(*tasks), chunksize=8))
+            batches = list(pool.map(run_batch, *zip(*tasks)))
+    best = np.concatenate([b for b, _ in batches]).reshape(len(functions), *shape)
+    diverged = np.concatenate([d for _, d in batches]).reshape(len(functions), *shape)
+    reps = config.repetitions
+    cells = [
+        CellStats(
+            function=fn.label,
+            omega=float(config.omega_values[i_w]),
+            alpha=float(config.alpha_values[i_a]),
+            iterations=config.iterations,
+            mean_best_cost=float(best[fn_idx, i_w, i_a].mean()),
+            median_best_cost=float(np.median(best[fn_idx, i_w, i_a])),
+            divergence_fraction=int(np.count_nonzero(diverged[fn_idx, i_w, i_a])) / reps,
+            repetitions=reps,
+        )
+        for fn_idx, fn in enumerate(functions)
+        for i_w, i_a in np.ndindex(shape[:2])
+    ]
     return SweepGrid(
         cells=tuple(cells),
         omega_values=np.asarray(config.omega_values, dtype=float),

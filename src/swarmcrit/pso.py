@@ -6,6 +6,13 @@ are synchronous: all particles read the global best of the previous
 iteration and best replacements are applied after the whole swarm has been
 evaluated, so results are reproducible under any evaluation order.
 
+``lockstep`` advances B independent swarms together as ``(B, n, dim)``
+arrays, with per-swarm weights; ``optimize``, ``init_swarm`` and
+``pso_step`` are its one-swarm cases, so the update is written once.  Each
+swarm draws from its own generators, and its costs come from a call on its
+own ``(n, dim)`` block, so a swarm's run is bit-identical whichever swarms
+share its batch.
+
 No spatial or velocity clamping is performed; non-finite positions mark the
 run as diverged, cost evaluation for them is skipped and treated as +inf.
 The flag is set only once a position or velocity has overflowed to a
@@ -27,6 +34,7 @@ __all__ = [
     "init_swarm",
     "pso_step",
     "optimize",
+    "lockstep",
 ]
 
 
@@ -48,7 +56,11 @@ class _CostAdapter:
     """Call a cost function on an (n, dim) batch, vectorised when supported.
 
     A function is treated as batch-capable if calling it on an (n, dim)
-    array returns shape (n,); otherwise it is called once per row.
+    array returns shape (n,) whose first value matches a call on the first
+    row alone; otherwise it is called once per row.  The row check catches
+    a per-point function whose (dim,)-vector formula also returns n values
+    on a batch with n == dim.  A (B, n, dim) stack is evaluated one swarm
+    block at a time.
     """
 
     def __init__(self, f):
@@ -61,23 +73,45 @@ class _CostAdapter:
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(points)
+        if points.ndim > 2:
+            return np.array([self(block) for block in points])
         if self._batched is None:
-            try:
-                out = np.asarray(self._f(points), dtype=float)
-            except Exception:
-                out = None
-            if out is not None and out.shape == (points.shape[0],):
-                self._batched = True
+            out = self._probe(points)
+            self._batched = out is not None
+            if out is not None:
                 return out
-            self._batched = False
         if self._batched:
             return np.asarray(self._f(points), dtype=float)
         return np.array([float(self._f(row)) for row in points])
 
+    def _probe(self, points: np.ndarray) -> np.ndarray | None:
+        """The batch call's costs, or None if ``f`` is not batch-capable."""
+        try:
+            out = np.asarray(self._f(points), dtype=float)
+        except Exception:
+            return None
+        if out.shape != (points.shape[0],):
+            return None
+        try:
+            single = np.asarray(self._f(points[0]), dtype=float)
+        except (IndexError, TypeError, ValueError):
+            return out  # accepts batches only
+        # a tolerance, not ==: a rotated cost's matrix product rounds a
+        # lone row differently from a row of a batch
+        if single.size == 1 and not np.isclose(out[0], single.item(), rtol=1e-6, atol=0.0,
+                                               equal_nan=True):
+            return None
+        return out
+
 
 @dataclass(frozen=True)
 class SwarmState:
-    """Complete swarm snapshot; arrays are laid out (n_particles, dim)."""
+    """Complete swarm snapshot; arrays are laid out (n_particles, dim).
+
+    Inside ``lockstep`` the same fields carry B swarms with a leading batch
+    axis: ``g_best`` is (B, dim) and ``g_best_cost`` and ``diverged`` are
+    (B,) arrays.
+    """
 
     positions: np.ndarray
     velocities: np.ndarray
@@ -90,11 +124,35 @@ class SwarmState:
 
     @property
     def n_particles(self) -> int:
-        return self.positions.shape[0]
+        return self.positions.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.positions.shape[1]
+        return self.positions.shape[-1]
+
+
+def _lift(s: SwarmState) -> SwarmState:
+    """A one-swarm state as a batch of one."""
+    return SwarmState(
+        *(np.asarray(a)[None] for a in
+          (s.positions, s.velocities, s.p_best, s.p_best_cost, s.g_best, s.g_best_cost)),
+        iteration=s.iteration,
+        diverged=np.asarray(s.diverged)[None],
+    )
+
+
+def _lower(s: SwarmState) -> SwarmState:
+    """The one-swarm state of a batch of one."""
+    return SwarmState(
+        positions=s.positions[0],
+        velocities=s.velocities[0],
+        p_best=s.p_best[0],
+        p_best_cost=s.p_best_cost[0],
+        g_best=s.g_best[0],
+        g_best_cost=float(s.g_best_cost[0]),
+        iteration=s.iteration,
+        diverged=bool(s.diverged[0]),
+    )
 
 
 @dataclass(frozen=True)
@@ -134,6 +192,114 @@ class RunResult:
         write_json(path, payload)
 
 
+def _uniform(seed, bounds: np.ndarray, n: int) -> np.ndarray:
+    """(n, dim) positions drawn uniformly within ``bounds``."""
+    return np.random.default_rng(seed).uniform(bounds[:, 0], bounds[:, 1], size=(n, len(bounds)))
+
+
+def _start(cost, positions: np.ndarray) -> SwarmState:
+    """B swarms at (B, n, dim) ``positions`` with zero velocities."""
+    c = cost(positions)
+    rows = np.arange(len(positions))
+    gi = np.argmin(c, axis=1)
+    return SwarmState(
+        positions=positions,
+        velocities=np.zeros_like(positions),
+        p_best=positions.copy(),
+        p_best_cost=c,
+        g_best=positions[rows, gi],
+        g_best_cost=c[rows, gi],
+        iteration=0,
+        diverged=np.zeros(len(positions), dtype=bool),
+    )
+
+
+def _evaluate(cost, positions: np.ndarray, finite: np.ndarray) -> np.ndarray:
+    """(B, n) costs of the finite particles, +inf for the others.
+
+    The swarms whose particles are all finite share one call on their
+    (B', n, dim) stack.  A swarm with some non-finite particles is called
+    on its finite rows alone, as a lone swarm is: a rotated cost's matrix
+    product rounds differently when the number of rows changes.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if finite.all():
+            return cost(positions)
+        whole = finite.all(axis=1)
+        out = np.full(finite.shape, np.inf)
+        if whole.any():
+            out[whole] = cost(positions[whole])
+        for b in np.flatnonzero(finite.any(axis=1) & ~whole):
+            out[b, finite[b]] = cost(positions[b, finite[b]])
+    return out
+
+
+def _advance(state: SwarmState, omega, alpha1, alpha2, r: np.ndarray, cost,
+             update_bests: bool = True) -> SwarmState:
+    """One synchronous iteration of a batch state.
+
+    ``omega``, ``alpha1`` and ``alpha2`` broadcast against (B, n, dim);
+    ``r`` holds the (B, 2, n, dim) weights, ``r1`` then ``r2`` per swarm.
+    """
+    velocities, positions = affine_update(
+        omega, alpha1, alpha2, state.velocities, state.positions,
+        r[:, 0], r[:, 1], state.p_best, state.g_best[:, None],
+    )
+    finite = np.isfinite(positions).all(axis=-1) & np.isfinite(velocities).all(axis=-1)
+    diverged = state.diverged | ~finite.all(axis=-1)
+    p_best, p_best_cost = state.p_best, state.p_best_cost
+    g_best, g_best_cost = state.g_best, state.g_best_cost
+    if update_bests:
+        c = _evaluate(cost, positions, finite)
+        improved = c < p_best_cost
+        p_best = np.where(improved[..., None], positions, p_best)
+        p_best_cost = np.where(improved, c, p_best_cost)
+        rows = np.arange(len(c))
+        gi = p_best_cost.argmin(axis=1)
+        found = p_best_cost[rows, gi]
+        better = found < g_best_cost
+        g_best = np.where(better[:, None], p_best[rows, gi], g_best)
+        g_best_cost = np.where(better, found, g_best_cost)
+    return SwarmState(positions, velocities, p_best, p_best_cost, g_best, g_best_cost,
+                      state.iteration + 1, diverged)
+
+
+def lockstep(f, params, iterations: int, bounds, seeds, trace=None) -> SwarmState:
+    """Run one swarm per (``params``, ``seeds``) pair, all in lockstep.
+
+    Every ``params`` entry shares ``n_particles`` and ``dim``; omega and
+    the attraction weights are per swarm.  ``f`` maps a (B, n, dim) stack
+    to (B, n) costs, each (n, dim) block evaluated as it would be alone
+    (``BenchmarkFunction`` does; ``optimize`` wraps any other cost).  Each
+    seed is spawned into an initialisation and a step generator, and per
+    iteration each swarm draws ``r1`` then ``r2`` from its step generator,
+    so every swarm follows exactly the run ``optimize`` gives for its
+    parameters and seed.  ``trace``, if given, is a (B, iterations) array
+    that receives the global best costs after every iteration.  Returns
+    the final batch state (see :class:`SwarmState`).
+    """
+    n, dim = params[0].n_particles, params[0].dim
+    if any((p.n_particles, p.dim) != (n, dim) for p in params):
+        raise ValueError("swarms in lockstep must share n_particles and dim")
+    weights = np.array([(p.omega, p.alpha1, p.alpha2) for p in params])[:, :, None, None]
+    omega, alpha1, alpha2 = weights[:, 0], weights[:, 1], weights[:, 2]
+    b = _as_bounds(bounds, dim)
+    children = [
+        (s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s)).spawn(2)
+        for s in seeds
+    ]
+    state = _start(f, np.array([_uniform(init_ss, b, n) for init_ss, _ in children]))
+    rngs = [np.random.default_rng(step_ss) for _, step_ss in children]
+    r = np.empty((len(rngs), 2, n, dim))
+    for t in range(iterations):
+        for rng, rb in zip(rngs, r):
+            rng.random(out=rb)
+        state = _advance(state, omega, alpha1, alpha2, r, f)
+        if trace is not None:
+            trace[:, t] = state.g_best_cost
+    return state
+
+
 def init_swarm(params: SwarmParams, bounds, f, seed=None) -> SwarmState:
     """Initialise a swarm with uniform positions and zero velocities.
 
@@ -141,23 +307,8 @@ def init_swarm(params: SwarmParams, bounds, f, seed=None) -> SwarmState:
     cheapest of them.  ``bounds`` is a (low, high) pair applied to every
     dimension or a (dim, 2) array.
     """
-    b = _as_bounds(bounds, params.dim)
-    rng = np.random.default_rng(seed)
-    n, d = params.n_particles, params.dim
-    positions = rng.uniform(b[:, 0], b[:, 1], size=(n, d))
-    velocities = np.zeros((n, d))
-    cost = _CostAdapter.wrap(f)(positions)
-    gi = int(np.argmin(cost))
-    return SwarmState(
-        positions=positions,
-        velocities=velocities,
-        p_best=positions.copy(),
-        p_best_cost=cost.copy(),
-        g_best=positions[gi].copy(),
-        g_best_cost=float(cost[gi]),
-        iteration=0,
-        diverged=False,
-    )
+    positions = _uniform(seed, _as_bounds(bounds, params.dim), params.n_particles)
+    return _lower(_start(_CostAdapter.wrap(f), positions[None]))
 
 
 def pso_step(
@@ -177,52 +328,12 @@ def pso_step(
 
     ``update_bests=False`` freezes the personal and global bests, which
     turns the swarm into independent particles under fixed attractors;
-    used for validating against the single-particle dynamics.
+    used for validating against the single-particle dynamics.  The cost is
+    then not evaluated.
     """
-    n, d = state.n_particles, state.dim
-    r1 = rng.random((n, d))
-    r2 = rng.random((n, d))
-    velocities, positions = affine_update(
-        params.omega, params.alpha1, params.alpha2,
-        state.velocities, state.positions, r1, r2, state.p_best, state.g_best,
-    )
-    finite = np.isfinite(positions).all(axis=1) & np.isfinite(velocities).all(axis=1)
-    diverged = state.diverged or not bool(finite.all())
-    cost = np.full(n, np.inf)
-    if finite.any():
-        with np.errstate(over="ignore", invalid="ignore"):
-            cost[finite] = _CostAdapter.wrap(f)(positions[finite])
-    if not update_bests:
-        return SwarmState(
-            positions=positions,
-            velocities=velocities,
-            p_best=state.p_best,
-            p_best_cost=state.p_best_cost,
-            g_best=state.g_best,
-            g_best_cost=state.g_best_cost,
-            iteration=state.iteration + 1,
-            diverged=diverged,
-        )
-    improved = cost < state.p_best_cost
-    p_best = np.where(improved[:, None], positions, state.p_best)
-    p_best_cost = np.where(improved, cost, state.p_best_cost)
-    gi = int(np.argmin(p_best_cost))
-    if p_best_cost[gi] < state.g_best_cost:
-        g_best = p_best[gi].copy()
-        g_best_cost = float(p_best_cost[gi])
-    else:
-        g_best = state.g_best
-        g_best_cost = state.g_best_cost
-    return SwarmState(
-        positions=positions,
-        velocities=velocities,
-        p_best=p_best,
-        p_best_cost=p_best_cost,
-        g_best=g_best,
-        g_best_cost=g_best_cost,
-        iteration=state.iteration + 1,
-        diverged=diverged,
-    )
+    r = rng.random((1, 2, state.n_particles, state.dim))
+    return _lower(_advance(_lift(state), params.omega, params.alpha1, params.alpha2, r,
+                           _CostAdapter.wrap(f), update_bests))
 
 
 def optimize(f, params: SwarmParams, iterations: int, bounds=(-100.0, 100.0), seed=None) -> RunResult:
@@ -234,19 +345,13 @@ def optimize(f, params: SwarmParams, iterations: int, bounds=(-100.0, 100.0), se
     evaluations of non-finite positions contribute +inf without calling
     ``f``).  The divergence flag is set only when a position or velocity
     has overflowed to a non-finite value within ``iterations``; see
-    :class:`RunResult`.
+    :class:`RunResult`.  This is ``lockstep`` with one swarm.
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    init_ss, step_ss = ss.spawn(2)
-    adapter = _CostAdapter.wrap(f)
-    state = init_swarm(params, bounds, adapter, seed=init_ss)
-    rng = np.random.default_rng(step_ss)
     trace = np.empty(iterations)
-    for t in range(iterations):
-        state = pso_step(state, params, adapter, rng)
-        trace[t] = state.g_best_cost
+    state = _lower(lockstep(_CostAdapter.wrap(f), [params], iterations, bounds, [seed],
+                            trace[None]))
     return RunResult(
         best_cost=state.g_best_cost,
         best_position=state.g_best.copy(),

@@ -43,6 +43,18 @@ def test_nonnegative_on_domain():
         assert np.all(f(pts) >= 0.0), f.label
 
 
+@pytest.mark.parametrize("dim", [2, 10])
+def test_stack_evaluates_each_batch_as_alone(dim):
+    # the lockstep optimiser evaluates B swarms in one call on a (B, n, dim)
+    # stack; a rotated instance's matrix product must still see n rows
+    rng = np.random.default_rng(6)
+    for f in suite(dim, seed=7):
+        stack = rng.uniform(-100.0, 100.0, size=(12, 25, dim))
+        out = f(stack)
+        assert out.shape == (12, 25), f.label
+        assert all(np.array_equal(out[b], f(stack[b])) for b in range(12)), f.label
+
+
 def test_make_function_deterministic():
     a = make_function("griewank", 7, seed=6, rotated=True)
     b = make_function("griewank", 7, seed=6, rotated=True)

@@ -4,21 +4,27 @@ import numpy as np
 import pytest
 
 from swarmcrit.benchmarks import make_function
+from swarmcrit.dynamics import SwarmParams
 from swarmcrit.harness import (
+    CellStats,
     DistanceStats,
     SweepConfig,
     SweepGrid,
     aggregate_heatmap,
     best_region,
     distance_to_curve,
+    inclusive_grid,
     run_sweep,
 )
+from swarmcrit.pso import optimize
 from swarmcrit.stability import (
     STATUS_NO_CROSSING,
     STATUS_OK,
     CriticalCurve,
     CriticalPoint,
     RATIO_EQUAL,
+    RATIO_SOCIAL_ONLY,
+    split_alpha,
 )
 
 
@@ -58,6 +64,56 @@ def test_sweep_schedule_independence():
     serial = run_sweep(_tiny_config(), jobs=1)
     parallel = run_sweep(_tiny_config(), jobs=2)
     assert serial.cells == parallel.cells
+
+
+def _per_run_cells(config):
+    """The sweep with one ``optimize`` call per repetition."""
+    cells = []
+    for fn_idx, fn in enumerate(config.resolve_functions()):
+        for i_w, omega in enumerate(config.omega_values):
+            for i_a, alpha in enumerate(config.alpha_values):
+                a1, a2 = split_alpha(float(alpha), config.split)
+                params = SwarmParams(float(omega), a1, a2, config.n_particles, config.dim)
+                runs = [
+                    optimize(fn, params, config.iterations, bounds=fn.domain,
+                             seed=np.random.SeedSequence([config.master_seed, fn_idx, i_w, i_a, rep]))
+                    for rep in range(config.repetitions)
+                ]
+                best = np.array([r.best_cost for r in runs])
+                cells.append(CellStats(
+                    function=fn.label, omega=float(omega), alpha=float(alpha),
+                    iterations=config.iterations, mean_best_cost=float(best.mean()),
+                    median_best_cost=float(np.median(best)),
+                    divergence_fraction=sum(r.diverged for r in runs) / config.repetitions,
+                    repetitions=config.repetitions,
+                ))
+    return tuple(cells)
+
+
+@pytest.mark.parametrize("overrides, jobs", [
+    ({}, 1),
+    ({"split": RATIO_SOCIAL_ONLY}, 1),
+    # divergent cells beside convergent ones; particles overflow one by one
+    ({"omega_values": np.array([0.7, 1.1]), "alpha_values": np.array([2.0, 12.0]),
+      "iterations": 1500, "repetitions": 2, "n_particles": 5, "dim": 3,
+      "functions": (make_function("rastrigin", 3, seed=4, rotated=True),)}, 1),
+    ({"omega_values": np.array([0.4, 0.9]), "alpha_values": np.array([1.5, 3.0]),
+      "iterations": 30, "repetitions": 2, "dim": 10,
+      "functions": (make_function("rastrigin", 10, seed=5, rotated=True, noncontinuous=True),
+                    make_function("weierstrass", 10, seed=6, rotated=True))}, 1),
+    # 15 x 12 cells x 2 repetitions of 25 x 2 swarms: 18000 coordinates,
+    # more than one batch holds
+    ({"omega_values": inclusive_grid(-0.7, 0.7, 0.1),
+      "alpha_values": inclusive_grid(0.25, 3.0, 0.25),
+      "iterations": 8, "repetitions": 2, "n_particles": 25,
+      "functions": (make_function("rastrigin", 2, seed=7),)}, 1),
+    ({"omega_values": np.array([0.7, 1.1]), "alpha_values": np.array([2.0, 12.0]),
+      "iterations": 1500, "repetitions": 3, "n_particles": 5,
+      "functions": (make_function("sphere", 2, seed=8),)}, 2),
+], ids=["equal", "social-only", "divergent", "rotated-nc-dim10", "two-batches", "jobs2"])
+def test_batched_sweep_equals_per_run_optimize(overrides, jobs):
+    config = _tiny_config(**overrides)
+    assert run_sweep(config, jobs=jobs).cells == _per_run_cells(config)
 
 
 def test_sweep_csv_roundtrip(tmp_path):

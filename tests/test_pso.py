@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from swarmcrit.benchmarks import make_function
 from swarmcrit.dynamics import PhasePoint, SwarmParams, build_step_matrix, step_homogeneous
-from swarmcrit.pso import RunResult, SwarmState, init_swarm, optimize, pso_step
+from swarmcrit.pso import RunResult, SwarmState, init_swarm, lockstep, optimize, pso_step
 
 
 def sphere(points):
@@ -44,6 +45,17 @@ def test_init_deterministic():
     b = init_swarm(params, (-1.0, 1.0), sphere, seed=3)
     assert np.array_equal(a.positions, b.positions)
     assert a.g_best_cost == b.g_best_cost
+
+
+def test_per_point_cost_with_as_many_particles_as_dimensions():
+    # on a (2, 2) batch this formula returns two values, column sums, so
+    # a shape check alone takes it for a batch cost
+    f = lambda x: x[0] ** 2 + x[1] ** 2
+    params = SwarmParams(0.5, 0.7, 0.7, n_particles=2, dim=2)
+    state = init_swarm(params, (-100.0, 100.0), f, seed=1)
+    assert list(state.p_best_cost) == [f(row) for row in state.positions]
+    result = optimize(f, params, 50, seed=1)
+    assert result.best_cost == f(result.best_position)
 
 
 def test_init_rejects_bad_bounds():
@@ -153,6 +165,31 @@ def test_optimize_deterministic_and_scalar_cost_agrees():
     c = optimize(sphere_scalar, params, 50, bounds=(-10.0, 10.0), seed=14)
     assert a.best_cost == b.best_cost == c.best_cost
     assert np.array_equal(a.cost_trace, c.cost_trace)
+
+
+def _rows_cost(points):
+    # depends on how many rows one call holds, so it shows whether each
+    # swarm's costs come from calls on its own rows alone
+    return np.sum(points * points, axis=-1) + points.shape[-2]
+
+
+@pytest.mark.parametrize("cost", [make_function("weierstrass", 3, seed=2, rotated=True), _rows_cost],
+                         ids=["weierstrass-rot", "rows-cost"])
+def test_lockstep_swarms_equal_lone_runs(cost):
+    # mixed weights in one batch, and swarms that overflow particle by
+    # particle, so some calls see only a swarm's finite rows
+    params = [SwarmParams(w, a1, a2, n_particles=4, dim=3)
+              for w, a1, a2 in ((0.7, 0.7, 0.7), (1.1, 6.0, 6.0), (1.0, 0.0, 12.0), (0.4, 1.0, 0.5))]
+    seeds = [np.random.SeedSequence([5, i]) for i in range(len(params))]
+    trace = np.empty((len(params), 900))
+    state = lockstep(cost, params, 900, (-100.0, 100.0), seeds, trace)
+    assert state.diverged.any() and not state.diverged.all()
+    for i, p in enumerate(params):
+        lone = optimize(cost, p, 900, bounds=(-100.0, 100.0), seed=np.random.SeedSequence([5, i]))
+        assert state.g_best_cost[i] == lone.best_cost
+        assert np.array_equal(state.g_best[i], lone.best_position)
+        assert state.diverged[i] == lone.diverged
+        assert np.array_equal(trace[i], lone.cost_trace)
 
 
 def test_scale_equivariance_power_of_two():

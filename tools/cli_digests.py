@@ -70,6 +70,23 @@ COMMANDS = [
     (["sweep", *SWEEP, "--jobs", "2", "--output", "sweep_jobs.csv"], ["sweep_jobs.csv"]),
     (["sweep", "--config", "sweep.cfg", "--seed", "3", "--particles", "4",
       "--output", "sweep_config.csv"], ["sweep_config.csv"]),
+    # divergent corner: swarms overflow, some particles before others
+    (["sweep", "--omega-min", "0.9", "--omega-max", "1.1", "--omega-step", "0.1",
+      "--alpha-min", "6", "--alpha-max", "12", "--alpha-step", "3", "--iterations", "1500",
+      "--repetitions", "2", "--functions", "rastrigin", "--dim", "2", "--particles", "5",
+      "--seed", "13", "--output", "sweep_corner.csv"], ["sweep_corner.csv"]),
+    (["sweep", *SWEEP, "--split", "social-only", "--output", "sweep_social.csv"],
+     ["sweep_social.csv"]),
+    # the full 15-instance suite at dim 10, rotated and non-continuous included
+    (["sweep", "--dim", "10", "--particles", "4", "--iterations", "10",
+      "--omega-min", "0.4", "--omega-max", "0.7", "--omega-step", "0.3",
+      "--alpha-min", "1", "--alpha-max", "2", "--alpha-step", "1", "--repetitions", "1",
+      "--seed", "14", "--output", "sweep_suite10.csv"], ["sweep_suite10.csv"]),
+    # 23 x 20 cells of 25 x 2 swarms: more swarms than one batch holds
+    (["sweep", "--omega-min", "-1.1", "--omega-max", "1.1", "--omega-step", "0.1",
+      "--alpha-min", "0.25", "--alpha-max", "5", "--alpha-step", "0.25", "--iterations", "5",
+      "--repetitions", "1", "--functions", "sphere", "--dim", "2", "--particles", "25",
+      "--seed", "15", "--output", "sweep_batches.csv"], ["sweep_batches.csv"]),
     (["region", "--sweep", "sweep.csv", "--curve", "curve_lyapunov.csv", "--quantile", "0.5",
       "--output", "region.csv", "--stats", "region.json"], ["region.csv", "region.json"]),
     (["scaling", "--kappa", "0.5", "--split", "social-only", "--iterations", "50",
