@@ -16,10 +16,19 @@ homogeneous finite-time estimators advance in blocks of up to 256 steps:
 one call draws a block's weights from the same random stream, in the same
 order, as one draw per step would, and the log growth is summed step after
 step, so the results are bit-identical to a step-at-a-time loop.
+
+Critical points are found by a stochastic bisection written as a generator
+that yields probe requests and is sent their results.  ``critical_alpha``,
+``neutral_alpha`` and the escape and neutral curves answer the requests one
+at a time.  The Lyapunov ``critical_curve`` runs one bisection per inertia
+value and advances all their pending probes together, as one block of lanes
+with a per-lane ``omega``.  Each probe keeps its own seed, generator, draws
+and estimate, so the curve is byte-identical to solving it point by point.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -270,6 +279,30 @@ def _good_rows(norm):
     return len(ok) if ok.all() else int(ok.argmin())
 
 
+def _block_steps(lanes):
+    """Steps per block for ``lanes`` lanes, within both block caps."""
+    return max(1, min(_BLOCK_STEPS, _BLOCK_VALUES // lanes))
+
+
+def _block(omega, ar, v, x):
+    """Advance unit ``(v, x)`` through the weights ``ar`` of shape ``(k, n)``;
+    ``omega`` is a scalar or one value per lane.
+
+    Returns ``(norm, phase)``: row ``i`` is step ``i``'s growth and new unit
+    ``(v, x)``.  Lanes never mix, so a failed norm spoils only its own lane;
+    callers check the norms with :func:`_good_rows`.
+    """
+    phase = np.empty((len(ar), 2, v.size))
+    norm = np.empty(ar.shape)
+    # a failed norm divides by 0 or NaN; _good_rows reports it instead
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for z, a, nz in zip(phase, ar, norm):
+            v, x = _step(omega, a, v, x, z)
+            np.hypot(v, x, nz)
+            np.divide(z, nz, z)
+    return norm, phase
+
+
 def _orbit(rng, omega, alpha1, alpha2, v, x, burn_in, steps, fixed_r=None):
     """Renormalised orbit from ``(v, x)`` over ``burn_in + steps`` steps, in
     blocks that never straddle the end of the burn-in.
@@ -280,24 +313,18 @@ def _orbit(rng, omega, alpha1, alpha2, v, x, burn_in, steps, fixed_r=None):
     the rows before it have been yielded.
     """
     n = v.size
-    k_max = max(1, min(_BLOCK_STEPS, _BLOCK_VALUES // n))
+    k_max = _block_steps(n)
     end = burn_in + steps
     bounds = [*range(0, burn_in, k_max), *range(burn_in, end, k_max), end]
     for k0, k1 in zip(bounds, bounds[1:]):
         ar = _draw_weights(rng, alpha1, alpha2, (k1 - k0, n), fixed_r)
-        phase = np.empty((k1 - k0, 2, n))
-        norm = np.empty((k1 - k0, n))
-        # a failed norm divides by 0 or NaN; _good_rows reports it instead
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for z, a, nz in zip(phase, ar, norm):
-                v, x = _step(omega, a, v, x, z)
-                np.hypot(v, x, nz)
-                np.divide(z, nz, z)
-            good = _good_rows(norm)
+        norm, phase = _block(omega, ar, v, x)
+        good = _good_rows(norm)
         if good:
             yield k0, norm[:good], phase[:good], ar[:good]
         if good < k1 - k0:
             raise NumericOverflowError("renormalisation failed", step=k0 + good)
+        v, x = phase[-1]
 
 
 def _add_logs(acc, norm):
@@ -353,8 +380,8 @@ def lyapunov_exponent(
         If renormalisation produces a non-finite norm (not expected; the
         orbit is renormalised every step).
     """
-    if trials < 1 or steps < 1:
-        raise ValueError("steps and trials must be >= 1")
+    if trials < 1 or steps < 1 or burn_in < 0:
+        raise ValueError("steps and trials must be >= 1, burn_in >= 0")
     rng = np.random.default_rng(seed)
     orbit = _orbit(rng, omega, alpha1, alpha2, *_start(rng, trials), burn_in, steps, fixed_r)
     acc = np.zeros(trials)
@@ -386,8 +413,8 @@ def lyapunov_pair(
         top = lyapunov_exponent(omega, alpha1, alpha2, steps, trials, burn_in, seed, fixed_r)
         bottom = LyapunovEstimate(-math.inf, 0.0, steps, trials, burn_in)
         return top, bottom
-    if trials < 1 or steps < 1:
-        raise ValueError("steps and trials must be >= 1")
+    if trials < 1 or steps < 1 or burn_in < 0:
+        raise ValueError("steps and trials must be >= 1, burn_in >= 0")
     rng = np.random.default_rng(seed)
     s, c = _start(rng, trials)
     # orthonormal frame per trial: q1 = (c, s), q2 = (-s, c) in (v, x); the
@@ -536,47 +563,48 @@ def escape_probability(
     )
 
 
-def _significant_probe(probe, max_level: int):
-    """Grow the budget until the probe separates from zero at 3 sigma."""
-    value = se = 0.0
-    for level in range(max_level + 1):
-        value, se = probe(level)
-        if se == 0.0 or abs(value) > 3.0 * se:
-            return value, se, True
-    return value, se, False
-
-
-def _stochastic_bisect(probe, seed, ratio, lo, hi, tolerance, omega, max_level, max_evals=48):
+def _bisection(seed, ratio, lo, hi, tolerance, omega, max_level, max_evals=48):
     """Bisect a noisy sign function of the combined weight; negative means
     inside the stable set.
 
-    ``probe(alpha1, alpha2, level, child_seed) -> (value, std_error)``
-    takes the split weights and a fresh child of ``seed``.  Bracket endpoints
-    must be sign-significant before bisection.  Far from the root probes
-    separate from zero at the base budget; near the root the budget grows
-    until the midpoint estimate is statistically consistent with zero,
-    which at the default budgets resolves the root to about ``tolerance``
-    (the returned std_error reports the achieved half-bracket).  If the
-    probe is still significant on a bracket 8x finer than the tolerance
-    (possible only at extreme budgets) the midpoint is accepted as is.
+    A generator: it yields probe requests ``(alpha1, alpha2, level,
+    child_seed)`` (the split weights, the budget level and a fresh child of
+    ``seed``), is sent back each probe's ``(value, std_error)``, and returns
+    the :class:`CriticalPoint`.  The bracket must be finite with
+    ``0 < lo < hi``.  Bracket endpoints must be sign-significant before
+    bisection.  Far from the root probes separate from zero at the base
+    budget; near the root the budget grows until the midpoint estimate is
+    statistically consistent with zero, which at the default budgets
+    resolves the root to about ``tolerance`` (the returned std_error reports
+    the achieved half-bracket).  If the probe is still significant on a
+    bracket 8x finer than the tolerance (possible only at extreme budgets)
+    the midpoint is accepted as is.
     """
-    if tolerance < 0.01:
+    if not tolerance >= 0.01:
         raise ValueError("tolerance must be >= 0.01")
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError("the bracket must be finite with 0 < alpha_lo < alpha_max")
     ss = _seed_sequence(seed)
 
-    def probe_at(alpha, level):
-        return probe(*split_alpha(alpha, ratio), level, ss.spawn(1)[0])
+    def significant(alpha):
+        """Grow the budget until the probe separates from zero at 3 sigma."""
+        value = se = 0.0
+        for level in range(max_level + 1):
+            value, se = yield (*split_alpha(alpha, ratio), level, ss.spawn(1)[0])
+            if se == 0.0 or abs(value) > 3.0 * se:
+                return value, se, True
+        return value, se, False
 
     # the low end must probe stable (negative), the high end unstable
     for end, sign in ((lo, -1.0), (hi, 1.0)):
-        value, _, sig = _significant_probe(partial(probe_at, end), max_level)
+        value, _, sig = yield from significant(end)
         if not sig:
             return CriticalPoint(omega, math.nan, math.nan, STATUS_UNRESOLVED)
         if value * sign < 0:
             return CriticalPoint(omega, math.nan, math.nan, STATUS_NO_CROSSING)
     for _ in range(max_evals):
         mid = 0.5 * (lo + hi)
-        value, se, sig = _significant_probe(partial(probe_at, mid), max_level)
+        value, se, sig = yield from significant(mid)
         if not sig:
             # statistically at the root at full budget: |value| <= 3*se
             return CriticalPoint(omega, mid, 0.5 * (hi - lo), STATUS_OK)
@@ -589,6 +617,105 @@ def _stochastic_bisect(probe, seed, ratio, lo, hi, tolerance, omega, max_level, 
     return CriticalPoint(omega, math.nan, math.nan, STATUS_UNRESOLVED)
 
 
+def _serial(bisection, probe):
+    """Run a :func:`_bisection`, answering each request with
+    ``probe(*request)``; returns its point."""
+    reply = None
+    try:
+        while True:
+            reply = probe(*bisection.send(reply))
+    except StopIteration as stop:
+        return stop.value
+
+
+@dataclass
+class _Probe:
+    """A pending Lyapunov probe of a lockstep curve: the orbit state that
+    :func:`lyapunov_exponent` keeps for one call."""
+
+    point: int
+    rng: np.random.Generator
+    alpha1: float
+    alpha2: float
+    end: int
+    v: np.ndarray
+    x: np.ndarray
+    acc: np.ndarray
+    done: int = 0
+
+
+def _lockstep_curve(omegas, children, ratio, tolerance, alpha_lo, alpha_max, steps, trials,
+                    burn_in, max_level, **_):
+    """The Lyapunov critical curve: one :func:`_bisection` per inertia value,
+    with the pending probes of all points advanced as one block of lanes.
+
+    Each probe is the :func:`lyapunov_exponent` call that the serial driver
+    would make, and gives the same bits: it keeps its own generator from its
+    child seed, its own start and weight draws, and its own norm checks,
+    logs and estimate; only the k-step loop of :func:`_block` is shared,
+    with ``omega`` one value per lane.  A probe leaves at the end of a block
+    once its ``burn_in + steps * 2**level`` steps are done, and the next
+    request of its point joins the next block.
+
+    A failed norm fails its point as in a serial loop over the grid: the
+    points of higher ``omega`` are dropped, the lower ones run on, and the
+    failure of the lowest ``omega`` is raised.
+    """
+    if steps < 1 or trials < 1 or burn_in < 0:
+        raise ValueError("steps and trials must be >= 1, burn_in >= 0")
+    searches = [
+        _bisection(child, ratio, alpha_lo, alpha_max, tolerance, w, max_level)
+        for w, child in zip(omegas, children)
+    ]
+    points = [None] * len(omegas)
+    failed, failure = len(omegas), None
+
+    def ask(i, reply):
+        """The next probe of point ``i``, or none once it has its result."""
+        try:
+            a1, a2, level, child = searches[i].send(reply)
+        except StopIteration as stop:
+            points[i] = stop.value
+            return []
+        rng = np.random.default_rng(child)
+        end = burn_in + steps * 2**level
+        return [_Probe(i, rng, a1, a2, end, *_start(rng, trials), np.zeros(trials))]
+
+    probes = [p for i in range(len(omegas)) for p in ask(i, None)]
+    while probes:
+        k = min(_block_steps(trials * len(probes)), *(p.end - p.done for p in probes))
+        ar = np.concatenate(
+            [_draw_weights(p.rng, p.alpha1, p.alpha2, (k, trials)) for p in probes], axis=1)
+        omega = np.repeat([omegas[p.point] for p in probes], trials)
+        v = np.concatenate([p.v for p in probes])
+        x = np.concatenate([p.x for p in probes])
+        norm, phase = _block(omega, ar, v, x)
+        pending = []
+        for j, p in enumerate(probes):
+            lanes = slice(j * trials, (j + 1) * trials)
+            good = _good_rows(norm[:, lanes])
+            if good < k:
+                if p.point < failed:
+                    failed = p.point
+                    failure = NumericOverflowError("renormalisation failed", step=p.done + good)
+                continue
+            first = max(0, burn_in - p.done)
+            if first < k:
+                # contiguous: numpy may take another log path on strides
+                p.acc = _add_logs(p.acc, np.ascontiguousarray(norm[first:, lanes]))
+            p.v, p.x = phase[-1, :, lanes]
+            p.done += k
+            if p.done < p.end:
+                pending.append(p)
+            else:
+                est = _estimate(p.acc, p.end - burn_in, burn_in)
+                pending += ask(p.point, (est.value, est.std_error))
+        probes = [p for p in pending if p.point < failed]
+    if failure is not None:
+        raise failure
+    return tuple(points)
+
+
 def _fraction_difference(p_pos, p_neg, n):
     """Difference of two outcome fractions of ``n`` trials, with its error."""
     diff = p_pos - p_neg
@@ -596,17 +723,18 @@ def _fraction_difference(p_pos, p_neg, n):
     return diff, math.sqrt(max(var, 0.0))
 
 
-def _solve_curve(omega_grid, seed, solve) -> tuple[CriticalPoint, ...]:
-    """Validate an inertia grid, then ``solve(omega, seed=child)`` per point."""
+def _curve_grid(omega_grid, seed):
+    """Validate an inertia grid; return its values and one child seed per
+    point."""
     omegas = [float(w) for w in omega_grid]
     if not omegas:
         raise ValueError("omega_grid must be non-empty")
     if any(b <= a for a, b in zip(omegas, omegas[1:])):
         raise ValueError("omega_grid must be strictly increasing")
-    if any(abs(w) > 1.1 + 1e-12 for w in omegas):
-        raise ValueError("omega_grid must lie within [-1.1, 1.1]")
-    children = _seed_sequence(seed).spawn(len(omegas))
-    return tuple(solve(w, seed=child) for w, child in zip(omegas, children))
+    # NaN fails the comparison
+    if not all(abs(w) <= 1.1 + 1e-12 for w in omegas):
+        raise ValueError("omega_grid must be finite and lie within [-1.1, 1.1]")
+    return omegas, _seed_sequence(seed).spawn(len(omegas))
 
 
 def critical_alpha(
@@ -657,7 +785,11 @@ def critical_alpha(
         )
         return _fraction_difference(st.p_escaped, st.p_converged, st.trials)
 
-    return _stochastic_bisect(probe, seed, ratio, alpha_lo, alpha_max, tolerance, omega, max_level)
+    return _serial(_bisection(seed, ratio, alpha_lo, alpha_max, tolerance, omega, max_level), probe)
+
+
+# read at import, so that a wrapper later bound to the name keeps the defaults
+_CRITICAL_ALPHA = inspect.signature(critical_alpha)
 
 
 def critical_curve(
@@ -670,12 +802,26 @@ def critical_curve(
 ) -> CriticalCurve:
     """Solve for the critical weight on a grid of inertia values.
 
-    Per-point failures never abort the curve; unresolved points carry
-    their status markers.  Grid values must be strictly increasing and
-    lie within [-1.1, 1.1].
+    Grid values must be finite, strictly increasing and lie within
+    [-1.1, 1.1].  Point ``i`` runs :func:`critical_alpha` with the ``i``-th
+    child of ``seed`` and the given budgets; a point that finds no crossing
+    or cannot resolve the root carries its status marker.  A numeric
+    failure of a probe is not a status: it raises
+    :class:`NumericOverflowError`, for the lowest failing ``omega``, as a
+    loop over the grid would.  With ``method="lyapunov"`` the points are
+    solved in lockstep, their probes advanced together as one block of
+    lanes, and each point is bit-identical to its own ``critical_alpha``
+    call.
     """
-    solve = partial(critical_alpha, ratio=ratio, tolerance=tolerance, method=method, **budgets)
-    points = _solve_curve(omega_grid, seed, solve)
+    omegas, children = _curve_grid(omega_grid, seed)
+    if method == "lyapunov":
+        # critical_alpha's defaults fill in the budgets the caller leaves out
+        call = _CRITICAL_ALPHA.bind(None, ratio=ratio, tolerance=tolerance, **budgets)
+        call.apply_defaults()
+        points = _lockstep_curve(omegas, children, **call.arguments)
+    else:
+        solve = partial(critical_alpha, ratio=ratio, tolerance=tolerance, method=method, **budgets)
+        points = tuple(solve(w, seed=child) for w, child in zip(omegas, children))
     method_name = METHOD_LYAPUNOV if method == "lyapunov" else METHOD_ESCAPE
     return CriticalCurve(points=points, ratio=ratio, method=method_name)
 
@@ -791,7 +937,7 @@ def neutral_alpha(
         p_conv, p_div = _neutral_fractions(omega, a1, a2, config, reps, r_in, r_out, child)
         return _fraction_difference(p_div, p_conv, reps)
 
-    return _stochastic_bisect(probe, seed, ratio, alpha_lo, alpha_max, tolerance, omega, max_level)
+    return _serial(_bisection(seed, ratio, alpha_lo, alpha_max, tolerance, omega, max_level), probe)
 
 
 def neutral_stability_curve(
@@ -804,7 +950,8 @@ def neutral_stability_curve(
 ) -> CriticalCurve:
     """Neutral-stability boundary over an inertia grid for one scaling
     configuration.  Point failures are carried as status markers.  Grid
-    values must be strictly increasing and lie within [-1.1, 1.1]."""
+    values must be finite, strictly increasing and lie within [-1.1, 1.1]."""
+    omegas, children = _curve_grid(omega_grid, seed)
     solve = partial(neutral_alpha, config=config, ratio=ratio, tolerance=tolerance, **kwargs)
-    points = _solve_curve(omega_grid, seed, solve)
+    points = tuple(solve(w, seed=child) for w, child in zip(omegas, children))
     return CriticalCurve(points=points, ratio=ratio, method=METHOD_ESCAPE)

@@ -5,12 +5,14 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from swarmcrit import stability
 from swarmcrit.dynamics import build_step_matrix
 from swarmcrit.stability import (
     RATIO_EQUAL,
     RATIO_SOCIAL_ONLY,
     STATUS_NO_CROSSING,
     STATUS_OK,
+    STATUS_UNRESOLVED,
     AngularHistogram,
     CriticalCurve,
     CriticalPoint,
@@ -382,11 +384,43 @@ def test_critical_alpha_methods_agree():
     assert abs(by_lambda.alpha - by_escape.alpha) <= 0.1
 
 
+_BAD_BRACKETS = [
+    dict(alpha_lo=3.0, alpha_max=2.0),
+    dict(alpha_lo=2.0, alpha_max=2.0),
+    dict(alpha_lo=0.0),
+    dict(alpha_lo=math.nan),
+    dict(alpha_max=math.nan),
+    dict(alpha_max=math.inf),
+]
+
+
 def test_critical_alpha_validates_inputs():
     with pytest.raises(ValueError):
         critical_alpha(0.5, tolerance=0.001, seed=1)
     with pytest.raises(ValueError):
+        critical_alpha(0.5, tolerance=math.nan, seed=1)
+    with pytest.raises(ValueError):
         critical_alpha(0.5, method="newton", seed=1)
+    for bracket in _BAD_BRACKETS:
+        with pytest.raises(ValueError, match="bracket"):
+            critical_alpha(0.5, seed=1, steps=100, trials=2, **bracket)
+        with pytest.raises(ValueError, match="bracket"):
+            critical_alpha(0.5, seed=1, method="escape", escape_trials=10, **bracket)
+
+
+def test_neutral_alpha_validates_inputs():
+    config = ScalingConfig(kappa=1.0, iterations=10, repetitions=10)
+    with pytest.raises(ValueError):
+        neutral_alpha(0.5, config, tolerance=0.001, seed=1)
+    for bracket in _BAD_BRACKETS:
+        with pytest.raises(ValueError, match="bracket"):
+            neutral_alpha(0.5, config, seed=1, **bracket)
+
+
+@pytest.mark.parametrize("estimator", [lyapunov_exponent, lyapunov_pair])
+def test_lyapunov_rejects_negative_burn_in(estimator):
+    with pytest.raises(ValueError):
+        estimator(0.5, 0.5, 0.5, steps=100, trials=2, burn_in=-1, seed=1)
 
 
 def test_critical_curve_markers_and_interpolation():
@@ -418,6 +452,91 @@ def test_critical_curve_validates_grid(solve):
         solve([0.5, 0.4], seed=1)
     with pytest.raises(ValueError):
         solve([0.0, 1.3], seed=1)
+    with pytest.raises(ValueError):
+        solve([math.nan], seed=1)
+    with pytest.raises(ValueError):
+        solve([0.0, math.inf], seed=1)
+    with pytest.raises(ValueError):
+        solve([-math.inf, 0.0], seed=1)
+
+
+# grid, seed, budgets; the Lyapunov curve solves its points in lockstep
+_LOCKSTEP_CASES = {
+    "equal": ([-0.5, 0.0, 0.4, 0.7], 2, dict(tolerance=0.05, steps=500, trials=8, burn_in=100)),
+    "social_only": ([0.0, 0.6], 5, dict(ratio=RATIO_SOCIAL_ONLY, tolerance=0.05, steps=600,
+                                        trials=6, burn_in=300)),
+    "one_trial": ([-0.5, 0.3, 0.9, 1.05], 5, dict(tolerance=0.05, steps=600, trials=1,
+                                                 burn_in=300)),
+    "mixed_statuses": ([-1.0, -0.2, 0.99, 1.0, 1.05], 3, dict(tolerance=0.05, steps=300,
+                                                             trials=6, burn_in=50, max_level=1)),
+    "seed_sequence": ([-0.3, 0.5], np.random.SeedSequence, dict(tolerance=0.05, steps=400,
+                                                               trials=4, burn_in=20)),
+    # 12 points of 24 lanes: 288 lanes, so the lane cap shortens the blocks
+    "lane_cap": (list(np.round(np.arange(-1.1, 1.1 + 1e-9, 0.2), 10)), 9,
+                 dict(tolerance=0.05, steps=300, trials=24, burn_in=100)),
+}
+
+
+def _make_seed(seed):
+    # a SeedSequence counts its spawned children, so each run needs a new one
+    return seed(11) if callable(seed) else seed
+
+
+def _serial_curve(grid, seed, **budgets):
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    children = ss.spawn(len(grid))
+    return tuple(critical_alpha(w, seed=child, **budgets) for w, child in zip(grid, children))
+
+
+@pytest.mark.parametrize("case", list(_LOCKSTEP_CASES))
+def test_lockstep_curve_equals_per_point_critical_alpha(case):
+    grid, seed, budgets = _LOCKSTEP_CASES[case]
+    curve = critical_curve(grid, seed=_make_seed(seed), **budgets)
+    assert curve.points == _serial_curve(grid, _make_seed(seed), **budgets)
+    if case == "mixed_statuses":
+        assert {p.status for p in curve.points} == {STATUS_OK, STATUS_NO_CROSSING,
+                                                    STATUS_UNRESOLVED}
+
+
+def _assert_same_overflow(monkeypatch, draw, grid, seed, **budgets):
+    monkeypatch.setattr(stability, "_draw_weights", draw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflowError) as serial:
+            _serial_curve(grid, seed, **budgets)
+        with pytest.raises(NumericOverflowError) as lockstep:
+            critical_curve(grid, seed=seed, **budgets)
+    assert str(lockstep.value) == str(serial.value)
+    assert lockstep.value.step == serial.value.step
+    return serial.value.step
+
+
+def test_lockstep_curve_raises_the_serial_overflow(monkeypatch):
+    draw = stability._draw_weights
+
+    def unit_weights(rng, a1, a2, shape, fixed_r=None):
+        # every weight (a1 + a2) * r is one: at omega = 0 the matrix maps x to
+        # 0 in one step and the phase to zero in the next
+        return draw(rng, a1, a2, shape, 1.0 / (a1 + a2))
+
+    step = _assert_same_overflow(monkeypatch, unit_weights, [-0.5, 0.0, 0.5], 6,
+                                 tolerance=0.05, steps=300, trials=4, burn_in=50)
+    assert step == 1
+
+
+def test_lockstep_curve_raises_the_failure_of_the_lowest_omega(monkeypatch):
+    draw = stability._draw_weights
+
+    def nan_above(rng, a1, a2, shape, fixed_r=None):
+        # only the alpha = 8 bracket end draws weights above 7.95
+        ar = draw(rng, a1, a2, shape, fixed_r)
+        return np.where(ar > 7.95, np.nan, ar)
+
+    # at seed 5 the lowest omega fails at step 662, in a later block than the
+    # failures of omega = 0 (step 352) and 0.6 (step 267)
+    step = _assert_same_overflow(monkeypatch, nan_above, [-0.6, -0.3, 0.0, 0.3, 0.6], 5,
+                                 tolerance=0.05, steps=1000, trials=12, burn_in=100)
+    assert step == 662
 
 
 def test_critical_curve_csv_roundtrip(tmp_path):

@@ -49,6 +49,14 @@ COMMANDS = [
     (["curve", "--omega-min", "0.4", "--omega-max", "0.7", "--step", "0.3",
       "--tolerance", "0.05", "--steps", "500", "--trials", "8", "--seed", "2",
       "--output", "curve_lyapunov.csv"], ["curve_lyapunov.csv"]),
+    # 12 points of 24 trials: 288 lanes, more than one lockstep block holds;
+    # the ends find no crossing
+    (["curve", "--omega-min", "-1.1", "--omega-max", "1.1", "--step", "0.2",
+      "--tolerance", "0.05", "--steps", "300", "--trials", "24", "--seed", "16",
+      "--output", "curve_lanes.csv"], ["curve_lanes.csv"]),
+    (["curve", "--ratio", "social-only", "--omega-min", "-0.9", "--omega-max", "0.9",
+      "--step", "0.6", "--tolerance", "0.05", "--steps", "400", "--trials", "1",
+      "--seed", "17", "--output", "curve_one_trial.csv"], ["curve_one_trial.csv"]),
     (["curve", "--method", "escape", "--ratio", "social-only", "--omega-min", "0.4",
       "--omega-max", "0.4", "--tolerance", "0.05", "--seed", "3",
       "--output", "curve_escape.csv"], ["curve_escape.csv"]),
