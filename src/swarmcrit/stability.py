@@ -17,6 +17,14 @@ one call draws a block's weights from the same random stream, in the same
 order, as one draw per step would, and the log growth is summed step after
 step, so the results are bit-identical to a step-at-a-time loop.
 
+The escape and neutral-stability experiments share one first-passage
+loop, ``_first_passage``: lanes start on the unit circle, each step draws
+the weights of the live lanes, and a lane retires at its first outcome;
+only the update and the two outcome tests differ.  Radius tests on the
+phase norm are decided from the squared norm, with ``np.hypot`` only for
+lanes within rounding of the radius, and agree with the hypot comparison
+bit for bit.
+
 Critical points are found by a stochastic bisection written as a generator
 that yields probe requests and is sent their results.  ``critical_alpha``,
 ``neutral_alpha`` and the escape and neutral curves answer the requests one
@@ -221,8 +229,12 @@ class ScalingConfig:
     repetitions: int = 100_000
 
     def __post_init__(self):
+        if not all(math.isfinite(value) for value in (self.kappa, self.p, self.g)):
+            raise ValueError("kappa, p and g must be finite")
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
+        if self.iterations < 1 or self.repetitions < 1:
+            raise ValueError("iterations and repetitions must be >= 1")
 
 
 def split_alpha(alpha: float, ratio: str) -> tuple[float, float]:
@@ -237,7 +249,17 @@ def split_alpha(alpha: float, ratio: str) -> tuple[float, float]:
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
-    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    """A ``SeedSequence`` to spawn from; a caller's ``SeedSequence`` is
+    copied, so spawning does not advance it and a repeated call with the
+    same object gets the same children."""
+    if not isinstance(seed, np.random.SeedSequence):
+        return np.random.SeedSequence(seed)
+    return np.random.SeedSequence(
+        seed.entropy,
+        spawn_key=seed.spawn_key,
+        pool_size=seed.pool_size,
+        n_children_spawned=seed.n_children_spawned,
+    )
 
 
 # Orbits advance in blocks of at most _BLOCK_STEPS steps and _BLOCK_VALUES
@@ -247,14 +269,19 @@ _BLOCK_STEPS = 256
 _BLOCK_VALUES = 1 << 16
 
 
+def _weights(alpha1, alpha2, u):
+    """Combined weights ``alpha1*u1 + alpha2*u2`` from uniform draws ``u``
+    of shape ``(..., 2, n)``."""
+    return alpha1 * u[..., 0, :] + alpha2 * u[..., 1, :]
+
+
 def _draw_weights(rng, alpha1, alpha2, shape, fixed_r=None):
     """Combined weights alpha*r of ``shape = (..., n)``, one per lane and
     step.  Each step draws its ``n`` values of ``u1``, then its ``n`` values
     of ``u2``: the same stream as two ``rng.random(n)`` calls per step."""
     if fixed_r is not None:
         return np.full(shape, (alpha1 + alpha2) * fixed_r)
-    u = rng.random((*shape[:-1], 2, shape[-1]))
-    return alpha1 * u[..., 0, :] + alpha2 * u[..., 1, :]
+    return _weights(alpha1, alpha2, rng.random((*shape[:-1], 2, shape[-1])))
 
 
 def _start(rng, n):
@@ -325,6 +352,65 @@ def _orbit(rng, omega, alpha1, alpha2, v, x, burn_in, steps, fixed_r=None):
         if good < k1 - k0:
             raise NumericOverflowError("renormalisation failed", step=k0 + good)
         v, x = phase[-1]
+
+
+# _radius_test decides a lane from its squared norm unless that lies within
+# this relative margin of r*r: the squared norm is within a few ulp of exact
+# and np.hypot within one, both far inside the margin.  Inside the range,
+# r*r and r*r times the margin are finite and nonzero.
+_RADIUS_MARGIN = 2.0**-40
+_RADIUS_RANGE = (1e-150, 1e150)
+
+
+def _radius_test(op, v, x, r):
+    """``op(np.hypot(x, v), r)`` for ``op`` one of ``np.greater_equal`` and
+    ``np.less_equal``, bit for bit, without a hypot over every lane.
+
+    Lanes whose squared norm is NaN or within ``_RADIUS_MARGIN`` of
+    ``r*r`` are compared through ``np.hypot``; for ``r`` outside
+    ``_RADIUS_RANGE`` (or NaN) all lanes are.
+    """
+    lo, hi = _RADIUS_RANGE
+    if not lo <= r <= hi:
+        return op(np.hypot(x, v), r)
+    r2 = r * r
+    # a squared norm past the float range is inf, which decides its lane
+    with np.errstate(over="ignore"):
+        norm2 = x * x + v * v
+    result = op(norm2, r2)
+    # NaN fails the comparison, so it counts as near
+    near = ~(np.abs(norm2 - r2) > _RADIUS_MARGIN * r2)
+    if near.any():
+        result[near] = op(np.hypot(x[near], v[near]), r)
+    return result
+
+
+def _first_passage(seed, n, steps, update, outcome):
+    """First passage of ``n`` lanes started at random unit ``(v, x)``.
+
+    Each of at most ``steps`` steps draws ``u = rng.random((2, live))``,
+    the stream of two ``rng.random(live)`` calls, advances the live lanes
+    with ``update(u, v, x) -> (v, x)`` and tests them with ``outcome(v, x)
+    -> (a, b)``.  A lane retires at its first step with ``a | b`` and counts
+    for ``a`` if only ``a`` holds, for ``b`` if only ``b`` holds.  Nothing
+    is drawn once every lane has retired.  The lanes belong to the loop, so
+    ``update`` may overwrite ``v`` and ``x``.  Returns the two counts.
+    """
+    rng = np.random.default_rng(seed)
+    v, x = _start(rng, n)
+    n_a = n_b = 0
+    for _ in range(steps):
+        if x.size == 0:
+            break
+        v, x = update(rng.random((2, x.size)), v, x)
+        a, b = outcome(v, x)
+        done = a | b
+        if done.any():
+            n_a += int(np.count_nonzero(a & ~b))
+            n_b += int(np.count_nonzero(b & ~a))
+            keep = ~done
+            v, x = v[keep], x[keep]
+    return n_a, n_b
 
 
 def _add_logs(acc, norm):
@@ -529,28 +615,20 @@ def escape_probability(
     """
     if not (r_in < 1.0 < r_out):
         raise ValueError("require r_in < 1 < r_out")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    v, x = _start(rng, trials)
-    n_conv = 0
-    n_esc = 0
+    if trials < 1 or max_steps < 1:
+        raise ValueError("trials and max_steps must be >= 1")
     rin2 = r_in * r_in
     rout2 = r_out * r_out
-    for _ in range(max_steps):
-        if x.size == 0:
-            break
-        ar = _draw_weights(rng, alpha1, alpha2, (x.size,))
-        v, x = _step(omega, ar, v, x)
+
+    def update(u, v, x):
+        return _step(omega, _weights(alpha1, alpha2, u), v, x, (v, x))
+
+    def outcome(v, x):
+        # r_in < 1 < r_out: a lane never passes both tests
         norm2 = v * v + x * x
-        conv = norm2 <= rin2
-        esc = norm2 >= rout2
-        n_conv += int(np.count_nonzero(conv))
-        n_esc += int(np.count_nonzero(esc))
-        keep = ~(conv | esc)
-        if not keep.all():
-            v = v[keep]
-            x = x[keep]
+        return norm2 <= rin2, norm2 >= rout2
+
+    n_conv, n_esc = _first_passage(seed, trials, max_steps, update, outcome)
     n_und = trials - n_conv - n_esc
     return EscapeStats(
         p_converged=n_conv / trials,
@@ -883,37 +961,27 @@ def _neutral_fractions(omega, alpha1, alpha2, config, repetitions, r_in, r_out, 
     distance to the segment between the (scaled) best positions drops
     below ``r_in * |p - g|``; with coincident bests the criterion
     degenerates to the phase norm dropping below ``r_in``, matching the
-    escape experiment.  Divergence: phase norm reaches ``r_out``.
+    escape experiment.  Divergence: phase norm reaches ``r_out``.  A lane
+    passing both tests at once counts for neither.
     """
-    rng = np.random.default_rng(seed)
     p_eff = config.kappa * config.p
     g_eff = config.kappa * config.g
-    v, x = _start(rng, repetitions)
     seg_lo = min(p_eff, g_eff)
     seg_hi = max(p_eff, g_eff)
     width = seg_hi - seg_lo
-    degenerate = width == 0.0
-    n_conv = 0
-    n_div = 0
-    for _ in range(config.iterations):
-        if x.size == 0:
-            break
-        u1 = rng.random(x.size)
-        u2 = rng.random(x.size)
-        v, x = affine_update(omega, alpha1, alpha2, v, x, u1, u2, p_eff, g_eff)
-        norm = np.hypot(x, v)
-        if degenerate:
-            conv = norm <= r_in
+
+    def update(u, v, x):
+        return affine_update(omega, alpha1, alpha2, v, x, u[0], u[1], p_eff, g_eff)
+
+    def outcome(v, x):
+        if width == 0.0:
+            conv = _radius_test(np.less_equal, v, x, r_in)
         else:
             dist = np.maximum(np.maximum(seg_lo - x, x - seg_hi), 0.0)
             conv = dist <= r_in * width
-        div = norm >= r_out
-        n_conv += int(np.count_nonzero(conv & ~div))
-        n_div += int(np.count_nonzero(div & ~conv))
-        keep = ~(conv | div)
-        if not keep.all():
-            v = v[keep]
-            x = x[keep]
+        return conv, _radius_test(np.greater_equal, v, x, r_out)
+
+    n_conv, n_div = _first_passage(seed, repetitions, config.iterations, update, outcome)
     return n_conv / repetitions, n_div / repetitions
 
 

@@ -44,6 +44,12 @@ _INVALID = {
     "optimize-omega-nan": ["optimize", "--omega", "nan", "--alpha", "1.4", "--dim", "2",
                            "--iterations", "5"],
     "sweep-config-zero-step": ["sweep", "--config", "{config}"],
+    "scaling-repetitions-zero": ["scaling", "--kappa", "1", "--repetitions", "0"],
+    "scaling-iterations-zero": ["scaling", "--kappa", "1", "--iterations", "0",
+                                "--repetitions", "10"],
+    "escape-max-steps-zero": ["escape", "--omega", "0.5", "--alpha", "2", "--max-steps", "0"],
+    "escape-max-steps-negative": ["escape", "--omega", "0.5", "--alpha", "2",
+                                  "--max-steps", "-3"],
 }
 
 

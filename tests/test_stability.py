@@ -101,6 +101,24 @@ def test_lyapunov_seed_determinism(estimator):
     assert run(42) == run(42)
 
 
+_SEEDED_SEARCHES = {
+    "critical_alpha": lambda seed: critical_alpha(
+        0.5, tolerance=0.05, seed=seed, steps=300, trials=4, burn_in=50),
+    "neutral_alpha": _ESTIMATORS["neutral_alpha"],
+    "critical_curve": lambda seed: critical_curve(
+        [-0.5, 0.5], tolerance=0.05, seed=seed, steps=300, trials=4, burn_in=50),
+}
+
+
+@pytest.mark.parametrize("search", list(_SEEDED_SEARCHES))
+def test_seed_sequence_argument_is_not_advanced(search):
+    run = _SEEDED_SEARCHES[search]
+    ss = np.random.SeedSequence(9)
+    first = run(ss)
+    assert ss.n_children_spawned == 0
+    assert run(ss) == first == run(np.random.SeedSequence(9))
+
+
 # ---------------------------------------------------------------- blocked orbit vs per-step loop
 
 
@@ -346,6 +364,146 @@ def test_escape_seed_determinism():
 def test_escape_validates_radii():
     with pytest.raises(ValueError):
         escape_probability(0.5, 1.0, 1.0, r_in=2.0, seed=1)
+
+
+@pytest.mark.parametrize("budget", [{"max_steps": 0}, {"max_steps": -3}, {"trials": 0}])
+def test_escape_validates_budgets(budget):
+    with pytest.raises(ValueError, match=">= 1"):
+        escape_probability(0.5, 1.0, 1.0, seed=1, **{"max_steps": 10, "trials": 10, **budget})
+
+
+# per-step copies of the escape and neutral loops that _first_passage replaced
+
+
+def _reference_escape(omega, a1, a2, r_in, r_out, max_steps, trials, seed):
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, 2.0 * np.pi, trials)
+    v, x = np.sin(theta), np.cos(theta)
+    n_conv = n_esc = 0
+    for _ in range(max_steps):
+        if x.size == 0:
+            break
+        u1 = rng.random(x.size)
+        u2 = rng.random(x.size)
+        v = omega * v - (a1 * u1 + a2 * u2) * x
+        x = v + x
+        norm2 = v * v + x * x
+        conv = norm2 <= r_in * r_in
+        esc = norm2 >= r_out * r_out
+        n_conv += int(np.count_nonzero(conv))
+        n_esc += int(np.count_nonzero(esc))
+        keep = ~(conv | esc)
+        v, x = v[keep], x[keep]
+    n_und = trials - n_conv - n_esc
+    return stability.EscapeStats(n_conv / trials, n_esc / trials, n_und / trials, trials,
+                                 r_in, r_out, max_steps)
+
+
+def _reference_neutral(omega, a1, a2, config, repetitions, r_in, r_out, seed):
+    rng = np.random.default_rng(seed)
+    p, g = config.kappa * config.p, config.kappa * config.g
+    theta = rng.uniform(0.0, 2.0 * np.pi, repetitions)
+    v, x = np.sin(theta), np.cos(theta)
+    lo, hi = min(p, g), max(p, g)
+    n_conv = n_div = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.iterations):
+            if x.size == 0:
+                break
+            u1 = rng.random(x.size)
+            u2 = rng.random(x.size)
+            v = omega * v + a1 * u1 * (p - x) + a2 * u2 * (g - x)
+            x = x + v
+            norm = np.hypot(x, v)
+            if hi == lo:
+                conv = norm <= r_in
+            else:
+                conv = np.maximum(np.maximum(lo - x, x - hi), 0.0) <= r_in * (hi - lo)
+            div = norm >= r_out
+            n_conv += int(np.count_nonzero(conv & ~div))
+            n_div += int(np.count_nonzero(div & ~conv))
+            keep = ~(conv | div)
+            v, x = v[keep], x[keep]
+    return n_conv / repetitions, n_div / repetitions
+
+
+# (omega, alpha1, alpha2, r_in, r_out, max_steps, trials); escape needs r_in < 1 < r_out
+_FIRST_PASSAGE_CASES = {
+    "equal_split": (0.4, 1.3, 1.3, 1e-6, 1e6, 20_000, 400),
+    "social_only": (-0.3, 0.0, 2.9, 1e-6, 1e6, 20_000, 400),
+    "step_cap_leaves_undecided": (0.4, 2.55, 2.55, 1e-6, 1e6, 40, 300),
+    "one_trial": (0.7, 1.0, 1.4, 1e-3, 1e3, 5000, 1),
+    "nan_omega": (math.nan, 1.0, 1.0, 1e-6, 1e6, 30, 50),
+    "near_radii": (0.5, 1.6, 1.6, 0.5, 2.0, 500, 300),
+}
+
+# (kappa, p, g): a segment between the bests, a point, and coincident zeros;
+# with the near radii, lanes of the wide segment pass both tests at once
+_NEUTRAL_CONFIGS = {"segment": (0.5, 0.1, 0.0), "degenerate": (1.0, 0.3, 0.3),
+                    "origin": (1.0, 0.0, 0.0), "wide_segment": (1.0, 1.0, -1.0)}
+
+
+@pytest.mark.parametrize("case", list(_FIRST_PASSAGE_CASES))
+def test_escape_equals_per_step_loop(case):
+    omega, a1, a2, r_in, r_out, max_steps, trials = _FIRST_PASSAGE_CASES[case]
+    args = (omega, a1, a2, r_in, r_out, max_steps, trials)
+    stats = escape_probability(*args, seed=11)
+    assert stats == _reference_escape(*args, seed=11)
+    if case in ("step_cap_leaves_undecided", "nan_omega"):
+        assert stats.p_undecided > 0
+
+
+@pytest.mark.parametrize("config", list(_NEUTRAL_CONFIGS))
+@pytest.mark.parametrize("case", list(_FIRST_PASSAGE_CASES))
+def test_neutral_fractions_equal_per_step_loop(case, config):
+    omega, a1, a2, r_in, r_out, max_steps, trials = _FIRST_PASSAGE_CASES[case]
+    kappa, p, g = _NEUTRAL_CONFIGS[config]
+    cfg = ScalingConfig(kappa, p, g, iterations=min(max_steps, 400), repetitions=trials)
+    args = (omega, a1, a2, cfg, trials, r_in, r_out)
+    assert stability._neutral_fractions(*args, 12) == _reference_neutral(*args, 12)
+
+
+def test_first_passage_generator_seed_ends_in_reference_state():
+    gen, ref = np.random.default_rng(13), np.random.default_rng(13)
+    args = (0.4, 1.25, 1.25, 1e-6, 1e6, 300, 200)
+    assert escape_probability(*args, seed=gen) == _reference_escape(*args, seed=ref)
+    assert gen.bit_generator.state == ref.bit_generator.state
+    cfg = ScalingConfig(1.0, 0.1, 0.0, iterations=300, repetitions=200)
+    args = (0.4, 1.25, 1.25, cfg, 200, 1e-6, 1e6)
+    assert stability._neutral_fractions(*args, gen) == _reference_neutral(*args, ref)
+    assert gen.bit_generator.state == ref.bit_generator.state
+
+
+def _lanes_around(r):
+    """Phase points within 64 ulp of radius ``r``, on the axes and at random
+    angles, plus every pairing of extreme values with each other and with
+    ``r``."""
+    steps = np.arange(-64, 65)
+    on_axis = r + steps * np.spacing(r)
+    theta = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, 1500)
+    scale = 1.0 + steps * 2.0**-52
+    x = [on_axis, np.zeros_like(on_axis), -on_axis, (r * np.cos(theta))[:, None] * scale]
+    v = [np.zeros_like(on_axis), on_axis, on_axis / 1e9, (r * np.sin(theta))[:, None] * scale]
+    special = np.array([0.0, -0.0, 5e-324, -1e-310, 1e-160, 1e160, 1e300, -1e300, np.inf,
+                        -np.inf, np.nan, r, -r, np.nextafter(r, 0), np.nextafter(r, np.inf)])
+    x.append(np.repeat(special, special.size))
+    v.append(np.tile(special, special.size))
+    return np.concatenate([a.ravel() for a in x]), np.concatenate([a.ravel() for a in v])
+
+
+@pytest.mark.parametrize("r", [1e-6, 0.5, 1.0, 3.0, 1e6, 1e-150, 1e150, 1e-200, 1e200, math.nan])
+def test_radius_test_matches_hypot_comparison(r):
+    x, v = _lanes_around(r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for op in (np.greater_equal, np.less_equal):
+            with np.errstate(over="ignore"):
+                expected = op(np.hypot(x, v), r)
+            assert np.array_equal(stability._radius_test(op, v, x, r), expected)
+    if 1e-150 <= r <= 1e150:
+        # the squared norm alone misjudges lanes within rounding of r
+        with np.errstate(over="ignore"):
+            assert not np.array_equal(x * x + v * v >= r * r, np.hypot(x, v) >= r)
 
 
 # ---------------------------------------------------------------- critical curve
@@ -620,3 +778,7 @@ def test_neutral_moves_inward_for_smaller_kappa():
 def test_scaling_config_validation():
     with pytest.raises(ValueError):
         ScalingConfig(kappa=0.0)
+    for bad in ({"kappa": math.nan}, {"kappa": math.inf}, {"p": math.nan}, {"g": -math.inf},
+                {"iterations": 0}, {"repetitions": 0}, {"repetitions": -1}):
+        with pytest.raises(ValueError):
+            ScalingConfig(**{"kappa": 1.0, **bad})

@@ -65,6 +65,9 @@ COMMANDS = [
      ["stationary.csv"]),
     (["escape", "--omega", "0.5", "--alpha", "2.0", "--trials", "200", "--max-steps", "500",
       "--seed", "5", "--output", "escape.json"], ["escape.json"]),
+    # near the critical weight: the step cap leaves lanes undecided
+    (["escape", "--omega", "0.4", "--alpha", "5.17", "--trials", "500", "--max-steps", "400",
+      "--seed", "9", "--output", "escape_capped.json"], ["escape_capped.json"]),
     (["optimize", "--function", "rastrigin", "--dim", "2", "--omega", "0.7", "--alpha", "1.4",
       "--iterations", "20", "--particles", "5", "--seed", "6",
       "--output", "optimize.json", "--trace", "optimize_trace.csv"],
@@ -100,6 +103,11 @@ COMMANDS = [
     (["scaling", "--kappa", "0.5", "--split", "social-only", "--iterations", "50",
       "--repetitions", "300", "--omega-min", "0.4", "--omega-max", "0.4",
       "--tolerance", "0.05", "--seed", "8", "--output", "scaling.csv"], ["scaling.csv"]),
+    # coincident bests: convergence is the phase norm reaching r_in
+    (["scaling", "--kappa", "1", "--p", "0", "--g", "0", "--iterations", "300",
+      "--repetitions", "400", "--omega-min", "0.4", "--omega-max", "0.4",
+      "--tolerance", "0.05", "--seed", "10", "--output", "scaling_degenerate.csv"],
+     ["scaling_degenerate.csv"]),
 ]
 
 
