@@ -42,6 +42,31 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """A ``SeedSequence`` to spawn from; a caller's ``SeedSequence`` is
+    copied, so spawning does not advance it and a repeated call with the
+    same object gets the same children."""
+    if not isinstance(seed, np.random.SeedSequence):
+        return np.random.SeedSequence(seed)
+    return np.random.SeedSequence(
+        seed.entropy,
+        spawn_key=seed.spawn_key,
+        pool_size=seed.pool_size,
+        n_children_spawned=seed.n_children_spawned,
+    )
+
+
+def _check_weights(alpha1, alpha2):
+    """The attraction weights must be finite and nonnegative, with a
+    positive sum."""
+    if not (math.isfinite(alpha1) and math.isfinite(alpha2)):
+        raise ValueError("alpha1 and alpha2 must be finite")
+    if alpha1 < 0 or alpha2 < 0:
+        raise ValueError("alpha1 and alpha2 must be nonnegative")
+    if alpha1 + alpha2 <= 0:
+        raise ValueError("alpha1 + alpha2 must be positive")
+
+
 @dataclass(frozen=True)
 class SwarmParams:
     """Parameter vector of the algorithm.
@@ -67,12 +92,9 @@ class SwarmParams:
     dim: int = 1
 
     def __post_init__(self):
-        if not all(math.isfinite(w) for w in (self.omega, self.alpha1, self.alpha2)):
-            raise ValueError("omega, alpha1 and alpha2 must be finite")
-        if self.alpha1 < 0 or self.alpha2 < 0:
-            raise ValueError("alpha1 and alpha2 must be nonnegative")
-        if self.alpha1 + self.alpha2 <= 0:
-            raise ValueError("alpha1 + alpha2 must be positive")
+        if not math.isfinite(self.omega):
+            raise ValueError("omega must be finite")
+        _check_weights(self.alpha1, self.alpha2)
         if self.n_particles < 1:
             raise ValueError("n_particles must be >= 1")
         if self.dim < 1:
@@ -123,17 +145,15 @@ class MixtureWeight:
     The weight is ``r = (alpha1*U1 + alpha2*U2) / (alpha1 + alpha2)`` with
     independent U1, U2 uniform on [0, 1].  Its density is supported on
     [0, 1] with mean exactly 1/2 and variance
-    ``(alpha1**2 + alpha2**2) / (12 * (alpha1 + alpha2)**2)``.
+    ``(alpha1**2 + alpha2**2) / (12 * (alpha1 + alpha2)**2)``.  Both
+    weights must be finite and nonnegative, with a positive sum.
     """
 
     alpha1: float
     alpha2: float
 
     def __post_init__(self):
-        if self.alpha1 < 0 or self.alpha2 < 0:
-            raise ValueError("alpha1 and alpha2 must be nonnegative")
-        if self.alpha1 + self.alpha2 <= 0:
-            raise ValueError("alpha1 + alpha2 must be positive")
+        _check_weights(self.alpha1, self.alpha2)
 
     @property
     def alpha(self) -> float:

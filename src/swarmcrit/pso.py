@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dynamics import SwarmParams, affine_update
+from .dynamics import SwarmParams, _seed_sequence, affine_update
 
 __all__ = [
     "SwarmState",
@@ -271,7 +271,9 @@ def lockstep(f, params, iterations: int, bounds, seeds, trace=None) -> SwarmStat
     the attraction weights are per swarm.  ``f`` maps a (B, n, dim) stack
     to (B, n) costs, each (n, dim) block evaluated as it would be alone
     (``BenchmarkFunction`` does; ``optimize`` wraps any other cost).  Each
-    seed is spawned into an initialisation and a step generator, and per
+    seed is spawned into an initialisation and a step generator (a
+    caller's ``SeedSequence`` is copied first, so it is not advanced and a
+    repeated call gets the same run), and per
     iteration each swarm draws ``r1`` then ``r2`` from its step generator,
     so every swarm follows exactly the run ``optimize`` gives for its
     parameters and seed.  ``trace``, if given, is a (B, iterations) array
@@ -284,10 +286,7 @@ def lockstep(f, params, iterations: int, bounds, seeds, trace=None) -> SwarmStat
     weights = np.array([(p.omega, p.alpha1, p.alpha2) for p in params])[:, :, None, None]
     omega, alpha1, alpha2 = weights[:, 0], weights[:, 1], weights[:, 2]
     b = _as_bounds(bounds, dim)
-    children = [
-        (s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s)).spawn(2)
-        for s in seeds
-    ]
+    children = [_seed_sequence(s).spawn(2) for s in seeds]
     state = _start(f, np.array([_uniform(init_ss, b, n) for init_ss, _ in children]))
     rngs = [np.random.default_rng(step_ss) for _, step_ss in children]
     r = np.empty((len(rngs), 2, n, dim))

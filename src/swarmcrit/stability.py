@@ -26,12 +26,14 @@ lanes within rounding of the radius, and agree with the hypot comparison
 bit for bit.
 
 Critical points are found by a stochastic bisection written as a generator
-that yields probe requests and is sent their results.  ``critical_alpha``,
-``neutral_alpha`` and the escape and neutral curves answer the requests one
-at a time.  The Lyapunov ``critical_curve`` runs one bisection per inertia
-value and advances all their pending probes together, as one block of lanes
-with a per-lane ``omega``.  Each probe keeps its own seed, generator, draws
-and estimate, so the curve is byte-identical to solving it point by point.
+that yields probe requests and is sent their results.  Every Lyapunov
+critical point, alone (``critical_alpha``) or on a curve
+(``critical_curve``), runs through one solver, ``_lyapunov_points``: one
+bisection per inertia value, with all pending probes advanced together as
+one block of lanes with a per-lane ``omega``.  Each probe keeps its own
+seed, generator, draws and estimate, so a point's result does not depend
+on which points share its blocks.  The escape method and ``neutral_alpha``
+(and so the escape and neutral curves) answer the requests one at a time.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from functools import partial
 
 import numpy as np
 
-from .dynamics import affine_update
+from .dynamics import _seed_sequence, affine_update
 
 __all__ = [
     "NumericOverflowError",
@@ -248,20 +250,6 @@ def split_alpha(alpha: float, ratio: str) -> tuple[float, float]:
     raise ValueError(f"unknown ratio {ratio!r}")
 
 
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    """A ``SeedSequence`` to spawn from; a caller's ``SeedSequence`` is
-    copied, so spawning does not advance it and a repeated call with the
-    same object gets the same children."""
-    if not isinstance(seed, np.random.SeedSequence):
-        return np.random.SeedSequence(seed)
-    return np.random.SeedSequence(
-        seed.entropy,
-        spawn_key=seed.spawn_key,
-        pool_size=seed.pool_size,
-        n_children_spawned=seed.n_children_spawned,
-    )
-
-
 # Orbits advance in blocks of at most _BLOCK_STEPS steps and _BLOCK_VALUES
 # lane-steps: the per-step numpy calls then write into preallocated rows, and
 # a block's buffers stay near 3 MB at any lane count.
@@ -383,6 +371,14 @@ def _radius_test(op, v, x, r):
     if near.any():
         result[near] = op(np.hypot(x[near], v[near]), r)
     return result
+
+
+def _check_radii(r_in, r_out):
+    """The first-passage radii must satisfy ``r_in < 1 < r_out``, the unit
+    start circle lying strictly between them."""
+    # NaN fails the comparison
+    if not r_in < 1.0 < r_out:
+        raise ValueError("require r_in < 1 < r_out")
 
 
 def _first_passage(seed, n, steps, update, outcome):
@@ -613,8 +609,7 @@ def escape_probability(
     to ``r_in`` (converged) or reaches ``r_out`` (escaped); trials hitting
     the step cap count as undecided.
     """
-    if not (r_in < 1.0 < r_out):
-        raise ValueError("require r_in < 1 < r_out")
+    _check_radii(r_in, r_out)
     if trials < 1 or max_steps < 1:
         raise ValueError("trials and max_steps must be >= 1")
     rin2 = r_in * r_in
@@ -708,7 +703,7 @@ def _serial(bisection, probe):
 
 @dataclass
 class _Probe:
-    """A pending Lyapunov probe of a lockstep curve: the orbit state that
+    """A pending probe of :func:`_lyapunov_points`: the orbit state that
     :func:`lyapunov_exponent` keeps for one call."""
 
     point: int
@@ -722,22 +717,25 @@ class _Probe:
     done: int = 0
 
 
-def _lockstep_curve(omegas, children, ratio, tolerance, alpha_lo, alpha_max, steps, trials,
-                    burn_in, max_level, **_):
-    """The Lyapunov critical curve: one :func:`_bisection` per inertia value,
+def _lyapunov_points(omegas, children, ratio, tolerance, alpha_lo, alpha_max, steps, trials,
+                     burn_in, max_level, **_):
+    """Lyapunov critical points, any number of them: one :func:`_bisection`
+    per inertia value in ``omegas``, seeded by its entry of ``children``,
     with the pending probes of all points advanced as one block of lanes.
 
-    Each probe is the :func:`lyapunov_exponent` call that the serial driver
-    would make, and gives the same bits: it keeps its own generator from its
-    child seed, its own start and weight draws, and its own norm checks,
-    logs and estimate; only the k-step loop of :func:`_block` is shared,
-    with ``omega`` one value per lane.  A probe leaves at the end of a block
-    once its ``burn_in + steps * 2**level`` steps are done, and the next
-    request of its point joins the next block.
+    Each probe gives the bits of the :func:`lyapunov_exponent` call for its
+    request: it keeps its own generator from its child seed, its own start
+    and weight draws, and its own norm checks, logs and estimate; only the
+    k-step loop of :func:`_block` is shared, with ``omega`` one value per
+    lane.  Where a block is cut changes neither a probe's draws nor the
+    order of its additions, so a point's result does not depend on the
+    other points.  A probe leaves at the end of a block once its
+    ``burn_in + steps * 2**level`` steps are done, and the next request of
+    its point joins the next block.
 
-    A failed norm fails its point as in a serial loop over the grid: the
-    points of higher ``omega`` are dropped, the lower ones run on, and the
-    failure of the lowest ``omega`` is raised.
+    A failed norm fails its point as in a loop over the points: the points
+    after it are dropped, the earlier ones run on, and the failure of the
+    first failing point is raised.
     """
     if steps < 1 or trials < 1 or burn_in < 0:
         raise ValueError("steps and trials must be >= 1, burn_in >= 0")
@@ -833,11 +831,12 @@ def critical_alpha(
     """Locate the combined weight where the dynamics is marginally stable.
 
     Stochastic bisection on the bracket ``(alpha_lo, alpha_max]``; with
-    ``method="lyapunov"`` the sign probe is the Lyapunov estimate, with
-    ``method="escape"`` it is the difference between escape and
-    convergence probabilities.  A bracket endpoint must show a 3-sigma
-    significant sign before bisection; the per-probe budget doubles up to
-    ``max_level`` times near the root.
+    ``method="lyapunov"`` the sign probe is the Lyapunov estimate, and the
+    point is solved as a curve of one point, by the same code as
+    :func:`critical_curve`; with ``method="escape"`` the probe is the
+    difference between escape and convergence probabilities.  A bracket
+    endpoint must show a 3-sigma significant sign before bisection; the
+    per-probe budget doubles up to ``max_level`` times near the root.
 
     Returns a :class:`CriticalPoint` whose status is ``NO_CROSSING`` if no
     significant sign change exists in the bracket and ``UNRESOLVED`` if the
@@ -846,13 +845,11 @@ def critical_alpha(
     """
     if method not in ("lyapunov", "escape"):
         raise ValueError(f"unknown method {method!r}")
+    if method == "lyapunov":
+        return _lyapunov_points([omega], [seed], ratio, tolerance, alpha_lo, alpha_max, steps,
+                                trials, burn_in, max_level)[0]
 
     def probe(a1, a2, level, child):
-        if method == "lyapunov":
-            est = lyapunov_exponent(
-                omega, a1, a2, steps=steps * 2**level, trials=trials, burn_in=burn_in, seed=child
-            )
-            return est.value, est.std_error
         st = escape_probability(
             omega,
             a1,
@@ -881,22 +878,22 @@ def critical_curve(
     """Solve for the critical weight on a grid of inertia values.
 
     Grid values must be finite, strictly increasing and lie within
-    [-1.1, 1.1].  Point ``i`` runs :func:`critical_alpha` with the ``i``-th
-    child of ``seed`` and the given budgets; a point that finds no crossing
-    or cannot resolve the root carries its status marker.  A numeric
-    failure of a probe is not a status: it raises
+    [-1.1, 1.1].  Point ``i`` is the :func:`critical_alpha` result for the
+    ``i``-th child of ``seed`` and the given budgets; a point that finds no
+    crossing or cannot resolve the root carries its status marker.  A
+    numeric failure of a probe is not a status: it raises
     :class:`NumericOverflowError`, for the lowest failing ``omega``, as a
-    loop over the grid would.  With ``method="lyapunov"`` the points are
-    solved in lockstep, their probes advanced together as one block of
-    lanes, and each point is bit-identical to its own ``critical_alpha``
-    call.
+    loop over the grid would.  With ``method="lyapunov"`` all points run
+    through the one solver ``critical_alpha`` uses, their probes advanced
+    together as one block of lanes; the escape method calls
+    ``critical_alpha`` once per point.
     """
     omegas, children = _curve_grid(omega_grid, seed)
     if method == "lyapunov":
         # critical_alpha's defaults fill in the budgets the caller leaves out
         call = _CRITICAL_ALPHA.bind(None, ratio=ratio, tolerance=tolerance, **budgets)
         call.apply_defaults()
-        points = _lockstep_curve(omegas, children, **call.arguments)
+        points = _lyapunov_points(omegas, children, **call.arguments)
     else:
         solve = partial(critical_alpha, ratio=ratio, tolerance=tolerance, method=method, **budgets)
         points = tuple(solve(w, seed=child) for w, child in zip(omegas, children))
@@ -998,7 +995,9 @@ def neutral_alpha(
     max_level: int = 2,
 ) -> CriticalPoint:
     """Boundary weight where convergence and divergence fractions are equal
-    in the scaled finite-time experiment."""
+    in the scaled finite-time experiment.  The radii must satisfy
+    ``r_in < 1 < r_out``."""
+    _check_radii(r_in, r_out)
 
     def probe(a1, a2, level, child):
         reps = config.repetitions * 2**level
@@ -1018,7 +1017,8 @@ def neutral_stability_curve(
 ) -> CriticalCurve:
     """Neutral-stability boundary over an inertia grid for one scaling
     configuration.  Point failures are carried as status markers.  Grid
-    values must be finite, strictly increasing and lie within [-1.1, 1.1]."""
+    values must be finite, strictly increasing and lie within [-1.1, 1.1],
+    and the radii in ``kwargs`` must satisfy ``r_in < 1 < r_out``."""
     omegas, children = _curve_grid(omega_grid, seed)
     solve = partial(neutral_alpha, config=config, ratio=ratio, tolerance=tolerance, **kwargs)
     points = tuple(solve(w, seed=child) for w, child in zip(omegas, children))

@@ -56,6 +56,14 @@ def test_mixture_weight_validation():
         MixtureWeight(0.0, 0.0)
 
 
+@pytest.mark.parametrize("pair", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf),
+                                  (1.0, -math.inf), (-1.0, 2.0)])
+def test_mixture_weight_rejects_bad_weights(pair):
+    # a non-finite weight would give a NaN variance or a failing density
+    with pytest.raises(ValueError, match="finite|nonnegative"):
+        MixtureWeight(*pair)
+
+
 # ---------------------------------------------------------------- mixture pdf
 
 

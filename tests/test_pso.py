@@ -192,6 +192,21 @@ def test_lockstep_swarms_equal_lone_runs(cost):
         assert np.array_equal(trace[i], lone.cost_trace)
 
 
+def test_seed_sequence_argument_is_not_advanced():
+    params = SwarmParams(0.7, 0.7, 0.7, n_particles=5, dim=2)
+    f = make_function("sphere", 2, seed=1)
+    ss = np.random.SeedSequence(5)
+    first = optimize(f, params, 30, seed=ss)
+    assert optimize(f, params, 30, seed=ss).best_cost == first.best_cost
+    assert ss.n_children_spawned == 0
+    # the copy spawns the children an integer seed gives
+    assert optimize(f, params, 30, seed=5).best_cost == first.best_cost
+    batch = [lockstep(f, [params, params], 30, f.domain, [ss, 6]).g_best_cost for _ in range(2)]
+    assert ss.n_children_spawned == 0
+    assert np.array_equal(batch[0], batch[1])
+    assert batch[0][0] == first.best_cost
+
+
 def test_scale_equivariance_power_of_two():
     # power-of-two scaling commutes with float rounding, so the whole
     # trajectory scales exactly for a homogeneous cost

@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 from dataclasses import astuple
@@ -72,6 +73,71 @@ def test_sign_consistency_with_escape_across_curve():
             st = escape_probability(omega, alpha / 2, alpha / 2,
                                     max_steps=20_000, trials=2000, seed=300 + i)
             assert (est.value > 0) == (st.p_escaped > st.p_converged), (omega, alpha)
+
+
+# ---------------------------------------------------------------- exact oracle at omega = 0
+#
+# At omega = 0 every step matrix has rank one: x' = (1 - alpha*r) x, so the
+# top exponent is exactly E log|1 - alpha*r| over the mixture density of r.
+
+
+def _xlogx(u):
+    return u * math.log(abs(u)) if u else 0.0
+
+
+def _exact_lambda0(alpha, ratio):
+    """E log|1 - alpha*r| from closed-form antiderivatives in u = 1 - alpha*r,
+    continuous through u = 0 (r = 1/alpha); the triangle density of the
+    equal split changes formula at r = 1/2."""
+
+    def log_integral(r):  # of log|1 - alpha*r| dr
+        u = 1.0 - alpha * r
+        return -(_xlogx(u) - u) / alpha
+
+    def r_log_integral(r):  # of r*log|1 - alpha*r| dr
+        u = 1.0 - alpha * r
+        return -((_xlogx(u) - u) - (0.5 * u * _xlogx(u) - 0.25 * u * u)) / alpha**2
+
+    if ratio == RATIO_SOCIAL_ONLY:  # r uniform on [0, 1]
+        return log_integral(1.0) - log_integral(0.0)
+    # density 4r on [0, 1/2] and 4(1 - r) on [1/2, 1]
+    return 4.0 * (r_log_integral(0.5) - r_log_integral(0.0)
+                  + log_integral(1.0) - log_integral(0.5)
+                  - r_log_integral(1.0) + r_log_integral(0.5))
+
+
+def _exact_alpha_c0(ratio, lo=4.0, hi=5.0):
+    """The root of the exact exponent at omega = 0, by bisection."""
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _exact_lambda0(mid, ratio) < 0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_exact_omega_zero_oracle_values():
+    social = lambda a: -1.0 - ((1.0 - a) / a) * math.log(abs(1.0 - a))
+    for alpha in (0.5, 2.0, 4.0, 4.8):
+        assert _exact_lambda0(alpha, RATIO_SOCIAL_ONLY) == pytest.approx(social(alpha), abs=1e-14)
+    assert _exact_lambda0(2.0, RATIO_SOCIAL_ONLY) == pytest.approx(-1.0, abs=1e-14)
+    assert _exact_lambda0(2.0, RATIO_EQUAL) == pytest.approx(-1.5, abs=1e-14)
+    assert _exact_alpha_c0(RATIO_SOCIAL_ONLY) == pytest.approx(4.591121476668622, abs=1e-9)
+    assert _exact_alpha_c0(RATIO_EQUAL) == pytest.approx(4.639113044442183, abs=1e-9)
+
+
+@pytest.mark.parametrize("ratio", [RATIO_EQUAL, RATIO_SOCIAL_ONLY])
+def test_lyapunov_matches_exact_exponent_at_omega_zero(ratio):
+    for alpha in (2.0, 4.0, 4.8):
+        est = lyapunov_exponent(0.0, *split_alpha(alpha, ratio), steps=20_000, trials=16,
+                                burn_in=1000, seed=1)
+        assert abs(est.value - _exact_lambda0(alpha, ratio)) <= 3.0 * est.std_error, alpha
+
+
+@pytest.mark.parametrize("ratio", [RATIO_EQUAL, RATIO_SOCIAL_ONLY])
+def test_critical_alpha_matches_exact_root_at_omega_zero(ratio):
+    tolerance = 0.02
+    point = critical_alpha(0.0, ratio=ratio, tolerance=tolerance, seed=1)
+    assert point.status == STATUS_OK
+    assert abs(point.alpha - _exact_alpha_c0(ratio)) <= point.std_error + tolerance
 
 
 _HIST = AngularHistogram(mass=np.full(64, 1 / 64), samples=64)
@@ -573,6 +639,12 @@ def test_neutral_alpha_validates_inputs():
     for bracket in _BAD_BRACKETS:
         with pytest.raises(ValueError, match="bracket"):
             neutral_alpha(0.5, config, seed=1, **bracket)
+    for radii in (dict(r_in=2.0, r_out=1e-3), dict(r_in=-1.0, r_out=-5.0),
+                  dict(r_in=1.0), dict(r_out=1.0), dict(r_in=math.nan)):
+        with pytest.raises(ValueError, match="r_in < 1 < r_out"):
+            neutral_alpha(0.5, config, seed=1, **radii)
+        with pytest.raises(ValueError, match="r_in < 1 < r_out"):
+            neutral_stability_curve(config, [0.0, 0.5], seed=1, **radii)
 
 
 @pytest.mark.parametrize("estimator", [lyapunov_exponent, lyapunov_pair])
@@ -640,17 +712,42 @@ def _make_seed(seed):
     return seed(11) if callable(seed) else seed
 
 
-def _serial_curve(grid, seed, **budgets):
+def _children(grid, seed):
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = ss.spawn(len(grid))
-    return tuple(critical_alpha(w, seed=child, **budgets) for w, child in zip(grid, children))
+    return ss.spawn(len(grid))
+
+
+def _serial_curve(grid, seed, **budgets):
+    """The reference curve: each point's bisection answered one probe at a
+    time by ``lyapunov_exponent``, independent of the lane-block solver."""
+    b = {name: p.default for name, p in inspect.signature(critical_alpha).parameters.items()}
+    b.update(budgets)
+
+    def solve(w, child):
+        def probe(a1, a2, level, probe_seed):
+            est = lyapunov_exponent(w, a1, a2, b["steps"] * 2**level, b["trials"], b["burn_in"],
+                                    probe_seed)
+            return est.value, est.std_error
+
+        search = stability._bisection(child, b["ratio"], b["alpha_lo"], b["alpha_max"],
+                                      b["tolerance"], w, b["max_level"])
+        return stability._serial(search, probe)
+
+    return tuple(solve(w, child) for w, child in zip(grid, _children(grid, seed)))
+
+
+def _per_point(grid, seed, **budgets):
+    return tuple(critical_alpha(w, seed=child, **budgets)
+                 for w, child in zip(grid, _children(grid, seed)))
 
 
 @pytest.mark.parametrize("case", list(_LOCKSTEP_CASES))
 def test_lockstep_curve_equals_per_point_critical_alpha(case):
     grid, seed, budgets = _LOCKSTEP_CASES[case]
+    reference = _serial_curve(grid, _make_seed(seed), **budgets)
     curve = critical_curve(grid, seed=_make_seed(seed), **budgets)
-    assert curve.points == _serial_curve(grid, _make_seed(seed), **budgets)
+    assert curve.points == reference
+    assert _per_point(grid, _make_seed(seed), **budgets) == reference
     if case == "mixed_statuses":
         assert {p.status for p in curve.points} == {STATUS_OK, STATUS_NO_CROSSING,
                                                     STATUS_UNRESOLVED}
@@ -664,8 +761,11 @@ def _assert_same_overflow(monkeypatch, draw, grid, seed, **budgets):
             _serial_curve(grid, seed, **budgets)
         with pytest.raises(NumericOverflowError) as lockstep:
             critical_curve(grid, seed=seed, **budgets)
-    assert str(lockstep.value) == str(serial.value)
-    assert lockstep.value.step == serial.value.step
+        with pytest.raises(NumericOverflowError) as per_point:
+            _per_point(grid, seed, **budgets)
+    for raised in (lockstep.value, per_point.value):
+        assert str(raised) == str(serial.value)
+        assert raised.step == serial.value.step
     return serial.value.step
 
 
