@@ -11,7 +11,10 @@ arrays, with per-swarm weights; ``optimize``, ``init_swarm`` and
 ``pso_step`` are its one-swarm cases, so the update is written once.  Each
 swarm draws from its own generators, and its costs come from a call on its
 own ``(n, dim)`` block, so a swarm's run is bit-identical whichever swarms
-share its batch.
+share its batch.  A swarm draws the weights of a block of iterations in one
+generator call; a generator fills its output in order, so the block holds
+the stream that one draw per iteration gives, and the run does not depend
+on the block length.
 
 No spatial or velocity clamping is performed; non-finite positions mark the
 run as diverged, cost evaluation for them is skipped and treated as +inf.
@@ -36,6 +39,11 @@ __all__ = [
     "optimize",
     "lockstep",
 ]
+
+# ``lockstep`` draws the weights of as many iterations per generator call as
+# keep all swarms' draws within _DRAW_VALUES doubles (512 KB), and at least
+# one; a 240-swarm, 25-particle 2-d valley sweep draws 2 iterations a call.
+_DRAW_VALUES = 1 << 16
 
 
 def _as_bounds(bounds, dim: int) -> np.ndarray:
@@ -214,16 +222,17 @@ def _start(cost, positions: np.ndarray) -> SwarmState:
     )
 
 
-def _evaluate(cost, positions: np.ndarray, finite: np.ndarray) -> np.ndarray:
+def _evaluate(cost, positions: np.ndarray, finite: np.ndarray | None) -> np.ndarray:
     """(B, n) costs of the finite particles, +inf for the others.
 
+    ``finite`` is the (B, n) mask of finite particles, or None if all are.
     The swarms whose particles are all finite share one call on their
     (B', n, dim) stack.  A swarm with some non-finite particles is called
     on its finite rows alone, as a lone swarm is: a rotated cost's matrix
     product rounds differently when the number of rows changes.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        if finite.all():
+        if finite is None:
             return cost(positions)
         whole = finite.all(axis=1)
         out = np.full(finite.shape, np.inf)
@@ -245,8 +254,14 @@ def _advance(state: SwarmState, omega, alpha1, alpha2, r: np.ndarray, cost,
         omega, alpha1, alpha2, state.velocities, state.positions,
         r[:, 0], r[:, 1], state.p_best, state.g_best[:, None],
     )
-    finite = np.isfinite(positions).all(axis=-1) & np.isfinite(velocities).all(axis=-1)
-    diverged = state.diverged | ~finite.all(axis=-1)
+    # x' = x + v', so a non-finite velocity always makes the position
+    # non-finite; the per-particle mask is needed only once one has overflowed
+    finite = np.isfinite(positions)
+    if finite.all():
+        finite, diverged = None, state.diverged
+    else:
+        finite = finite.all(axis=-1)
+        diverged = state.diverged | ~finite.all(axis=-1)
     p_best, p_best_cost = state.p_best, state.p_best_cost
     g_best, g_best_cost = state.g_best, state.g_best_cost
     if update_bests:
@@ -273,12 +288,13 @@ def lockstep(f, params, iterations: int, bounds, seeds, trace=None) -> SwarmStat
     (``BenchmarkFunction`` does; ``optimize`` wraps any other cost).  Each
     seed is spawned into an initialisation and a step generator (a
     caller's ``SeedSequence`` is copied first, so it is not advanced and a
-    repeated call gets the same run), and per
-    iteration each swarm draws ``r1`` then ``r2`` from its step generator,
-    so every swarm follows exactly the run ``optimize`` gives for its
-    parameters and seed.  ``trace``, if given, is a (B, iterations) array
-    that receives the global best costs after every iteration.  Returns
-    the final batch state (see :class:`SwarmState`).
+    repeated call gets the same run), and per iteration each swarm draws
+    ``r1`` then ``r2`` from its step generator (a block of iterations per
+    generator call, the same stream), so every swarm follows exactly the
+    run ``optimize`` gives for its parameters and seed.  ``trace``, if
+    given, is a (B, iterations) array that receives the global best costs
+    after every iteration.  Returns the final batch state (see
+    :class:`SwarmState`).
     """
     n, dim = params[0].n_particles, params[0].dim
     if any((p.n_particles, p.dim) != (n, dim) for p in params):
@@ -289,11 +305,15 @@ def lockstep(f, params, iterations: int, bounds, seeds, trace=None) -> SwarmStat
     children = [_seed_sequence(s).spawn(2) for s in seeds]
     state = _start(f, np.array([_uniform(init_ss, b, n) for init_ss, _ in children]))
     rngs = [np.random.default_rng(step_ss) for _, step_ss in children]
-    r = np.empty((len(rngs), 2, n, dim))
+    span = max(1, min(iterations, _DRAW_VALUES // (len(rngs) * 2 * n * dim)))
+    draws = np.empty((len(rngs), span, 2, n, dim))
     for t in range(iterations):
-        for rng, rb in zip(rngs, r):
-            rng.random(out=rb)
-        state = _advance(state, omega, alpha1, alpha2, r, f)
+        k = t % span
+        if k == 0:
+            # the last block draws only the iterations that are left
+            for rng, block in zip(rngs, draws):
+                rng.random(out=block[: iterations - t])
+        state = _advance(state, omega, alpha1, alpha2, draws[:, k], f)
         if trace is not None:
             trace[:, t] = state.g_best_cost
     return state

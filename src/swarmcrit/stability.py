@@ -664,7 +664,8 @@ def _bisection(seed, ratio, lo, hi, tolerance, omega, max_level, max_evals=48):
         value = se = 0.0
         for level in range(max_level + 1):
             value, se = yield (*split_alpha(alpha, ratio), level, ss.spawn(1)[0])
-            if se == 0.0 or abs(value) > 3.0 * se:
+            # with se == 0 any nonzero value is significant, and 0 is not
+            if abs(value) > 3.0 * se:
                 return value, se, True
         return value, se, False
 
@@ -799,17 +800,23 @@ def _fraction_difference(p_pos, p_neg, n):
     return diff, math.sqrt(max(var, 0.0))
 
 
+def _check_omega(omega) -> float:
+    """``omega`` as a float; it must be finite and lie within [-1.1, 1.1]."""
+    omega = float(omega)
+    # NaN fails the comparison
+    if not abs(omega) <= 1.1 + 1e-12:
+        raise ValueError(f"omega must be finite and lie within [-1.1, 1.1], got {omega}")
+    return omega
+
+
 def _curve_grid(omega_grid, seed):
     """Validate an inertia grid; return its values and one child seed per
     point."""
-    omegas = [float(w) for w in omega_grid]
+    omegas = [_check_omega(w) for w in omega_grid]
     if not omegas:
         raise ValueError("omega_grid must be non-empty")
     if any(b <= a for a, b in zip(omegas, omegas[1:])):
         raise ValueError("omega_grid must be strictly increasing")
-    # NaN fails the comparison
-    if not all(abs(w) <= 1.1 + 1e-12 for w in omegas):
-        raise ValueError("omega_grid must be finite and lie within [-1.1, 1.1]")
     return omegas, _seed_sequence(seed).spawn(len(omegas))
 
 
@@ -834,9 +841,11 @@ def critical_alpha(
     ``method="lyapunov"`` the sign probe is the Lyapunov estimate, and the
     point is solved as a curve of one point, by the same code as
     :func:`critical_curve`; with ``method="escape"`` the probe is the
-    difference between escape and convergence probabilities.  A bracket
-    endpoint must show a 3-sigma significant sign before bisection; the
-    per-probe budget doubles up to ``max_level`` times near the root.
+    difference between escape and convergence probabilities.  ``omega``
+    must be finite and lie within [-1.1, 1.1].  A bracket endpoint must
+    show a 3-sigma significant sign before bisection (a probe of exactly 0
+    shows none); the per-probe budget doubles up to ``max_level`` times
+    near the root.
 
     Returns a :class:`CriticalPoint` whose status is ``NO_CROSSING`` if no
     significant sign change exists in the bracket and ``UNRESOLVED`` if the
@@ -845,6 +854,7 @@ def critical_alpha(
     """
     if method not in ("lyapunov", "escape"):
         raise ValueError(f"unknown method {method!r}")
+    omega = _check_omega(omega)
     if method == "lyapunov":
         return _lyapunov_points([omega], [seed], ratio, tolerance, alpha_lo, alpha_max, steps,
                                 trials, burn_in, max_level)[0]
@@ -995,8 +1005,9 @@ def neutral_alpha(
     max_level: int = 2,
 ) -> CriticalPoint:
     """Boundary weight where convergence and divergence fractions are equal
-    in the scaled finite-time experiment.  The radii must satisfy
-    ``r_in < 1 < r_out``."""
+    in the scaled finite-time experiment.  ``omega`` must be finite and lie
+    within [-1.1, 1.1], and the radii must satisfy ``r_in < 1 < r_out``."""
+    omega = _check_omega(omega)
     _check_radii(r_in, r_out)
 
     def probe(a1, a2, level, child):

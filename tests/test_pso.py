@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from swarmcrit import pso
 from swarmcrit.benchmarks import make_function
 from swarmcrit.dynamics import PhasePoint, SwarmParams, build_step_matrix, step_homogeneous
 from swarmcrit.pso import RunResult, SwarmState, init_swarm, lockstep, optimize, pso_step
@@ -190,6 +191,58 @@ def test_lockstep_swarms_equal_lone_runs(cost):
         assert np.array_equal(state.g_best[i], lone.best_position)
         assert state.diverged[i] == lone.diverged
         assert np.array_equal(trace[i], lone.cost_trace)
+
+
+def _reference_run(cost, params, iterations, low, high, entropy):
+    """One swarm, one ``rng.random((2, n, dim))`` draw per iteration, and the
+    finiteness test on positions and velocities both."""
+    init_ss, step_ss = np.random.SeedSequence(entropy).spawn(2)
+    n, dim = params.n_particles, params.dim
+    x = np.random.default_rng(init_ss).uniform(low, high, size=(n, dim))
+    v = np.zeros_like(x)
+    pb, pbc = x.copy(), cost(x)
+    gb, gbc = pb[np.argmin(pbc)], pbc.min()
+    rng = np.random.default_rng(step_ss)
+    diverged, trace = False, []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(iterations):
+            r = rng.random((2, n, dim))
+            v = params.omega * v + params.alpha1 * r[0] * (pb - x) + params.alpha2 * r[1] * (gb - x)
+            x = x + v
+            finite = np.isfinite(x).all(axis=1) & np.isfinite(v).all(axis=1)
+            diverged = diverged or not finite.all()
+            c = np.full(n, np.inf)
+            if finite.any():
+                c[finite] = cost(x[finite])
+            improved = c < pbc
+            pb = np.where(improved[:, None], x, pb)
+            pbc = np.where(improved, c, pbc)
+            gi = np.argmin(pbc)
+            if pbc[gi] < gbc:
+                gb, gbc = pb[gi], pbc[gi]
+            trace.append(gbc)
+    return x, gbc, gb, diverged, trace
+
+
+# 4 swarms of 4 x 3 draw 96 values an iteration: by default 682 iterations
+# a call, so 900 iterations end on a partial block; then 7 a call, and 1
+@pytest.mark.parametrize("draw_values", [pso._DRAW_VALUES, 96 * 7, 1],
+                         ids=["default", "span7", "span1"])
+def test_lockstep_equals_per_iteration_draws(draw_values, monkeypatch):
+    monkeypatch.setattr(pso, "_DRAW_VALUES", draw_values)
+    params = [SwarmParams(w, a1, a2, n_particles=4, dim=3)
+              for w, a1, a2 in ((0.7, 0.7, 0.7), (1.1, 6.0, 6.0), (1.0, 0.0, 12.0), (0.4, 1.0, 0.5))]
+    seeds = [[9, i] for i in range(len(params))]
+    trace = np.empty((len(params), 900))
+    state = lockstep(_rows_cost, params, 900, (-100.0, 100.0), seeds, trace)
+    assert state.diverged.any() and not state.diverged.all()
+    for i, p in enumerate(params):
+        x, gbc, gb, diverged, ref_trace = _reference_run(_rows_cost, p, 900, -100.0, 100.0, seeds[i])
+        assert np.array_equal(state.positions[i], x, equal_nan=True)
+        assert state.g_best_cost[i] == gbc
+        assert np.array_equal(state.g_best[i], gb)
+        assert state.diverged[i] == diverged
+        assert np.array_equal(trace[i], ref_trace)
 
 
 def test_seed_sequence_argument_is_not_advanced():

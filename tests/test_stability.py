@@ -598,6 +598,14 @@ def test_critical_alpha_no_crossing_beyond_unit_inertia():
     assert math.isnan(point.alpha)
 
 
+def test_critical_alpha_probe_of_zero_without_error_decides_nothing():
+    # one step neither converges nor escapes any trial, so every probe reads
+    # (0, 0): no endpoint shows a sign
+    point = critical_alpha(0.5, method="escape", escape_max_steps=1, escape_trials=200, seed=1)
+    assert point.status == STATUS_UNRESOLVED
+    assert math.isnan(point.alpha)
+
+
 def test_critical_alpha_methods_agree():
     by_lambda = critical_alpha(0.4, ratio=RATIO_EQUAL, tolerance=0.02, seed=20,
                                steps=10_000, trials=16)
@@ -630,6 +638,12 @@ def test_critical_alpha_validates_inputs():
             critical_alpha(0.5, seed=1, steps=100, trials=2, **bracket)
         with pytest.raises(ValueError, match="bracket"):
             critical_alpha(0.5, seed=1, method="escape", escape_trials=10, **bracket)
+    for omega in (math.nan, math.inf, -math.inf, 1.2):
+        with pytest.raises(ValueError, match="omega"):
+            critical_alpha(omega, seed=1, steps=100, trials=2)
+        with pytest.raises(ValueError, match="omega"):
+            critical_alpha(omega, seed=1, method="escape", escape_max_steps=50,
+                           escape_trials=200)
 
 
 def test_neutral_alpha_validates_inputs():
@@ -639,6 +653,9 @@ def test_neutral_alpha_validates_inputs():
     for bracket in _BAD_BRACKETS:
         with pytest.raises(ValueError, match="bracket"):
             neutral_alpha(0.5, config, seed=1, **bracket)
+    for omega in (math.nan, math.inf, -math.inf, -1.2):
+        with pytest.raises(ValueError, match="omega"):
+            neutral_alpha(omega, config, seed=1)
     for radii in (dict(r_in=2.0, r_out=1e-3), dict(r_in=-1.0, r_out=-5.0),
                   dict(r_in=1.0), dict(r_out=1.0), dict(r_in=math.nan)):
         with pytest.raises(ValueError, match="r_in < 1 < r_out"):

@@ -88,6 +88,12 @@ COMMANDS = [
       "--seed", "13", "--output", "sweep_corner.csv"], ["sweep_corner.csv"]),
     (["sweep", *SWEEP, "--split", "social-only", "--output", "sweep_social.csv"],
      ["sweep_social.csv"]),
+    # 16 swarms of 6 x 2 draw 170 iterations a generator call, so 400
+    # iterations draw in blocks of 170, 170 and 60
+    (["sweep", "--omega-min", "0.4", "--omega-max", "0.7", "--omega-step", "0.3",
+      "--alpha-min", "1.0", "--alpha-max", "4.75", "--alpha-step", "1.25", "--iterations", "400",
+      "--repetitions", "2", "--functions", "sphere,rastrigin", "--dim", "2", "--particles", "6",
+      "--seed", "18", "--output", "sweep_blocks.csv"], ["sweep_blocks.csv"]),
     # the full 15-instance suite at dim 10, rotated and non-continuous included
     (["sweep", "--dim", "10", "--particles", "4", "--iterations", "10",
       "--omega-min", "0.4", "--omega-max", "0.7", "--omega-step", "0.3",
