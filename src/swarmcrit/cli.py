@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import asdict
 
@@ -20,7 +21,13 @@ __all__ = ["main", "build_parser", "dispatch"]
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant that exits 1 (not 2) on usage errors."""
+    """argparse variant that exits 1 (not 2) on usage errors and takes a
+    negative real in exponent notation (``-1e-3``) as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # subparsers are built by this class too, so they inherit it
+        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -1,14 +1,16 @@
-"""Single-particle swarm dynamics: state containers, the random coefficient
-mixture, one-step maps in affine and homogeneous form (the array form of the
-affine update is shared by the optimiser and the scaled stability
-experiments), and the deterministic regime classifier.
+"""Single-particle swarm dynamics: parameter and mixture-weight types, the
+random coefficient mixture, the deterministic regime classifier, and the two
+one-step maps the library runs, each written once: the homogeneous ``_step``
+of the stability estimators, and ``affine_update``, the step with fixed best
+positions, of the optimiser and the scaled stability experiments.
 
 The homogeneous one-particle dynamics is ``z' = M z`` with ``z = (v, x)`` and
 
     M = [[omega, -alpha*r], [omega, 1 - alpha*r]],
 
 where ``r`` is a random mixture weight in [0, 1].  ``det M = omega`` holds as
-an algebraic identity for every realisation of ``r``.
+an algebraic identity for every realisation of ``r``; ``build_step_matrix``
+assembles ``M`` for the eigenvalue and determinant oracles.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "SwarmParams",
-    "PhasePoint",
     "MixtureWeight",
     "StepMatrix",
     "Regime",
@@ -29,17 +30,9 @@ __all__ = [
     "mixture_pdf",
     "sample_mixture",
     "build_step_matrix",
-    "step_homogeneous",
-    "step_affine",
     "affine_update",
     "deterministic_regime",
 ]
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
@@ -107,38 +100,6 @@ class SwarmParams:
 
 
 @dataclass(frozen=True)
-class PhasePoint:
-    """Stacked state ``z = (v, x)`` of one particle.
-
-    Non-finite components are representable so that divergence can be
-    carried to the caller; check :attr:`is_finite` to detect it.
-    """
-
-    v: np.ndarray
-    x: np.ndarray
-
-    def __post_init__(self):
-        v = _readonly(np.atleast_1d(self.v))
-        x = _readonly(np.atleast_1d(self.x))
-        if v.shape != x.shape or v.ndim != 1:
-            raise ValueError("v and x must be 1-d arrays of equal length")
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "x", x)
-
-    @property
-    def dim(self) -> int:
-        return self.x.size
-
-    @property
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.v).all() and np.isfinite(self.x).all())
-
-    def norm(self) -> float:
-        """Euclidean norm of the stacked (v, x) vector."""
-        return float(np.sqrt(np.sum(self.v**2) + np.sum(self.x**2)))
-
-
-@dataclass(frozen=True)
 class MixtureWeight:
     """Distribution parameters of the combined random weight.
 
@@ -175,7 +136,9 @@ class StepMatrix:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _readonly(self.entries))
+        entries = np.array(self.entries, dtype=float, copy=True)
+        entries.setflags(write=False)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def det(self) -> float:
@@ -271,18 +234,13 @@ def build_step_matrix(omega: float, alpha: float, r: float) -> StepMatrix:
     return StepMatrix(omega=omega, alpha=alpha, r=r, entries=entries)
 
 
-def step_homogeneous(z: PhasePoint, m: StepMatrix) -> PhasePoint:
-    """Apply ``z' = M z`` componentwise: ``v' = omega*v - alpha*r*x`` and
-    ``x' = x + v'``.
-
-    Divergence is not raised; a non-finite result is carried in the
-    returned point and visible through :attr:`PhasePoint.is_finite`.
-    """
-    e = m.entries
-    with np.errstate(over="ignore", invalid="ignore"):
-        v_new = e[0, 0] * z.v + e[0, 1] * z.x
-        x_new = z.x + v_new
-    return PhasePoint(v=v_new, x=x_new)
+def _step(omega, ar, v, x, out=(None, None)):
+    """The homogeneous step ``z' = M z``: ``v' = omega*v - ar*x; x' = v' + x``,
+    written into ``out = (v', x')`` when given."""
+    # out arguments are positional: keywords cost a parse per call
+    v_new = np.multiply(omega, v, out[0])
+    np.subtract(v_new, ar * x, v_new)
+    return v_new, np.add(v_new, x, out[1])
 
 
 def affine_update(omega, alpha1, alpha2, v, x, r1, r2, p, g):
@@ -295,29 +253,6 @@ def affine_update(omega, alpha1, alpha2, v, x, r1, r2, p, g):
     with np.errstate(over="ignore", invalid="ignore"):
         v_new = omega * v + alpha1 * r1 * (p - x) + alpha2 * r2 * (g - x)
         return v_new, x + v_new
-
-
-def step_affine(
-    z: PhasePoint,
-    params: SwarmParams,
-    r1: np.ndarray,
-    r2: np.ndarray,
-    p: np.ndarray,
-    g: np.ndarray,
-) -> PhasePoint:
-    """One velocity/position update with fixed best positions.
-
-    Computes ``v' = omega*v + alpha1*r1*(p - x) + alpha2*r2*(g - x)`` and
-    ``x' = x + v'`` with per-dimension weights ``r1, r2`` in [0, 1].
-    """
-    r1 = np.asarray(r1, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
-    p = np.asarray(p, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if np.any((r1 < 0) | (r1 > 1)) or np.any((r2 < 0) | (r2 > 1)):
-        raise ValueError("r1 and r2 must lie componentwise in [0, 1]")
-    v, x = affine_update(params.omega, params.alpha1, params.alpha2, z.v, z.x, r1, r2, p, g)
-    return PhasePoint(v=v, x=x)
 
 
 def deterministic_regime(omega: float, alpha: float) -> RegimeLabel:

@@ -6,7 +6,9 @@ escape-probability diagnostic, the critical curve where the exponent
 vanishes, and the finite-time scaling experiments with distinct personal and
 global best positions.
 
-All estimators are Monte-Carlo: the orbit average of the renormalised
+All estimators are Monte-Carlo and step their lanes with the one-step maps
+of ``dynamics``: the homogeneous ``_step``, or ``affine_update`` in the
+experiments with fixed best positions.  The orbit average of the renormalised
 random product converges to the double integral over the angular measure
 and the matrix set by ergodicity.  Every function takes an explicit seed
 and is bit-reproducible for a fixed seed, independent of execution order.
@@ -45,7 +47,7 @@ from functools import partial
 
 import numpy as np
 
-from .dynamics import _seed_sequence, affine_update
+from .dynamics import _seed_sequence, _step, affine_update
 
 __all__ = [
     "NumericOverflowError",
@@ -278,15 +280,6 @@ def _start(rng, n):
     return np.sin(theta), np.cos(theta)
 
 
-def _step(omega, ar, v, x, out=(None, None)):
-    """The homogeneous step ``z' = M z``: ``v' = omega*v - ar*x; x' = v' + x``,
-    written into ``out = (v', x')`` when given."""
-    # out arguments are positional: keywords cost a parse per call
-    v_new = np.multiply(omega, v, out[0])
-    np.subtract(v_new, ar * x, v_new)
-    return v_new, np.add(v_new, x, out[1])
-
-
 def _good_rows(norm):
     """Number of leading rows of ``norm`` whose entries all lie in (0, inf)."""
     # NaN fails both comparisons
@@ -309,8 +302,8 @@ def _block(omega, ar, v, x):
     """
     phase = np.empty((len(ar), 2, v.size))
     norm = np.empty(ar.shape)
-    # a failed norm divides by 0 or NaN; _good_rows reports it instead
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a failed norm overflows or divides by 0 or NaN; _good_rows reports it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for z, a, nz in zip(phase, ar, norm):
             v, x = _step(omega, a, v, x, z)
             np.hypot(v, x, nz)
@@ -508,7 +501,7 @@ def lyapunov_pair(
     acc2 = np.zeros(trials)
     for k0, n1, q1, ar in orbit:
         n2 = np.empty_like(n1)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for (q1v, q1x), a, n2i in zip(q1, ar, n2):
                 w2v, w2x = _step(omega, a, q2v, q2x)
                 proj = q1v * w2v + q1x * w2x
@@ -623,7 +616,10 @@ def escape_probability(
         norm2 = v * v + x * x
         return norm2 <= rin2, norm2 >= rout2
 
-    n_conv, n_esc = _first_passage(seed, trials, max_steps, update, outcome)
+    # a squared norm past the float range is inf, which decides its lane;
+    # one errstate for the loop, not one a step
+    with np.errstate(over="ignore"):
+        n_conv, n_esc = _first_passage(seed, trials, max_steps, update, outcome)
     n_und = trials - n_conv - n_esc
     return EscapeStats(
         p_converged=n_conv / trials,

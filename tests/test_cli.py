@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from swarmcrit.cli import dispatch
 from swarmcrit.io import read_csv, read_keyvalue_config, write_json
@@ -10,6 +13,14 @@ from swarmcrit.stability import CriticalCurve, CriticalPoint
 
 def run(argv):
     return dispatch(argv)
+
+
+def exit_code(argv):
+    """The exit code of a call, usage errors included."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 # ---------------------------------------------------------------- validation
@@ -59,12 +70,47 @@ def test_non_finite_and_zero_step_exit_one_without_output(tmp_path, case):
     config.write_text("functions = sphere\ndim = 2\nomega_step = 0\n")
     out = tmp_path / "never.out"
     argv = [a.format(config=config) for a in _INVALID[case]] + ["--output", str(out)]
-    try:
-        code = run(argv)
-    except SystemExit as exc:
-        code = exc.code
-    assert code == 1
+    assert exit_code(argv) == 1
     assert not out.exists()
+
+
+# the exit-code contract for the weight flags, each written by repr (so small
+# reals come in exponent notation), at tiny budgets
+_WEIGHT_COMMANDS = {
+    "lyapunov": ["--steps", "20", "--trials", "2", "--burn-in", "5"],
+    "escape": ["--trials", "20", "--max-steps", "20"],
+    "stationary": ["--bins", "64", "--samples", "40", "--burn-in", "5", "--chains", "2"],
+}
+_OMEGA = st.floats(-1.1, 1.1)
+_ALPHA = st.floats(0.0, 12.0, exclude_min=True)
+
+
+def _weight_codes(directory, omega, alpha):
+    """Exit code and output path of each command run at ``(omega, alpha)``."""
+    results = []
+    for sub, budget in _WEIGHT_COMMANDS.items():
+        out = directory / f"{sub}.out"
+        argv = [sub, "--omega", repr(omega), "--alpha", repr(alpha), *budget,
+                "--output", str(out)]
+        results.append((exit_code(argv), out))
+    return results
+
+
+@settings(deadline=None, max_examples=100)
+@given(omega=_OMEGA, alpha=_ALPHA)
+def test_finite_weights_exit_zero(tmp_path_factory, omega, alpha):
+    for code, out in _weight_codes(tmp_path_factory.mktemp("cli"), omega, alpha):
+        assert code == 0 and out.exists(), out.name
+
+
+@settings(deadline=None, max_examples=60)
+@given(omega=st.one_of(_OMEGA, st.sampled_from([math.nan, math.inf, -math.inf])),
+       alpha=st.one_of(_ALPHA, st.floats(max_value=0.0), st.sampled_from([math.nan, math.inf])))
+def test_non_finite_or_non_positive_weights_exit_one_without_output(tmp_path_factory, omega,
+                                                                    alpha):
+    assume(not (math.isfinite(omega) and math.isfinite(alpha) and alpha > 0.0))
+    for code, out in _weight_codes(tmp_path_factory.mktemp("cli"), omega, alpha):
+        assert code == 1 and not out.exists(), out.name
 
 
 def test_help_smoke(capsys):

@@ -5,15 +5,14 @@ import pytest
 
 from swarmcrit.dynamics import (
     MixtureWeight,
-    PhasePoint,
     Regime,
     SwarmParams,
+    _step,
+    affine_update,
     build_step_matrix,
     deterministic_regime,
     mixture_pdf,
     sample_mixture,
-    step_affine,
-    step_homogeneous,
 )
 
 
@@ -37,15 +36,6 @@ def test_swarm_params_rejects_non_finite_weights(field, value):
     weights = {"omega": 0.7, "alpha1": 0.5, "alpha2": 0.5, field: value}
     with pytest.raises(ValueError, match="finite"):
         SwarmParams(**weights)
-
-
-def test_phase_point_finite_flag():
-    z = PhasePoint(v=[0.0], x=[1.0])
-    assert z.is_finite and z.dim == 1
-    bad = PhasePoint(v=[np.inf], x=[1.0])
-    assert not bad.is_finite
-    with pytest.raises(ValueError):
-        PhasePoint(v=[0.0, 1.0], x=[1.0])
 
 
 def test_mixture_weight_validation():
@@ -193,80 +183,84 @@ def test_build_step_matrix_rejects_bad_r():
 # ---------------------------------------------------------------- homogeneous step
 
 
+def _homogeneous(m, v, x):
+    """The library's homogeneous step under the weight of step matrix ``m``."""
+    return _step(m.omega, -m.entries[0, 1], np.asarray(v, float), np.asarray(x, float))
+
+
 def test_step_homogeneous_fixed_point_and_example():
     m = build_step_matrix(0.7, 1.0, 1.0)
-    z0 = step_homogeneous(PhasePoint(v=[0.0], x=[0.0]), m)
-    assert z0.v[0] == 0.0 and z0.x[0] == 0.0
+    v, x = _homogeneous(m, [0.0], [0.0])
+    assert v[0] == 0.0 and x[0] == 0.0
 
-    z = step_homogeneous(PhasePoint(v=[0.0], x=[1.0]), m)
-    assert z.v[0] == -1.0 and z.x[0] == 0.0
+    v, x = _homogeneous(m, [0.0], [1.0])
+    assert v[0] == -1.0 and x[0] == 0.0
 
 
 def test_step_homogeneous_matches_matrix_product():
     rng = np.random.default_rng(17)
-    z = PhasePoint(v=[0.3], x=[-0.8])
-    vec = np.array([z.v[0], z.x[0]])
+    v, x = np.array([0.3]), np.array([-0.8])
+    vec = np.array([v[0], x[0]])
     prod = np.eye(2)
     for _ in range(100):
         m = build_step_matrix(0.8, 1.5, rng.random())
-        z = step_homogeneous(z, m)
+        v, x = _homogeneous(m, v, x)
         prod = m.entries @ prod
     oracle = prod @ vec
-    result = np.array([z.v[0], z.x[0]])
-    assert np.allclose(result, oracle, rtol=1e-12, atol=0.0)
+    assert np.allclose([v[0], x[0]], oracle, rtol=1e-12, atol=0.0)
 
 
 def test_step_homogeneous_linearity():
     m = build_step_matrix(0.6, 2.0, 0.37)
-    z = PhasePoint(v=[0.5], x=[1.25])
-    base = step_homogeneous(z, m)
+    v, x = np.array([0.5]), np.array([1.25])
+    base_v, base_x = _homogeneous(m, v, x)
     for kappa in (-1.0, 0.04, 0.1, 1.0, 10.0):
-        scaled = step_homogeneous(PhasePoint(v=kappa * z.v, x=kappa * z.x), m)
-        assert np.allclose(scaled.v, kappa * base.v, rtol=1e-13)
-        assert np.allclose(scaled.x, kappa * base.x, rtol=1e-13)
+        scaled_v, scaled_x = _homogeneous(m, kappa * v, kappa * x)
+        assert np.allclose(scaled_v, kappa * base_v, rtol=1e-13)
+        assert np.allclose(scaled_x, kappa * base_x, rtol=1e-13)
 
 
 def test_step_homogeneous_flags_divergence():
+    # overflow is carried to the caller as a non-finite lane, not raised
     m = build_step_matrix(1e308, 1.0, 0.5)
-    z = step_homogeneous(PhasePoint(v=[1e308], x=[1.0]), m)
-    assert not z.is_finite
+    with np.errstate(over="ignore"):
+        v, x = _homogeneous(m, [1e308], [1.0])
+    assert not (np.isfinite(v).all() and np.isfinite(x).all())
 
 
 # ---------------------------------------------------------------- affine step
 
 
 def test_step_affine_vanishing_force():
-    params = SwarmParams(0.7, 0.5, 0.5, dim=2)
     x = np.array([1.0, -2.0])
-    z = PhasePoint(v=[0.0, 0.0], x=x)
-    out = step_affine(z, params, r1=[0.3, 0.9], r2=[0.1, 0.4], p=x, g=x)
-    assert np.array_equal(out.v, [0.0, 0.0])
-    assert np.array_equal(out.x, x)
+    v, x_new = affine_update(0.7, 0.5, 0.5, np.zeros(2), x, np.array([0.3, 0.9]),
+                             np.array([0.1, 0.4]), x, x)
+    assert np.array_equal(v, [0.0, 0.0])
+    assert np.array_equal(x_new, x)
 
 
 def test_step_affine_direct_substitution():
-    params = SwarmParams(0.0, 0.0, 1.0, dim=1)
-    z = PhasePoint(v=[0.0], x=[0.0])
-    out = step_affine(z, params, r1=[0.0], r2=[1.0], p=[0.0], g=[1.0])
-    assert out.v[0] == 1.0 and out.x[0] == 1.0
+    v, x = affine_update(0.0, 0.0, 1.0, np.zeros(1), np.zeros(1), np.zeros(1), np.ones(1),
+                         np.zeros(1), np.ones(1))
+    assert v[0] == 1.0 and x[0] == 1.0
 
 
 def test_step_affine_shift_matches_homogeneous():
     # with p = g and equal draws, the affine step is the homogeneous step
     # of the shifted state
     params = SwarmParams(0.7, 0.6, 0.9, dim=1)
-    r = 0.42
+    r = np.array([0.42])
     g = np.array([1.3])
-    z = PhasePoint(v=[0.2], x=[-0.7])
-    affine = step_affine(z, params, r1=[r], r2=[r], p=g, g=g)
-    m = build_step_matrix(params.omega, params.alpha, r)
-    shifted = step_homogeneous(PhasePoint(v=z.v, x=z.x - g), m)
-    assert np.allclose(affine.v, shifted.v, atol=1e-12)
-    assert np.allclose(affine.x - g, shifted.x, atol=1e-12)
+    v, x = np.array([0.2]), np.array([-0.7])
+    affine_v, affine_x = affine_update(params.omega, params.alpha1, params.alpha2, v, x, r, r,
+                                       g, g)
+    m = build_step_matrix(params.omega, params.alpha, r[0])
+    shifted_v, shifted_x = _homogeneous(m, v, x - g)
+    assert np.allclose(affine_v, shifted_v, atol=1e-12)
+    assert np.allclose(affine_x - g, shifted_x, atol=1e-12)
 
 
 def test_step_affine_shift_equivariance():
-    params = SwarmParams(0.5, 0.8, 1.1, dim=3)
     rng = np.random.default_rng(2)
     r1 = rng.random(3)
     r2 = rng.random(3)
@@ -274,18 +268,11 @@ def test_step_affine_shift_equivariance():
     p = np.array([1.0, 0.0, -0.5])
     g = np.array([-0.25, 0.75, 1.5])
     v = np.array([0.1, -0.2, 0.3])
-    base = step_affine(PhasePoint(v=v, x=x), params, r1, r2, p, g)
+    base_v, base_x = affine_update(0.5, 0.8, 1.1, v, x, r1, r2, p, g)
     c = 3.75
-    moved = step_affine(PhasePoint(v=v, x=x + c), params, r1, r2, p + c, g + c)
-    assert np.allclose(moved.v, base.v, atol=1e-12)
-    assert np.allclose(moved.x, base.x + c, atol=1e-12)
-
-
-def test_step_affine_rejects_bad_weights():
-    params = SwarmParams(0.7, 0.5, 0.5, dim=1)
-    z = PhasePoint(v=[0.0], x=[0.0])
-    with pytest.raises(ValueError):
-        step_affine(z, params, r1=[1.5], r2=[0.5], p=[0.0], g=[0.0])
+    moved_v, moved_x = affine_update(0.5, 0.8, 1.1, v, x + c, r1, r2, p + c, g + c)
+    assert np.allclose(moved_v, base_v, atol=1e-12)
+    assert np.allclose(moved_x, base_x + c, atol=1e-12)
 
 
 # ---------------------------------------------------------------- regimes

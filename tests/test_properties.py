@@ -1,20 +1,81 @@
-"""Property tests: the determinant identity of the step matrix and the
-exact CSV round trip of reals."""
+"""Property tests: the determinant identity of the step matrix, the two
+one-step maps against the matrix product and under scaling and shifts, and
+the exact CSV round trip of reals."""
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmcrit.dynamics import build_step_matrix
+from swarmcrit.dynamics import _step, affine_update, build_step_matrix
 from swarmcrit.io import read_csv, write_csv
+from swarmcrit.stability import RATIO_EQUAL, RATIO_SOCIAL_ONLY, split_alpha
+
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).smallest_subnormal
+
+
+def _normal(lo, hi):
+    """Reals in [lo, hi] that are 0 or at least 1e-100 in magnitude, so that
+    no product or difference of the maps below falls below the normal
+    range, even scaled by 2**-20."""
+    return st.floats(lo, hi).filter(lambda t: t == 0.0 or abs(t) >= 1e-100)
+
+
+# the ranges of acceptance criterion 01
+_OMEGA = st.floats(-1.2, 1.2)
+_ALPHA = st.floats(0.01, 6.0)
+_R = st.floats(0.0, 1.0)
+_STATE = st.floats(-1e3, 1e3)
 
 
 @settings(deadline=None, max_examples=300)
-@given(omega=st.floats(-1.2, 1.2), alpha=st.floats(0.01, 6.0), r=st.floats(0.0, 1.0))
+@given(omega=_OMEGA, alpha=_ALPHA, r=_R)
 def test_determinant_equals_omega(omega, alpha, r):
-    # the ranges of acceptance criterion 01
     assert abs(build_step_matrix(omega, alpha, r).det - omega) < 1e-12
+
+
+@settings(deadline=None, max_examples=300)
+@given(omega=_OMEGA, alpha=_ALPHA, r=_R, v=_STATE, x=_STATE)
+def test_homogeneous_step_is_the_matrix_product(omega, alpha, r, v, x):
+    m = build_step_matrix(omega, alpha, r)
+    ar = -m.entries[0, 1]
+    got = np.concatenate(_step(omega, ar, np.array([v]), np.array([x])))
+    # a few roundings of terms no larger than these, each at least half a
+    # subnormal step
+    scale = abs(omega * v) + abs(ar * x) + abs(x)
+    assert np.all(np.abs(got - m.entries @ (v, x)) <= 8.0 * _EPS * scale + 4.0 * _TINY)
+
+
+_AFFINE = dict(
+    omega=_normal(-1.2, 1.2), alpha=_ALPHA, ratio=st.sampled_from([RATIO_EQUAL, RATIO_SOCIAL_ONLY]),
+    r1=_normal(0.0, 1.0), r2=_normal(0.0, 1.0),
+    v=_normal(-1e3, 1e3), x=_normal(-1e3, 1e3), p=_normal(-1e3, 1e3), g=_normal(-1e3, 1e3),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(**_AFFINE, k=st.integers(-20, 20))
+def test_affine_update_is_exactly_scale_equivariant(omega, alpha, ratio, r1, r2, v, x, p, g, k):
+    # a power of two scales every product and sum without a new rounding
+    a1, a2 = split_alpha(alpha, ratio)
+    s = 2.0**k
+    base = affine_update(omega, a1, a2, v, x, r1, r2, p, g)
+    scaled = affine_update(omega, a1, a2, s * v, s * x, r1, r2, s * p, s * g)
+    assert scaled == (s * base[0], s * base[1])
+
+
+@settings(deadline=None, max_examples=300)
+@given(**_AFFINE, c=_STATE)
+def test_affine_update_is_shift_equivariant(omega, alpha, ratio, r1, r2, v, x, p, g, c):
+    a1, a2 = split_alpha(alpha, ratio)
+    base_v, base_x = affine_update(omega, a1, a2, v, x, r1, r2, p, g)
+    moved_v, moved_x = affine_update(omega, a1, a2, v, x + c, r1, r2, p + c, g + c)
+    # the shift rounds x, p and g, and each difference carries that error
+    tol = 32.0 * _EPS * (1.0 + alpha) * max(abs(v), abs(x), abs(p), abs(g), abs(c))
+    assert abs(moved_v - base_v) <= tol
+    assert abs(moved_x - (base_x + c)) <= tol
 
 
 def _same_real(a, b):

@@ -5,7 +5,7 @@ import pytest
 
 from swarmcrit import pso
 from swarmcrit.benchmarks import make_function
-from swarmcrit.dynamics import PhasePoint, SwarmParams, build_step_matrix, step_homogeneous
+from swarmcrit.dynamics import SwarmParams, _step
 from swarmcrit.pso import RunResult, SwarmState, init_swarm, lockstep, optimize, pso_step
 
 
@@ -272,10 +272,9 @@ def test_scale_equivariance_power_of_two():
 
 
 def test_single_particle_matches_homogeneous_dynamics_bitwise():
-    # one particle, bests pinned to the origin, social-only weight 2.0:
-    # alpha * r reconstructs the drawn weight exactly (power of two), so
-    # the swarm trajectory must equal the homogeneous composition bit for
-    # bit given the same draws
+    # one particle, bests pinned to the origin, social-only: the swarm
+    # trajectory must equal the library's homogeneous step under the weight
+    # alpha2 * r2 bit for bit given the same draws
     params = SwarmParams(0.7, 0.0, 2.0, n_particles=1, dim=1)
     state = SwarmState(
         positions=np.array([[0.8]]),
@@ -293,13 +292,12 @@ def test_single_particle_matches_homogeneous_dynamics_bitwise():
         swarm_traj.append((state.velocities[0, 0], state.positions[0, 0]))
 
     rng = np.random.default_rng(16)
-    z = PhasePoint(v=[0.1], x=[0.8])
+    v, x = np.array([0.1]), np.array([0.8])
     for k in range(50):
         rng.random((1, 1))  # r1 draw, unused at alpha1 = 0
         r2 = rng.random((1, 1))[0, 0]
-        r = (params.alpha2 * r2) / params.alpha
-        z = step_homogeneous(z, build_step_matrix(params.omega, params.alpha, r))
-        assert (z.v[0], z.x[0]) == swarm_traj[k]
+        v, x = _step(params.omega, params.alpha2 * r2, v, x)
+        assert (v[0], x[0]) == swarm_traj[k]
 
 
 def test_run_result_export(tmp_path):

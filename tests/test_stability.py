@@ -140,6 +140,55 @@ def test_critical_alpha_matches_exact_root_at_omega_zero(ratio):
     assert abs(point.alpha - _exact_alpha_c0(ratio)) <= point.std_error + tolerance
 
 
+# ---------------------------------------------------------------- mean-square oracle
+#
+# M = A + s*B with s = alpha*r, A = [[omega, 0], [omega, 1]] and
+# B = [[0, -1], [0, -1]], so E[M (x) M] needs only the first two moments of s.
+# Almost-sure stability is weaker than mean-square stability, so the critical
+# curve lies on or above the mean-square boundary.
+
+
+def _second_moment_matrix(omega, alpha, ratio):
+    """E[M (x) M] = A(x)A + E[s] (A(x)B + B(x)A) + E[s^2] B(x)B."""
+    a, b = (w / alpha for w in split_alpha(alpha, ratio))
+    m1 = alpha / 2.0
+    m2 = alpha**2 * (0.25 + (a * a + b * b) / 12.0)
+    A = np.array([[omega, 0.0], [omega, 1.0]])
+    B = np.array([[0.0, -1.0], [0.0, -1.0]])
+    return np.kron(A, A) + m1 * (np.kron(A, B) + np.kron(B, A)) + m2 * np.kron(B, B)
+
+
+def _alpha_mean_square(omega, ratio, lo=1e-3, hi=8.0):
+    """The root of rho(E[M (x) M]) = 1 in alpha, by bisection."""
+    def rho(alpha):
+        return np.max(np.abs(np.linalg.eigvals(_second_moment_matrix(omega, alpha, ratio))))
+
+    assert rho(lo) < 1.0 < rho(hi)
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if rho(mid) < 1.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_mean_square_oracle_values():
+    for omega in (-0.5, 0.0, 0.5, 0.9):
+        poli = 24.0 * (1.0 - omega**2) / (7.0 - 5.0 * omega)
+        assert _alpha_mean_square(omega, RATIO_EQUAL) == pytest.approx(poli, abs=1e-9), omega
+    assert _alpha_mean_square(0.0, RATIO_SOCIAL_ONLY) == pytest.approx(3.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("ratio", [RATIO_EQUAL, RATIO_SOCIAL_ONLY])
+def test_critical_curve_lies_above_mean_square_boundary(ratio):
+    # below omega = -0.5 the curve approaches the boundary (0.007 above it
+    # at omega = -0.9 on the reference curve), closer than these budgets resolve
+    tolerance = 0.05
+    curve = critical_curve([-0.5, 0.0, 0.5], ratio=ratio, tolerance=tolerance, seed=4,
+                           steps=2000, trials=8)
+    assert all(p.status == STATUS_OK for p in curve.points)
+    for p in curve.points:
+        assert p.alpha >= _alpha_mean_square(p.omega, ratio) - (p.std_error + tolerance), p
+
+
 _HIST = AngularHistogram(mass=np.full(64, 1 / 64), samples=64)
 
 _ESTIMATORS = {
@@ -300,6 +349,8 @@ def test_blocked_orbit_generator_seed_ends_in_reference_state(name):
     (lyapunov_exponent, math.nan, None, 0),
     (lyapunov_pair, math.nan, None, 0),
     (lyapunov_pair, 1e-310, None, 2),  # the second leg underflows first
+    (lyapunov_exponent, 1.7e308, None, 0),  # the norm overflows at step 0
+    (lyapunov_pair, 1.3e308, None, 0),  # the second leg's projection overflows
 ])
 def test_overflow_reports_first_failing_step_without_warning(estimator, omega, fixed_r, step):
     with warnings.catch_warnings():
@@ -419,6 +470,14 @@ def test_escape_deep_stable_and_unstable():
     assert stable.p_converged + stable.p_escaped + stable.p_undecided == pytest.approx(1.0)
     unstable = escape_probability(0.3, 3.0, 3.0, max_steps=20_000, trials=2000, seed=16)
     assert unstable.p_escaped > 0.99
+
+
+def test_escape_huge_omega_escapes_without_warning():
+    # the squared norm overflows to inf, which decides the lane as escaped
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        st = escape_probability(1e200, 1.0, 1.0, max_steps=100, trials=100, seed=1)
+    assert st.p_escaped == 1.0
 
 
 def test_escape_seed_determinism():

@@ -7,7 +7,10 @@ Usage::
 Runs every ``swarmcrit`` subcommand at tiny budgets with the package under
 ``SRC/src`` (``python -m swarmcrit.cli`` with that directory on
 ``PYTHONPATH``), writes the outputs into ``OUTDIR`` and prints one
-``name sha256`` line per output file.  Commands run inside ``OUTDIR`` with
+``name sha256`` line per output file.  A failing command prints
+``name exit=CODE`` for each of its files instead, the run goes on, and the
+script exits 1 at the end, so trees that accept different inputs still
+compare line by line.  Commands run inside ``OUTDIR`` with
 relative paths, so file paths echoed into metadata are the same for any
 ``OUTDIR``.  Run it on two trees (say a ``git archive`` of the parent
 commit and the working tree) and diff the printed lines.
@@ -114,6 +117,10 @@ COMMANDS = [
       "--repetitions", "400", "--omega-min", "0.4", "--omega-max", "0.4",
       "--tolerance", "0.05", "--seed", "10", "--output", "scaling_degenerate.csv"],
      ["scaling_degenerate.csv"]),
+    # negative reals in exponent notation are values, not options
+    (["curve", "--omega-min", "-5e-1", "--omega-max", "5e-1", "--step", "5e-1",
+      "--tolerance", "0.05", "--steps", "300", "--trials", "4", "--seed", "19",
+      "--output", "curve_exponent.csv"], ["curve_exponent.csv"]),
 ]
 
 
@@ -130,16 +137,19 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.cfg").write_text(SWEEP_CONFIG)
     env = {**os.environ, "PYTHONPATH": str(src)}
+    status = 0
     for cmd, files in COMMANDS:
         for name in files:
             (out / name).unlink(missing_ok=True)
         done = subprocess.run([sys.executable, "-m", "swarmcrit.cli", *cmd], cwd=out, env=env)
         if done.returncode != 0:
-            print(f"error: {cmd[0]} exited {done.returncode}", file=sys.stderr)
-            return 1
+            status = 1
+            for name in files:
+                print(name, f"exit={done.returncode}")
+            continue
         for name in files:
             print(name, hashlib.sha256((out / name).read_bytes()).hexdigest())
-    return 0
+    return status
 
 
 if __name__ == "__main__":
