@@ -50,12 +50,17 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
 
 
 def _check_weights(alpha1, alpha2):
-    """The attraction weights must be finite and nonnegative, with a
-    positive sum."""
+    """The attraction weights must be finite and nonnegative."""
     if not (math.isfinite(alpha1) and math.isfinite(alpha2)):
         raise ValueError("alpha1 and alpha2 must be finite")
     if alpha1 < 0 or alpha2 < 0:
         raise ValueError("alpha1 and alpha2 must be nonnegative")
+
+
+def _check_positive_weights(alpha1, alpha2):
+    """The attraction weights must pass :func:`_check_weights` and have a
+    positive sum."""
+    _check_weights(alpha1, alpha2)
     if alpha1 + alpha2 <= 0:
         raise ValueError("alpha1 + alpha2 must be positive")
 
@@ -87,7 +92,7 @@ class SwarmParams:
     def __post_init__(self):
         if not math.isfinite(self.omega):
             raise ValueError("omega must be finite")
-        _check_weights(self.alpha1, self.alpha2)
+        _check_positive_weights(self.alpha1, self.alpha2)
         if self.n_particles < 1:
             raise ValueError("n_particles must be >= 1")
         if self.dim < 1:
@@ -114,7 +119,7 @@ class MixtureWeight:
     alpha2: float
 
     def __post_init__(self):
-        _check_weights(self.alpha1, self.alpha2)
+        _check_positive_weights(self.alpha1, self.alpha2)
 
     @property
     def alpha(self) -> float:

@@ -22,10 +22,15 @@ step, so the results are bit-identical to a step-at-a-time loop.
 The escape and neutral-stability experiments share one first-passage
 loop, ``_first_passage``: lanes start on the unit circle, each step draws
 the weights of the live lanes, and a lane retires at its first outcome;
-only the update and the two outcome tests differ.  Radius tests on the
-phase norm are decided from the squared norm, with ``np.hypot`` only for
-lanes within rounding of the radius, and agree with the hypot comparison
-bit for bit.
+only the update, and the neutral experiment's segment test for
+convergence, differ.  One radius rule decides both: a lane converges when
+``v*v + x*x <= r_in*r_in`` and escapes when ``v*v + x*x >= r_out*r_out``.
+The radii must satisfy ``1e-150 <= r_in < 1 < r_out <= 1e150``, so both
+squares are normal floats and the rule is the exact norm comparison up to
+rounding.
+
+The estimators validate their attraction weights: ``alpha1`` and
+``alpha2`` must be finite and nonnegative.
 
 Critical points are found by a stochastic bisection written as a generator
 that yields probe requests and is sent their results.  Every Lyapunov
@@ -47,7 +52,7 @@ from functools import partial
 
 import numpy as np
 
-from .dynamics import _seed_sequence, _step, affine_update
+from .dynamics import _check_weights, _seed_sequence, _step, affine_update
 
 __all__ = [
     "NumericOverflowError",
@@ -335,71 +340,53 @@ def _orbit(rng, omega, alpha1, alpha2, v, x, burn_in, steps, fixed_r=None):
         v, x = phase[-1]
 
 
-# _radius_test decides a lane from its squared norm unless that lies within
-# this relative margin of r*r: the squared norm is within a few ulp of exact
-# and np.hypot within one, both far inside the margin.  Inside the range,
-# r*r and r*r times the margin are finite and nonzero.
-_RADIUS_MARGIN = 2.0**-40
-_RADIUS_RANGE = (1e-150, 1e150)
-
-
-def _radius_test(op, v, x, r):
-    """``op(np.hypot(x, v), r)`` for ``op`` one of ``np.greater_equal`` and
-    ``np.less_equal``, bit for bit, without a hypot over every lane.
-
-    Lanes whose squared norm is NaN or within ``_RADIUS_MARGIN`` of
-    ``r*r`` are compared through ``np.hypot``; for ``r`` outside
-    ``_RADIUS_RANGE`` (or NaN) all lanes are.
-    """
-    lo, hi = _RADIUS_RANGE
-    if not lo <= r <= hi:
-        return op(np.hypot(x, v), r)
-    r2 = r * r
-    # a squared norm past the float range is inf, which decides its lane
-    with np.errstate(over="ignore"):
-        norm2 = x * x + v * v
-    result = op(norm2, r2)
-    # NaN fails the comparison, so it counts as near
-    near = ~(np.abs(norm2 - r2) > _RADIUS_MARGIN * r2)
-    if near.any():
-        result[near] = op(np.hypot(x[near], v[near]), r)
-    return result
-
-
 def _check_radii(r_in, r_out):
-    """The first-passage radii must satisfy ``r_in < 1 < r_out``, the unit
-    start circle lying strictly between them."""
+    """The first-passage radii must satisfy ``1e-150 <= r_in < 1 < r_out <=
+    1e150``: the unit start circle lies strictly between them, and both
+    squares are normal floats."""
     # NaN fails the comparison
-    if not r_in < 1.0 < r_out:
-        raise ValueError("require r_in < 1 < r_out")
+    if not 1e-150 <= r_in < 1.0 < r_out <= 1e150:
+        raise ValueError("require 1e-150 <= r_in < 1 < r_out <= 1e150")
 
 
-def _first_passage(seed, n, steps, update, outcome):
+def _first_passage(seed, n, steps, update, r_in, r_out, converged=None):
     """First passage of ``n`` lanes started at random unit ``(v, x)``.
 
     Each of at most ``steps`` steps draws ``u = rng.random((2, live))``,
-    the stream of two ``rng.random(live)`` calls, advances the live lanes
-    with ``update(u, v, x) -> (v, x)`` and tests them with ``outcome(v, x)
-    -> (a, b)``.  A lane retires at its first step with ``a | b`` and counts
-    for ``a`` if only ``a`` holds, for ``b`` if only ``b`` holds.  Nothing
-    is drawn once every lane has retired.  The lanes belong to the loop, so
-    ``update`` may overwrite ``v`` and ``x``.  Returns the two counts.
+    the stream of two ``rng.random(live)`` calls, and advances the live
+    lanes with ``update(u, v, x) -> (v, x)``.  A lane converges when
+    ``v*v + x*x <= r_in*r_in``, or when ``converged(v, x)`` holds if that
+    test is given, and escapes when ``v*v + x*x >= r_out*r_out``.  With
+    radii that pass :func:`_check_radii` the squares are normal floats, so
+    the rule is the exact norm comparison up to rounding.  A lane retires
+    at its first step with either outcome and counts for one only if the
+    other does not hold; a NaN lane never retires.  Nothing is drawn once
+    every lane has retired.  The lanes belong to the loop, so ``update``
+    may overwrite ``v`` and ``x``.  Returns the converged and escaped
+    counts.
     """
+    rin2 = r_in * r_in
+    rout2 = r_out * r_out
     rng = np.random.default_rng(seed)
     v, x = _start(rng, n)
-    n_a = n_b = 0
-    for _ in range(steps):
-        if x.size == 0:
-            break
-        v, x = update(rng.random((2, x.size)), v, x)
-        a, b = outcome(v, x)
-        done = a | b
-        if done.any():
-            n_a += int(np.count_nonzero(a & ~b))
-            n_b += int(np.count_nonzero(b & ~a))
-            keep = ~done
-            v, x = v[keep], x[keep]
-    return n_a, n_b
+    n_conv = n_esc = 0
+    # a squared norm past the float range is inf, which decides its lane;
+    # one errstate for the loop, not one a step
+    with np.errstate(over="ignore"):
+        for _ in range(steps):
+            if x.size == 0:
+                break
+            v, x = update(rng.random((2, x.size)), v, x)
+            norm2 = v * v + x * x
+            conv = norm2 <= rin2 if converged is None else converged(v, x)
+            esc = norm2 >= rout2
+            done = conv | esc
+            if done.any():
+                n_conv += int(np.count_nonzero(conv & ~esc))
+                n_esc += int(np.count_nonzero(esc & ~conv))
+                keep = ~done
+                v, x = v[keep], x[keep]
+    return n_conv, n_esc
 
 
 def _add_logs(acc, norm):
@@ -439,7 +426,7 @@ def lyapunov_exponent(
     Parameters
     ----------
     omega, alpha1, alpha2 : float
-        Dynamics parameters; ``alpha1 + alpha2 > 0`` with both nonnegative.
+        Dynamics parameters; the weights must be finite and nonnegative.
     steps, trials, burn_in : int
         Monte-Carlo budget; at least 1000 steps and 10 trials are
         recommended for production estimates.
@@ -455,6 +442,7 @@ def lyapunov_exponent(
         If renormalisation produces a non-finite norm (not expected; the
         orbit is renormalised every step).
     """
+    _check_weights(alpha1, alpha2)
     if trials < 1 or steps < 1 or burn_in < 0:
         raise ValueError("steps and trials must be >= 1, burn_in >= 0")
     rng = np.random.default_rng(seed)
@@ -484,6 +472,7 @@ def lyapunov_pair(
     ``omega = 0`` makes every matrix singular, so the second exponent is
     the ``-inf`` sentinel.
     """
+    _check_weights(alpha1, alpha2)
     if omega == 0.0:
         top = lyapunov_exponent(omega, alpha1, alpha2, steps, trials, burn_in, seed, fixed_r)
         bottom = LyapunovEstimate(-math.inf, 0.0, steps, trials, burn_in)
@@ -535,6 +524,7 @@ def stationary_distribution(
     where no matrix in the set has complex eigenvalues), records the angle
     ``atan2(v, x)`` after burn-in, and bins the pooled angles on [0, 2*pi).
     """
+    _check_weights(alpha1, alpha2)
     if bins < 64:
         raise ValueError("bins must be >= 64")
     if n_chains < 2:
@@ -570,6 +560,7 @@ def pushforward(
     measure the result reproduces the input up to discretisation and
     Monte-Carlo error.
     """
+    _check_weights(alpha1, alpha2)
     rng = np.random.default_rng(seed)
     bins = hist.bins
     centers = hist.bin_centers
@@ -599,27 +590,21 @@ def escape_probability(
 
     Trials start at random angles on the unit circle of the (x, v) plane
     and iterate the homogeneous dynamics until the phase norm first drops
-    to ``r_in`` (converged) or reaches ``r_out`` (escaped); trials hitting
-    the step cap count as undecided.
+    to ``r_in`` (converged) or reaches ``r_out`` (escaped), decided from
+    the squared norm by the rule of :func:`_first_passage`; trials hitting
+    the step cap count as undecided.  The weights must be finite and
+    nonnegative, and the radii must satisfy ``1e-150 <= r_in < 1 < r_out
+    <= 1e150``.
     """
+    _check_weights(alpha1, alpha2)
     _check_radii(r_in, r_out)
     if trials < 1 or max_steps < 1:
         raise ValueError("trials and max_steps must be >= 1")
-    rin2 = r_in * r_in
-    rout2 = r_out * r_out
 
     def update(u, v, x):
         return _step(omega, _weights(alpha1, alpha2, u), v, x, (v, x))
 
-    def outcome(v, x):
-        # r_in < 1 < r_out: a lane never passes both tests
-        norm2 = v * v + x * x
-        return norm2 <= rin2, norm2 >= rout2
-
-    # a squared norm past the float range is inf, which decides its lane;
-    # one errstate for the loop, not one a step
-    with np.errstate(over="ignore"):
-        n_conv, n_esc = _first_passage(seed, trials, max_steps, update, outcome)
+    n_conv, n_esc = _first_passage(seed, trials, max_steps, update, r_in, r_out)
     n_und = trials - n_conv - n_esc
     return EscapeStats(
         p_converged=n_conv / trials,
@@ -934,6 +919,7 @@ def finite_time_lyapunov(
         When a trajectory leaves the floating range; carries the step
         index reached.
     """
+    _check_weights(alpha1, alpha2)
     if steps < 1 or repetitions < 1:
         raise ValueError("steps and repetitions must be >= 1")
     rng = np.random.default_rng(seed)
@@ -960,12 +946,13 @@ def finite_time_lyapunov(
 def _neutral_fractions(omega, alpha1, alpha2, config, repetitions, r_in, r_out, seed):
     """Convergence/divergence fractions of the scaled affine experiment.
 
-    Trajectories start on the unit circle.  Convergence: the position
-    distance to the segment between the (scaled) best positions drops
-    below ``r_in * |p - g|``; with coincident bests the criterion
-    degenerates to the phase norm dropping below ``r_in``, matching the
-    escape experiment.  Divergence: phase norm reaches ``r_out``.  A lane
-    passing both tests at once counts for neither.
+    Trajectories start on the unit circle and run the first-passage rule
+    of :func:`_first_passage`.  Convergence: the position distance to the
+    segment between the (scaled) best positions drops below
+    ``r_in * |p - g|``; with coincident bests the criterion degenerates to
+    the phase norm dropping below ``r_in``, as in the escape experiment.
+    Divergence: the phase norm reaches ``r_out``.  A lane passing both
+    tests at once counts for neither.
     """
     p_eff = config.kappa * config.p
     g_eff = config.kappa * config.g
@@ -976,15 +963,13 @@ def _neutral_fractions(omega, alpha1, alpha2, config, repetitions, r_in, r_out, 
     def update(u, v, x):
         return affine_update(omega, alpha1, alpha2, v, x, u[0], u[1], p_eff, g_eff)
 
-    def outcome(v, x):
-        if width == 0.0:
-            conv = _radius_test(np.less_equal, v, x, r_in)
-        else:
-            dist = np.maximum(np.maximum(seg_lo - x, x - seg_hi), 0.0)
-            conv = dist <= r_in * width
-        return conv, _radius_test(np.greater_equal, v, x, r_out)
+    def near_segment(v, x):
+        dist = np.maximum(np.maximum(seg_lo - x, x - seg_hi), 0.0)
+        return dist <= r_in * width
 
-    n_conv, n_div = _first_passage(seed, repetitions, config.iterations, update, outcome)
+    converged = None if width == 0.0 else near_segment
+    n_conv, n_div = _first_passage(seed, repetitions, config.iterations, update, r_in, r_out,
+                                   converged)
     return n_conv / repetitions, n_div / repetitions
 
 
@@ -1002,7 +987,8 @@ def neutral_alpha(
 ) -> CriticalPoint:
     """Boundary weight where convergence and divergence fractions are equal
     in the scaled finite-time experiment.  ``omega`` must be finite and lie
-    within [-1.1, 1.1], and the radii must satisfy ``r_in < 1 < r_out``."""
+    within [-1.1, 1.1], and the radii must satisfy ``1e-150 <= r_in < 1 <
+    r_out <= 1e150``."""
     omega = _check_omega(omega)
     _check_radii(r_in, r_out)
 
@@ -1025,7 +1011,8 @@ def neutral_stability_curve(
     """Neutral-stability boundary over an inertia grid for one scaling
     configuration.  Point failures are carried as status markers.  Grid
     values must be finite, strictly increasing and lie within [-1.1, 1.1],
-    and the radii in ``kwargs`` must satisfy ``r_in < 1 < r_out``."""
+    and the radii in ``kwargs`` must satisfy ``1e-150 <= r_in < 1 < r_out
+    <= 1e150``."""
     omegas, children = _curve_grid(omega_grid, seed)
     solve = partial(neutral_alpha, config=config, ratio=ratio, tolerance=tolerance, **kwargs)
     points = tuple(solve(w, seed=child) for w, child in zip(omegas, children))

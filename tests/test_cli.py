@@ -61,6 +61,8 @@ _INVALID = {
     "escape-max-steps-zero": ["escape", "--omega", "0.5", "--alpha", "2", "--max-steps", "0"],
     "escape-max-steps-negative": ["escape", "--omega", "0.5", "--alpha", "2",
                                   "--max-steps", "-3"],
+    "escape-r-out-huge": ["escape", "--omega", "0.5", "--alpha", "2", "--r-out", "1e200"],
+    "escape-r-in-tiny": ["escape", "--omega", "0.5", "--alpha", "2", "--r-in", "1e-200"],
 }
 
 

@@ -486,9 +486,16 @@ def test_escape_seed_determinism():
     assert a == b
 
 
+# radii the first-passage rule refuses: out of order, NaN, or with a square
+# outside the normal floats
+_BAD_RADII = [dict(r_in=2.0, r_out=1e-3), dict(r_in=-1.0, r_out=-5.0), dict(r_in=1.0),
+              dict(r_out=1.0), dict(r_in=math.nan), dict(r_in=1e-200), dict(r_out=1e200)]
+
+
 def test_escape_validates_radii():
-    with pytest.raises(ValueError):
-        escape_probability(0.5, 1.0, 1.0, r_in=2.0, seed=1)
+    for radii in _BAD_RADII:
+        with pytest.raises(ValueError, match="r_in < 1 < r_out"):
+            escape_probability(0.5, 1.0, 1.0, max_steps=10, trials=10, seed=1, **radii)
 
 
 @pytest.mark.parametrize("budget", [{"max_steps": 0}, {"max_steps": -3}, {"trials": 0}])
@@ -539,12 +546,12 @@ def _reference_neutral(omega, a1, a2, config, repetitions, r_in, r_out, seed):
             u2 = rng.random(x.size)
             v = omega * v + a1 * u1 * (p - x) + a2 * u2 * (g - x)
             x = x + v
-            norm = np.hypot(x, v)
+            norm2 = v * v + x * x
             if hi == lo:
-                conv = norm <= r_in
+                conv = norm2 <= r_in * r_in
             else:
                 conv = np.maximum(np.maximum(lo - x, x - hi), 0.0) <= r_in * (hi - lo)
-            div = norm >= r_out
+            div = norm2 >= r_out * r_out
             n_conv += int(np.count_nonzero(conv & ~div))
             n_div += int(np.count_nonzero(div & ~conv))
             keep = ~(conv | div)
@@ -616,19 +623,48 @@ def _lanes_around(r):
     return np.concatenate([a.ravel() for a in x]), np.concatenate([a.ravel() for a in v])
 
 
-@pytest.mark.parametrize("r", [1e-6, 0.5, 1.0, 3.0, 1e6, 1e-150, 1e150, 1e-200, 1e200, math.nan])
-def test_radius_test_matches_hypot_comparison(r):
-    x, v = _lanes_around(r)
+@pytest.mark.parametrize("r_in, r_out", [(1e-6, 1e6), (0.5, 3.0), (1e-150, 1e150),
+                                         (np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0))])
+def test_first_passage_radius_rule(r_in, r_out):
+    x, v = (np.concatenate(pair) for pair in zip(_lanes_around(r_in), _lanes_around(r_out)))
+    with np.errstate(over="ignore"):
+        norm2 = v * v + x * x
+        norm = np.hypot(x, v)
+    conv, esc = norm2 <= r_in * r_in, norm2 >= r_out * r_out
+    lo, hi = -0.5 * r_in, 0.5 * r_in
+
+    def place(u, v_, x_):
+        return v.copy(), x.copy()
+
+    def near_segment(v_, x_):
+        return np.maximum(np.maximum(lo - x_, x_ - hi), 0.0) <= r_in * (hi - lo)
+
+    segment = near_segment(v, x)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for op in (np.greater_equal, np.less_equal):
-            with np.errstate(over="ignore"):
-                expected = op(np.hypot(x, v), r)
-            assert np.array_equal(stability._radius_test(op, v, x, r), expected)
-    if 1e-150 <= r <= 1e150:
-        # the squared norm alone misjudges lanes within rounding of r
-        with np.errstate(over="ignore"):
-            assert not np.array_equal(x * x + v * v >= r * r, np.hypot(x, v) >= r)
+        for converged, c in ((None, conv), (near_segment, segment)):
+            counts = stability._first_passage(0, x.size, 1, place, r_in, r_out, converged)
+            assert counts == (np.count_nonzero(c & ~esc), np.count_nonzero(esc & ~c))
+    # lanes on the v axis near r_out pass both tests and count for neither
+    assert np.count_nonzero(segment & esc) > 0
+    # the rule leaves the exact comparison only within rounding of a radius,
+    # or on (+-inf, NaN) lanes, which no step reaches from a finite lane
+    differ = (conv != (norm <= r_in)) | (esc != (norm >= r_out))
+    mixed = (np.isinf(x) & np.isnan(v)) | (np.isnan(x) & np.isinf(v))
+    near = np.isclose(norm, r_in, rtol=2.0**-50, atol=0.0)
+    near |= np.isclose(norm, r_out, rtol=2.0**-50, atol=0.0)
+    assert np.all(near[differ & ~mixed])
+    assert np.any(differ & ~mixed), "some lanes sit within rounding of a radius"
+
+
+def test_first_passage_rule_on_extreme_lanes():
+    # (v, x): the origin and an underflowing lane converge, an overflowing
+    # square and infinite lanes escape, NaN lanes stay live
+    v = np.array([0.0, 1e-200, 1e300, np.inf, -np.inf, 3.0, np.nan])
+    x = np.array([0.0, -1e-200, 0.0, -np.inf, 2.0, np.inf, np.nan])
+    counts = stability._first_passage(0, x.size, 1, lambda u, v_, x_: (v.copy(), x.copy()),
+                                      1e-150, 1e150)
+    assert counts == (2, 4)
 
 
 # ---------------------------------------------------------------- critical curve
@@ -715,8 +751,7 @@ def test_neutral_alpha_validates_inputs():
     for omega in (math.nan, math.inf, -math.inf, -1.2):
         with pytest.raises(ValueError, match="omega"):
             neutral_alpha(omega, config, seed=1)
-    for radii in (dict(r_in=2.0, r_out=1e-3), dict(r_in=-1.0, r_out=-5.0),
-                  dict(r_in=1.0), dict(r_out=1.0), dict(r_in=math.nan)):
+    for radii in _BAD_RADII:
         with pytest.raises(ValueError, match="r_in < 1 < r_out"):
             neutral_alpha(0.5, config, seed=1, **radii)
         with pytest.raises(ValueError, match="r_in < 1 < r_out"):
@@ -727,6 +762,39 @@ def test_neutral_alpha_validates_inputs():
 def test_lyapunov_rejects_negative_burn_in(estimator):
     with pytest.raises(ValueError):
         estimator(0.5, 0.5, 0.5, steps=100, trials=2, burn_in=-1, seed=1)
+
+
+# each estimator at a tiny budget, as a function of its two weights
+_UNIFORM = AngularHistogram(mass=np.full(64, 1.0 / 64), samples=64)
+_WEIGHTED = {
+    "lyapunov_exponent": lambda a1, a2: lyapunov_exponent(0.5, a1, a2, 10, 2, 0, seed=1),
+    "lyapunov_pair": lambda a1, a2: lyapunov_pair(0.5, a1, a2, 10, 2, 0, seed=1),
+    "lyapunov_pair_omega_zero": lambda a1, a2: lyapunov_pair(0.0, a1, a2, 10, 2, 0, seed=1),
+    "stationary_distribution": lambda a1, a2: stationary_distribution(
+        0.5, a1, a2, bins=64, samples=4, burn_in=0, n_chains=2, seed=1),
+    "pushforward": lambda a1, a2: pushforward(_UNIFORM, 0.5, a1, a2, draws=2, seed=1),
+    "escape_probability": lambda a1, a2: escape_probability(
+        0.5, a1, a2, max_steps=10, trials=10, seed=1),
+    "finite_time_lyapunov": lambda a1, a2: finite_time_lyapunov(
+        0.5, a1, a2, steps=10, repetitions=10, seed=1),
+    "finite_time_lyapunov_affine": lambda a1, a2: finite_time_lyapunov(
+        0.5, a1, a2, p=0.1, steps=10, repetitions=10, seed=1),
+}
+
+
+@pytest.mark.parametrize("weights", [(-1.0, -1.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.inf),
+                                     (-math.inf, 1.0)],
+                         ids=["negative", "one_negative", "nan", "inf", "minus_inf"])
+@pytest.mark.parametrize("estimator", list(_WEIGHTED))
+def test_estimators_reject_bad_weights(estimator, weights):
+    with pytest.raises(ValueError, match="alpha1 and alpha2 must be"):
+        _WEIGHTED[estimator](*weights)
+
+
+@pytest.mark.parametrize("estimator", list(_WEIGHTED))
+def test_estimators_accept_zero_weights(estimator):
+    # the CLI's smallest weight, 5e-324 split equally, rounds to (0, 0)
+    _WEIGHTED[estimator](0.0, 0.0)
 
 
 def test_critical_curve_markers_and_interpolation():

@@ -68,6 +68,10 @@ COMMANDS = [
      ["stationary.csv"]),
     (["escape", "--omega", "0.5", "--alpha", "2.0", "--trials", "200", "--max-steps", "500",
       "--seed", "5", "--output", "escape.json"], ["escape.json"]),
+    # radii near the unit start circle: many lanes retire at the radii
+    (["escape", "--omega", "0.5", "--alpha", "3.2", "--r-in", "0.5", "--r-out", "2",
+      "--trials", "300", "--max-steps", "500", "--seed", "20", "--output", "escape_near.json"],
+     ["escape_near.json"]),
     # near the critical weight: the step cap leaves lanes undecided
     (["escape", "--omega", "0.4", "--alpha", "5.17", "--trials", "500", "--max-steps", "400",
       "--seed", "9", "--output", "escape_capped.json"], ["escape_capped.json"]),
