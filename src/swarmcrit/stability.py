@@ -33,14 +33,12 @@ The estimators validate their attraction weights: ``alpha1`` and
 ``alpha2`` must be finite and nonnegative.
 
 Critical points are found by a stochastic bisection written as a generator
-that yields probe requests and is sent their results.  Every Lyapunov
-critical point, alone (``critical_alpha``) or on a curve
-(``critical_curve``), runs through one solver, ``_lyapunov_points``: one
-bisection per inertia value, with all pending probes advanced together as
-one block of lanes with a per-lane ``omega``.  Each probe keeps its own
-seed, generator, draws and estimate, so a point's result does not depend
-on which points share its blocks.  The escape method and ``neutral_alpha``
-(and so the escape and neutral curves) answer the requests one at a time.
+that yields probe requests and is sent their results.  Every critical
+point, alone or on a curve, runs through one driver, ``_solve``: one
+bisection per inertia value.  Lyapunov probes of all points advance
+together as one block of lanes with a per-lane ``omega``; escape and
+neutral probes are answered as they are asked.  Each probe keeps its own
+seed, so a point's result does not depend on the other points.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -89,6 +86,8 @@ STATUS_UNRESOLVED = "UNRESOLVED"
 
 METHOD_LYAPUNOV = "LYAPUNOV_BISECTION"
 METHOD_ESCAPE = "ESCAPE_EQUALITY"
+
+_MAX_EVALS = 48  # bisection steps after the bracket ends, before UNRESOLVED
 
 _CURVE_HEADER = ["omega", "alpha_critical", "std_error", "status"]
 
@@ -242,6 +241,9 @@ class ScalingConfig:
             raise ValueError("kappa, p and g must be finite")
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
+        # inf or NaN if either product or the segment width overflows
+        if not math.isfinite(self.kappa * self.p - self.kappa * self.g):
+            raise ValueError("kappa*p, kappa*g and their difference must be finite")
         if self.iterations < 1 or self.repetitions < 1:
             raise ValueError("iterations and repetitions must be >= 1")
 
@@ -617,7 +619,7 @@ def escape_probability(
     )
 
 
-def _bisection(seed, ratio, lo, hi, tolerance, omega, max_level, max_evals=48):
+def _bisection(seed, ratio, lo, hi, tolerance, omega, max_level):
     """Bisect a noisy sign function of the combined weight; negative means
     inside the stable set.
 
@@ -657,7 +659,7 @@ def _bisection(seed, ratio, lo, hi, tolerance, omega, max_level, max_evals=48):
             return CriticalPoint(omega, math.nan, math.nan, STATUS_UNRESOLVED)
         if value * sign < 0:
             return CriticalPoint(omega, math.nan, math.nan, STATUS_NO_CROSSING)
-    for _ in range(max_evals):
+    for _ in range(_MAX_EVALS):
         mid = 0.5 * (lo + hi)
         value, se, sig = yield from significant(mid)
         if not sig:
@@ -672,23 +674,10 @@ def _bisection(seed, ratio, lo, hi, tolerance, omega, max_level, max_evals=48):
     return CriticalPoint(omega, math.nan, math.nan, STATUS_UNRESOLVED)
 
 
-def _serial(bisection, probe):
-    """Run a :func:`_bisection`, answering each request with
-    ``probe(*request)``; returns its point."""
-    reply = None
-    try:
-        while True:
-            reply = probe(*bisection.send(reply))
-    except StopIteration as stop:
-        return stop.value
-
-
 @dataclass
 class _Probe:
-    """A pending probe of :func:`_lyapunov_points`: the orbit state that
-    :func:`lyapunov_exponent` keeps for one call."""
+    """An open Lyapunov probe: the orbit state of one lyapunov_exponent call."""
 
-    point: int
     rng: np.random.Generator
     alpha1: float
     alpha2: float
@@ -699,63 +688,79 @@ class _Probe:
     done: int = 0
 
 
-def _lyapunov_points(omegas, children, ratio, tolerance, alpha_lo, alpha_max, steps, trials,
-                     burn_in, max_level, **_):
-    """Lyapunov critical points, any number of them: one :func:`_bisection`
-    per inertia value in ``omegas``, seeded by its entry of ``children``,
-    with the pending probes of all points advanced as one block of lanes.
+def _solve(omegas, seeds, ratio, tolerance, alpha_lo, alpha_max, max_level, start,
+           advance=dict.items):
+    """Critical points: one :func:`_bisection` per value of ``omegas``,
+    seeded by its entry of ``seeds``, with at most one open probe each.
 
-    Each probe gives the bits of the :func:`lyapunov_exponent` call for its
-    request: it keeps its own generator from its child seed, its own start
-    and weight draws, and its own norm checks, logs and estimate; only the
-    k-step loop of :func:`_block` is shared, with ``omega`` one value per
-    lane.  Where a block is cut changes neither a probe's draws nor the
-    order of its additions, so a point's result does not depend on the
-    other points.  A probe leaves at the end of a block once its
-    ``burn_in + steps * 2**level`` steps are done, and the next request of
-    its point joins the next block.
-
-    A failed norm fails its point as in a loop over the points: the points
-    after it are dropped, the earlier ones run on, and the failure of the
-    first failing point is raised.
+    ``start(i, *request)`` opens point ``i``'s probe; ``advance(probes)``
+    moves the open probes, keyed by point, on and yields ``(i, reply)`` for
+    each: ``None`` while it runs, then its ``(value, std_error)`` or the
+    :class:`NumericOverflowError` that failed it.  By default ``start``
+    answers at once.  A failure drops the points after its own, and the
+    failure of the first failing point is raised, as in a loop over them.
     """
-    if steps < 1 or trials < 1 or burn_in < 0:
-        raise ValueError("steps and trials must be >= 1, burn_in >= 0")
-    searches = [
-        _bisection(child, ratio, alpha_lo, alpha_max, tolerance, w, max_level)
-        for w, child in zip(omegas, children)
-    ]
+    searches = [_bisection(seed, ratio, alpha_lo, alpha_max, tolerance, w, max_level)
+                for w, seed in zip(omegas, seeds)]
     points = [None] * len(omegas)
+    probes = {}
     failed, failure = len(omegas), None
 
     def ask(i, reply):
-        """The next probe of point ``i``, or none once it has its result."""
+        """Open point ``i``'s next probe, or close the point with its result."""
         try:
-            a1, a2, level, child = searches[i].send(reply)
+            probes[i] = start(i, *searches[i].send(reply))
         except StopIteration as stop:
             points[i] = stop.value
-            return []
+            probes.pop(i, None)
+
+    for i in range(len(omegas)):
+        ask(i, None)
+    while probes:
+        # every reply first: ask changes the dict that advance reads
+        for i, reply in list(advance(probes)):
+            if isinstance(reply, NumericOverflowError):
+                if i < failed:
+                    failed, failure = i, reply
+            elif reply is not None:
+                ask(i, reply)
+        probes = {i: p for i, p in probes.items() if i < failed}
+    if failure is not None:
+        raise failure
+    return tuple(points)
+
+
+def _lyapunov_kind(omegas, steps, trials, burn_in):
+    """``(start, advance)`` of :func:`_solve` for Lyapunov probes, which
+    advance together as one block of lanes with a per-lane ``omega``.
+
+    Each probe gives the bits of the :func:`lyapunov_exponent` call for its
+    request: only the k-step loop of :func:`_block` is shared, and where a
+    block is cut changes neither a probe's draws nor the order of its
+    additions.  A probe ends with the block that ends its steps.
+    """
+    if steps < 1 or trials < 1 or burn_in < 0:
+        raise ValueError("steps and trials must be >= 1, burn_in >= 0")
+
+    def start(i, a1, a2, level, child):
         rng = np.random.default_rng(child)
         end = burn_in + steps * 2**level
-        return [_Probe(i, rng, a1, a2, end, *_start(rng, trials), np.zeros(trials))]
+        return _Probe(rng, a1, a2, end, *_start(rng, trials), np.zeros(trials))
 
-    probes = [p for i in range(len(omegas)) for p in ask(i, None)]
-    while probes:
-        k = min(_block_steps(trials * len(probes)), *(p.end - p.done for p in probes))
+    def advance(probes):
+        k = min(_block_steps(trials * len(probes)), *(p.end - p.done for p in probes.values()))
         ar = np.concatenate(
-            [_draw_weights(p.rng, p.alpha1, p.alpha2, (k, trials)) for p in probes], axis=1)
-        omega = np.repeat([omegas[p.point] for p in probes], trials)
-        v = np.concatenate([p.v for p in probes])
-        x = np.concatenate([p.x for p in probes])
+            [_draw_weights(p.rng, p.alpha1, p.alpha2, (k, trials)) for p in probes.values()],
+            axis=1)
+        omega = np.repeat([omegas[i] for i in probes], trials)
+        v = np.concatenate([p.v for p in probes.values()])
+        x = np.concatenate([p.x for p in probes.values()])
         norm, phase = _block(omega, ar, v, x)
-        pending = []
-        for j, p in enumerate(probes):
+        for j, (i, p) in enumerate(probes.items()):
             lanes = slice(j * trials, (j + 1) * trials)
             good = _good_rows(norm[:, lanes])
             if good < k:
-                if p.point < failed:
-                    failed = p.point
-                    failure = NumericOverflowError("renormalisation failed", step=p.done + good)
+                yield i, NumericOverflowError("renormalisation failed", step=p.done + good)
                 continue
             first = max(0, burn_in - p.done)
             if first < k:
@@ -763,15 +768,11 @@ def _lyapunov_points(omegas, children, ratio, tolerance, alpha_lo, alpha_max, st
                 p.acc = _add_logs(p.acc, np.ascontiguousarray(norm[first:, lanes]))
             p.v, p.x = phase[-1, :, lanes]
             p.done += k
-            if p.done < p.end:
-                pending.append(p)
-            else:
-                est = _estimate(p.acc, p.end - burn_in, burn_in)
-                pending += ask(p.point, (est.value, est.std_error))
-        probes = [p for p in pending if p.point < failed]
-    if failure is not None:
-        raise failure
-    return tuple(points)
+            done = p.done == p.end
+            est = _estimate(p.acc, p.end - burn_in, burn_in) if done else None
+            yield i, (est.value, est.std_error) if done else None
+
+    return start, advance
 
 
 def _fraction_difference(p_pos, p_neg, n):
@@ -790,15 +791,33 @@ def _check_omega(omega) -> float:
     return omega
 
 
-def _curve_grid(omega_grid, seed):
-    """Validate an inertia grid; return its values and one child seed per
-    point."""
+def _grid_points(solve, point, omega_grid, seed, **arguments):
+    """``solve(**arguments)`` over a checked grid: ``omega`` the grid, ``seed``
+    one child of ``seed`` a point, defaults from the point signature ``point``."""
     omegas = [_check_omega(w) for w in omega_grid]
     if not omegas:
         raise ValueError("omega_grid must be non-empty")
     if any(b <= a for a, b in zip(omegas, omegas[1:])):
         raise ValueError("omega_grid must be strictly increasing")
-    return omegas, _seed_sequence(seed).spawn(len(omegas))
+    call = point.bind(omegas, seed=_seed_sequence(seed).spawn(len(omegas)), **arguments)
+    call.apply_defaults()
+    return solve(**call.arguments)
+
+
+def _critical_points(omega, ratio, tolerance, seed, method, alpha_lo, alpha_max, steps, trials,
+                     burn_in, escape_trials, escape_max_steps, max_level):
+    """:func:`critical_alpha` at each value of the list ``omega``, point
+    ``i`` seeded by ``seed[i]``, in one :func:`_solve` call."""
+    if method not in ("lyapunov", "escape"):
+        raise ValueError(f"unknown method {method!r}")
+
+    def escape(i, a1, a2, level, child):
+        st = escape_probability(omega[i], a1, a2, max_steps=escape_max_steps,
+                                trials=escape_trials * 2**level, seed=child)
+        return _fraction_difference(st.p_escaped, st.p_converged, st.trials)
+
+    kind = _lyapunov_kind(omega, steps, trials, burn_in) if method == "lyapunov" else (escape,)
+    return _solve(omega, seed, ratio, tolerance, alpha_lo, alpha_max, max_level, *kind)
 
 
 def critical_alpha(
@@ -818,44 +837,22 @@ def critical_alpha(
 ) -> CriticalPoint:
     """Locate the combined weight where the dynamics is marginally stable.
 
-    Stochastic bisection on the bracket ``(alpha_lo, alpha_max]``; with
-    ``method="lyapunov"`` the sign probe is the Lyapunov estimate, and the
-    point is solved as a curve of one point, by the same code as
-    :func:`critical_curve`; with ``method="escape"`` the probe is the
-    difference between escape and convergence probabilities.  ``omega``
-    must be finite and lie within [-1.1, 1.1].  A bracket endpoint must
-    show a 3-sigma significant sign before bisection (a probe of exactly 0
-    shows none); the per-probe budget doubles up to ``max_level`` times
-    near the root.
+    Stochastic bisection on the bracket ``(alpha_lo, alpha_max]``, solved as
+    a curve of one point; with ``method="lyapunov"`` the sign probe is the
+    Lyapunov estimate, and with ``method="escape"`` it is the difference
+    between escape and convergence probabilities.  ``omega`` must be finite
+    and lie within [-1.1, 1.1].  A bracket endpoint must show a 3-sigma
+    significant sign before bisection (a probe of exactly 0 shows none); the
+    per-probe budget doubles up to ``max_level`` times near the root.
 
     Returns a :class:`CriticalPoint` whose status is ``NO_CROSSING`` if no
     significant sign change exists in the bracket and ``UNRESOLVED`` if the
     adaptive budget cannot separate the probe from zero (expected near
     ``omega = +-1``).
     """
-    if method not in ("lyapunov", "escape"):
-        raise ValueError(f"unknown method {method!r}")
-    omega = _check_omega(omega)
-    if method == "lyapunov":
-        return _lyapunov_points([omega], [seed], ratio, tolerance, alpha_lo, alpha_max, steps,
-                                trials, burn_in, max_level)[0]
-
-    def probe(a1, a2, level, child):
-        st = escape_probability(
-            omega,
-            a1,
-            a2,
-            max_steps=escape_max_steps,
-            trials=escape_trials * 2**level,
-            seed=child,
-        )
-        return _fraction_difference(st.p_escaped, st.p_converged, st.trials)
-
-    return _serial(_bisection(seed, ratio, alpha_lo, alpha_max, tolerance, omega, max_level), probe)
-
-
-# read at import, so that a wrapper later bound to the name keeps the defaults
-_CRITICAL_ALPHA = inspect.signature(critical_alpha)
+    return _critical_points([_check_omega(omega)], ratio, tolerance, [seed], method, alpha_lo,
+                            alpha_max, steps, trials, burn_in, escape_trials, escape_max_steps,
+                            max_level)[0]
 
 
 def critical_curve(
@@ -869,25 +866,15 @@ def critical_curve(
     """Solve for the critical weight on a grid of inertia values.
 
     Grid values must be finite, strictly increasing and lie within
-    [-1.1, 1.1].  Point ``i`` is the :func:`critical_alpha` result for the
-    ``i``-th child of ``seed`` and the given budgets; a point that finds no
-    crossing or cannot resolve the root carries its status marker.  A
-    numeric failure of a probe is not a status: it raises
-    :class:`NumericOverflowError`, for the lowest failing ``omega``, as a
-    loop over the grid would.  With ``method="lyapunov"`` all points run
-    through the one solver ``critical_alpha`` uses, their probes advanced
-    together as one block of lanes; the escape method calls
-    ``critical_alpha`` once per point.
+    [-1.1, 1.1].  All points run through one solver call; point ``i`` is
+    the :func:`critical_alpha` result for the ``i``-th child of ``seed`` and
+    the given budgets.  A point that finds no crossing or cannot resolve the
+    root carries its status marker.  A numeric failure of a probe is not a
+    status: it raises :class:`NumericOverflowError`, for the lowest failing
+    ``omega``, as a loop over the grid would.
     """
-    omegas, children = _curve_grid(omega_grid, seed)
-    if method == "lyapunov":
-        # critical_alpha's defaults fill in the budgets the caller leaves out
-        call = _CRITICAL_ALPHA.bind(None, ratio=ratio, tolerance=tolerance, **budgets)
-        call.apply_defaults()
-        points = _lyapunov_points(omegas, children, **call.arguments)
-    else:
-        solve = partial(critical_alpha, ratio=ratio, tolerance=tolerance, method=method, **budgets)
-        points = tuple(solve(w, seed=child) for w, child in zip(omegas, children))
+    points = _grid_points(_critical_points, _CRITICAL_ALPHA, omega_grid, seed, ratio=ratio,
+                          tolerance=tolerance, method=method, **budgets)
     method_name = METHOD_LYAPUNOV if method == "lyapunov" else METHOD_ESCAPE
     return CriticalCurve(points=points, ratio=ratio, method=method_name)
 
@@ -973,6 +960,20 @@ def _neutral_fractions(omega, alpha1, alpha2, config, repetitions, r_in, r_out, 
     return n_conv / repetitions, n_div / repetitions
 
 
+def _neutral_points(omega, config, ratio, tolerance, seed, r_in, r_out, alpha_lo, alpha_max,
+                    max_level):
+    """:func:`neutral_alpha` at each value of the list ``omega``, point ``i``
+    seeded by ``seed[i]``, in one :func:`_solve` call."""
+    _check_radii(r_in, r_out)
+
+    def start(i, a1, a2, level, child):
+        reps = config.repetitions * 2**level
+        p_conv, p_div = _neutral_fractions(omega[i], a1, a2, config, reps, r_in, r_out, child)
+        return _fraction_difference(p_div, p_conv, reps)
+
+    return _solve(omega, seed, ratio, tolerance, alpha_lo, alpha_max, max_level, start)
+
+
 def neutral_alpha(
     omega: float,
     config: ScalingConfig,
@@ -986,18 +987,16 @@ def neutral_alpha(
     max_level: int = 2,
 ) -> CriticalPoint:
     """Boundary weight where convergence and divergence fractions are equal
-    in the scaled finite-time experiment.  ``omega`` must be finite and lie
-    within [-1.1, 1.1], and the radii must satisfy ``1e-150 <= r_in < 1 <
-    r_out <= 1e150``."""
-    omega = _check_omega(omega)
-    _check_radii(r_in, r_out)
+    in the scaled finite-time experiment, solved as a curve of one point.
+    ``omega`` must be finite and lie within [-1.1, 1.1], and the radii must
+    satisfy ``1e-150 <= r_in < 1 < r_out <= 1e150``."""
+    return _neutral_points([_check_omega(omega)], config, ratio, tolerance, [seed], r_in, r_out,
+                           alpha_lo, alpha_max, max_level)[0]
 
-    def probe(a1, a2, level, child):
-        reps = config.repetitions * 2**level
-        p_conv, p_div = _neutral_fractions(omega, a1, a2, config, reps, r_in, r_out, child)
-        return _fraction_difference(p_div, p_conv, reps)
 
-    return _serial(_bisection(seed, ratio, alpha_lo, alpha_max, tolerance, omega, max_level), probe)
+# read at import, so that wrappers later bound to the names keep the defaults
+_CRITICAL_ALPHA = inspect.signature(critical_alpha)
+_NEUTRAL_ALPHA = inspect.signature(neutral_alpha)
 
 
 def neutral_stability_curve(
@@ -1009,11 +1008,11 @@ def neutral_stability_curve(
     **kwargs,
 ) -> CriticalCurve:
     """Neutral-stability boundary over an inertia grid for one scaling
-    configuration.  Point failures are carried as status markers.  Grid
-    values must be finite, strictly increasing and lie within [-1.1, 1.1],
-    and the radii in ``kwargs`` must satisfy ``1e-150 <= r_in < 1 < r_out
-    <= 1e150``."""
-    omegas, children = _curve_grid(omega_grid, seed)
-    solve = partial(neutral_alpha, config=config, ratio=ratio, tolerance=tolerance, **kwargs)
-    points = tuple(solve(w, seed=child) for w, child in zip(omegas, children))
+    configuration, in one solver call: point ``i`` is the
+    :func:`neutral_alpha` result for the ``i``-th child of ``seed``.  Point
+    failures are carried as status markers.  Grid values must be finite,
+    strictly increasing and lie within [-1.1, 1.1], and the radii in
+    ``kwargs`` must satisfy ``1e-150 <= r_in < 1 < r_out <= 1e150``."""
+    points = _grid_points(_neutral_points, _NEUTRAL_ALPHA, omega_grid, seed, config=config,
+                          ratio=ratio, tolerance=tolerance, **kwargs)
     return CriticalCurve(points=points, ratio=ratio, method=METHOD_ESCAPE)

@@ -58,6 +58,7 @@ _INVALID = {
     "scaling-repetitions-zero": ["scaling", "--kappa", "1", "--repetitions", "0"],
     "scaling-iterations-zero": ["scaling", "--kappa", "1", "--iterations", "0",
                                 "--repetitions", "10"],
+    "scaling-kappa-p-overflow": ["scaling", "--kappa", "1e200", "--p", "1e200", "--g", "0"],
     "escape-max-steps-zero": ["escape", "--omega", "0.5", "--alpha", "2", "--max-steps", "0"],
     "escape-max-steps-negative": ["escape", "--omega", "0.5", "--alpha", "2",
                                   "--max-steps", "-3"],

@@ -861,6 +861,17 @@ def _children(grid, seed):
     return ss.spawn(len(grid))
 
 
+def _one_at_a_time(search, probe):
+    """Run a ``_bisection``, answering each request with ``probe(*request)``
+    before the next is asked; returns its point."""
+    reply = None
+    try:
+        while True:
+            reply = probe(*search.send(reply))
+    except StopIteration as stop:
+        return stop.value
+
+
 def _serial_curve(grid, seed, **budgets):
     """The reference curve: each point's bisection answered one probe at a
     time by ``lyapunov_exponent``, independent of the lane-block solver."""
@@ -875,7 +886,7 @@ def _serial_curve(grid, seed, **budgets):
 
         search = stability._bisection(child, b["ratio"], b["alpha_lo"], b["alpha_max"],
                                       b["tolerance"], w, b["max_level"])
-        return stability._serial(search, probe)
+        return _one_at_a_time(search, probe)
 
     return tuple(solve(w, child) for w, child in zip(grid, _children(grid, seed)))
 
@@ -939,6 +950,87 @@ def test_lockstep_curve_raises_the_failure_of_the_lowest_omega(monkeypatch):
     step = _assert_same_overflow(monkeypatch, nan_above, [-0.6, -0.3, 0.0, 0.3, 0.6], 5,
                                  tolerance=0.05, steps=1000, trials=12, burn_in=100)
     assert step == 662
+
+
+# escape and neutral points: the curve and the per-point calls against each
+# bisection answered one probe at a time by the probe the library runs
+
+
+def _reference_points(point, probe, grid, seed, **arguments):
+    """Point ``i`` of ``grid``: its bisection, seeded by the ``i``-th child of
+    ``seed``, answered one probe at a time by ``probe(b, w, *request)``; ``b``
+    holds the arguments of the point function ``point``, defaults filled in."""
+    b = {name: p.default for name, p in inspect.signature(point).parameters.items()}
+    b.update(arguments)
+
+    def solve(w, child):
+        search = stability._bisection(child, b["ratio"], b["alpha_lo"], b["alpha_max"],
+                                      b["tolerance"], w, b["max_level"])
+        return _one_at_a_time(search, lambda *request: probe(b, w, *request))
+
+    return tuple(solve(w, child) for w, child in zip(grid, _children(grid, seed)))
+
+
+def _escape_probe(b, w, a1, a2, level, seed):
+    st = escape_probability(w, a1, a2, max_steps=b["escape_max_steps"],
+                            trials=b["escape_trials"] * 2**level, seed=seed)
+    return stability._fraction_difference(st.p_escaped, st.p_converged, st.trials)
+
+
+def _neutral_probe(b, w, a1, a2, level, seed):
+    reps = b["config"].repetitions * 2**level
+    p_conv, p_div = stability._neutral_fractions(w, a1, a2, b["config"], reps, b["r_in"],
+                                                 b["r_out"], seed)
+    return stability._fraction_difference(p_div, p_conv, reps)
+
+
+_ESCAPE_CASES = {
+    # OK at -0.5 and 0.5, UNRESOLVED at 1, NO_CROSSING at 1.05
+    "mixed_statuses": ([-0.5, 0.5, 1.0, 1.05], 3, dict(escape_trials=200)),
+    "social_only": ([-0.5, 0.5, 1.1], 5, dict(ratio=RATIO_SOCIAL_ONLY, escape_trials=100)),
+    "seed_sequence": ([0.0, 0.7], np.random.SeedSequence, dict(escape_trials=100)),
+}
+
+
+@pytest.mark.parametrize("case", list(_ESCAPE_CASES))
+def test_escape_points_equal_one_probe_at_a_time(case):
+    grid, seed, budgets = _ESCAPE_CASES[case]
+    budgets = dict(method="escape", tolerance=0.05, alpha_lo=1.0, escape_max_steps=400,
+                   **budgets)
+    reference = _reference_points(critical_alpha, _escape_probe, grid, _make_seed(seed),
+                                  **budgets)
+    assert critical_curve(grid, seed=_make_seed(seed), **budgets).points == reference
+    assert _per_point(grid, _make_seed(seed), **budgets) == reference
+    if case == "mixed_statuses":
+        assert [p.status for p in reference] == [STATUS_OK, STATUS_OK, STATUS_UNRESOLVED,
+                                                 STATUS_NO_CROSSING]
+
+
+_NEUTRAL_GRID = [-0.5, 0.0, 0.5, 1.0]
+_NEUTRAL_CASES = {
+    "kappa_1_seed_sequence": (ScalingConfig(1.0, iterations=50, repetitions=200),
+                              np.random.SeedSequence, {}),
+    "kappa_0.1": (ScalingConfig(0.1, iterations=50, repetitions=200), 3, {}),
+    "social_only": (ScalingConfig(0.5, iterations=50, repetitions=200), 4,
+                    dict(ratio=RATIO_SOCIAL_ONLY)),
+    # convergence is the phase norm reaching r_in; the ends are UNRESOLVED
+    "coincident_bests": (ScalingConfig(1.0, 0.0, 0.0, iterations=100, repetitions=200), 3, {}),
+}
+
+
+@pytest.mark.parametrize("case", list(_NEUTRAL_CASES))
+def test_neutral_points_equal_one_probe_at_a_time(case):
+    config, seed, arguments = _NEUTRAL_CASES[case]
+    arguments = dict(tolerance=0.05, **arguments)
+    reference = _reference_points(neutral_alpha, _neutral_probe, _NEUTRAL_GRID,
+                                  _make_seed(seed), config=config, **arguments)
+    curve = neutral_stability_curve(config, _NEUTRAL_GRID, seed=_make_seed(seed), **arguments)
+    assert curve.points == reference
+    children = _children(_NEUTRAL_GRID, _make_seed(seed))
+    assert tuple(neutral_alpha(w, config, seed=child, **arguments)
+                 for w, child in zip(_NEUTRAL_GRID, children)) == reference
+    if case == "coincident_bests":
+        assert {p.status for p in reference} == {STATUS_OK, STATUS_UNRESOLVED}
 
 
 def test_critical_curve_csv_roundtrip(tmp_path):
@@ -1023,6 +1115,9 @@ def test_scaling_config_validation():
     with pytest.raises(ValueError):
         ScalingConfig(kappa=0.0)
     for bad in ({"kappa": math.nan}, {"kappa": math.inf}, {"p": math.nan}, {"g": -math.inf},
-                {"iterations": 0}, {"repetitions": 0}, {"repetitions": -1}):
+                {"iterations": 0}, {"repetitions": 0}, {"repetitions": -1},
+                # kappa*p, kappa*g or the segment width overflows
+                {"kappa": 1e200, "p": 1e200, "g": 0.0}, {"kappa": 1e160, "p": 1e150, "g": -1e150},
+                {"p": 1.7e308, "g": -1.7e308}):
         with pytest.raises(ValueError):
             ScalingConfig(**{"kappa": 1.0, **bad})

@@ -63,6 +63,10 @@ COMMANDS = [
     (["curve", "--method", "escape", "--ratio", "social-only", "--omega-min", "0.4",
       "--omega-max", "0.4", "--tolerance", "0.05", "--seed", "3",
       "--output", "curve_escape.csv"], ["curve_escape.csv"]),
+    # two escape points, one OK and one NO_CROSSING, whose probes interleave
+    (["curve", "--method", "escape", "--omega-min", "0.25", "--omega-max", "1.05",
+      "--step", "0.8", "--tolerance", "0.05", "--seed", "21",
+      "--output", "curve_escape_two.csv"], ["curve_escape_two.csv"]),
     (["stationary", "--omega", "0.7", "--alpha", "0.5", "--bins", "64", "--samples", "2000",
       "--burn-in", "50", "--chains", "2", "--seed", "4", "--output", "stationary.csv"],
      ["stationary.csv"]),
@@ -121,6 +125,10 @@ COMMANDS = [
       "--repetitions", "400", "--omega-min", "0.4", "--omega-max", "0.4",
       "--tolerance", "0.05", "--seed", "10", "--output", "scaling_degenerate.csv"],
      ["scaling_degenerate.csv"]),
+    # five neutral points whose probes interleave
+    (["scaling", "--kappa", "0.5", "--iterations", "50", "--repetitions", "300",
+      "--omega-min", "-1", "--omega-max", "1", "--step", "0.5", "--tolerance", "0.05",
+      "--seed", "22", "--output", "scaling_five.csv"], ["scaling_five.csv"]),
     # negative reals in exponent notation are values, not options
     (["curve", "--omega-min", "-5e-1", "--omega-max", "5e-1", "--step", "5e-1",
       "--tolerance", "0.05", "--steps", "300", "--trials", "4", "--seed", "19",
