@@ -107,8 +107,10 @@ class BenchmarkFunction:
     shift: np.ndarray
     rotation: np.ndarray | None = None
     noncontinuous: bool = False
-    domain: tuple[float, float] = DEFAULT_DOMAIN
     seed: int | None = field(default=None, compare=False)
+    # unannotated, so a class constant and not a field: every instance
+    # searches the same domain
+    domain = DEFAULT_DOMAIN
 
     def __post_init__(self):
         if self.id not in _BASE:

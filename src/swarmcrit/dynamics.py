@@ -1,5 +1,6 @@
 """Single-particle swarm dynamics: parameter and mixture-weight types, the
-random coefficient mixture, the deterministic regime classifier, and the two
+random coefficient mixture and the weight draw ``_draw_weights`` that every
+stability estimator runs, the deterministic regime classifier, and the two
 one-step maps the library runs, each written once: the homogeneous ``_step``
 of the stability estimators, and ``affine_update``, the step with fixed best
 positions, of the optimiser and the scaled stability experiments.
@@ -213,15 +214,16 @@ def mixture_pdf(r, w: MixtureWeight):
 
 
 def sample_mixture(rng: np.random.Generator, w: MixtureWeight, size=None):
-    """Draw mixture weights ``(alpha1*u1 + alpha2*u2) / alpha``.
+    """Draw mixture weights ``(alpha1*u1 + alpha2*u2) / alpha``: the weights
+    of :func:`_draw_weights` divided by ``alpha``, with every ``u1`` drawn
+    before every ``u2``, as two ``rng.random(size)`` calls would.
 
-    Exact by construction; the result is clipped to [0, 1] to guard the
-    last-ulp rounding of the convex combination.
+    Each rounded operation is monotone, so with ``u < 1`` the result lies
+    in [0, 1] without clipping.
     """
-    u1 = rng.random(size)
-    u2 = rng.random(size)
-    r = (w.alpha1 * u1 + w.alpha2 * u2) / w.alpha
-    return np.clip(r, 0.0, 1.0)
+    shape = () if size is None else tuple(np.atleast_1d(size))
+    ar = _draw_weights(rng, w.alpha1, w.alpha2, (math.prod(shape),))
+    return ar.reshape(shape) / w.alpha
 
 
 def build_step_matrix(omega: float, alpha: float, r: float) -> StepMatrix:
@@ -237,6 +239,19 @@ def build_step_matrix(omega: float, alpha: float, r: float) -> StepMatrix:
     ar = alpha * r
     entries = np.array([[omega, -ar], [omega, 1.0 - ar]])
     return StepMatrix(omega=omega, alpha=alpha, r=r, entries=entries)
+
+
+def _weights(alpha1, alpha2, u):
+    """Combined weights ``alpha1*u1 + alpha2*u2`` from uniform draws ``u``
+    of shape ``(..., 2, n)``."""
+    return alpha1 * u[..., 0, :] + alpha2 * u[..., 1, :]
+
+
+def _draw_weights(rng, alpha1, alpha2, shape):
+    """Combined weights alpha*r of ``shape = (..., n)``, one per lane and
+    step.  Each step draws its ``n`` values of ``u1``, then its ``n`` values
+    of ``u2``: the same stream as two ``rng.random(n)`` calls per step."""
+    return _weights(alpha1, alpha2, rng.random((*shape[:-1], 2, shape[-1])))
 
 
 def _step(omega, ar, v, x, out=(None, None)):

@@ -67,8 +67,10 @@ class _CostAdapter:
     array returns shape (n,) whose first value matches a call on the first
     row alone; otherwise it is called once per row.  The row check catches
     a per-point function whose (dim,)-vector formula also returns n values
-    on a batch with n == dim.  A (B, n, dim) stack is evaluated one swarm
-    block at a time.
+    on a batch with n == dim.  Only an ``IndexError``, ``TypeError`` or
+    ``ValueError`` from the batch call marks ``f`` per-row; any other
+    exception reaches the caller.  A (B, n, dim) stack is evaluated one
+    swarm block at a time.
     """
 
     def __init__(self, f):
@@ -96,7 +98,7 @@ class _CostAdapter:
         """The batch call's costs, or None if ``f`` is not batch-capable."""
         try:
             out = np.asarray(self._f(points), dtype=float)
-        except Exception:
+        except (IndexError, TypeError, ValueError):
             return None
         if out.shape != (points.shape[0],):
             return None
@@ -243,8 +245,7 @@ def _evaluate(cost, positions: np.ndarray, finite: np.ndarray | None) -> np.ndar
     return out
 
 
-def _advance(state: SwarmState, omega, alpha1, alpha2, r: np.ndarray, cost,
-             update_bests: bool = True) -> SwarmState:
+def _advance(state: SwarmState, omega, alpha1, alpha2, r: np.ndarray, cost) -> SwarmState:
     """One synchronous iteration of a batch state.
 
     ``omega``, ``alpha1`` and ``alpha2`` broadcast against (B, n, dim);
@@ -262,19 +263,16 @@ def _advance(state: SwarmState, omega, alpha1, alpha2, r: np.ndarray, cost,
     else:
         finite = finite.all(axis=-1)
         diverged = state.diverged | ~finite.all(axis=-1)
-    p_best, p_best_cost = state.p_best, state.p_best_cost
-    g_best, g_best_cost = state.g_best, state.g_best_cost
-    if update_bests:
-        c = _evaluate(cost, positions, finite)
-        improved = c < p_best_cost
-        p_best = np.where(improved[..., None], positions, p_best)
-        p_best_cost = np.where(improved, c, p_best_cost)
-        rows = np.arange(len(c))
-        gi = p_best_cost.argmin(axis=1)
-        found = p_best_cost[rows, gi]
-        better = found < g_best_cost
-        g_best = np.where(better[:, None], p_best[rows, gi], g_best)
-        g_best_cost = np.where(better, found, g_best_cost)
+    c = _evaluate(cost, positions, finite)
+    improved = c < state.p_best_cost
+    p_best = np.where(improved[..., None], positions, state.p_best)
+    p_best_cost = np.where(improved, c, state.p_best_cost)
+    rows = np.arange(len(c))
+    gi = p_best_cost.argmin(axis=1)
+    found = p_best_cost[rows, gi]
+    better = found < state.g_best_cost
+    g_best = np.where(better[:, None], p_best[rows, gi], state.g_best)
+    g_best_cost = np.where(better, found, state.g_best_cost)
     return SwarmState(positions, velocities, p_best, p_best_cost, g_best, g_best_cost,
                       state.iteration + 1, diverged)
 
@@ -294,15 +292,18 @@ def lockstep(f, params, iterations: int, bounds, seeds, trace=None) -> SwarmStat
     run ``optimize`` gives for its parameters and seed.  ``trace``, if
     given, is a (B, iterations) array that receives the global best costs
     after every iteration.  Returns the final batch state (see
-    :class:`SwarmState`).
+    :class:`SwarmState`).  ``seeds`` must hold one seed per ``params``
+    entry, and there must be at least one swarm.
     """
+    children = [_seed_sequence(s).spawn(2) for s in seeds]
+    if not len(children) == len(params) >= 1:
+        raise ValueError("lockstep needs one seed per swarm and at least one swarm")
     n, dim = params[0].n_particles, params[0].dim
     if any((p.n_particles, p.dim) != (n, dim) for p in params):
         raise ValueError("swarms in lockstep must share n_particles and dim")
     weights = np.array([(p.omega, p.alpha1, p.alpha2) for p in params])[:, :, None, None]
     omega, alpha1, alpha2 = weights[:, 0], weights[:, 1], weights[:, 2]
     b = _as_bounds(bounds, dim)
-    children = [_seed_sequence(s).spawn(2) for s in seeds]
     state = _start(f, np.array([_uniform(init_ss, b, n) for init_ss, _ in children]))
     rngs = [np.random.default_rng(step_ss) for _, step_ss in children]
     span = max(1, min(iterations, _DRAW_VALUES // (len(rngs) * 2 * n * dim)))
@@ -330,13 +331,8 @@ def init_swarm(params: SwarmParams, bounds, f, seed=None) -> SwarmState:
     return _lower(_start(_CostAdapter.wrap(f), positions[None]))
 
 
-def pso_step(
-    state: SwarmState,
-    params: SwarmParams,
-    f,
-    rng: np.random.Generator,
-    update_bests: bool = True,
-) -> SwarmState:
+def pso_step(state: SwarmState, params: SwarmParams, f,
+             rng: np.random.Generator) -> SwarmState:
     """Advance the swarm one iteration.
 
     Draws fresh diagonal weights ``r1 = rng.random((n, dim))`` then
@@ -344,15 +340,10 @@ def pso_step(
     dimension), applies the velocity/position update against the previous
     iteration's bests, evaluates the cost of finite positions, and applies
     strict-improvement best replacements (ties keep the incumbent).
-
-    ``update_bests=False`` freezes the personal and global bests, which
-    turns the swarm into independent particles under fixed attractors;
-    used for validating against the single-particle dynamics.  The cost is
-    then not evaluated.
     """
     r = rng.random((1, 2, state.n_particles, state.dim))
     return _lower(_advance(_lift(state), params.omega, params.alpha1, params.alpha2, r,
-                           _CostAdapter.wrap(f), update_bests))
+                           _CostAdapter.wrap(f)))
 
 
 def optimize(f, params: SwarmParams, iterations: int, bounds=(-100.0, 100.0), seed=None) -> RunResult:

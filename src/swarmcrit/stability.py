@@ -27,7 +27,7 @@ convergence, differ.  One radius rule decides both: a lane converges when
 ``v*v + x*x <= r_in*r_in`` and escapes when ``v*v + x*x >= r_out*r_out``.
 The radii must satisfy ``1e-150 <= r_in < 1 < r_out <= 1e150``, so both
 squares are normal floats and the rule is the exact norm comparison up to
-rounding.
+rounding.  The neutral experiment fixes them at 1e-6 and 1e6.
 
 The estimators validate their attraction weights: ``alpha1`` and
 ``alpha2`` must be finite and nonnegative.
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _check_weights, _seed_sequence, _step, affine_update
+from .dynamics import _check_weights, _draw_weights, _seed_sequence, _step, _weights, affine_update
 
 __all__ = [
     "NumericOverflowError",
@@ -88,6 +88,14 @@ METHOD_LYAPUNOV = "LYAPUNOV_BISECTION"
 METHOD_ESCAPE = "ESCAPE_EQUALITY"
 
 _MAX_EVALS = 48  # bisection steps after the bracket ends, before UNRESOLVED
+
+# first-passage radii: escape_probability's defaults and the neutral
+# experiment's fixed radii
+_R_IN, _R_OUT = 1e-6, 1e6
+
+# the neutral boundary's bisection bracket and highest budget level
+_NEUTRAL_BRACKET = (0.25, 8.0)
+_NEUTRAL_MAX_LEVEL = 2
 
 _CURVE_HEADER = ["omega", "alpha_critical", "std_error", "status"]
 
@@ -217,9 +225,9 @@ class EscapeStats:
     p_escaped: float
     p_undecided: float
     trials: int
-    r_in: float = 1e-6
-    r_out: float = 1e6
-    max_steps: int = 1_000_000
+    r_in: float
+    r_out: float
+    max_steps: int
 
 
 @dataclass(frozen=True)
@@ -266,21 +274,6 @@ _BLOCK_STEPS = 256
 _BLOCK_VALUES = 1 << 16
 
 
-def _weights(alpha1, alpha2, u):
-    """Combined weights ``alpha1*u1 + alpha2*u2`` from uniform draws ``u``
-    of shape ``(..., 2, n)``."""
-    return alpha1 * u[..., 0, :] + alpha2 * u[..., 1, :]
-
-
-def _draw_weights(rng, alpha1, alpha2, shape, fixed_r=None):
-    """Combined weights alpha*r of ``shape = (..., n)``, one per lane and
-    step.  Each step draws its ``n`` values of ``u1``, then its ``n`` values
-    of ``u2``: the same stream as two ``rng.random(n)`` calls per step."""
-    if fixed_r is not None:
-        return np.full(shape, (alpha1 + alpha2) * fixed_r)
-    return _weights(alpha1, alpha2, rng.random((*shape[:-1], 2, shape[-1])))
-
-
 def _start(rng, n):
     """Random unit phase vectors ``(v, x) = (sin theta, cos theta)``."""
     theta = rng.uniform(0.0, 2.0 * np.pi, n)
@@ -318,7 +311,7 @@ def _block(omega, ar, v, x):
     return norm, phase
 
 
-def _orbit(rng, omega, alpha1, alpha2, v, x, burn_in, steps, fixed_r=None):
+def _orbit(rng, omega, alpha1, alpha2, v, x, burn_in, steps):
     """Renormalised orbit from ``(v, x)`` over ``burn_in + steps`` steps, in
     blocks that never straddle the end of the burn-in.
 
@@ -332,7 +325,7 @@ def _orbit(rng, omega, alpha1, alpha2, v, x, burn_in, steps, fixed_r=None):
     end = burn_in + steps
     bounds = [*range(0, burn_in, k_max), *range(burn_in, end, k_max), end]
     for k0, k1 in zip(bounds, bounds[1:]):
-        ar = _draw_weights(rng, alpha1, alpha2, (k1 - k0, n), fixed_r)
+        ar = _draw_weights(rng, alpha1, alpha2, (k1 - k0, n))
         norm, phase = _block(omega, ar, v, x)
         good = _good_rows(norm)
         if good:
@@ -340,15 +333,6 @@ def _orbit(rng, omega, alpha1, alpha2, v, x, burn_in, steps, fixed_r=None):
         if good < k1 - k0:
             raise NumericOverflowError("renormalisation failed", step=k0 + good)
         v, x = phase[-1]
-
-
-def _check_radii(r_in, r_out):
-    """The first-passage radii must satisfy ``1e-150 <= r_in < 1 < r_out <=
-    1e150``: the unit start circle lies strictly between them, and both
-    squares are normal floats."""
-    # NaN fails the comparison
-    if not 1e-150 <= r_in < 1.0 < r_out <= 1e150:
-        raise ValueError("require 1e-150 <= r_in < 1 < r_out <= 1e150")
 
 
 def _first_passage(seed, n, steps, update, r_in, r_out, converged=None):
@@ -359,13 +343,12 @@ def _first_passage(seed, n, steps, update, r_in, r_out, converged=None):
     lanes with ``update(u, v, x) -> (v, x)``.  A lane converges when
     ``v*v + x*x <= r_in*r_in``, or when ``converged(v, x)`` holds if that
     test is given, and escapes when ``v*v + x*x >= r_out*r_out``.  With
-    radii that pass :func:`_check_radii` the squares are normal floats, so
-    the rule is the exact norm comparison up to rounding.  A lane retires
-    at its first step with either outcome and counts for one only if the
-    other does not hold; a NaN lane never retires.  Nothing is drawn once
-    every lane has retired.  The lanes belong to the loop, so ``update``
-    may overwrite ``v`` and ``x``.  Returns the converged and escaped
-    counts.
+    radii within [1e-150, 1e150] the squares are normal floats, so the rule
+    is the exact norm comparison up to rounding.  A lane retires at its
+    first step with either outcome and counts for one only if the other
+    does not hold; a NaN lane never retires.  Nothing is drawn once every
+    lane has retired.  The lanes belong to the loop, so ``update`` may
+    overwrite ``v`` and ``x``.  Returns the converged and escaped counts.
     """
     rin2 = r_in * r_in
     rout2 = r_out * r_out
@@ -416,7 +399,6 @@ def lyapunov_exponent(
     trials: int = 32,
     burn_in: int = 1000,
     seed=None,
-    fixed_r: float | None = None,
 ) -> LyapunovEstimate:
     """Estimate the top Lyapunov exponent of the random product.
 
@@ -433,10 +415,6 @@ def lyapunov_exponent(
         Monte-Carlo budget; at least 1000 steps and 10 trials are
         recommended for production estimates.
     seed : int, SeedSequence or Generator, optional
-    fixed_r : float, optional
-        Degenerate-distribution hook replacing the random weight by a
-        constant, used to validate against deterministic eigenvalue
-        analysis.
 
     Raises
     ------
@@ -448,7 +426,7 @@ def lyapunov_exponent(
     if trials < 1 or steps < 1 or burn_in < 0:
         raise ValueError("steps and trials must be >= 1, burn_in >= 0")
     rng = np.random.default_rng(seed)
-    orbit = _orbit(rng, omega, alpha1, alpha2, *_start(rng, trials), burn_in, steps, fixed_r)
+    orbit = _orbit(rng, omega, alpha1, alpha2, *_start(rng, trials), burn_in, steps)
     acc = np.zeros(trials)
     for k0, norm, _, _ in orbit:
         if k0 >= burn_in:
@@ -464,7 +442,6 @@ def lyapunov_pair(
     trials: int = 32,
     burn_in: int = 1000,
     seed=None,
-    fixed_r: float | None = None,
 ) -> tuple[LyapunovEstimate, LyapunovEstimate]:
     """Estimate both Lyapunov exponents via per-step orthonormalisation.
 
@@ -476,7 +453,7 @@ def lyapunov_pair(
     """
     _check_weights(alpha1, alpha2)
     if omega == 0.0:
-        top = lyapunov_exponent(omega, alpha1, alpha2, steps, trials, burn_in, seed, fixed_r)
+        top = lyapunov_exponent(omega, alpha1, alpha2, steps, trials, burn_in, seed)
         bottom = LyapunovEstimate(-math.inf, 0.0, steps, trials, burn_in)
         return top, bottom
     if trials < 1 or steps < 1 or burn_in < 0:
@@ -486,7 +463,7 @@ def lyapunov_pair(
     # orthonormal frame per trial: q1 = (c, s), q2 = (-s, c) in (v, x); the
     # first leg is the renormalised orbit, the second follows its matrices
     # one step at a time over each block's rows
-    orbit = _orbit(rng, omega, alpha1, alpha2, c, s, burn_in, steps, fixed_r)
+    orbit = _orbit(rng, omega, alpha1, alpha2, c, s, burn_in, steps)
     q2v, q2x = -s, c
     acc1 = np.zeros(trials)
     acc2 = np.zeros(trials)
@@ -581,8 +558,8 @@ def escape_probability(
     omega: float,
     alpha1: float,
     alpha2: float,
-    r_in: float = 1e-6,
-    r_out: float = 1e6,
+    r_in: float = _R_IN,
+    r_out: float = _R_OUT,
     max_steps: int = 1_000_000,
     trials: int = 10_000,
     seed=None,
@@ -599,7 +576,10 @@ def escape_probability(
     <= 1e150``.
     """
     _check_weights(alpha1, alpha2)
-    _check_radii(r_in, r_out)
+    # the unit start circle lies strictly between the radii, and both squares
+    # are normal floats; NaN fails the comparison
+    if not 1e-150 <= r_in < 1.0 < r_out <= 1e150:
+        raise ValueError("require 1e-150 <= r_in < 1 < r_out <= 1e150")
     if trials < 1 or max_steps < 1:
         raise ValueError("trials and max_steps must be >= 1")
 
@@ -791,17 +771,14 @@ def _check_omega(omega) -> float:
     return omega
 
 
-def _grid_points(solve, point, omega_grid, seed, **arguments):
-    """``solve(**arguments)`` over a checked grid: ``omega`` the grid, ``seed``
-    one child of ``seed`` a point, defaults from the point signature ``point``."""
+def _grid(omega_grid, seed):
+    """The checked ``omega_grid`` as a list, and one child of ``seed`` a point."""
     omegas = [_check_omega(w) for w in omega_grid]
     if not omegas:
         raise ValueError("omega_grid must be non-empty")
     if any(b <= a for a, b in zip(omegas, omegas[1:])):
         raise ValueError("omega_grid must be strictly increasing")
-    call = point.bind(omegas, seed=_seed_sequence(seed).spawn(len(omegas)), **arguments)
-    call.apply_defaults()
-    return solve(**call.arguments)
+    return omegas, _seed_sequence(seed).spawn(len(omegas))
 
 
 def _critical_points(omega, ratio, tolerance, seed, method, alpha_lo, alpha_max, steps, trials,
@@ -855,6 +832,10 @@ def critical_alpha(
                             max_level)[0]
 
 
+# read at import, so that wrappers later bound to the name keep the defaults
+_CRITICAL_ALPHA = inspect.signature(critical_alpha)
+
+
 def critical_curve(
     omega_grid,
     ratio: str = RATIO_EQUAL,
@@ -873,8 +854,11 @@ def critical_curve(
     status: it raises :class:`NumericOverflowError`, for the lowest failing
     ``omega``, as a loop over the grid would.
     """
-    points = _grid_points(_critical_points, _CRITICAL_ALPHA, omega_grid, seed, ratio=ratio,
-                          tolerance=tolerance, method=method, **budgets)
+    omegas, seeds = _grid(omega_grid, seed)
+    call = _CRITICAL_ALPHA.bind(omegas, ratio=ratio, tolerance=tolerance, seed=seeds,
+                                method=method, **budgets)
+    call.apply_defaults()
+    points = _critical_points(**call.arguments)
     method_name = METHOD_LYAPUNOV if method == "lyapunov" else METHOD_ESCAPE
     return CriticalCurve(points=points, ratio=ratio, method=method_name)
 
@@ -960,18 +944,16 @@ def _neutral_fractions(omega, alpha1, alpha2, config, repetitions, r_in, r_out, 
     return n_conv / repetitions, n_div / repetitions
 
 
-def _neutral_points(omega, config, ratio, tolerance, seed, r_in, r_out, alpha_lo, alpha_max,
-                    max_level):
+def _neutral_points(omega, config, ratio, tolerance, seed):
     """:func:`neutral_alpha` at each value of the list ``omega``, point ``i``
     seeded by ``seed[i]``, in one :func:`_solve` call."""
-    _check_radii(r_in, r_out)
 
     def start(i, a1, a2, level, child):
         reps = config.repetitions * 2**level
-        p_conv, p_div = _neutral_fractions(omega[i], a1, a2, config, reps, r_in, r_out, child)
+        p_conv, p_div = _neutral_fractions(omega[i], a1, a2, config, reps, _R_IN, _R_OUT, child)
         return _fraction_difference(p_div, p_conv, reps)
 
-    return _solve(omega, seed, ratio, tolerance, alpha_lo, alpha_max, max_level, start)
+    return _solve(omega, seed, ratio, tolerance, *_NEUTRAL_BRACKET, _NEUTRAL_MAX_LEVEL, start)
 
 
 def neutral_alpha(
@@ -980,23 +962,14 @@ def neutral_alpha(
     ratio: str = RATIO_EQUAL,
     tolerance: float = 0.02,
     seed=None,
-    r_in: float = 1e-6,
-    r_out: float = 1e6,
-    alpha_lo: float = 0.25,
-    alpha_max: float = 8.0,
-    max_level: int = 2,
 ) -> CriticalPoint:
     """Boundary weight where convergence and divergence fractions are equal
     in the scaled finite-time experiment, solved as a curve of one point.
-    ``omega`` must be finite and lie within [-1.1, 1.1], and the radii must
-    satisfy ``1e-150 <= r_in < 1 < r_out <= 1e150``."""
-    return _neutral_points([_check_omega(omega)], config, ratio, tolerance, [seed], r_in, r_out,
-                           alpha_lo, alpha_max, max_level)[0]
-
-
-# read at import, so that wrappers later bound to the names keep the defaults
-_CRITICAL_ALPHA = inspect.signature(critical_alpha)
-_NEUTRAL_ALPHA = inspect.signature(neutral_alpha)
+    ``omega`` must be finite and lie within [-1.1, 1.1].  The radii are
+    fixed at ``r_in = 1e-6`` and ``r_out = 1e6``, the bisection bracket is
+    ``(0.25, 8]``, and the per-probe budget doubles up to twice near the
+    root."""
+    return _neutral_points([_check_omega(omega)], config, ratio, tolerance, [seed])[0]
 
 
 def neutral_stability_curve(
@@ -1005,14 +978,12 @@ def neutral_stability_curve(
     tolerance: float = 0.02,
     seed=None,
     ratio: str = RATIO_EQUAL,
-    **kwargs,
 ) -> CriticalCurve:
     """Neutral-stability boundary over an inertia grid for one scaling
     configuration, in one solver call: point ``i`` is the
     :func:`neutral_alpha` result for the ``i``-th child of ``seed``.  Point
     failures are carried as status markers.  Grid values must be finite,
-    strictly increasing and lie within [-1.1, 1.1], and the radii in
-    ``kwargs`` must satisfy ``1e-150 <= r_in < 1 < r_out <= 1e150``."""
-    points = _grid_points(_neutral_points, _NEUTRAL_ALPHA, omega_grid, seed, config=config,
-                          ratio=ratio, tolerance=tolerance, **kwargs)
+    strictly increasing and lie within [-1.1, 1.1]."""
+    omegas, seeds = _grid(omega_grid, seed)
+    points = _neutral_points(omegas, config, ratio, tolerance, seeds)
     return CriticalCurve(points=points, ratio=ratio, method=METHOD_ESCAPE)

@@ -73,15 +73,16 @@ def test_criterion_02_mixture_density():
     _report(2, ok, detail, 10.0, time.time() - t0)
 
 
-def test_criterion_03_deterministic_oracle():
+def test_criterion_03_deterministic_oracle(constant_weight):
     t0 = time.time()
+    constant_weight(0.5)
     worst = 0.0
     for omega in (0.1, 0.3, 0.5, 0.7, 0.9):
         for alpha in (0.5, 2.0, 4.0, 6.0):
             eigs = np.linalg.eigvals(build_step_matrix(omega, alpha, 0.5).entries)
             oracle = float(np.log(np.max(np.abs(eigs))))
             est = lyapunov_exponent(omega, alpha / 2, alpha / 2, steps=50_000,
-                                    trials=2, burn_in=100, seed=101, fixed_r=0.5)
+                                    trials=2, burn_in=100, seed=101)
             worst = max(worst, abs(est.value - oracle))
     _report(3, worst < 1e-3, f"max |lambda - log rho| = {worst:.2e} at 20 points",
             30.0, time.time() - t0)

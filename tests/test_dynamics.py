@@ -7,6 +7,7 @@ from swarmcrit.dynamics import (
     MixtureWeight,
     Regime,
     SwarmParams,
+    _draw_weights,
     _step,
     affine_update,
     build_step_matrix,
@@ -125,6 +126,16 @@ def test_sample_mixture_mean_and_variance():
 
     r_single = sample_mixture(np.random.default_rng(12), MixtureWeight(0.0, 1.0), size=10**6)
     assert r_single.var() == pytest.approx(1.0 / 12.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("pair", [(1.0, 3.0), (0.0, 1.0), (0.4, 1.1)])
+def test_sample_mixture_is_the_estimators_draw_over_alpha(pair):
+    # the stability estimators draw alpha*r with _draw_weights; the sampler
+    # is that draw divided by alpha, bit for bit
+    w = MixtureWeight(*pair)
+    r = sample_mixture(np.random.default_rng(31), w, size=10_000)
+    ar = _draw_weights(np.random.default_rng(31), w.alpha1, w.alpha2, (10_000,))
+    assert np.array_equal(r, ar / w.alpha)
 
 
 def test_sample_mixture_deterministic():

@@ -260,6 +260,31 @@ def test_seed_sequence_argument_is_not_advanced():
     assert batch[0][0] == first.best_cost
 
 
+@pytest.mark.parametrize("n_params, seeds", [(3, [1]), (1, [1, 2]), (0, []), (0, [1])],
+                         ids=["one_seed_three_swarms", "two_seeds_one_swarm", "no_swarm",
+                              "seed_without_swarm"])
+def test_lockstep_requires_one_seed_per_swarm(n_params, seeds):
+    params = [SwarmParams(0.7, 0.7, 0.7, n_particles=3, dim=2)] * n_params
+    with pytest.raises(ValueError, match="one seed per swarm"):
+        lockstep(sphere, params, 5, (-1.0, 1.0), seeds)
+
+
+def test_cost_errors_outside_the_batch_probe_reach_the_caller():
+    calls = []
+
+    def failing_on_batches(points):
+        # a per-row fallback would run without error
+        calls.append(np.shape(points))
+        if np.ndim(points) == 2:
+            raise RuntimeError("cost failed")
+        return sphere_scalar(points)
+
+    params = SwarmParams(0.7, 0.7, 0.7, n_particles=5, dim=2)
+    with pytest.raises(RuntimeError, match="cost failed"):
+        optimize(failing_on_batches, params, 10, seed=1)
+    assert calls == [(5, 2)]
+
+
 def test_scale_equivariance_power_of_two():
     # power-of-two scaling commutes with float rounding, so the whole
     # trajectory scales exactly for a homogeneous cost
@@ -274,21 +299,22 @@ def test_scale_equivariance_power_of_two():
 def test_single_particle_matches_homogeneous_dynamics_bitwise():
     # one particle, bests pinned to the origin, social-only: the swarm
     # trajectory must equal the library's homogeneous step under the weight
-    # alpha2 * r2 bit for bit given the same draws
+    # alpha2 * r2 bit for bit given the same draws.  The best costs are 0,
+    # the minimum of sphere, so no strict improvement can move the bests.
     params = SwarmParams(0.7, 0.0, 2.0, n_particles=1, dim=1)
     state = SwarmState(
         positions=np.array([[0.8]]),
         velocities=np.array([[0.1]]),
         p_best=np.zeros((1, 1)),
-        p_best_cost=np.array([0.64]),
+        p_best_cost=np.array([0.0]),
         g_best=np.zeros(1),
-        g_best_cost=0.64,
+        g_best_cost=0.0,
         iteration=0,
     )
     rng = np.random.default_rng(16)
     swarm_traj = []
     for _ in range(50):
-        state = pso_step(state, params, sphere, rng, update_bests=False)
+        state = pso_step(state, params, sphere, rng)
         swarm_traj.append((state.velocities[0, 0], state.positions[0, 0]))
 
     rng = np.random.default_rng(16)
