@@ -124,10 +124,10 @@ def build_parser() -> _Parser:
     p.add_argument("--omega", type=_finite, required=True)
     p.add_argument("--alpha", type=_positive, required=True)
     p.add_argument("--split", type=_ratio, default="equal")
-    p.add_argument("--r-in", type=_positive, default=1e-6,
-                   help="inner radius, within [1e-150, 1) (default 1e-6)")
-    p.add_argument("--r-out", type=_positive, default=1e6,
-                   help="outer radius, within (1, 1e150] (default 1e6)")
+    p.add_argument("--r-in", type=_positive, default=stability._R_IN,
+                   help="inner radius, within [1e-150, 1) (default %(default)g)")
+    p.add_argument("--r-out", type=_positive, default=stability._R_OUT,
+                   help="outer radius, within (1, 1e150] (default %(default)g)")
     p.add_argument("--max-steps", type=int, default=1_000_000, help="step cap (default 1000000)")
     p.add_argument("--trials", type=int, default=10_000, help="trials (default 10000)")
     p.add_argument("--seed", type=int, default=0)

@@ -33,12 +33,17 @@ The estimators validate their attraction weights: ``alpha1`` and
 ``alpha2`` must be finite and nonnegative.
 
 Critical points are found by a stochastic bisection written as a generator
-that yields probe requests and is sent their results.  Every critical
+that yields probe requests and is sent each probe's sign: -1 or +1 when
+the estimate is 3-sigma significant, 0 when it is not.  Every critical
 point, alone or on a curve, runs through one driver, ``_solve``: one
 bisection per inertia value.  Lyapunov probes of all points advance
 together as one block of lanes with a per-lane ``omega``; escape and
-neutral probes are answered as they are asked.  Each probe keeps its own
-seed, so a point's result does not depend on the other points.
+neutral probes are answered as they are asked, and a first-passage probe
+stops at the first step after which every way its open lanes can still
+end gives the same sign.  Each probe keeps its own seed, so a point's
+result does not depend on the other points, and a probe cut short changes
+no other probe.  ``escape_probability`` and the neutral fractions always
+run every trial to its end.
 """
 
 from __future__ import annotations
@@ -335,7 +340,64 @@ def _orbit(rng, omega, alpha1, alpha2, v, x, burn_in, steps):
         v, x = phase[-1]
 
 
-def _first_passage(seed, n, steps, update, r_in, r_out, converged=None):
+def _sign(value, se):
+    """A probe's reply to :func:`_bisection`: 0 unless ``abs(value) > 3*se``,
+    otherwise the sign of ``value``."""
+    # with se == 0 any nonzero value is significant, and 0 is not; NaN is not
+    if not abs(value) > 3.0 * se:
+        return 0
+    return 1 if value > 0 else -1
+
+
+def _fraction_difference(p_pos, p_neg, n):
+    """Difference of two outcome fractions of ``n`` trials, with its error."""
+    diff = p_pos - p_neg
+    var = (p_pos + p_neg - diff * diff) / n
+    return diff, math.sqrt(max(var, 0.0))
+
+
+# With e positive and c negative outcomes of n trials, d = e - c and
+# s = e + c, the reply _sign(*_fraction_difference(e/n, c/n, n)) is
+# significant iff d*d*(n + 9) > 9*n*s in exact arithmetic.  The float test
+# rounds about ten times, each by a relative 2**-53; the difference of the
+# two fractions loses at most a factor s/|d| <= n to cancellation, and the
+# variance near the threshold at most a factor 1 + 18/n.  So the float reply
+# equals the exact one wherever the two sides differ by a factor
+# 1 + 2**-20, for any n below about 2**30 lanes, far more than fit in
+# memory.  An early reply demands that factor.
+_MARGIN = 1 << 20
+
+
+def _early_sign(n, pos, neg, live):
+    """The sign that every end of a first-passage probe of ``n`` trials
+    gives, when ``pos`` lanes have escaped, ``neg`` converged and ``live``
+    are open, or None while the open lanes can still change it.
+
+    Each end has ``e >= pos`` escaped and ``c >= neg`` converged lanes with
+    ``e + c <= pos + neg + live``; ending with every open lane undecided is
+    one of them.  Exact integers only.
+    """
+    top = pos + neg + live
+
+    def quiet(e, c):
+        d = e - c
+        return d * d * (n + 9) * (_MARGIN + 1) <= 9 * n * (e + c) * _MARGIN
+
+    # quiet's left side minus its right is convex in (e, c), so it holds on
+    # the whole triangle of ends if it holds at the three corners
+    if quiet(pos, neg) and quiet(pos + live, neg) and quiet(pos, neg + live):
+        return 0
+    # every end's d lies in [lo, hi], its s at most top; the end with d at
+    # the bound nearest 0 and s = top is the one nearest the threshold
+    lo, hi = pos - neg - live, pos - neg + live
+    if lo > 0 or hi < 0:
+        m = lo if lo > 0 else hi
+        if m * m * (n + 9) * _MARGIN >= 9 * n * top * (_MARGIN + 1):
+            return 1 if m > 0 else -1
+    return None
+
+
+def _first_passage(seed, n, steps, update, r_in, r_out, converged=None, early=False):
     """First passage of ``n`` lanes started at random unit ``(v, x)``.
 
     Each of at most ``steps`` steps draws ``u = rng.random((2, live))``,
@@ -349,6 +411,10 @@ def _first_passage(seed, n, steps, update, r_in, r_out, converged=None):
     does not hold; a NaN lane never retires.  Nothing is drawn once every
     lane has retired.  The lanes belong to the loop, so ``update`` may
     overwrite ``v`` and ``x``.  Returns the converged and escaped counts.
+
+    With ``early``, the loop also stops after the first step whose counts
+    fix the probe's sign (:func:`_early_sign`); the counts it returns then
+    give that sign, though not the counts of a full run.
     """
     rin2 = r_in * r_in
     rout2 = r_out * r_out
@@ -371,6 +437,8 @@ def _first_passage(seed, n, steps, update, r_in, r_out, converged=None):
                 n_esc += int(np.count_nonzero(esc & ~conv))
                 keep = ~done
                 v, x = v[keep], x[keep]
+                if early and _early_sign(n, n_esc, n_conv, x.size) is not None:
+                    break
     return n_conv, n_esc
 
 
@@ -554,6 +622,15 @@ def pushforward(
     return AngularHistogram(mass=out / draws, samples=hist.samples)
 
 
+def _escape_update(omega, alpha1, alpha2):
+    """The escape experiment's ``update`` for :func:`_first_passage`."""
+
+    def update(u, v, x):
+        return _step(omega, _weights(alpha1, alpha2, u), v, x, (v, x))
+
+    return update
+
+
 def escape_probability(
     omega: float,
     alpha1: float,
@@ -582,11 +659,8 @@ def escape_probability(
         raise ValueError("require 1e-150 <= r_in < 1 < r_out <= 1e150")
     if trials < 1 or max_steps < 1:
         raise ValueError("trials and max_steps must be >= 1")
-
-    def update(u, v, x):
-        return _step(omega, _weights(alpha1, alpha2, u), v, x, (v, x))
-
-    n_conv, n_esc = _first_passage(seed, trials, max_steps, update, r_in, r_out)
+    n_conv, n_esc = _first_passage(seed, trials, max_steps, _escape_update(omega, alpha1, alpha2),
+                                   r_in, r_out)
     n_und = trials - n_conv - n_esc
     return EscapeStats(
         p_converged=n_conv / trials,
@@ -605,8 +679,11 @@ def _bisection(seed, ratio, lo, hi, tolerance, omega, max_level):
 
     A generator: it yields probe requests ``(alpha1, alpha2, level,
     child_seed)`` (the split weights, the budget level and a fresh child of
-    ``seed``), is sent back each probe's ``(value, std_error)``, and returns
-    the :class:`CriticalPoint`.  The bracket must be finite with
+    ``seed``), is sent back each probe's sign, and returns the
+    :class:`CriticalPoint`.  A sign is -1 or +1 when the probe's estimate is
+    3-sigma significant and 0 when it is not (:func:`_sign`); the point
+    depends on its probes through these signs only, so a first-passage probe
+    may stop as soon as its sign is decided.  The bracket must be finite with
     ``0 < lo < hi``.  Bracket endpoints must be sign-significant before
     bisection.  Far from the root probes separate from zero at the base
     budget; near the root the budget grows until the midpoint estimate is
@@ -623,29 +700,27 @@ def _bisection(seed, ratio, lo, hi, tolerance, omega, max_level):
     ss = _seed_sequence(seed)
 
     def significant(alpha):
-        """Grow the budget until the probe separates from zero at 3 sigma."""
-        value = se = 0.0
+        """Grow the budget until the probe's sign is nonzero; 0 if it never is."""
         for level in range(max_level + 1):
-            value, se = yield (*split_alpha(alpha, ratio), level, ss.spawn(1)[0])
-            # with se == 0 any nonzero value is significant, and 0 is not
-            if abs(value) > 3.0 * se:
-                return value, se, True
-        return value, se, False
+            sign = yield (*split_alpha(alpha, ratio), level, ss.spawn(1)[0])
+            if sign:
+                return sign
+        return 0
 
     # the low end must probe stable (negative), the high end unstable
-    for end, sign in ((lo, -1.0), (hi, 1.0)):
-        value, _, sig = yield from significant(end)
-        if not sig:
+    for end, end_sign in ((lo, -1), (hi, 1)):
+        sign = yield from significant(end)
+        if not sign:
             return CriticalPoint(omega, math.nan, math.nan, STATUS_UNRESOLVED)
-        if value * sign < 0:
+        if sign * end_sign < 0:
             return CriticalPoint(omega, math.nan, math.nan, STATUS_NO_CROSSING)
     for _ in range(_MAX_EVALS):
         mid = 0.5 * (lo + hi)
-        value, se, sig = yield from significant(mid)
-        if not sig:
+        sign = yield from significant(mid)
+        if not sign:
             # statistically at the root at full budget: |value| <= 3*se
             return CriticalPoint(omega, mid, 0.5 * (hi - lo), STATUS_OK)
-        if value < 0:
+        if sign < 0:
             lo = mid
         else:
             hi = mid
@@ -675,7 +750,7 @@ def _solve(omegas, seeds, ratio, tolerance, alpha_lo, alpha_max, max_level, star
 
     ``start(i, *request)`` opens point ``i``'s probe; ``advance(probes)``
     moves the open probes, keyed by point, on and yields ``(i, reply)`` for
-    each: ``None`` while it runs, then its ``(value, std_error)`` or the
+    each: ``None`` while it runs, then its sign (:func:`_bisection`) or the
     :class:`NumericOverflowError` that failed it.  By default ``start``
     answers at once.  A failure drops the points after its own, and the
     failure of the first failing point is raised, as in a loop over them.
@@ -750,16 +825,9 @@ def _lyapunov_kind(omegas, steps, trials, burn_in):
             p.done += k
             done = p.done == p.end
             est = _estimate(p.acc, p.end - burn_in, burn_in) if done else None
-            yield i, (est.value, est.std_error) if done else None
+            yield i, _sign(est.value, est.std_error) if done else None
 
     return start, advance
-
-
-def _fraction_difference(p_pos, p_neg, n):
-    """Difference of two outcome fractions of ``n`` trials, with its error."""
-    diff = p_pos - p_neg
-    var = (p_pos + p_neg - diff * diff) / n
-    return diff, math.sqrt(max(var, 0.0))
 
 
 def _check_omega(omega) -> float:
@@ -787,11 +855,14 @@ def _critical_points(omega, ratio, tolerance, seed, method, alpha_lo, alpha_max,
     ``i`` seeded by ``seed[i]``, in one :func:`_solve` call."""
     if method not in ("lyapunov", "escape"):
         raise ValueError(f"unknown method {method!r}")
+    if method == "escape" and (escape_trials < 1 or escape_max_steps < 1):
+        raise ValueError("trials and max_steps must be >= 1")
 
     def escape(i, a1, a2, level, child):
-        st = escape_probability(omega[i], a1, a2, max_steps=escape_max_steps,
-                                trials=escape_trials * 2**level, seed=child)
-        return _fraction_difference(st.p_escaped, st.p_converged, st.trials)
+        n = escape_trials * 2**level
+        n_conv, n_esc = _first_passage(child, n, escape_max_steps, _escape_update(omega[i], a1, a2),
+                                       _R_IN, _R_OUT, early=True)
+        return _sign(*_fraction_difference(n_esc / n, n_conv / n, n))
 
     kind = _lyapunov_kind(omega, steps, trials, burn_in) if method == "lyapunov" else (escape,)
     return _solve(omega, seed, ratio, tolerance, alpha_lo, alpha_max, max_level, *kind)
@@ -925,6 +996,15 @@ def _neutral_fractions(omega, alpha1, alpha2, config, repetitions, r_in, r_out, 
     Divergence: the phase norm reaches ``r_out``.  A lane passing both
     tests at once counts for neither.
     """
+    update, converged = _neutral_rules(omega, alpha1, alpha2, config, r_in)
+    n_conv, n_div = _first_passage(seed, repetitions, config.iterations, update, r_in, r_out,
+                                   converged)
+    return n_conv / repetitions, n_div / repetitions
+
+
+def _neutral_rules(omega, alpha1, alpha2, config, r_in):
+    """The neutral experiment's ``(update, converged)`` for
+    :func:`_first_passage`, with the rules of :func:`_neutral_fractions`."""
     p_eff = config.kappa * config.p
     g_eff = config.kappa * config.g
     seg_lo = min(p_eff, g_eff)
@@ -938,10 +1018,7 @@ def _neutral_fractions(omega, alpha1, alpha2, config, repetitions, r_in, r_out, 
         dist = np.maximum(np.maximum(seg_lo - x, x - seg_hi), 0.0)
         return dist <= r_in * width
 
-    converged = None if width == 0.0 else near_segment
-    n_conv, n_div = _first_passage(seed, repetitions, config.iterations, update, r_in, r_out,
-                                   converged)
-    return n_conv / repetitions, n_div / repetitions
+    return update, None if width == 0.0 else near_segment
 
 
 def _neutral_points(omega, config, ratio, tolerance, seed):
@@ -950,8 +1027,10 @@ def _neutral_points(omega, config, ratio, tolerance, seed):
 
     def start(i, a1, a2, level, child):
         reps = config.repetitions * 2**level
-        p_conv, p_div = _neutral_fractions(omega[i], a1, a2, config, reps, _R_IN, _R_OUT, child)
-        return _fraction_difference(p_div, p_conv, reps)
+        update, converged = _neutral_rules(omega[i], a1, a2, config, _R_IN)
+        n_conv, n_div = _first_passage(child, reps, config.iterations, update, _R_IN, _R_OUT,
+                                       converged, early=True)
+        return _sign(*_fraction_difference(n_div / reps, n_conv / reps, reps))
 
     return _solve(omega, seed, ratio, tolerance, *_NEUTRAL_BRACKET, _NEUTRAL_MAX_LEVEL, start)
 

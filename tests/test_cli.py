@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from swarmcrit.cli import dispatch
+from swarmcrit import stability
+from swarmcrit.cli import build_parser, dispatch
 from swarmcrit.io import read_csv, read_keyvalue_config, write_json
 from swarmcrit.stability import CriticalCurve, CriticalPoint
 
@@ -228,6 +229,15 @@ def test_escape_json(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["p_converged"] > 0.99
     assert payload["p_converged"] + payload["p_escaped"] + payload["p_undecided"] == 1.0
+
+
+def test_escape_radii_default_to_the_library_radii(capsys):
+    args = build_parser().parse_args(["escape", "--omega", "0.3", "--alpha", "0.5",
+                                      "--output", "escape.json"])
+    assert (args.r_in, args.r_out) == (stability._R_IN, stability._R_OUT)
+    with pytest.raises(SystemExit):
+        run(["escape", "--help"])
+    assert f"(default {stability._R_IN:g})" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------- optimize / sweep / region

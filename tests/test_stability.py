@@ -1,3 +1,4 @@
+import collections
 import inspect
 import math
 import warnings
@@ -673,6 +674,65 @@ def test_first_passage_rule_on_extreme_lanes():
     assert counts == (2, 4)
 
 
+# the early stop of bisection probes: a sign it gives must be the sign of
+# every way the open lanes can end
+
+
+def _full_sign(n, e, c):
+    """The reply of a probe of ``n`` trials that ends with ``e`` lanes
+    escaped and ``c`` converged."""
+    return stability._sign(*stability._fraction_difference(e / n, c / n, n))
+
+
+def test_early_sign_agrees_with_every_end_up_to_30_trials():
+    early = collections.Counter()
+    for n in range(1, 31):
+        # signs[e, c] for e + c <= n; entries past that are never read
+        signs = np.zeros((n + 1, n + 1), dtype=int)
+        for e in range(n + 1):
+            for c in range(n + 1 - e):
+                signs[e, c] = _full_sign(n, e, c)
+        for live in range(n + 1):
+            # the ends (pos + i, neg + j) with i + j <= live
+            ends = np.add.outer(np.arange(live + 1), np.arange(live + 1)) <= live
+            for pos in range(n + 1 - live):
+                for neg in range(n + 1 - live - pos):
+                    sign = stability._early_sign(n, pos, neg, live)
+                    if sign is not None:
+                        block = signs[pos:pos + live + 1, neg:neg + live + 1]
+                        assert np.all(block[ends] == sign), (n, pos, neg, live)
+                        early[sign] += live > 0
+    # not vacuous: every reply is given early somewhere
+    assert min(early[-1], early[0], early[1]) > 0
+
+
+def test_early_sign_agrees_with_sampled_ends_at_80000_trials():
+    n = 80_000
+    rng = np.random.default_rng(0)
+    early = collections.Counter()
+    for _ in range(3000):
+        # an end (e, c) near the 3-sigma threshold d*d*(n + 9) = 9*n*s ...
+        s = int(rng.integers(1, n + 1))
+        d = round(math.sqrt(9 * n * s / (n + 9))) + int(rng.integers(-3, 4))
+        d = min(max(d, 0), s) * int(rng.choice([-1, 1]))
+        e = (s + d) // 2
+        c = s - e
+        # ... reached from a state with up to a few thousand open lanes
+        i, j, k = (int(m) for m in rng.integers(0, 2 ** rng.integers(0, 12, 3)))
+        pos, neg = max(e - i, 0), max(c - j, 0)
+        live = min(e - pos + c - neg + k, n - pos - neg)
+        sign = stability._early_sign(n, pos, neg, live)
+        if sign is None:
+            continue
+        early[sign] += 1
+        corners = [(0, 0), (live, 0), (0, live)]
+        sampled = [(a, int(rng.integers(0, live - a + 1)))
+                   for a in rng.integers(0, live + 1, 20)]
+        for a, b in corners + sampled:
+            assert _full_sign(n, pos + a, neg + b) == sign, (pos, neg, live, a, b)
+    assert min(early[-1], early[0], early[1]) > 0
+
+
 # ---------------------------------------------------------------- critical curve
 
 
@@ -860,8 +920,8 @@ def _children(grid, seed):
 
 
 def _one_at_a_time(search, probe):
-    """Run a ``_bisection``, answering each request with ``probe(*request)``
-    before the next is asked; returns its point."""
+    """Run a ``_bisection``, answering each request with the sign
+    ``probe(*request)`` before the next is asked; returns its point."""
     reply = None
     try:
         while True:
@@ -880,7 +940,7 @@ def _serial_curve(grid, seed, **budgets):
         def probe(a1, a2, level, probe_seed):
             est = lyapunov_exponent(w, a1, a2, b["steps"] * 2**level, b["trials"], b["burn_in"],
                                     probe_seed)
-            return est.value, est.std_error
+            return stability._sign(est.value, est.std_error)
 
         search = stability._bisection(child, b["ratio"], b["alpha_lo"], b["alpha_max"],
                                       b["tolerance"], w, b["max_level"])
@@ -970,14 +1030,15 @@ def _reference_points(point, probe, grid, seed, **arguments):
 def _escape_probe(b, w, a1, a2, level, seed):
     st = escape_probability(w, a1, a2, max_steps=b["escape_max_steps"],
                             trials=b["escape_trials"] * 2**level, seed=seed)
-    return stability._fraction_difference(st.p_escaped, st.p_converged, st.trials)
+    return stability._sign(*stability._fraction_difference(st.p_escaped, st.p_converged,
+                                                            st.trials))
 
 
 def _neutral_probe(b, w, a1, a2, level, seed):
     reps = b["config"].repetitions * 2**level
     p_conv, p_div = stability._neutral_fractions(w, a1, a2, b["config"], reps, stability._R_IN,
                                                  stability._R_OUT, seed)
-    return stability._fraction_difference(p_div, p_conv, reps)
+    return stability._sign(*stability._fraction_difference(p_div, p_conv, reps))
 
 
 _ESCAPE_CASES = {
@@ -1029,6 +1090,43 @@ def test_neutral_points_equal_one_probe_at_a_time(case):
                  for w, child in zip(_NEUTRAL_GRID, children)) == reference
     if case == "coincident_bests":
         assert {p.status for p in reference} == {STATUS_OK, STATUS_UNRESOLVED}
+
+
+def _counted(monkeypatch, name):
+    """Patch ``stability.<name>`` with a wrapper that counts its calls."""
+    calls = collections.Counter()
+    inner = getattr(stability, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(stability, name, counted)
+    return calls
+
+
+def test_escape_curve_stops_probes_early(monkeypatch):
+    grid = [0.0, 0.5]
+    budgets = dict(method="escape", tolerance=0.05, alpha_lo=1.0, escape_max_steps=400,
+                   escape_trials=200)
+    steps = _counted(monkeypatch, "_step")
+    reference = _reference_points(critical_alpha, _escape_probe, grid, 3, **budgets)
+    full = steps.pop("_step")
+    assert critical_curve(grid, seed=3, **budgets).points == reference
+    assert 0 < steps["_step"] < full
+
+
+def test_neutral_curve_stops_probes_early(monkeypatch):
+    config = ScalingConfig(1.0, iterations=50, repetitions=200)
+    lo, hi = stability._NEUTRAL_BRACKET
+    steps = _counted(monkeypatch, "affine_update")
+    reference = _reference_points(neutral_alpha, _neutral_probe, _NEUTRAL_GRID, 3,
+                                  config=config, tolerance=0.05, alpha_lo=lo, alpha_max=hi,
+                                  max_level=stability._NEUTRAL_MAX_LEVEL)
+    full = steps.pop("affine_update")
+    curve = neutral_stability_curve(config, _NEUTRAL_GRID, seed=3, tolerance=0.05)
+    assert curve.points == reference
+    assert 0 < steps["affine_update"] < full
 
 
 def test_critical_curve_csv_roundtrip(tmp_path):
