@@ -241,10 +241,13 @@ def build_step_matrix(omega: float, alpha: float, r: float) -> StepMatrix:
     return StepMatrix(omega=omega, alpha=alpha, r=r, entries=entries)
 
 
-def _weights(alpha1, alpha2, u):
+def _weights(alpha1, alpha2, u, out=(None, None)):
     """Combined weights ``alpha1*u1 + alpha2*u2`` from uniform draws ``u``
-    of shape ``(..., 2, n)``."""
-    return alpha1 * u[..., 0, :] + alpha2 * u[..., 1, :]
+    of shape ``(..., 2, n)``, written into ``out[0]`` with ``out[1]`` as
+    scratch when given; ``out`` may be ``u`` itself."""
+    # out arguments are positional: keywords cost a parse per call
+    return np.add(np.multiply(alpha1, u[..., 0, :], out[0]),
+                  np.multiply(alpha2, u[..., 1, :], out[1]), out[0])
 
 
 def _draw_weights(rng, alpha1, alpha2, shape):
@@ -254,25 +257,38 @@ def _draw_weights(rng, alpha1, alpha2, shape):
     return _weights(alpha1, alpha2, rng.random((*shape[:-1], 2, shape[-1])))
 
 
-def _step(omega, ar, v, x, out=(None, None)):
+def _step(omega, ar, v, x, out=(None, None), work=None):
     """The homogeneous step ``z' = M z``: ``v' = omega*v - ar*x; x' = v' + x``,
-    written into ``out = (v', x')`` when given."""
-    # out arguments are positional: keywords cost a parse per call
+    written into ``out = (v', x')`` when given, with ``ar*x`` in ``work``
+    when given.  ``out`` may be ``(v, x)``; ``work`` may be ``ar``."""
     v_new = np.multiply(omega, v, out[0])
-    np.subtract(v_new, ar * x, v_new)
+    np.subtract(v_new, np.multiply(ar, x, work), v_new)
     return v_new, np.add(v_new, x, out[1])
 
 
-def affine_update(omega, alpha1, alpha2, v, x, r1, r2, p, g):
+def affine_update(omega, alpha1, alpha2, v, x, r1, r2, p, g, out=(None, None),
+                  work=(None, None, None)):
     """Array form of the affine update with fixed best positions.
 
     Returns ``v' = omega*v + alpha1*r1*(p - x) + alpha2*r2*(g - x)`` and
     ``x' = x + v'``, broadcasting over any array shapes.  Divergence is not
     raised; non-finite entries are returned as they are.
+
+    When given, ``out = (v', x')`` receives the result, and ``work`` holds
+    ``alpha1*r1*(p - x)``, ``alpha2*r2*(g - x)`` and each difference, so no
+    array is allocated; ``out`` may be ``(v, x)`` and ``work`` may begin
+    with ``r1, r2``.  Every form rounds the same operations in the same order.
     """
+    # one nested expression: the allocating form frees each temporary as
+    # soon as the operator expression did, so no extra one stays live
     with np.errstate(over="ignore", invalid="ignore"):
-        v_new = omega * v + alpha1 * r1 * (p - x) + alpha2 * r2 * (g - x)
-        return v_new, x + v_new
+        v_new = np.add(
+            np.add(np.multiply(omega, v, out[0]),
+                   np.multiply(np.multiply(alpha1, r1, work[0]), np.subtract(p, x, work[2]),
+                               work[0]), out[0]),
+            np.multiply(np.multiply(alpha2, r2, work[1]), np.subtract(g, x, work[2]), work[1]),
+            out[0])
+        return v_new, np.add(x, v_new, out[1])
 
 
 def deterministic_regime(omega: float, alpha: float) -> RegimeLabel:

@@ -23,7 +23,9 @@ The escape and neutral-stability experiments share one first-passage
 loop, ``_first_passage``: lanes start on the unit circle, each step draws
 the weights of the live lanes, and a lane retires at its first outcome;
 only the update, and the neutral experiment's segment test for
-convergence, differ.  One radius rule decides both: a lane converges when
+convergence, differ.  A step writes into buffers the loop owns, through
+the ``out=`` forms of the two step maps, so only a retirement allocates.
+One radius rule decides both: a lane converges when
 ``v*v + x*x <= r_in*r_in`` and escapes when ``v*v + x*x >= r_out*r_out``.
 The radii must satisfy ``1e-150 <= r_in < 1 < r_out <= 1e150``, so both
 squares are normal floats and the rule is the exact norm comparison up to
@@ -400,17 +402,20 @@ def _early_sign(n, pos, neg, live):
 def _first_passage(seed, n, steps, update, r_in, r_out, converged=None, early=False):
     """First passage of ``n`` lanes started at random unit ``(v, x)``.
 
-    Each of at most ``steps`` steps draws ``u = rng.random((2, live))``,
-    the stream of two ``rng.random(live)`` calls, and advances the live
-    lanes with ``update(u, v, x) -> (v, x)``.  A lane converges when
-    ``v*v + x*x <= r_in*r_in``, or when ``converged(v, x)`` holds if that
-    test is given, and escapes when ``v*v + x*x >= r_out*r_out``.  With
-    radii within [1e-150, 1e150] the squares are normal floats, so the rule
-    is the exact norm comparison up to rounding.  A lane retires at its
-    first step with either outcome and counts for one only if the other
-    does not hold; a NaN lane never retires.  Nothing is drawn once every
-    lane has retired.  The lanes belong to the loop, so ``update`` may
-    overwrite ``v`` and ``x``.  Returns the converged and escaped counts.
+    Each of at most ``steps`` steps draws ``u[:2]`` of the loop's
+    ``(3, live)`` buffer ``u`` as ``rng.random((2, live))`` would, the stream
+    of two ``rng.random(live)`` calls, and advances the live lanes with
+    ``update(u, v, x) -> (v, x)``.  A lane converges when
+    ``v*v + x*x <= r_in*r_in``, or where ``converged(u, x, out)``, if given,
+    writes True into the boolean row ``out``, and escapes when
+    ``v*v + x*x >= r_out*r_out``.  With radii within [1e-150, 1e150] the
+    squares are normal floats, so the rule is the exact norm comparison up
+    to rounding.  A lane retires at its first step with either outcome and
+    counts for one only if the other does not hold; a NaN lane never
+    retires.  Nothing is drawn once every lane has retired.  The lanes and
+    ``u`` belong to the loop: ``update`` may overwrite all three, and
+    ``converged`` rows 0 and 1 of ``u``; only a retirement allocates.
+    Returns the converged and escaped counts.
 
     With ``early``, the loop also stops after the first step whose counts
     fix the probe's sign (:func:`_early_sign`); the counts it returns then
@@ -420,6 +425,11 @@ def _first_passage(seed, n, steps, update, r_in, r_out, converged=None, early=Fa
     rout2 = r_out * r_out
     rng = np.random.default_rng(seed)
     v, x = _start(rng, n)
+    # rows of u: two draws, then the squared norm; rows of flags: converged,
+    # escaped, retired
+    floats = np.empty(3 * n)
+    flags = np.empty(3 * n, dtype=bool)
+    u, (conv, esc, done) = floats.reshape(3, n), flags.reshape(3, n)
     n_conv = n_esc = 0
     # a squared norm past the float range is inf, which decides its lane;
     # one errstate for the loop, not one a step
@@ -427,17 +437,26 @@ def _first_passage(seed, n, steps, update, r_in, r_out, converged=None, early=Fa
         for _ in range(steps):
             if x.size == 0:
                 break
-            v, x = update(rng.random((2, x.size)), v, x)
-            norm2 = v * v + x * x
-            conv = norm2 <= rin2 if converged is None else converged(v, x)
-            esc = norm2 >= rout2
-            done = conv | esc
-            if done.any():
-                n_conv += int(np.count_nonzero(conv & ~esc))
-                n_esc += int(np.count_nonzero(esc & ~conv))
-                keep = ~done
+            rng.random(out=u[:2])
+            v, x = update(u, v, x)
+            norm2 = np.multiply(v, v, u[2])
+            np.add(norm2, np.multiply(x, x, u[0]), norm2)
+            if converged is None:
+                np.less_equal(norm2, rin2, conv)
+            else:
+                converged(u, x, conv)
+            np.greater_equal(norm2, rout2, esc)
+            if np.logical_or(conv, esc, done).any():
+                # a lane passing both tests counts for neither
+                n_c, n_e = int(np.count_nonzero(conv)), int(np.count_nonzero(esc))
+                n_both = int(np.count_nonzero(np.logical_and(conv, esc, conv)))
+                n_conv += n_c - n_both
+                n_esc += n_e - n_both
+                keep = np.logical_not(done, done)
                 v, x = v[keep], x[keep]
-                if early and _early_sign(n, n_esc, n_conv, x.size) is not None:
+                m = x.size
+                u, (conv, esc, done) = floats[:3 * m].reshape(3, m), flags[:3 * m].reshape(3, m)
+                if early and _early_sign(n, n_esc, n_conv, m) is not None:
                     break
     return n_conv, n_esc
 
@@ -626,7 +645,8 @@ def _escape_update(omega, alpha1, alpha2):
     """The escape experiment's ``update`` for :func:`_first_passage`."""
 
     def update(u, v, x):
-        return _step(omega, _weights(alpha1, alpha2, u), v, x, (v, x))
+        ar = _weights(alpha1, alpha2, u, u)
+        return _step(omega, ar, v, x, (v, x), ar)
 
     return update
 
@@ -1012,11 +1032,12 @@ def _neutral_rules(omega, alpha1, alpha2, config, r_in):
     width = seg_hi - seg_lo
 
     def update(u, v, x):
-        return affine_update(omega, alpha1, alpha2, v, x, u[0], u[1], p_eff, g_eff)
+        return affine_update(omega, alpha1, alpha2, v, x, u[0], u[1], p_eff, g_eff, (v, x), u)
 
-    def near_segment(v, x):
-        dist = np.maximum(np.maximum(seg_lo - x, x - seg_hi), 0.0)
-        return dist <= r_in * width
+    def near_segment(u, x, out):
+        # np.maximum takes out only as a keyword
+        dist = np.maximum(np.subtract(seg_lo, x, u[0]), np.subtract(x, seg_hi, u[1]), out=u[0])
+        return np.less_equal(np.maximum(dist, 0.0, out=dist), r_in * width, out)
 
     return update, None if width == 0.0 else near_segment
 

@@ -1,6 +1,7 @@
 """Property tests: the determinant identity of the step matrix, the two
-one-step maps against the matrix product and under scaling and shifts, and
-the exact CSV round trip of reals."""
+one-step maps against the matrix product and under scaling and shifts, the
+kernels' out= forms against their allocating forms, and the exact CSV round
+trip of reals."""
 
 import math
 
@@ -8,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmcrit.dynamics import _step, affine_update, build_step_matrix
+from swarmcrit.dynamics import _step, _weights, affine_update, build_step_matrix
 from swarmcrit.io import read_csv, write_csv
 from swarmcrit.stability import RATIO_EQUAL, RATIO_SOCIAL_ONLY, split_alpha
 
@@ -76,6 +77,44 @@ def test_affine_update_is_shift_equivariant(omega, alpha, ratio, r1, r2, v, x, p
     tol = 32.0 * _EPS * (1.0 + alpha) * max(abs(v), abs(x), abs(p), abs(g), abs(c))
     assert abs(moved_v - base_v) <= tol
     assert abs(moved_x - (base_x + c)) <= tol
+
+
+def _same_floats(a, b):
+    """Equal bit for bit, the sign of zero included, except that any NaN
+    equals any NaN: numpy's in-place and out-of-place loops may propagate
+    different NaN operands."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
+
+
+# every float64, NaN and the infinities included
+_ANY = st.floats(width=64)
+
+
+@settings(deadline=None, max_examples=300)
+@given(omega=_ANY, a1=_ANY, a2=_ANY, p=_ANY, g=_ANY,
+       lanes=st.lists(st.tuples(_ANY, _ANY, _ANY, _ANY), min_size=1, max_size=6))
+def test_out_forms_equal_allocating_forms(omega, a1, a2, p, g, lanes):
+    # the first-passage loop's aliasing: the weights overwrite the draws,
+    # the steps write (v', x') over (v, x) and use the draws as scratch
+    v, x, r1, r2 = np.array(lanes).T
+    with np.errstate(all="ignore"):
+        ar = _weights(a1, a2, np.stack([r1, r2]))
+        u = np.stack([r1, r2])
+        got = _weights(a1, a2, u, u)
+        assert got.base is u and _same_floats(got, ar)
+
+        want = _step(omega, ar, v, x)
+        z, work = np.stack([v, x]), ar.copy()
+        got = _step(omega, work, z[0], z[1], z, work)
+        assert _same_floats(got, want) and _same_floats(z, want)
+
+        want = affine_update(omega, a1, a2, v, x, r1, r2, p, g)
+        z, u = np.stack([v, x]), np.stack([r1, r2, np.zeros_like(r1)])
+        got = affine_update(omega, a1, a2, z[0], z[1], u[0], u[1], p, g, z, u)
+        assert _same_floats(got, want) and _same_floats(z, want)
 
 
 def _same_real(a, b):

@@ -574,6 +574,8 @@ _FIRST_PASSAGE_CASES = {
     "one_trial": (0.7, 1.0, 1.4, 1e-3, 1e3, 5000, 1),
     "nan_omega": (math.nan, 1.0, 1.0, 1e-6, 1e6, 30, 50),
     "near_radii": (0.5, 1.6, 1.6, 0.5, 2.0, 500, 300),
+    # past the ~2e4 live lanes where a step's temporaries would page-fault
+    "wide": (0.4, 2.55, 2.55, 1e-6, 1e6, 60, 30_000),
 }
 
 # (kappa, p, g): a segment between the bests, a point, and coincident zeros;
@@ -604,13 +606,14 @@ def test_neutral_fractions_equal_per_step_loop(case, config):
 
 def test_first_passage_generator_seed_ends_in_reference_state():
     gen, ref = np.random.default_rng(13), np.random.default_rng(13)
-    args = (0.4, 1.25, 1.25, 1e-6, 1e6, 300, 200)
-    assert escape_probability(*args, seed=gen) == _reference_escape(*args, seed=ref)
-    assert gen.bit_generator.state == ref.bit_generator.state
-    cfg = ScalingConfig(1.0, 0.1, 0.0, iterations=300, repetitions=200)
-    args = (0.4, 1.25, 1.25, cfg, 200, 1e-6, 1e6)
-    assert stability._neutral_fractions(*args, gen) == _reference_neutral(*args, ref)
-    assert gen.bit_generator.state == ref.bit_generator.state
+    for lanes in (200, 30_000):
+        args = (0.4, 1.25, 1.25, 1e-6, 1e6, 300, lanes)
+        assert escape_probability(*args, seed=gen) == _reference_escape(*args, seed=ref)
+        assert gen.bit_generator.state == ref.bit_generator.state
+        cfg = ScalingConfig(1.0, 0.1, 0.0, iterations=300, repetitions=lanes)
+        args = (0.4, 1.25, 1.25, cfg, lanes, 1e-6, 1e6)
+        assert stability._neutral_fractions(*args, gen) == _reference_neutral(*args, ref)
+        assert gen.bit_generator.state == ref.bit_generator.state
 
 
 def _lanes_around(r):
@@ -643,10 +646,10 @@ def test_first_passage_radius_rule(r_in, r_out):
     def place(u, v_, x_):
         return v.copy(), x.copy()
 
-    def near_segment(v_, x_):
-        return np.maximum(np.maximum(lo - x_, x_ - hi), 0.0) <= r_in * (hi - lo)
+    def near_segment(u, x_, out):
+        return np.less_equal(np.maximum(np.maximum(lo - x_, x_ - hi), 0.0), r_in * (hi - lo), out)
 
-    segment = near_segment(v, x)
+    segment = near_segment(None, x, None)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for converged, c in ((None, conv), (near_segment, segment)):

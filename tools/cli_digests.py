@@ -79,6 +79,9 @@ COMMANDS = [
     # near the critical weight: the step cap leaves lanes undecided
     (["escape", "--omega", "0.4", "--alpha", "5.17", "--trials", "500", "--max-steps", "400",
       "--seed", "9", "--output", "escape_capped.json"], ["escape_capped.json"]),
+    # 3e4 lanes, above the ~2e4 where live-size temporaries cost page faults
+    (["escape", "--omega", "0.4", "--alpha", "5.17", "--trials", "30000", "--max-steps", "200",
+      "--seed", "23", "--output", "escape_wide.json"], ["escape_wide.json"]),
     (["optimize", "--function", "rastrigin", "--dim", "2", "--omega", "0.7", "--alpha", "1.4",
       "--iterations", "20", "--particles", "5", "--seed", "6",
       "--output", "optimize.json", "--trace", "optimize_trace.csv"],
@@ -129,6 +132,10 @@ COMMANDS = [
     (["scaling", "--kappa", "0.5", "--iterations", "50", "--repetitions", "300",
       "--omega-min", "-1", "--omega-max", "1", "--step", "0.5", "--tolerance", "0.05",
       "--seed", "22", "--output", "scaling_five.csv"], ["scaling_five.csv"]),
+    # budget levels of 1e4, 2e4 and 4e4 lanes
+    (["scaling", "--kappa", "1", "--iterations", "60", "--repetitions", "10000",
+      "--omega-min", "0.4", "--omega-max", "0.4", "--tolerance", "0.05", "--seed", "24",
+      "--output", "scaling_wide.csv"], ["scaling_wide.csv"]),
     # negative reals in exponent notation are values, not options
     (["curve", "--omega-min", "-5e-1", "--omega-max", "5e-1", "--step", "5e-1",
       "--tolerance", "0.05", "--steps", "300", "--trials", "4", "--seed", "19",
