@@ -141,7 +141,7 @@ class SweepGrid:
 
 # A batch holds at most _BATCH_VALUES particle coordinates (B * n * dim):
 # the 240 swarms of a 2-d, 25-particle valley sweep fit in one, and a
-# weierstrass batch's (B, n, dim, 21) temporaries stay near 3 MB.
+# batch's (B, n, dim) cost temporaries stay near 128 KB each.
 _BATCH_VALUES = 1 << 14
 
 

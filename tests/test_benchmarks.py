@@ -1,6 +1,10 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from swarmcrit import benchmarks
 from swarmcrit.benchmarks import (
     FUNCTION_IDS,
     evaluate,
@@ -144,3 +148,36 @@ def test_suite_manifest_fields(tmp_path):
     payload = json.loads(path.read_text())
     assert len(payload["functions"]) == 15
     assert payload["functions"][14]["noncontinuous"] is True
+
+
+def test_weierstrass_vanishes_exactly_at_shift():
+    for dim in range(1, 11):
+        for seed in range(5):
+            f = make_function("weierstrass", dim, seed=seed)
+            assert f(f.shift) == 0.0, (dim, seed)
+
+
+def _weierstrass_exact(x):
+    # each term's argument reduced mod 1 in exact rationals before the cosine
+    q = Fraction(float(x)) + Fraction(1, 2)
+    terms = (0.5**k * math.cos(2.0 * math.pi * float((q * 3**k) % 1)) for k in range(21))
+    return math.fsum(terms) - benchmarks._W_BIAS
+
+
+@pytest.mark.parametrize("radius, bound", [(1.0, 5e-11), (100.0, 2e-9)])
+def test_weierstrass_matches_exact_reference(radius, bound):
+    z = np.random.default_rng(19).uniform(-radius, radius, 200)
+    exact = np.array([_weierstrass_exact(v) for v in z])
+    assert np.max(np.abs(benchmarks._weierstrass(z[:, None]) - exact)) < bound
+
+
+@pytest.mark.parametrize("dim", [2, 10])
+def test_weierstrass_finite_at_huge_inputs(dim):
+    rng = np.random.default_rng(20)
+    # magnitudes 1e-3 .. 1e300, random signs, plus the extremes themselves
+    pts = rng.choice([-1.0, 1.0], (200, dim)) * 10.0 ** rng.uniform(-3, 300, (200, dim))
+    pts[0], pts[1] = 1e300, -1e300
+    for rotated in (False, True):
+        f = make_function("weierstrass", dim, seed=21, rotated=rotated)
+        out = f(pts)
+        assert np.all(np.isfinite(out)) and np.all(out >= 0.0), f.label
