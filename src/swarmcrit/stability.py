@@ -20,11 +20,12 @@ order, as one draw per step would, and the log growth is summed step after
 step, so the results are bit-identical to a step-at-a-time loop.
 
 The escape and neutral-stability experiments share one first-passage
-loop, ``_first_passage``: lanes start on the unit circle, each step draws
-the weights of the live lanes, and a lane retires at its first outcome;
-only the update, and the neutral experiment's segment test for
-convergence, differ.  A step writes into buffers the loop owns, through
-the ``out=`` forms of the two step maps, so only a retirement allocates.
+loop, ``_FirstPassage``: lanes start on the unit circle, each step draws
+the weights of the live lanes, and a lane retires at its first outcome or
+at its step cap; only the update, and the neutral experiment's segment
+test for convergence, differ.  A step writes into buffers the loop owns,
+through the ``out=`` forms of the two step maps, so only a retirement
+allocates.
 One radius rule decides both: a lane converges when
 ``v*v + x*x <= r_in*r_in`` and escapes when ``v*v + x*x >= r_out*r_out``.
 The radii must satisfy ``1e-150 <= r_in < 1 < r_out <= 1e150``, so both
@@ -42,10 +43,13 @@ bisection per inertia value.  Lyapunov probes of all points advance
 together as one block of lanes with a per-lane ``omega``; escape and
 neutral probes are answered as they are asked, and a first-passage probe
 stops at the first step after which every way its open lanes can still
-end gives the same sign.  Each probe keeps its own seed, so a point's
-result does not depend on the other points, and a probe cut short changes
-no other probe.  ``escape_probability`` and the neutral fractions always
-run every trial to its end.
+end gives the same sign.  Each probed weight of a point has one child
+seed, and its budget levels form a ladder: a level-L probe continues the
+level-(L - 1) probe, a Lyapunov orbit for twice the steps and a first
+passage with as many new lanes again, so no level redoes the work below
+it.  A point's result does not depend on the other points.
+``escape_probability`` and the neutral fractions always run every trial
+to its end.
 """
 
 from __future__ import annotations
@@ -399,66 +403,98 @@ def _early_sign(n, pos, neg, live):
     return None
 
 
-def _first_passage(seed, n, steps, update, r_in, r_out, converged=None, early=False):
-    """First passage of ``n`` lanes started at random unit ``(v, x)``.
+class _FirstPassage:
+    """First passage of lanes started at random unit ``(v, x)``, which later
+    cohorts of lanes can join: :meth:`run` starts a cohort and steps every
+    open lane, of every cohort, until none is left open.
 
-    Each of at most ``steps`` steps draws ``u[:2]`` of the loop's
-    ``(3, live)`` buffer ``u`` as ``rng.random((2, live))`` would, the stream
-    of two ``rng.random(live)`` calls, and advances the live lanes with
-    ``update(u, v, x) -> (v, x)``.  A lane converges when
-    ``v*v + x*x <= r_in*r_in``, or where ``converged(u, x, out)``, if given,
-    writes True into the boolean row ``out``, and escapes when
-    ``v*v + x*x >= r_out*r_out``.  With radii within [1e-150, 1e150] the
-    squares are normal floats, so the rule is the exact norm comparison up
-    to rounding.  A lane retires at its first step with either outcome and
-    counts for one only if the other does not hold; a NaN lane never
-    retires.  Nothing is drawn once every lane has retired.  The lanes and
-    ``u`` belong to the loop: ``update`` may overwrite all three, and
-    ``converged`` rows 0 and 1 of ``u``; only a retirement allocates.
-    Returns the converged and escaped counts.
+    Each step draws ``u[:2]`` of the loop's ``(3, live)`` buffer ``u`` as
+    ``rng.random((2, live))`` would, the stream of two ``rng.random(live)``
+    calls, and advances the live lanes with ``update(u, v, x) -> (v, x)``.
+    A lane converges when ``v*v + x*x <= r_in*r_in``, or where
+    ``converged(u, x, out)``, if given, writes True into the boolean row
+    ``out``, and escapes when ``v*v + x*x >= r_out*r_out``.  With radii
+    within [1e-150, 1e150] the squares are normal floats, so the rule is the
+    exact norm comparison up to rounding.  A lane retires at its first step
+    with either outcome and counts for one only if the other does not hold;
+    a NaN lane never retires, and a lane still open after ``steps`` steps of
+    its own leaves undecided.  Nothing is drawn once no lane is open.  The
+    lanes and ``u`` belong to the loop: ``update`` may overwrite all three,
+    and ``converged`` rows 0 and 1 of ``u``; only a retirement allocates.
 
-    With ``early``, the loop also stops after the first step whose counts
-    fix the probe's sign (:func:`_early_sign`); the counts it returns then
-    give that sign, though not the counts of a full run.
+    Retirement keeps the open lanes in order, so each cohort is a run of
+    them, the oldest first, and a cohort reaching its step cap leaves as a
+    prefix.  A later cohort's lanes start where the generator stands when
+    it joins; one cohort is the plain first passage of its lanes.
+
+    With ``early``, a run also stops at the first step whose counts fix the
+    sign of a probe of every lane started so far (:func:`_early_sign`); the
+    counts then give that sign, though not the counts of a full run, and
+    the open lanes wait for the next run.
     """
-    rin2 = r_in * r_in
-    rout2 = r_out * r_out
-    rng = np.random.default_rng(seed)
-    v, x = _start(rng, n)
-    # rows of u: two draws, then the squared norm; rows of flags: converged,
-    # escaped, retired
-    floats = np.empty(3 * n)
-    flags = np.empty(3 * n, dtype=bool)
-    u, (conv, esc, done) = floats.reshape(3, n), flags.reshape(3, n)
-    n_conv = n_esc = 0
-    # a squared norm past the float range is inf, which decides its lane;
-    # one errstate for the loop, not one a step
-    with np.errstate(over="ignore"):
-        for _ in range(steps):
-            if x.size == 0:
-                break
-            rng.random(out=u[:2])
-            v, x = update(u, v, x)
-            norm2 = np.multiply(v, v, u[2])
-            np.add(norm2, np.multiply(x, x, u[0]), norm2)
-            if converged is None:
-                np.less_equal(norm2, rin2, conv)
-            else:
-                converged(u, x, conv)
-            np.greater_equal(norm2, rout2, esc)
-            if np.logical_or(conv, esc, done).any():
-                # a lane passing both tests counts for neither
-                n_c, n_e = int(np.count_nonzero(conv)), int(np.count_nonzero(esc))
-                n_both = int(np.count_nonzero(np.logical_and(conv, esc, conv)))
-                n_conv += n_c - n_both
-                n_esc += n_e - n_both
-                keep = np.logical_not(done, done)
-                v, x = v[keep], x[keep]
-                m = x.size
-                u, (conv, esc, done) = floats[:3 * m].reshape(3, m), flags[:3 * m].reshape(3, m)
-                if early and _early_sign(n, n_esc, n_conv, m) is not None:
-                    break
-    return n_conv, n_esc
+
+    def __init__(self, seed, steps, update, r_in, r_out, converged=None, early=False):
+        self.rng = np.random.default_rng(seed)
+        self.steps, self.update, self.converged, self.early = steps, update, converged, early
+        self.rin2, self.rout2 = r_in * r_in, r_out * r_out
+        self.v = self.x = np.empty(0)
+        # per cohort, the oldest first: [the step of its cap, the end of its
+        # open lanes]
+        self.cohorts = []
+        self.lanes = self.t = self.n_conv = self.n_esc = 0
+
+    def run(self, n):
+        """Start lanes until ``n`` have started and run; returns the
+        converged and escaped counts of every lane started."""
+        rng, update, converged, cohorts = self.rng, self.update, self.converged, self.cohorts
+        rin2, rout2, t, n_conv, n_esc = self.rin2, self.rout2, self.t, self.n_conv, self.n_esc
+        v, x = _start(rng, n - self.lanes)
+        v, x = np.concatenate((self.v, v)), np.concatenate((self.x, x))
+        self.lanes = n
+        cohorts.append([t + self.steps, x.size])
+        # rows of u: two draws, then the squared norm; rows of flags: converged,
+        # escaped, retired
+        floats = np.empty(3 * x.size)
+        flags = np.empty(3 * x.size, dtype=bool)
+        m = -1
+        # a squared norm past the float range is inf, which decides its lane;
+        # one errstate for the loop, not one a step
+        with np.errstate(over="ignore"):
+            while True:
+                while cohorts and cohorts[0][0] == t:
+                    k = cohorts.pop(0)[1]
+                    v, x = v[k:], x[k:]
+                    for c in cohorts:
+                        c[1] -= k
+                # the counts and the open lanes change only together
+                if x.size != m:
+                    m = x.size
+                    if m == 0 or self.early and _early_sign(n, n_esc, n_conv, m) is not None:
+                        break
+                    u, (conv, esc, done) = floats[:3 * m].reshape(3, m), flags[:3 * m].reshape(3, m)
+                t += 1
+                rng.random(out=u[:2])
+                v, x = update(u, v, x)
+                norm2 = np.multiply(v, v, u[2])
+                np.add(norm2, np.multiply(x, x, u[0]), norm2)
+                if converged is None:
+                    np.less_equal(norm2, rin2, conv)
+                else:
+                    converged(u, x, conv)
+                np.greater_equal(norm2, rout2, esc)
+                if np.logical_or(conv, esc, done).any():
+                    # a lane passing both tests counts for neither
+                    n_c, n_e = int(np.count_nonzero(conv)), int(np.count_nonzero(esc))
+                    n_both = int(np.count_nonzero(np.logical_and(conv, esc, conv)))
+                    n_conv += n_c - n_both
+                    n_esc += n_e - n_both
+                    keep = np.logical_not(done, done)
+                    for c in cohorts[:-1]:
+                        c[1] = int(np.count_nonzero(keep[:c[1]]))
+                    v, x = v[keep], x[keep]
+                    cohorts[-1][1] = x.size
+        self.v, self.x, self.t, self.n_conv, self.n_esc = v, x, t, n_conv, n_esc
+        return n_conv, n_esc
 
 
 def _add_logs(acc, norm):
@@ -642,7 +678,7 @@ def pushforward(
 
 
 def _escape_update(omega, alpha1, alpha2):
-    """The escape experiment's ``update`` for :func:`_first_passage`."""
+    """The escape experiment's ``update`` for :class:`_FirstPassage`."""
 
     def update(u, v, x):
         ar = _weights(alpha1, alpha2, u, u)
@@ -667,7 +703,7 @@ def escape_probability(
     Trials start at random angles on the unit circle of the (x, v) plane
     and iterate the homogeneous dynamics until the phase norm first drops
     to ``r_in`` (converged) or reaches ``r_out`` (escaped), decided from
-    the squared norm by the rule of :func:`_first_passage`; trials hitting
+    the squared norm by the rule of :class:`_FirstPassage`; trials hitting
     the step cap count as undecided.  The weights must be finite and
     nonnegative, and the radii must satisfy ``1e-150 <= r_in < 1 < r_out
     <= 1e150``.
@@ -679,8 +715,8 @@ def escape_probability(
         raise ValueError("require 1e-150 <= r_in < 1 < r_out <= 1e150")
     if trials < 1 or max_steps < 1:
         raise ValueError("trials and max_steps must be >= 1")
-    n_conv, n_esc = _first_passage(seed, trials, max_steps, _escape_update(omega, alpha1, alpha2),
-                                   r_in, r_out)
+    n_conv, n_esc = _FirstPassage(seed, max_steps, _escape_update(omega, alpha1, alpha2),
+                                  r_in, r_out).run(trials)
     n_und = trials - n_conv - n_esc
     return EscapeStats(
         p_converged=n_conv / trials,
@@ -698,31 +734,38 @@ def _bisection(seed, ratio, lo, hi, tolerance, omega, max_level):
     inside the stable set.
 
     A generator: it yields probe requests ``(alpha1, alpha2, level,
-    child_seed)`` (the split weights, the budget level and a fresh child of
-    ``seed``), is sent back each probe's sign, and returns the
-    :class:`CriticalPoint`.  A sign is -1 or +1 when the probe's estimate is
-    3-sigma significant and 0 when it is not (:func:`_sign`); the point
-    depends on its probes through these signs only, so a first-passage probe
-    may stop as soon as its sign is decided.  The bracket must be finite with
-    ``0 < lo < hi``.  Bracket endpoints must be sign-significant before
-    bisection.  Far from the root probes separate from zero at the base
-    budget; near the root the budget grows until the midpoint estimate is
-    statistically consistent with zero, which at the default budgets
-    resolves the root to about ``tolerance`` (the returned std_error reports
-    the achieved half-bracket).  If the probe is still significant on a
-    bracket 8x finer than the tolerance (possible only at extreme budgets)
-    the midpoint is accepted as is.
+    child_seed)`` (the split weights, the budget level and the child of
+    ``seed`` spawned for this weight), is sent back each probe's sign, and
+    returns the :class:`CriticalPoint`.  A sign is -1 or +1 when the probe's
+    estimate is 3-sigma significant and 0 when it is not (:func:`_sign`);
+    the point depends on its probes through these signs only, so a
+    first-passage probe may stop as soon as its sign is decided.  The
+    bracket must be finite with ``0 < lo < hi``, and ``max_level >= 0``.
+    Bracket endpoints must be sign-significant before bisection.  Far from
+    the root probes separate from zero at level 0; after a 0 the same
+    weight is asked at the next level, up to ``max_level``, so the requests
+    for one weight are levels 0, 1, ... in order with one child seed, and
+    a level-L probe of budget ``2**L`` continues the probe below it.  Near
+    the root the budget grows until the midpoint estimate is statistically
+    consistent with zero, which at the default budgets resolves the root to
+    about ``tolerance`` (the returned std_error reports the achieved
+    half-bracket).  If the probe is still significant on a bracket 8x finer
+    than the tolerance (possible only at extreme budgets) the midpoint is
+    accepted as is.
     """
     if not tolerance >= 0.01:
         raise ValueError("tolerance must be >= 0.01")
     if not 0.0 < lo < hi < math.inf:
         raise ValueError("the bracket must be finite with 0 < alpha_lo < alpha_max")
+    if not max_level >= 0:
+        raise ValueError("max_level must be >= 0")
     ss = _seed_sequence(seed)
 
     def significant(alpha):
-        """Grow the budget until the probe's sign is nonzero; 0 if it never is."""
+        """Raise the level until the probe's sign is nonzero; 0 if it never is."""
+        child = ss.spawn(1)[0]
         for level in range(max_level + 1):
-            sign = yield (*split_alpha(alpha, ratio), level, ss.spawn(1)[0])
+            sign = yield (*split_alpha(alpha, ratio), level, child)
             if sign:
                 return sign
         return 0
@@ -763,17 +806,18 @@ class _Probe:
     done: int = 0
 
 
-def _solve(omegas, seeds, ratio, tolerance, alpha_lo, alpha_max, max_level, start,
-           advance=dict.items):
+def _solve(omegas, seeds, ratio, tolerance, alpha_lo, alpha_max, max_level, start, advance):
     """Critical points: one :func:`_bisection` per value of ``omegas``,
     seeded by its entry of ``seeds``, with at most one open probe each.
 
-    ``start(i, *request)`` opens point ``i``'s probe; ``advance(probes)``
-    moves the open probes, keyed by point, on and yields ``(i, reply)`` for
-    each: ``None`` while it runs, then its sign (:func:`_bisection`) or the
-    :class:`NumericOverflowError` that failed it.  By default ``start``
-    answers at once.  A failure drops the points after its own, and the
-    failure of the first failing point is raised, as in a loop over them.
+    ``start(i, *request, probe)`` opens point ``i``'s probe, given the
+    point's previous probe (None before its first), which a request at a
+    level above 0 continues; ``advance(probes)`` moves the open probes,
+    keyed by point, on and yields ``(i, reply)`` for each: ``None`` while it
+    runs, then its sign (:func:`_bisection`) or the
+    :class:`NumericOverflowError` that failed it.  A failure drops the
+    points after its own, and the failure of the first failing point is
+    raised, as in a loop over them.
     """
     searches = [_bisection(seed, ratio, alpha_lo, alpha_max, tolerance, w, max_level)
                 for w, seed in zip(omegas, seeds)]
@@ -784,7 +828,7 @@ def _solve(omegas, seeds, ratio, tolerance, alpha_lo, alpha_max, max_level, star
     def ask(i, reply):
         """Open point ``i``'s next probe, or close the point with its result."""
         try:
-            probes[i] = start(i, *searches[i].send(reply))
+            probes[i] = start(i, *searches[i].send(reply), probes.get(i))
         except StopIteration as stop:
             points[i] = stop.value
             probes.pop(i, None)
@@ -809,18 +853,23 @@ def _lyapunov_kind(omegas, steps, trials, burn_in):
     """``(start, advance)`` of :func:`_solve` for Lyapunov probes, which
     advance together as one block of lanes with a per-lane ``omega``.
 
-    Each probe gives the bits of the :func:`lyapunov_exponent` call for its
-    request: only the k-step loop of :func:`_block` is shared, and where a
-    block is cut changes neither a probe's draws nor the order of its
-    additions.  A probe ends with the block that ends its steps.
+    A level-L probe runs ``steps * 2**L`` steps after the burn-in; above
+    level 0 it continues the orbit of the probe below it, whose draws are a
+    prefix of its own.  So each probe gives the bits of the
+    :func:`lyapunov_exponent` call for its request: only the k-step loop of
+    :func:`_block` is shared, and where a block is cut changes neither a
+    probe's draws nor the order of its additions.  A probe ends with the
+    block that ends its steps.
     """
     if steps < 1 or trials < 1 or burn_in < 0:
         raise ValueError("steps and trials must be >= 1, burn_in >= 0")
 
-    def start(i, a1, a2, level, child):
-        rng = np.random.default_rng(child)
-        end = burn_in + steps * 2**level
-        return _Probe(rng, a1, a2, end, *_start(rng, trials), np.zeros(trials))
+    def start(i, a1, a2, level, child, probe):
+        if not level:
+            rng = np.random.default_rng(child)
+            probe = _Probe(rng, a1, a2, 0, *_start(rng, trials), np.zeros(trials))
+        probe.end = burn_in + steps * 2**level
+        return probe
 
     def advance(probes):
         k = min(_block_steps(trials * len(probes)), *(p.end - p.done for p in probes.values()))
@@ -869,6 +918,31 @@ def _grid(omega_grid, seed):
     return omegas, _seed_sequence(seed).spawn(len(omegas))
 
 
+def _passage_kind(trials, steps, rules):
+    """``(start, advance)`` of :func:`_solve` for first-passage probes,
+    answered as they are asked.
+
+    A level-L probe at weights ``(a1, a2)`` of point ``i`` is a
+    :class:`_FirstPassage` with ``trials * 2**L`` lanes and the
+    ``(update, converged)`` of ``rules(i, a1, a2)``; above level 0 it is the
+    probe below it with as many lanes again, its open lanes continued.  Its
+    sign compares the escaped and converged fractions.
+    """
+
+    def start(i, a1, a2, level, child, passage):
+        if not level:
+            update, converged = rules(i, a1, a2)
+            passage = _FirstPassage(child, steps, update, _R_IN, _R_OUT, converged, early=True)
+        passage.run(trials * 2**level)
+        return passage
+
+    def advance(passages):
+        for i, p in passages.items():
+            yield i, _sign(*_fraction_difference(p.n_esc / p.lanes, p.n_conv / p.lanes, p.lanes))
+
+    return start, advance
+
+
 def _critical_points(omega, ratio, tolerance, seed, method, alpha_lo, alpha_max, steps, trials,
                      burn_in, escape_trials, escape_max_steps, max_level):
     """:func:`critical_alpha` at each value of the list ``omega``, point
@@ -877,14 +951,11 @@ def _critical_points(omega, ratio, tolerance, seed, method, alpha_lo, alpha_max,
         raise ValueError(f"unknown method {method!r}")
     if method == "escape" and (escape_trials < 1 or escape_max_steps < 1):
         raise ValueError("trials and max_steps must be >= 1")
-
-    def escape(i, a1, a2, level, child):
-        n = escape_trials * 2**level
-        n_conv, n_esc = _first_passage(child, n, escape_max_steps, _escape_update(omega[i], a1, a2),
-                                       _R_IN, _R_OUT, early=True)
-        return _sign(*_fraction_difference(n_esc / n, n_conv / n, n))
-
-    kind = _lyapunov_kind(omega, steps, trials, burn_in) if method == "lyapunov" else (escape,)
+    if method == "lyapunov":
+        kind = _lyapunov_kind(omega, steps, trials, burn_in)
+    else:
+        kind = _passage_kind(escape_trials, escape_max_steps,
+                             lambda i, a1, a2: (_escape_update(omega[i], a1, a2), None))
     return _solve(omega, seed, ratio, tolerance, alpha_lo, alpha_max, max_level, *kind)
 
 
@@ -910,8 +981,10 @@ def critical_alpha(
     Lyapunov estimate, and with ``method="escape"`` it is the difference
     between escape and convergence probabilities.  ``omega`` must be finite
     and lie within [-1.1, 1.1].  A bracket endpoint must show a 3-sigma
-    significant sign before bisection (a probe of exactly 0 shows none); the
-    per-probe budget doubles up to ``max_level`` times near the root.
+    significant sign before bisection (a probe of exactly 0 shows none).
+    Near the root a probe that shows no significant sign is continued at
+    twice its budget, up to ``max_level >= 0`` times: the Lyapunov orbits
+    run twice the steps, or the escape probe adds as many trials again.
 
     Returns a :class:`CriticalPoint` whose status is ``NO_CROSSING`` if no
     significant sign change exists in the bracket and ``UNRESOLVED`` if the
@@ -1009,7 +1082,7 @@ def _neutral_fractions(omega, alpha1, alpha2, config, repetitions, r_in, r_out, 
     """Convergence/divergence fractions of the scaled affine experiment.
 
     Trajectories start on the unit circle and run the first-passage rule
-    of :func:`_first_passage`.  Convergence: the position distance to the
+    of :class:`_FirstPassage`.  Convergence: the position distance to the
     segment between the (scaled) best positions drops below
     ``r_in * |p - g|``; with coincident bests the criterion degenerates to
     the phase norm dropping below ``r_in``, as in the escape experiment.
@@ -1017,14 +1090,14 @@ def _neutral_fractions(omega, alpha1, alpha2, config, repetitions, r_in, r_out, 
     tests at once counts for neither.
     """
     update, converged = _neutral_rules(omega, alpha1, alpha2, config, r_in)
-    n_conv, n_div = _first_passage(seed, repetitions, config.iterations, update, r_in, r_out,
-                                   converged)
+    n_conv, n_div = _FirstPassage(seed, config.iterations, update, r_in, r_out,
+                                  converged).run(repetitions)
     return n_conv / repetitions, n_div / repetitions
 
 
 def _neutral_rules(omega, alpha1, alpha2, config, r_in):
     """The neutral experiment's ``(update, converged)`` for
-    :func:`_first_passage`, with the rules of :func:`_neutral_fractions`."""
+    :class:`_FirstPassage`, with the rules of :func:`_neutral_fractions`."""
     p_eff = config.kappa * config.p
     g_eff = config.kappa * config.g
     seg_lo = min(p_eff, g_eff)
@@ -1046,14 +1119,9 @@ def _neutral_points(omega, config, ratio, tolerance, seed):
     """:func:`neutral_alpha` at each value of the list ``omega``, point ``i``
     seeded by ``seed[i]``, in one :func:`_solve` call."""
 
-    def start(i, a1, a2, level, child):
-        reps = config.repetitions * 2**level
-        update, converged = _neutral_rules(omega[i], a1, a2, config, _R_IN)
-        n_conv, n_div = _first_passage(child, reps, config.iterations, update, _R_IN, _R_OUT,
-                                       converged, early=True)
-        return _sign(*_fraction_difference(n_div / reps, n_conv / reps, reps))
-
-    return _solve(omega, seed, ratio, tolerance, *_NEUTRAL_BRACKET, _NEUTRAL_MAX_LEVEL, start)
+    kind = _passage_kind(config.repetitions, config.iterations,
+                         lambda i, a1, a2: _neutral_rules(omega[i], a1, a2, config, _R_IN))
+    return _solve(omega, seed, ratio, tolerance, *_NEUTRAL_BRACKET, _NEUTRAL_MAX_LEVEL, *kind)
 
 
 def neutral_alpha(
@@ -1067,8 +1135,8 @@ def neutral_alpha(
     in the scaled finite-time experiment, solved as a curve of one point.
     ``omega`` must be finite and lie within [-1.1, 1.1].  The radii are
     fixed at ``r_in = 1e-6`` and ``r_out = 1e6``, the bisection bracket is
-    ``(0.25, 8]``, and the per-probe budget doubles up to twice near the
-    root."""
+    ``(0.25, 8]``, and near the root a probe that shows no significant sign
+    is continued with as many repetitions again, up to twice."""
     return _neutral_points([_check_omega(omega)], config, ratio, tolerance, [seed])[0]
 
 

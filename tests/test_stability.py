@@ -511,58 +511,96 @@ def test_escape_validates_budgets(budget):
         escape_probability(0.5, 1.0, 1.0, seed=1, **{"max_steps": 10, "trials": 10, **budget})
 
 
-# per-step copies of the escape and neutral loops that _first_passage replaced
+# per-step copies of the escape and neutral loops that _FirstPassage replaced
+
+
+class _ReferencePassage:
+    """A per-step first passage that later cohorts of lanes can join: each
+    lane carries the steps it has left and leaves undecided at 0.  A run
+    stops once no lane is open or, with ``early``, once ``_early_sign``
+    decides; ``steps`` counts the loop steps of all runs, ``early_stops``
+    the runs stopped with lanes open, and ``capped_beside_newer`` the steps
+    at which a cohort reached its cap while a newer one ran on."""
+
+    def __init__(self, seed, max_steps, step, near, r_out, early=False):
+        self.rng = np.random.default_rng(seed)
+        self.max_steps, self.step, self.near, self.r_out, self.early = (max_steps, step, near,
+                                                                        r_out, early)
+        self.v = self.x = np.empty(0)
+        self.left = np.empty(0, dtype=int)
+        self.n = self.n_conv = self.n_esc = 0
+        self.steps = self.early_stops = self.capped_beside_newer = 0
+
+    def run(self, n):
+        theta = self.rng.uniform(0.0, 2.0 * np.pi, n - self.n)
+        v, x = np.append(self.v, np.sin(theta)), np.append(self.x, np.cos(theta))
+        left = np.append(self.left, np.full(n - self.n, self.max_steps))
+        self.n = n
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                capped = left == 0
+                if capped.any() and not capped.all():
+                    self.capped_beside_newer += 1
+                v, x, left = v[~capped], x[~capped], left[~capped]
+                if x.size == 0:
+                    break
+                if self.early and stability._early_sign(n, self.n_esc, self.n_conv,
+                                                        x.size) is not None:
+                    self.early_stops += 1
+                    break
+                u1 = self.rng.random(x.size)
+                u2 = self.rng.random(x.size)
+                v, x = self.step(v, x, u1, u2)
+                norm2 = v * v + x * x
+                conv = self.near(x, norm2)
+                esc = norm2 >= self.r_out * self.r_out
+                self.n_conv += int(np.count_nonzero(conv & ~esc))
+                self.n_esc += int(np.count_nonzero(esc & ~conv))
+                keep = ~(conv | esc)
+                v, x, left = v[keep], x[keep], left[keep] - 1
+                self.steps += 1
+        self.v, self.x, self.left = v, x, left
+        return self.n_conv, self.n_esc
+
+
+def _escape_reference_rules(omega, a1, a2, r_in):
+    """The escape experiment's per-step ``(step, near)``."""
+
+    def step(v, x, u1, u2):
+        v = omega * v - (a1 * u1 + a2 * u2) * x
+        return v, v + x
+
+    return step, lambda x, norm2: norm2 <= r_in * r_in
+
+
+def _neutral_reference_rules(omega, a1, a2, config, r_in):
+    """The neutral experiment's per-step ``(step, near)``."""
+    p, g = config.kappa * config.p, config.kappa * config.g
+    lo, hi = min(p, g), max(p, g)
+
+    def step(v, x, u1, u2):
+        v = omega * v + a1 * u1 * (p - x) + a2 * u2 * (g - x)
+        return v, x + v
+
+    def near(x, norm2):
+        if hi == lo:
+            return norm2 <= r_in * r_in
+        return np.maximum(np.maximum(lo - x, x - hi), 0.0) <= r_in * (hi - lo)
+
+    return step, near
 
 
 def _reference_escape(omega, a1, a2, r_in, r_out, max_steps, trials, seed):
-    rng = np.random.default_rng(seed)
-    theta = rng.uniform(0.0, 2.0 * np.pi, trials)
-    v, x = np.sin(theta), np.cos(theta)
-    n_conv = n_esc = 0
-    for _ in range(max_steps):
-        if x.size == 0:
-            break
-        u1 = rng.random(x.size)
-        u2 = rng.random(x.size)
-        v = omega * v - (a1 * u1 + a2 * u2) * x
-        x = v + x
-        norm2 = v * v + x * x
-        conv = norm2 <= r_in * r_in
-        esc = norm2 >= r_out * r_out
-        n_conv += int(np.count_nonzero(conv))
-        n_esc += int(np.count_nonzero(esc))
-        keep = ~(conv | esc)
-        v, x = v[keep], x[keep]
+    rules = _escape_reference_rules(omega, a1, a2, r_in)
+    n_conv, n_esc = _ReferencePassage(seed, max_steps, *rules, r_out).run(trials)
     n_und = trials - n_conv - n_esc
     return stability.EscapeStats(n_conv / trials, n_esc / trials, n_und / trials, trials,
                                  r_in, r_out, max_steps)
 
 
 def _reference_neutral(omega, a1, a2, config, repetitions, r_in, r_out, seed):
-    rng = np.random.default_rng(seed)
-    p, g = config.kappa * config.p, config.kappa * config.g
-    theta = rng.uniform(0.0, 2.0 * np.pi, repetitions)
-    v, x = np.sin(theta), np.cos(theta)
-    lo, hi = min(p, g), max(p, g)
-    n_conv = n_div = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(config.iterations):
-            if x.size == 0:
-                break
-            u1 = rng.random(x.size)
-            u2 = rng.random(x.size)
-            v = omega * v + a1 * u1 * (p - x) + a2 * u2 * (g - x)
-            x = x + v
-            norm2 = v * v + x * x
-            if hi == lo:
-                conv = norm2 <= r_in * r_in
-            else:
-                conv = np.maximum(np.maximum(lo - x, x - hi), 0.0) <= r_in * (hi - lo)
-            div = norm2 >= r_out * r_out
-            n_conv += int(np.count_nonzero(conv & ~div))
-            n_div += int(np.count_nonzero(div & ~conv))
-            keep = ~(conv | div)
-            v, x = v[keep], x[keep]
+    rules = _neutral_reference_rules(omega, a1, a2, config, r_in)
+    n_conv, n_div = _ReferencePassage(seed, config.iterations, *rules, r_out).run(repetitions)
     return n_conv / repetitions, n_div / repetitions
 
 
@@ -616,6 +654,54 @@ def test_first_passage_generator_seed_ends_in_reference_state():
         assert gen.bit_generator.state == ref.bit_generator.state
 
 
+# a ladder of three levels: the lanes started in total after each run
+_LADDER = (1, 2, 4)
+
+
+@pytest.mark.parametrize("early", [False, True], ids=["full", "early"])
+@pytest.mark.parametrize("case", list(_FIRST_PASSAGE_CASES))
+def test_nested_escape_equals_per_step_cohorts(case, early):
+    omega, a1, a2, r_in, r_out, max_steps, trials = _FIRST_PASSAGE_CASES[case]
+    passage = stability._FirstPassage(11, max_steps, stability._escape_update(omega, a1, a2),
+                                      r_in, r_out, early=early)
+    rules = _escape_reference_rules(omega, a1, a2, r_in)
+    reference = _ReferencePassage(11, max_steps, *rules, r_out, early)
+    for k in _LADDER:
+        assert passage.run(k * trials) == reference.run(k * trials)
+    assert passage.rng.bit_generator.state == reference.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("early", [False, True], ids=["full", "early"])
+@pytest.mark.parametrize("config", list(_NEUTRAL_CONFIGS))
+@pytest.mark.parametrize("case", list(_FIRST_PASSAGE_CASES))
+def test_nested_neutral_equals_per_step_cohorts(case, config, early):
+    omega, a1, a2, r_in, r_out, max_steps, trials = _FIRST_PASSAGE_CASES[case]
+    cfg = ScalingConfig(*_NEUTRAL_CONFIGS[config], iterations=min(max_steps, 400),
+                        repetitions=trials)
+    update, converged = stability._neutral_rules(omega, a1, a2, cfg, r_in)
+    passage = stability._FirstPassage(12, cfg.iterations, update, r_in, r_out, converged, early)
+    rules = _neutral_reference_rules(omega, a1, a2, cfg, r_in)
+    reference = _ReferencePassage(12, cfg.iterations, *rules, r_out, early)
+    for k in _LADDER:
+        assert passage.run(k * trials) == reference.run(k * trials)
+    assert passage.rng.bit_generator.state == reference.rng.bit_generator.state
+
+
+def test_nested_neutral_cohort_reaches_its_cap_while_a_newer_one_runs():
+    # every run stops early with lanes open; the first cohorts' lanes still
+    # open at their 20-step cap leave while the next cohort runs on
+    cfg = ScalingConfig(0.1, 0.1, 0.0, iterations=20, repetitions=200)
+    update, converged = stability._neutral_rules(0.0, 2.0, 2.0, cfg, 1e-6)
+    passage = stability._FirstPassage(5, 20, update, 1e-6, 1e6, converged, early=True)
+    rules = _neutral_reference_rules(0.0, 2.0, 2.0, cfg, 1e-6)
+    reference = _ReferencePassage(5, 20, *rules, 1e6, True)
+    for k in _LADDER:
+        assert passage.run(k * 200) == reference.run(k * 200)
+    assert passage.rng.bit_generator.state == reference.rng.bit_generator.state
+    assert reference.early_stops == 3
+    assert reference.capped_beside_newer == 2
+
+
 def _lanes_around(r):
     """Phase points within 64 ulp of radius ``r``, on the axes and at random
     angles, plus every pairing of extreme values with each other and with
@@ -653,7 +739,7 @@ def test_first_passage_radius_rule(r_in, r_out):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for converged, c in ((None, conv), (near_segment, segment)):
-            counts = stability._first_passage(0, x.size, 1, place, r_in, r_out, converged)
+            counts = stability._FirstPassage(0, 1, place, r_in, r_out, converged).run(x.size)
             assert counts == (np.count_nonzero(c & ~esc), np.count_nonzero(esc & ~c))
     # lanes on the v axis near r_out pass both tests and count for neither
     assert np.count_nonzero(segment & esc) > 0
@@ -672,8 +758,8 @@ def test_first_passage_rule_on_extreme_lanes():
     # square and infinite lanes escape, NaN lanes stay live
     v = np.array([0.0, 1e-200, 1e300, np.inf, -np.inf, 3.0, np.nan])
     x = np.array([0.0, -1e-200, 0.0, -np.inf, 2.0, np.inf, np.nan])
-    counts = stability._first_passage(0, x.size, 1, lambda u, v_, x_: (v.copy(), x.copy()),
-                                      1e-150, 1e150)
+    counts = stability._FirstPassage(0, 1, lambda u, v_, x_: (v.copy(), x.copy()), 1e-150,
+                                     1e150).run(x.size)
     assert counts == (2, 4)
 
 
@@ -802,6 +888,9 @@ def test_critical_alpha_validates_inputs():
             critical_alpha(0.5, seed=1, steps=100, trials=2, **bracket)
         with pytest.raises(ValueError, match="bracket"):
             critical_alpha(0.5, seed=1, method="escape", escape_trials=10, **bracket)
+    for method in ("lyapunov", "escape"):
+        with pytest.raises(ValueError, match="max_level"):
+            critical_alpha(0.0, seed=1, method=method, max_level=-1)
     for omega in (math.nan, math.inf, -math.inf, 1.2):
         with pytest.raises(ValueError, match="omega"):
             critical_alpha(omega, seed=1, steps=100, trials=2)
@@ -922,20 +1011,26 @@ def _children(grid, seed):
     return ss.spawn(len(grid))
 
 
-def _one_at_a_time(search, probe):
+def _one_at_a_time(search, probe, log=None):
     """Run a ``_bisection``, answering each request with the sign
-    ``probe(*request)`` before the next is asked; returns its point."""
+    ``probe(*request)`` before the next is asked; returns its point.  Each
+    request is appended to the list ``log``, if given."""
     reply = None
     try:
         while True:
-            reply = probe(*search.send(reply))
+            request = search.send(reply)
+            if log is not None:
+                log.append(request)
+            reply = probe(*request)
     except StopIteration as stop:
         return stop.value
 
 
-def _serial_curve(grid, seed, **budgets):
+def _serial_curve(grid, seed, log=None, **budgets):
     """The reference curve: each point's bisection answered one probe at a
-    time by ``lyapunov_exponent``, independent of the lane-block solver."""
+    time by ``lyapunov_exponent``, independent of the lane-block solver; a
+    level-L request is a fresh call of ``steps * 2**L`` steps with the
+    request's seed.  The requests go to ``log``, if given."""
     b = {name: p.default for name, p in inspect.signature(critical_alpha).parameters.items()}
     b.update(budgets)
 
@@ -947,7 +1042,7 @@ def _serial_curve(grid, seed, **budgets):
 
         search = stability._bisection(child, b["ratio"], b["alpha_lo"], b["alpha_max"],
                                       b["tolerance"], w, b["max_level"])
-        return _one_at_a_time(search, probe)
+        return _one_at_a_time(search, probe, log)
 
     return tuple(solve(w, child) for w, child in zip(grid, _children(grid, seed)))
 
@@ -967,6 +1062,23 @@ def test_lockstep_curve_equals_per_point_critical_alpha(case):
     if case == "mixed_statuses":
         assert {p.status for p in curve.points} == {STATUS_OK, STATUS_NO_CROSSING,
                                                     STATUS_UNRESOLVED}
+
+
+@pytest.mark.parametrize("case", list(_LOCKSTEP_CASES))
+def test_lockstep_reference_ladders_reach_the_top_level(case):
+    # the curves above continue probes to every level, not only level 0
+    grid, seed, budgets = _LOCKSTEP_CASES[case]
+    log = []
+    _serial_curve(grid, _make_seed(seed), log=log, **budgets)
+    levels = {level for _, _, level, _ in log}
+    if budgets["trials"] == 1:
+        # no spread across one trial: every nonzero estimate is significant
+        assert levels == {0}
+        return
+    default = inspect.signature(critical_alpha).parameters["max_level"].default
+    top = budgets.get("max_level", default)
+    assert top >= 1
+    assert top in levels
 
 
 def _assert_same_overflow(monkeypatch, draw, grid, seed, **budgets):
@@ -1012,36 +1124,51 @@ def test_lockstep_curve_raises_the_failure_of_the_lowest_omega(monkeypatch):
 
 
 # escape and neutral points: the curve and the per-point calls against each
-# bisection answered one probe at a time by the probe the library runs
+# bisection answered one probe at a time by a per-step reference passage
 
 
-def _reference_points(point, probe, grid, seed, **arguments):
+def _reference_points(point, probe, grid, seed, log=None, passages=None, **arguments):
     """Point ``i`` of ``grid``: its bisection, seeded by the ``i``-th child of
-    ``seed``, answered one probe at a time by ``probe(b, w, *request)``; ``b``
-    holds the arguments of the point function ``point``, defaults filled in."""
+    ``seed``, answered one probe at a time.  ``b`` holds the arguments of the
+    point function ``point``, defaults filled in; at level 0 ``probe(b, w,
+    a1, a2, seed)`` opens a weight's :class:`_ReferencePassage` and gives
+    its level-0 lanes, and a level-L request runs that passage on to
+    ``lanes * 2**L`` lanes.  The requests go to ``log`` and the passages to
+    ``passages``, if given."""
     b = {name: p.default for name, p in inspect.signature(point).parameters.items()}
     b.update(arguments)
 
     def solve(w, child):
+        ladder = []
+
+        def answer(a1, a2, level, probe_seed):
+            if not level:
+                ladder[:] = probe(b, w, a1, a2, probe_seed)
+                if passages is not None:
+                    passages.append(ladder[0])
+            passage, lanes = ladder
+            n = lanes * 2**level
+            n_conv, n_pos = passage.run(n)
+            return stability._sign(*stability._fraction_difference(n_pos / n, n_conv / n, n))
+
         search = stability._bisection(child, b["ratio"], b["alpha_lo"], b["alpha_max"],
                                       b["tolerance"], w, b["max_level"])
-        return _one_at_a_time(search, lambda *request: probe(b, w, *request))
+        return _one_at_a_time(search, answer, log)
 
     return tuple(solve(w, child) for w, child in zip(grid, _children(grid, seed)))
 
 
-def _escape_probe(b, w, a1, a2, level, seed):
-    st = escape_probability(w, a1, a2, max_steps=b["escape_max_steps"],
-                            trials=b["escape_trials"] * 2**level, seed=seed)
-    return stability._sign(*stability._fraction_difference(st.p_escaped, st.p_converged,
-                                                            st.trials))
+def _escape_probe(b, w, a1, a2, seed):
+    rules = _escape_reference_rules(w, a1, a2, stability._R_IN)
+    passage = _ReferencePassage(seed, b["escape_max_steps"], *rules, stability._R_OUT, True)
+    return passage, b["escape_trials"]
 
 
-def _neutral_probe(b, w, a1, a2, level, seed):
-    reps = b["config"].repetitions * 2**level
-    p_conv, p_div = stability._neutral_fractions(w, a1, a2, b["config"], reps, stability._R_IN,
-                                                 stability._R_OUT, seed)
-    return stability._sign(*stability._fraction_difference(p_div, p_conv, reps))
+def _neutral_probe(b, w, a1, a2, seed):
+    config = b["config"]
+    rules = _neutral_reference_rules(w, a1, a2, config, stability._R_IN)
+    passage = _ReferencePassage(seed, config.iterations, *rules, stability._R_OUT, True)
+    return passage, config.repetitions
 
 
 _ESCAPE_CASES = {
@@ -1057,10 +1184,14 @@ def test_escape_points_equal_one_probe_at_a_time(case):
     grid, seed, budgets = _ESCAPE_CASES[case]
     budgets = dict(method="escape", tolerance=0.05, alpha_lo=1.0, escape_max_steps=400,
                    **budgets)
+    log = []
     reference = _reference_points(critical_alpha, _escape_probe, grid, _make_seed(seed),
-                                  **budgets)
+                                  log=log, **budgets)
     assert critical_curve(grid, seed=_make_seed(seed), **budgets).points == reference
     assert _per_point(grid, _make_seed(seed), **budgets) == reference
+    # the ladder climbs to the top level, so probes are continued
+    assert inspect.signature(critical_alpha).parameters["max_level"].default == 3
+    assert 3 in {level for _, _, level, _ in log}
     if case == "mixed_statuses":
         assert [p.status for p in reference] == [STATUS_OK, STATUS_OK, STATUS_UNRESOLVED,
                                                  STATUS_NO_CROSSING]
@@ -1083,9 +1214,14 @@ def test_neutral_points_equal_one_probe_at_a_time(case):
     config, seed, arguments = _NEUTRAL_CASES[case]
     arguments = dict(tolerance=0.05, **arguments)
     lo, hi = stability._NEUTRAL_BRACKET
+    log = []
     reference = _reference_points(neutral_alpha, _neutral_probe, _NEUTRAL_GRID,
-                                  _make_seed(seed), config=config, alpha_lo=lo, alpha_max=hi,
-                                  max_level=stability._NEUTRAL_MAX_LEVEL, **arguments)
+                                  _make_seed(seed), log=log, config=config, alpha_lo=lo,
+                                  alpha_max=hi, max_level=stability._NEUTRAL_MAX_LEVEL,
+                                  **arguments)
+    # the ladder climbs to the top level, so probes are continued
+    assert stability._NEUTRAL_MAX_LEVEL == 2
+    assert 2 in {level for _, _, level, _ in log}
     curve = neutral_stability_curve(config, _NEUTRAL_GRID, seed=_make_seed(seed), **arguments)
     assert curve.points == reference
     children = _children(_NEUTRAL_GRID, _make_seed(seed))
@@ -1112,24 +1248,86 @@ def test_escape_curve_stops_probes_early(monkeypatch):
     grid = [0.0, 0.5]
     budgets = dict(method="escape", tolerance=0.05, alpha_lo=1.0, escape_max_steps=400,
                    escape_trials=200)
+    passages = []
+    reference = _reference_points(critical_alpha, _escape_probe, grid, 3, passages=passages,
+                                  **budgets)
     steps = _counted(monkeypatch, "_step")
-    reference = _reference_points(critical_alpha, _escape_probe, grid, 3, **budgets)
-    full = steps.pop("_step")
     assert critical_curve(grid, seed=3, **budgets).points == reference
-    assert 0 < steps["_step"] < full
+    assert steps["_step"] == sum(p.steps for p in passages)
+    assert sum(p.early_stops for p in passages) > 0
 
 
 def test_neutral_curve_stops_probes_early(monkeypatch):
     config = ScalingConfig(1.0, iterations=50, repetitions=200)
     lo, hi = stability._NEUTRAL_BRACKET
-    steps = _counted(monkeypatch, "affine_update")
+    passages = []
     reference = _reference_points(neutral_alpha, _neutral_probe, _NEUTRAL_GRID, 3,
-                                  config=config, tolerance=0.05, alpha_lo=lo, alpha_max=hi,
+                                  passages=passages, config=config, tolerance=0.05,
+                                  alpha_lo=lo, alpha_max=hi,
                                   max_level=stability._NEUTRAL_MAX_LEVEL)
-    full = steps.pop("affine_update")
+    steps = _counted(monkeypatch, "affine_update")
     curve = neutral_stability_curve(config, _NEUTRAL_GRID, seed=3, tolerance=0.05)
     assert curve.points == reference
-    assert 0 < steps["affine_update"] < full
+    assert steps["affine_update"] == sum(p.steps for p in passages)
+    assert sum(p.early_stops for p in passages) > 0
+
+
+def _ladder_tops(log):
+    """The top level of each ladder of requests in ``log``."""
+    tops = []
+    for _, _, level, _ in log:
+        tops += [0] if level == 0 else []
+        tops[-1] = level
+    return tops
+
+
+def test_a_lyapunov_ladder_draws_each_step_once(monkeypatch):
+    # a ladder that reaches level L draws burn_in + steps * 2**L steps of
+    # weights per trial, not a fresh burn-in and orbit at every level
+    grid, seed, budgets = _LOCKSTEP_CASES["equal"]
+    log = []
+    reference = _serial_curve(grid, seed, log=log, **budgets)
+    drawn = []
+    draw = stability._draw_weights
+    monkeypatch.setattr(stability, "_draw_weights",
+                        lambda rng, a1, a2, shape: drawn.append(math.prod(shape))
+                        or draw(rng, a1, a2, shape))
+    assert critical_curve(grid, seed=seed, **budgets).points == reference
+    tops = _ladder_tops(log)
+    assert max(tops) >= 2
+    steps, trials, burn_in = budgets["steps"], budgets["trials"], budgets["burn_in"]
+    assert sum(drawn) == sum(trials * (burn_in + steps * 2**top) for top in tops)
+
+
+@pytest.mark.parametrize("kind", ["escape", "neutral"])
+def test_a_ladder_starts_each_lane_once(monkeypatch, kind):
+    # a ladder that reaches level L starts trials * 2**L lanes, not the
+    # trials * (2**(L + 1) - 1) of a fresh probe at every level
+    started = []
+    start = stability._start
+    monkeypatch.setattr(stability, "_start", lambda rng, n: started.append(n) or start(rng, n))
+    log = []
+    if kind == "escape":
+        grid, seed, budgets = _ESCAPE_CASES["mixed_statuses"]
+        budgets = dict(method="escape", tolerance=0.05, alpha_lo=1.0, escape_max_steps=400,
+                       **budgets)
+        reference = _reference_points(critical_alpha, _escape_probe, grid, seed, log=log,
+                                      **budgets)
+        assert critical_curve(grid, seed=seed, **budgets).points == reference
+        trials = budgets["escape_trials"]
+    else:
+        config, seed, _ = _NEUTRAL_CASES["kappa_0.1"]
+        lo, hi = stability._NEUTRAL_BRACKET
+        reference = _reference_points(neutral_alpha, _neutral_probe, _NEUTRAL_GRID, seed,
+                                      log=log, config=config, tolerance=0.05, alpha_lo=lo,
+                                      alpha_max=hi, max_level=stability._NEUTRAL_MAX_LEVEL)
+        curve = neutral_stability_curve(config, _NEUTRAL_GRID, seed=seed, tolerance=0.05)
+        assert curve.points == reference
+        trials = config.repetitions
+    tops = _ladder_tops(log)
+    assert max(tops) >= 2
+    assert sum(started) == sum(trials * 2**top for top in tops)
+    assert sorted(started) == sorted(trials * 2**max(level - 1, 0) for _, _, level, _ in log)
 
 
 def test_critical_curve_csv_roundtrip(tmp_path):

@@ -18,6 +18,13 @@ OUT.json has, per workload, the seeds and, per end-to-end metric of
 ``change_lower_in_pairs``: the number of seeds where the change's value is
 below the parent's (null for a metric where higher is better).  Runs whose
 results fail the benchmark's oracles are listed under ``failed_runs``.
+
+Under ``raw`` it has the same per-side summaries of what each run's record
+in ``<tree>/bench/out/records`` holds behind those metrics: ``raw_wall_s``
+and ``raw_cpu_s``, the mean raw seconds of a pass; ``scale``, the reference
+seconds of the passes per raw second; ``raw_setup_s``, the median raw
+set-up time; and ``setup_scale``.  A move in ``scale`` that ``wall_s``
+shows and ``raw_wall_s`` does not is the speed probe's, not the code's.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+RAW = ("raw_wall_s", "raw_cpu_s", "scale", "raw_setup_s", "setup_scale")
 
 
 def seed_list(text: str) -> list[int]:
@@ -44,12 +52,29 @@ def seed_list(text: str) -> list[int]:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The JSON line the run prints last, with its record's raw figures
+    under ``raw``."""
     argv = [sys.executable, str(tree / "bench" / "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    records = tree / "bench" / "out" / "records"
+    before = set(records.glob("*.json"))
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    new = set(records.glob(f"{workload}-seed{seed}-trace0-*.json")) - before
+    if len(new) != 1:
+        raise RuntimeError(f"{' '.join(argv)} left {len(new)} new run records in {records}")
+    run = json.loads(new.pop().read_text())
+    passes = run["passes"]
+    result["raw"] = {
+        "raw_wall_s": statistics.fmean(p["raw_wall_s"] for p in passes),
+        "raw_cpu_s": statistics.fmean(p["raw_cpu_s"] for p in passes),
+        "scale": sum(p["wall_s"] for p in passes) / sum(p["raw_wall_s"] for p in passes),
+        "raw_setup_s": statistics.median(run["setup"]["raw_s"]),
+        "setup_scale": run["setup"]["scale"],
+    }
+    return result
 
 
 def summary(runs: list[float]) -> dict:
@@ -87,6 +112,7 @@ def main(argv=None) -> int:
     }
     for workload in workloads:
         values = {side: {name: [] for name in lower} for side in SIDES}
+        raw = {side: {name: [] for name in RAW} for side in SIDES}
         failed = []
         for k, seed in enumerate(args.seeds):
             for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
@@ -95,14 +121,18 @@ def main(argv=None) -> int:
                     failed.append({"side": side, "seed": seed, "failed": result["failed"]})
                 for name in lower:
                     values[side][name].append(result["metrics"][name]["value"])
+                for name in RAW:
+                    raw[side][name].append(result["raw"][name])
                 print(f"{workload} seed {seed} {side}: wall_s "
-                      f"{result['metrics']['wall_s']['value']:.3f}", file=sys.stderr)
+                      f"{result['metrics']['wall_s']['value']:.3f}, raw_wall_s "
+                      f"{result['raw']['raw_wall_s']:.3f}", file=sys.stderr)
         entry = {"seeds": args.seeds}
         for name, lower_better in lower.items():
             pairs = zip(values["change"][name], values["parent"][name])
             entry[name] = {side: summary(values[side][name]) for side in SIDES}
             entry[name]["change_lower_in_pairs"] = (sum(c < p for c, p in pairs)
                                                     if lower_better else None)
+        entry["raw"] = {name: {side: summary(raw[side][name]) for side in SIDES} for name in RAW}
         entry["failed_runs"] = failed
         record["workloads"][workload] = entry
         args.output.write_text(json.dumps(record, indent=1) + "\n")
