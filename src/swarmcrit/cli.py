@@ -104,7 +104,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tolerance", type=_positive, default=0.02, help="alpha tolerance (default 0.02)")
     p.add_argument("--method", choices=["lyapunov", "escape"], default="lyapunov")
     p.add_argument("--steps", type=int, default=10_000, help="Lyapunov steps per probe (default 10000)")
-    p.add_argument("--trials", type=int, default=16, help="Lyapunov trials per probe (default 16)")
+    p.add_argument("--trials", type=int, default=16, help="Lyapunov trials per probe, >= 2 (default 16)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True, help="output CSV path")
 

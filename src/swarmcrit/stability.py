@@ -13,11 +13,18 @@ random product converges to the double integral over the angular measure
 and the matrix set by ergodicity.  Every function takes an explicit seed
 and is bit-reproducible for a fixed seed, independent of execution order.
 
-The renormalised orbits behind the Lyapunov, stationary-measure and
+The renormalised orbits behind the Lyapunov-pair, stationary-measure and
 homogeneous finite-time estimators advance in blocks of up to 256 steps:
 one call draws a block's weights from the same random stream, in the same
 order, as one draw per step would, and the log growth is summed step after
 step, so the results are bit-identical to a step-at-a-time loop.
+
+The top exponent, alone and in every Lyapunov probe of a bisection, draws
+the same stream in chunks and takes each chunk's log growth from the
+product of its step matrices, formed in log-depth levels of pairwise
+products (the product is associative): it agrees with the per-step sum to
+rounding.  Chunks are canonical per orbit (:func:`_chunk_end`), so a
+probe's bits depend neither on the other probes nor on its budget ladder.
 
 The escape and neutral-stability experiments share one first-passage
 loop, ``_FirstPassage``: lanes start on the unit circle, each step draws
@@ -54,6 +61,7 @@ to its end.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass
@@ -346,6 +354,176 @@ def _orbit(rng, omega, alpha1, alpha2, v, x, burn_in, steps):
         v, x = phase[-1]
 
 
+# The Lyapunov kernel scales its products by powers of two after every
+# _RESCALE_LEVELS levels of pairwise products: a product of 2**4 step
+# matrices stays within the float range for weights up to about 2**60.
+# One kernel call holds at most _CHUNK_VALUES lane-steps where it can: its
+# arrays, about 80 bytes a lane-step, then stay within a core's cache.
+_RESCALE_LEVELS = 4
+_CHUNK_VALUES = 1 << 14
+_EYE = np.eye(2).reshape(2, 2, 1, 1)
+_LN2 = math.log(2.0)
+
+
+@functools.cache
+def _bit_reversed(width):
+    """The indices ``0 .. width - 1``, ``width`` a power of two, in
+    bit-reversed order: the first half holds the earlier step of each
+    adjacent pair, the second half the later one at the same position, and
+    both halves list the pairs in bit-reversed order again."""
+    order = np.zeros(1, dtype=np.intp)
+    while len(order) < width:
+        order = np.concatenate((2 * order, 2 * order + 1))
+    order.setflags(write=False)
+    return order
+
+
+def _normalised(m, scale):
+    """The matrices ``m`` of shape ``(2, 2, h, n)``, each divided by the power
+    of two that brings its largest entry into [0.5, 1); the exponents of
+    the powers are added to ``scale``, one total per lane."""
+    _, e = np.frexp(np.abs(m).max(axis=(0, 1)))
+    scale += e.sum(axis=0)
+    return np.ldexp(m, -e)
+
+
+def _chunk(omega, ar, v, x, steps=None):
+    """Log growth of unit ``(v, x)`` through the weights ``ar`` of shape
+    ``(k, n)``, and the new unit ``(v, x)``; ``omega`` is a scalar or one
+    value per lane.
+
+    The step matrices are multiplied in adjacent pairs, the later times the
+    earlier, level by level.  The first level applies :func:`_step` to the
+    two basis vectors, which gives the columns of each earlier matrix, and
+    then to those columns.  The products pass through :func:`_normalised`
+    after every ``_RESCALE_LEVELS`` levels and at the end.  The steps are
+    padded with identities to a power of two, at least 2, and stored in
+    :func:`_bit_reversed` order, so each level multiplies one contiguous
+    half by the other.  Where ``steps`` gives a lane's number of steps, its
+    later steps are identities too.  A product with an identity or a power
+    of two is exact, so an odd last matrix is in effect carried to the next
+    level, and the last scaling leaves no power of two behind: a lane gets
+    the bits of its own steps alone.  Lanes never mix; a growth that is not
+    finite marks a failed lane.
+    """
+    k, n = ar.shape
+    order = _bit_reversed(max(2, 1 << (k - 1).bit_length()))
+    h = len(order) // 2
+    ar = ar[np.minimum(order, k - 1)]
+    early, m = np.empty((2, 2, 2, h, n))
+    scale = np.zeros(n, dtype=np.int64)
+    # a failed lane overflows or divides by 0 or NaN; its growth shows it
+    with np.errstate(all="ignore"):
+        _step(omega, ar[:h], 1.0, 0.0, early[:, 0])
+        _step(omega, ar[:h], 0.0, 1.0, early[:, 1])
+        for j in (0, 1):
+            _step(omega, ar[h:], *early[:, j], m[:, j])
+        ends = k if steps is None else steps
+        pad = order[h:, None] >= ends
+        if pad.any():
+            np.copyto(m, early, where=pad)
+            np.copyto(m, _EYE, where=order[:h, None] >= ends)
+        level = 1
+        while h > 1:
+            h //= 2
+            early, late = m[:, :, :h], m[:, :, h:]
+            # (late early)[i, j] = late[i, 0] early[0, j] + late[i, 1] early[1, j]
+            m = late[:, :1] * early[None, 0]
+            m += late[:, 1:] * early[None, 1]
+            level += 1
+            if level % _RESCALE_LEVELS == 0 and h > 1:
+                m = _normalised(m, scale)
+        (a, b), (c, d) = _normalised(m, scale)[:, :, 0]
+        wv = a * v + b * x
+        wx = c * v + d * x
+        norm = np.hypot(wv, wx)
+        return np.log(norm) + scale * _LN2, wv / norm, wx / norm
+
+
+def _chunk_steps(trials):
+    """Steps per Lyapunov chunk of ``trials`` lanes: the largest power of two
+    within ``_BLOCK_STEPS`` and ``_CHUNK_VALUES // trials``, so that a full
+    chunk needs no identity padding."""
+    return 1 << (max(1, min(_BLOCK_STEPS, _CHUNK_VALUES // trials)).bit_length() - 1)
+
+
+def _chunk_end(done, burn_in, counted, k_max):
+    """The step where a Lyapunov orbit's chunk that starts at step ``done``
+    ends.  The orbit runs ``burn_in`` steps and then ``counted``; the burn-in
+    is cut every ``k_max`` steps, and the counted steps every ``k_max``
+    steps from the end of the burn-in and at each integral
+    ``counted / 2**j``.  So an orbit of ``counted * 2**L`` steps is cut
+    wherever one of ``counted`` steps is, and at the end of the latter."""
+    if done < burn_in:
+        return min(done + k_max, burn_in)
+    t = done - burn_in
+    end = (t // k_max + 1) * k_max
+    n = counted
+    while n > t:
+        end = min(end, n)
+        if n % 2:
+            break
+        n //= 2
+    return burn_in + end
+
+
+@dataclass
+class _Probe:
+    """An open Lyapunov orbit: the state of one lyapunov_exponent call."""
+
+    omega: float
+    rng: np.random.Generator
+    alpha1: float
+    alpha2: float
+    end: int
+    v: np.ndarray
+    x: np.ndarray
+    acc: np.ndarray
+    done: int = 0
+
+
+def _advance(probes, trials, burn_in):
+    """Advance each of the Lyapunov ``probes``, all of ``trials`` lanes,
+    through its next chunk (:func:`_chunk_end`) in one :func:`_chunk` call,
+    padding the shorter chunks with identities; the growth of a counted
+    chunk is added to the probe's ``acc``.  Returns per probe None, or the
+    :class:`NumericOverflowError` that failed it.
+
+    A probe with a failed lane runs the chunk again one step at a time
+    with :func:`_block`, from the same weights, and adds the logs of its
+    steps with :func:`_add_logs`; a failure there is raised at its step.
+    """
+    k_max = _chunk_steps(trials)
+    ks = [_chunk_end(p.done, burn_in, p.end - burn_in, k_max) - p.done for p in probes]
+    ar = np.zeros((max(ks), trials * len(probes)))
+    for j, (p, k) in enumerate(zip(probes, ks)):
+        ar[:k, j * trials:(j + 1) * trials] = _draw_weights(p.rng, p.alpha1, p.alpha2, (k, trials))
+    omega = np.repeat(np.array([p.omega for p in probes], dtype=float), trials)
+    v = np.concatenate([p.v for p in probes])
+    x = np.concatenate([p.x for p in probes])
+    steps = np.repeat(ks, trials) if min(ks) < len(ar) else None
+    growth, v, x = _chunk(omega, ar, v, x, steps)
+    failures = []
+    for j, (p, k) in enumerate(zip(probes, ks)):
+        lanes = slice(j * trials, (j + 1) * trials)
+        if np.isfinite(growth[lanes]).all():
+            if p.done >= burn_in:
+                p.acc = p.acc + growth[lanes]
+            p.v, p.x = v[lanes], x[lanes]
+        else:
+            norm, phase = _block(p.omega, ar[:k, lanes], p.v, p.x)
+            good = _good_rows(norm)
+            if good < k:
+                failures.append(NumericOverflowError("renormalisation failed", step=p.done + good))
+                continue
+            if p.done >= burn_in:
+                p.acc = _add_logs(p.acc, norm)
+            p.v, p.x = phase[-1]
+        p.done += k
+        failures.append(None)
+    return failures
+
+
 def _sign(value, se):
     """A probe's reply to :func:`_bisection`: 0 unless ``abs(value) > 3*se``,
     otherwise the sign of ``value``."""
@@ -528,7 +706,16 @@ def lyapunov_exponent(
     Iterates ``a <- M a / ||M a||`` with a fresh random matrix each step,
     accumulating ``log ||M a||`` after the burn-in; the estimate averages
     over steps and independent trials started from random directions, and
-    the standard error is taken across trials.
+    the standard error is taken across trials (0 for one trial).
+
+    Arithmetic: the steps run in chunks of at most 256 steps (fewer above
+    64 trials).  The burn-in is cut every chunk length from its start, the
+    counted steps every chunk length from the end of the burn-in and at
+    each integral ``steps / 2**j``.  A chunk's matrices are multiplied in
+    pairs, level by level, with exact power-of-two rescaling, and its log
+    growth ``log ||P a||`` is added once.  The result equals the per-step
+    sum of ``log ||M a||`` to rounding (about 1e-15 relative in the value);
+    the random draws are those of one draw per step.
 
     Parameters
     ----------
@@ -542,19 +729,22 @@ def lyapunov_exponent(
     Raises
     ------
     NumericOverflowError
-        If renormalisation produces a non-finite norm (not expected; the
-        orbit is renormalised every step).
+        If renormalisation produces a norm outside (0, inf) (not expected
+        for finite weights and ``|omega| <= 1.1``).  A chunk whose product
+        fails is run again one step at a time from its start, so the error
+        carries the first failing step, as a per-step loop would.
     """
     _check_weights(alpha1, alpha2)
     if trials < 1 or steps < 1 or burn_in < 0:
         raise ValueError("steps and trials must be >= 1, burn_in >= 0")
     rng = np.random.default_rng(seed)
-    orbit = _orbit(rng, omega, alpha1, alpha2, *_start(rng, trials), burn_in, steps)
-    acc = np.zeros(trials)
-    for k0, norm, _, _ in orbit:
-        if k0 >= burn_in:
-            acc = _add_logs(acc, norm)
-    return _estimate(acc, steps, burn_in)
+    probe = _Probe(omega, rng, alpha1, alpha2, burn_in + steps, *_start(rng, trials),
+                   np.zeros(trials))
+    while probe.done < probe.end:
+        failure, = _advance([probe], trials, burn_in)
+        if failure is not None:
+            raise failure
+    return _estimate(probe.acc, steps, burn_in)
 
 
 def lyapunov_pair(
@@ -792,20 +982,6 @@ def _bisection(seed, ratio, lo, hi, tolerance, omega, max_level):
     return CriticalPoint(omega, math.nan, math.nan, STATUS_UNRESOLVED)
 
 
-@dataclass
-class _Probe:
-    """An open Lyapunov probe: the orbit state of one lyapunov_exponent call."""
-
-    rng: np.random.Generator
-    alpha1: float
-    alpha2: float
-    end: int
-    v: np.ndarray
-    x: np.ndarray
-    acc: np.ndarray
-    done: int = 0
-
-
 def _solve(omegas, seeds, ratio, tolerance, alpha_lo, alpha_max, max_level, start, advance):
     """Critical points: one :func:`_bisection` per value of ``omegas``,
     seeded by its entry of ``seeds``, with at most one open probe each.
@@ -851,50 +1027,40 @@ def _solve(omegas, seeds, ratio, tolerance, alpha_lo, alpha_max, max_level, star
 
 def _lyapunov_kind(omegas, steps, trials, burn_in):
     """``(start, advance)`` of :func:`_solve` for Lyapunov probes, which
-    advance together as one block of lanes with a per-lane ``omega``.
+    advance together through :func:`_advance`, as many probes a call as
+    ``_CHUNK_VALUES`` lane-steps of full chunks hold, and at least one.
 
     A level-L probe runs ``steps * 2**L`` steps after the burn-in; above
     level 0 it continues the orbit of the probe below it, whose draws are a
-    prefix of its own.  So each probe gives the bits of the
-    :func:`lyapunov_exponent` call for its request: only the k-step loop of
-    :func:`_block` is shared, and where a block is cut changes neither a
-    probe's draws nor the order of its additions.  A probe ends with the
-    block that ends its steps.
+    prefix of its own and whose chunks are cut where the longer orbit's
+    are.  So each probe gives the bits of the :func:`lyapunov_exponent`
+    call for its request: its chunks do not depend on the other probes,
+    and the identities that pad them change no bit.  A probe needs two
+    trials or more: its error is the spread across them.
     """
-    if steps < 1 or trials < 1 or burn_in < 0:
-        raise ValueError("steps and trials must be >= 1, burn_in >= 0")
+    if steps < 1 or burn_in < 0:
+        raise ValueError("steps must be >= 1, burn_in >= 0")
+    if trials < 2:
+        raise ValueError("a Lyapunov bisection needs trials >= 2")
+    group = max(1, _CHUNK_VALUES // (_chunk_steps(trials) * trials))
 
     def start(i, a1, a2, level, child, probe):
         if not level:
             rng = np.random.default_rng(child)
-            probe = _Probe(rng, a1, a2, 0, *_start(rng, trials), np.zeros(trials))
+            probe = _Probe(omegas[i], rng, a1, a2, 0, *_start(rng, trials), np.zeros(trials))
         probe.end = burn_in + steps * 2**level
         return probe
 
     def advance(probes):
-        k = min(_block_steps(trials * len(probes)), *(p.end - p.done for p in probes.values()))
-        ar = np.concatenate(
-            [_draw_weights(p.rng, p.alpha1, p.alpha2, (k, trials)) for p in probes.values()],
-            axis=1)
-        omega = np.repeat([omegas[i] for i in probes], trials)
-        v = np.concatenate([p.v for p in probes.values()])
-        x = np.concatenate([p.x for p in probes.values()])
-        norm, phase = _block(omega, ar, v, x)
-        for j, (i, p) in enumerate(probes.items()):
-            lanes = slice(j * trials, (j + 1) * trials)
-            good = _good_rows(norm[:, lanes])
-            if good < k:
-                yield i, NumericOverflowError("renormalisation failed", step=p.done + good)
-                continue
-            first = max(0, burn_in - p.done)
-            if first < k:
-                # contiguous: numpy may take another log path on strides
-                p.acc = _add_logs(p.acc, np.ascontiguousarray(norm[first:, lanes]))
-            p.v, p.x = phase[-1, :, lanes]
-            p.done += k
-            done = p.done == p.end
-            est = _estimate(p.acc, p.end - burn_in, burn_in) if done else None
-            yield i, _sign(est.value, est.std_error) if done else None
+        items = list(probes.items())
+        for g in range(0, len(items), group):
+            batch = items[g:g + group]
+            for (i, p), failure in zip(batch, _advance([p for _, p in batch], trials, burn_in)):
+                if failure is None and p.done == p.end:
+                    est = _estimate(p.acc, p.end - burn_in, burn_in)
+                    yield i, _sign(est.value, est.std_error)
+                else:
+                    yield i, failure
 
     return start, advance
 
@@ -985,6 +1151,9 @@ def critical_alpha(
     Near the root a probe that shows no significant sign is continued at
     twice its budget, up to ``max_level >= 0`` times: the Lyapunov orbits
     run twice the steps, or the escape probe adds as many trials again.
+
+    With ``method="lyapunov"``, ``trials`` must be at least 2: a probe's
+    error is the spread across its trials, and one trial has none.
 
     Returns a :class:`CriticalPoint` whose status is ``NO_CROSSING`` if no
     significant sign change exists in the bracket and ``UNRESOLVED`` if the

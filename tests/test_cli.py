@@ -60,6 +60,8 @@ _INVALID = {
     "scaling-iterations-zero": ["scaling", "--kappa", "1", "--iterations", "0",
                                 "--repetitions", "10"],
     "scaling-kappa-p-overflow": ["scaling", "--kappa", "1e200", "--p", "1e200", "--g", "0"],
+    "curve-one-trial": ["curve", "--omega-min", "0.4", "--omega-max", "0.4", "--steps", "200",
+                        "--trials", "1"],
     "escape-max-steps-zero": ["escape", "--omega", "0.5", "--alpha", "2", "--max-steps", "0"],
     "escape-max-steps-negative": ["escape", "--omega", "0.5", "--alpha", "2",
                                   "--max-steps", "-3"],

@@ -323,6 +323,24 @@ _ORBIT_CASES = {
 }
 
 
+def _assert_exponent_close(estimate, reference):
+    """The exponent of the log-depth kernel against the per-step sum: value
+    and std_error within 1e-12 relative, the budget fields exact."""
+    assert estimate.value == pytest.approx(reference.value, rel=1e-12, abs=0.0)
+    assert estimate.std_error == pytest.approx(reference.std_error, rel=1e-12, abs=0.0)
+    assert astuple(estimate)[2:] == astuple(reference)[2:]
+
+
+def _assert_orbit_matches(name, blocked, reference):
+    """``exponent`` sums its log growth over chunk products, so it agrees to
+    rounding; the other orbit estimators add per-step logs and agree bit for
+    bit."""
+    if name == "exponent":
+        _assert_exponent_close(blocked, reference)
+    else:
+        assert blocked == reference
+
+
 @pytest.mark.parametrize("name, case", [
     (name, case) for case in _ORBIT_CASES
     for name in ("exponent", "pair", "stationary", "finite_time")
@@ -336,7 +354,7 @@ def test_blocked_orbit_equals_per_step_loop(name, case, constant_weight):
     reference = _reference(name, *args, fixed_r)
     if fixed_r is not None:
         constant_weight(fixed_r)
-    assert _blocked(name, *args) == reference
+    _assert_orbit_matches(name, _blocked(name, *args), reference)
 
 
 @pytest.mark.parametrize("name", ["exponent", "pair", "stationary", "finite_time"])
@@ -345,8 +363,48 @@ def test_blocked_orbit_generator_seed_ends_in_reference_state(name):
     burn_in = 0 if name == "finite_time" else 70
     blocked = _blocked(name, -0.4, 0.0, 3.1, 530, 3, burn_in, gen)
     reference = _reference(name, -0.4, 0.0, 3.1, 530, 3, burn_in, ref_gen, None)
-    assert blocked == reference
+    _assert_orbit_matches(name, blocked, reference)
     assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+
+@pytest.mark.parametrize("omega", [-1.1, -1.0, 0.0, 1.0, 1.1])
+@pytest.mark.parametrize("alpha", [0.01, 0.5, 4.6, 8.0, 100.0])
+def test_exponent_kernel_matches_per_step_sum(omega, alpha):
+    # across the inertia range and from near-deterministic to huge weights;
+    # the generator ends where the per-step loop leaves it
+    gen, ref_gen = np.random.default_rng(31), np.random.default_rng(31)
+    args = (omega, 0.3 * alpha, 0.7 * alpha, 600, 6, 90)
+    estimate = lyapunov_exponent(*args, seed=gen)
+    # the reference also runs lyapunov_pair's second leg, singular at omega = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reference = _reference("exponent", *args, ref_gen, None)
+    _assert_exponent_close(estimate, reference)
+    assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+
+# ---------------------------------------------------------------- the chunk rule
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 64, 100, 129, 256])
+def test_identity_padding_keeps_a_chunks_bits(k):
+    # each lane of a chunk padded with identities to any wider width, next to
+    # lanes of other step counts, gets the bits of its steps alone
+    rng = np.random.default_rng(k)
+    alpha = np.array([0.01, 0.5, 4.6, 8.0, 100.0, 1.0, 2.0, 3.0])
+    n = alpha.size
+    omega = rng.uniform(-1.1, 1.1, n)
+    ar = alpha * rng.random((256, n))
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    v, x = np.sin(theta), np.cos(theta)
+    widths = {k, k + 1, 1 << (k - 1).bit_length(), 2 * k, 256}
+    for width in sorted(w for w in widths if w <= 256):
+        steps = np.full(n, k)
+        steps[1::2] = rng.integers(1, width + 1, n // 2)
+        padded = stability._chunk(omega, ar[:width], v, x, steps)
+        for count in set(steps.tolist()):
+            alone = stability._chunk(omega, ar[:count], v, x)
+            lanes = steps == count
+            assert [a[lanes].tobytes() for a in padded] == [a[lanes].tobytes() for a in alone]
 
 
 @pytest.mark.parametrize("estimator, omega, fixed_r, step", [
@@ -989,8 +1047,12 @@ _LOCKSTEP_CASES = {
     "equal": ([-0.5, 0.0, 0.4, 0.7], 2, dict(tolerance=0.05, steps=500, trials=8, burn_in=100)),
     "social_only": ([0.0, 0.6], 5, dict(ratio=RATIO_SOCIAL_ONLY, tolerance=0.05, steps=600,
                                         trials=6, burn_in=300)),
-    "one_trial": ([-0.5, 0.3, 0.9, 1.05], 5, dict(tolerance=0.05, steps=600, trials=1,
-                                                 burn_in=300)),
+    "two_trials": ([-0.5, 0.3, 0.9, 1.05], 5, dict(tolerance=0.05, steps=600, trials=2,
+                                                  burn_in=300)),
+    # odd steps and a burn-in off the chunk grid: points at different levels
+    # run chunks of different lengths in one round
+    "chunk_offsets": ([-0.4, 0.2, 0.8], 7, dict(tolerance=0.05, steps=333, trials=3,
+                                               burn_in=77)),
     "mixed_statuses": ([-1.0, -0.2, 0.99, 1.0, 1.05], 3, dict(tolerance=0.05, steps=300,
                                                              trials=6, burn_in=50, max_level=1)),
     "seed_sequence": ([-0.3, 0.5], np.random.SeedSequence, dict(tolerance=0.05, steps=400,
@@ -1071,14 +1133,58 @@ def test_lockstep_reference_ladders_reach_the_top_level(case):
     log = []
     _serial_curve(grid, _make_seed(seed), log=log, **budgets)
     levels = {level for _, _, level, _ in log}
-    if budgets["trials"] == 1:
-        # no spread across one trial: every nonzero estimate is significant
-        assert levels == {0}
-        return
     default = inspect.signature(critical_alpha).parameters["max_level"].default
     top = budgets.get("max_level", default)
     assert top >= 1
     assert top in levels
+
+
+def test_lockstep_pads_probes_at_different_chunk_offsets(monkeypatch):
+    grid, seed, budgets = _LOCKSTEP_CASES["chunk_offsets"]
+    reference = _serial_curve(grid, seed, **budgets)
+    lengths = []
+    chunk = stability._chunk
+
+    def record(omega, ar, v, x, steps=None):
+        lengths.append(set() if steps is None else set(steps.tolist()))
+        return chunk(omega, ar, v, x, steps)
+
+    monkeypatch.setattr(stability, "_chunk", record)
+    assert critical_curve(grid, seed=seed, **budgets).points == reference
+    assert any(len(chunks) > 1 for chunks in lengths)
+
+
+@pytest.mark.parametrize("steps, burn_in", [(333, 77), (5, 300), (1000, 256), (37, 0)])
+def test_a_ladder_probe_equals_the_longer_exponent_call(steps, burn_in):
+    # a level-L probe continues the orbit below it and is cut where the
+    # lyapunov_exponent call of steps * 2**L steps is, so it has its bits
+    trials = 5
+    start, advance = stability._lyapunov_kind([0.3], steps, trials, burn_in)
+    child = np.random.SeedSequence(4)
+    probe = None
+    for level in range(4):
+        probe = start(0, 0.9, 1.4, level, child, probe)
+        reply = None
+        while reply is None:
+            (_, reply), = advance({0: probe})
+        estimate = stability._estimate(probe.acc, steps * 2**level, burn_in)
+        assert estimate == lyapunov_exponent(0.3, 0.9, 1.4, steps * 2**level, trials, burn_in,
+                                             child)
+
+
+def test_lyapunov_bisection_rejects_one_trial():
+    # one trial has no spread: its std_error of 0 would make every nonzero
+    # estimate significant, and the bisection would resolve one noisy orbit
+    with pytest.raises(ValueError, match="trials >= 2"):
+        critical_alpha(0.0, trials=1, steps=600, burn_in=300, tolerance=0.05, seed=0)
+    with pytest.raises(ValueError, match="trials >= 2"):
+        critical_curve([-0.5, 0.5], trials=1, steps=600, seed=0)
+    single = lyapunov_exponent(0.0, 0.5, 0.5, steps=600, trials=1, burn_in=300, seed=0)
+    assert single.trials == 1 and single.std_error == 0.0
+    # the escape probe has no use for the Lyapunov trials
+    point = critical_alpha(0.5, method="escape", trials=1, escape_trials=50,
+                           escape_max_steps=50, seed=1)
+    assert isinstance(point, CriticalPoint)
 
 
 def _assert_same_overflow(monkeypatch, draw, grid, seed, **budgets):

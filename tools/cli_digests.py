@@ -57,9 +57,10 @@ COMMANDS = [
     (["curve", "--omega-min", "-1.1", "--omega-max", "1.1", "--step", "0.2",
       "--tolerance", "0.05", "--steps", "300", "--trials", "24", "--seed", "16",
       "--output", "curve_lanes.csv"], ["curve_lanes.csv"]),
+    # the fewest trials a Lyapunov bisection takes
     (["curve", "--ratio", "social-only", "--omega-min", "-0.9", "--omega-max", "0.9",
-      "--step", "0.6", "--tolerance", "0.05", "--steps", "400", "--trials", "1",
-      "--seed", "17", "--output", "curve_one_trial.csv"], ["curve_one_trial.csv"]),
+      "--step", "0.6", "--tolerance", "0.05", "--steps", "400", "--trials", "2",
+      "--seed", "17", "--output", "curve_two_trials.csv"], ["curve_two_trials.csv"]),
     (["curve", "--method", "escape", "--ratio", "social-only", "--omega-min", "0.4",
       "--omega-max", "0.4", "--tolerance", "0.05", "--seed", "3",
       "--output", "curve_escape.csv"], ["curve_escape.csv"]),
