@@ -358,9 +358,13 @@ def _orbit(rng, omega, alpha1, alpha2, v, x, burn_in, steps):
 # _RESCALE_LEVELS levels of pairwise products: a product of 2**4 step
 # matrices stays within the float range for weights up to about 2**60.
 # One kernel call holds at most _CHUNK_VALUES lane-steps where it can: its
-# arrays, about 80 bytes a lane-step, then stay within a core's cache.
+# arrays, about 80 bytes a lane-step, then stay within a core's cache.  Above
+# 4096 lanes a chunk still holds _MIN_CHUNK_STEPS steps and so overruns that
+# cap: a chunk of one or two steps would spend more numpy calls a step than
+# the per-step _block.
 _RESCALE_LEVELS = 4
 _CHUNK_VALUES = 1 << 14
+_MIN_CHUNK_STEPS = 4
 _EYE = np.eye(2).reshape(2, 2, 1, 1)
 _LN2 = math.log(2.0)
 
@@ -443,8 +447,9 @@ def _chunk(omega, ar, v, x, steps=None):
 def _chunk_steps(trials):
     """Steps per Lyapunov chunk of ``trials`` lanes: the largest power of two
     within ``_BLOCK_STEPS`` and ``_CHUNK_VALUES // trials``, so that a full
-    chunk needs no identity padding."""
-    return 1 << (max(1, min(_BLOCK_STEPS, _CHUNK_VALUES // trials)).bit_length() - 1)
+    chunk needs no identity padding, and at least ``_MIN_CHUNK_STEPS``."""
+    k = max(_MIN_CHUNK_STEPS, min(_BLOCK_STEPS, _CHUNK_VALUES // trials))
+    return 1 << (k.bit_length() - 1)
 
 
 def _chunk_end(done, burn_in, counted, k_max):

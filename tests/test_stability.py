@@ -320,6 +320,7 @@ _ORBIT_CASES = {
     "fixed_r": (300, 3, 20, 0.37),
     "one_trial": (700, 1, 30, None),
     "lanes_shorten_block": (500, 300, 40, None),
+    "lanes_past_chunk_cap": (37, 9000, 11, None),
 }
 
 

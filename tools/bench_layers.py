@@ -3,16 +3,17 @@ estimator at several lane counts, for two source trees.
 
 Usage::
 
-    python tools/bench_layers.py PARENT CHANGE OUT.json [--lanes 12,60,368,1024,4096]
-        [--rounds 7] [--lane-steps 1048576]
+    python tools/bench_layers.py PARENT CHANGE OUT.json
 
 A lane is one trial of ``stability.lyapunov_exponent``; a lane-step is one
-lane advanced one step.  Each round runs one fresh process per tree (the
-package under ``<tree>/src``), alternating which tree runs first from one
-round to the next.  The process times, at each lane count, one call of
-``lyapunov_exponent(0.4, 1.1, 1.3, steps, lanes, burn_in=0)`` with
-``steps = lane_steps // lanes``, after one untimed call at a tenth of the
-steps; the weight draws and the log sum are part of the time.
+lane advanced one step.  Each of ``ROUNDS`` rounds runs one fresh process
+per tree (the package under ``<tree>/src``), alternating which tree runs
+first from one round to the next.  The process times, at each of ``LANES``,
+one call of ``lyapunov_exponent(0.4, 1.1, 1.3, steps, lanes, burn_in=0)``
+with ``steps = LANE_STEPS // lanes``, after one untimed call at a tenth of
+the steps; the weight draws and the log sum are part of the time.  The
+lane counts above 4096 are those where a Lyapunov chunk holds its fewest
+steps.
 
 OUT.json gets a ``layers`` entry with, per lane count, each side's median,
 inclusive quartiles and runs of the ns per lane-step, the ratio of the
@@ -32,6 +33,9 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+LANES = (12, 60, 368, 1024, 4096, 8192, 16384, 65536)
+ROUNDS = 7
+LANE_STEPS = 1 << 20
 
 # one process: ns per lane-step at each lane count of argv[1:]
 PROBE = """
@@ -49,11 +53,11 @@ print(json.dumps(out))
 """
 
 
-def run_tree(tree: Path, lanes: list[int], lane_steps: int) -> dict[int, float]:
+def run_tree(tree: Path) -> dict[int, float]:
     # no bytecode files: a cache left in one tree would speed up the
     # benchmark's set-up there
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    argv = [sys.executable, "-c", PROBE, str(lane_steps), *map(str, lanes)]
+    argv = [sys.executable, "-c", PROBE, str(LANE_STEPS), *map(str, LANES)]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
     return {int(n): ns for n, ns in json.loads(proc.stdout).items()}
 
@@ -68,32 +72,26 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("output", type=Path)
-    parser.add_argument("--lanes", default="12,60,368,1024,4096")
-    parser.add_argument("--rounds", type=int, default=7)
-    parser.add_argument("--lane-steps", type=int, default=1 << 20)
     args = parser.parse_args(argv)
-    if args.rounds < 2:
-        parser.error("--rounds needs at least 2")
-    lanes = [int(n) for n in args.lanes.split(",")]
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
-    runs = {side: {n: [] for n in lanes} for side in SIDES}
-    for k in range(args.rounds):
+    runs = {side: {n: [] for n in LANES} for side in SIDES}
+    for k in range(ROUNDS):
         for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
-            for n, ns in run_tree(trees[side], lanes, args.lane_steps).items():
+            for n, ns in run_tree(trees[side]).items():
                 runs[side][n].append(ns)
             print(f"round {k} {side}: " + ", ".join(
-                f"{n} lanes {runs[side][n][-1]:.1f} ns" for n in lanes), file=sys.stderr)
+                f"{n} lanes {runs[side][n][-1]:.1f} ns" for n in LANES), file=sys.stderr)
 
     entry = {
         "command": "lyapunov_exponent(0.4, 1.1, 1.3, lane_steps // lanes, lanes, burn_in=0)",
         "method": "one fresh process per tree and round, the first tree alternating; "
                   "q1/q3 are the inclusive quartiles of the rounds",
         "unit": "ns per lane-step",
-        "lane_steps": args.lane_steps,
+        "lane_steps": LANE_STEPS,
         "lanes": {},
     }
-    for n in lanes:
+    for n in LANES:
         row = {side: summary(runs[side][n]) for side in SIDES}
         row["ratio"] = row["change"]["median"] / row["parent"]["median"]
         row["change_lower_in_rounds"] = sum(c < p for c, p in zip(runs["change"][n],
