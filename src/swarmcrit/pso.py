@@ -16,6 +16,12 @@ generator call; a generator fills its output in order, so the block holds
 the stream that one draw per iteration gives, and the run does not depend
 on the block length.
 
+A cost is needed only to ask whether it beats the particle's personal best,
+so a ``BenchmarkFunction`` cost is told that best and skips each particle
+whose cost provably cannot beat it (see ``benchmarks``), reporting +inf;
+every best, trace and flag is bit-identical to evaluating every particle.
+Other costs are evaluated on every finite particle.
+
 No spatial or velocity clamping is performed; non-finite positions mark the
 run as diverged, cost evaluation for them is skipped and treated as +inf.
 The flag is set only once a position or velocity has overflowed to a
@@ -29,6 +35,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .benchmarks import BenchmarkFunction
 from .dynamics import SwarmParams, _seed_sequence, affine_update
 
 __all__ = [
@@ -78,8 +85,9 @@ class _CostAdapter:
         self._batched: bool | None = None
 
     @classmethod
-    def wrap(cls, f) -> "_CostAdapter":
-        return f if isinstance(f, cls) else cls(f)
+    def wrap(cls, f) -> "_CostAdapter | BenchmarkFunction":
+        """``f`` itself if it evaluates stacks already, else ``f`` adapted."""
+        return f if isinstance(f, (cls, BenchmarkFunction)) else cls(f)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(points)
@@ -172,7 +180,10 @@ class RunResult:
     ``diverged`` means that a position or velocity overflowed to a
     non-finite value within the budget.  A divergent run whose budget ends
     before the overflow reports ``False``, so divergence fractions over
-    short runs are a lower bound.
+    short runs are a lower bound.  ``evaluations`` counts the scheduled
+    cost evaluations, ``n_particles * (iterations + 1)``, including those
+    skipped for non-finite positions or for a cost that cannot beat its
+    personal best.
     """
 
     best_cost: float
@@ -224,24 +235,33 @@ def _start(cost, positions: np.ndarray) -> SwarmState:
     )
 
 
-def _evaluate(cost, positions: np.ndarray, finite: np.ndarray | None) -> np.ndarray:
+def _evaluate(cost, positions: np.ndarray, finite: np.ndarray | None,
+              ceiling: np.ndarray) -> np.ndarray:
     """(B, n) costs of the finite particles, +inf for the others.
 
     ``finite`` is the (B, n) mask of finite particles, or None if all are.
     The swarms whose particles are all finite share one call on their
     (B', n, dim) stack.  A swarm with some non-finite particles is called
     on its finite rows alone, as a lone swarm is: a rotated cost's matrix
-    product rounds differently when the number of rows changes.
+    product rounds differently when the number of rows changes.  A
+    ``BenchmarkFunction`` gets each particle's (B, n) ``ceiling``, its
+    personal best cost, and returns +inf where the cost provably is not
+    below it, so the costs may differ but never which of them are below.
     """
+    if isinstance(cost, BenchmarkFunction):
+        call = cost._costs
+    else:
+        def call(points, _):
+            return cost(points)
     with np.errstate(over="ignore", invalid="ignore"):
         if finite is None:
-            return cost(positions)
+            return call(positions, ceiling)
         whole = finite.all(axis=1)
         out = np.full(finite.shape, np.inf)
         if whole.any():
-            out[whole] = cost(positions[whole])
+            out[whole] = call(positions[whole], ceiling[whole])
         for b in np.flatnonzero(finite.any(axis=1) & ~whole):
-            out[b, finite[b]] = cost(positions[b, finite[b]])
+            out[b, finite[b]] = call(positions[b, finite[b]], ceiling[b, finite[b]])
     return out
 
 
@@ -263,7 +283,7 @@ def _advance(state: SwarmState, omega, alpha1, alpha2, r: np.ndarray, cost) -> S
     else:
         finite = finite.all(axis=-1)
         diverged = state.diverged | ~finite.all(axis=-1)
-    c = _evaluate(cost, positions, finite)
+    c = _evaluate(cost, positions, finite, state.p_best_cost)
     improved = c < state.p_best_cost
     p_best = np.where(improved[..., None], positions, state.p_best)
     p_best_cost = np.where(improved, c, state.p_best_cost)
@@ -353,9 +373,10 @@ def optimize(f, params: SwarmParams, iterations: int, bounds=(-100.0, 100.0), se
     divergence flag and the number of scheduled cost evaluations
     (``n_particles * (iterations + 1)``, counting initialisation; skipped
     evaluations of non-finite positions contribute +inf without calling
-    ``f``).  The divergence flag is set only when a position or velocity
-    has overflowed to a non-finite value within ``iterations``; see
-    :class:`RunResult`.  This is ``lockstep`` with one swarm.
+    ``f``, and a ``BenchmarkFunction`` skips the rows that cannot beat
+    their personal best).  The divergence flag is set only when a position
+    or velocity has overflowed to a non-finite value within ``iterations``;
+    see :class:`RunResult`.  This is ``lockstep`` with one swarm.
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")

@@ -666,11 +666,14 @@ class _FirstPassage:
                     converged(u, x, conv)
                 np.greater_equal(norm2, rout2, esc)
                 if np.logical_or(conv, esc, done).any():
-                    # a lane passing both tests counts for neither
                     n_c, n_e = int(np.count_nonzero(conv)), int(np.count_nonzero(esc))
-                    n_both = int(np.count_nonzero(np.logical_and(conv, esc, conv)))
-                    n_conv += n_c - n_both
-                    n_esc += n_e - n_both
+                    if converged is not None:
+                        # a lane passing both tests counts for neither; under
+                        # the radius rule alone, r_in < 1 < r_out, none can
+                        n_both = int(np.count_nonzero(np.logical_and(conv, esc, conv)))
+                        n_c, n_e = n_c - n_both, n_e - n_both
+                    n_conv += n_c
+                    n_esc += n_e
                     keep = np.logical_not(done, done)
                     for c in cohorts[:-1]:
                         c[1] = int(np.count_nonzero(keep[:c[1]]))

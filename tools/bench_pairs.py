@@ -11,7 +11,10 @@ once in each tree, alternating which tree runs first from one seed to the
 next, and reads the JSON line each run prints last.  Each tree should be a
 checkout of its own (say ``git archive`` of the parent commit and an export
 of the working tree): the benchmark writes under ``bench/out`` of the tree
-it runs in, and this script writes nothing else there.
+it runs in, and this script writes nothing else there.  The script
+refuses to start while either tree holds a ``__pycache__`` under ``src/``
+and names it: the benchmark's set-up probe starts fresh interpreters, and
+a bytecode cache in one tree spares only that tree's compile.
 
 OUT.json has, per workload, the seeds and, per end-to-end metric of
 ``BENCHMARK.json``, each side's median, inclusive quartiles and runs, plus
@@ -96,6 +99,9 @@ def main(argv=None) -> int:
         parser.error("--seeds needs at least 2 seeds")
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for tree in trees.values():
+        for cache in sorted((tree / "src").rglob("__pycache__")):
+            parser.error(f"{cache} holds a bytecode cache; remove it before the runs")
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
     workloads = (args.workloads.split(",") if args.workloads
