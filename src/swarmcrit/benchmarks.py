@@ -184,16 +184,13 @@ class BenchmarkFunction:
     def optimum_value(self) -> float:
         return 0.0
 
-    def __call__(self, x):
+    def __call__(self, x, *, _ceiling=None):
+        # ``_ceiling``, the optimiser's (..., n) personal best costs, gives
+        # +inf for each row whose bound, less its margins, is not below its
+        # ceiling: that row's cost is not below it either, or is NaN
         x = np.asarray(x, dtype=float)
-        out = self._costs(np.atleast_2d(x))
-        return float(out[0]) if x.ndim == 1 else out
-
-    def _costs(self, pts, ceiling=None):
-        """Costs of the ``(..., n, dim)`` points ``pts``; with a ``(..., n)``
-        ``ceiling``, +inf for each row whose base formula has a lower bound
-        (see ``_BOUND``) that, less its margins, is not below its ceiling.
-        Such a row's cost is not below its ceiling either, or is NaN."""
+        single = x.ndim == 1
+        pts = np.atleast_2d(x)
         if pts.shape[-1] != self.dim:
             raise ValueError(f"expected dimension {self.dim}, got {pts.shape[-1]}")
         z = pts - self.shift
@@ -202,13 +199,14 @@ class BenchmarkFunction:
         if self.noncontinuous:
             z = _noncontinuous(z)
         base, bound = _BASE[self.id], _BOUND.get(self.id)
-        if ceiling is None or bound is None:
-            return base(z)
-        low = _floor(bound(z))
-        rows = np.flatnonzero(low < ceiling)
-        out = np.full(low.shape, np.inf)
-        np.put(out, rows, base(np.take(z.reshape(-1, self.dim), rows, axis=0)))
-        return out
+        if _ceiling is None or bound is None:
+            out = base(z)
+        else:
+            low = _floor(bound(z))
+            rows = np.flatnonzero(low < _ceiling)
+            out = np.full(low.shape, np.inf)
+            np.put(out, rows, base(np.take(z.reshape(-1, self.dim), rows, axis=0)))
+        return float(out[0]) if single else out
 
     def describe(self) -> dict:
         return {

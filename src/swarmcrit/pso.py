@@ -248,11 +248,11 @@ def _evaluate(cost, positions: np.ndarray, finite: np.ndarray | None,
     personal best cost, and returns +inf where the cost provably is not
     below it, so the costs may differ but never which of them are below.
     """
-    if isinstance(cost, BenchmarkFunction):
-        call = cost._costs
-    else:
-        def call(points, _):
-            return cost(points)
+    bounded = isinstance(cost, BenchmarkFunction)
+
+    def call(points, ceiling):
+        return cost(points, _ceiling=ceiling) if bounded else cost(points)
+
     with np.errstate(over="ignore", invalid="ignore"):
         if finite is None:
             return call(positions, ceiling)

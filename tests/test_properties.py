@@ -1,14 +1,17 @@
 """Property tests: the determinant identity of the step matrix, the two
 one-step maps against the matrix product and under scaling and shifts, the
-kernels' out= forms against their allocating forms, and the exact CSV round
-trip of reals."""
+kernels' out= forms against their allocating forms, the benchmark formulas
+against the lower bounds that skip their rows, and the exact CSV round trip
+of reals."""
 
 import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from swarmcrit import benchmarks
 from swarmcrit.dynamics import _step, _weights, affine_update, build_step_matrix
 from swarmcrit.io import read_csv, write_csv
 from swarmcrit.stability import RATIO_EQUAL, RATIO_SOCIAL_ONLY, split_alpha
@@ -115,6 +118,38 @@ def test_out_forms_equal_allocating_forms(omega, a1, a2, p, g, lanes):
         z, u = np.stack([v, x]), np.stack([r1, r2, np.zeros_like(r1)])
         got = affine_update(omega, a1, a2, z[0], z[1], u[0], u[1], p, g, z, u)
         assert _same_floats(got, want) and _same_floats(z, want)
+
+
+@settings(deadline=None, max_examples=200)
+@given(fid=st.sampled_from(sorted(benchmarks._BOUND)), dim=st.integers(1, 30),
+       a=st.floats(-8.0, 150.0), b=st.floats(-8.0, 150.0), near_integer=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_bounded_formulas_never_fall_below_their_floor(fid, dim, a, b, near_integer, seed):
+    # a row skipped for its floor must not have cost less than its ceiling.
+    # 1024 rows of coordinates with magnitudes from 10**a to 10**b, a share
+    # of them within 1e-6 of an integer, where a rastrigin term's cosine
+    # part nearly vanishes
+    rng = np.random.default_rng(seed)
+    shape = (1024, dim)
+    z = rng.choice([-1.0, 1.0], shape) * 10.0 ** (a + (b - a) * rng.random(shape))
+    snap = rng.random(shape) < near_integer
+    z[snap] = np.round(z[snap]) + rng.uniform(-1e-6, 1e-6, np.count_nonzero(snap))
+    floor = benchmarks._floor(benchmarks._BOUND[fid](z))
+    assert np.all(benchmarks._BASE[fid](z) >= floor)
+
+
+_SUITES = {dim: benchmarks.suite(dim, seed=19) for dim in (2, 10)}
+
+
+@settings(deadline=None, max_examples=100)
+@given(dim=st.sampled_from(sorted(_SUITES)), data=st.data())
+def test_infinite_ceiling_reproduces_every_cost(dim, data):
+    exps = data.draw(arrays(float, (3, 4, dim), elements=st.floats(-8.0, 150.0)))
+    signs = data.draw(arrays(float, (3, 4, dim), elements=st.sampled_from([-1.0, 1.0])))
+    with np.errstate(all="ignore"):
+        for fn in _SUITES[dim]:
+            x = fn.shift + signs * 10.0**exps
+            assert _same_floats(fn(x, _ceiling=np.full((3, 4), np.inf)), fn(x)), fn.label
 
 
 def _same_real(a, b):

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from swarmcrit import pso
+from swarmcrit import benchmarks, pso
 from swarmcrit.benchmarks import make_function
 from swarmcrit.dynamics import SwarmParams, _step
+from swarmcrit.harness import SweepConfig, inclusive_grid, run_sweep
 from swarmcrit.pso import RunResult, SwarmState, init_swarm, lockstep, optimize, pso_step
 
 
@@ -243,6 +244,70 @@ def test_lockstep_equals_per_iteration_draws(draw_values, monkeypatch):
         assert np.array_equal(state.g_best[i], gb)
         assert state.diverged[i] == diverged
         assert np.array_equal(trace[i], ref_trace)
+
+
+def _count_rows(monkeypatch, fid):
+    """A list that receives the number of rows of every call of the base
+    formula ``fid``."""
+    rows = []
+    base = benchmarks._BASE[fid]
+
+    def counted(z):
+        rows.append(z.size // z.shape[-1])
+        return base(z)
+
+    monkeypatch.setitem(benchmarks._BASE, fid, counted)
+    return rows
+
+
+_BOUNDED = {
+    "rastrigin": dict(id="rastrigin"),
+    "rastrigin-rot": dict(id="rastrigin", rotated=True),
+    "rastrigin-rot-nc": dict(id="rastrigin", rotated=True, noncontinuous=True),
+    "griewank": dict(id="griewank"),
+}
+
+
+@pytest.mark.parametrize("dim", [2, 10])
+@pytest.mark.parametrize("variant", list(_BOUNDED.values()), ids=list(_BOUNDED))
+def test_lockstep_skipping_bounded_costs_equals_evaluating_every_particle(variant, dim,
+                                                                         monkeypatch):
+    # the reference evaluates every finite particle; lockstep skips the rows
+    # whose bound cannot beat their personal best, also on swarms that grow
+    # to huge finite positions and on the calls of a swarm's finite rows
+    fn = make_function(**variant, dim=dim, seed=19)
+    params = [SwarmParams(w, a1, a2, n_particles=4, dim=dim)
+              for w, a1, a2 in ((0.7, 0.7, 0.7), (1.1, 6.0, 6.0), (1.0, 0.0, 12.0), (0.4, 1.0, 0.5))]
+    seeds = [[19, i] for i in range(len(params))]
+    rows = _count_rows(monkeypatch, variant["id"])
+    trace = np.empty((len(params), 900))
+    state = lockstep(fn, params, 900, fn.domain, seeds, trace)
+    evaluated = sum(rows)
+    assert state.diverged.any() and not state.diverged.all()
+    for i, p in enumerate(params):
+        x, gbc, gb, diverged, ref_trace = _reference_run(fn, p, 900, -100.0, 100.0, seeds[i])
+        assert np.array_equal(state.positions[i], x, equal_nan=True)
+        assert state.g_best_cost[i] == gbc
+        assert np.array_equal(state.g_best[i], gb)
+        assert state.diverged[i] == diverged
+        assert np.array_equal(trace[i], ref_trace)
+    # the reference's calls counted the rows of every finite particle
+    assert evaluated < sum(rows) - evaluated
+
+
+def test_valley_sweep_skips_half_the_scheduled_rastrigin_rows(monkeypatch):
+    # the benchmark's valley sweep: 2-d rastrigin, 12 x 10 cells, 2
+    # repetitions, 25 particles, 200 iterations; the CLI builds the
+    # instance from the sweep seed
+    fn = make_function("rastrigin", 2, seed=10_000)
+    config = SweepConfig(
+        omega_values=inclusive_grid(-1.1, 1.1, 0.2), alpha_values=inclusive_grid(0.25, 5.0, 0.5),
+        iterations=200, repetitions=2, functions=(fn,), n_particles=25, dim=2, master_seed=10_000,
+    )
+    rows = _count_rows(monkeypatch, "rastrigin")
+    run_sweep(config)
+    scheduled = 12 * 10 * 2 * 25 * 201
+    assert sum(rows) <= 0.5 * scheduled
 
 
 def test_seed_sequence_argument_is_not_advanced():
