@@ -105,6 +105,7 @@ _BASE = {
 
 FUNCTION_IDS = tuple(_BASE)
 
+
 def _squares(z):
     # sum z*z as a matrix-vector product: rounded differently from
     # ``_sphere``, within the margins, and several times faster at dim 2
