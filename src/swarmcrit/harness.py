@@ -189,15 +189,18 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepGrid:
     best = np.concatenate([b for b, _ in batches]).reshape(len(functions), *shape)
     diverged = np.concatenate([d for _, d in batches]).reshape(len(functions), *shape)
     reps = config.repetitions
+    # one call each over the repetition axis, bit-equal to a call per cell
+    means, medians = best.mean(axis=-1), np.median(best, axis=-1)
+    diverged_counts = np.count_nonzero(diverged, axis=-1)
     cells = [
         CellStats(
             function=fn.label,
             omega=float(config.omega_values[i_w]),
             alpha=float(config.alpha_values[i_a]),
             iterations=config.iterations,
-            mean_best_cost=float(best[fn_idx, i_w, i_a].mean()),
-            median_best_cost=float(np.median(best[fn_idx, i_w, i_a])),
-            divergence_fraction=int(np.count_nonzero(diverged[fn_idx, i_w, i_a])) / reps,
+            mean_best_cost=float(means[fn_idx, i_w, i_a]),
+            median_best_cost=float(medians[fn_idx, i_w, i_a]),
+            divergence_fraction=int(diverged_counts[fn_idx, i_w, i_a]) / reps,
             repetitions=reps,
         )
         for fn_idx, fn in enumerate(functions)

@@ -14,7 +14,12 @@ own ``(n, dim)`` block, so a swarm's run is bit-identical whichever swarms
 share its batch.  A swarm draws the weights of a block of iterations in one
 generator call; a generator fills its output in order, so the block holds
 the stream that one draw per iteration gives, and the run does not depend
-on the block length.
+on the block length.  The loop owns its buffers: it allocates the draw
+block and the update's work arrays once, and each iteration writes the
+velocities and positions over the previous ones.  No operation on the
+(B, n, dim) arrays broadcasts over the coordinate axis, where numpy's inner
+loop would run only dim elements long: the global bests are repeated to
+full shape, and a personal best is replaced as one opaque row (``_rows``).
 
 A cost is needed only to ask whether it beats the particle's personal best,
 so a ``BenchmarkFunction`` cost is told that best and skips each particle
@@ -48,9 +53,12 @@ __all__ = [
 ]
 
 # ``lockstep`` draws the weights of as many iterations per generator call as
-# keep all swarms' draws within _DRAW_VALUES doubles (512 KB), and at least
-# one; a 240-swarm, 25-particle 2-d valley sweep draws 2 iterations a call.
-_DRAW_VALUES = 1 << 16
+# keep each swarm's draws within _SWARM_DRAW_VALUES doubles, where a call's
+# overhead is small next to its fill, and all swarms' within _DRAW_VALUES
+# (1 MB), and at least one: a 240-swarm, 25-particle 2-d valley batch draws
+# 5 iterations a call, a 12-swarm 10-d suite batch 8.
+_DRAW_VALUES = 1 << 17
+_SWARM_DRAW_VALUES = 1 << 12
 
 
 def _as_bounds(bounds, dim: int) -> np.ndarray:
@@ -149,10 +157,18 @@ class SwarmState:
         return self.positions.shape[-1]
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """``a`` with each row of its contiguous last axis as one opaque element,
+    of shape (..., 1): selecting rows then copies whole rows bit for bit,
+    with no inner loop over a coordinate axis that may be only 2 long."""
+    return a.view(np.dtype((np.void, a.itemsize * a.shape[-1])))
+
+
 def _lift(s: SwarmState) -> SwarmState:
-    """A one-swarm state as a batch of one."""
+    """A copy of a one-swarm state as a batch of one, for ``_advance`` to
+    write over."""
     return SwarmState(
-        *(np.asarray(a)[None] for a in
+        *(np.array(a, dtype=float, order="C")[None] for a in
           (s.positions, s.velocities, s.p_best, s.p_best_cost, s.g_best, s.g_best_cost)),
         iteration=s.iteration,
         diverged=np.asarray(s.diverged)[None],
@@ -265,27 +281,30 @@ def _evaluate(cost, positions: np.ndarray, finite: np.ndarray | None,
     return out
 
 
-def _advance(state: SwarmState, omega, alpha1, alpha2, r: np.ndarray, cost) -> SwarmState:
-    """One synchronous iteration of a batch state.
+def _advance(state: SwarmState, omega, alpha1, alpha2, r: np.ndarray, cost,
+             work: np.ndarray) -> SwarmState:
+    """One synchronous iteration of a batch state, written over its
+    velocities and positions, so the caller must own them.
 
     ``omega``, ``alpha1`` and ``alpha2`` broadcast against (B, n, dim);
-    ``r`` holds the (B, 2, n, dim) weights, ``r1`` then ``r2`` per swarm.
+    ``r`` holds the (B, 2, n, dim) weights, ``r1`` then ``r2`` per swarm;
+    ``work`` is a (3, B, n, dim) scratch array.
     """
-    velocities, positions = affine_update(
-        omega, alpha1, alpha2, state.velocities, state.positions,
-        r[:, 0], r[:, 1], state.p_best, state.g_best[:, None],
-    )
+    v, x = state.velocities, state.positions
+    g_full = np.repeat(state.g_best[:, None], x.shape[1], axis=1)
+    affine_update(omega, alpha1, alpha2, v, x, r[:, 0], r[:, 1], state.p_best, g_full,
+                  (v, x), work)
     # x' = x + v', so a non-finite velocity always makes the position
     # non-finite; the per-particle mask is needed only once one has overflowed
-    finite = np.isfinite(positions)
+    finite = np.isfinite(x)
     if finite.all():
         finite, diverged = None, state.diverged
     else:
         finite = finite.all(axis=-1)
         diverged = state.diverged | ~finite.all(axis=-1)
-    c = _evaluate(cost, positions, finite, state.p_best_cost)
+    c = _evaluate(cost, x, finite, state.p_best_cost)
     improved = c < state.p_best_cost
-    p_best = np.where(improved[..., None], positions, state.p_best)
+    p_best = np.where(improved[..., None], _rows(x), _rows(state.p_best)).view(float)
     p_best_cost = np.where(improved, c, state.p_best_cost)
     rows = np.arange(len(c))
     gi = p_best_cost.argmin(axis=1)
@@ -293,7 +312,7 @@ def _advance(state: SwarmState, omega, alpha1, alpha2, r: np.ndarray, cost) -> S
     better = found < state.g_best_cost
     g_best = np.where(better[:, None], p_best[rows, gi], state.g_best)
     g_best_cost = np.where(better, found, state.g_best_cost)
-    return SwarmState(positions, velocities, p_best, p_best_cost, g_best, g_best_cost,
+    return SwarmState(x, v, p_best, p_best_cost, g_best, g_best_cost,
                       state.iteration + 1, diverged)
 
 
@@ -312,8 +331,10 @@ def lockstep(f, params, iterations: int, bounds, seeds, trace=None) -> SwarmStat
     run ``optimize`` gives for its parameters and seed.  ``trace``, if
     given, is a (B, iterations) array that receives the global best costs
     after every iteration.  Returns the final batch state (see
-    :class:`SwarmState`).  ``seeds`` must hold one seed per ``params``
-    entry, and there must be at least one swarm.
+    :class:`SwarmState`).  ``f`` is given the loop's own position array,
+    which the next iteration overwrites, so it must copy what it keeps.
+    ``seeds`` must hold one seed per ``params`` entry, and there must be
+    at least one swarm.
     """
     children = [_seed_sequence(s).spawn(2) for s in seeds]
     if not len(children) == len(params) >= 1:
@@ -326,15 +347,18 @@ def lockstep(f, params, iterations: int, bounds, seeds, trace=None) -> SwarmStat
     b = _as_bounds(bounds, dim)
     state = _start(f, np.array([_uniform(init_ss, b, n) for init_ss, _ in children]))
     rngs = [np.random.default_rng(step_ss) for _, step_ss in children]
-    span = max(1, min(iterations, _DRAW_VALUES // (len(rngs) * 2 * n * dim)))
+    per_swarm = 2 * n * dim
+    span = max(1, min(iterations, _SWARM_DRAW_VALUES // per_swarm,
+                      _DRAW_VALUES // (len(rngs) * per_swarm)))
     draws = np.empty((len(rngs), span, 2, n, dim))
+    work = np.empty((3, *state.positions.shape))
     for t in range(iterations):
         k = t % span
         if k == 0:
             # the last block draws only the iterations that are left
             for rng, block in zip(rngs, draws):
                 rng.random(out=block[: iterations - t])
-        state = _advance(state, omega, alpha1, alpha2, draws[:, k], f)
+        state = _advance(state, omega, alpha1, alpha2, draws[:, k], f, work)
         if trace is not None:
             trace[:, t] = state.g_best_cost
     return state
@@ -360,10 +384,11 @@ def pso_step(state: SwarmState, params: SwarmParams, f,
     dimension), applies the velocity/position update against the previous
     iteration's bests, evaluates the cost of finite positions, and applies
     strict-improvement best replacements (ties keep the incumbent).
+    Returns a new state; ``state`` is left unchanged.
     """
     r = rng.random((1, 2, state.n_particles, state.dim))
     return _lower(_advance(_lift(state), params.omega, params.alpha1, params.alpha2, r,
-                           _CostAdapter.wrap(f)))
+                           _CostAdapter.wrap(f), np.empty((3, *r[:, 0].shape))))
 
 
 def optimize(f, params: SwarmParams, iterations: int, bounds=(-100.0, 100.0), seed=None) -> RunResult:

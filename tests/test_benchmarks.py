@@ -47,6 +47,26 @@ def test_nonnegative_on_domain():
         assert np.all(f(pts) >= 0.0), f.label
 
 
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_column_forms_equal_numpy_bit_for_bit(dim):
+    # ``_row_sum`` and ``_shifted`` replace ``np.sum(..., axis=-1)`` and a
+    # broadcast subtract at low dims; they must round the same, down to the
+    # sign of zero (np.sum gives +0.0 for a row of -0.0) and the bits of a
+    # NaN.  numpy's reduction order is an implementation detail: a numpy
+    # that changes it fails here
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((3, 400, dim)) * 10.0 ** rng.uniform(-8.0, 8.0, (3, 400, dim))
+    special = rng.random(a.shape) < 0.1
+    a[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan], special.sum())
+    a[0, :5] = -0.0
+    shift = rng.standard_normal(dim) * 1e8
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(benchmarks._row_sum(a).view(np.uint64),
+                              np.sum(a, axis=-1).view(np.uint64))
+        assert np.array_equal(benchmarks._shifted(a, shift).view(np.uint64),
+                              (a - shift).view(np.uint64))
+
+
 @pytest.mark.parametrize("dim", [2, 10])
 def test_stack_evaluates_each_batch_as_alone(dim):
     # the lockstep optimiser evaluates B swarms in one call on a (B, n, dim)

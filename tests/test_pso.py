@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -95,6 +96,20 @@ def test_step_zero_force_fixed_point():
     assert np.array_equal(out.positions, pinned.positions)
     assert np.array_equal(out.velocities, np.zeros((3, 2)))
     assert out.iteration == 1
+
+
+def test_pso_step_leaves_its_input_state_unchanged():
+    # the step writes velocities and positions in place, on a copy of the
+    # caller's state; stepping twice from one state gives one result
+    params = SwarmParams(0.7, 1.4, 1.4, n_particles=6, dim=3)
+    state = init_swarm(params, (-5.0, 5.0), sphere, seed=8)
+    state = pso_step(state, params, sphere, np.random.default_rng(9))
+    before = {f.name: np.copy(getattr(state, f.name)) for f in fields(state)}
+    steps = [pso_step(state, params, sphere, np.random.default_rng(10)) for _ in range(2)]
+    for name, value in before.items():
+        assert np.array_equal(getattr(state, name), value), name
+        assert np.array_equal(getattr(steps[0], name), getattr(steps[1], name)), name
+    assert not np.array_equal(steps[0].positions, state.positions)
 
 
 def test_gbest_monotone_and_personal_best_invariant():
@@ -225,8 +240,9 @@ def _reference_run(cost, params, iterations, low, high, entropy):
     return x, gbc, gb, diverged, trace
 
 
-# 4 swarms of 4 x 3 draw 96 values an iteration: by default 682 iterations
-# a call, so 900 iterations end on a partial block; then 7 a call, and 1
+# 4 swarms of 4 x 3 draw 96 values an iteration, 24 each: by default 170
+# iterations a call, so 900 iterations end on a partial block; then 7 a
+# call, and 1
 @pytest.mark.parametrize("draw_values", [pso._DRAW_VALUES, 96 * 7, 1],
                          ids=["default", "span7", "span1"])
 def test_lockstep_equals_per_iteration_draws(draw_values, monkeypatch):
