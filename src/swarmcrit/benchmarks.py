@@ -28,18 +28,15 @@ broadcast subtract and ``np.sum`` round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "BenchmarkFunction",
     "FUNCTION_IDS",
-    "evaluate",
     "make_function",
-    "save_manifest",
     "suite",
-    "suite_manifest",
 ]
 
 DEFAULT_DOMAIN = (-100.0, 100.0)
@@ -185,7 +182,6 @@ class BenchmarkFunction:
     shift: np.ndarray
     rotation: np.ndarray | None = None
     noncontinuous: bool = False
-    seed: int | None = field(default=None, compare=False)
     # unannotated, so a class constant and not a field: every instance
     # searches the same domain
     domain = DEFAULT_DOMAIN
@@ -215,14 +211,6 @@ class BenchmarkFunction:
             parts.append("nc")
         return "-".join(parts)
 
-    @property
-    def optimum_position(self) -> np.ndarray:
-        return self.shift
-
-    @property
-    def optimum_value(self) -> float:
-        return 0.0
-
     def __call__(self, x, *, _ceiling=None):
         # ``_ceiling``, the optimiser's (..., n) personal best costs, gives
         # +inf for each row whose bound, less its margins, is not below its
@@ -246,26 +234,6 @@ class BenchmarkFunction:
             out = np.full(low.shape, np.inf)
             np.put(out, rows, base(np.take(z.reshape(-1, self.dim), rows, axis=0)))
         return float(out[0]) if single else out
-
-    def describe(self) -> dict:
-        return {
-            "id": self.id,
-            "label": self.label,
-            "dim": self.dim,
-            "seed": self.seed,
-            "rotated": self.rotation is not None,
-            "noncontinuous": self.noncontinuous,
-            "domain": list(self.domain),
-            "shift": [float(v) for v in self.shift],
-        }
-
-
-def evaluate(f: BenchmarkFunction, x) -> float:
-    """Evaluate one point; raises on dimension mismatch, never clamps."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (f.dim,):
-        raise ValueError(f"expected shape ({f.dim},), got {x.shape}")
-    return float(f(x))
 
 
 def _random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -301,7 +269,6 @@ def make_function(
         shift=shift,
         rotation=rotation,
         noncontinuous=noncontinuous,
-        seed=seed,
     )
 
 
@@ -320,14 +287,3 @@ def suite(dim: int, seed: int | None = None) -> list[BenchmarkFunction]:
     )
     return out
 
-
-def suite_manifest(functions) -> list[dict]:
-    """JSON-ready description of a suite."""
-    return [f.describe() for f in functions]
-
-
-def save_manifest(functions, path) -> None:
-    """Write the suite manifest as JSON."""
-    from .io import write_json
-
-    write_json(path, {"functions": suite_manifest(functions)})

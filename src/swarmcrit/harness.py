@@ -12,6 +12,7 @@ are cut, of execution order or of the number of worker processes.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 from functools import partial
@@ -80,6 +81,8 @@ class SweepConfig:
             raise ValueError("iterations must be >= 0 and repetitions >= 1")
         if self.functions is not None:
             object.__setattr__(self, "functions", tuple(self.functions))
+            if not self.functions:
+                raise ValueError("functions must name at least one benchmark function")
             labels = [fn.label for fn in self.functions]
             if len(set(labels)) < len(labels):
                 raise ValueError(f"repeated sweep functions in {labels}")
@@ -164,11 +167,17 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepGrid:
     """Run the full grid; deterministic for a fixed master seed and
     independent of ``jobs``.
 
-    Each function's swarms run in lockstep batches; with ``jobs > 1`` the
-    batches are cut small enough to give every worker one.  Diverged
-    repetitions report the best cost found before divergence, so cell
-    means stay finite.
+    Each function's swarms run in lockstep batches.  ``jobs`` must be at
+    least 1; with ``jobs > 1`` the sweep runs on ``min(jobs, os.cpu_count())``
+    worker processes, and the batches are cut small enough to give every
+    worker one.  Diverged repetitions report the best cost found before
+    divergence, so cell means stay finite.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    # a fork pool starts every worker at once, and more workers than cores
+    # only wait; the results do not depend on the count
+    jobs = min(jobs, os.cpu_count() or 1)
     functions = config.resolve_functions()
     shape = (len(config.omega_values), len(config.alpha_values), config.repetitions)
     swarms = list(np.ndindex(shape))
@@ -181,7 +190,7 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepGrid:
         for i in range(0, len(swarms), size)
     ]
     run_batch = partial(_run_batch, config)
-    if jobs <= 1:
+    if jobs == 1:
         batches = list(starmap(run_batch, tasks))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -54,7 +54,11 @@ end gives the same sign.  Each probed weight of a point has one child
 seed, and its budget levels form a ladder: a level-L probe continues the
 level-(L - 1) probe, a Lyapunov orbit for twice the steps and a first
 passage with as many new lanes again, so no level redoes the work below
-it.  A point's result does not depend on the other points.
+it.  A point's result does not depend on the other points.  A caller of
+the critical search sets the split, the tolerance, the seed, the method
+and, for Lyapunov probes, the steps and trials; its bracket, top budget
+level, Lyapunov burn-in and escape budget are module constants, as are
+the neutral search's bracket and top budget level.
 ``escape_probability`` and the neutral fractions always run every trial
 to its end.
 """
@@ -62,7 +66,6 @@ to its end.
 from __future__ import annotations
 
 import functools
-import inspect
 import math
 from dataclasses import dataclass
 
@@ -111,6 +114,13 @@ _MAX_EVALS = 48  # bisection steps after the bracket ends, before UNRESOLVED
 # first-passage radii: escape_probability's defaults and the neutral
 # experiment's fixed radii
 _R_IN, _R_OUT = 1e-6, 1e6
+
+# the critical point's bisection bracket and highest budget level, the
+# Lyapunov probes' burn-in, and the escape probes' trials and step cap
+_BRACKET = (0.05, 8.0)
+_MAX_LEVEL = 3
+_BURN_IN = 1000
+_ESCAPE_TRIALS, _ESCAPE_MAX_STEPS = 10_000, 20_000
 
 # the neutral boundary's bisection bracket and highest budget level
 _NEUTRAL_BRACKET = (0.25, 8.0)
@@ -938,12 +948,13 @@ def _bisection(seed, ratio, lo, hi, tolerance, omega, max_level):
     estimate is 3-sigma significant and 0 when it is not (:func:`_sign`);
     the point depends on its probes through these signs only, so a
     first-passage probe may stop as soon as its sign is decided.  The
-    bracket must be finite with ``0 < lo < hi``, and ``max_level >= 0``.
-    Bracket endpoints must be sign-significant before bisection.  Far from
-    the root probes separate from zero at level 0; after a 0 the same
-    weight is asked at the next level, up to ``max_level``, so the requests
-    for one weight are levels 0, 1, ... in order with one child seed, and
-    a level-L probe of budget ``2**L`` continues the probe below it.  Near
+    bracket, finite with ``0 < lo < hi``, and ``max_level >= 0`` are the
+    module's constants.  Bracket endpoints must be sign-significant before
+    bisection.  Far from the root probes separate from zero at level 0;
+    after a 0 the same weight is asked at the next level, up to
+    ``max_level``, so the requests for one weight are levels 0, 1, ... in
+    order with one child seed, and a level-L probe of budget ``2**L``
+    continues the probe below it.  Near
     the root the budget grows until the midpoint estimate is statistically
     consistent with zero, which at the default budgets resolves the root to
     about ``tolerance`` (the returned std_error reports the achieved
@@ -953,10 +964,6 @@ def _bisection(seed, ratio, lo, hi, tolerance, omega, max_level):
     """
     if not tolerance >= 0.01:
         raise ValueError("tolerance must be >= 0.01")
-    if not 0.0 < lo < hi < math.inf:
-        raise ValueError("the bracket must be finite with 0 < alpha_lo < alpha_max")
-    if not max_level >= 0:
-        raise ValueError("max_level must be >= 0")
     ss = _seed_sequence(seed)
 
     def significant(alpha):
@@ -1046,8 +1053,8 @@ def _lyapunov_kind(omegas, steps, trials, burn_in):
     and the identities that pad them change no bit.  A probe needs two
     trials or more: its error is the spread across them.
     """
-    if steps < 1 or burn_in < 0:
-        raise ValueError("steps must be >= 1, burn_in >= 0")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     if trials < 2:
         raise ValueError("a Lyapunov bisection needs trials >= 2")
     group = max(1, _CHUNK_VALUES // (_chunk_steps(trials) * trials))
@@ -1117,20 +1124,17 @@ def _passage_kind(trials, steps, rules):
     return start, advance
 
 
-def _critical_points(omega, ratio, tolerance, seed, method, alpha_lo, alpha_max, steps, trials,
-                     burn_in, escape_trials, escape_max_steps, max_level):
-    """:func:`critical_alpha` at each value of the list ``omega``, point
-    ``i`` seeded by ``seed[i]``, in one :func:`_solve` call."""
-    if method not in ("lyapunov", "escape"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "escape" and (escape_trials < 1 or escape_max_steps < 1):
-        raise ValueError("trials and max_steps must be >= 1")
+def _critical_points(omegas, ratio, tolerance, seeds, method, steps, trials):
+    """:func:`critical_alpha` at each value of the list ``omegas``, point
+    ``i`` seeded by ``seeds[i]``, in one :func:`_solve` call."""
     if method == "lyapunov":
-        kind = _lyapunov_kind(omega, steps, trials, burn_in)
+        kind = _lyapunov_kind(omegas, steps, trials, _BURN_IN)
+    elif method == "escape":
+        kind = _passage_kind(_ESCAPE_TRIALS, _ESCAPE_MAX_STEPS,
+                             lambda i, a1, a2: (_escape_update(omegas[i], a1, a2), None))
     else:
-        kind = _passage_kind(escape_trials, escape_max_steps,
-                             lambda i, a1, a2: (_escape_update(omega[i], a1, a2), None))
-    return _solve(omega, seed, ratio, tolerance, alpha_lo, alpha_max, max_level, *kind)
+        raise ValueError(f"unknown method {method!r}")
+    return _solve(omegas, seeds, ratio, tolerance, *_BRACKET, _MAX_LEVEL, *kind)
 
 
 def critical_alpha(
@@ -1139,26 +1143,22 @@ def critical_alpha(
     tolerance: float = 0.02,
     seed=None,
     method: str = "lyapunov",
-    alpha_lo: float = 0.05,
-    alpha_max: float = 8.0,
     steps: int = 10_000,
     trials: int = 16,
-    burn_in: int = 1000,
-    escape_trials: int = 10_000,
-    escape_max_steps: int = 20_000,
-    max_level: int = 3,
 ) -> CriticalPoint:
     """Locate the combined weight where the dynamics is marginally stable.
 
-    Stochastic bisection on the bracket ``(alpha_lo, alpha_max]``, solved as
-    a curve of one point; with ``method="lyapunov"`` the sign probe is the
-    Lyapunov estimate, and with ``method="escape"`` it is the difference
-    between escape and convergence probabilities.  ``omega`` must be finite
-    and lie within [-1.1, 1.1].  A bracket endpoint must show a 3-sigma
-    significant sign before bisection (a probe of exactly 0 shows none).
-    Near the root a probe that shows no significant sign is continued at
-    twice its budget, up to ``max_level >= 0`` times: the Lyapunov orbits
-    run twice the steps, or the escape probe adds as many trials again.
+    Stochastic bisection on the bracket ``(0.05, 8]``, solved as a curve of
+    one point; with ``method="lyapunov"`` the sign probe is the Lyapunov
+    estimate of ``trials`` orbits of ``steps`` steps after a burn-in of
+    1000, and with ``method="escape"`` it is the difference between escape
+    and convergence probabilities over 10 000 trials of at most 20 000
+    steps.  ``omega`` must be finite and lie within [-1.1, 1.1].  A bracket
+    endpoint must show a 3-sigma significant sign before bisection (a probe
+    of exactly 0 shows none).  Near the root a probe that shows no
+    significant sign is continued at twice its budget, up to three times:
+    the Lyapunov orbits run twice the steps, or the escape probe adds as
+    many trials again.
 
     With ``method="lyapunov"``, ``trials`` must be at least 2: a probe's
     error is the spread across its trials, and one trial has none.
@@ -1168,13 +1168,8 @@ def critical_alpha(
     adaptive budget cannot separate the probe from zero (expected near
     ``omega = +-1``).
     """
-    return _critical_points([_check_omega(omega)], ratio, tolerance, [seed], method, alpha_lo,
-                            alpha_max, steps, trials, burn_in, escape_trials, escape_max_steps,
-                            max_level)[0]
-
-
-# read at import, so that wrappers later bound to the name keep the defaults
-_CRITICAL_ALPHA = inspect.signature(critical_alpha)
+    return _critical_points([_check_omega(omega)], ratio, tolerance, [seed], method, steps,
+                            trials)[0]
 
 
 def critical_curve(
@@ -1183,23 +1178,21 @@ def critical_curve(
     tolerance: float = 0.02,
     seed=None,
     method: str = "lyapunov",
-    **budgets,
+    steps: int = 10_000,
+    trials: int = 16,
 ) -> CriticalCurve:
     """Solve for the critical weight on a grid of inertia values.
 
     Grid values must be finite, strictly increasing and lie within
     [-1.1, 1.1].  All points run through one solver call; point ``i`` is
     the :func:`critical_alpha` result for the ``i``-th child of ``seed`` and
-    the given budgets.  A point that finds no crossing or cannot resolve the
+    the given budget.  A point that finds no crossing or cannot resolve the
     root carries its status marker.  A numeric failure of a probe is not a
     status: it raises :class:`NumericOverflowError`, for the lowest failing
     ``omega``, as a loop over the grid would.
     """
     omegas, seeds = _grid(omega_grid, seed)
-    call = _CRITICAL_ALPHA.bind(omegas, ratio=ratio, tolerance=tolerance, seed=seeds,
-                                method=method, **budgets)
-    call.apply_defaults()
-    points = _critical_points(**call.arguments)
+    points = _critical_points(omegas, ratio, tolerance, seeds, method, steps, trials)
     method_name = METHOD_LYAPUNOV if method == "lyapunov" else METHOD_ESCAPE
     return CriticalCurve(points=points, ratio=ratio, method=method_name)
 

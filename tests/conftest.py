@@ -15,3 +15,17 @@ def constant_weight(monkeypatch):
                             lambda rng, a1, a2, shape: np.full(shape, (a1 + a2) * r))
 
     return fix
+
+
+@pytest.fixture
+def search_constants(monkeypatch):
+    """``search_constants(burn_in=50, ...)`` sets the critical search's
+    private constants for one test, so that it runs at a small budget: each
+    keyword names ``stability._<KEYWORD>`` (``bracket``, ``max_level``,
+    ``burn_in``, ``escape_trials``, ``escape_max_steps``)."""
+
+    def fix(**values):
+        for name, value in values.items():
+            monkeypatch.setattr(stability, "_" + name.upper(), value)
+
+    return fix

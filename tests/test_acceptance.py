@@ -116,8 +116,7 @@ def test_criterion_05_curve_cross_validation():
         lam = critical_alpha(omega, ratio=RATIO_EQUAL, tolerance=0.02, seed=seed,
                              steps=10_000, trials=16)
         esc = critical_alpha(omega, ratio=RATIO_EQUAL, tolerance=0.02, seed=seed + 100,
-                             method="escape", escape_trials=10_000,
-                             escape_max_steps=20_000)
+                             method="escape")
         ok = ok and lam.status == STATUS_OK and esc.status == STATUS_OK
         gaps[omega] = abs(lam.alpha - esc.alpha)
         ok = ok and gaps[omega] <= 0.1

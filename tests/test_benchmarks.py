@@ -7,16 +7,14 @@ import pytest
 from swarmcrit import benchmarks
 from swarmcrit.benchmarks import (
     FUNCTION_IDS,
-    evaluate,
     make_function,
     suite,
-    suite_manifest,
 )
 
 
 def test_sphere_optimum_is_zero():
     f = make_function("sphere", 4, seed=1)
-    assert evaluate(f, f.optimum_position) == 0.0
+    assert f(f.shift) == 0.0
 
 
 def test_rastrigin_unit_offset_oracle():
@@ -30,14 +28,14 @@ def test_rastrigin_unit_offset_oracle():
 
 def test_ackley_optimum_cancellation():
     f = make_function("ackley", 10, seed=3)
-    assert abs(evaluate(f, f.optimum_position)) < 1e-12
+    assert abs(f(f.shift)) < 1e-12
 
 
 def test_every_instance_vanishes_at_optimum():
     for fid in FUNCTION_IDS:
         for rotated in (False, True):
             f = make_function(fid, 6, seed=11, rotated=rotated)
-            assert abs(f(f.optimum_position)) < 1e-10, f.label
+            assert abs(f(f.shift)) < 1e-10, f.label
 
 
 def test_nonnegative_on_domain():
@@ -134,7 +132,7 @@ def test_unknown_id_rejected():
 def test_dimension_mismatch_rejected():
     f = make_function("sphere", 3, seed=16)
     with pytest.raises(ValueError):
-        evaluate(f, np.zeros(4))
+        f(np.zeros(4))
     with pytest.raises(ValueError):
         f(np.zeros((5, 4)))
 
@@ -148,26 +146,9 @@ def test_suite_structure():
     assert labels[14] == "rastrigin-rot-nc"
     assert len(suite(10, seed=99)) == len(fns)
     for f in fns:
+        assert f.dim == 10
         assert f.domain == (-100.0, 100.0)
-        assert abs(f(f.optimum_position)) < 1e-10
-
-
-def test_suite_manifest_fields(tmp_path):
-    fns = suite(3, seed=18)
-    manifest = suite_manifest(fns)
-    assert len(manifest) == 15
-    entry = manifest[0]
-    assert set(entry) >= {"id", "label", "dim", "seed", "rotated", "noncontinuous", "shift"}
-    assert entry["dim"] == 3
-    import json
-
-    from swarmcrit.benchmarks import save_manifest
-
-    path = tmp_path / "suite.json"
-    save_manifest(fns, path)
-    payload = json.loads(path.read_text())
-    assert len(payload["functions"]) == 15
-    assert payload["functions"][14]["noncontinuous"] is True
+        assert abs(f(f.shift)) < 1e-10
 
 
 def test_weierstrass_vanishes_exactly_at_shift():

@@ -56,6 +56,9 @@ _INVALID = {
     "optimize-omega-nan": ["optimize", "--omega", "nan", "--alpha", "1.4", "--dim", "2",
                            "--iterations", "5"],
     "sweep-config-zero-step": ["sweep", "--config", "{config}"],
+    "sweep-jobs-zero": ["sweep", "--jobs", "0"],
+    "sweep-jobs-negative": ["sweep", "--jobs", "-4"],
+    "sweep-functions-empty": ["sweep", "--functions", ","],
     "scaling-repetitions-zero": ["scaling", "--kappa", "1", "--repetitions", "0"],
     "scaling-iterations-zero": ["scaling", "--kappa", "1", "--iterations", "0",
                                 "--repetitions", "10"],

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from swarmcrit import harness
 from swarmcrit.benchmarks import make_function
 from swarmcrit.dynamics import SwarmParams
 from swarmcrit.harness import (
@@ -64,6 +65,47 @@ def test_sweep_schedule_independence():
     serial = run_sweep(_tiny_config(), jobs=1)
     parallel = run_sweep(_tiny_config(), jobs=2)
     assert serial.cells == parallel.cells
+
+
+@pytest.mark.parametrize("jobs", [0, -4])
+def test_run_sweep_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        run_sweep(_tiny_config(), jobs=jobs)
+
+
+def _recording_pool(log):
+    """A stand-in for ``ProcessPoolExecutor`` that starts no process: each
+    pool appends its worker count to ``log``, then the number of tasks it
+    is given, and runs them in this process."""
+
+    class Pool:
+        def __init__(self, max_workers):
+            log.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *columns):
+            tasks = list(zip(*columns))
+            log.append(len(tasks))
+            return [fn(*task) for task in tasks]
+
+    return Pool
+
+
+# with 2 cores, 2 workers get one batch of 24 swarms per function, where 64
+# workers would get 48 batches of one; with no core count the sweep is serial
+@pytest.mark.parametrize("cores, expected", [(2, [2, 2]), (None, [])])
+def test_run_sweep_caps_workers_at_the_cpu_count(monkeypatch, cores, expected):
+    log = []
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _recording_pool(log))
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
+    grid = run_sweep(_tiny_config(), jobs=64)
+    assert log == expected
+    assert grid.cells == run_sweep(_tiny_config()).cells
 
 
 def _per_run_cells(config):
@@ -151,6 +193,8 @@ def test_config_validation():
         _tiny_config(repetitions=0)
     with pytest.raises(ValueError, match="repeated"):
         _tiny_config(functions=(make_function("sphere", 2, seed=1), make_function("sphere", 2, seed=2)))
+    with pytest.raises(ValueError, match="at least one"):
+        _tiny_config(functions=())
 
 
 def test_aggregate_heatmap_normalisation():

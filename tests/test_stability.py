@@ -219,15 +219,16 @@ def test_lyapunov_seed_determinism(estimator):
 
 _SEEDED_SEARCHES = {
     "critical_alpha": lambda seed: critical_alpha(
-        0.5, tolerance=0.05, seed=seed, steps=300, trials=4, burn_in=50),
+        0.5, tolerance=0.05, seed=seed, steps=300, trials=4),
     "neutral_alpha": _ESTIMATORS["neutral_alpha"],
     "critical_curve": lambda seed: critical_curve(
-        [-0.5, 0.5], tolerance=0.05, seed=seed, steps=300, trials=4, burn_in=50),
+        [-0.5, 0.5], tolerance=0.05, seed=seed, steps=300, trials=4),
 }
 
 
 @pytest.mark.parametrize("search", list(_SEEDED_SEARCHES))
-def test_seed_sequence_argument_is_not_advanced(search):
+def test_seed_sequence_argument_is_not_advanced(search, search_constants):
+    search_constants(burn_in=50)
     run = _SEEDED_SEARCHES[search]
     ss = np.random.SeedSequence(9)
     first = run(ss)
@@ -907,55 +908,40 @@ def test_critical_alpha_no_crossing_beyond_unit_inertia():
     assert math.isnan(point.alpha)
 
 
-def test_critical_alpha_probe_of_zero_without_error_decides_nothing():
+def test_critical_alpha_probe_of_zero_without_error_decides_nothing(search_constants):
     # one step neither converges nor escapes any trial, so every probe reads
     # (0, 0): no endpoint shows a sign
-    point = critical_alpha(0.5, method="escape", escape_max_steps=1, escape_trials=200, seed=1)
+    search_constants(escape_max_steps=1, escape_trials=200)
+    point = critical_alpha(0.5, method="escape", seed=1)
     assert point.status == STATUS_UNRESOLVED
     assert math.isnan(point.alpha)
 
 
-def test_critical_alpha_methods_agree():
+def test_critical_alpha_methods_agree(search_constants):
+    search_constants(escape_trials=8000)
     by_lambda = critical_alpha(0.4, ratio=RATIO_EQUAL, tolerance=0.02, seed=20,
                                steps=10_000, trials=16)
     by_escape = critical_alpha(0.4, ratio=RATIO_EQUAL, tolerance=0.02, seed=21,
-                               method="escape", escape_trials=8000,
-                               escape_max_steps=20_000)
+                               method="escape")
     assert by_lambda.status == by_escape.status == STATUS_OK
     assert abs(by_lambda.alpha - by_escape.alpha) <= 0.1
 
 
-_BAD_BRACKETS = [
-    dict(alpha_lo=3.0, alpha_max=2.0),
-    dict(alpha_lo=2.0, alpha_max=2.0),
-    dict(alpha_lo=0.0),
-    dict(alpha_lo=math.nan),
-    dict(alpha_max=math.nan),
-    dict(alpha_max=math.inf),
-]
-
-
 def test_critical_alpha_validates_inputs():
-    with pytest.raises(ValueError):
-        critical_alpha(0.5, tolerance=0.001, seed=1)
-    with pytest.raises(ValueError):
-        critical_alpha(0.5, tolerance=math.nan, seed=1)
+    # every check runs before the first probe, so the default budgets run nothing
+    for method in ("lyapunov", "escape"):
+        with pytest.raises(ValueError, match="tolerance"):
+            critical_alpha(0.5, tolerance=0.001, seed=1, method=method)
+        with pytest.raises(ValueError, match="tolerance"):
+            critical_alpha(0.5, tolerance=math.nan, seed=1, method=method)
     with pytest.raises(ValueError):
         critical_alpha(0.5, method="newton", seed=1)
-    for bracket in _BAD_BRACKETS:
-        with pytest.raises(ValueError, match="bracket"):
-            critical_alpha(0.5, seed=1, steps=100, trials=2, **bracket)
-        with pytest.raises(ValueError, match="bracket"):
-            critical_alpha(0.5, seed=1, method="escape", escape_trials=10, **bracket)
-    for method in ("lyapunov", "escape"):
-        with pytest.raises(ValueError, match="max_level"):
-            critical_alpha(0.0, seed=1, method=method, max_level=-1)
+    with pytest.raises(ValueError, match="steps"):
+        critical_alpha(0.5, seed=1, steps=0)
     for omega in (math.nan, math.inf, -math.inf, 1.2):
-        with pytest.raises(ValueError, match="omega"):
-            critical_alpha(omega, seed=1, steps=100, trials=2)
-        with pytest.raises(ValueError, match="omega"):
-            critical_alpha(omega, seed=1, method="escape", escape_max_steps=50,
-                           escape_trials=200)
+        for method in ("lyapunov", "escape"):
+            with pytest.raises(ValueError, match="omega"):
+                critical_alpha(omega, seed=1, method=method)
 
 
 def test_neutral_alpha_validates_inputs():
@@ -1043,24 +1029,27 @@ def test_critical_curve_validates_grid(solve):
         solve([-math.inf, 0.0], seed=1)
 
 
-# grid, seed, budgets; the Lyapunov curve solves its points in lockstep
+# grid, seed, budgets, search constants (``search_constants``); the
+# Lyapunov curve solves its points in lockstep
 _LOCKSTEP_CASES = {
-    "equal": ([-0.5, 0.0, 0.4, 0.7], 2, dict(tolerance=0.05, steps=500, trials=8, burn_in=100)),
+    "equal": ([-0.5, 0.0, 0.4, 0.7], 2, dict(tolerance=0.05, steps=500, trials=8),
+              dict(burn_in=100)),
     "social_only": ([0.0, 0.6], 5, dict(ratio=RATIO_SOCIAL_ONLY, tolerance=0.05, steps=600,
-                                        trials=6, burn_in=300)),
-    "two_trials": ([-0.5, 0.3, 0.9, 1.05], 5, dict(tolerance=0.05, steps=600, trials=2,
-                                                  burn_in=300)),
+                                        trials=6), dict(burn_in=300)),
+    "two_trials": ([-0.5, 0.3, 0.9, 1.05], 5, dict(tolerance=0.05, steps=600, trials=2),
+                   dict(burn_in=300)),
     # odd steps and a burn-in off the chunk grid: points at different levels
     # run chunks of different lengths in one round
-    "chunk_offsets": ([-0.4, 0.2, 0.8], 7, dict(tolerance=0.05, steps=333, trials=3,
-                                               burn_in=77)),
+    "chunk_offsets": ([-0.4, 0.2, 0.8], 7, dict(tolerance=0.05, steps=333, trials=3),
+                      dict(burn_in=77)),
     "mixed_statuses": ([-1.0, -0.2, 0.99, 1.0, 1.05], 3, dict(tolerance=0.05, steps=300,
-                                                             trials=6, burn_in=50, max_level=1)),
+                                                             trials=6),
+                       dict(burn_in=50, max_level=1)),
     "seed_sequence": ([-0.3, 0.5], np.random.SeedSequence, dict(tolerance=0.05, steps=400,
-                                                               trials=4, burn_in=20)),
+                                                               trials=4), dict(burn_in=20)),
     # 12 points of 24 lanes: 288 lanes, so the lane cap shortens the blocks
     "lane_cap": (list(np.round(np.arange(-1.1, 1.1 + 1e-9, 0.2), 10)), 9,
-                 dict(tolerance=0.05, steps=300, trials=24, burn_in=100)),
+                 dict(tolerance=0.05, steps=300, trials=24), dict(burn_in=100)),
 }
 
 
@@ -1093,18 +1082,19 @@ def _serial_curve(grid, seed, log=None, **budgets):
     """The reference curve: each point's bisection answered one probe at a
     time by ``lyapunov_exponent``, independent of the lane-block solver; a
     level-L request is a fresh call of ``steps * 2**L`` steps with the
-    request's seed.  The requests go to ``log``, if given."""
+    request's seed.  The search constants are read from ``stability``.  The
+    requests go to ``log``, if given."""
     b = {name: p.default for name, p in inspect.signature(critical_alpha).parameters.items()}
     b.update(budgets)
 
     def solve(w, child):
         def probe(a1, a2, level, probe_seed):
-            est = lyapunov_exponent(w, a1, a2, b["steps"] * 2**level, b["trials"], b["burn_in"],
-                                    probe_seed)
+            est = lyapunov_exponent(w, a1, a2, b["steps"] * 2**level, b["trials"],
+                                    stability._BURN_IN, probe_seed)
             return stability._sign(est.value, est.std_error)
 
-        search = stability._bisection(child, b["ratio"], b["alpha_lo"], b["alpha_max"],
-                                      b["tolerance"], w, b["max_level"])
+        search = stability._bisection(child, b["ratio"], *stability._BRACKET, b["tolerance"], w,
+                                      stability._MAX_LEVEL)
         return _one_at_a_time(search, probe, log)
 
     return tuple(solve(w, child) for w, child in zip(grid, _children(grid, seed)))
@@ -1116,8 +1106,9 @@ def _per_point(grid, seed, **budgets):
 
 
 @pytest.mark.parametrize("case", list(_LOCKSTEP_CASES))
-def test_lockstep_curve_equals_per_point_critical_alpha(case):
-    grid, seed, budgets = _LOCKSTEP_CASES[case]
+def test_lockstep_curve_equals_per_point_critical_alpha(case, search_constants):
+    grid, seed, budgets, constants = _LOCKSTEP_CASES[case]
+    search_constants(**constants)
     reference = _serial_curve(grid, _make_seed(seed), **budgets)
     curve = critical_curve(grid, seed=_make_seed(seed), **budgets)
     assert curve.points == reference
@@ -1128,20 +1119,21 @@ def test_lockstep_curve_equals_per_point_critical_alpha(case):
 
 
 @pytest.mark.parametrize("case", list(_LOCKSTEP_CASES))
-def test_lockstep_reference_ladders_reach_the_top_level(case):
+def test_lockstep_reference_ladders_reach_the_top_level(case, search_constants):
     # the curves above continue probes to every level, not only level 0
-    grid, seed, budgets = _LOCKSTEP_CASES[case]
+    grid, seed, budgets, constants = _LOCKSTEP_CASES[case]
+    search_constants(**constants)
     log = []
     _serial_curve(grid, _make_seed(seed), log=log, **budgets)
     levels = {level for _, _, level, _ in log}
-    default = inspect.signature(critical_alpha).parameters["max_level"].default
-    top = budgets.get("max_level", default)
+    top = stability._MAX_LEVEL
     assert top >= 1
     assert top in levels
 
 
-def test_lockstep_pads_probes_at_different_chunk_offsets(monkeypatch):
-    grid, seed, budgets = _LOCKSTEP_CASES["chunk_offsets"]
+def test_lockstep_pads_probes_at_different_chunk_offsets(monkeypatch, search_constants):
+    grid, seed, budgets, constants = _LOCKSTEP_CASES["chunk_offsets"]
+    search_constants(**constants)
     reference = _serial_curve(grid, seed, **budgets)
     lengths = []
     chunk = stability._chunk
@@ -1173,18 +1165,18 @@ def test_a_ladder_probe_equals_the_longer_exponent_call(steps, burn_in):
                                              child)
 
 
-def test_lyapunov_bisection_rejects_one_trial():
+def test_lyapunov_bisection_rejects_one_trial(search_constants):
     # one trial has no spread: its std_error of 0 would make every nonzero
     # estimate significant, and the bisection would resolve one noisy orbit
     with pytest.raises(ValueError, match="trials >= 2"):
-        critical_alpha(0.0, trials=1, steps=600, burn_in=300, tolerance=0.05, seed=0)
+        critical_alpha(0.0, trials=1, steps=600, tolerance=0.05, seed=0)
     with pytest.raises(ValueError, match="trials >= 2"):
         critical_curve([-0.5, 0.5], trials=1, steps=600, seed=0)
     single = lyapunov_exponent(0.0, 0.5, 0.5, steps=600, trials=1, burn_in=300, seed=0)
     assert single.trials == 1 and single.std_error == 0.0
     # the escape probe has no use for the Lyapunov trials
-    point = critical_alpha(0.5, method="escape", trials=1, escape_trials=50,
-                           escape_max_steps=50, seed=1)
+    search_constants(escape_trials=50, escape_max_steps=50)
+    point = critical_alpha(0.5, method="escape", trials=1, seed=1)
     assert isinstance(point, CriticalPoint)
 
 
@@ -1204,18 +1196,19 @@ def _assert_same_overflow(monkeypatch, draw, grid, seed, **budgets):
     return serial.value.step
 
 
-def test_lockstep_curve_raises_the_serial_overflow(monkeypatch):
+def test_lockstep_curve_raises_the_serial_overflow(monkeypatch, search_constants):
     def unit_weights(rng, a1, a2, shape):
         # every weight (a1 + a2) * r is one: at omega = 0 the matrix maps x to
         # 0 in one step and the phase to zero in the next
         return np.full(shape, (a1 + a2) * (1.0 / (a1 + a2)))
 
+    search_constants(burn_in=50)
     step = _assert_same_overflow(monkeypatch, unit_weights, [-0.5, 0.0, 0.5], 6,
-                                 tolerance=0.05, steps=300, trials=4, burn_in=50)
+                                 tolerance=0.05, steps=300, trials=4)
     assert step == 1
 
 
-def test_lockstep_curve_raises_the_failure_of_the_lowest_omega(monkeypatch):
+def test_lockstep_curve_raises_the_failure_of_the_lowest_omega(monkeypatch, search_constants):
     draw = stability._draw_weights
 
     def nan_above(rng, a1, a2, shape):
@@ -1225,8 +1218,9 @@ def test_lockstep_curve_raises_the_failure_of_the_lowest_omega(monkeypatch):
 
     # at seed 5 the lowest omega fails at step 662, in a later block than the
     # failures of omega = 0 (step 352) and 0.6 (step 267)
+    search_constants(burn_in=100)
     step = _assert_same_overflow(monkeypatch, nan_above, [-0.6, -0.3, 0.0, 0.3, 0.6], 5,
-                                 tolerance=0.05, steps=1000, trials=12, burn_in=100)
+                                 tolerance=0.05, steps=1000, trials=12)
     assert step == 662
 
 
@@ -1234,14 +1228,16 @@ def test_lockstep_curve_raises_the_failure_of_the_lowest_omega(monkeypatch):
 # bisection answered one probe at a time by a per-step reference passage
 
 
-def _reference_points(point, probe, grid, seed, log=None, passages=None, **arguments):
-    """Point ``i`` of ``grid``: its bisection, seeded by the ``i``-th child of
-    ``seed``, answered one probe at a time.  ``b`` holds the arguments of the
-    point function ``point``, defaults filled in; at level 0 ``probe(b, w,
-    a1, a2, seed)`` opens a weight's :class:`_ReferencePassage` and gives
-    its level-0 lanes, and a level-L request runs that passage on to
-    ``lanes * 2**L`` lanes.  The requests go to ``log`` and the passages to
-    ``passages``, if given."""
+def _reference_points(point, probe, grid, seed, bracket, max_level, log=None, passages=None,
+                      **arguments):
+    """Point ``i`` of ``grid``: its bisection on ``bracket`` up to
+    ``max_level``, seeded by the ``i``-th child of ``seed``, answered one
+    probe at a time.  ``b`` holds the arguments of the point function
+    ``point``, defaults filled in; at level 0 ``probe(b, w, a1, a2, seed)``
+    opens a weight's :class:`_ReferencePassage` and gives its level-0
+    lanes, and a level-L request runs that passage on to ``lanes * 2**L``
+    lanes.  The requests go to ``log`` and the passages to ``passages``, if
+    given."""
     b = {name: p.default for name, p in inspect.signature(point).parameters.items()}
     b.update(arguments)
 
@@ -1258,8 +1254,7 @@ def _reference_points(point, probe, grid, seed, log=None, passages=None, **argum
             n_conv, n_pos = passage.run(n)
             return stability._sign(*stability._fraction_difference(n_pos / n, n_conv / n, n))
 
-        search = stability._bisection(child, b["ratio"], b["alpha_lo"], b["alpha_max"],
-                                      b["tolerance"], w, b["max_level"])
+        search = stability._bisection(child, b["ratio"], *bracket, b["tolerance"], w, max_level)
         return _one_at_a_time(search, answer, log)
 
     return tuple(solve(w, child) for w, child in zip(grid, _children(grid, seed)))
@@ -1267,8 +1262,8 @@ def _reference_points(point, probe, grid, seed, log=None, passages=None, **argum
 
 def _escape_probe(b, w, a1, a2, seed):
     rules = _escape_reference_rules(w, a1, a2, stability._R_IN)
-    passage = _ReferencePassage(seed, b["escape_max_steps"], *rules, stability._R_OUT, True)
-    return passage, b["escape_trials"]
+    passage = _ReferencePassage(seed, stability._ESCAPE_MAX_STEPS, *rules, stability._R_OUT, True)
+    return passage, stability._ESCAPE_TRIALS
 
 
 def _neutral_probe(b, w, a1, a2, seed):
@@ -1278,26 +1273,33 @@ def _neutral_probe(b, w, a1, a2, seed):
     return passage, config.repetitions
 
 
+# grid, seed, arguments, escape trials
 _ESCAPE_CASES = {
     # OK at -0.5 and 0.5, UNRESOLVED at 1, NO_CROSSING at 1.05
-    "mixed_statuses": ([-0.5, 0.5, 1.0, 1.05], 3, dict(escape_trials=200)),
-    "social_only": ([-0.5, 0.5, 1.1], 5, dict(ratio=RATIO_SOCIAL_ONLY, escape_trials=100)),
-    "seed_sequence": ([0.0, 0.7], np.random.SeedSequence, dict(escape_trials=100)),
+    "mixed_statuses": ([-0.5, 0.5, 1.0, 1.05], 3, {}, 200),
+    "social_only": ([-0.5, 0.5, 1.1], 5, dict(ratio=RATIO_SOCIAL_ONLY), 100),
+    "seed_sequence": ([0.0, 0.7], np.random.SeedSequence, {}, 100),
 }
 
 
+def _escape_case(case, search_constants):
+    """Case ``case`` of ``_ESCAPE_CASES``: its grid, seed and arguments, with
+    the search constants set to the case's small budget."""
+    grid, seed, arguments, trials = _ESCAPE_CASES[case]
+    search_constants(bracket=(1.0, 8.0), escape_max_steps=400, escape_trials=trials)
+    return grid, seed, dict(method="escape", tolerance=0.05, **arguments)
+
+
 @pytest.mark.parametrize("case", list(_ESCAPE_CASES))
-def test_escape_points_equal_one_probe_at_a_time(case):
-    grid, seed, budgets = _ESCAPE_CASES[case]
-    budgets = dict(method="escape", tolerance=0.05, alpha_lo=1.0, escape_max_steps=400,
-                   **budgets)
+def test_escape_points_equal_one_probe_at_a_time(case, search_constants):
+    grid, seed, budgets = _escape_case(case, search_constants)
     log = []
     reference = _reference_points(critical_alpha, _escape_probe, grid, _make_seed(seed),
-                                  log=log, **budgets)
+                                  stability._BRACKET, stability._MAX_LEVEL, log=log, **budgets)
     assert critical_curve(grid, seed=_make_seed(seed), **budgets).points == reference
     assert _per_point(grid, _make_seed(seed), **budgets) == reference
     # the ladder climbs to the top level, so probes are continued
-    assert inspect.signature(critical_alpha).parameters["max_level"].default == 3
+    assert stability._MAX_LEVEL == 3
     assert 3 in {level for _, _, level, _ in log}
     if case == "mixed_statuses":
         assert [p.status for p in reference] == [STATUS_OK, STATUS_OK, STATUS_UNRESOLVED,
@@ -1320,11 +1322,10 @@ _NEUTRAL_CASES = {
 def test_neutral_points_equal_one_probe_at_a_time(case):
     config, seed, arguments = _NEUTRAL_CASES[case]
     arguments = dict(tolerance=0.05, **arguments)
-    lo, hi = stability._NEUTRAL_BRACKET
     log = []
     reference = _reference_points(neutral_alpha, _neutral_probe, _NEUTRAL_GRID,
-                                  _make_seed(seed), log=log, config=config, alpha_lo=lo,
-                                  alpha_max=hi, max_level=stability._NEUTRAL_MAX_LEVEL,
+                                  _make_seed(seed), stability._NEUTRAL_BRACKET,
+                                  stability._NEUTRAL_MAX_LEVEL, log=log, config=config,
                                   **arguments)
     # the ladder climbs to the top level, so probes are continued
     assert stability._NEUTRAL_MAX_LEVEL == 2
@@ -1351,13 +1352,13 @@ def _counted(monkeypatch, name):
     return calls
 
 
-def test_escape_curve_stops_probes_early(monkeypatch):
+def test_escape_curve_stops_probes_early(monkeypatch, search_constants):
     grid = [0.0, 0.5]
-    budgets = dict(method="escape", tolerance=0.05, alpha_lo=1.0, escape_max_steps=400,
-                   escape_trials=200)
+    search_constants(bracket=(1.0, 8.0), escape_max_steps=400, escape_trials=200)
+    budgets = dict(method="escape", tolerance=0.05)
     passages = []
-    reference = _reference_points(critical_alpha, _escape_probe, grid, 3, passages=passages,
-                                  **budgets)
+    reference = _reference_points(critical_alpha, _escape_probe, grid, 3, stability._BRACKET,
+                                  stability._MAX_LEVEL, passages=passages, **budgets)
     steps = _counted(monkeypatch, "_step")
     assert critical_curve(grid, seed=3, **budgets).points == reference
     assert steps["_step"] == sum(p.steps for p in passages)
@@ -1366,12 +1367,10 @@ def test_escape_curve_stops_probes_early(monkeypatch):
 
 def test_neutral_curve_stops_probes_early(monkeypatch):
     config = ScalingConfig(1.0, iterations=50, repetitions=200)
-    lo, hi = stability._NEUTRAL_BRACKET
     passages = []
     reference = _reference_points(neutral_alpha, _neutral_probe, _NEUTRAL_GRID, 3,
-                                  passages=passages, config=config, tolerance=0.05,
-                                  alpha_lo=lo, alpha_max=hi,
-                                  max_level=stability._NEUTRAL_MAX_LEVEL)
+                                  stability._NEUTRAL_BRACKET, stability._NEUTRAL_MAX_LEVEL,
+                                  passages=passages, config=config, tolerance=0.05)
     steps = _counted(monkeypatch, "affine_update")
     curve = neutral_stability_curve(config, _NEUTRAL_GRID, seed=3, tolerance=0.05)
     assert curve.points == reference
@@ -1388,10 +1387,11 @@ def _ladder_tops(log):
     return tops
 
 
-def test_a_lyapunov_ladder_draws_each_step_once(monkeypatch):
+def test_a_lyapunov_ladder_draws_each_step_once(monkeypatch, search_constants):
     # a ladder that reaches level L draws burn_in + steps * 2**L steps of
     # weights per trial, not a fresh burn-in and orbit at every level
-    grid, seed, budgets = _LOCKSTEP_CASES["equal"]
+    grid, seed, budgets, constants = _LOCKSTEP_CASES["equal"]
+    search_constants(**constants)
     log = []
     reference = _serial_curve(grid, seed, log=log, **budgets)
     drawn = []
@@ -1402,12 +1402,12 @@ def test_a_lyapunov_ladder_draws_each_step_once(monkeypatch):
     assert critical_curve(grid, seed=seed, **budgets).points == reference
     tops = _ladder_tops(log)
     assert max(tops) >= 2
-    steps, trials, burn_in = budgets["steps"], budgets["trials"], budgets["burn_in"]
+    steps, trials, burn_in = budgets["steps"], budgets["trials"], constants["burn_in"]
     assert sum(drawn) == sum(trials * (burn_in + steps * 2**top) for top in tops)
 
 
 @pytest.mark.parametrize("kind", ["escape", "neutral"])
-def test_a_ladder_starts_each_lane_once(monkeypatch, kind):
+def test_a_ladder_starts_each_lane_once(monkeypatch, search_constants, kind):
     # a ladder that reaches level L starts trials * 2**L lanes, not the
     # trials * (2**(L + 1) - 1) of a fresh probe at every level
     started = []
@@ -1415,19 +1415,17 @@ def test_a_ladder_starts_each_lane_once(monkeypatch, kind):
     monkeypatch.setattr(stability, "_start", lambda rng, n: started.append(n) or start(rng, n))
     log = []
     if kind == "escape":
-        grid, seed, budgets = _ESCAPE_CASES["mixed_statuses"]
-        budgets = dict(method="escape", tolerance=0.05, alpha_lo=1.0, escape_max_steps=400,
-                       **budgets)
-        reference = _reference_points(critical_alpha, _escape_probe, grid, seed, log=log,
+        grid, seed, budgets = _escape_case("mixed_statuses", search_constants)
+        reference = _reference_points(critical_alpha, _escape_probe, grid, seed,
+                                      stability._BRACKET, stability._MAX_LEVEL, log=log,
                                       **budgets)
         assert critical_curve(grid, seed=seed, **budgets).points == reference
-        trials = budgets["escape_trials"]
+        trials = stability._ESCAPE_TRIALS
     else:
         config, seed, _ = _NEUTRAL_CASES["kappa_0.1"]
-        lo, hi = stability._NEUTRAL_BRACKET
         reference = _reference_points(neutral_alpha, _neutral_probe, _NEUTRAL_GRID, seed,
-                                      log=log, config=config, tolerance=0.05, alpha_lo=lo,
-                                      alpha_max=hi, max_level=stability._NEUTRAL_MAX_LEVEL)
+                                      stability._NEUTRAL_BRACKET, stability._NEUTRAL_MAX_LEVEL,
+                                      log=log, config=config, tolerance=0.05)
         curve = neutral_stability_curve(config, _NEUTRAL_GRID, seed=seed, tolerance=0.05)
         assert curve.points == reference
         trials = config.repetitions
@@ -1494,14 +1492,14 @@ def test_finite_time_overflow_reports_step():
 # ---------------------------------------------------------------- neutral stability
 
 
-def test_neutral_matches_escape_in_degenerate_limit():
+def test_neutral_matches_escape_in_degenerate_limit(search_constants):
     # with p = g = 0 the convergence criterion coincides with the escape
     # experiment's inner-radius rule
     config = ScalingConfig(kappa=1.0, p=0.0, g=0.0, iterations=3000, repetitions=4000)
     point = neutral_alpha(0.4, config, ratio=RATIO_EQUAL, tolerance=0.02, seed=28)
+    search_constants(escape_trials=8000)
     reference = critical_alpha(0.4, ratio=RATIO_EQUAL, tolerance=0.02, seed=29,
-                               method="escape", escape_trials=8000,
-                               escape_max_steps=20_000)
+                               method="escape")
     assert point.status == reference.status == STATUS_OK
     assert abs(point.alpha - reference.alpha) <= 0.15
 
