@@ -24,6 +24,13 @@ bounds.
 At low dims the shift and the formulas' sums over the coordinate axis run
 one column at a time (``_shifted``, ``_row_sum``), bit for bit as the
 broadcast subtract and ``np.sum`` round.
+
+An optimiser that runs the swarms of several instances in one batch
+evaluates them through one stack cost (``_Stack``): each instance
+transforms its own swarms, and each base formula then runs once on all the
+swarms that share it, such as plain, rotated and non-continuous rastrigin.
+A call of one instance is the one-instance case of the same code
+(``_costs``).
 """
 
 from __future__ import annotations
@@ -216,8 +223,13 @@ class BenchmarkFunction:
         # +inf for each row whose bound, less its margins, is not below its
         # ceiling: that row's cost is not below it either, or is NaN
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
+        whole = slice(None)
+        out = _costs(np.atleast_2d(x), ((self, whole),), ((self.id, whole),), _ceiling)
+        return float(out[0]) if x.ndim == 1 else out
+
+    def _transform(self, pts):
+        """The points ``z`` the base formula takes: ``pts`` shifted, then
+        rotated, then made non-continuous."""
         if pts.shape[-1] != self.dim:
             raise ValueError(f"expected dimension {self.dim}, got {pts.shape[-1]}")
         z = _shifted(pts, self.shift)
@@ -225,15 +237,76 @@ class BenchmarkFunction:
             z = z @ self.rotation.T
         if self.noncontinuous:
             z = _noncontinuous(z)
-        base, bound = _BASE[self.id], _BOUND.get(self.id)
-        if _ceiling is None or bound is None:
-            out = base(z)
-        else:
-            low = _floor(bound(z))
-            rows = np.flatnonzero(low < _ceiling)
-            out = np.full(low.shape, np.inf)
-            np.put(out, rows, base(np.take(z.reshape(-1, self.dim), rows, axis=0)))
-        return float(out[0]) if single else out
+        return z
+
+
+def _costs(pts, runs, groups, ceiling):
+    """Costs of the (..., n, dim) points ``pts``: each ``(instance, rows)``
+    of ``runs`` transforms its slice ``rows`` of the leading axis, and each
+    ``(id, rows)`` of ``groups`` runs that base formula once on its slice,
+    which covers consecutive runs.  ``ceiling`` is as in
+    ``BenchmarkFunction.__call__``."""
+    if len(runs) == 1:
+        fn, rows = runs[0]
+        z = fn._transform(pts[rows])
+    else:
+        z = np.empty(pts.shape)
+        for fn, rows in runs:
+            z[rows] = fn._transform(pts[rows])
+    if len(groups) == 1:
+        return _base_costs(groups[0][0], z, ceiling)
+    out = np.empty(z.shape[:-1])
+    for fid, rows in groups:
+        out[rows] = _base_costs(fid, z[rows], None if ceiling is None else ceiling[rows])
+    return out
+
+
+def _base_costs(fid, z, ceiling):
+    """Base formula ``fid`` at the transformed points ``z``, +inf on the rows
+    whose bound, less its margins, is not below their ``ceiling``."""
+    base, bound = _BASE[fid], _BOUND.get(fid)
+    if ceiling is None or bound is None:
+        return base(z)
+    low = _floor(bound(z))
+    rows = np.flatnonzero(low < ceiling)
+    out = np.full(low.shape, np.inf)
+    np.put(out, rows, base(np.take(z.reshape(-1, z.shape[-1]), rows, axis=0)))
+    return out
+
+
+class _Stack:
+    """The cost of a (B, n, dim) stack whose swarms belong to several
+    instances: ``functions[owner[b]]`` is swarm b's.
+
+    Each run of consecutive swarms of one instance is shifted, rotated and
+    made non-continuous on its own, as a call of that instance on it would
+    be, and each base formula then runs once on the consecutive runs that
+    share it.  The formulas are elementwise plus row sums, so every swarm's
+    costs are bit for bit those of its own instance's call on its block.
+    """
+
+    def __init__(self, functions, owner):
+        self.functions = functions
+        self.owner = np.asarray(owner)
+        cuts = [0, *(np.flatnonzero(np.diff(self.owner)) + 1), len(self.owner)]
+        self._runs = tuple((functions[self.owner[lo]], slice(lo, hi))
+                           for lo, hi in zip(cuts, cuts[1:]))
+        groups = []
+        for fn, rows in self._runs:
+            if groups and groups[-1][0] == fn.id:
+                groups[-1] = (fn.id, slice(groups[-1][1].start, rows.stop))
+            else:
+                groups.append((fn.id, rows))
+        self._groups = tuple(groups)
+
+    def __call__(self, x, *, _ceiling=None):
+        return _costs(x, self._runs, self._groups, _ceiling)
+
+    def take(self, swarms):
+        """The cost of the swarms that ``swarms`` selects: the instance of
+        one swarm index, or the stack of a mask's swarms."""
+        owner = self.owner[swarms]
+        return self.functions[owner] if owner.ndim == 0 else _Stack(self.functions, owner)
 
 
 def _random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:

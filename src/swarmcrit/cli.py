@@ -9,6 +9,7 @@ files.  Exit codes: 0 success, 1 validation error, 2 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -105,8 +106,8 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=["lyapunov", "escape"], default="lyapunov",
                    help="lyapunov (default) | escape; an escape probe runs a fixed budget "
                         f"of {stability._ESCAPE_TRIALS} trials of at most "
-                        f"{stability._ESCAPE_MAX_STEPS} steps, and --steps/--trials apply "
-                        "to lyapunov only")
+                        f"{stability._ESCAPE_MAX_STEPS} steps, and --steps/--trials, checked "
+                        "for both, apply to lyapunov only")
     p.add_argument("--steps", type=int, default=10_000, help="Lyapunov steps per probe (default 10000)")
     p.add_argument("--trials", type=int, default=16, help="Lyapunov trials per probe, >= 2 (default 16)")
     p.add_argument("--seed", type=int, default=0)
@@ -366,9 +367,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser ``dispatch`` uses, built once per process: parsing leaves
+    it unchanged."""
+    return build_parser()
+
+
 def dispatch(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except stability.NumericOverflowError as exc:

@@ -3,10 +3,12 @@ and the distance-to-criticality metric.
 
 Each repetition of a cell is one swarm, seeded with
 ``SeedSequence([master_seed, function_index, omega_index, alpha_index,
-repetition])``.  The swarms of one function run batched, in lockstep (see
-``pso.lockstep``), and each swarm's run does not depend on which swarms
-share its batch, so results are bit-identical regardless of where batches
-are cut, of execution order or of the number of worker processes.
+repetition])``.  The swarms run batched, in lockstep (see
+``pso.lockstep``); a batch may hold swarms of several functions, and the
+instances that share a base formula evaluate it in one call (see
+``benchmarks``).  Each swarm's run does not depend on which swarms share
+its batch, so results are bit-identical regardless of where batches are
+cut, of execution order or of the number of worker processes.
 """
 
 from __future__ import annotations
@@ -16,12 +18,11 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 from functools import partial
-from itertools import starmap
 from typing import get_type_hints
 
 import numpy as np
 
-from .benchmarks import BenchmarkFunction, suite
+from .benchmarks import FUNCTION_IDS, BenchmarkFunction, _Stack, suite
 from .dynamics import SwarmParams
 from .pso import lockstep
 # not called here, but bench/spans.py wraps ``harness.optimize``
@@ -143,23 +144,29 @@ class SweepGrid:
 
 
 # A batch holds at most _BATCH_VALUES particle coordinates (B * n * dim):
-# the 240 swarms of a 2-d, 25-particle valley sweep fit in one, and a
-# batch's (B, n, dim) cost temporaries stay near 128 KB each.
+# the 240 swarms of a 2-d, 25-particle valley sweep fit in one, the 180 of
+# the 10-d suite sweep fill three (65, 65 and 50), and a batch's
+# (B, n, dim) cost temporaries stay near 128 KB each.
 _BATCH_VALUES = 1 << 14
 
 
-def _run_batch(config: SweepConfig, fn_idx, fn, swarms) -> tuple[np.ndarray, np.ndarray]:
-    """Best costs and divergence flags of the (omega, alpha, repetition)
-    index triples ``swarms`` of one function, run in lockstep."""
+def _run_batch(config: SweepConfig, functions, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Best costs and divergence flags of the swarms ``pairs``, each a
+    function index and an (omega, alpha, repetition) index triple, run in
+    lockstep."""
     params = []
-    for i_w, i_a, _ in swarms:
+    for _, (i_w, i_a, _) in pairs:
         alpha1, alpha2 = split_alpha(float(config.alpha_values[i_a]), config.split)
         params.append(SwarmParams(
             omega=float(config.omega_values[i_w]), alpha1=alpha1, alpha2=alpha2,
             n_particles=config.n_particles, dim=config.dim,
         ))
-    seeds = (np.random.SeedSequence([config.master_seed, fn_idx, *swarm]) for swarm in swarms)
-    state = lockstep(fn, params, config.iterations, fn.domain, seeds)
+    seeds = (np.random.SeedSequence([config.master_seed, fn_idx, *swarm])
+             for fn_idx, swarm in pairs)
+    owner = np.array([fn_idx for fn_idx, _ in pairs])
+    fn = functions[owner[0]]
+    cost = fn if (owner == owner[0]).all() else _Stack(functions, owner)
+    state = lockstep(cost, params, config.iterations, fn.domain, seeds)
     return state.g_best_cost, state.diverged
 
 
@@ -167,11 +174,13 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepGrid:
     """Run the full grid; deterministic for a fixed master seed and
     independent of ``jobs``.
 
-    Each function's swarms run in lockstep batches.  ``jobs`` must be at
-    least 1; with ``jobs > 1`` the sweep runs on ``min(jobs, os.cpu_count())``
-    worker processes, and the batches are cut small enough to give every
-    worker one.  Diverged repetitions report the best cost found before
-    divergence, so cell means stay finite.
+    The swarms of all functions run in lockstep batches, cut from one list
+    ordered by base formula, so that a batch runs each formula once per
+    iteration.  ``jobs`` must be at least 1; with ``jobs > 1`` the sweep
+    runs on ``min(jobs, os.cpu_count())`` worker processes, and the
+    batches are cut smaller, into a multiple of the worker count.  Diverged
+    repetitions report the best cost found before divergence, so cell
+    means stay finite.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -180,23 +189,25 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepGrid:
     jobs = min(jobs, os.cpu_count() or 1)
     functions = config.resolve_functions()
     shape = (len(config.omega_values), len(config.alpha_values), config.repetitions)
-    swarms = list(np.ndindex(shape))
+    order = sorted(range(len(functions)), key=lambda i: FUNCTION_IDS.index(functions[i].id))
+    pairs = [(fn_idx, swarm) for fn_idx in order for swarm in np.ndindex(shape)]
     size = max(1, _BATCH_VALUES // (config.n_particles * config.dim))
     if jobs > 1:
-        size = min(size, -(-len(swarms) * len(functions) // jobs))
-    tasks = [
-        (fn_idx, fn, swarms[i : i + size])
-        for fn_idx, fn in enumerate(functions)
-        for i in range(0, len(swarms), size)
-    ]
-    run_batch = partial(_run_batch, config)
+        # the fewest batches that are a multiple of the worker count, of
+        # near-equal size, so that no worker waits for another's extra batch
+        count = jobs * -(-len(pairs) // (jobs * size))
+        size = -(-len(pairs) // count)
+    tasks = [pairs[i : i + size] for i in range(0, len(pairs), size)]
+    run_batch = partial(_run_batch, config, functions)
     if jobs == 1:
-        batches = list(starmap(run_batch, tasks))
+        batches = list(map(run_batch, tasks))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            batches = list(pool.map(run_batch, *zip(*tasks)))
-    best = np.concatenate([b for b, _ in batches]).reshape(len(functions), *shape)
-    diverged = np.concatenate([d for _, d in batches]).reshape(len(functions), *shape)
+            batches = list(pool.map(run_batch, tasks))
+    # back from base-formula order to function order
+    best, diverged = np.empty((len(functions), *shape)), np.empty((len(functions), *shape), bool)
+    best[order] = np.concatenate([b for b, _ in batches]).reshape(best.shape)
+    diverged[order] = np.concatenate([d for _, d in batches]).reshape(best.shape)
     reps = config.repetitions
     # one call each over the repetition axis, bit-equal to a call per cell
     means, medians = best.mean(axis=-1), np.median(best, axis=-1)

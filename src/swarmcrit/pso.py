@@ -22,10 +22,11 @@ loop would run only dim elements long: the global bests are repeated to
 full shape, and a personal best is replaced as one opaque row (``_rows``).
 
 A cost is needed only to ask whether it beats the particle's personal best,
-so a ``BenchmarkFunction`` cost is told that best and skips each particle
-whose cost provably cannot beat it (see ``benchmarks``), reporting +inf;
-every best, trace and flag is bit-identical to evaluating every particle.
-Other costs are evaluated on every finite particle.
+so a ``BenchmarkFunction`` cost, or a stack of several that gives each
+swarm its own instance, is told that best and skips each particle whose
+cost provably cannot beat it (see ``benchmarks``), reporting +inf; every
+best, trace and flag is bit-identical to evaluating every particle.  Other
+costs are evaluated on every finite particle.
 
 No spatial or velocity clamping is performed; non-finite positions mark the
 run as diverged, cost evaluation for them is skipped and treated as +inf.
@@ -40,7 +41,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .benchmarks import BenchmarkFunction
+from .benchmarks import BenchmarkFunction, _Stack
 from .dynamics import SwarmParams, _seed_sequence, affine_update
 
 __all__ = [
@@ -56,7 +57,7 @@ __all__ = [
 # keep each swarm's draws within _SWARM_DRAW_VALUES doubles, where a call's
 # overhead is small next to its fill, and all swarms' within _DRAW_VALUES
 # (1 MB), and at least one: a 240-swarm, 25-particle 2-d valley batch draws
-# 5 iterations a call, a 12-swarm 10-d suite batch 8.
+# 5 iterations a call, a 65-swarm 10-d suite batch 4.
 _DRAW_VALUES = 1 << 17
 _SWARM_DRAW_VALUES = 1 << 12
 
@@ -260,24 +261,28 @@ def _evaluate(cost, positions: np.ndarray, finite: np.ndarray | None,
     (B', n, dim) stack.  A swarm with some non-finite particles is called
     on its finite rows alone, as a lone swarm is: a rotated cost's matrix
     product rounds differently when the number of rows changes.  A
-    ``BenchmarkFunction`` gets each particle's (B, n) ``ceiling``, its
-    personal best cost, and returns +inf where the cost provably is not
-    below it, so the costs may differ but never which of them are below.
+    ``BenchmarkFunction`` or a stack of them gets each particle's (B, n)
+    ``ceiling``, its personal best cost, and returns +inf where the cost
+    provably is not below it, so the costs may differ but never which of
+    them are below.  A stack's whole swarms go to the stack of their
+    instances, and a swarm with some non-finite particles to its own
+    instance.
     """
-    bounded = isinstance(cost, BenchmarkFunction)
+    bounded = isinstance(cost, (BenchmarkFunction, _Stack))
+    part = cost.take if isinstance(cost, _Stack) else lambda swarms: cost
 
-    def call(points, ceiling):
-        return cost(points, _ceiling=ceiling) if bounded else cost(points)
+    def call(f, points, ceiling):
+        return f(points, _ceiling=ceiling) if bounded else f(points)
 
     with np.errstate(over="ignore", invalid="ignore"):
         if finite is None:
-            return call(positions, ceiling)
+            return call(cost, positions, ceiling)
         whole = finite.all(axis=1)
         out = np.full(finite.shape, np.inf)
         if whole.any():
-            out[whole] = call(positions[whole], ceiling[whole])
+            out[whole] = call(part(whole), positions[whole], ceiling[whole])
         for b in np.flatnonzero(finite.any(axis=1) & ~whole):
-            out[b, finite[b]] = call(positions[b, finite[b]], ceiling[b, finite[b]])
+            out[b, finite[b]] = call(part(b), positions[b, finite[b]], ceiling[b, finite[b]])
     return out
 
 
@@ -291,9 +296,10 @@ def _advance(state: SwarmState, omega, alpha1, alpha2, r: np.ndarray, cost,
     ``work`` is a (3, B, n, dim) scratch array.
     """
     v, x = state.velocities, state.positions
-    g_full = np.repeat(state.g_best[:, None], x.shape[1], axis=1)
-    affine_update(omega, alpha1, alpha2, v, x, r[:, 0], r[:, 1], state.p_best, g_full,
-                  (v, x), work)
+    # the repeated global bests die with the call, before the cost's
+    # temporaries, which set the loop's peak memory, are made
+    affine_update(omega, alpha1, alpha2, v, x, r[:, 0], r[:, 1], state.p_best,
+                  np.repeat(state.g_best[:, None], x.shape[1], axis=1), (v, x), work)
     # x' = x + v', so a non-finite velocity always makes the position
     # non-finite; the per-particle mask is needed only once one has overflowed
     finite = np.isfinite(x)
@@ -322,19 +328,19 @@ def lockstep(f, params, iterations: int, bounds, seeds, trace=None) -> SwarmStat
     Every ``params`` entry shares ``n_particles`` and ``dim``; omega and
     the attraction weights are per swarm.  ``f`` maps a (B, n, dim) stack
     to (B, n) costs, each (n, dim) block evaluated as it would be alone
-    (``BenchmarkFunction`` does; ``optimize`` wraps any other cost).  Each
-    seed is spawned into an initialisation and a step generator (a
-    caller's ``SeedSequence`` is copied first, so it is not advanced and a
-    repeated call gets the same run), and per iteration each swarm draws
-    ``r1`` then ``r2`` from its step generator (a block of iterations per
-    generator call, the same stream), so every swarm follows exactly the
-    run ``optimize`` gives for its parameters and seed.  ``trace``, if
-    given, is a (B, iterations) array that receives the global best costs
-    after every iteration.  Returns the final batch state (see
-    :class:`SwarmState`).  ``f`` is given the loop's own position array,
-    which the next iteration overwrites, so it must copy what it keeps.
-    ``seeds`` must hold one seed per ``params`` entry, and there must be
-    at least one swarm.
+    (``BenchmarkFunction`` and a stack of them do; ``optimize`` wraps any
+    other cost).  Each seed is spawned into an initialisation and a step
+    generator (a caller's ``SeedSequence`` is copied first, so it is not
+    advanced and a repeated call gets the same run), and per iteration each
+    swarm draws ``r1`` then ``r2`` from its step generator (a block of
+    iterations per generator call, the same stream), so every swarm follows
+    exactly the run ``optimize`` gives for its parameters and seed.
+    ``trace``, if given, is a (B, iterations) array that receives the
+    global best costs after every iteration.  Returns the final batch state
+    (see :class:`SwarmState`).  ``f`` is given the loop's own position
+    array, which the next iteration overwrites, so it must copy what it
+    keeps.  ``seeds`` must hold one seed per ``params`` entry, and there
+    must be at least one swarm.
     """
     children = [_seed_sequence(s).spawn(2) for s in seeds]
     if not len(children) == len(params) >= 1:

@@ -1053,10 +1053,6 @@ def _lyapunov_kind(omegas, steps, trials, burn_in):
     and the identities that pad them change no bit.  A probe needs two
     trials or more: its error is the spread across them.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if trials < 2:
-        raise ValueError("a Lyapunov bisection needs trials >= 2")
     group = max(1, _CHUNK_VALUES // (_chunk_steps(trials) * trials))
 
     def start(i, a1, a2, level, child, probe):
@@ -1126,7 +1122,13 @@ def _passage_kind(trials, steps, rules):
 
 def _critical_points(omegas, ratio, tolerance, seeds, method, steps, trials):
     """:func:`critical_alpha` at each value of the list ``omegas``, point
-    ``i`` seeded by ``seeds[i]``, in one :func:`_solve` call."""
+    ``i`` seeded by ``seeds[i]``, in one :func:`_solve` call.  ``steps`` and
+    ``trials`` are checked for both methods, though only Lyapunov probes
+    run them, so no curve records an invalid budget."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if trials < 2:
+        raise ValueError("a Lyapunov bisection needs trials >= 2")
     if method == "lyapunov":
         kind = _lyapunov_kind(omegas, steps, trials, _BURN_IN)
     elif method == "escape":

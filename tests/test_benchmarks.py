@@ -77,6 +77,38 @@ def test_stack_evaluates_each_batch_as_alone(dim):
         assert all(np.array_equal(out[b], f(stack[b])) for b in range(12)), f.label
 
 
+@pytest.mark.parametrize("dim", [2, 10])
+def test_multi_instance_stack_equals_per_instance_calls(dim):
+    # a sweep batch stacks the swarms of several instances, in base-formula
+    # order, and runs each formula once on the instances that share it; each
+    # swarm's costs must be its own instance's call on its block, bit for
+    # bit, with and without ceilings, also where a row is not finite
+    rng = np.random.default_rng(22)
+    fns = suite(dim, seed=23)
+    order = sorted(range(len(fns)), key=lambda i: FUNCTION_IDS.index(fns[i].id))
+    owner = np.repeat(order, rng.integers(1, 4, len(fns)))
+    stack = rng.uniform(-100.0, 100.0, size=(len(owner), 25, dim))
+    stack[3, 7, 0], stack[5, 2, -1], stack[-1, 0] = np.inf, np.nan, -np.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        alone = np.array([fns[i](stack[b]) for b, i in enumerate(owner)])
+    # about half the rows of rastrigin and griewank are skipped
+    ceiling = alone * rng.uniform(0.5, 1.5, alone.shape)
+    cost = benchmarks._Stack(fns, owner)
+    assert len(cost._groups) == len(FUNCTION_IDS) < len(cost._runs)
+    for c in (None, ceiling):
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = cost(stack, _ceiling=c)
+            expected = [fns[i](stack[b], _ceiling=None if c is None else c[b])
+                        for b, i in enumerate(owner)]
+        assert out.shape == (len(owner), 25)
+        for b, i in enumerate(owner):
+            assert out[b].tobytes() == expected[b].tobytes(), (fns[i].label, b)
+    assert np.isinf(out).sum() > np.isinf(alone).sum()
+    assert cost.take(4) is fns[owner[4]]
+    part = cost.take(owner != owner[0])
+    assert np.array_equal(part.owner, owner[owner != owner[0]])
+
+
 def test_make_function_deterministic():
     a = make_function("griewank", 7, seed=6, rotated=True)
     b = make_function("griewank", 7, seed=6, rotated=True)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from swarmcrit import stability
+from swarmcrit import cli, stability
 from swarmcrit.cli import build_parser, dispatch
 from swarmcrit.io import read_csv, read_keyvalue_config, write_json
 from swarmcrit.stability import CriticalCurve, CriticalPoint
@@ -65,6 +65,12 @@ _INVALID = {
     "scaling-kappa-p-overflow": ["scaling", "--kappa", "1e200", "--p", "1e200", "--g", "0"],
     "curve-one-trial": ["curve", "--omega-min", "0.4", "--omega-max", "0.4", "--steps", "200",
                         "--trials", "1"],
+    # the escape method runs no Lyapunov probe, but records its budget
+    "curve-escape-bad-budget": ["curve", "--method", "escape", "--omega-min", "0.4",
+                                "--omega-max", "0.4", "--tolerance", "0.05", "--steps", "0",
+                                "--trials", "-3", "--seed", "3"],
+    "curve-escape-one-trial": ["curve", "--method", "escape", "--omega-min", "0.4",
+                               "--omega-max", "0.4", "--trials", "1"],
     "escape-max-steps-zero": ["escape", "--omega", "0.5", "--alpha", "2", "--max-steps", "0"],
     "escape-max-steps-negative": ["escape", "--omega", "0.5", "--alpha", "2",
                                   "--max-steps", "-3"],
@@ -178,6 +184,28 @@ def test_identical_invocations_are_byte_identical(tmp_path, sub):
     assert run(argv + ["--output", str(a)]) == 0
     assert run(argv + ["--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_dispatch_builds_its_parser_once(tmp_path, monkeypatch):
+    builds = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda real=cli.build_parser: builds.append(1) or real())
+    cli._parser.cache_clear()
+    assert exit_code(["optimize", "--frob", "1"]) == 1
+    escape = ["escape", *_TINY["escape"], "--seed", "9", "--output"]
+    optimize = ["optimize", *_TINY["optimize"], "--seed", "9", "--output"]
+    assert run(escape + [str(tmp_path / "a.json")]) == 0
+    assert run(optimize + [str(tmp_path / "b.json")]) == 0
+    assert run(escape + [str(tmp_path / "c.json")]) == 0
+    assert exit_code(["curve", "--trials", "x", "--output", "never.csv"]) == 1
+    assert builds == [1]
+    # the shared parser gives what a fresh one gives
+    for argv, name in ((escape, "a"), (optimize, "b")):
+        args = build_parser().parse_args(argv + [str(tmp_path / f"{name}-fresh.json")])
+        assert cli._COMMANDS[args.command](args) == 0
+        assert (tmp_path / f"{name}.json").read_bytes() == \
+            (tmp_path / f"{name}-fresh.json").read_bytes()
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "c.json").read_bytes()
 
 
 # ---------------------------------------------------------------- curve / scaling

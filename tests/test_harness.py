@@ -108,6 +108,18 @@ def test_run_sweep_caps_workers_at_the_cpu_count(monkeypatch, cores, expected):
     assert grid.cells == run_sweep(_tiny_config()).cells
 
 
+def test_run_sweep_gives_every_worker_as_many_batches(monkeypatch):
+    # 48 swarms of 20 coordinates in batches of at most 17 swarms: 3
+    # batches in one process, 4 of 12 on 2 workers
+    log = []
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _recording_pool(log))
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "_BATCH_VALUES", 17 * 20)
+    grid = run_sweep(_tiny_config(), jobs=2)
+    assert log == [2, 4]
+    assert grid.cells == run_sweep(_tiny_config()).cells
+
+
 def _per_run_cells(config):
     """The sweep with one ``optimize`` call per repetition."""
     cells = []
@@ -132,28 +144,54 @@ def _per_run_cells(config):
     return tuple(cells)
 
 
-@pytest.mark.parametrize("overrides, jobs", [
-    ({}, 1),
-    ({"split": RATIO_SOCIAL_ONLY}, 1),
+# a case's batch_values, if set, replaces ``harness._BATCH_VALUES``
+@pytest.mark.parametrize("overrides, jobs, batch_values", [
+    ({}, 1, None),
+    ({"split": RATIO_SOCIAL_ONLY}, 1, None),
     # divergent cells beside convergent ones; particles overflow one by one
     ({"omega_values": np.array([0.7, 1.1]), "alpha_values": np.array([2.0, 12.0]),
       "iterations": 1500, "repetitions": 2, "n_particles": 5, "dim": 3,
-      "functions": (make_function("rastrigin", 3, seed=4, rotated=True),)}, 1),
+      "functions": (make_function("rastrigin", 3, seed=4, rotated=True),)}, 1, None),
     ({"omega_values": np.array([0.4, 0.9]), "alpha_values": np.array([1.5, 3.0]),
       "iterations": 30, "repetitions": 2, "dim": 10,
       "functions": (make_function("rastrigin", 10, seed=5, rotated=True, noncontinuous=True),
-                    make_function("weierstrass", 10, seed=6, rotated=True))}, 1),
+                    make_function("weierstrass", 10, seed=6, rotated=True))}, 1, None),
     # 15 x 12 cells x 2 repetitions of 25 x 2 swarms: 18000 coordinates,
     # more than one batch holds
     ({"omega_values": inclusive_grid(-0.7, 0.7, 0.1),
       "alpha_values": inclusive_grid(0.25, 3.0, 0.25),
       "iterations": 8, "repetitions": 2, "n_particles": 25,
-      "functions": (make_function("rastrigin", 2, seed=7),)}, 1),
+      "functions": (make_function("rastrigin", 2, seed=7),)}, 1, None),
     ({"omega_values": np.array([0.7, 1.1]), "alpha_values": np.array([2.0, 12.0]),
       "iterations": 1500, "repetitions": 3, "n_particles": 5,
-      "functions": (make_function("sphere", 2, seed=8),)}, 2),
-], ids=["equal", "social-only", "divergent", "rotated-nc-dim10", "two-batches", "jobs2"])
-def test_batched_sweep_equals_per_run_optimize(overrides, jobs):
+      "functions": (make_function("sphere", 2, seed=8),)}, 2, None),
+    # one batch of four instances, out of base-formula order: griewank's
+    # swarms and the three rastrigin variants' each share one formula call
+    ({"omega_values": np.array([0.4, 0.9]), "alpha_values": np.array([1.5, 3.0]),
+      "iterations": 30, "repetitions": 2, "dim": 10, "n_particles": 25,
+      "functions": (make_function("rastrigin", 10, seed=9, rotated=True, noncontinuous=True),
+                    make_function("griewank", 10, seed=10),
+                    make_function("rastrigin", 10, seed=11),
+                    make_function("rastrigin", 10, seed=12, rotated=True))}, 1, None),
+    # batches of 7 swarms of 20 coordinates cut inside each instance's 24
+    # swarms and span two instances
+    ({"functions": (make_function("rastrigin", 2, seed=13, rotated=True),
+                    make_function("sphere", 2, seed=14),
+                    make_function("rastrigin", 2, seed=15))}, 1, 140),
+    # partly non-finite swarms beside whole ones of other instances
+    ({"omega_values": np.array([0.7, 1.1]), "alpha_values": np.array([2.0, 12.0]),
+      "iterations": 1500, "repetitions": 2, "n_particles": 5, "dim": 3,
+      "functions": (make_function("rastrigin", 3, seed=16, rotated=True),
+                    make_function("sphere", 3, seed=17),
+                    make_function("rastrigin", 3, seed=18))}, 1, None),
+    ({"functions": (make_function("sphere", 2, seed=19),
+                    make_function("rastrigin", 2, seed=20, rotated=True),
+                    make_function("griewank", 2, seed=21))}, 2, None),
+], ids=["equal", "social-only", "divergent", "rotated-nc-dim10", "two-batches", "jobs2",
+        "shared-base-dim10", "batches-span-functions", "divergent-stack", "jobs2-stack"])
+def test_batched_sweep_equals_per_run_optimize(overrides, jobs, batch_values, monkeypatch):
+    if batch_values is not None:
+        monkeypatch.setattr(harness, "_BATCH_VALUES", batch_values)
     config = _tiny_config(**overrides)
     assert run_sweep(config, jobs=jobs).cells == _per_run_cells(config)
 

@@ -1174,9 +1174,14 @@ def test_lyapunov_bisection_rejects_one_trial(search_constants):
         critical_curve([-0.5, 0.5], trials=1, steps=600, seed=0)
     single = lyapunov_exponent(0.0, 0.5, 0.5, steps=600, trials=1, burn_in=300, seed=0)
     assert single.trials == 1 and single.std_error == 0.0
-    # the escape probe has no use for the Lyapunov trials
+    # the escape probe has no use for the Lyapunov budget, but a curve
+    # records it, so it is checked for both methods
     search_constants(escape_trials=50, escape_max_steps=50)
-    point = critical_alpha(0.5, method="escape", trials=1, seed=1)
+    with pytest.raises(ValueError, match="trials >= 2"):
+        critical_alpha(0.5, method="escape", trials=1, seed=1)
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        critical_curve([0.5], method="escape", steps=0, seed=1)
+    point = critical_alpha(0.5, method="escape", trials=2, seed=1)
     assert isinstance(point, CriticalPoint)
 
 

@@ -1,6 +1,6 @@
 """Layer timing of two source trees: ns per lane-step of the Lyapunov orbit
-at several lane counts, and µs per iteration of the lockstep optimiser at
-the two sweep shapes.
+at several lane counts, µs per iteration of the lockstep optimiser at the
+two sweep shapes, and µs per swarm-iteration of the suite sweep.
 
 Usage::
 
@@ -22,17 +22,25 @@ Lockstep layer: the process times, at each of ``SHAPES``, one call of
 ``pso.lockstep`` on the shape's swarms for ``ITERATIONS`` iterations, after
 one untimed call of a tenth of them, and divides by ``ITERATIONS``; the
 start, the weight draws and the cost evaluations are part of the time.  The
-shapes are the batches of the benchmark's sweeps: ``valley``, 2-d
-rastrigin, 12 omegas by 10 alphas by 2 repetitions (240 swarms); and
-``suite``, 10-d weierstrass, 4 omegas by 3 alphas (12 swarms); 25 particles
-each, as in the sweeps' CLI calls.
+shapes are one instance's swarms in the benchmark's sweeps: ``valley``, 2-d
+rastrigin, 12 omegas by 10 alphas by 2 repetitions (240 swarms, the
+valley's one batch); and ``suite``, 10-d weierstrass, 4 omegas by 3 alphas
+(12 swarms; the suite sweep's batches hold several instances, which the
+sweep layer times); 25 particles each, as in the sweeps' CLI calls.
 
-OUT.json gets a ``layers`` entry (Lyapunov) and a ``lockstep`` entry with,
-per lane count or shape, each side's median, inclusive quartiles and runs,
-the ratio of the medians (change over parent) and
-``change_lower_in_rounds``.  Other entries of an existing OUT.json, such as
-the ones ``tools/bench_pairs.py`` writes, are kept; run this after that
-script, which writes its file anew.
+Sweep layer: the process times one ``harness.run_sweep`` of the
+benchmark's ``sweep-suite10`` configuration (the 15-instance suite at
+dim 10, 4 omegas by 3 alphas, one repetition, ``ITERATIONS`` iterations,
+25 particles), after one untimed sweep of a tenth of the iterations, and
+divides by the swarm-iterations (180 swarms times ``ITERATIONS``); batching,
+the start, the weight draws and the cost evaluations are part of the time.
+
+OUT.json gets a ``layers`` entry (Lyapunov), a ``lockstep`` entry and a
+``sweep`` entry with, per lane count, shape or sweep, each side's median,
+inclusive quartiles and runs, the ratio of the medians (change over
+parent) and ``change_lower_in_rounds``.  Other entries of an existing
+OUT.json, such as the ones ``tools/bench_pairs.py`` writes, are kept; run
+this after that script, which writes its file anew.
 """
 
 from __future__ import annotations
@@ -56,6 +64,8 @@ SHAPES = {
     "valley": ("rastrigin", 2, (-1.1, 1.1, 0.2), (0.25, 5.0, 0.5), 2),
     "suite": ("weierstrass", 10, (-0.5, 1.0, 0.5), (1.0, 4.0, 1.5), 1),
 }
+# the sweep-suite10 sweep: (omegas, alphas, dim), one repetition
+SWEEP = ((-0.5, 1.0, 0.5), (1.0, 4.0, 1.5), 10)
 
 # one process: ns per lane-step at each lane count of argv[2:]
 LYAPUNOV_PROBE = """
@@ -93,10 +103,26 @@ for name, (fid, dim, omegas, alphas, reps) in shapes.items():
 print(json.dumps(out))
 """
 
+# one process: µs per swarm-iteration of the sweep of the JSON argv[2]
+SWEEP_PROBE = """
+import json, sys, time
+from swarmcrit.harness import SweepConfig, inclusive_grid, run_sweep
+iterations, (omegas, alphas, dim) = int(sys.argv[1]), json.loads(sys.argv[2])
+def config(seed, iterations):
+    return SweepConfig(omega_values=inclusive_grid(*omegas), alpha_values=inclusive_grid(*alphas),
+                       iterations=iterations, repetitions=1, n_particles=25, dim=dim,
+                       master_seed=seed)
+run_sweep(config(1, max(1, iterations // 10)))
+t = time.perf_counter()
+swarms = len(run_sweep(config(2, iterations)).cells)
+print(json.dumps({"suite10": 1e6 * (time.perf_counter() - t) / (swarms * iterations)}))
+"""
+
 # entry of OUT.json: (probe, its arguments, the unit of its values)
 PROBES = {
     "layers": (LYAPUNOV_PROBE, [str(LANE_STEPS), *map(str, LANES)], "ns per lane-step"),
     "lockstep": (LOCKSTEP_PROBE, [str(ITERATIONS), json.dumps(SHAPES)], "us per iteration"),
+    "sweep": (SWEEP_PROBE, [str(ITERATIONS), json.dumps(SWEEP)], "us per swarm-iteration"),
 }
 
 
@@ -164,6 +190,15 @@ def main(argv=None) -> int:
         "shapes": {name: dict(zip(("function", "dim", "omegas", "alphas", "repetitions"), shape))
                    for name, shape in SHAPES.items()},
         "results": compare(runs["lockstep"]),
+    }
+    record["sweep"] = {
+        "command": f"run_sweep(SweepConfig(omegas, alphas, iterations={ITERATIONS}, "
+                   "repetitions=1, n_particles=25, dim=dim, master_seed=2))",
+        "method": "one fresh process per tree and round, the first tree alternating; "
+                  "q1/q3 are the inclusive quartiles of the rounds",
+        "unit": PROBES["sweep"][2],
+        "config": dict(zip(("omegas", "alphas", "dim"), SWEEP)),
+        "results": compare(runs["sweep"]),
     }
     args.output.write_text(json.dumps(record, indent=1) + "\n")
     return 0
