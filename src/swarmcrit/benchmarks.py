@@ -9,17 +9,20 @@ rotation, then the optional non-continuous transform, then the base
 formula.  Weierstrass cubes one ``cos + i sin`` per coordinate for its 21
 terms, within 1e-11 (``|z| <= 1``) and 1e-9 (``|z| <= 100``) of exact.
 
-Two base formulas carry a cheap lower bound, which lets an optimiser skip
-a point whose cost cannot beat a ceiling (its personal best): rastrigin is
-at least ``sum z**2`` and griewank at least ``sum z**2 / 4000``.  With a
+Three base formulas carry a cheap lower bound, which lets an optimiser
+skip a point whose cost cannot beat a ceiling (its personal best):
+rastrigin is at least ``sum z**2``, griewank at least ``sum z**2 / 4000``,
+and weierstrass at least the partial sum of its first four terms, each
+``a**k (1 + cos 2 pi 3**k (z + 1/2))`` of which is >= 0, computed with
+no sine by the tripling ``cos 3u = 4 cos**3 u - 3 cos u``.  With a
 ceiling, an instance runs its base formula only on the rows whose bound,
-less margins that cover the formula's rounding, is below their ceiling, and
-returns +inf on the others; a plain call evaluates every row.  The other
-formulas carry none: ackley's bound ``20 (1 - exp(-0.2 rms))`` stays below
-the personal bests an optimiser reaches, weierstrass is bounded, so no
-growth of ``z`` lifts a bound past a best, rosenbrock costs too little for
-the bookkeeping to pay, and sphere and schwefel are their own cheapest
-bounds.
+less margins that cover the formula's rounding, is below their ceiling,
+and returns +inf on the others; a plain call evaluates every row.  In the
+15-instance suite sweep at dim 10 (25 particles, 200 iterations) the
+weierstrass bound skips about 89% of the rows.  The other formulas carry
+none: ackley's bound ``20 (1 - exp(-0.2 rms))`` stays below the personal
+bests an optimiser reaches, rosenbrock costs too little for the
+bookkeeping to pay, and sphere and schwefel are their own cheapest bounds.
 
 At low dims the shift and the formulas' sums over the coordinate axis run
 one column at a time (``_shifted``, ``_row_sum``), bit for bit as the
@@ -154,12 +157,35 @@ def _squares(z):
     return (np.square(z).reshape(-1, d) @ np.ones(d)).reshape(z.shape[:-1])
 
 
+# The weierstrass bound's last term: the terms k <= 0, 1, 2, 3 and 5 skip
+# 6, 60, 83, 89 and 92% of the rows of the suite sweep at dim 10
+_W_CUT = 3
+
+
+def _weierstrass_low(z):
+    # sum_{k <= _W_CUT} a^k (1 + cos 3^k t), t = 2 pi (z + 1/2): the terms
+    # of ``_weierstrass`` it drops are each >= 0.  Both start from the same
+    # rounded t and cos t, and each tripling (here real, there complex)
+    # drifts from the exact cosine by about 3^k eps, so over all 21 terms
+    # the computed cost stays within sum_k 1.5^k eps ~ 2e-12 a coordinate
+    # of the computed bound, well under ``_floor``'s 1e-9 at dim 30.  A row
+    # whose t overflows has a NaN bound and is skipped as +inf, where its
+    # cost would be NaN: neither beats a best.
+    c = np.cos(2.0 * np.pi * (z + 0.5))
+    low = 1.0 + c
+    for a in _W_A[1:_W_CUT + 1]:
+        c = c * (4.0 * c * c - 3.0)
+        low += a * (1.0 + c)
+    return _row_sum(low)
+
+
 # Lower bounds of the base formulas that have a cheap one, by id: a row
 # whose bound, less its margins (``_floor``), is not below a ceiling costs
 # no less than that ceiling.
 _BOUND = {
     "rastrigin": _squares,  # every 10 (1 - cos 2 pi z) >= 0
     "griewank": lambda z: _squares(z) / 4000.0,  # 1 - prod cos >= 0
+    "weierstrass": _weierstrass_low,
 }
 
 

@@ -190,11 +190,13 @@ def test_weierstrass_vanishes_exactly_at_shift():
             assert f(f.shift) == 0.0, (dim, seed)
 
 
-def _weierstrass_exact(x):
-    # each term's argument reduced mod 1 in exact rationals before the cosine
+def _weierstrass_exact(x, kmax=benchmarks._W_KMAX):
+    # the terms k <= kmax, each argument reduced mod 1 in exact rationals
+    # before the cosine
     q = Fraction(float(x)) + Fraction(1, 2)
-    terms = (0.5**k * math.cos(2.0 * math.pi * float((q * 3**k) % 1)) for k in range(21))
-    return math.fsum(terms) - benchmarks._W_BIAS
+    terms = (0.5**k * (1.0 + math.cos(2.0 * math.pi * float((q * 3**k) % 1)))
+             for k in range(kmax + 1))
+    return math.fsum(terms)
 
 
 @pytest.mark.parametrize("radius, bound", [(1.0, 5e-11), (100.0, 2e-9)])
@@ -202,6 +204,14 @@ def test_weierstrass_matches_exact_reference(radius, bound):
     z = np.random.default_rng(19).uniform(-radius, radius, 200)
     exact = np.array([_weierstrass_exact(v) for v in z])
     assert np.max(np.abs(benchmarks._weierstrass(z[:, None]) - exact)) < bound
+
+
+def test_weierstrass_bound_matches_exact_partial_sum():
+    # random points, and points n/81 where every dropped term vanishes
+    z = np.concatenate([np.random.default_rng(22).uniform(-1.0, 1.0, 200),
+                        np.arange(-81, 82) / 81.0])
+    exact = np.array([_weierstrass_exact(v, benchmarks._W_CUT) for v in z])
+    assert np.max(np.abs(benchmarks._BOUND["weierstrass"](z[:, None]) - exact)) < 1e-12
 
 
 @pytest.mark.parametrize("dim", [2, 10])

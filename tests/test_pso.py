@@ -281,7 +281,13 @@ _BOUNDED = {
     "rastrigin-rot": dict(id="rastrigin", rotated=True),
     "rastrigin-rot-nc": dict(id="rastrigin", rotated=True, noncontinuous=True),
     "griewank": dict(id="griewank"),
+    "weierstrass": dict(id="weierstrass"),
+    "weierstrass-rot": dict(id="weierstrass", rotated=True),
 }
+
+
+def test_every_bound_has_a_skip_test():
+    assert {v["id"] for v in _BOUNDED.values()} == set(benchmarks._BOUND)
 
 
 @pytest.mark.parametrize("dim", [2, 10])
@@ -324,6 +330,21 @@ def test_valley_sweep_skips_half_the_scheduled_rastrigin_rows(monkeypatch):
     run_sweep(config)
     scheduled = 12 * 10 * 2 * 25 * 201
     assert sum(rows) <= 0.5 * scheduled
+
+
+def test_suite_sweep_skips_four_fifths_of_the_scheduled_weierstrass_rows(monkeypatch):
+    # the suite sweep's grid at dim 10: 4 omegas x 3 alphas, one repetition,
+    # 25 particles, 200 iterations, plain and rotated weierstrass
+    fns = (make_function("weierstrass", 10, seed=1),
+           make_function("weierstrass", 10, seed=2, rotated=True))
+    config = SweepConfig(
+        omega_values=inclusive_grid(-0.5, 1.0, 0.5), alpha_values=inclusive_grid(1.0, 4.0, 1.5),
+        iterations=200, repetitions=1, functions=fns, n_particles=25, dim=10, master_seed=14,
+    )
+    rows = _count_rows(monkeypatch, "weierstrass")
+    run_sweep(config)
+    scheduled = 2 * 4 * 3 * 25 * 201
+    assert sum(rows) <= 0.2 * scheduled
 
 
 def test_seed_sequence_argument_is_not_advanced():

@@ -114,6 +114,13 @@ COMMANDS = [
       "--omega-min", "0.4", "--omega-max", "0.7", "--omega-step", "0.3",
       "--alpha-min", "1", "--alpha-max", "2", "--alpha-step", "1", "--repetitions", "1",
       "--seed", "14", "--output", "sweep_suite10.csv"], ["sweep_suite10.csv"]),
+    # weierstrass at the suite sweep's dim, particles and iterations, where
+    # its lower bound skips most rows
+    (["sweep", "--dim", "10", "--particles", "25", "--iterations", "200",
+      "--omega-min", "0.4", "--omega-max", "0.7", "--omega-step", "0.3",
+      "--alpha-min", "1", "--alpha-max", "2.5", "--alpha-step", "1.5", "--repetitions", "1",
+      "--functions", "weierstrass", "--seed", "25", "--output", "sweep_weierstrass.csv"],
+     ["sweep_weierstrass.csv"]),
     # 23 x 20 cells of 25 x 2 swarms: more swarms than one batch holds
     (["sweep", "--omega-min", "-1.1", "--omega-max", "1.1", "--omega-step", "0.1",
       "--alpha-min", "0.25", "--alpha-max", "5", "--alpha-step", "0.25", "--iterations", "5",
