@@ -222,6 +222,8 @@ class BenchmarkFunction:
     def __post_init__(self):
         if self.id not in _BASE:
             raise ValueError(f"unknown function id {self.id!r}")
+        if self.id == "rosenbrock" and self.dim < 2:
+            raise ValueError("rosenbrock needs dim >= 2")
         shift = np.array(self.shift, dtype=float, copy=True)
         if shift.shape != (self.dim,):
             raise ValueError("shift must have shape (dim,)")

@@ -25,8 +25,8 @@ A cost is needed only to ask whether it beats the particle's personal best,
 so a ``BenchmarkFunction`` cost, or a stack of several that gives each
 swarm its own instance, is told that best and skips each particle whose
 cost provably cannot beat it (see ``benchmarks``), reporting +inf; every
-best, trace and flag is bit-identical to evaluating every particle.  Other
-costs are evaluated on every finite particle.
+best, trace and flag is bit-identical to evaluating every particle.  Any
+other cost maps an (n, dim) batch to n costs (see ``optimize``).
 
 No spatial or velocity clamping is performed; non-finite positions mark the
 run as diverged, cost evaluation for them is skipped and treated as +inf.
@@ -76,59 +76,21 @@ def _as_bounds(bounds, dim: int) -> np.ndarray:
     return b
 
 
-class _CostAdapter:
-    """Call a cost function on an (n, dim) batch, vectorised when supported.
+def _batch(f):
+    """``f`` as a cost of (B, n, dim) stacks: a ``BenchmarkFunction`` as it
+    is, any other ``f`` called per (n, dim) block or on its finite rows."""
+    if isinstance(f, BenchmarkFunction):
+        return f
 
-    A function is treated as batch-capable if calling it on an (n, dim)
-    array returns shape (n,) whose first value matches a call on the first
-    row alone; otherwise it is called once per row.  The row check catches
-    a per-point function whose (dim,)-vector formula also returns n values
-    on a batch with n == dim.  Only an ``IndexError``, ``TypeError`` or
-    ``ValueError`` from the batch call marks ``f`` per-row; any other
-    exception reaches the caller.  A (B, n, dim) stack is evaluated one
-    swarm block at a time.
-    """
-
-    def __init__(self, f):
-        self._f = f
-        self._batched: bool | None = None
-
-    @classmethod
-    def wrap(cls, f) -> "_CostAdapter | BenchmarkFunction":
-        """``f`` itself if it evaluates stacks already, else ``f`` adapted."""
-        return f if isinstance(f, (cls, BenchmarkFunction)) else cls(f)
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(points)
-        if points.ndim > 2:
-            return np.array([self(block) for block in points])
-        if self._batched is None:
-            out = self._probe(points)
-            self._batched = out is not None
-            if out is not None:
-                return out
-        if self._batched:
-            return np.asarray(self._f(points), dtype=float)
-        return np.array([float(self._f(row)) for row in points])
-
-    def _probe(self, points: np.ndarray) -> np.ndarray | None:
-        """The batch call's costs, or None if ``f`` is not batch-capable."""
-        try:
-            out = np.asarray(self._f(points), dtype=float)
-        except (IndexError, TypeError, ValueError):
-            return None
-        if out.shape != (points.shape[0],):
-            return None
-        try:
-            single = np.asarray(self._f(points[0]), dtype=float)
-        except (IndexError, TypeError, ValueError):
-            return out  # accepts batches only
-        # a tolerance, not ==: a rotated cost's matrix product rounds a
-        # lone row differently from a row of a batch
-        if single.size == 1 and not np.isclose(out[0], single.item(), rtol=1e-6, atol=0.0,
-                                               equal_nan=True):
-            return None
+    def cost(points):
+        if points.ndim == 3:
+            return np.array([cost(block) for block in points])
+        out = np.asarray(f(points), dtype=float)
+        if out.shape != points.shape[:1]:
+            raise ValueError(f"a cost must map an (n, dim) batch to n costs, got {out.shape}")
         return out
+
+    return cost
 
 
 @dataclass(frozen=True)
@@ -328,13 +290,14 @@ def lockstep(f, params, iterations: int, bounds, seeds, trace=None) -> SwarmStat
     Every ``params`` entry shares ``n_particles`` and ``dim``; omega and
     the attraction weights are per swarm.  ``f`` maps a (B, n, dim) stack
     to (B, n) costs, each (n, dim) block evaluated as it would be alone
-    (``BenchmarkFunction`` and a stack of them do; ``optimize`` wraps any
-    other cost).  Each seed is spawned into an initialisation and a step
-    generator (a caller's ``SeedSequence`` is copied first, so it is not
-    advanced and a repeated call gets the same run), and per iteration each
-    swarm draws ``r1`` then ``r2`` from its step generator (a block of
-    iterations per generator call, the same stream), so every swarm follows
-    exactly the run ``optimize`` gives for its parameters and seed.
+    (``BenchmarkFunction`` and a stack of them do; ``optimize`` calls any
+    other cost on each swarm's block).  Each seed is spawned into an
+    initialisation and a step generator (a caller's ``SeedSequence`` is
+    copied first, so it is not advanced and a repeated call gets the same
+    run), and per iteration each swarm draws ``r1`` then ``r2`` from its
+    step generator (a block of iterations per generator call, the same
+    stream), so every swarm follows exactly the run ``optimize`` gives for
+    its parameters and seed.
     ``trace``, if given, is a (B, iterations) array that receives the
     global best costs after every iteration.  Returns the final batch state
     (see :class:`SwarmState`).  ``f`` is given the loop's own position
@@ -375,10 +338,10 @@ def init_swarm(params: SwarmParams, bounds, f, seed=None) -> SwarmState:
 
     Personal bests start at the initial positions; the global best is the
     cheapest of them.  ``bounds`` is a (low, high) pair applied to every
-    dimension or a (dim, 2) array.
+    dimension or a (dim, 2) array.  ``f`` is a cost as for :func:`optimize`.
     """
     positions = _uniform(seed, _as_bounds(bounds, params.dim), params.n_particles)
-    return _lower(_start(_CostAdapter.wrap(f), positions[None]))
+    return _lower(_start(_batch(f), positions[None]))
 
 
 def pso_step(state: SwarmState, params: SwarmParams, f,
@@ -388,17 +351,22 @@ def pso_step(state: SwarmState, params: SwarmParams, f,
     Draws fresh diagonal weights ``r1 = rng.random((n, dim))`` then
     ``r2 = rng.random((n, dim))`` (independent per particle and
     dimension), applies the velocity/position update against the previous
-    iteration's bests, evaluates the cost of finite positions, and applies
-    strict-improvement best replacements (ties keep the incumbent).
-    Returns a new state; ``state`` is left unchanged.
+    iteration's bests, evaluates ``f`` (as in :func:`optimize`) on finite
+    positions, and applies strict-improvement best replacements (ties keep
+    the incumbent).  Returns a new state; ``state`` is left unchanged.
     """
     r = rng.random((1, 2, state.n_particles, state.dim))
     return _lower(_advance(_lift(state), params.omega, params.alpha1, params.alpha2, r,
-                           _CostAdapter.wrap(f), np.empty((3, *r[:, 0].shape))))
+                           _batch(f), np.empty((3, *r[:, 0].shape))))
 
 
 def optimize(f, params: SwarmParams, iterations: int, bounds=(-100.0, 100.0), seed=None) -> RunResult:
     """Run the optimiser for a fixed iteration count.
+
+    ``f`` maps an (n, dim) batch to n costs: it is called on the swarm, or
+    on its finite rows once a particle has overflowed, and a result that is
+    not one cost per row is a ``ValueError``; wrap a per-point cost ``g`` as
+    ``lambda X: np.array([g(x) for x in X])``.
 
     Returns the final global best, the per-iteration best-cost trace, the
     divergence flag and the number of scheduled cost evaluations
@@ -412,7 +380,7 @@ def optimize(f, params: SwarmParams, iterations: int, bounds=(-100.0, 100.0), se
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     trace = np.empty(iterations)
-    state = _lower(lockstep(_CostAdapter.wrap(f), [params], iterations, bounds, [seed],
+    state = _lower(lockstep(_batch(f), [params], iterations, bounds, [seed],
                             trace[None]))
     return RunResult(
         best_cost=state.g_best_cost,

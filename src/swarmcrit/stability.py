@@ -837,8 +837,8 @@ def stationary_distribution(
     _check_weights(alpha1, alpha2)
     if bins < 64:
         raise ValueError("bins must be >= 64")
-    if n_chains < 2:
-        raise ValueError("n_chains must be >= 2")
+    if n_chains < 2 or burn_in < 0:
+        raise ValueError("n_chains must be >= 2 and burn_in >= 0")
     if samples < n_chains:
         raise ValueError("samples must be >= n_chains")
     rng = np.random.default_rng(seed)
@@ -871,6 +871,8 @@ def pushforward(
     Monte-Carlo error.
     """
     _check_weights(alpha1, alpha2)
+    if draws < 1:
+        raise ValueError("draws must be >= 1")
     rng = np.random.default_rng(seed)
     bins = hist.bins
     centers = hist.bin_centers
@@ -1250,26 +1252,13 @@ def finite_time_lyapunov(
     return float(np.log(np.mean(np.hypot(x, v))) / steps)
 
 
-def _neutral_fractions(omega, alpha1, alpha2, config, repetitions, r_in, r_out, seed):
-    """Convergence/divergence fractions of the scaled affine experiment.
-
-    Trajectories start on the unit circle and run the first-passage rule
-    of :class:`_FirstPassage`.  Convergence: the position distance to the
-    segment between the (scaled) best positions drops below
-    ``r_in * |p - g|``; with coincident bests the criterion degenerates to
-    the phase norm dropping below ``r_in``, as in the escape experiment.
-    Divergence: the phase norm reaches ``r_out``.  A lane passing both
-    tests at once counts for neither.
-    """
-    update, converged = _neutral_rules(omega, alpha1, alpha2, config, r_in)
-    n_conv, n_div = _FirstPassage(seed, config.iterations, update, r_in, r_out,
-                                  converged).run(repetitions)
-    return n_conv / repetitions, n_div / repetitions
-
-
 def _neutral_rules(omega, alpha1, alpha2, config, r_in):
     """The neutral experiment's ``(update, converged)`` for
-    :class:`_FirstPassage`, with the rules of :func:`_neutral_fractions`."""
+    :class:`_FirstPassage`, from the unit circle.  A lane converges when its
+    position lies within ``r_in * |p - g|`` of the segment between the
+    (scaled) bests, or, with coincident bests (``converged`` None), when its
+    phase norm drops below ``r_in``; it diverges when the phase norm reaches
+    ``r_out``, and counts for neither if it passes both at once."""
     p_eff = config.kappa * config.p
     g_eff = config.kappa * config.g
     seg_lo = min(p_eff, g_eff)

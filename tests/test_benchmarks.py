@@ -161,6 +161,12 @@ def test_unknown_id_rejected():
         make_function("banana", 3, seed=1)
 
 
+def test_one_dimensional_rosenbrock_rejected():
+    # its formula sums over coordinate pairs, so at dim 1 it is 0 everywhere
+    with pytest.raises(ValueError, match="rosenbrock needs dim >= 2"):
+        make_function("rosenbrock", 1, seed=1)
+
+
 def test_dimension_mismatch_rejected():
     f = make_function("sphere", 3, seed=16)
     with pytest.raises(ValueError):

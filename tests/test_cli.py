@@ -76,6 +76,12 @@ _INVALID = {
                                   "--max-steps", "-3"],
     "escape-r-out-huge": ["escape", "--omega", "0.5", "--alpha", "2", "--r-out", "1e200"],
     "escape-r-in-tiny": ["escape", "--omega", "0.5", "--alpha", "2", "--r-in", "1e-200"],
+    "stationary-burn-in-negative": ["stationary", "--omega", "0.7", "--alpha", "0.5",
+                                    "--samples", "100", "--burn-in", "-5"],
+    # rosenbrock is 0 everywhere at dim 1
+    "optimize-rosenbrock-dim-one": ["optimize", "--function", "rosenbrock", "--dim", "1",
+                                    "--omega", "0.7", "--alpha", "1.4", "--iterations", "5"],
+    "sweep-dim-one": ["sweep", "--dim", "1", "--iterations", "5", "--repetitions", "1"],
 }
 
 

@@ -50,17 +50,6 @@ def test_init_deterministic():
     assert a.g_best_cost == b.g_best_cost
 
 
-def test_per_point_cost_with_as_many_particles_as_dimensions():
-    # on a (2, 2) batch this formula returns two values, column sums, so
-    # a shape check alone takes it for a batch cost
-    f = lambda x: x[0] ** 2 + x[1] ** 2
-    params = SwarmParams(0.5, 0.7, 0.7, n_particles=2, dim=2)
-    state = init_swarm(params, (-100.0, 100.0), f, seed=1)
-    assert list(state.p_best_cost) == [f(row) for row in state.positions]
-    result = optimize(f, params, 50, seed=1)
-    assert result.best_cost == f(result.best_position)
-
-
 def test_init_rejects_bad_bounds():
     params = SwarmParams(0.7, 0.7, 0.7, n_particles=2, dim=2)
     with pytest.raises(ValueError):
@@ -179,7 +168,9 @@ def test_optimize_deterministic_and_scalar_cost_agrees():
     params = SwarmParams(0.7, 0.7, 0.7, n_particles=8, dim=2)
     a = optimize(sphere, params, 50, bounds=(-10.0, 10.0), seed=14)
     b = optimize(sphere, params, 50, bounds=(-10.0, 10.0), seed=14)
-    c = optimize(sphere_scalar, params, 50, bounds=(-10.0, 10.0), seed=14)
+    # the documented wrapper of a per-point cost
+    c = optimize(lambda X: np.array([sphere_scalar(x) for x in X]), params, 50,
+                 bounds=(-10.0, 10.0), seed=14)
     assert a.best_cost == b.best_cost == c.best_cost
     assert np.array_equal(a.cost_trace, c.cost_trace)
 
@@ -385,6 +376,40 @@ def test_cost_errors_outside_the_batch_probe_reach_the_caller():
     with pytest.raises(RuntimeError, match="cost failed"):
         optimize(failing_on_batches, params, 10, seed=1)
     assert calls == [(5, 2)]
+
+
+def test_batch_cost_is_called_once_per_iteration_on_the_whole_swarm():
+    # noise makes a row's cost differ between calls, so a cost whose shape
+    # is guessed from a probe of one row would be taken per row
+    shapes, noise = [], np.random.default_rng(3)
+
+    def noisy(points):
+        shapes.append(points.shape)
+        return sphere(points) + noise.normal(size=len(points))
+
+    params = SwarmParams(0.7, 0.7, 0.7, n_particles=5, dim=3)
+    optimize(noisy, params, 10, seed=1)
+    assert shapes == [(5, 3)] * 11
+
+
+_NOT_ONE_COST_PER_ROW = {
+    "scalar": sphere_scalar,
+    # a per-point formula: on a batch it returns dim column sums
+    "columns": lambda x: x[0] ** 2 + x[1] ** 2,
+}
+
+
+@pytest.mark.parametrize("cost", list(_NOT_ONE_COST_PER_ROW))
+def test_cost_without_one_value_per_row_is_rejected(cost):
+    f = _NOT_ONE_COST_PER_ROW[cost]
+    params = SwarmParams(0.7, 0.7, 0.7, n_particles=5, dim=2)
+    with pytest.raises(ValueError, match="n costs"):
+        optimize(f, params, 3, seed=1)
+    with pytest.raises(ValueError, match="n costs"):
+        init_swarm(params, (-1.0, 1.0), f, seed=1)
+    state = init_swarm(params, (-1.0, 1.0), sphere, seed=1)
+    with pytest.raises(ValueError, match="n costs"):
+        pso_step(state, params, f, np.random.default_rng(2))
 
 
 def test_scale_equivariance_power_of_two():

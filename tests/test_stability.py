@@ -526,6 +526,11 @@ def test_stationary_validates_arguments():
         stationary_distribution(0.7, 0.0, 0.5, bins=32, seed=1)
     with pytest.raises(ValueError):
         stationary_distribution(0.7, 0.0, 0.5, n_chains=1, seed=1)
+    with pytest.raises(ValueError, match="burn_in"):
+        stationary_distribution(0.7, 0.0, 0.5, samples=100, burn_in=-5, seed=1)
+    hist = stationary_distribution(0.7, 0.0, 0.5, bins=64, samples=100, burn_in=5, seed=1)
+    with pytest.raises(ValueError, match="draws"):
+        pushforward(hist, 0.7, 0.0, 0.5, draws=0, seed=1)
 
 
 # ---------------------------------------------------------------- escape
@@ -658,10 +663,14 @@ def _reference_escape(omega, a1, a2, r_in, r_out, max_steps, trials, seed):
                                  r_in, r_out, max_steps)
 
 
-def _reference_neutral(omega, a1, a2, config, repetitions, r_in, r_out, seed):
+def _neutral_passages(omega, a1, a2, config, r_in, r_out, seed, ref_seed, early=False):
+    """The library's first passage of the neutral experiment, built from
+    ``_neutral_rules``, and the per-step reference of the same experiment."""
+    update, converged = stability._neutral_rules(omega, a1, a2, config, r_in)
+    passage = stability._FirstPassage(seed, config.iterations, update, r_in, r_out, converged,
+                                      early)
     rules = _neutral_reference_rules(omega, a1, a2, config, r_in)
-    n_conv, n_div = _ReferencePassage(seed, config.iterations, *rules, r_out).run(repetitions)
-    return n_conv / repetitions, n_div / repetitions
+    return passage, _ReferencePassage(ref_seed, config.iterations, *rules, r_out, early)
 
 
 # (omega, alpha1, alpha2, r_in, r_out, max_steps, trials); escape needs r_in < 1 < r_out
@@ -698,8 +707,8 @@ def test_neutral_fractions_equal_per_step_loop(case, config):
     omega, a1, a2, r_in, r_out, max_steps, trials = _FIRST_PASSAGE_CASES[case]
     kappa, p, g = _NEUTRAL_CONFIGS[config]
     cfg = ScalingConfig(kappa, p, g, iterations=min(max_steps, 400), repetitions=trials)
-    args = (omega, a1, a2, cfg, trials, r_in, r_out)
-    assert stability._neutral_fractions(*args, 12) == _reference_neutral(*args, 12)
+    passage, reference = _neutral_passages(omega, a1, a2, cfg, r_in, r_out, 12, 12)
+    assert passage.run(trials) == reference.run(trials)
 
 
 def test_first_passage_generator_seed_ends_in_reference_state():
@@ -709,8 +718,8 @@ def test_first_passage_generator_seed_ends_in_reference_state():
         assert escape_probability(*args, seed=gen) == _reference_escape(*args, seed=ref)
         assert gen.bit_generator.state == ref.bit_generator.state
         cfg = ScalingConfig(1.0, 0.1, 0.0, iterations=300, repetitions=lanes)
-        args = (0.4, 1.25, 1.25, cfg, lanes, 1e-6, 1e6)
-        assert stability._neutral_fractions(*args, gen) == _reference_neutral(*args, ref)
+        passage, reference = _neutral_passages(0.4, 1.25, 1.25, cfg, 1e-6, 1e6, gen, ref)
+        assert passage.run(lanes) == reference.run(lanes)
         assert gen.bit_generator.state == ref.bit_generator.state
 
 
@@ -738,10 +747,7 @@ def test_nested_neutral_equals_per_step_cohorts(case, config, early):
     omega, a1, a2, r_in, r_out, max_steps, trials = _FIRST_PASSAGE_CASES[case]
     cfg = ScalingConfig(*_NEUTRAL_CONFIGS[config], iterations=min(max_steps, 400),
                         repetitions=trials)
-    update, converged = stability._neutral_rules(omega, a1, a2, cfg, r_in)
-    passage = stability._FirstPassage(12, cfg.iterations, update, r_in, r_out, converged, early)
-    rules = _neutral_reference_rules(omega, a1, a2, cfg, r_in)
-    reference = _ReferencePassage(12, cfg.iterations, *rules, r_out, early)
+    passage, reference = _neutral_passages(omega, a1, a2, cfg, r_in, r_out, 12, 12, early)
     for k in _LADDER:
         assert passage.run(k * trials) == reference.run(k * trials)
     assert passage.rng.bit_generator.state == reference.rng.bit_generator.state
@@ -751,10 +757,7 @@ def test_nested_neutral_cohort_reaches_its_cap_while_a_newer_one_runs():
     # every run stops early with lanes open; the first cohorts' lanes still
     # open at their 20-step cap leave while the next cohort runs on
     cfg = ScalingConfig(0.1, 0.1, 0.0, iterations=20, repetitions=200)
-    update, converged = stability._neutral_rules(0.0, 2.0, 2.0, cfg, 1e-6)
-    passage = stability._FirstPassage(5, 20, update, 1e-6, 1e6, converged, early=True)
-    rules = _neutral_reference_rules(0.0, 2.0, 2.0, cfg, 1e-6)
-    reference = _ReferencePassage(5, 20, *rules, 1e6, True)
+    passage, reference = _neutral_passages(0.0, 2.0, 2.0, cfg, 1e-6, 1e6, 5, 5, early=True)
     for k in _LADDER:
         assert passage.run(k * 200) == reference.run(k * 200)
     assert passage.rng.bit_generator.state == reference.rng.bit_generator.state
