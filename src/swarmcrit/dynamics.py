@@ -1,9 +1,9 @@
 """Single-particle swarm dynamics: parameter and mixture-weight types, the
 random coefficient mixture and the weight draw ``_draw_weights`` that every
-stability estimator runs, the deterministic regime classifier, and the two
-one-step maps the library runs, each written once: the homogeneous ``_step``
-of the stability estimators, and ``affine_update``, the step with fixed best
-positions, of the optimiser and the scaled stability experiments.
+stability estimator runs, and the two one-step maps the library runs, each
+written once: the homogeneous ``_step`` of the stability estimators, and
+``affine_update``, the step with fixed best positions, of the optimiser and
+the scaled stability experiments.
 
 The homogeneous one-particle dynamics is ``z' = M z`` with ``z = (v, x)`` and
 
@@ -16,7 +16,6 @@ assembles ``M`` for the eigenvalue and determinant oracles.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -26,13 +25,10 @@ __all__ = [
     "SwarmParams",
     "MixtureWeight",
     "StepMatrix",
-    "Regime",
-    "RegimeLabel",
     "mixture_pdf",
     "sample_mixture",
     "build_step_matrix",
     "affine_update",
-    "deterministic_regime",
 ]
 
 
@@ -152,38 +148,6 @@ class StepMatrix:
         return float(e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0])
 
 
-class Regime(enum.Enum):
-    """Primary deterministic regime, mutually exclusive."""
-
-    CONVERGENT = "convergent"
-    DIVERGENT = "divergent"
-
-
-@dataclass(frozen=True)
-class RegimeLabel:
-    """Deterministic-theory classification of a parameter pair.
-
-    ``regime`` is the exclusive primary label; ``harmonic`` and ``zigzag``
-    are oscillation sub-labels that may accompany either primary state.
-    ``complex_eigenvalues`` reports whether the half-weight (r = 0.5)
-    matrix has complex eigenvalues, which guarantees ergodicity of the
-    randomised dynamics.
-    """
-
-    regime: Regime
-    harmonic: bool
-    zigzag: bool
-    complex_eigenvalues: bool
-
-    @property
-    def convergent(self) -> bool:
-        return self.regime is Regime.CONVERGENT
-
-    @property
-    def divergent(self) -> bool:
-        return self.regime is Regime.DIVERGENT
-
-
 def mixture_pdf(r, w: MixtureWeight):
     """Probability density of the combined random weight at ``r``.
 
@@ -289,34 +253,3 @@ def affine_update(omega, alpha1, alpha2, v, x, r1, r2, p, g, out=(None, None),
             np.multiply(np.multiply(alpha2, r2, work[1]), np.subtract(g, x, work[2]), work[1]),
             out[0])
         return v_new, np.add(x, v_new, out[1])
-
-
-def deterministic_regime(omega: float, alpha: float) -> RegimeLabel:
-    """Classify a parameter pair by the deterministic (noise-free) theory.
-
-    CONVERGENT requires ``omega < 1``, ``alpha > 0`` and
-    ``2*omega - alpha + 2 > 0``; DIVERGENT is its complement.  The
-    ``harmonic`` sub-label holds where
-    ``omega**2 + alpha**2 - 2*omega*alpha - 2*omega - 2*alpha + 1 < 0``
-    (complex eigenvalues of the full-weight deterministic matrix) and
-    ``zigzag`` where ``omega < 0`` and ``omega - alpha + 1 < 0``.  The
-    ``complex_eigenvalues`` flag instead tests the half-weight matrix:
-    ``omega**2 + alpha**2/4 - omega*alpha - 2*omega - alpha + 1 < 0``.
-
-    Raises
-    ------
-    ValueError
-        If ``alpha <= 0``.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    convergent = omega < 1 and 2 * omega - alpha + 2 > 0
-    harmonic = omega**2 + alpha**2 - 2 * omega * alpha - 2 * omega - 2 * alpha + 1 < 0
-    zigzag = omega < 0 and omega - alpha + 1 < 0
-    complex_eig = omega**2 + alpha**2 / 4 - omega * alpha - 2 * omega - alpha + 1 < 0
-    return RegimeLabel(
-        regime=Regime.CONVERGENT if convergent else Regime.DIVERGENT,
-        harmonic=harmonic,
-        zigzag=zigzag,
-        complex_eigenvalues=complex_eig,
-    )

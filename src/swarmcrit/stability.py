@@ -109,8 +109,6 @@ STATUS_UNRESOLVED = "UNRESOLVED"
 METHOD_LYAPUNOV = "LYAPUNOV_BISECTION"
 METHOD_ESCAPE = "ESCAPE_EQUALITY"
 
-_MAX_EVALS = 48  # bisection steps after the bracket ends, before UNRESOLVED
-
 # first-passage radii: escape_probability's defaults and the neutral
 # experiment's fixed radii
 _R_IN, _R_OUT = 1e-6, 1e6
@@ -956,16 +954,18 @@ def _bisection(seed, ratio, lo, hi, tolerance, omega, max_level):
     after a 0 the same weight is asked at the next level, up to
     ``max_level``, so the requests for one weight are levels 0, 1, ... in
     order with one child seed, and a level-L probe of budget ``2**L``
-    continues the probe below it.  Near
-    the root the budget grows until the midpoint estimate is statistically
-    consistent with zero, which at the default budgets resolves the root to
-    about ``tolerance`` (the returned std_error reports the achieved
-    half-bracket).  If the probe is still significant on a bracket 8x finer
-    than the tolerance (possible only at extreme budgets) the midpoint is
-    accepted as is.
+    continues the probe below it.
+
+    Bisection stops once the bracket is at most ``2 * tolerance`` wide, and
+    asks no probe after that, or at a midpoint whose probe shows no
+    significant sign even at ``max_level`` (statistically at the root).
+    Either way the point is the bracket's midpoint with its half-width as
+    ``std_error``, so a bracket that narrows to the end gives ``std_error <=
+    tolerance``.  ``tolerance`` must be at least 0.000625: a bracket of
+    0.00125 at the finest.
     """
-    if not tolerance >= 0.01:
-        raise ValueError("tolerance must be >= 0.01")
+    if not tolerance >= 0.000625:
+        raise ValueError("tolerance must be >= 0.000625")
     ss = _seed_sequence(seed)
 
     def significant(alpha):
@@ -984,19 +984,17 @@ def _bisection(seed, ratio, lo, hi, tolerance, omega, max_level):
             return CriticalPoint(omega, math.nan, math.nan, STATUS_UNRESOLVED)
         if sign * end_sign < 0:
             return CriticalPoint(omega, math.nan, math.nan, STATUS_NO_CROSSING)
-    for _ in range(_MAX_EVALS):
+    while hi - lo > 2.0 * tolerance:
         mid = 0.5 * (lo + hi)
         sign = yield from significant(mid)
         if not sign:
             # statistically at the root at full budget: |value| <= 3*se
-            return CriticalPoint(omega, mid, 0.5 * (hi - lo), STATUS_OK)
+            break
         if sign < 0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tolerance / 8.0:
-            return CriticalPoint(omega, 0.5 * (lo + hi), 0.5 * (hi - lo), STATUS_OK)
-    return CriticalPoint(omega, math.nan, math.nan, STATUS_UNRESOLVED)
+    return CriticalPoint(omega, 0.5 * (lo + hi), 0.5 * (hi - lo), STATUS_OK)
 
 
 def _solve(omegas, seeds, ratio, tolerance, alpha_lo, alpha_max, max_level, start, advance):

@@ -5,13 +5,11 @@ import pytest
 
 from swarmcrit.dynamics import (
     MixtureWeight,
-    Regime,
     SwarmParams,
     _draw_weights,
     _step,
     affine_update,
     build_step_matrix,
-    deterministic_regime,
     mixture_pdf,
     sample_mixture,
 )
@@ -284,57 +282,3 @@ def test_step_affine_shift_equivariance():
     moved_v, moved_x = affine_update(0.5, 0.8, 1.1, v, x + c, r1, r2, p + c, g + c)
     assert np.allclose(moved_v, base_v, atol=1e-12)
     assert np.allclose(moved_x, base_x + c, atol=1e-12)
-
-
-# ---------------------------------------------------------------- regimes
-
-
-def test_regime_examples():
-    assert deterministic_regime(0.5, 1.0).regime is Regime.CONVERGENT
-    assert deterministic_regime(0.5, 4.5).regime is Regime.DIVERGENT
-    assert deterministic_regime(0.5, 2.0).harmonic
-
-
-def test_regime_rejects_nonpositive_alpha():
-    with pytest.raises(ValueError):
-        deterministic_regime(0.5, 0.0)
-    with pytest.raises(ValueError):
-        deterministic_regime(0.5, -1.0)
-
-
-def test_regime_zigzag():
-    label = deterministic_regime(-0.5, 1.0)
-    assert label.zigzag
-    assert not deterministic_regime(0.5, 3.0).zigzag
-
-
-def test_regime_against_eigenvalue_oracle():
-    # brute force: the printed inequalities describe the full-weight
-    # deterministic matrix (r = 1); CONVERGENT must match spectral
-    # radius < 1 away from the |rho - 1| < 1e-9 band
-    omegas = np.linspace(-1.5, 1.5, 50)
-    alphas = np.linspace(0.05, 6.0, 50)
-    checked = 0
-    for omega in omegas:
-        for alpha in alphas:
-            m = build_step_matrix(omega, alpha, 1.0)
-            rho = np.max(np.abs(np.linalg.eigvals(m.entries)))
-            if abs(rho - 1.0) < 1e-9:
-                continue
-            label = deterministic_regime(omega, alpha)
-            assert label.convergent == (rho < 1.0), (omega, alpha, rho)
-            checked += 1
-    assert checked > 2000
-
-
-def test_complex_flag_against_half_weight_matrix():
-    rng = np.random.default_rng(13)
-    for _ in range(500):
-        omega = rng.uniform(-1.2, 1.2)
-        alpha = rng.uniform(0.05, 6.0)
-        disc = omega**2 + alpha**2 / 4 - omega * alpha - 2 * omega - alpha + 1
-        if abs(disc) < 1e-9:
-            continue
-        eigs = np.linalg.eigvals(build_step_matrix(omega, alpha, 0.5).entries)
-        has_complex = bool(np.any(np.abs(eigs.imag) > 0.0))
-        assert deterministic_regime(omega, alpha).complex_eigenvalues == has_complex

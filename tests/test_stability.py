@@ -141,6 +141,20 @@ def test_critical_alpha_matches_exact_root_at_omega_zero(ratio):
     assert abs(point.alpha - _exact_alpha_c0(ratio)) <= point.std_error + tolerance
 
 
+@pytest.mark.parametrize("ratio", [RATIO_EQUAL, RATIO_SOCIAL_ONLY])
+def test_critical_alpha_covers_the_exact_root_at_a_small_budget(ratio):
+    # ten seeds, each point within its half-bracket plus the tolerance of
+    # the exact root; some points stop at a bracket of 2 * tolerance, others
+    # at a midpoint statistically at the root
+    tolerance = 0.05
+    exact = _exact_alpha_c0(ratio)
+    for seed in range(1, 11):
+        point = critical_alpha(0.0, ratio=ratio, tolerance=tolerance, seed=seed, steps=4000,
+                               trials=16)
+        assert point.status == STATUS_OK, seed
+        assert abs(point.alpha - exact) <= point.std_error + tolerance, (seed, point)
+
+
 # ---------------------------------------------------------------- mean-square oracle
 #
 # M = A + s*B with s = alpha*r, A = [[omega, 0], [omega, 1]] and
@@ -930,11 +944,11 @@ def test_critical_alpha_methods_agree(search_constants):
     assert abs(by_lambda.alpha - by_escape.alpha) <= 0.1
 
 
-def test_critical_alpha_validates_inputs():
+def test_critical_alpha_validates_inputs(search_constants):
     # every check runs before the first probe, so the default budgets run nothing
     for method in ("lyapunov", "escape"):
         with pytest.raises(ValueError, match="tolerance"):
-            critical_alpha(0.5, tolerance=0.001, seed=1, method=method)
+            critical_alpha(0.5, tolerance=0.0005, seed=1, method=method)
         with pytest.raises(ValueError, match="tolerance"):
             critical_alpha(0.5, tolerance=math.nan, seed=1, method=method)
     with pytest.raises(ValueError):
@@ -945,12 +959,17 @@ def test_critical_alpha_validates_inputs():
         for method in ("lyapunov", "escape"):
             with pytest.raises(ValueError, match="omega"):
                 critical_alpha(omega, seed=1, method=method)
+    # the floor, a bracket of 0.00125 at the finest, is accepted
+    search_constants(burn_in=10, max_level=0, escape_trials=20, escape_max_steps=20)
+    for method in ("lyapunov", "escape"):
+        critical_alpha(0.5, tolerance=0.000625, seed=1, method=method, steps=20, trials=2)
 
 
 def test_neutral_alpha_validates_inputs():
     config = ScalingConfig(kappa=1.0, iterations=10, repetitions=10)
     with pytest.raises(ValueError):
-        neutral_alpha(0.5, config, tolerance=0.001, seed=1)
+        neutral_alpha(0.5, config, tolerance=0.0005, seed=1)
+    neutral_alpha(0.5, config, tolerance=0.000625, seed=1)
     for omega in (math.nan, math.inf, -math.inf, -1.2):
         with pytest.raises(ValueError, match="omega"):
             neutral_alpha(omega, config, seed=1)
@@ -1079,6 +1098,25 @@ def _one_at_a_time(search, probe, log=None):
             reply = probe(*request)
     except StopIteration as stop:
         return stop.value
+
+
+@pytest.mark.parametrize("bracket", [(0.05, 8.0), (1.0, 8.0), (0.25, 7.3), (4.61, 4.64)])
+@pytest.mark.parametrize("tolerance", [0.000625, 0.013, 0.02, 0.05])
+def test_bisection_stops_at_twice_the_tolerance(bracket, tolerance):
+    # every probe significant, with the signs of a root at 4.63: the search
+    # halves the bracket until it is at most 2 * tolerance wide, then asks
+    # nothing more (a bracket that starts that narrow asks no midpoint)
+    root, lo, hi = 4.63, *bracket
+    log = []
+    search = stability._bisection(1, RATIO_EQUAL, lo, hi, tolerance, 0.3, stability._MAX_LEVEL)
+    point = _one_at_a_time(search, lambda a1, a2, level, seed: -1 if a1 + a2 < root else 1, log)
+    midpoints = max(0, math.ceil(math.log2((hi - lo) / (2.0 * tolerance))))
+    assert len(log) == 2 + midpoints
+    assert {level for _, _, level, _ in log} == {0}
+    assert point.status == STATUS_OK
+    assert point.std_error == pytest.approx((hi - lo) / 2 ** (midpoints + 1))
+    assert point.std_error <= tolerance
+    assert abs(point.alpha - root) <= point.std_error
 
 
 def _serial_curve(grid, seed, log=None, **budgets):

@@ -1,14 +1,15 @@
 """Layer timing of two source trees: ns per lane-step of the Lyapunov orbit
 at several lane counts, µs per iteration of the lockstep optimiser at the
-two sweep shapes, and µs per swarm-iteration of the suite sweep.
+two sweep shapes, and µs per swarm-iteration of the suite sweep; and the
+bisection's probe requests per critical-curve point.
 
 Usage::
 
     python tools/bench_layers.py PARENT CHANGE OUT.json
 
-Each of ``ROUNDS`` rounds runs, per layer, one fresh process per tree (the
-package under ``<tree>/src``), alternating which tree runs first from one
-round to the next.
+Each of ``ROUNDS`` rounds runs, per timing layer, one fresh process per
+tree (the package under ``<tree>/src``), alternating which tree runs first
+from one round to the next.
 
 Lyapunov layer: a lane is one trial of ``stability.lyapunov_exponent``; a
 lane-step is one lane advanced one step.  The process times, at each of
@@ -35,10 +36,22 @@ dim 10, 4 omegas by 3 alphas, one repetition, ``ITERATIONS`` iterations,
 divides by the swarm-iterations (180 swarms times ``ITERATIONS``); batching,
 the start, the weight draws and the cost evaluations are part of the time.
 
+Probe layer: not a timing, so it runs once per tree.  The process wraps
+``stability._bisection`` so that it counts the probe requests of each
+critical point, by budget level, and solves each of ``CURVES``: the
+``boundary-escape`` workload's escape curve (omega 0.4 at the CLI's
+defaults) and the ``curve-lyapunov`` workload's curve, both at seed
+``CURVE_SEED``.  A level-L request runs ``2**L`` times the level-0 budget
+(the Lyapunov steps, or the escape trials, of which it continues the
+level below), so a request at the top level is the most expensive a point
+asks.
+
 OUT.json gets a ``layers`` entry (Lyapunov), a ``lockstep`` entry and a
 ``sweep`` entry with, per lane count, shape or sweep, each side's median,
 inclusive quartiles and runs, the ratio of the medians (change over
-parent) and ``change_lower_in_rounds``.  Other entries of an existing
+parent) and ``change_lower_in_rounds``; and a ``probes`` entry with, per
+curve and tree, each point's requests by level, its ``std_error`` and
+status, and the curve's totals.  Other entries of an existing
 OUT.json, such as the ones ``tools/bench_pairs.py`` writes, are kept; run
 this after that script, which writes its file anew.
 """
@@ -118,6 +131,49 @@ swarms = len(run_sweep(config(2, iterations)).cells)
 print(json.dumps({"suite10": 1e6 * (time.perf_counter() - t) / (swarms * iterations)}))
 """
 
+# name: critical_curve keyword arguments; the boundary-escape escape curve
+# runs the CLI's defaults, curve-lyapunov the workload's budget
+CURVES = {
+    "boundary-escape": dict(omega_grid=[0.4], method="escape"),
+    "curve-lyapunov": dict(omega_grid=[-1.0, -0.5, 0.0, 0.5, 1.0], tolerance=0.05, steps=1000,
+                           trials=12),
+}
+CURVE_SEED = 1511
+
+# one process: each point's bisection requests by level, per curve of the
+# JSON argv[2]
+COUNT_PROBE = """
+import json, math, sys
+from swarmcrit import stability
+seed, curves = int(sys.argv[1]), json.loads(sys.argv[2])
+bisection, counts = stability._bisection, []
+def counted(*args):
+    levels = [0] * (args[-1] + 1)
+    counts.append(levels)
+    search, reply = bisection(*args), None
+    try:
+        while True:
+            request = search.send(reply)
+            levels[request[2]] += 1
+            reply = yield request
+    except StopIteration as stop:
+        return stop.value
+stability._bisection = counted
+out = {}
+for name, kwargs in curves.items():
+    counts.clear()
+    curve = stability.critical_curve(seed=seed, **kwargs)
+    out[name] = {
+        "points": [{"omega": p.omega, "requests": sum(levels), "by_level": levels,
+                    "std_error": None if math.isnan(p.std_error) else p.std_error,
+                    "status": p.status}
+                   for p, levels in zip(curve.points, counts)],
+        "requests": sum(map(sum, counts)),
+        "by_level": [sum(column) for column in zip(*counts)],
+    }
+print(json.dumps(out))
+"""
+
 # entry of OUT.json: (probe, its arguments, the unit of its values)
 PROBES = {
     "layers": (LYAPUNOV_PROBE, [str(LANE_STEPS), *map(str, LANES)], "ns per lane-step"),
@@ -126,14 +182,18 @@ PROBES = {
 }
 
 
-def run_tree(tree: Path, layer: str) -> dict[str, float]:
+def run_probe(tree: Path, probe: str, args: list[str]) -> dict:
     # no bytecode files: a cache left in one tree would speed up the
     # benchmark's set-up there
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    probe, args, _ = PROBES[layer]
     proc = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True,
                           env=env, check=True)
     return json.loads(proc.stdout)
+
+
+def run_tree(tree: Path, layer: str) -> dict[str, float]:
+    probe, args, _ = PROBES[layer]
+    return run_probe(tree, probe, args)
 
 
 def summary(runs: list[float]) -> dict:
@@ -199,6 +259,15 @@ def main(argv=None) -> int:
         "unit": PROBES["sweep"][2],
         "config": dict(zip(("omegas", "alphas", "dim"), SWEEP)),
         "results": compare(runs["sweep"]),
+    }
+    counts = {side: run_probe(trees[side], COUNT_PROBE, [str(CURVE_SEED), json.dumps(CURVES)])
+              for side in SIDES}
+    record["probes"] = {
+        "command": f"critical_curve(seed={CURVE_SEED}, **kwargs) with stability._bisection "
+                   "wrapped to count each point's requests by budget level",
+        "method": "one fresh process per tree; the counts do not vary from run to run",
+        "curves": {name: {"kwargs": kwargs, **{side: counts[side][name] for side in SIDES}}
+                   for name, kwargs in CURVES.items()},
     }
     args.output.write_text(json.dumps(record, indent=1) + "\n")
     return 0
