@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -643,10 +644,9 @@ class _FirstPassage:
         v, x = np.concatenate((self.v, v)), np.concatenate((self.x, x))
         self.lanes = n
         cohorts.append([t + self.steps, x.size])
-        # rows of u: two draws, then the squared norm; rows of flags: converged,
-        # escaped, retired
+        # rows of u: two draws, then the squared norm
         floats = np.empty(3 * x.size)
-        flags = np.empty(3 * x.size, dtype=bool)
+        conv_buf, esc_buf, done_buf = np.empty((3, x.size), dtype=bool)
         m = -1
         # a squared norm past the float range is inf, which decides its lane;
         # one errstate for the loop, not one a step
@@ -662,7 +662,7 @@ class _FirstPassage:
                     m = x.size
                     if m == 0 or self.early and _early_sign(n, n_esc, n_conv, m) is not None:
                         break
-                    u, (conv, esc, done) = floats[:3 * m].reshape(3, m), flags[:3 * m].reshape(3, m)
+                    u, conv, esc = floats[:3 * m].reshape(3, m), conv_buf[:m], esc_buf[:m]
                 t += 1
                 rng.random(out=u[:2])
                 v, x = update(u, v, x)
@@ -673,12 +673,13 @@ class _FirstPassage:
                 else:
                     converged(u, x, conv)
                 np.greater_equal(norm2, rout2, esc)
-                if np.logical_or(conv, esc, done).any():
-                    n_c, n_e = int(np.count_nonzero(conv)), int(np.count_nonzero(esc))
-                    if converged is not None:
+                n_c, n_e = int(np.count_nonzero(conv)), int(np.count_nonzero(esc))
+                if n_c or n_e:
+                    done = np.logical_or(conv, esc, done_buf[:m])
+                    if n_c and n_e and converged is not None:
                         # a lane passing both tests counts for neither; under
                         # the radius rule alone, r_in < 1 < r_out, none can
-                        n_both = int(np.count_nonzero(np.logical_and(conv, esc, conv)))
+                        n_both = n_c + n_e - int(np.count_nonzero(done))
                         n_c, n_e = n_c - n_both, n_e - n_both
                     n_conv += n_c
                     n_esc += n_e
@@ -1250,6 +1251,32 @@ def finite_time_lyapunov(
     return float(np.log(np.mean(np.hypot(x, v))) / steps)
 
 
+def _float_key(y):
+    """The rank of the float ``y`` among the non-NaN floats, as an int that
+    rises with ``y`` (+0 and -0 share 0)."""
+    (bits,) = struct.unpack("<q", struct.pack("<d", y))
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _key_float(key):
+    """The float of rank ``key`` (+0 for 0): the inverse of :func:`_float_key`."""
+    return struct.unpack("<d", struct.pack("<q", key if key >= 0 else -key | -(1 << 63)))[0]
+
+
+def _first_true(holds):
+    """The least float where ``holds`` is true, for a ``holds`` false at
+    -inf, true at +inf, and true at every float above one where it is:
+    bisection over the floats' ranks, at most 64 calls of ``holds``."""
+    lo, hi = _float_key(-math.inf), _float_key(math.inf)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(_key_float(mid)):
+            hi = mid
+        else:
+            lo = mid
+    return _key_float(hi)
+
+
 def _neutral_rules(omega, alpha1, alpha2, config, r_in):
     """The neutral experiment's ``(update, converged)`` for
     :class:`_FirstPassage`, from the unit circle.  A lane converges when its
@@ -1262,14 +1289,27 @@ def _neutral_rules(omega, alpha1, alpha2, config, r_in):
     seg_lo = min(p_eff, g_eff)
     seg_hi = max(p_eff, g_eff)
     width = seg_hi - seg_lo
+    thr = r_in * width
+    # The rule is max(max(seg_lo - x, x - seg_hi), 0) <= thr in float
+    # arithmetic.  With thr >= 0 (0 once r_in * width underflows), and no
+    # operand NaN, it holds exactly when fl(seg_lo - x) <= thr and
+    # fl(x - seg_hi) <= thr.  Rounding is monotone, so fl(seg_lo - x) falls
+    # and fl(x - seg_hi) rises as x rises; with seg_lo, seg_hi and thr
+    # finite, each test fails at one infinity and holds at the other, so it
+    # holds on a ray of floats, x >= x_lo and x <= x_hi, whose end
+    # _first_true bisects for (x_hi as the mirror image of the least y with
+    # fl(-y - seg_hi) <= thr).  A NaN x fails both forms, +inf fails the
+    # second and -inf the first; +0 and -0 pass or fail together.
+    x_lo = _first_true(lambda y: seg_lo - y <= thr)
+    x_hi = -_first_true(lambda y: -y - seg_hi <= thr)
 
     def update(u, v, x):
         return affine_update(omega, alpha1, alpha2, v, x, u[0], u[1], p_eff, g_eff, (v, x), u)
 
     def near_segment(u, x, out):
-        # np.maximum takes out only as a keyword
-        dist = np.maximum(np.subtract(seg_lo, x, u[0]), np.subtract(x, seg_hi, u[1]), out=u[0])
-        return np.less_equal(np.maximum(dist, 0.0, out=dist), r_in * width, out)
+        # the bytes of u's row 1 hold the second comparison
+        below = np.less_equal(x, x_hi, u[1].view(bool)[:x.size])
+        return np.logical_and(np.greater_equal(x, x_lo, out), below, out)
 
     return update, None if width == 0.0 else near_segment
 

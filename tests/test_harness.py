@@ -198,17 +198,20 @@ def test_batched_sweep_equals_per_run_optimize(overrides, jobs, batch_values, mo
 
 def test_cell_statistics_over_the_repetition_axis_equal_per_cell_calls():
     # run_sweep takes every cell's mean and median in one call over the
-    # repetition axis; they must equal a call per cell bit for bit,
-    # also with infinite best costs
+    # repetition axis; they must equal np.mean and np.median per cell bit
+    # for bit, also with signed zeros, subnormal, infinite and NaN best costs
     rng = np.random.default_rng(12)
     for reps in range(1, 101):
         best = rng.lognormal(0.0, 20.0, (2, 3, 4, reps))
-        best[rng.random(best.shape) < 0.2] = np.inf
-        best[rng.random(best.shape) < 0.1] = 0.0
-        means, medians = best.mean(axis=-1), np.median(best, axis=-1)
-        for cell in np.ndindex(best.shape[:-1]):
-            assert means[cell].tobytes() == best[cell].mean().tobytes(), (reps, cell)
-            assert medians[cell].tobytes() == np.median(best[cell]).tobytes(), (reps, cell)
+        for value, share in ((np.inf, 0.2), (0.0, 0.1), (-0.0, 0.1), (-np.inf, 0.05),
+                             (5e-324, 0.05), (-5e-324, 0.05), (np.nan, 0.02)):
+            best[rng.random(best.shape) < share] = value
+        with np.errstate(invalid="ignore"):
+            means, medians = best.mean(axis=-1), harness._median(best)
+            assert medians.tobytes() == np.median(best, axis=-1).tobytes(), reps
+            for cell in np.ndindex(best.shape[:-1]):
+                assert means[cell].tobytes() == best[cell].mean().tobytes(), (reps, cell)
+                assert medians[cell].tobytes() == np.median(best[cell]).tobytes(), (reps, cell)
 
 
 def test_sweep_csv_roundtrip(tmp_path):

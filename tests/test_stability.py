@@ -840,6 +840,112 @@ def test_first_passage_rule_on_extreme_lanes():
     assert counts == (2, 4)
 
 
+def _floats_around(values, k=3):
+    """Each of ``values`` and the ``k`` floats on either side of it."""
+    out = []
+    for value in values:
+        below = above = value
+        out.append(value)
+        for _ in range(k):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+            out += [below, above]
+    return out
+
+
+def _rank(y):
+    """The rank of the float ``y`` among the floats in order (+-0 share 0)."""
+    bits = int(np.float64(y).view(np.int64))
+    return bits if bits >= 0 else -(bits & (2**63 - 1))
+
+
+def _of_rank(k):
+    return float(np.int64(k if k >= 0 else -k - 2**63).view(np.float64))
+
+
+def _rule_ends(lo, hi, thr):
+    """The least and greatest float where the max-distance rule holds, by
+    bisection over the floats' ranks from the segment ends to the
+    infinities."""
+    def holds(x):
+        x = np.float64(x)
+        return bool(np.maximum(np.maximum(lo - x, x - hi), 0.0) <= thr)
+
+    ends = []
+    for inside, outside in ((lo, -math.inf), (hi, math.inf)):
+        a, b = _rank(inside), _rank(outside)
+        while abs(b - a) > 1:
+            mid = (a + b) // 2
+            a, b = (mid, b) if holds(_of_rank(mid)) else (a, mid)
+        ends.append(_of_rank(a))
+    return ends
+
+
+# (kappa, p, g, r_in): segments with p above and below g whose threshold
+# r_in * width is a normal float, a subnormal one and 0; and segments whose
+# threshold equals or nearly equals the distance of one end from 0, so that
+# seg_lo - thr (or seg_hi + thr) cancels to 0 or to a float far finer than
+# the steps of the rule near it
+_SEGMENTS = {
+    "normal_p_above_g": (0.1, 0.1, 0.0, 1e-6),
+    "normal_p_below_g": (0.5, -0.3, 0.7, 1e-6),
+    "normal_far_from_zero": (3.0, 1e5, 1e5 + 1e-3, 0.25),
+    "subnormal_p_above_g": (1.0, 1e-303, 0.0, 1e-6),
+    "subnormal_p_below_g": (1.0, -2e-310, 1e-312, 1e-3),
+    "zero_p_above_g": (1.0, 5e-324, 0.0, 1e-6),
+    "zero_p_below_g": (1.0, -1e-320, 0.0, 1e-20),
+    "cancel_low_end": (1.0, 1.0, 9.999990000009998e-07, 1e-6),
+    "cancel_high_end": (1.0, -1.0, -9.999990000009998e-07, 1e-6),
+    "near_cancel_low_end": (1.0, 1.0, 1e-6, 1e-6),
+    "near_cancel_high_end": (1.0, -1.0, -1e-6, 1e-6),
+}
+
+
+@pytest.mark.parametrize("segment", list(_SEGMENTS))
+def test_neutral_segment_rule_equals_max_distance_rule(segment):
+    # the neutral experiment's segment test, two comparisons against
+    # thresholds, and the max-distance rule it replaced, on the floats
+    # around both segment ends, both thresholds and both ends of the rule
+    kappa, p, g, r_in = _SEGMENTS[segment]
+    lo, hi = sorted((kappa * p, kappa * g))
+    thr = r_in * (hi - lo)
+    assert (thr == 0.0) == segment.startswith("zero")
+    assert (0.0 < thr < 2.0**-1022) == segment.startswith("subnormal")
+    if segment.startswith("cancel"):
+        assert (lo - thr if segment.endswith("low_end") else hi + thr) == 0.0
+    x = np.array(_floats_around([lo, hi, lo - thr, hi + thr, *_rule_ends(lo, hi, thr)])
+                 + [0.0, -0.0, np.inf, -np.inf, np.nan])
+    _, converged = stability._neutral_rules(0.4, 1.0, 1.0, ScalingConfig(kappa, p, g), r_in)
+    # the rule may use u's rows 0 and 1 as scratch, whatever they hold
+    u, out = np.full((3, x.size), np.nan), np.empty(x.size, dtype=bool)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        converged(u, x, out)
+    with np.errstate(invalid="ignore"):
+        expected = np.maximum(np.maximum(lo - x, x - hi), 0.0) <= thr
+    np.testing.assert_array_equal(out, expected)
+    # not vacuous: the lanes hold the first float inside each end of the
+    # rule and the float past it, so a threshold one ulp off fails
+    inside = x[expected]
+    assert np.any(x == math.nextafter(inside.min(), -math.inf))
+    assert np.any(x == math.nextafter(inside.max(), math.inf))
+
+
+@pytest.mark.parametrize("edge", [-1e308, -1.0, -5e-324, -0.0, 0.0, 5e-324,
+                                  2.0**-1022, 1e-6, 1.0, 1.7976931348623157e308, math.inf])
+def test_first_true_finds_the_edge_in_at_most_64_calls(edge):
+    # the bisection behind the segment thresholds, at edges across the
+    # float range
+    calls = []
+
+    def holds(y):
+        calls.append(y)
+        return y >= edge
+
+    found = stability._first_true(holds)
+    assert found == edge
+    assert len(calls) <= 64
+
+
 # the early stop of bisection probes: a sign it gives must be the sign of
 # every way the open lanes can end
 

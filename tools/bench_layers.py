@@ -1,7 +1,8 @@
 """Layer timing of two source trees: ns per lane-step of the Lyapunov orbit
-at several lane counts, µs per iteration of the lockstep optimiser at the
-two sweep shapes, and µs per swarm-iteration of the suite sweep; and the
-bisection's probe requests per critical-curve point.
+at several lane counts and of the first-passage loop at two, µs per
+iteration of the lockstep optimiser at the two sweep shapes, and µs per
+swarm-iteration of the suite sweep; and the bisection's probe requests per
+critical-curve point.
 
 Usage::
 
@@ -18,6 +19,18 @@ burn_in=0)`` with ``steps = LANE_STEPS // lanes``, after one untimed call at
 a tenth of the steps; the weight draws and the log sum are part of the
 time.  The lane counts above 4096 are those where a Lyapunov chunk holds
 its fewest steps.
+
+Passage layer: a lane-step is one open lane of ``stability._FirstPassage``
+advanced one step.  The process times, for each rule of ``PASSAGE_RULES``
+at each of ``PASSAGE_LANES``, whole ``_FirstPassage(seed, ...).run(lanes)``
+calls of seeds 2, 3, ... until they have run ``PASSAGE_LANE_STEPS``
+lane-steps, after one untimed call of seed 1.  The rules are the escape
+rule (the escape experiment's update and radius rule, step cap
+``stability._ESCAPE_MAX_STEPS``) and the neutral rule (the scaled
+experiment's update and segment test, ``ScalingConfig(kappa, p, g)`` and
+its 200 iterations), at the radii 1e-6 and 1e6 both experiments use.  The
+update is wrapped to count the lane-steps, in both trees alike; the weight
+draws, the update, the tests and the retirements are part of the time.
 
 Lockstep layer: the process times, at each of ``SHAPES``, one call of
 ``pso.lockstep`` on the shape's swarms for ``ITERATIONS`` iterations, after
@@ -46,8 +59,9 @@ defaults) and the ``curve-lyapunov`` workload's curve, both at seed
 level below), so a request at the top level is the most expensive a point
 asks.
 
-OUT.json gets a ``layers`` entry (Lyapunov), a ``lockstep`` entry and a
-``sweep`` entry with, per lane count, shape or sweep, each side's median,
+OUT.json gets a ``layers`` entry (Lyapunov), a ``passage`` entry, a
+``lockstep`` entry and a ``sweep`` entry with, per key (a lane count, a
+rule at a lane count, a shape or a sweep), each side's median,
 inclusive quartiles and runs, the ratio of the medians (change over
 parent) and ``change_lower_in_rounds``; and a ``probes`` entry with, per
 curve and tree, each point's requests by level, its ``std_error`` and
@@ -71,6 +85,14 @@ LANES = (12, 60, 368, 1024, 4096, 8192, 16384, 65536)
 ROUNDS = 7
 LANE_STEPS = 1 << 20
 ITERATIONS = 200
+# name: (omega, alpha1, alpha2, (kappa, p, g) of the neutral rule, or None
+# for the escape rule)
+PASSAGE_RULES = {
+    "escape": (0.4, 1.3, 1.3, None),
+    "neutral": (0.4, 1.3, 1.3, (0.1, 0.1, 0.0)),
+}
+PASSAGE_LANES = (1000, 10_000)
+PASSAGE_LANE_STEPS = 1 << 22
 # name: (function id, dim, omegas, alphas, repetitions); the grids are
 # those of the sweeps' CLI calls, alphas split equally
 SHAPES = {
@@ -92,6 +114,41 @@ for n in lanes:
     t = time.perf_counter()
     lyapunov_exponent(0.4, 1.1, 1.3, steps, n, 0, seed=2)
     out[n] = 1e9 * (time.perf_counter() - t) / (steps * n)
+print(json.dumps(out))
+"""
+
+# one process: ns per lane-step of each rule of the JSON argv[2] at each
+# lane count of argv[3:]
+PASSAGE_PROBE = """
+import json, sys, time
+from swarmcrit import stability
+lane_steps, rules, lanes = int(sys.argv[1]), json.loads(sys.argv[2]), [int(n) for n in sys.argv[3:]]
+def passage(rule, seed, count):
+    omega, a1, a2, segment = rule
+    if segment is None:
+        update, converged = stability._escape_update(omega, a1, a2), None
+        steps = stability._ESCAPE_MAX_STEPS
+    else:
+        config = stability.ScalingConfig(*segment)
+        update, converged = stability._neutral_rules(omega, a1, a2, config, stability._R_IN)
+        steps = config.iterations
+    def counted(u, v, x):
+        count[0] += x.size
+        return update(u, v, x)
+    return stability._FirstPassage(seed, steps, counted, stability._R_IN, stability._R_OUT,
+                                   converged)
+out = {}
+for name, rule in rules.items():
+    for n in lanes:
+        passage(rule, 1, [0]).run(n)
+        count, seed, busy = [0], 1, 0.0
+        while count[0] < lane_steps:
+            seed += 1
+            p = passage(rule, seed, count)
+            t = time.perf_counter()
+            p.run(n)
+            busy += time.perf_counter() - t
+        out[f"{name}-{n}"] = 1e9 * busy / count[0]
 print(json.dumps(out))
 """
 
@@ -177,6 +234,8 @@ print(json.dumps(out))
 # entry of OUT.json: (probe, its arguments, the unit of its values)
 PROBES = {
     "layers": (LYAPUNOV_PROBE, [str(LANE_STEPS), *map(str, LANES)], "ns per lane-step"),
+    "passage": (PASSAGE_PROBE, [str(PASSAGE_LANE_STEPS), json.dumps(PASSAGE_RULES),
+                                *map(str, PASSAGE_LANES)], "ns per lane-step"),
     "lockstep": (LOCKSTEP_PROBE, [str(ITERATIONS), json.dumps(SHAPES)], "us per iteration"),
     "sweep": (SWEEP_PROBE, [str(ITERATIONS), json.dumps(SWEEP)], "us per swarm-iteration"),
 }
@@ -240,6 +299,16 @@ def main(argv=None) -> int:
         "unit": PROBES["layers"][2],
         "lane_steps": LANE_STEPS,
         "lanes": compare(runs["layers"]),
+    }
+    record["passage"] = {
+        "command": "_FirstPassage(seed, steps, update, 1e-6, 1e6, converged).run(lanes), "
+                   f"seeds 2, 3, ... until {PASSAGE_LANE_STEPS} lane-steps",
+        "method": "one fresh process per tree and round, the first tree alternating; "
+                  "q1/q3 are the inclusive quartiles of the rounds",
+        "unit": PROBES["passage"][2],
+        "rules": {name: dict(zip(("omega", "alpha1", "alpha2", "kappa_p_g"), rule))
+                  for name, rule in PASSAGE_RULES.items()},
+        "results": compare(runs["passage"]),
     }
     record["lockstep"] = {
         "command": f"lockstep(make_function(id, dim, seed=1), params, {ITERATIONS}, domain, "

@@ -26,8 +26,10 @@ Under ``raw`` it has the same per-side summaries of what each run's record
 in ``<tree>/bench/out/records`` holds behind those metrics: ``raw_wall_s``
 and ``raw_cpu_s``, the mean raw seconds of a pass; ``scale``, the reference
 seconds of the passes per raw second; ``raw_setup_s``, the median raw
-set-up time; and ``setup_scale``.  A move in ``scale`` that ``wall_s``
-shows and ``raw_wall_s`` does not is the speed probe's, not the code's.
+set-up time; and ``setup_scale``; each with its ``change_lower_in_pairs``.
+A move in ``scale`` that ``wall_s`` shows and ``raw_wall_s`` does not is
+the speed probe's, not the code's: a gain in the code lowers
+``raw_wall_s`` in most pairs.
 """
 
 from __future__ import annotations
@@ -85,6 +87,15 @@ def summary(runs: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": runs}
 
 
+def compare(values: dict[str, dict[str, list[float]]], name: str) -> dict:
+    """Each side's summary of ``name`` and the number of seeds where the
+    change's value is below the parent's."""
+    row = {side: summary(values[side][name]) for side in SIDES}
+    row["change_lower_in_pairs"] = sum(c < p for c, p in zip(values["change"][name],
+                                                             values["parent"][name]))
+    return row
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -134,11 +145,10 @@ def main(argv=None) -> int:
                       f"{result['raw']['raw_wall_s']:.3f}", file=sys.stderr)
         entry = {"seeds": args.seeds}
         for name, lower_better in lower.items():
-            pairs = zip(values["change"][name], values["parent"][name])
-            entry[name] = {side: summary(values[side][name]) for side in SIDES}
-            entry[name]["change_lower_in_pairs"] = (sum(c < p for c, p in pairs)
-                                                    if lower_better else None)
-        entry["raw"] = {name: {side: summary(raw[side][name]) for side in SIDES} for name in RAW}
+            entry[name] = compare(values, name)
+            if not lower_better:
+                entry[name]["change_lower_in_pairs"] = None
+        entry["raw"] = {name: compare(raw, name) for name in RAW}
         entry["failed_runs"] = failed
         record["workloads"][workload] = entry
         args.output.write_text(json.dumps(record, indent=1) + "\n")
