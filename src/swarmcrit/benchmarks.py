@@ -222,6 +222,8 @@ class BenchmarkFunction:
     def __post_init__(self):
         if self.id not in _BASE:
             raise ValueError(f"unknown function id {self.id!r}")
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
         if self.id == "rosenbrock" and self.dim < 2:
             raise ValueError("rosenbrock needs dim >= 2")
         shift = np.array(self.shift, dtype=float, copy=True)
@@ -356,8 +358,7 @@ def make_function(
     a seeded random orthogonal matrix.  The same (id, dim, seed) always
     yields the same instance.
     """
-    if id not in _BASE:
-        raise ValueError(f"unknown function id {id!r}")
+    # the constructor checks the id; the dim must be valid before the draw
     if dim < 1:
         raise ValueError("dim must be >= 1")
     rng = np.random.default_rng(seed)

@@ -14,10 +14,13 @@ and the matrix set by ergodicity.  Every function takes an explicit seed
 and is bit-reproducible for a fixed seed, independent of execution order.
 
 The renormalised orbits behind the Lyapunov-pair, stationary-measure and
-homogeneous finite-time estimators advance in blocks of up to 256 steps:
-one call draws a block's weights from the same random stream, in the same
-order, as one draw per step would, and the log growth is summed step after
-step, so the results are bit-identical to a step-at-a-time loop.
+homogeneous finite-time estimators advance in blocks, sized by the rule
+that sizes the top exponent's chunks (:func:`_chunk_steps`): one call
+draws a block's weights from the same random stream, in the same order,
+as one draw per step would, and the log growth is summed step after step,
+so the results are bit-identical to a step-at-a-time loop.  The block
+kernel, ``_block``, also carries the pair's second leg, and raises at the
+first step at which a leg's renormalisation fails.
 
 The top exponent, alone and in every Lyapunov probe of a bisection, draws
 the same stream in chunks and takes each chunk's log growth from the
@@ -30,9 +33,7 @@ The escape and neutral-stability experiments share one first-passage
 loop, ``_FirstPassage``: lanes start on the unit circle, each step draws
 the weights of the live lanes, and a lane retires at its first outcome or
 at its step cap; only the update, and the neutral experiment's segment
-test for convergence, differ.  A step writes into buffers the loop owns,
-through the ``out=`` forms of the two step maps, so only a retirement
-allocates.
+test for convergence, differ.
 One radius rule decides both: a lane converges when
 ``v*v + x*x <= r_in*r_in`` and escapes when ``v*v + x*x >= r_out*r_out``.
 The radii must satisfy ``1e-150 <= r_in < 1 < r_out <= 1e150``, so both
@@ -295,83 +296,78 @@ def split_alpha(alpha: float, ratio: str) -> tuple[float, float]:
     raise ValueError(f"unknown ratio {ratio!r}")
 
 
-# Orbits advance in blocks of at most _BLOCK_STEPS steps and _BLOCK_VALUES
-# lane-steps: the per-step numpy calls then write into preallocated rows, and
-# a block's buffers stay near 3 MB at any lane count.
-_BLOCK_STEPS = 256
-_BLOCK_VALUES = 1 << 16
-
-
 def _start(rng, n):
     """Random unit phase vectors ``(v, x) = (sin theta, cos theta)``."""
     theta = rng.uniform(0.0, 2.0 * np.pi, n)
     return np.sin(theta), np.cos(theta)
 
 
-def _good_rows(norm):
-    """Number of leading rows of ``norm`` whose entries all lie in (0, inf)."""
-    # NaN fails both comparisons
-    ok = ((norm > 0.0) & (norm < np.inf)).all(axis=1)
-    return len(ok) if ok.all() else int(ok.argmin())
+def _block(omega, ar, v, x, k0, frame=None):
+    """Advance unit ``(v, x)`` through the weights ``ar`` of shape ``(k, n)``,
+    steps ``k0`` to ``k0 + k - 1``; ``omega`` is a scalar or one value per
+    lane.  A ``frame``, the unit ``(v, x)`` of a second leg, follows the
+    same steps, Gram-Schmidt orthonormalised against the first after each.
 
-
-def _block_steps(lanes):
-    """Steps per block for ``lanes`` lanes, within both block caps."""
-    return max(1, min(_BLOCK_STEPS, _BLOCK_VALUES // lanes))
-
-
-def _block(omega, ar, v, x):
-    """Advance unit ``(v, x)`` through the weights ``ar`` of shape ``(k, n)``;
-    ``omega`` is a scalar or one value per lane.
-
-    Returns ``(norm, phase)``: row ``i`` is step ``i``'s growth and new unit
-    ``(v, x)``.  Lanes never mix, so a failed norm spoils only its own lane;
-    callers check the norms with :func:`_good_rows`.
+    Returns ``(norm, phase, frame)``: ``norm[j, i]`` is leg ``j``'s growth
+    at step ``k0 + i``, ``phase[i]`` the first leg's new unit ``(v, x)``,
+    and ``frame`` the second leg's last one.  Lanes never mix, so a failed
+    norm spoils only its own lane; a growth outside (0, inf) raises
+    :class:`NumericOverflowError` at the first step at which either leg
+    fails.
     """
     phase = np.empty((len(ar), 2, v.size))
-    norm = np.empty(ar.shape)
-    # a failed norm overflows or divides by 0 or NaN; _good_rows reports it
+    norm = np.empty((1 if frame is None else 2, *ar.shape))
+    # a failed norm overflows or divides by 0 or NaN; the check below reports it
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for z, a, nz in zip(phase, ar, norm):
+        for z, a, n1, n2 in zip(phase, ar, norm[0], norm[-1]):
             v, x = _step(omega, a, v, x, z)
-            np.hypot(v, x, nz)
-            np.divide(z, nz, z)
-    return norm, phase
+            np.hypot(v, x, n1)
+            np.divide(z, n1, z)
+            if frame is not None:
+                wv, wx = _step(omega, a, *frame)
+                proj = z[0] * wv + z[1] * wx
+                wv -= proj * z[0]
+                wx -= proj * z[1]
+                np.hypot(wv, wx, n2)
+                frame = wv / n2, wx / n2
+    # NaN fails both comparisons
+    ok = ((norm > 0.0) & (norm < np.inf)).all(axis=(0, 2))
+    if not ok.all():
+        raise NumericOverflowError("renormalisation failed", step=k0 + int(ok.argmin()))
+    return norm, phase, frame
 
 
-def _orbit(rng, omega, alpha1, alpha2, v, x, burn_in, steps):
-    """Renormalised orbit from ``(v, x)`` over ``burn_in + steps`` steps, in
-    blocks that never straddle the end of the burn-in.
+def _orbit(rng, omega, alpha1, alpha2, v, x, burn_in, steps, frame=None):
+    """Renormalised orbit from ``(v, x)``, and the second leg ``frame`` if
+    given, over ``burn_in + steps`` steps, in blocks of :func:`_chunk_steps`
+    steps that never straddle the end of the burn-in.
 
-    Per block yields ``(k0, norm, phase, ar)``: row ``i`` of each array is
-    step ``k0 + i``'s growth, new unit ``(v, x)`` and weights.  A norm
-    outside (0, inf) raises :class:`NumericOverflowError` at its step, after
-    the rows before it have been yielded.
+    Per block yields ``(k0, norm, phase)`` of :func:`_block`: the growths
+    and new unit ``(v, x)`` of steps ``k0`` on.  A failed step raises
+    :class:`NumericOverflowError` in :func:`_block`.
     """
     n = v.size
-    k_max = _block_steps(n)
+    k_max = _chunk_steps(n)
     end = burn_in + steps
     bounds = [*range(0, burn_in, k_max), *range(burn_in, end, k_max), end]
     for k0, k1 in zip(bounds, bounds[1:]):
         ar = _draw_weights(rng, alpha1, alpha2, (k1 - k0, n))
-        norm, phase = _block(omega, ar, v, x)
-        good = _good_rows(norm)
-        if good:
-            yield k0, norm[:good], phase[:good], ar[:good]
-        if good < k1 - k0:
-            raise NumericOverflowError("renormalisation failed", step=k0 + good)
+        norm, phase, frame = _block(omega, ar, v, x, k0, frame)
+        yield k0, norm, phase
         v, x = phase[-1]
 
 
 # The Lyapunov kernel scales its products by powers of two after every
 # _RESCALE_LEVELS levels of pairwise products: a product of 2**4 step
 # matrices stays within the float range for weights up to about 2**60.
-# One kernel call holds at most _CHUNK_VALUES lane-steps where it can: its
-# arrays, about 80 bytes a lane-step, then stay within a core's cache.  Above
-# 4096 lanes a chunk still holds _MIN_CHUNK_STEPS steps and so overruns that
-# cap: a chunk of one or two steps would spend more numpy calls a step than
-# the per-step _block.
+# One call of either orbit kernel, _chunk or _block, holds at most
+# _CHUNK_STEPS steps, and at most _CHUNK_VALUES lane-steps where it can: the
+# chunk kernel's arrays, about 80 bytes a lane-step, then stay within a
+# core's cache.  Above 4096 lanes a call still holds _MIN_CHUNK_STEPS steps
+# and so overruns that cap: a chunk of one or two steps would spend more
+# numpy calls a step than the per-step _block.
 _RESCALE_LEVELS = 4
+_CHUNK_STEPS = 256
 _CHUNK_VALUES = 1 << 14
 _MIN_CHUNK_STEPS = 4
 _EYE = np.eye(2).reshape(2, 2, 1, 1)
@@ -454,10 +450,12 @@ def _chunk(omega, ar, v, x, steps=None):
 
 
 def _chunk_steps(trials):
-    """Steps per Lyapunov chunk of ``trials`` lanes: the largest power of two
-    within ``_BLOCK_STEPS`` and ``_CHUNK_VALUES // trials``, so that a full
-    chunk needs no identity padding, and at least ``_MIN_CHUNK_STEPS``."""
-    k = max(_MIN_CHUNK_STEPS, min(_BLOCK_STEPS, _CHUNK_VALUES // trials))
+    """Steps per call of ``trials`` lanes, for both orbit kernels: a Lyapunov
+    chunk (:func:`_chunk`) and an orbit block (:func:`_block`).  The largest
+    power of two within ``_CHUNK_STEPS`` and ``_CHUNK_VALUES // trials``, so
+    that a full chunk needs no identity padding, and at least
+    ``_MIN_CHUNK_STEPS``."""
+    k = max(_MIN_CHUNK_STEPS, min(_CHUNK_STEPS, _CHUNK_VALUES // trials))
     return 1 << (k.bit_length() - 1)
 
 
@@ -495,6 +493,12 @@ class _Probe:
     acc: np.ndarray
     done: int = 0
 
+    @classmethod
+    def open(cls, omega, seed, alpha1, alpha2, trials, end):
+        """A probe of ``trials`` lanes at step 0, drawing from ``seed``."""
+        rng = np.random.default_rng(seed)
+        return cls(omega, rng, alpha1, alpha2, end, *_start(rng, trials), np.zeros(trials))
+
 
 def _advance(probes, trials, burn_in):
     """Advance each of the Lyapunov ``probes``, all of ``trials`` lanes,
@@ -505,7 +509,7 @@ def _advance(probes, trials, burn_in):
 
     A probe with a failed lane runs the chunk again one step at a time
     with :func:`_block`, from the same weights, and adds the logs of its
-    steps with :func:`_add_logs`; a failure there is raised at its step.
+    steps with :func:`_add_logs`; a failure there is returned at its step.
     """
     k_max = _chunk_steps(trials)
     ks = [_chunk_end(p.done, burn_in, p.end - burn_in, k_max) - p.done for p in probes]
@@ -525,13 +529,13 @@ def _advance(probes, trials, burn_in):
                 p.acc = p.acc + growth[lanes]
             p.v, p.x = v[lanes], x[lanes]
         else:
-            norm, phase = _block(p.omega, ar[:k, lanes], p.v, p.x)
-            good = _good_rows(norm)
-            if good < k:
-                failures.append(NumericOverflowError("renormalisation failed", step=p.done + good))
+            try:
+                norm, phase, _ = _block(p.omega, ar[:k, lanes], p.v, p.x, p.done)
+            except NumericOverflowError as failure:
+                failures.append(failure)
                 continue
             if p.done >= burn_in:
-                p.acc = _add_logs(p.acc, norm)
+                p.acc = _add_logs(p.acc, norm[0])
             p.v, p.x = phase[-1]
         p.done += k
         failures.append(None)
@@ -754,9 +758,7 @@ def lyapunov_exponent(
     _check_weights(alpha1, alpha2)
     if trials < 1 or steps < 1 or burn_in < 0:
         raise ValueError("steps and trials must be >= 1, burn_in >= 0")
-    rng = np.random.default_rng(seed)
-    probe = _Probe(omega, rng, alpha1, alpha2, burn_in + steps, *_start(rng, trials),
-                   np.zeros(trials))
+    probe = _Probe.open(omega, seed, alpha1, alpha2, trials, burn_in + steps)
     while probe.done < probe.end:
         failure, = _advance([probe], trials, burn_in)
         if failure is not None:
@@ -791,28 +793,13 @@ def lyapunov_pair(
     rng = np.random.default_rng(seed)
     s, c = _start(rng, trials)
     # orthonormal frame per trial: q1 = (c, s), q2 = (-s, c) in (v, x); the
-    # first leg is the renormalised orbit, the second follows its matrices
-    # one step at a time over each block's rows
-    orbit = _orbit(rng, omega, alpha1, alpha2, c, s, burn_in, steps)
-    q2v, q2x = -s, c
+    # first leg is the renormalised orbit, which carries the second along
     acc1 = np.zeros(trials)
     acc2 = np.zeros(trials)
-    for k0, n1, q1, ar in orbit:
-        n2 = np.empty_like(n1)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for (q1v, q1x), a, n2i in zip(q1, ar, n2):
-                w2v, w2x = _step(omega, a, q2v, q2x)
-                proj = q1v * w2v + q1x * w2x
-                w2v -= proj * q1v
-                w2x -= proj * q1x
-                np.hypot(w2v, w2x, n2i)
-                q2v, q2x = w2v / n2i, w2x / n2i
-            good = _good_rows(n2)
-        if good < len(n2):
-            raise NumericOverflowError("renormalisation failed", step=k0 + good)
+    for k0, norm, _ in _orbit(rng, omega, alpha1, alpha2, c, s, burn_in, steps, (-s, c)):
         if k0 >= burn_in:
-            acc1 = _add_logs(acc1, n1)
-            acc2 = _add_logs(acc2, n2)
+            acc1 = _add_logs(acc1, norm[0])
+            acc2 = _add_logs(acc2, norm[1])
     return _estimate(acc1, steps, burn_in), _estimate(acc2, steps, burn_in)
 
 
@@ -844,7 +831,7 @@ def stationary_distribution(
     per_chain = -(-samples // n_chains)
     orbit = _orbit(rng, omega, alpha1, alpha2, *_start(rng, n_chains), burn_in, per_chain)
     angles = np.empty((per_chain, n_chains))
-    for k0, _, phase, _ in orbit:
+    for k0, _, phase in orbit:
         if k0 >= burn_in:
             # contiguous copies: numpy may take another arctan2 path on strides
             v, x = np.ascontiguousarray(phase.transpose(1, 0, 2))
@@ -1058,8 +1045,7 @@ def _lyapunov_kind(omegas, steps, trials, burn_in):
 
     def start(i, a1, a2, level, child, probe):
         if not level:
-            rng = np.random.default_rng(child)
-            probe = _Probe(omegas[i], rng, a1, a2, 0, *_start(rng, trials), np.zeros(trials))
+            probe = _Probe.open(omegas[i], child, a1, a2, trials, 0)
         probe.end = burn_in + steps * 2**level
         return probe
 
@@ -1235,18 +1221,18 @@ def finite_time_lyapunov(
     if p == 0.0 and g == 0.0:
         # homogeneous case: track per-repetition log norms exactly
         ell = np.zeros(repetitions)
-        for _, norm, _, _ in _orbit(rng, omega, alpha1, alpha2, v, x, 0, steps):
-            ell = _add_logs(ell, norm)
+        for _, norm, _ in _orbit(rng, omega, alpha1, alpha2, v, x, 0, steps):
+            ell = _add_logs(ell, norm[0])
         ell += np.log(z0_scale)
         m = ell.max()
         return float((m + np.log(np.mean(np.exp(ell - m)))) / steps)
     x = z0_scale * x
     v = z0_scale * v
     for k in range(steps):
-        u1 = rng.random(repetitions)
-        u2 = rng.random(repetitions)
-        v, x = affine_update(omega, alpha1, alpha2, v, x, u1, u2, p, g)
-        if not (np.isfinite(v).all() and np.isfinite(x).all()):
+        u = rng.random((2, repetitions))
+        v, x = affine_update(omega, alpha1, alpha2, v, x, u[0], u[1], p, g)
+        # x' = x + v': a v' that is not finite makes x' not finite too
+        if not np.isfinite(x).all():
             raise NumericOverflowError("trajectory left floating range", step=k)
     return float(np.log(np.mean(np.hypot(x, v))) / steps)
 

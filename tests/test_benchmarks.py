@@ -157,7 +157,7 @@ def test_shift_within_080_of_domain():
 
 
 def test_unknown_id_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown function id 'banana'"):
         make_function("banana", 3, seed=1)
 
 
@@ -165,6 +165,25 @@ def test_one_dimensional_rosenbrock_rejected():
     # its formula sums over coordinate pairs, so at dim 1 it is 0 everywhere
     with pytest.raises(ValueError, match="rosenbrock needs dim >= 2"):
         make_function("rosenbrock", 1, seed=1)
+
+
+def test_zero_dimension_rejected_by_the_constructor():
+    # an instance of no coordinates would cost 0 at every point
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        benchmarks.BenchmarkFunction("sphere", 0, np.empty(0))
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        make_function("sphere", 0, seed=1)
+
+
+@pytest.mark.parametrize("shift, rotation, message", [
+    (np.zeros(2), None, "shift must have shape"),
+    (np.zeros((3, 1)), None, "shift must have shape"),
+    (np.zeros(3), np.eye(2), "rotation must have shape"),
+    (np.zeros(3), np.eye(3)[:2], "rotation must have shape"),
+], ids=["short_shift", "column_shift", "small_rotation", "non_square_rotation"])
+def test_wrongly_shaped_shift_or_rotation_rejected(shift, rotation, message):
+    with pytest.raises(ValueError, match=message):
+        benchmarks.BenchmarkFunction("sphere", 3, shift, rotation)
 
 
 def test_dimension_mismatch_rejected():

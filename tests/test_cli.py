@@ -55,7 +55,12 @@ _INVALID = {
                            "--iterations", "5"],
     "optimize-omega-nan": ["optimize", "--omega", "nan", "--alpha", "1.4", "--dim", "2",
                            "--iterations", "5"],
-    "sweep-config-zero-step": ["sweep", "--config", "{config}"],
+    "sweep-config-zero-step": ["sweep", "--config", "{zero_step}"],
+    "sweep-config-unknown-key": ["sweep", "--config", "{unknown_key}"],
+    "sweep-config-no-equals": ["sweep", "--config", "{no_equals}"],
+    "lyapunov-split-unknown": ["lyapunov", "--omega", "0.7", "--alpha", "1", "--split", "foo"],
+    "curve-omega-max-below-min": ["curve", "--omega-min", "0.5", "--omega-max", "0.2"],
+    "region-quantile-above-one": ["region", "--sweep", "never.csv", "--quantile", "1.5"],
     "sweep-jobs-zero": ["sweep", "--jobs", "0"],
     "sweep-jobs-negative": ["sweep", "--jobs", "-4"],
     "sweep-functions-empty": ["sweep", "--functions", ","],
@@ -85,13 +90,32 @@ _INVALID = {
 }
 
 
+# sweep config files, by the name _INVALID's cases give them
+_CONFIGS = {
+    "zero_step": "functions = sphere\ndim = 2\nomega_step = 0\n",
+    "unknown_key": "functions = sphere\ndim = 2\nomega_stride = 0.1\n",
+    "no_equals": "functions = sphere\ndim 2\n",
+}
+
+
 @pytest.mark.parametrize("case", list(_INVALID))
 def test_non_finite_and_zero_step_exit_one_without_output(tmp_path, case):
-    config = tmp_path / "sweep.cfg"
-    config.write_text("functions = sphere\ndim = 2\nomega_step = 0\n")
+    configs = {name: tmp_path / f"{name}.cfg" for name in _CONFIGS}
+    for name, path in configs.items():
+        path.write_text(_CONFIGS[name])
     out = tmp_path / "never.out"
-    argv = [a.format(config=config) for a in _INVALID[case]] + ["--output", str(out)]
+    argv = [a.format(**configs) for a in _INVALID[case]] + ["--output", str(out)]
     assert exit_code(argv) == 1
+    assert not out.exists()
+
+
+def test_numeric_failure_exits_two_without_output(tmp_path, capsys):
+    # the norm overflows at the first step: a numeric failure, not a
+    # validation error
+    out = tmp_path / "never.json"
+    assert run(["lyapunov", "--omega", "1.5e308", "--alpha", "1", "--steps", "50",
+                "--trials", "2", "--burn-in", "0", "--output", str(out)]) == 2
+    assert "numeric failure" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -26,6 +26,8 @@ def test_swarm_params_validation():
         SwarmParams(0.7, 0.0, 0.0)
     with pytest.raises(ValueError):
         SwarmParams(0.7, 0.5, 0.5, n_particles=0)
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        SwarmParams(0.7, 0.5, 0.5, dim=0)
     assert SwarmParams(0.7, 0.3, 0.5).alpha == 0.8
 
 

@@ -223,6 +223,13 @@ def test_sweep_csv_roundtrip(tmp_path):
     assert list(loaded.omega_values) == [0.4, 0.7]
 
 
+def test_sweep_csv_with_wrong_header_rejected(tmp_path):
+    path = tmp_path / "sweep.csv"
+    path.write_text("omega,alpha\n0.4,1.0\n")
+    with pytest.raises(ValueError, match="unexpected sweep header"):
+        SweepGrid.from_csv(path)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         _tiny_config(omega_values=np.array([]))

@@ -56,6 +56,8 @@ def test_init_rejects_bad_bounds():
         init_swarm(params, (), sphere, seed=1)
     with pytest.raises(ValueError):
         init_swarm(params, (5.0, -5.0), sphere, seed=1)
+    with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
+        init_swarm(params, np.zeros((2, 3)), sphere, seed=1)
 
 
 def test_init_per_dimension_bounds():
@@ -360,6 +362,19 @@ def test_lockstep_requires_one_seed_per_swarm(n_params, seeds):
     params = [SwarmParams(0.7, 0.7, 0.7, n_particles=3, dim=2)] * n_params
     with pytest.raises(ValueError, match="one seed per swarm"):
         lockstep(sphere, params, 5, (-1.0, 1.0), seeds)
+
+
+def test_lockstep_rejects_mixed_swarm_shapes():
+    params = [SwarmParams(0.7, 0.7, 0.7, n_particles=3, dim=2),
+              SwarmParams(0.7, 0.7, 0.7, n_particles=4, dim=2)]
+    with pytest.raises(ValueError, match="share n_particles and dim"):
+        lockstep(sphere, params, 5, (-1.0, 1.0), [1, 2])
+
+
+def test_optimize_rejects_negative_iterations():
+    params = SwarmParams(0.7, 0.7, 0.7, n_particles=3, dim=2)
+    with pytest.raises(ValueError, match="iterations must be >= 0"):
+        optimize(sphere, params, -1, seed=1)
 
 
 def test_cost_errors_outside_the_batch_probe_reach_the_caller():

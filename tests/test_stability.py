@@ -384,10 +384,14 @@ def test_blocked_orbit_generator_seed_ends_in_reference_state(name):
 
 
 @pytest.mark.parametrize("omega", [-1.1, -1.0, 0.0, 1.0, 1.1])
-@pytest.mark.parametrize("alpha", [0.01, 0.5, 4.6, 8.0, 100.0])
-def test_exponent_kernel_matches_per_step_sum(omega, alpha):
+@pytest.mark.parametrize("alpha", [0.01, 0.5, 4.6, 8.0, 100.0, 1e30])
+def test_exponent_kernel_matches_per_step_sum(omega, alpha, monkeypatch):
     # across the inertia range and from near-deterministic to huge weights;
-    # the generator ends where the per-step loop leaves it
+    # the generator ends where the per-step loop leaves it.  At 1e30 every
+    # chunk's product overflows, and the chunk runs again one step at a time
+    reruns = []
+    block = stability._block
+    monkeypatch.setattr(stability, "_block", lambda *args: reruns.append(args) or block(*args))
     gen, ref_gen = np.random.default_rng(31), np.random.default_rng(31)
     args = (omega, 0.3 * alpha, 0.7 * alpha, 600, 6, 90)
     estimate = lyapunov_exponent(*args, seed=gen)
@@ -396,6 +400,7 @@ def test_exponent_kernel_matches_per_step_sum(omega, alpha):
         reference = _reference("exponent", *args, ref_gen, None)
     _assert_exponent_close(estimate, reference)
     assert gen.bit_generator.state == ref_gen.bit_generator.state
+    assert bool(reruns) == (alpha == 1e30)
 
 
 # ---------------------------------------------------------------- the chunk rule
@@ -440,6 +445,16 @@ def test_overflow_reports_first_failing_step_without_warning(estimator, omega, f
         with pytest.raises(NumericOverflowError, match="renormalisation failed") as err:
             estimator(omega, 1.0, 1.0, steps=1000, trials=4, burn_in=300, seed=3)
     assert err.value.step == step
+
+
+def test_pair_reports_the_first_failing_step_of_either_leg():
+    # weights near the float maximum: the second leg fails at step 0, and
+    # the first leg only at a later step of the same block, when a weight
+    # rounds to inf
+    with pytest.raises(NumericOverflowError, match="renormalisation failed") as err:
+        with np.errstate(over="ignore"):
+            lyapunov_pair(0.5, 1e308, 1e308, steps=600, trials=3, burn_in=100, seed=1)
+    assert err.value.step == 0
 
 
 def test_lyapunov_estimator_consistency():
@@ -542,6 +557,8 @@ def test_stationary_validates_arguments():
         stationary_distribution(0.7, 0.0, 0.5, n_chains=1, seed=1)
     with pytest.raises(ValueError, match="burn_in"):
         stationary_distribution(0.7, 0.0, 0.5, samples=100, burn_in=-5, seed=1)
+    with pytest.raises(ValueError, match="samples must be >= n_chains"):
+        stationary_distribution(0.7, 0.0, 0.5, samples=3, n_chains=4, seed=1)
     hist = stationary_distribution(0.7, 0.0, 0.5, bins=64, samples=100, burn_in=5, seed=1)
     with pytest.raises(ValueError, match="draws"):
         pushforward(hist, 0.7, 0.0, 0.5, draws=0, seed=1)
@@ -1130,6 +1147,10 @@ def test_critical_curve_markers_and_interpolation():
     hi = max(p.alpha for p in curve.points)
     assert lo <= mid <= hi
     assert math.isnan(curve.interpolate(0.9))
+    # a curve with no resolved point interpolates to NaN everywhere
+    unresolved = CriticalCurve(points=(CriticalPoint(0.6, math.nan, math.nan, STATUS_NO_CROSSING),),
+                               ratio=RATIO_SOCIAL_ONLY, method="LYAPUNOV_BISECTION")
+    assert math.isnan(unresolved.interpolate(0.6))
     # inside the contour the exponent is negative
     for p in curve.points:
         a1, a2 = split_alpha(p.alpha / 2, RATIO_SOCIAL_ONLY)
@@ -1155,6 +1176,19 @@ def test_critical_curve_validates_grid(solve):
         solve([0.0, math.inf], seed=1)
     with pytest.raises(ValueError):
         solve([-math.inf, 0.0], seed=1)
+
+
+def test_critical_curve_rejects_falling_omegas():
+    points = (CriticalPoint(0.5, 4.5, 0.03), CriticalPoint(0.4, 4.6, 0.03))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        CriticalCurve(points=points, ratio=RATIO_EQUAL, method="LYAPUNOV_BISECTION")
+
+
+def test_curve_csv_with_wrong_header_rejected(tmp_path):
+    path = tmp_path / "curve.csv"
+    path.write_text("omega,alpha,std_error,status\n0.5,4.5,0.03,OK\n")
+    with pytest.raises(ValueError, match="unexpected curve header"):
+        CriticalCurve.from_csv(path)
 
 
 # grid, seed, budgets, search constants (``search_constants``); the
@@ -1632,6 +1666,14 @@ def test_finite_time_homogeneous_limit_matches_lyapunov():
     ftl = finite_time_lyapunov(0.7, 0.5, 0.5, z0_scale=1.0, p=0.0, g=0.0,
                                steps=200_000, repetitions=4, seed=26)
     assert abs(ftl - ref.value) < 2 * ref.std_error
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5], ids=["homogeneous", "affine"])
+@pytest.mark.parametrize("budget", [dict(steps=0), dict(repetitions=0)])
+def test_finite_time_rejects_empty_budgets(p, budget):
+    with pytest.raises(ValueError, match="steps and repetitions must be >= 1"):
+        finite_time_lyapunov(0.7, 1.0, 1.0, p=p, **{"steps": 10, "repetitions": 10, **budget},
+                             seed=1)
 
 
 def test_finite_time_overflow_reports_step():

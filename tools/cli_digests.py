@@ -49,6 +49,11 @@ SWEEP = ["--omega-min", "0.4", "--omega-max", "0.7", "--omega-step", "0.3",
 COMMANDS = [
     (["lyapunov", "--omega", "0.5", "--alpha", "1.0", "--steps", "2000", "--trials", "4",
       "--burn-in", "100", "--seed", "1", "--output", "lyapunov.json"], ["lyapunov.json"]),
+    # every chunk's product overflows, so each chunk runs again one step at
+    # a time and adds the logs of its steps
+    (["lyapunov", "--omega", "0.5", "--alpha", "2e30", "--steps", "600", "--trials", "4",
+      "--burn-in", "100", "--seed", "3", "--output", "lyapunov_rerun.json"],
+     ["lyapunov_rerun.json"]),
     (["curve", "--omega-min", "0.4", "--omega-max", "0.7", "--step", "0.3",
       "--tolerance", "0.05", "--steps", "500", "--trials", "8", "--seed", "2",
       "--output", "curve_lyapunov.csv"], ["curve_lyapunov.csv"]),
@@ -71,6 +76,10 @@ COMMANDS = [
     (["stationary", "--omega", "0.7", "--alpha", "0.5", "--bins", "64", "--samples", "2000",
       "--burn-in", "50", "--chains", "2", "--seed", "4", "--output", "stationary.csv"],
      ["stationary.csv"]),
+    # 100 chains: orbit blocks of 128 steps, not the 256 of a few chains
+    (["stationary", "--omega", "0.7", "--alpha", "3", "--chains", "100", "--samples", "30000",
+      "--burn-in", "50", "--seed", "5", "--output", "stationary_chains.csv"],
+     ["stationary_chains.csv"]),
     (["escape", "--omega", "0.5", "--alpha", "2.0", "--trials", "200", "--max-steps", "500",
       "--seed", "5", "--output", "escape.json"], ["escape.json"]),
     # radii near the unit start circle: many lanes retire at the radii
