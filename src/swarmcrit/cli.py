@@ -157,7 +157,8 @@ def build_parser() -> _Parser:
     p.add_argument("--config", help="plain-text key=value config file")
     for key, (kind, default, text) in _SWEEP_KEYS.items():
         p.add_argument("--" + key.replace("_", "-"), type=kind, default=default, help=text)
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel workers; more than 1 starts a process pool (default 1)")
     p.add_argument("--output", required=True, help="per-cell CSV path")
     p.add_argument("--heatmap", help="optional aggregated heatmap CSV path")
 

@@ -217,8 +217,12 @@ def _weights(alpha1, alpha2, u, out=(None, None)):
 def _draw_weights(rng, alpha1, alpha2, shape):
     """Combined weights alpha*r of ``shape = (..., n)``, one per lane and
     step.  Each step draws its ``n`` values of ``u1``, then its ``n`` values
-    of ``u2``: the same stream as two ``rng.random(n)`` calls per step."""
-    return _weights(alpha1, alpha2, rng.random((*shape[:-1], 2, shape[-1])))
+    of ``u2``: the same stream as two ``rng.random(n)`` calls per step.  A
+    sum past the float maximum is inf, without a warning: the estimators'
+    own checks report it as a numeric failure."""
+    u = rng.random((*shape[:-1], 2, shape[-1]))
+    with np.errstate(over="ignore"):
+        return _weights(alpha1, alpha2, u)
 
 
 def _step(omega, ar, v, x, out=(None, None), work=None):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 from functools import partial
 from typing import get_type_hints
@@ -220,6 +219,10 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepGrid:
     if jobs == 1:
         batches = list(map(run_batch, tasks))
     else:
+        # imported here: the pool loads multiprocessing, logging, socket and
+        # pickle, which a one-job process never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             batches = list(pool.map(run_batch, tasks))
     # back from base-formula order to function order

@@ -1263,18 +1263,19 @@ def _first_true(holds):
     return _key_float(hi)
 
 
-def _neutral_rules(omega, alpha1, alpha2, config, r_in):
-    """The neutral experiment's ``(update, converged)`` for
-    :class:`_FirstPassage`, from the unit circle.  A lane converges when its
-    position lies within ``r_in * |p - g|`` of the segment between the
-    (scaled) bests, or, with coincident bests (``converged`` None), when its
-    phase norm drops below ``r_in``; it diverges when the phase norm reaches
-    ``r_out``, and counts for neither if it passes both at once."""
+def _neutral_segment(config, r_in):
+    """The neutral experiment's scaled bests ``(p_eff, g_eff)`` and the
+    floats ``(x_lo, x_hi)`` that bound the positions within
+    ``r_in * |p - g|`` of the segment between them, None for coincident
+    bests.  They depend on neither the inertia nor the weights, so a curve
+    finds them once."""
     p_eff = config.kappa * config.p
     g_eff = config.kappa * config.g
     seg_lo = min(p_eff, g_eff)
     seg_hi = max(p_eff, g_eff)
     width = seg_hi - seg_lo
+    if width == 0.0:
+        return p_eff, g_eff, None
     thr = r_in * width
     # The rule is max(max(seg_lo - x, x - seg_hi), 0) <= thr in float
     # arithmetic.  With thr >= 0 (0 once r_in * width underflows), and no
@@ -1288,24 +1289,40 @@ def _neutral_rules(omega, alpha1, alpha2, config, r_in):
     # second and -inf the first; +0 and -0 pass or fail together.
     x_lo = _first_true(lambda y: seg_lo - y <= thr)
     x_hi = -_first_true(lambda y: -y - seg_hi <= thr)
+    return p_eff, g_eff, (x_lo, x_hi)
+
+
+def _neutral_rules(omega, alpha1, alpha2, segment):
+    """The neutral experiment's ``(update, converged)`` for
+    :class:`_FirstPassage`, from the unit circle, with the bests and bounds
+    ``segment`` of :func:`_neutral_segment`.  A lane converges when its
+    position lies within the bounds, or, with coincident bests
+    (``converged`` None), when its phase norm drops below ``r_in``; it
+    diverges when the phase norm reaches ``r_out``, and counts for neither
+    if it passes both at once."""
+    p_eff, g_eff, bounds = segment
 
     def update(u, v, x):
         return affine_update(omega, alpha1, alpha2, v, x, u[0], u[1], p_eff, g_eff, (v, x), u)
+
+    if bounds is None:
+        return update, None
+    x_lo, x_hi = bounds
 
     def near_segment(u, x, out):
         # the bytes of u's row 1 hold the second comparison
         below = np.less_equal(x, x_hi, u[1].view(bool)[:x.size])
         return np.logical_and(np.greater_equal(x, x_lo, out), below, out)
 
-    return update, None if width == 0.0 else near_segment
+    return update, near_segment
 
 
 def _neutral_points(omega, config, ratio, tolerance, seed):
     """:func:`neutral_alpha` at each value of the list ``omega``, point ``i``
     seeded by ``seed[i]``, in one :func:`_solve` call."""
-
+    segment = _neutral_segment(config, _R_IN)
     kind = _passage_kind(config.repetitions, config.iterations,
-                         lambda i, a1, a2: _neutral_rules(omega[i], a1, a2, config, _R_IN))
+                         lambda i, a1, a2: _neutral_rules(omega[i], a1, a2, segment))
     return _solve(omega, seed, ratio, tolerance, *_NEUTRAL_BRACKET, _NEUTRAL_MAX_LEVEL, *kind)
 
 

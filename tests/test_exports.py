@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import swarmcrit
@@ -16,3 +21,15 @@ def test_package_exports_are_unique_and_resolve():
     assert len(set(swarmcrit.__all__)) == len(swarmcrit.__all__)
     for name in swarmcrit.__all__:
         assert hasattr(swarmcrit, name)
+
+
+def test_cli_import_loads_no_process_pool():
+    # a fresh interpreter, since this one may have loaded the pool already;
+    # only ``run_sweep`` with ``jobs > 1`` needs it
+    src = Path(swarmcrit.__file__).parents[1]
+    code = ("import sys, swarmcrit, swarmcrit.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

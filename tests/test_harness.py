@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -101,7 +102,7 @@ def _recording_pool(log):
 @pytest.mark.parametrize("cores, expected", [(2, [2, 2]), (None, [])])
 def test_run_sweep_caps_workers_at_the_cpu_count(monkeypatch, cores, expected):
     log = []
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _recording_pool(log))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _recording_pool(log))
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
     grid = run_sweep(_tiny_config(), jobs=64)
     assert log == expected
@@ -112,7 +113,7 @@ def test_run_sweep_gives_every_worker_as_many_batches(monkeypatch):
     # 48 swarms of 20 coordinates in batches of at most 17 swarms: 3
     # batches in one process, 4 of 12 on 2 workers
     log = []
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _recording_pool(log))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _recording_pool(log))
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(harness, "_BATCH_VALUES", 17 * 20)
     grid = run_sweep(_tiny_config(), jobs=2)

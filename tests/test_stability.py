@@ -451,8 +451,10 @@ def test_pair_reports_the_first_failing_step_of_either_leg():
     # weights near the float maximum: the second leg fails at step 0, and
     # the first leg only at a later step of the same block, when a weight
     # rounds to inf
+    # the overflowing weights warn nothing before the failure
     with pytest.raises(NumericOverflowError, match="renormalisation failed") as err:
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             lyapunov_pair(0.5, 1e308, 1e308, steps=600, trials=3, burn_in=100, seed=1)
     assert err.value.step == 0
 
@@ -697,7 +699,8 @@ def _reference_escape(omega, a1, a2, r_in, r_out, max_steps, trials, seed):
 def _neutral_passages(omega, a1, a2, config, r_in, r_out, seed, ref_seed, early=False):
     """The library's first passage of the neutral experiment, built from
     ``_neutral_rules``, and the per-step reference of the same experiment."""
-    update, converged = stability._neutral_rules(omega, a1, a2, config, r_in)
+    segment = stability._neutral_segment(config, r_in)
+    update, converged = stability._neutral_rules(omega, a1, a2, segment)
     passage = stability._FirstPassage(seed, config.iterations, update, r_in, r_out, converged,
                                       early)
     rules = _neutral_reference_rules(omega, a1, a2, config, r_in)
@@ -931,7 +934,8 @@ def test_neutral_segment_rule_equals_max_distance_rule(segment):
         assert (lo - thr if segment.endswith("low_end") else hi + thr) == 0.0
     x = np.array(_floats_around([lo, hi, lo - thr, hi + thr, *_rule_ends(lo, hi, thr)])
                  + [0.0, -0.0, np.inf, -np.inf, np.nan])
-    _, converged = stability._neutral_rules(0.4, 1.0, 1.0, ScalingConfig(kappa, p, g), r_in)
+    bests_and_bounds = stability._neutral_segment(ScalingConfig(kappa, p, g), r_in)
+    _, converged = stability._neutral_rules(0.4, 1.0, 1.0, bests_and_bounds)
     # the rule may use u's rows 0 and 1 as scratch, whatever they hold
     u, out = np.full((3, x.size), np.nan), np.empty(x.size, dtype=bool)
     with warnings.catch_warnings():
@@ -1562,6 +1566,15 @@ def test_neutral_curve_stops_probes_early(monkeypatch):
     assert curve.points == reference
     assert steps["affine_update"] == sum(p.steps for p in passages)
     assert sum(p.early_stops for p in passages) > 0
+
+
+def test_neutral_curve_finds_the_segment_bounds_once(monkeypatch):
+    # the bounds depend on the configuration alone: one bisection for each
+    # end serves every probe of every point
+    bisections = _counted(monkeypatch, "_first_true")
+    config = ScalingConfig(1.0, iterations=30, repetitions=100)
+    neutral_stability_curve(config, [0.0, 0.3, 0.6], seed=5, tolerance=0.1)
+    assert bisections["_first_true"] == 2
 
 
 def _ladder_tops(log):

@@ -1,16 +1,19 @@
 """Layer timing of two source trees: ns per lane-step of the Lyapunov orbit
 at several lane counts and of the first-passage loop at two, µs per
-iteration of the lockstep optimiser at the two sweep shapes, and µs per
-swarm-iteration of the suite sweep; and the bisection's probe requests per
-critical-curve point.
+iteration of the lockstep optimiser at the two sweep shapes, µs per
+swarm-iteration of the suite sweep, and the cold start of the CLI; and the
+bisection's probe requests per critical-curve point.
 
 Usage::
 
-    python tools/bench_layers.py PARENT CHANGE OUT.json
+    python tools/bench_layers.py PARENT CHANGE OUT.json [--layers startup,probes]
 
-Each of ``ROUNDS`` rounds runs, per timing layer, one fresh process per
-tree (the package under ``<tree>/src``), alternating which tree runs first
-from one round to the next.
+``--layers`` names the entries to measure, of ``layers`` (Lyapunov),
+``passage``, ``lockstep``, ``sweep``, ``startup`` and ``probes``; the
+default is all of them.  Each of ``ROUNDS`` rounds (``STARTUP_ROUNDS`` for
+the startup layer) runs, per timing layer, one fresh process per tree (the
+package under ``<tree>/src``), alternating which tree runs first from one
+round to the next.
 
 Lyapunov layer: a lane is one trial of ``stability.lyapunov_exponent``; a
 lane-step is one lane advanced one step.  The process times, at each of
@@ -49,6 +52,15 @@ dim 10, 4 omegas by 3 alphas, one repetition, ``ITERATIONS`` iterations,
 divides by the swarm-iterations (180 swarms times ``ITERATIONS``); batching,
 the start, the weight draws and the cost evaluations are part of the time.
 
+Startup layer: the process imports numpy, then times ``import
+swarmcrit.cli`` and counts the modules that import adds to
+``sys.modules``; the benchmark starts such a process for every run.  Each
+round starts it twice per tree: once without bytecode caches of the
+package, as the benchmark runs its checkouts (``import_s``, ``modules``),
+and once with caches in a temporary directory outside the trees, written
+by one untimed start per tree before the first round
+(``cached_import_s``).
+
 Probe layer: not a timing, so it runs once per tree.  The process wraps
 ``stability._bisection`` so that it counts the probe requests of each
 critical point, by budget level, and solves each of ``CURVES``: the
@@ -59,15 +71,16 @@ defaults) and the ``curve-lyapunov`` workload's curve, both at seed
 level below), so a request at the top level is the most expensive a point
 asks.
 
-OUT.json gets a ``layers`` entry (Lyapunov), a ``passage`` entry, a
-``lockstep`` entry and a ``sweep`` entry with, per key (a lane count, a
-rule at a lane count, a shape or a sweep), each side's median,
-inclusive quartiles and runs, the ratio of the medians (change over
-parent) and ``change_lower_in_rounds``; and a ``probes`` entry with, per
-curve and tree, each point's requests by level, its ``std_error`` and
-status, and the curve's totals.  Other entries of an existing
-OUT.json, such as the ones ``tools/bench_pairs.py`` writes, are kept; run
-this after that script, which writes its file anew.
+OUT.json gets, of the measured entries, a ``layers`` entry (Lyapunov), a
+``passage`` entry, a ``lockstep`` entry, a ``sweep`` entry and a
+``startup`` entry with, per key (a lane count, a rule at a lane count, a
+shape, a sweep or a startup figure), each side's median, inclusive
+quartiles and runs, the ratio of the medians (change over parent) and
+``change_lower_in_rounds``; and a ``probes`` entry with, per curve and
+tree, each point's requests by level, its ``std_error`` and status, and
+the curve's totals.  Other entries of an existing OUT.json, such as the
+ones ``tools/bench_pairs.py`` writes, are kept; run this after that
+script, which writes its file anew.
 """
 
 from __future__ import annotations
@@ -78,11 +91,15 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
 LANES = (12, 60, 368, 1024, 4096, 8192, 16384, 65536)
 ROUNDS = 7
+# a start takes about 0.2 s, and its rounds spread by about 6% either
+# side of the median: a 10% move needs more rounds than the other layers
+STARTUP_ROUNDS = 31
 LANE_STEPS = 1 << 20
 ITERATIONS = 200
 # name: (omega, alpha1, alpha2, (kappa, p, g) of the neutral rule, or None
@@ -130,7 +147,8 @@ def passage(rule, seed, count):
         steps = stability._ESCAPE_MAX_STEPS
     else:
         config = stability.ScalingConfig(*segment)
-        update, converged = stability._neutral_rules(omega, a1, a2, config, stability._R_IN)
+        segment = stability._neutral_segment(config, stability._R_IN)
+        update, converged = stability._neutral_rules(omega, a1, a2, segment)
         steps = config.iterations
     def counted(u, v, x):
         count[0] += x.size
@@ -231,28 +249,54 @@ for name, kwargs in curves.items():
 print(json.dumps(out))
 """
 
-# entry of OUT.json: (probe, its arguments, the unit of its values)
+# one process: after numpy, the wall seconds of importing the CLI and the
+# number of modules that import adds
+STARTUP_PROBE = """
+import sys, time
+import numpy
+before = len(sys.modules)
+t = time.perf_counter()
+import swarmcrit.cli
+import json
+print(json.dumps({"import_s": time.perf_counter() - t, "modules": len(sys.modules) - before}))
+"""
+
+# entry of OUT.json: (probe, its arguments, the unit of its values, rounds)
 PROBES = {
-    "layers": (LYAPUNOV_PROBE, [str(LANE_STEPS), *map(str, LANES)], "ns per lane-step"),
+    "layers": (LYAPUNOV_PROBE, [str(LANE_STEPS), *map(str, LANES)], "ns per lane-step", ROUNDS),
     "passage": (PASSAGE_PROBE, [str(PASSAGE_LANE_STEPS), json.dumps(PASSAGE_RULES),
-                                *map(str, PASSAGE_LANES)], "ns per lane-step"),
-    "lockstep": (LOCKSTEP_PROBE, [str(ITERATIONS), json.dumps(SHAPES)], "us per iteration"),
-    "sweep": (SWEEP_PROBE, [str(ITERATIONS), json.dumps(SWEEP)], "us per swarm-iteration"),
+                                *map(str, PASSAGE_LANES)], "ns per lane-step", ROUNDS),
+    "lockstep": (LOCKSTEP_PROBE, [str(ITERATIONS), json.dumps(SHAPES)], "us per iteration",
+                 ROUNDS),
+    "sweep": (SWEEP_PROBE, [str(ITERATIONS), json.dumps(SWEEP)], "us per swarm-iteration",
+              ROUNDS),
+    "startup": (STARTUP_PROBE, [], "s (import_s, cached_import_s), modules (modules)",
+                STARTUP_ROUNDS),
 }
 
 
-def run_probe(tree: Path, probe: str, args: list[str]) -> dict:
-    # no bytecode files: a cache left in one tree would speed up the
-    # benchmark's set-up there
+LAYERS = (*PROBES, "probes")
+
+
+def run_probe(tree: Path, probe: str, args: list[str], cache: Path | None = None) -> dict:
+    # no bytecode files in the tree: a cache left in one tree would speed up
+    # the benchmark's set-up there; ``cache`` is a directory for them
+    # outside the trees
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    if cache:
+        del env["PYTHONDONTWRITEBYTECODE"]
+        env["PYTHONPYCACHEPREFIX"] = str(cache)
     proc = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True,
                           env=env, check=True)
     return json.loads(proc.stdout)
 
 
-def run_tree(tree: Path, layer: str) -> dict[str, float]:
-    probe, args, _ = PROBES[layer]
-    return run_probe(tree, probe, args)
+def run_tree(tree: Path, layer: str, cache: Path) -> dict[str, float]:
+    probe, args, _, _ = PROBES[layer]
+    if layer != "startup":
+        return run_probe(tree, probe, args)
+    cached = run_probe(tree, probe, args, cache)
+    return {**run_probe(tree, probe, args), "cached_import_s": cached["import_s"]}
 
 
 def summary(runs: list[float]) -> dict:
@@ -278,66 +322,91 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("output", type=Path)
+    parser.add_argument("--layers", default=",".join(LAYERS),
+                        help=f"comma-separated entries to measure (default {','.join(LAYERS)})")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    layers = args.layers.split(",")
+    if unknown := set(layers) - set(LAYERS):
+        parser.error(f"unknown layers: {', '.join(sorted(unknown))}")
 
     runs = {layer: {side: {} for side in SIDES} for layer in PROBES}
-    for k in range(ROUNDS):
-        for layer, (_, _, unit) in PROBES.items():
-            for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
-                for key, value in run_tree(trees[side], layer).items():
-                    runs[layer][side].setdefault(key, []).append(value)
-                print(f"round {k} {layer} {side} ({unit}): " + ", ".join(
-                    f"{key} {values[-1]:.1f}" for key, values in runs[layer][side].items()),
-                    file=sys.stderr)
+    with tempfile.TemporaryDirectory() as caches:
+        cache = {side: Path(caches) / side for side in SIDES}
+        if "startup" in layers:
+            # one untimed start per tree writes its bytecode caches
+            for side in SIDES:
+                run_probe(trees[side], STARTUP_PROBE, [], cache[side])
+        for k in range(max((PROBES[layer][3] for layer in layers if layer in PROBES), default=0)):
+            for layer, (_, _, unit, rounds) in PROBES.items():
+                if layer not in layers or k >= rounds:
+                    continue
+                for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
+                    for key, value in run_tree(trees[side], layer, cache[side]).items():
+                        runs[layer][side].setdefault(key, []).append(value)
+                    print(f"round {k} {layer} {side} ({unit}): " + ", ".join(
+                        f"{key} {values[-1]:.4g}" for key, values in runs[layer][side].items()),
+                        file=sys.stderr)
 
+    method = ("one fresh process per tree and round, the first tree alternating; "
+              "q1/q3 are the inclusive quartiles of the rounds")
+    entries = {
+        "layers": {
+            "command": "lyapunov_exponent(0.4, 1.1, 1.3, lane_steps // lanes, lanes, burn_in=0)",
+            "method": method,
+            "unit": PROBES["layers"][2],
+            "lane_steps": LANE_STEPS,
+            "lanes": compare(runs["layers"]),
+        },
+        "passage": {
+            "command": "_FirstPassage(seed, steps, update, 1e-6, 1e6, converged).run(lanes), "
+                       f"seeds 2, 3, ... until {PASSAGE_LANE_STEPS} lane-steps",
+            "method": method,
+            "unit": PROBES["passage"][2],
+            "rules": {name: dict(zip(("omega", "alpha1", "alpha2", "kappa_p_g"), rule))
+                      for name, rule in PASSAGE_RULES.items()},
+            "results": compare(runs["passage"]),
+        },
+        "lockstep": {
+            "command": f"lockstep(make_function(id, dim, seed=1), params, {ITERATIONS}, domain, "
+                       "seeds), 25 particles",
+            "method": method,
+            "unit": PROBES["lockstep"][2],
+            "shapes": {name: dict(zip(("function", "dim", "omegas", "alphas", "repetitions"),
+                                      shape))
+                       for name, shape in SHAPES.items()},
+            "results": compare(runs["lockstep"]),
+        },
+        "sweep": {
+            "command": f"run_sweep(SweepConfig(omegas, alphas, iterations={ITERATIONS}, "
+                       "repetitions=1, n_particles=25, dim=dim, master_seed=2))",
+            "method": method,
+            "unit": PROBES["sweep"][2],
+            "config": dict(zip(("omegas", "alphas", "dim"), SWEEP)),
+            "results": compare(runs["sweep"]),
+        },
+        "startup": {
+            "command": "import numpy, then time `import swarmcrit.cli` and count the modules "
+                       "it adds to sys.modules",
+            "method": method + "; import_s and modules without bytecode caches of the package, "
+                      "as the benchmark runs, cached_import_s with caches written outside the "
+                      "trees by one untimed start",
+            "unit": PROBES["startup"][2],
+            "results": compare(runs["startup"]),
+        },
+    }
     record = json.loads(args.output.read_text()) if args.output.exists() else {}
-    record["layers"] = {
-        "command": "lyapunov_exponent(0.4, 1.1, 1.3, lane_steps // lanes, lanes, burn_in=0)",
-        "method": "one fresh process per tree and round, the first tree alternating; "
-                  "q1/q3 are the inclusive quartiles of the rounds",
-        "unit": PROBES["layers"][2],
-        "lane_steps": LANE_STEPS,
-        "lanes": compare(runs["layers"]),
-    }
-    record["passage"] = {
-        "command": "_FirstPassage(seed, steps, update, 1e-6, 1e6, converged).run(lanes), "
-                   f"seeds 2, 3, ... until {PASSAGE_LANE_STEPS} lane-steps",
-        "method": "one fresh process per tree and round, the first tree alternating; "
-                  "q1/q3 are the inclusive quartiles of the rounds",
-        "unit": PROBES["passage"][2],
-        "rules": {name: dict(zip(("omega", "alpha1", "alpha2", "kappa_p_g"), rule))
-                  for name, rule in PASSAGE_RULES.items()},
-        "results": compare(runs["passage"]),
-    }
-    record["lockstep"] = {
-        "command": f"lockstep(make_function(id, dim, seed=1), params, {ITERATIONS}, domain, "
-                   "seeds), 25 particles",
-        "method": "one fresh process per tree and round, the first tree alternating; "
-                  "q1/q3 are the inclusive quartiles of the rounds",
-        "unit": PROBES["lockstep"][2],
-        "shapes": {name: dict(zip(("function", "dim", "omegas", "alphas", "repetitions"), shape))
-                   for name, shape in SHAPES.items()},
-        "results": compare(runs["lockstep"]),
-    }
-    record["sweep"] = {
-        "command": f"run_sweep(SweepConfig(omegas, alphas, iterations={ITERATIONS}, "
-                   "repetitions=1, n_particles=25, dim=dim, master_seed=2))",
-        "method": "one fresh process per tree and round, the first tree alternating; "
-                  "q1/q3 are the inclusive quartiles of the rounds",
-        "unit": PROBES["sweep"][2],
-        "config": dict(zip(("omegas", "alphas", "dim"), SWEEP)),
-        "results": compare(runs["sweep"]),
-    }
-    counts = {side: run_probe(trees[side], COUNT_PROBE, [str(CURVE_SEED), json.dumps(CURVES)])
-              for side in SIDES}
-    record["probes"] = {
-        "command": f"critical_curve(seed={CURVE_SEED}, **kwargs) with stability._bisection "
-                   "wrapped to count each point's requests by budget level",
-        "method": "one fresh process per tree; the counts do not vary from run to run",
-        "curves": {name: {"kwargs": kwargs, **{side: counts[side][name] for side in SIDES}}
-                   for name, kwargs in CURVES.items()},
-    }
+    record.update((layer, entries[layer]) for layer in layers if layer in entries)
+    if "probes" in layers:
+        counts = {side: run_probe(trees[side], COUNT_PROBE, [str(CURVE_SEED), json.dumps(CURVES)])
+                  for side in SIDES}
+        record["probes"] = {
+            "command": f"critical_curve(seed={CURVE_SEED}, **kwargs) with stability._bisection "
+                       "wrapped to count each point's requests by budget level",
+            "method": "one fresh process per tree; the counts do not vary from run to run",
+            "curves": {name: {"kwargs": kwargs, **{side: counts[side][name] for side in SIDES}}
+                       for name, kwargs in CURVES.items()},
+        }
     args.output.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
