@@ -104,9 +104,10 @@ def build_parser() -> _Parser:
     p.add_argument("--step", type=_positive, default=0.1, help="omega grid step (default 0.1)")
     p.add_argument("--tolerance", type=_positive, default=0.02, help="alpha tolerance (default 0.02)")
     p.add_argument("--method", choices=["lyapunov", "escape"], default="lyapunov",
-                   help="lyapunov (default) | escape; an escape probe runs a fixed budget "
-                        f"of {stability._ESCAPE_TRIALS} trials of at most "
-                        f"{stability._ESCAPE_MAX_STEPS} steps, and --steps/--trials, checked "
+                   help="lyapunov (default) | escape; an escape probe runs trials of at "
+                        f"most {stability._ESCAPE_MAX_STEPS} steps and starts at "
+                        f"{stability._ESCAPE_TRIALS} trials, doubling up to "
+                        f"{stability._ESCAPE_MAX_LEVEL} times, and --steps/--trials, checked "
                         "for both, apply to lyapunov only")
     p.add_argument("--steps", type=int, default=10_000, help="Lyapunov steps per probe (default 10000)")
     p.add_argument("--trials", type=int, default=16, help="Lyapunov trials per probe, >= 2 (default 16)")

@@ -57,9 +57,9 @@ level-(L - 1) probe, a Lyapunov orbit for twice the steps and a first
 passage with as many new lanes again, so no level redoes the work below
 it.  A point's result does not depend on the other points.  A caller of
 the critical search sets the split, the tolerance, the seed, the method
-and, for Lyapunov probes, the steps and trials; its bracket, top budget
-level, Lyapunov burn-in and escape budget are module constants, as are
-the neutral search's bracket and top budget level.
+and, for Lyapunov probes, the steps and trials; its bracket, each
+method's top budget level, the Lyapunov burn-in and the escape budget are
+module constants, as are the neutral search's bracket and top budget level.
 ``escape_probability`` and the neutral fractions always run every trial
 to its end.
 """
@@ -115,12 +115,14 @@ METHOD_ESCAPE = "ESCAPE_EQUALITY"
 # experiment's fixed radii
 _R_IN, _R_OUT = 1e-6, 1e6
 
-# the critical point's bisection bracket and highest budget level, the
-# Lyapunov probes' burn-in, and the escape probes' trials and step cap
+# the critical point's bisection bracket and the Lyapunov probes' highest
+# budget level and burn-in; the escape probes' first-level trials, step cap
+# and highest budget level, which tops out at 2_500 * 2**5 = 80_000 lanes
 _BRACKET = (0.05, 8.0)
 _MAX_LEVEL = 3
 _BURN_IN = 1000
-_ESCAPE_TRIALS, _ESCAPE_MAX_STEPS = 10_000, 20_000
+_ESCAPE_TRIALS, _ESCAPE_MAX_STEPS = 2_500, 20_000
+_ESCAPE_MAX_LEVEL = 5
 
 # the neutral boundary's bisection bracket and highest budget level
 _NEUTRAL_BRACKET = (0.25, 8.0)
@@ -1117,13 +1119,14 @@ def _critical_points(omegas, ratio, tolerance, seeds, method, steps, trials):
     if trials < 2:
         raise ValueError("a Lyapunov bisection needs trials >= 2")
     if method == "lyapunov":
-        kind = _lyapunov_kind(omegas, steps, trials, _BURN_IN)
+        max_level, kind = _MAX_LEVEL, _lyapunov_kind(omegas, steps, trials, _BURN_IN)
     elif method == "escape":
+        max_level = _ESCAPE_MAX_LEVEL
         kind = _passage_kind(_ESCAPE_TRIALS, _ESCAPE_MAX_STEPS,
                              lambda i, a1, a2: (_escape_update(omegas[i], a1, a2), None))
     else:
         raise ValueError(f"unknown method {method!r}")
-    return _solve(omegas, seeds, ratio, tolerance, *_BRACKET, _MAX_LEVEL, *kind)
+    return _solve(omegas, seeds, ratio, tolerance, *_BRACKET, max_level, *kind)
 
 
 def critical_alpha(
@@ -1141,13 +1144,13 @@ def critical_alpha(
     one point; with ``method="lyapunov"`` the sign probe is the Lyapunov
     estimate of ``trials`` orbits of ``steps`` steps after a burn-in of
     1000, and with ``method="escape"`` it is the difference between escape
-    and convergence probabilities over 10 000 trials of at most 20 000
+    and convergence probabilities over 2500 trials of at most 20 000
     steps.  ``omega`` must be finite and lie within [-1.1, 1.1].  A bracket
     endpoint must show a 3-sigma significant sign before bisection (a probe
     of exactly 0 shows none).  Near the root a probe that shows no
-    significant sign is continued at twice its budget, up to three times:
-    the Lyapunov orbits run twice the steps, or the escape probe adds as
-    many trials again.
+    significant sign is continued at twice its budget: the Lyapunov orbits
+    run twice the steps, up to three times, or the escape probe adds as
+    many trials again, up to five times (80 000 trials at most).
 
     With ``method="lyapunov"``, ``trials`` must be at least 2: a probe's
     error is the spread across its trials, and one trial has none.

@@ -22,7 +22,7 @@ def search_constants(monkeypatch):
     """``search_constants(burn_in=50, ...)`` sets the critical search's
     private constants for one test, so that it runs at a small budget: each
     keyword names ``stability._<KEYWORD>`` (``bracket``, ``max_level``,
-    ``burn_in``, ``escape_trials``, ``escape_max_steps``)."""
+    ``burn_in``, ``escape_trials``, ``escape_max_steps``, ``escape_max_level``)."""
 
     def fix(**values):
         for name, value in values.items():

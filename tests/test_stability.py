@@ -155,6 +155,18 @@ def test_critical_alpha_covers_the_exact_root_at_a_small_budget(ratio):
         assert abs(point.alpha - exact) <= point.std_error + tolerance, (seed, point)
 
 
+@pytest.mark.parametrize("ratio", [RATIO_EQUAL, RATIO_SOCIAL_ONLY])
+def test_escape_point_covers_the_exact_root_at_omega_zero(ratio):
+    # at omega = 0 the escape-equality root (default radii and step cap)
+    # sits about 0.006 inside the exact lambda = 0 root, within the tolerance
+    tolerance = 0.02
+    exact = _exact_alpha_c0(ratio)
+    for seed in range(1, 4):
+        point = critical_alpha(0.0, ratio=ratio, tolerance=tolerance, seed=seed, method="escape")
+        assert point.status == STATUS_OK, seed
+        assert abs(point.alpha - exact) <= point.std_error + tolerance, (seed, point)
+
+
 # ---------------------------------------------------------------- mean-square oracle
 #
 # M = A + s*B with s = alpha*r, A = [[omega, 0], [omega, 1]] and
@@ -1061,8 +1073,7 @@ def test_critical_alpha_probe_of_zero_without_error_decides_nothing(search_const
     assert math.isnan(point.alpha)
 
 
-def test_critical_alpha_methods_agree(search_constants):
-    search_constants(escape_trials=8000)
+def test_critical_alpha_methods_agree():
     by_lambda = critical_alpha(0.4, ratio=RATIO_EQUAL, tolerance=0.02, seed=20,
                                steps=10_000, trials=16)
     by_escape = critical_alpha(0.4, ratio=RATIO_EQUAL, tolerance=0.02, seed=21,
@@ -1485,12 +1496,13 @@ def test_escape_points_equal_one_probe_at_a_time(case, search_constants):
     grid, seed, budgets = _escape_case(case, search_constants)
     log = []
     reference = _reference_points(critical_alpha, _escape_probe, grid, _make_seed(seed),
-                                  stability._BRACKET, stability._MAX_LEVEL, log=log, **budgets)
+                                  stability._BRACKET, stability._ESCAPE_MAX_LEVEL, log=log,
+                                  **budgets)
     assert critical_curve(grid, seed=_make_seed(seed), **budgets).points == reference
     assert _per_point(grid, _make_seed(seed), **budgets) == reference
     # the ladder climbs to the top level, so probes are continued
-    assert stability._MAX_LEVEL == 3
-    assert 3 in {level for _, _, level, _ in log}
+    assert stability._ESCAPE_MAX_LEVEL == 5
+    assert 5 in {level for _, _, level, _ in log}
     if case == "mixed_statuses":
         assert [p.status for p in reference] == [STATUS_OK, STATUS_OK, STATUS_UNRESOLVED,
                                                  STATUS_NO_CROSSING]
@@ -1548,7 +1560,7 @@ def test_escape_curve_stops_probes_early(monkeypatch, search_constants):
     budgets = dict(method="escape", tolerance=0.05)
     passages = []
     reference = _reference_points(critical_alpha, _escape_probe, grid, 3, stability._BRACKET,
-                                  stability._MAX_LEVEL, passages=passages, **budgets)
+                                  stability._ESCAPE_MAX_LEVEL, passages=passages, **budgets)
     steps = _counted(monkeypatch, "_step")
     assert critical_curve(grid, seed=3, **budgets).points == reference
     assert steps["_step"] == sum(p.steps for p in passages)
@@ -1616,7 +1628,7 @@ def test_a_ladder_starts_each_lane_once(monkeypatch, search_constants, kind):
     if kind == "escape":
         grid, seed, budgets = _escape_case("mixed_statuses", search_constants)
         reference = _reference_points(critical_alpha, _escape_probe, grid, seed,
-                                      stability._BRACKET, stability._MAX_LEVEL, log=log,
+                                      stability._BRACKET, stability._ESCAPE_MAX_LEVEL, log=log,
                                       **budgets)
         assert critical_curve(grid, seed=seed, **budgets).points == reference
         trials = stability._ESCAPE_TRIALS

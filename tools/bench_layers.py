@@ -2,7 +2,8 @@
 at several lane counts and of the first-passage loop at two, µs per
 iteration of the lockstep optimiser at the two sweep shapes, µs per
 swarm-iteration of the suite sweep, and the cold start of the CLI; and the
-bisection's probe requests per critical-curve point.
+bisection's probe requests per critical-curve point, with an escape
+point's lanes started and lane-steps.
 
 Usage::
 
@@ -69,7 +70,13 @@ defaults) and the ``curve-lyapunov`` workload's curve, both at seed
 ``CURVE_SEED``.  A level-L request runs ``2**L`` times the level-0 budget
 (the Lyapunov steps, or the escape trials, of which it continues the
 level below), so a request at the top level is the most expensive a point
-asks.
+asks.  The requests count what a point asked, not what it cost: an escape
+probe can stop early, and the levels' budgets differ between trees whose
+ladders differ.  So for an escape curve the process also wraps
+``stability._start`` and ``stability._step`` and charges to the point whose
+request runs, as its first-passage probe answers that request at once,
+the lanes started (the sum of ``n``) and the lane-steps (the sum of
+``x.size`` over the escape update's steps).
 
 OUT.json gets, of the measured entries, a ``layers`` entry (Lyapunov), a
 ``passage`` entry, a ``lockstep`` entry, a ``sweep`` entry and a
@@ -78,9 +85,10 @@ shape, a sweep or a startup figure), each side's median, inclusive
 quartiles and runs, the ratio of the medians (change over parent) and
 ``change_lower_in_rounds``; and a ``probes`` entry with, per curve and
 tree, each point's requests by level, its ``std_error`` and status, and
-the curve's totals.  Other entries of an existing OUT.json, such as the
-ones ``tools/bench_pairs.py`` writes, are kept; run this after that
-script, which writes its file anew.
+the curve's totals, with, for an escape curve, the lanes started and
+lane-steps of each point and of the curve.  Other entries of an existing
+OUT.json, such as the ones ``tools/bench_pairs.py`` writes, are kept; run
+this after that script, which writes its file anew.
 """
 
 from __future__ import annotations
@@ -215,37 +223,52 @@ CURVES = {
 }
 CURVE_SEED = 1511
 
-# one process: each point's bisection requests by level, per curve of the
-# JSON argv[2]
+# one process: each point's bisection requests by level, and an escape
+# point's lanes started and lane-steps, per curve of the JSON argv[2]
 COUNT_PROBE = """
 import json, math, sys
 from swarmcrit import stability
 seed, curves = int(sys.argv[1]), json.loads(sys.argv[2])
-bisection, counts = stability._bisection, []
+bisection, start, step = stability._bisection, stability._start, stability._step
+counts, work, current = [], [], [0]
 def counted(*args):
-    levels = [0] * (args[-1] + 1)
+    levels, point = [0] * (args[-1] + 1), len(counts)
     counts.append(levels)
+    work.append({"lanes": 0, "lane_steps": 0})
     search, reply = bisection(*args), None
     try:
         while True:
             request = search.send(reply)
             levels[request[2]] += 1
+            current[0] = point
             reply = yield request
     except StopIteration as stop:
         return stop.value
+def started(rng, n):
+    work[current[0]]["lanes"] += n
+    return start(rng, n)
+def stepped(omega, ar, v, x, *rest):
+    work[current[0]]["lane_steps"] += x.size
+    return step(omega, ar, v, x, *rest)
 stability._bisection = counted
 out = {}
 for name, kwargs in curves.items():
     counts.clear()
+    work.clear()
+    escape = kwargs.get("method") == "escape"
+    stability._start, stability._step = (started, stepped) if escape else (start, step)
     curve = stability.critical_curve(seed=seed, **kwargs)
     out[name] = {
         "points": [{"omega": p.omega, "requests": sum(levels), "by_level": levels,
+                    **(cost if escape else {}),
                     "std_error": None if math.isnan(p.std_error) else p.std_error,
                     "status": p.status}
-                   for p, levels in zip(curve.points, counts)],
+                   for p, levels, cost in zip(curve.points, counts, work)],
         "requests": sum(map(sum, counts)),
         "by_level": [sum(column) for column in zip(*counts)],
     }
+    if escape:
+        out[name].update({key: sum(cost[key] for cost in work) for key in work[0]})
 print(json.dumps(out))
 """
 
@@ -402,7 +425,9 @@ def main(argv=None) -> int:
                   for side in SIDES}
         record["probes"] = {
             "command": f"critical_curve(seed={CURVE_SEED}, **kwargs) with stability._bisection "
-                       "wrapped to count each point's requests by budget level",
+                       "wrapped to count each point's requests by budget level, and for an "
+                       "escape curve stability._start and stability._step wrapped to count "
+                       "each point's lanes started and lane-steps",
             "method": "one fresh process per tree; the counts do not vary from run to run",
             "curves": {name: {"kwargs": kwargs, **{side: counts[side][name] for side in SIDES}}
                        for name, kwargs in CURVES.items()},
