@@ -3,7 +3,8 @@ random coefficient mixture and the weight draw ``_draw_weights`` that every
 stability estimator runs, and the two one-step maps the library runs, each
 written once: the homogeneous ``_step`` of the stability estimators, and
 ``affine_update``, the step with fixed best positions, of the optimiser and
-the scaled stability experiments.
+the scaled stability experiments (``_affine`` is its body, for loops that
+hold one ``np.errstate`` for all their steps).
 
 The homogeneous one-particle dynamics is ``z' = M z`` with ``z = (v, x)`` and
 
@@ -16,6 +17,7 @@ assembles ``M`` for the eigenvalue and determinant oracles.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -32,18 +34,15 @@ __all__ = [
 ]
 
 
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    """A ``SeedSequence`` to spawn from; a caller's ``SeedSequence`` is
-    copied, so spawning does not advance it and a repeated call with the
-    same object gets the same children."""
-    if not isinstance(seed, np.random.SeedSequence):
-        return np.random.SeedSequence(seed)
-    return np.random.SeedSequence(
-        seed.entropy,
-        spawn_key=seed.spawn_key,
-        pool_size=seed.pool_size,
-        n_children_spawned=seed.n_children_spawned,
-    )
+def _children(seed):
+    """The children ``SeedSequence(seed).spawn`` would give, in order, as an
+    endless generator.  A caller's ``SeedSequence`` is neither copied nor
+    advanced: its children start at its ``n_children_spawned``, so a
+    repeated call with the same object gets the same children."""
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    for i in itertools.count(ss.n_children_spawned):
+        yield np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, i),
+                                     pool_size=ss.pool_size)
 
 
 def _check_weights(alpha1, alpha2):
@@ -234,6 +233,21 @@ def _step(omega, ar, v, x, out=(None, None), work=None):
     return v_new, np.add(v_new, x, out[1])
 
 
+def _affine(omega, alpha1, alpha2, v, x, r1, r2, p, g, out=(None, None),
+            work=(None, None, None)):
+    """:func:`affine_update` without its ``np.errstate``, for loops that
+    hold one for all their steps."""
+    # one nested expression: the allocating form frees each temporary as
+    # soon as the operator expression did, so no extra one stays live
+    v_new = np.add(
+        np.add(np.multiply(omega, v, out[0]),
+               np.multiply(np.multiply(alpha1, r1, work[0]), np.subtract(p, x, work[2]),
+                           work[0]), out[0]),
+        np.multiply(np.multiply(alpha2, r2, work[1]), np.subtract(g, x, work[2]), work[1]),
+        out[0])
+    return v_new, np.add(x, v_new, out[1])
+
+
 def affine_update(omega, alpha1, alpha2, v, x, r1, r2, p, g, out=(None, None),
                   work=(None, None, None)):
     """Array form of the affine update with fixed best positions.
@@ -247,13 +261,5 @@ def affine_update(omega, alpha1, alpha2, v, x, r1, r2, p, g, out=(None, None),
     array is allocated; ``out`` may be ``(v, x)`` and ``work`` may begin
     with ``r1, r2``.  Every form rounds the same operations in the same order.
     """
-    # one nested expression: the allocating form frees each temporary as
-    # soon as the operator expression did, so no extra one stays live
     with np.errstate(over="ignore", invalid="ignore"):
-        v_new = np.add(
-            np.add(np.multiply(omega, v, out[0]),
-                   np.multiply(np.multiply(alpha1, r1, work[0]), np.subtract(p, x, work[2]),
-                               work[0]), out[0]),
-            np.multiply(np.multiply(alpha2, r2, work[1]), np.subtract(g, x, work[2]), work[1]),
-            out[0])
-        return v_new, np.add(x, v_new, out[1])
+        return _affine(omega, alpha1, alpha2, v, x, r1, r2, p, g, out, work)

@@ -172,8 +172,8 @@ def _run_batch(config: SweepConfig, functions, pairs) -> tuple[np.ndarray, np.nd
 def _median(a: np.ndarray) -> np.ndarray:
     """``np.median(a, axis=-1)`` bit for bit, in its own steps: the same
     partition, the mean of the middle one or two values, and NaN wherever
-    a row holds one.  ``np.median``'s NaN check imports ``numpy.ma``, tens
-    of milliseconds at a fresh interpreter's first call."""
+    a row holds one.  ``np.median``'s NaN check imports ``numpy.ma``, about
+    16 ms and 1.3 MB at a fresh interpreter's first call."""
     n = a.shape[-1]
     h = n // 2
     # NaNs partition last, as numpy's own kth list of -1 puts them
@@ -185,6 +185,27 @@ def _median(a: np.ndarray) -> np.ndarray:
         middle = (part[..., h - 1] + part[..., h] + 0.0) / 2
     last = part[..., -1]
     return np.where(np.isnan(last), last, middle)
+
+
+def _quantile(a: np.ndarray, q: float):
+    """``np.quantile(a, q)`` of a 1-d ``a`` with ``q`` in [0, 1], bit for bit,
+    in its own steps (numpy's NaN check imports ``numpy.ma``, as
+    :func:`_median` says): numpy's ``linear`` method, with the same
+    partition, the virtual index ``(n - 1) * q`` between its floor and the
+    next index, both the last one from ``n - 1`` on, and numpy's two-branch
+    interpolation; NaN if ``a`` holds one."""
+    n = a.size
+    virtual = (n - 1) * q
+    lo = hi = -1
+    if virtual < n - 1:
+        lo = math.floor(virtual)
+        hi = lo + 1
+    part = np.partition(a, sorted({0, -1, lo, hi}))
+    if np.isnan(part[-1]):
+        return part[-1]
+    below, above, t = part[lo], part[hi], virtual - lo
+    diff = above - below
+    return above - diff * (1 - t) if t >= 0.5 else below + diff * t
 
 
 def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepGrid:
@@ -299,7 +320,7 @@ def best_region(grid: SweepGrid, quantile: float = 0.1) -> list[tuple[float, flo
         raise ValueError("quantile must lie in (0, 1]")
     heatmap = aggregate_heatmap(grid)
     values = np.array([h[2] for h in heatmap])
-    threshold = np.quantile(values, quantile)
+    threshold = _quantile(values, quantile)
     return [h for h in heatmap if h[2] <= threshold]
 
 
@@ -334,7 +355,7 @@ def distance_to_curve(cells, curve: CriticalCurve) -> DistanceStats:
     arr = np.array(distances)
     return DistanceStats(
         mean=float(arr.mean()),
-        median=float(np.median(arr)),
+        median=float(_median(arr)),
         max=float(arr.max()),
         count=len(distances),
         skipped=skipped,

@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .benchmarks import BenchmarkFunction, _Stack
-from .dynamics import SwarmParams, _seed_sequence, affine_update
+from .dynamics import SwarmParams, _affine, _children
 
 __all__ = [
     "SwarmState",
@@ -63,7 +63,8 @@ _SWARM_DRAW_VALUES = 1 << 12
 
 
 def _as_bounds(bounds, dim: int) -> np.ndarray:
-    """Normalise bounds to a (dim, 2) array of [low, high] rows."""
+    """Normalise bounds to a (dim, 2) array of finite [low, high] rows whose
+    width ``high - low`` is finite too."""
     b = np.asarray(bounds, dtype=float)
     if b.size == 0:
         raise ValueError("bounds must be non-empty")
@@ -71,6 +72,11 @@ def _as_bounds(bounds, dim: int) -> np.ndarray:
         b = np.tile(b, (dim, 1))
     if b.shape != (dim, 2):
         raise ValueError(f"bounds must be (low, high) or shape ({dim}, 2)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = b[:, 1] - b[:, 0]
+    # a non-finite bound or an overflowing width would draw inf or NaN positions
+    if not np.isfinite(width).all():
+        raise ValueError("bounds and their widths high - low must be finite")
     if np.any(b[:, 0] >= b[:, 1]):
         raise ValueError("each bound must satisfy low < high")
     return b
@@ -193,8 +199,11 @@ class RunResult:
 
 
 def _uniform(seed, bounds: np.ndarray, n: int) -> np.ndarray:
-    """(n, dim) positions drawn uniformly within ``bounds``."""
-    return np.random.default_rng(seed).uniform(bounds[:, 0], bounds[:, 1], size=(n, len(bounds)))
+    """(n, dim) positions drawn uniformly within ``bounds``: the arithmetic
+    and the stream of ``Generator.uniform`` with per-coordinate bounds,
+    without its broadcasting call."""
+    low, high = bounds[:, 0], bounds[:, 1]
+    return low + (high - low) * np.random.default_rng(seed).random((n, len(bounds)))
 
 
 def _start(cost, positions: np.ndarray) -> SwarmState:
@@ -236,15 +245,14 @@ def _evaluate(cost, positions: np.ndarray, finite: np.ndarray | None,
     def call(f, points, ceiling):
         return f(points, _ceiling=ceiling) if bounded else f(points)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        if finite is None:
-            return call(cost, positions, ceiling)
-        whole = finite.all(axis=1)
-        out = np.full(finite.shape, np.inf)
-        if whole.any():
-            out[whole] = call(part(whole), positions[whole], ceiling[whole])
-        for b in np.flatnonzero(finite.any(axis=1) & ~whole):
-            out[b, finite[b]] = call(part(b), positions[b, finite[b]], ceiling[b, finite[b]])
+    if finite is None:
+        return call(cost, positions, ceiling)
+    whole = finite.all(axis=1)
+    out = np.full(finite.shape, np.inf)
+    if whole.any():
+        out[whole] = call(part(whole), positions[whole], ceiling[whole])
+    for b in np.flatnonzero(finite.any(axis=1) & ~whole):
+        out[b, finite[b]] = call(part(b), positions[b, finite[b]], ceiling[b, finite[b]])
     return out
 
 
@@ -255,13 +263,15 @@ def _advance(state: SwarmState, omega, alpha1, alpha2, r: np.ndarray, cost,
 
     ``omega``, ``alpha1`` and ``alpha2`` broadcast against (B, n, dim);
     ``r`` holds the (B, 2, n, dim) weights, ``r1`` then ``r2`` per swarm;
-    ``work`` is a (3, B, n, dim) scratch array.
+    ``work`` is a (3, B, n, dim) scratch array.  The caller holds an
+    ``np.errstate`` that ignores overflow and invalid operations, which the
+    update and the costs of a diverging swarm meet.
     """
     v, x = state.velocities, state.positions
     # the repeated global bests die with the call, before the cost's
     # temporaries, which set the loop's peak memory, are made
-    affine_update(omega, alpha1, alpha2, v, x, r[:, 0], r[:, 1], state.p_best,
-                  np.repeat(state.g_best[:, None], x.shape[1], axis=1), (v, x), work)
+    _affine(omega, alpha1, alpha2, v, x, r[:, 0], r[:, 1], state.p_best,
+            np.repeat(state.g_best[:, None], x.shape[1], axis=1), (v, x), work)
     # x' = x + v', so a non-finite velocity always makes the position
     # non-finite; the per-particle mask is needed only once one has overflowed
     finite = np.isfinite(x)
@@ -291,13 +301,13 @@ def lockstep(f, params, iterations: int, bounds, seeds, trace=None) -> SwarmStat
     the attraction weights are per swarm.  ``f`` maps a (B, n, dim) stack
     to (B, n) costs, each (n, dim) block evaluated as it would be alone
     (``BenchmarkFunction`` and a stack of them do; ``optimize`` calls any
-    other cost on each swarm's block).  Each seed is spawned into an
-    initialisation and a step generator (a caller's ``SeedSequence`` is
-    copied first, so it is not advanced and a repeated call gets the same
-    run), and per iteration each swarm draws ``r1`` then ``r2`` from its
-    step generator (a block of iterations per generator call, the same
-    stream), so every swarm follows exactly the run ``optimize`` gives for
-    its parameters and seed.
+    other cost on each swarm's block).  Each seed gives the two children
+    ``SeedSequence(seed).spawn(2)`` would to an initialisation and a step
+    generator (a caller's ``SeedSequence`` is not advanced, so a repeated
+    call gets the same run), and per iteration each swarm draws ``r1`` then
+    ``r2`` from its step generator (a block of iterations per generator
+    call, the same stream), so every swarm follows exactly the run
+    ``optimize`` gives for its parameters and seed.
     ``trace``, if given, is a (B, iterations) array that receives the
     global best costs after every iteration.  Returns the final batch state
     (see :class:`SwarmState`).  ``f`` is given the loop's own position
@@ -305,7 +315,7 @@ def lockstep(f, params, iterations: int, bounds, seeds, trace=None) -> SwarmStat
     keeps.  ``seeds`` must hold one seed per ``params`` entry, and there
     must be at least one swarm.
     """
-    children = [_seed_sequence(s).spawn(2) for s in seeds]
+    children = [_children(s) for s in seeds]
     if not len(children) == len(params) >= 1:
         raise ValueError("lockstep needs one seed per swarm and at least one swarm")
     n, dim = params[0].n_particles, params[0].dim
@@ -314,22 +324,25 @@ def lockstep(f, params, iterations: int, bounds, seeds, trace=None) -> SwarmStat
     weights = np.array([(p.omega, p.alpha1, p.alpha2) for p in params])[:, :, None, None]
     omega, alpha1, alpha2 = weights[:, 0], weights[:, 1], weights[:, 2]
     b = _as_bounds(bounds, dim)
-    state = _start(f, np.array([_uniform(init_ss, b, n) for init_ss, _ in children]))
-    rngs = [np.random.default_rng(step_ss) for _, step_ss in children]
+    # each swarm's first child seeds its start, its second its steps
+    state = _start(f, np.array([_uniform(next(c), b, n) for c in children]))
+    rngs = [np.random.default_rng(next(c)) for c in children]
     per_swarm = 2 * n * dim
     span = max(1, min(iterations, _SWARM_DRAW_VALUES // per_swarm,
                       _DRAW_VALUES // (len(rngs) * per_swarm)))
     draws = np.empty((len(rngs), span, 2, n, dim))
     work = np.empty((3, *state.positions.shape))
-    for t in range(iterations):
-        k = t % span
-        if k == 0:
-            # the last block draws only the iterations that are left
-            for rng, block in zip(rngs, draws):
-                rng.random(out=block[: iterations - t])
-        state = _advance(state, omega, alpha1, alpha2, draws[:, k], f, work)
-        if trace is not None:
-            trace[:, t] = state.g_best_cost
+    # a diverging swarm overflows; one errstate for the loop, not one a step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(iterations):
+            k = t % span
+            if k == 0:
+                # the last block draws only the iterations that are left
+                for rng, block in zip(rngs, draws):
+                    rng.random(out=block[: iterations - t])
+            state = _advance(state, omega, alpha1, alpha2, draws[:, k], f, work)
+            if trace is not None:
+                trace[:, t] = state.g_best_cost
     return state
 
 
@@ -356,8 +369,9 @@ def pso_step(state: SwarmState, params: SwarmParams, f,
     the incumbent).  Returns a new state; ``state`` is left unchanged.
     """
     r = rng.random((1, 2, state.n_particles, state.dim))
-    return _lower(_advance(_lift(state), params.omega, params.alpha1, params.alpha2, r,
-                           _batch(f), np.empty((3, *r[:, 0].shape))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _lower(_advance(_lift(state), params.omega, params.alpha1, params.alpha2, r,
+                               _batch(f), np.empty((3, *r[:, 0].shape))))
 
 
 def optimize(f, params: SwarmParams, iterations: int, bounds=(-100.0, 100.0), seed=None) -> RunResult:

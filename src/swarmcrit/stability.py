@@ -73,7 +73,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _check_weights, _draw_weights, _seed_sequence, _step, _weights, affine_update
+from .dynamics import (_affine, _check_weights, _children, _draw_weights, _step, _weights,
+                       affine_update)
 
 __all__ = [
     "NumericOverflowError",
@@ -617,8 +618,10 @@ class _FirstPassage:
     with either outcome and counts for one only if the other does not hold;
     a NaN lane never retires, and a lane still open after ``steps`` steps of
     its own leaves undecided.  Nothing is drawn once no lane is open.  The
-    lanes and ``u`` belong to the loop: ``update`` may overwrite all three,
-    and ``converged`` rows 0 and 1 of ``u``; only a retirement allocates.
+    loop ignores overflow and invalid operations, so ``update`` needs no
+    ``np.errstate`` of its own.  The lanes and ``u`` belong to the loop:
+    ``update`` may overwrite all three, and ``converged`` rows 0 and 1 of
+    ``u``; only a retirement allocates.
 
     Retirement keeps the open lanes in order, so each cohort is a run of
     them, the oldest first, and a cohort reaching its step cap leaves as a
@@ -654,9 +657,10 @@ class _FirstPassage:
         floats = np.empty(3 * x.size)
         conv_buf, esc_buf, done_buf = np.empty((3, x.size), dtype=bool)
         m = -1
-        # a squared norm past the float range is inf, which decides its lane;
-        # one errstate for the loop, not one a step
-        with np.errstate(over="ignore"):
+        # a squared norm past the float range is inf, which decides its lane,
+        # and an update may overflow or meet inf - inf; one errstate for the
+        # loop, not one a step
+        with np.errstate(over="ignore", invalid="ignore"):
             while True:
                 while cohorts and cohorts[0][0] == t:
                     k = cohorts.pop(0)[1]
@@ -956,11 +960,11 @@ def _bisection(seed, ratio, lo, hi, tolerance, omega, max_level):
     """
     if not tolerance >= 0.000625:
         raise ValueError("tolerance must be >= 0.000625")
-    ss = _seed_sequence(seed)
+    children = _children(seed)
 
     def significant(alpha):
         """Raise the level until the probe's sign is nonzero; 0 if it never is."""
-        child = ss.spawn(1)[0]
+        child = next(children)
         for level in range(max_level + 1):
             sign = yield (*split_alpha(alpha, ratio), level, child)
             if sign:
@@ -1081,7 +1085,7 @@ def _grid(omega_grid, seed):
         raise ValueError("omega_grid must be non-empty")
     if any(b <= a for a, b in zip(omegas, omegas[1:])):
         raise ValueError("omega_grid must be strictly increasing")
-    return omegas, _seed_sequence(seed).spawn(len(omegas))
+    return omegas, [child for _, child in zip(omegas, _children(seed))]
 
 
 def _passage_kind(trials, steps, rules):
@@ -1306,7 +1310,7 @@ def _neutral_rules(omega, alpha1, alpha2, segment):
     p_eff, g_eff, bounds = segment
 
     def update(u, v, x):
-        return affine_update(omega, alpha1, alpha2, v, x, u[0], u[1], p_eff, g_eff, (v, x), u)
+        return _affine(omega, alpha1, alpha2, v, x, u[0], u[1], p_eff, g_eff, (v, x), u)
 
     if bounds is None:
         return update, None

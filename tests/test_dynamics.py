@@ -6,6 +6,7 @@ import pytest
 from swarmcrit.dynamics import (
     MixtureWeight,
     SwarmParams,
+    _children,
     _draw_weights,
     _step,
     affine_update,
@@ -284,3 +285,27 @@ def test_step_affine_shift_equivariance():
     moved_v, moved_x = affine_update(0.5, 0.8, 1.1, v, x + c, r1, r2, p + c, g + c)
     assert np.allclose(moved_v, base_v, atol=1e-12)
     assert np.allclose(moved_x, base_x + c, atol=1e-12)
+
+
+# ---------------------------------------------------------------- seeding
+
+
+def _spawned(n, pool_size=4):
+    ss = np.random.SeedSequence(1511, pool_size=pool_size)
+    ss.spawn(n)
+    return ss
+
+
+@pytest.mark.parametrize("seed", [7, _spawned(3), _spawned(0, pool_size=8)],
+                         ids=["int", "spawned_three", "pool_size_8"])
+def test_children_are_the_spawned_children_and_do_not_advance_the_seed(seed):
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    count = ss.n_children_spawned
+    copy = np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key, pool_size=ss.pool_size,
+                                  n_children_spawned=count)
+    want = [c.generate_state(4).tolist() for c in copy.spawn(5)]
+    for _ in range(2):
+        children = _children(seed)
+        got = [next(children).generate_state(4).tolist() for _ in range(5)]
+        assert got == want
+    assert ss.n_children_spawned == count

@@ -33,3 +33,26 @@ def test_cli_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_sweep_and_region_load_no_numpy_ma(tmp_path):
+    # ``np.median`` and ``np.quantile`` import numpy.ma for their NaN check;
+    # the region command's statistics take their own steps
+    from swarmcrit.stability import CriticalCurve, CriticalPoint
+
+    CriticalCurve((CriticalPoint(0.2, 3.0, 0.01), CriticalPoint(0.6, 2.0, 0.01)),
+                  "equal", "LYAPUNOV_BISECTION").to_csv(tmp_path / "curve.csv")
+    src = Path(swarmcrit.__file__).parents[1]
+    code = ("import sys\n"
+            "from swarmcrit.cli import dispatch\n"
+            "assert dispatch(['sweep', '--functions', 'rastrigin', '--dim', '2', "
+            "'--particles', '4', '--iterations', '5', '--omega-min', '0.2', '--omega-max', "
+            "'0.6', '--omega-step', '0.2', '--alpha-min', '1', '--alpha-max', '3', "
+            "'--alpha-step', '1', '--repetitions', '2', '--output', 'sweep.csv']) == 0\n"
+            "assert dispatch(['region', '--sweep', 'sweep.csv', '--curve', 'curve.csv', "
+            "'--quantile', '0.5', '--output', 'region.csv', '--stats', 'stats.json']) == 0\n"
+            "print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

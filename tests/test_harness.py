@@ -215,6 +215,24 @@ def test_cell_statistics_over_the_repetition_axis_equal_per_cell_calls():
                 assert medians[cell].tobytes() == np.median(best[cell]).tobytes(), (reps, cell)
 
 
+def test_vector_quantile_and_median_equal_numpy_bitwise():
+    # region's statistics run these in place of np.quantile and np.median,
+    # whose NaN check imports numpy.ma; ties, signed zeros, infinities and
+    # NaN included
+    rng = np.random.default_rng(32)
+    pool = np.array([0.0, -0.0, 1.0, 0.25, 5e-324, np.inf, -np.inf, np.nan])
+    vectors = [[0.3], [-0.0], [np.inf], [np.nan], [2.0, 2.0, 2.0], [0.0, -0.0, -0.0, 0.0],
+               [1.0, np.inf], [-np.inf, np.inf], [0.5, np.nan, 0.1]]
+    for n in range(1, 40):
+        vectors += [rng.lognormal(0.0, 3.0, n), rng.choice(pool[:-1], n), rng.choice(pool, n)]
+    for a in map(np.array, vectors):
+        with np.errstate(invalid="ignore"):
+            assert harness._median(a).tobytes() == np.median(a).tobytes(), a
+            for q in (1e-9, 0.1, 0.5, 1.0, float(rng.random())):
+                want = np.float64(np.quantile(a, q)).tobytes()
+                assert np.float64(harness._quantile(a, q)).tobytes() == want, (a, q)
+
+
 def test_sweep_csv_roundtrip(tmp_path):
     grid = run_sweep(_tiny_config())
     path = tmp_path / "sweep.csv"

@@ -60,6 +60,18 @@ def test_init_rejects_bad_bounds():
         init_swarm(params, np.zeros((2, 3)), sphere, seed=1)
 
 
+@pytest.mark.parametrize("bounds", [(-1e308, 1e308), (np.nan, 1.0), (0.0, np.inf),
+                                    [(-1.0, 1.0), (-np.inf, 0.0)]],
+                         ids=["overflowing_width", "nan", "inf", "one_row_inf"])
+def test_bounds_and_their_width_must_be_finite(bounds):
+    # a width past the float range would draw inf or NaN positions
+    params = SwarmParams(0.7, 0.7, 0.7, n_particles=3, dim=2)
+    with pytest.raises(ValueError, match="finite"):
+        optimize(sphere, params, 5, bounds=bounds, seed=1)
+    with pytest.raises(ValueError, match="finite"):
+        init_swarm(params, bounds, sphere, seed=1)
+
+
 def test_init_per_dimension_bounds():
     params = SwarmParams(0.7, 0.7, 0.7, n_particles=50, dim=2)
     state = init_swarm(params, [(-1.0, 0.0), (10.0, 20.0)], sphere, seed=4)

@@ -1573,10 +1573,10 @@ def test_neutral_curve_stops_probes_early(monkeypatch):
     reference = _reference_points(neutral_alpha, _neutral_probe, _NEUTRAL_GRID, 3,
                                   stability._NEUTRAL_BRACKET, stability._NEUTRAL_MAX_LEVEL,
                                   passages=passages, config=config, tolerance=0.05)
-    steps = _counted(monkeypatch, "affine_update")
+    steps = _counted(monkeypatch, "_affine")
     curve = neutral_stability_curve(config, _NEUTRAL_GRID, seed=3, tolerance=0.05)
     assert curve.points == reference
-    assert steps["affine_update"] == sum(p.steps for p in passages)
+    assert steps["_affine"] == sum(p.steps for p in passages)
     assert sum(p.early_stops for p in passages) > 0
 
 

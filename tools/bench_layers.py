@@ -1,20 +1,20 @@
 """Layer timing of two source trees: ns per lane-step of the Lyapunov orbit
 at several lane counts and of the first-passage loop at two, µs per
 iteration of the lockstep optimiser at the two sweep shapes, µs per
-swarm-iteration of the suite sweep, and the cold start of the CLI; and the
-bisection's probe requests per critical-curve point, with an escape
-point's lanes started and lane-steps.
+swarm-iteration of the suite sweep, the cold start of the CLI and a cold
+``region`` call; and the bisection's probe requests per critical-curve
+point, with an escape point's lanes started and lane-steps.
 
 Usage::
 
     python tools/bench_layers.py PARENT CHANGE OUT.json [--layers startup,probes]
 
 ``--layers`` names the entries to measure, of ``layers`` (Lyapunov),
-``passage``, ``lockstep``, ``sweep``, ``startup`` and ``probes``; the
-default is all of them.  Each of ``ROUNDS`` rounds (``STARTUP_ROUNDS`` for
-the startup layer) runs, per timing layer, one fresh process per tree (the
-package under ``<tree>/src``), alternating which tree runs first from one
-round to the next.
+``passage``, ``lockstep``, ``sweep``, ``startup``, ``region`` and
+``probes``; the default is all of them.  Each of ``ROUNDS`` rounds
+(``STARTUP_ROUNDS`` for the startup and region layers) runs, per timing
+layer, one fresh process per tree (the package under ``<tree>/src``),
+alternating which tree runs first from one round to the next.
 
 Lyapunov layer: a lane is one trial of ``stability.lyapunov_exponent``; a
 lane-step is one lane advanced one step.  The process times, at each of
@@ -62,6 +62,16 @@ and once with caches in a temporary directory outside the trees, written
 by one untimed start per tree before the first round
 (``cached_import_s``).
 
+Region layer: before the first round, each tree writes one small valley
+sweep CSV with its own ``sweep`` command (``REGION_SWEEP``: the
+``sweep-valley`` grid at 20 iterations), untimed.  The process imports
+``swarmcrit.cli``, then times one ``dispatch`` of the ``sweep-valley``
+workload's ``region`` call on that CSV, with the tree's
+``bench/reference_curve.csv`` as the curve and ``--stats``, the first
+call of the process as in the benchmark (``region_s``); it counts the
+modules the call adds to ``sys.modules`` (``modules``) and reads the
+process's peak resident memory after it (``maxrss_mb``, ``ru_maxrss``).
+
 Probe layer: not a timing, so it runs once per tree.  The process wraps
 ``stability._bisection`` so that it counts the probe requests of each
 critical point, by budget level, and solves each of ``CURVES``: the
@@ -79,9 +89,9 @@ the lanes started (the sum of ``n``) and the lane-steps (the sum of
 ``x.size`` over the escape update's steps).
 
 OUT.json gets, of the measured entries, a ``layers`` entry (Lyapunov), a
-``passage`` entry, a ``lockstep`` entry, a ``sweep`` entry and a
-``startup`` entry with, per key (a lane count, a rule at a lane count, a
-shape, a sweep or a startup figure), each side's median, inclusive
+``passage`` entry, a ``lockstep`` entry, a ``sweep`` entry, a ``startup``
+entry and a ``region`` entry with, per key (a lane count, a rule at a lane
+count, a shape, a sweep, a startup or a region figure), each side's median, inclusive
 quartiles and runs, the ratio of the medians (change over parent) and
 ``change_lower_in_rounds``; and a ``probes`` entry with, per curve and
 tree, each point's requests by level, its ``std_error`` and status, and
@@ -284,6 +294,37 @@ import json
 print(json.dumps({"import_s": time.perf_counter() - t, "modules": len(sys.modules) - before}))
 """
 
+# the sweep-valley workload's sweep at 20 iterations, for the region layer
+REGION_SWEEP = ["sweep", "--functions", "rastrigin", "--dim", "2", "--particles", "25",
+                "--iterations", "20", "--omega-min", "-1.1", "--omega-max", "1.1",
+                "--omega-step", "0.2", "--alpha-min", "0.25", "--alpha-max", "5",
+                "--alpha-step", "0.5", "--repetitions", "2", "--seed", "1"]
+
+# one process: the CLI call argv[1:], which must succeed
+CLI_PROBE = """
+import sys
+from swarmcrit.cli import dispatch
+assert dispatch(sys.argv[1:]) == 0
+print("{}")
+"""
+
+# one process: after importing the CLI, the wall seconds of the region call
+# on the sweep CSV argv[1] and the curve CSV argv[2], writing into the
+# directory argv[3], the modules the call adds and the peak RSS after it
+REGION_PROBE = """
+import json, resource, sys, time
+from swarmcrit.cli import dispatch
+sweep, curve, out = sys.argv[1:]
+before = len(sys.modules)
+t = time.perf_counter()
+code = dispatch(["region", "--sweep", sweep, "--curve", curve, "--quantile", "0.1",
+                 "--output", out + "/region.csv", "--stats", out + "/region.json"])
+region_s = time.perf_counter() - t
+assert code == 0
+print(json.dumps({"region_s": region_s, "modules": len(sys.modules) - before,
+                  "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
 # entry of OUT.json: (probe, its arguments, the unit of its values, rounds)
 PROBES = {
     "layers": (LYAPUNOV_PROBE, [str(LANE_STEPS), *map(str, LANES)], "ns per lane-step", ROUNDS),
@@ -295,6 +336,9 @@ PROBES = {
               ROUNDS),
     "startup": (STARTUP_PROBE, [], "s (import_s, cached_import_s), modules (modules)",
                 STARTUP_ROUNDS),
+    # the arguments name each tree's own files, so run_tree fills them in
+    "region": (REGION_PROBE, [], "s (region_s), modules (modules), MB (maxrss_mb)",
+               STARTUP_ROUNDS),
 }
 
 
@@ -315,7 +359,12 @@ def run_probe(tree: Path, probe: str, args: list[str], cache: Path | None = None
 
 
 def run_tree(tree: Path, layer: str, cache: Path) -> dict[str, float]:
+    """One process of ``layer`` in ``tree``; ``cache`` is the tree's own
+    directory outside the trees, for bytecode and the region layer's files."""
     probe, args, _, _ = PROBES[layer]
+    if layer == "region":
+        return run_probe(tree, probe, [str(cache / "sweep.csv"),
+                                       str(tree / "bench" / "reference_curve.csv"), str(cache)])
     if layer != "startup":
         return run_probe(tree, probe, args)
     cached = run_probe(tree, probe, args, cache)
@@ -360,6 +409,12 @@ def main(argv=None) -> int:
             # one untimed start per tree writes its bytecode caches
             for side in SIDES:
                 run_probe(trees[side], STARTUP_PROBE, [], cache[side])
+        if "region" in layers:
+            # each tree's own sweep writes the CSV its region calls read
+            for side in SIDES:
+                cache[side].mkdir(exist_ok=True)
+                run_probe(trees[side], CLI_PROBE,
+                          [*REGION_SWEEP, "--output", str(cache[side] / "sweep.csv")])
         for k in range(max((PROBES[layer][3] for layer in layers if layer in PROBES), default=0)):
             for layer, (_, _, unit, rounds) in PROBES.items():
                 if layer not in layers or k >= rounds:
@@ -416,6 +471,16 @@ def main(argv=None) -> int:
                       "trees by one untimed start",
             "unit": PROBES["startup"][2],
             "results": compare(runs["startup"]),
+        },
+        "region": {
+            "command": "import swarmcrit.cli, then time one dispatch(['region', '--sweep', "
+                       "SWEEP, '--curve', 'bench/reference_curve.csv', '--quantile', '0.1', "
+                       "'--output', ..., '--stats', ...]), count the modules it adds to "
+                       "sys.modules and read ru_maxrss after it",
+            "method": method + "; SWEEP written once per tree by its own sweep command, untimed",
+            "unit": PROBES["region"][2],
+            "sweep": " ".join(REGION_SWEEP),
+            "results": compare(runs["region"]),
         },
     }
     record = json.loads(args.output.read_text()) if args.output.exists() else {}
