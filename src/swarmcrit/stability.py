@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,7 +267,9 @@ class ScalingConfig:
     """Configuration of the scaled finite-time stability experiment.
 
     ``kappa`` multiplies the best positions ``p`` and ``g``; trajectories
-    start from the unit circle in phase space.
+    start from the unit circle in phase space.  The scaled bests may
+    coincide only at 0, where convergence is the phase norm reaching the
+    inner radius.
     """
 
     kappa: float
@@ -284,6 +286,9 @@ class ScalingConfig:
         # inf or NaN if either product or the segment width overflows
         if not math.isfinite(self.kappa * self.p - self.kappa * self.g):
             raise ValueError("kappa*p, kappa*g and their difference must be finite")
+        # the radius rule that stands in for the segment test measures from 0
+        if self.kappa * self.p == self.kappa * self.g != 0.0:
+            raise ValueError("kappa*p and kappa*g may coincide only at 0")
         if self.iterations < 1 or self.repetitions < 1:
             raise ValueError("iterations and repetitions must be >= 1")
 
@@ -1162,7 +1167,12 @@ def critical_alpha(
     Returns a :class:`CriticalPoint` whose status is ``NO_CROSSING`` if no
     significant sign change exists in the bracket and ``UNRESOLVED`` if the
     adaptive budget cannot separate the probe from zero (expected near
-    ``omega = +-1``).
+    ``omega = +-1``).  An ``OK`` point is the midpoint of the last bracket
+    and its ``std_error`` the bracket's half-width: at most ``tolerance``,
+    unless the bisection stopped at a midpoint whose probe showed no
+    significant sign even at the top budget level, where it can be far
+    above ``tolerance`` (the escape curve at CLI defaults, seed 0, gives
+    ``omega = 0.9`` as 3.0312 +- 0.9938).
     """
     return _critical_points([_check_omega(omega)], ratio, tolerance, [seed], method, steps,
                             trials)[0]
@@ -1183,9 +1193,11 @@ def critical_curve(
     [-1.1, 1.1].  All points run through one solver call; point ``i`` is
     the :func:`critical_alpha` result for the ``i``-th child of ``seed`` and
     the given budget.  A point that finds no crossing or cannot resolve the
-    root carries its status marker.  A numeric failure of a probe is not a
-    status: it raises :class:`NumericOverflowError`, for the lowest failing
-    ``omega``, as a loop over the grid would.
+    root carries its status marker; an ``OK`` point can have a
+    ``std_error`` above ``tolerance``, as :func:`critical_alpha` says.  A
+    numeric failure of a probe is not a status: it raises
+    :class:`NumericOverflowError`, for the lowest failing ``omega``, as a
+    loop over the grid would.
     """
     omegas, seeds = _grid(omega_grid, seed)
     points = _critical_points(omegas, ratio, tolerance, seeds, method, steps, trials)
@@ -1244,58 +1256,24 @@ def finite_time_lyapunov(
     return float(np.log(np.mean(np.hypot(x, v))) / steps)
 
 
-def _float_key(y):
-    """The rank of the float ``y`` among the non-NaN floats, as an int that
-    rises with ``y`` (+0 and -0 share 0)."""
-    (bits,) = struct.unpack("<q", struct.pack("<d", y))
-    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
-
-
-def _key_float(key):
-    """The float of rank ``key`` (+0 for 0): the inverse of :func:`_float_key`."""
-    return struct.unpack("<d", struct.pack("<q", key if key >= 0 else -key | -(1 << 63)))[0]
-
-
-def _first_true(holds):
-    """The least float where ``holds`` is true, for a ``holds`` false at
-    -inf, true at +inf, and true at every float above one where it is:
-    bisection over the floats' ranks, at most 64 calls of ``holds``."""
-    lo, hi = _float_key(-math.inf), _float_key(math.inf)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if holds(_key_float(mid)):
-            hi = mid
-        else:
-            lo = mid
-    return _key_float(hi)
-
-
 def _neutral_segment(config, r_in):
     """The neutral experiment's scaled bests ``(p_eff, g_eff)`` and the
-    floats ``(x_lo, x_hi)`` that bound the positions within
-    ``r_in * |p - g|`` of the segment between them, None for coincident
-    bests.  They depend on neither the inertia nor the weights, so a curve
-    finds them once."""
+    bounds ``(x_lo, x_hi)`` of the positions within ``r_in * |p - g|`` of
+    the segment between them, each rounded once, or None for bests that
+    coincide (at 0, as :class:`ScalingConfig` requires).  They depend on
+    neither the inertia nor the weights, so a curve finds them once."""
     p_eff = config.kappa * config.p
     g_eff = config.kappa * config.g
-    seg_lo = min(p_eff, g_eff)
-    seg_hi = max(p_eff, g_eff)
+    seg_lo = float(min(p_eff, g_eff))
+    seg_hi = float(max(p_eff, g_eff))
     width = seg_hi - seg_lo
     if width == 0.0:
         return p_eff, g_eff, None
     thr = r_in * width
-    # The rule is max(max(seg_lo - x, x - seg_hi), 0) <= thr in float
-    # arithmetic.  With thr >= 0 (0 once r_in * width underflows), and no
-    # operand NaN, it holds exactly when fl(seg_lo - x) <= thr and
-    # fl(x - seg_hi) <= thr.  Rounding is monotone, so fl(seg_lo - x) falls
-    # and fl(x - seg_hi) rises as x rises; with seg_lo, seg_hi and thr
-    # finite, each test fails at one infinity and holds at the other, so it
-    # holds on a ray of floats, x >= x_lo and x <= x_hi, whose end
-    # _first_true bisects for (x_hi as the mirror image of the least y with
-    # fl(-y - seg_hi) <= thr).  A NaN x fails both forms, +inf fails the
-    # second and -inf the first; +0 and -0 pass or fail together.
-    x_lo = _first_true(lambda y: seg_lo - y <= thr)
-    x_hi = -_first_true(lambda y: -y - seg_hi <= thr)
+    # a bound past the float range is clamped to it, so that an infinite
+    # position never passes; Python floats overflow without a warning
+    x_lo = max(seg_lo - thr, -sys.float_info.max)
+    x_hi = min(seg_hi + thr, sys.float_info.max)
     return p_eff, g_eff, (x_lo, x_hi)
 
 
@@ -1303,7 +1281,7 @@ def _neutral_rules(omega, alpha1, alpha2, segment):
     """The neutral experiment's ``(update, converged)`` for
     :class:`_FirstPassage`, from the unit circle, with the bests and bounds
     ``segment`` of :func:`_neutral_segment`.  A lane converges when its
-    position lies within the bounds, or, with coincident bests
+    position lies within the bounds, or, with both bests at 0
     (``converged`` None), when its phase norm drops below ``r_in``; it
     diverges when the phase norm reaches ``r_out``, and counts for neither
     if it passes both at once."""
@@ -1345,7 +1323,11 @@ def neutral_alpha(
     ``omega`` must be finite and lie within [-1.1, 1.1].  The radii are
     fixed at ``r_in = 1e-6`` and ``r_out = 1e6``, the bisection bracket is
     ``(0.25, 8]``, and near the root a probe that shows no significant sign
-    is continued with as many repetitions again, up to twice."""
+    is continued with as many repetitions again, up to twice.  An ``OK``
+    point's ``std_error`` is the last bracket's half-width: at most
+    ``tolerance``, unless the bisection stopped at a midpoint whose probe
+    showed no significant sign even at the top budget level, where it can
+    be far above ``tolerance``."""
     return _neutral_points([_check_omega(omega)], config, ratio, tolerance, [seed])[0]
 
 

@@ -68,6 +68,7 @@ _INVALID = {
     "scaling-iterations-zero": ["scaling", "--kappa", "1", "--iterations", "0",
                                 "--repetitions", "10"],
     "scaling-kappa-p-overflow": ["scaling", "--kappa", "1e200", "--p", "1e200", "--g", "0"],
+    "scaling-coincident-bests": ["scaling", "--kappa", "1", "--p", "0.3", "--g", "0.3"],
     "curve-one-trial": ["curve", "--omega-min", "0.4", "--omega-max", "0.4", "--steps", "200",
                         "--trials", "1"],
     # the escape method runs no Lyapunov probe, but records its budget

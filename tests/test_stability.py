@@ -1,6 +1,7 @@
 import collections
 import inspect
 import math
+import sys
 import warnings
 from dataclasses import astuple
 
@@ -683,10 +684,17 @@ def _escape_reference_rules(omega, a1, a2, r_in):
     return step, lambda x, norm2: norm2 <= r_in * r_in
 
 
+def _rounded_bounds(lo, hi, thr):
+    """The segment ``[lo, hi]`` moved out by ``thr`` at each end, each bound
+    rounded once and held within the float range."""
+    return max(lo - thr, -sys.float_info.max), min(hi + thr, sys.float_info.max)
+
+
 def _neutral_reference_rules(omega, a1, a2, config, r_in):
     """The neutral experiment's per-step ``(step, near)``."""
     p, g = config.kappa * config.p, config.kappa * config.g
     lo, hi = min(p, g), max(p, g)
+    x_lo, x_hi = _rounded_bounds(lo, hi, r_in * (hi - lo))
 
     def step(v, x, u1, u2):
         v = omega * v + a1 * u1 * (p - x) + a2 * u2 * (g - x)
@@ -695,7 +703,7 @@ def _neutral_reference_rules(omega, a1, a2, config, r_in):
     def near(x, norm2):
         if hi == lo:
             return norm2 <= r_in * r_in
-        return np.maximum(np.maximum(lo - x, x - hi), 0.0) <= r_in * (hi - lo)
+        return (x >= x_lo) & (x <= x_hi)
 
     return step, near
 
@@ -731,9 +739,10 @@ _FIRST_PASSAGE_CASES = {
     "wide": (0.4, 2.55, 2.55, 1e-6, 1e6, 60, 30_000),
 }
 
-# (kappa, p, g): a segment between the bests, a point, and coincident zeros;
-# with the near radii, lanes of the wide segment pass both tests at once
-_NEUTRAL_CONFIGS = {"segment": (0.5, 0.1, 0.0), "degenerate": (1.0, 0.3, 0.3),
+# (kappa, p, g): a segment between the bests, a nearly degenerate one (1e-8
+# wide; bests may coincide only at 0), and coincident zeros; with the near
+# radii, lanes of the wide segment pass both tests at once
+_NEUTRAL_CONFIGS = {"segment": (0.5, 0.1, 0.0), "degenerate": (1.0, 0.3, 0.30000001),
                     "origin": (1.0, 0.0, 0.0), "wide_segment": (1.0, 1.0, -1.0)}
 
 
@@ -900,7 +909,8 @@ def _rule_ends(lo, hi, thr):
     infinities."""
     def holds(x):
         x = np.float64(x)
-        return bool(np.maximum(np.maximum(lo - x, x - hi), 0.0) <= thr)
+        with np.errstate(over="ignore"):
+            return bool(np.maximum(np.maximum(lo - x, x - hi), 0.0) <= thr)
 
     ends = []
     for inside, outside in ((lo, -math.inf), (hi, math.inf)):
@@ -913,10 +923,11 @@ def _rule_ends(lo, hi, thr):
 
 
 # (kappa, p, g, r_in): segments with p above and below g whose threshold
-# r_in * width is a normal float, a subnormal one and 0; and segments whose
+# r_in * width is a normal float, a subnormal one and 0; segments whose
 # threshold equals or nearly equals the distance of one end from 0, so that
 # seg_lo - thr (or seg_hi + thr) cancels to 0 or to a float far finer than
-# the steps of the rule near it
+# the steps of the max-distance rule near it; and a segment whose low bound
+# overflows
 _SEGMENTS = {
     "normal_p_above_g": (0.1, 0.1, 0.0, 1e-6),
     "normal_p_below_g": (0.5, -0.3, 0.7, 1e-6),
@@ -929,14 +940,16 @@ _SEGMENTS = {
     "cancel_high_end": (1.0, -1.0, -9.999990000009998e-07, 1e-6),
     "near_cancel_low_end": (1.0, 1.0, 1e-6, 1e-6),
     "near_cancel_high_end": (1.0, -1.0, -1e-6, 1e-6),
+    "bound_overflows": (1.0, -1.7976931348623157e308, 0.0, 1e-6),
 }
 
 
 @pytest.mark.parametrize("segment", list(_SEGMENTS))
-def test_neutral_segment_rule_equals_max_distance_rule(segment):
-    # the neutral experiment's segment test, two comparisons against
-    # thresholds, and the max-distance rule it replaced, on the floats
-    # around both segment ends, both thresholds and both ends of the rule
+def test_neutral_segment_rule_is_two_rounded_bounds(segment):
+    # the neutral experiment's segment test is x >= fl(lo - thr) and
+    # x <= fl(hi + thr), on the floats around both segment ends, both
+    # bounds and both ends of the max-distance rule; it leaves that rule
+    # only within a rounding of a bound, as the ulp of the largest operand
     kappa, p, g, r_in = _SEGMENTS[segment]
     lo, hi = sorted((kappa * p, kappa * g))
     thr = r_in * (hi - lo)
@@ -944,6 +957,7 @@ def test_neutral_segment_rule_equals_max_distance_rule(segment):
     assert (0.0 < thr < 2.0**-1022) == segment.startswith("subnormal")
     if segment.startswith("cancel"):
         assert (lo - thr if segment.endswith("low_end") else hi + thr) == 0.0
+    assert (lo - thr == -math.inf) == (segment == "bound_overflows")
     x = np.array(_floats_around([lo, hi, lo - thr, hi + thr, *_rule_ends(lo, hi, thr)])
                  + [0.0, -0.0, np.inf, -np.inf, np.nan])
     bests_and_bounds = stability._neutral_segment(ScalingConfig(kappa, p, g), r_in)
@@ -953,30 +967,19 @@ def test_neutral_segment_rule_equals_max_distance_rule(segment):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         converged(u, x, out)
-    with np.errstate(invalid="ignore"):
-        expected = np.maximum(np.maximum(lo - x, x - hi), 0.0) <= thr
-    np.testing.assert_array_equal(out, expected)
-    # not vacuous: the lanes hold the first float inside each end of the
-    # rule and the float past it, so a threshold one ulp off fails
-    inside = x[expected]
+    x_lo, x_hi = _rounded_bounds(lo, hi, thr)
+    np.testing.assert_array_equal(out, (x >= x_lo) & (x <= x_hi))
+    assert not out[np.isinf(x) | np.isnan(x)].any()
+    with np.errstate(over="ignore", invalid="ignore"):
+        max_distance = np.maximum(np.maximum(lo - x, x - hi), 0.0) <= thr
+    differ = x[out != max_distance]
+    gap = np.minimum(np.abs(differ - x_lo), np.abs(differ - x_hi))
+    assert np.all(gap <= math.ulp(max(abs(lo), abs(hi), thr)))
+    # not vacuous: the lanes hold the first float inside each bound and the
+    # float past it, so a bound one ulp off fails
+    inside = x[out]
     assert np.any(x == math.nextafter(inside.min(), -math.inf))
     assert np.any(x == math.nextafter(inside.max(), math.inf))
-
-
-@pytest.mark.parametrize("edge", [-1e308, -1.0, -5e-324, -0.0, 0.0, 5e-324,
-                                  2.0**-1022, 1e-6, 1.0, 1.7976931348623157e308, math.inf])
-def test_first_true_finds_the_edge_in_at_most_64_calls(edge):
-    # the bisection behind the segment thresholds, at edges across the
-    # float range
-    calls = []
-
-    def holds(y):
-        calls.append(y)
-        return y >= edge
-
-    found = stability._first_true(holds)
-    assert found == edge
-    assert len(calls) <= 64
 
 
 # the early stop of bisection probes: a sign it gives must be the sign of
@@ -1581,12 +1584,12 @@ def test_neutral_curve_stops_probes_early(monkeypatch):
 
 
 def test_neutral_curve_finds_the_segment_bounds_once(monkeypatch):
-    # the bounds depend on the configuration alone: one bisection for each
-    # end serves every probe of every point
-    bisections = _counted(monkeypatch, "_first_true")
+    # the bounds depend on the configuration alone: one call serves every
+    # probe of every point
+    calls = _counted(monkeypatch, "_neutral_segment")
     config = ScalingConfig(1.0, iterations=30, repetitions=100)
     neutral_stability_curve(config, [0.0, 0.3, 0.6], seed=5, tolerance=0.1)
-    assert bisections["_first_true"] == 2
+    assert calls["_neutral_segment"] == 1
 
 
 def _ladder_tops(log):
@@ -1739,6 +1742,8 @@ def test_scaling_config_validation():
                 {"iterations": 0}, {"repetitions": 0}, {"repetitions": -1},
                 # kappa*p, kappa*g or the segment width overflows
                 {"kappa": 1e200, "p": 1e200, "g": 0.0}, {"kappa": 1e160, "p": 1e150, "g": -1e150},
-                {"p": 1.7e308, "g": -1.7e308}):
+                {"p": 1.7e308, "g": -1.7e308},
+                # bests that coincide away from 0
+                {"p": 0.3, "g": 0.3}, {"kappa": 0.5, "p": -2.0, "g": -2.0}):
         with pytest.raises(ValueError):
             ScalingConfig(**{"kappa": 1.0, **bad})

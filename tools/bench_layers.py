@@ -14,7 +14,10 @@ Usage::
 ``probes``; the default is all of them.  Each of ``ROUNDS`` rounds
 (``STARTUP_ROUNDS`` for the startup and region layers) runs, per timing
 layer, one fresh process per tree (the package under ``<tree>/src``),
-alternating which tree runs first from one round to the next.
+alternating which tree runs first from one round to the next.  The script
+refuses to start while either tree holds a ``__pycache__`` under ``src/``
+and names it, as ``tools/bench_pairs.py`` does: the startup layer times the
+import without the package's bytecode caches.
 
 Lyapunov layer: a lane is one trial of ``stability.lyapunov_exponent``; a
 lane-step is one lane advanced one step.  The process times, at each of
@@ -111,6 +114,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from bench_pairs import refuse_bytecode
 
 SIDES = ("parent", "change")
 LANES = (12, 60, 368, 1024, 4096, 8192, 16384, 65536)
@@ -401,6 +406,7 @@ def main(argv=None) -> int:
     layers = args.layers.split(",")
     if unknown := set(layers) - set(LAYERS):
         parser.error(f"unknown layers: {', '.join(sorted(unknown))}")
+    refuse_bytecode(parser, trees.values())
 
     runs = {layer: {side: {} for side in SIDES} for layer in PROBES}
     with tempfile.TemporaryDirectory() as caches:

@@ -82,6 +82,15 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
+def refuse_bytecode(parser: argparse.ArgumentParser, trees) -> None:
+    """Exit with a usage error naming the first ``__pycache__`` under a
+    tree's ``src/``: a bytecode cache in one tree spares only that tree's
+    compile in the fresh interpreters the runs start."""
+    for tree in trees:
+        for cache in sorted((tree / "src").rglob("__pycache__")):
+            parser.error(f"{cache} holds a bytecode cache; remove it before the runs")
+
+
 def summary(runs: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": runs}
@@ -110,9 +119,7 @@ def main(argv=None) -> int:
         parser.error("--seeds needs at least 2 seeds")
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    for tree in trees.values():
-        for cache in sorted((tree / "src").rglob("__pycache__")):
-            parser.error(f"{cache} holds a bytecode cache; remove it before the runs")
+    refuse_bytecode(parser, trees.values())
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
     workloads = (args.workloads.split(",") if args.workloads
