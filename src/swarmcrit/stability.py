@@ -45,7 +45,8 @@ The estimators validate their attraction weights: ``alpha1`` and
 
 Critical points are found by a stochastic bisection written as a generator
 that yields probe requests and is sent each probe's sign: -1 or +1 when
-the estimate is 3-sigma significant, 0 when it is not.  Every critical
+the estimate is 3-sigma significant, 0 when it is not, decided for a
+first-passage probe on its integer counts alone.  Every critical
 point, alone or on a curve, runs through one driver, ``_solve``: one
 bisection per inertia value.  Lyapunov probes of all points advance
 together as one block of lanes with a per-lane ``omega``; escape and
@@ -551,47 +552,31 @@ def _advance(probes, trials, burn_in):
 
 
 def _sign(value, se):
-    """A probe's reply to :func:`_bisection`: 0 unless ``abs(value) > 3*se``,
-    otherwise the sign of ``value``."""
+    """A Lyapunov probe's reply to :func:`_bisection`: 0 unless
+    ``abs(value) > 3*se``, otherwise the sign of ``value``."""
     # with se == 0 any nonzero value is significant, and 0 is not; NaN is not
     if not abs(value) > 3.0 * se:
         return 0
     return 1 if value > 0 else -1
 
 
-def _fraction_difference(p_pos, p_neg, n):
-    """Difference of two outcome fractions of ``n`` trials, with its error."""
-    diff = p_pos - p_neg
-    var = (p_pos + p_neg - diff * diff) / n
-    return diff, math.sqrt(max(var, 0.0))
-
-
-# With e positive and c negative outcomes of n trials, d = e - c and
-# s = e + c, the reply _sign(*_fraction_difference(e/n, c/n, n)) is
-# significant iff d*d*(n + 9) > 9*n*s in exact arithmetic.  The float test
-# rounds about ten times, each by a relative 2**-53; the difference of the
-# two fractions loses at most a factor s/|d| <= n to cancellation, and the
-# variance near the threshold at most a factor 1 + 18/n.  So the float reply
-# equals the exact one wherever the two sides differ by a factor
-# 1 + 2**-20, for any n below about 2**30 lanes, far more than fit in
-# memory.  An early reply demands that factor.
-_MARGIN = 1 << 20
-
-
 def _early_sign(n, pos, neg, live):
-    """The sign that every end of a first-passage probe of ``n`` trials
-    gives, when ``pos`` lanes have escaped, ``neg`` converged and ``live``
-    are open, or None while the open lanes can still change it.
+    """The reply to :func:`_bisection` that every end of a first-passage
+    probe of ``n`` trials gives, when ``pos`` lanes have escaped, ``neg``
+    converged and ``live`` are open, or None while the open lanes can still
+    change it; with ``live == 0``, the probe's reply, never None.
 
-    Each end has ``e >= pos`` escaped and ``c >= neg`` converged lanes with
-    ``e + c <= pos + neg + live``; ending with every open lane undecided is
-    one of them.  Exact integers only.
+    An end of ``e`` escaped and ``c`` converged lanes replies the sign of
+    ``d = e - c`` if ``d*d*(n + 9) > 9*n*(e + c)``, that is if ``d/n``
+    exceeds 3 times its standard error, and 0 otherwise.  Each end has
+    ``e >= pos`` and ``c >= neg`` with ``e + c <= pos + neg + live``; ending
+    with every open lane undecided is one of them.  Exact integers only.
     """
     top = pos + neg + live
 
     def quiet(e, c):
         d = e - c
-        return d * d * (n + 9) * (_MARGIN + 1) <= 9 * n * (e + c) * _MARGIN
+        return d * d * (n + 9) <= 9 * n * (e + c)
 
     # quiet's left side minus its right is convex in (e, c), so it holds on
     # the whole triangle of ends if it holds at the three corners
@@ -602,7 +587,7 @@ def _early_sign(n, pos, neg, live):
     lo, hi = pos - neg - live, pos - neg + live
     if lo > 0 or hi < 0:
         m = lo if lo > 0 else hi
-        if m * m * (n + 9) * _MARGIN >= 9 * n * top * (_MARGIN + 1):
+        if m * m * (n + 9) > 9 * n * top:
             return 1 if m > 0 else -1
     return None
 
@@ -944,16 +929,16 @@ def _bisection(seed, ratio, lo, hi, tolerance, omega, max_level):
     child_seed)`` (the split weights, the budget level and the child of
     ``seed`` spawned for this weight), is sent back each probe's sign, and
     returns the :class:`CriticalPoint`.  A sign is -1 or +1 when the probe's
-    estimate is 3-sigma significant and 0 when it is not (:func:`_sign`);
-    the point depends on its probes through these signs only, so a
-    first-passage probe may stop as soon as its sign is decided.  The
-    bracket, finite with ``0 < lo < hi``, and ``max_level >= 0`` are the
-    module's constants.  Bracket endpoints must be sign-significant before
-    bisection.  Far from the root probes separate from zero at level 0;
-    after a 0 the same weight is asked at the next level, up to
-    ``max_level``, so the requests for one weight are levels 0, 1, ... in
-    order with one child seed, and a level-L probe of budget ``2**L``
-    continues the probe below it.
+    estimate is 3-sigma significant and 0 when it is not (:func:`_sign`, or
+    :func:`_early_sign` for a first passage); the point depends on its
+    probes through these signs only, so a first-passage probe may stop as
+    soon as its sign is decided.  The bracket, finite with ``0 < lo < hi``,
+    and ``max_level >= 0`` are the module's constants.  Bracket endpoints
+    must be sign-significant before bisection.  Far from the root probes
+    separate from zero at level 0; after a 0 the same weight is asked at the
+    next level, up to ``max_level``, so the requests for one weight are
+    levels 0, 1, ... in order with one child seed, and a level-L probe of
+    budget ``2**L`` continues the probe below it.
 
     Bisection stops once the bracket is at most ``2 * tolerance`` wide, and
     asks no probe after that, or at a midpoint whose probe shows no
@@ -1101,7 +1086,7 @@ def _passage_kind(trials, steps, rules):
     :class:`_FirstPassage` with ``trials * 2**L`` lanes and the
     ``(update, converged)`` of ``rules(i, a1, a2)``; above level 0 it is the
     probe below it with as many lanes again, its open lanes continued.  Its
-    sign compares the escaped and converged fractions.
+    sign is :func:`_early_sign` of its escaped and converged counts.
     """
 
     def start(i, a1, a2, level, child, passage):
@@ -1113,7 +1098,7 @@ def _passage_kind(trials, steps, rules):
 
     def advance(passages):
         for i, p in passages.items():
-            yield i, _sign(*_fraction_difference(p.n_esc / p.lanes, p.n_conv / p.lanes, p.lanes))
+            yield i, _early_sign(p.lanes, p.n_esc, p.n_conv, 0)
 
     return start, advance
 
@@ -1228,6 +1213,9 @@ def finite_time_lyapunov(
 
     Raises
     ------
+    ValueError
+        For invalid weights or budgets, a ``z0_scale`` that is not finite
+        and positive, or a ``p`` or ``g`` that is not finite.
     NumericOverflowError
         When a trajectory leaves the floating range; carries the step
         index reached.
@@ -1235,6 +1223,11 @@ def finite_time_lyapunov(
     _check_weights(alpha1, alpha2)
     if steps < 1 or repetitions < 1:
         raise ValueError("steps and repetitions must be >= 1")
+    # NaN fails both comparisons
+    if not 0.0 < z0_scale < math.inf:
+        raise ValueError(f"z0_scale must be finite and > 0, got {z0_scale}")
+    if not (math.isfinite(p) and math.isfinite(g)):
+        raise ValueError("p and g must be finite")
     rng = np.random.default_rng(seed)
     v, x = _start(rng, repetitions)
     if p == 0.0 and g == 0.0:

@@ -4,6 +4,7 @@ import math
 import sys
 import warnings
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -986,10 +987,19 @@ def test_neutral_segment_rule_is_two_rounded_bounds(segment):
 # every way the open lanes can end
 
 
-def _full_sign(n, e, c):
+def _reference_sign(n, e, c):
     """The reply of a probe of ``n`` trials that ends with ``e`` lanes
-    escaped and ``c`` converged."""
-    return stability._sign(*stability._fraction_difference(e / n, c / n, n))
+    escaped and ``c`` converged, in exact rationals: the sign of the
+    fraction difference ``diff`` when ``diff**2 > 9*var``, with ``var`` the
+    variance of the mean of ``n`` trials that score +1 escaped, -1
+    converged and 0 undecided, and 0 otherwise."""
+    # numpy int64 counts would overflow in the products; Python ints do not
+    e, c = int(e), int(c)
+    diff = Fraction(e - c, n)
+    var = (Fraction(e + c, n) - diff * diff) / n
+    if diff * diff > 9 * var:
+        return 1 if diff > 0 else -1
+    return 0
 
 
 def test_early_sign_agrees_with_every_end_up_to_30_trials():
@@ -999,7 +1009,7 @@ def test_early_sign_agrees_with_every_end_up_to_30_trials():
         signs = np.zeros((n + 1, n + 1), dtype=int)
         for e in range(n + 1):
             for c in range(n + 1 - e):
-                signs[e, c] = _full_sign(n, e, c)
+                signs[e, c] = _reference_sign(n, e, c)
         for live in range(n + 1):
             # the ends (pos + i, neg + j) with i + j <= live
             ends = np.add.outer(np.arange(live + 1), np.arange(live + 1)) <= live
@@ -1012,6 +1022,24 @@ def test_early_sign_agrees_with_every_end_up_to_30_trials():
                         early[sign] += live > 0
     # not vacuous: every reply is given early somewhere
     assert min(early[-1], early[0], early[1]) > 0
+
+
+def test_early_sign_replies_at_every_end_up_to_200_trials():
+    for n in range(1, 201):
+        e, c = (a.ravel() for a in np.indices((n + 1, n + 1)))
+        e, c = e[e + c <= n], c[e + c <= n]
+        # _reference_sign's test diff**2 > 9*var with both sides times n**3,
+        # d*d*n > 9*(s*n - d*d), in int64 for every end at once: Fractions
+        # at every end would take over 10 s
+        d, s = e - c, e + c
+        expected = np.where(d * d * n > 9 * (s * n - d * d), np.sign(d), 0)
+        replies = [stability._early_sign(n, a, b, 0) for a, b in zip(e.tolist(), c.tolist())]
+        assert replies == expected.tolist(), n
+    # ends on the threshold, d*d*(n + 9) == 9*n*s, are not significant
+    for n, e, c in ((9, 7, 1), (54, 30, 12), (72, 15, 3)):
+        assert (e - c) ** 2 * (n + 9) == 9 * n * (e + c)
+        for a, b in ((e, c), (c, e)):
+            assert stability._early_sign(n, a, b, 0) == _reference_sign(n, a, b) == 0
 
 
 def test_early_sign_agrees_with_sampled_ends_at_80000_trials():
@@ -1037,7 +1065,7 @@ def test_early_sign_agrees_with_sampled_ends_at_80000_trials():
         sampled = [(a, int(rng.integers(0, live - a + 1)))
                    for a in rng.integers(0, live + 1, 20)]
         for a, b in corners + sampled:
-            assert _full_sign(n, pos + a, neg + b) == sign, (pos, neg, live, a, b)
+            assert _reference_sign(n, pos + a, neg + b) == sign, (pos, neg, live, a, b)
     assert min(early[-1], early[0], early[1]) > 0
 
 
@@ -1456,7 +1484,7 @@ def _reference_points(point, probe, grid, seed, bracket, max_level, log=None, pa
             passage, lanes = ladder
             n = lanes * 2**level
             n_conv, n_pos = passage.run(n)
-            return stability._sign(*stability._fraction_difference(n_pos / n, n_conv / n, n))
+            return _reference_sign(n, n_pos, n_conv)
 
         search = stability._bisection(child, b["ratio"], *bracket, b["tolerance"], w, max_level)
         return _one_at_a_time(search, answer, log)
@@ -1702,6 +1730,27 @@ def test_finite_time_rejects_empty_budgets(p, budget):
     with pytest.raises(ValueError, match="steps and repetitions must be >= 1"):
         finite_time_lyapunov(0.7, 1.0, 1.0, p=p, **{"steps": 10, "repetitions": 10, **budget},
                              seed=1)
+
+
+@pytest.mark.parametrize("bad, match", [
+    (dict(z0_scale=0.0), "z0_scale must be finite and > 0"),
+    (dict(z0_scale=-1.0), "z0_scale must be finite and > 0"),
+    (dict(z0_scale=math.nan), "z0_scale must be finite and > 0"),
+    (dict(z0_scale=math.inf), "z0_scale must be finite and > 0"),
+    (dict(z0_scale=0.0, p=0.5), "z0_scale must be finite and > 0"),
+    (dict(z0_scale=math.nan, p=0.5), "z0_scale must be finite and > 0"),
+    (dict(p=math.nan), "p and g must be finite"),
+    (dict(g=math.nan), "p and g must be finite"),
+    (dict(p=math.inf), "p and g must be finite"),
+    (dict(p=0.5, g=-math.inf), "p and g must be finite"),
+], ids=["z0_zero", "z0_negative", "z0_nan", "z0_inf", "z0_zero_affine", "z0_nan_affine",
+        "p_nan", "g_nan", "p_inf", "g_neg_inf"])
+def test_finite_time_rejects_invalid_start_and_bests(bad, match):
+    # before any warning, NaN or overflow error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            finite_time_lyapunov(0.7, 1.0, 1.0, **bad, steps=10, repetitions=10, seed=1)
 
 
 def test_finite_time_overflow_reports_step():

@@ -153,6 +153,12 @@ COMMANDS = [
     (["scaling", "--kappa", "1", "--iterations", "60", "--repetitions", "10000",
       "--omega-min", "0.4", "--omega-max", "0.4", "--tolerance", "0.05", "--seed", "24",
       "--output", "scaling_wide.csv"], ["scaling_wide.csv"]),
+    # budget levels of 9, 18 and 36 lanes, where a probe can end exactly on
+    # the 3-sigma threshold: one here ends with 7 of 9 lanes escaped and 1
+    # converged, a tie, which is not significant
+    (["scaling", "--kappa", "1", "--iterations", "100", "--repetitions", "9",
+      "--omega-min", "-0.6", "--omega-max", "0.6", "--step", "0.3", "--tolerance", "0.05",
+      "--seed", "31", "--output", "scaling_ties.csv"], ["scaling_ties.csv"]),
     # negative reals in exponent notation are values, not options
     (["curve", "--omega-min", "-5e-1", "--omega-max", "5e-1", "--step", "5e-1",
       "--tolerance", "0.05", "--steps", "300", "--trials", "4", "--seed", "19",
