@@ -33,7 +33,8 @@ evaluates them through one stack cost (``_Stack``): each instance
 transforms its own swarms, and each base formula then runs once on all the
 swarms that share it, such as plain, rotated and non-continuous rastrigin.
 A call of one instance is the one-instance case of the same code
-(``_costs``).
+(``_costs``).  Either call takes every row, a non-finite one too, whose
+cost is then inf or NaN; the optimiser reads it as +inf.
 """
 
 from __future__ import annotations
@@ -312,15 +313,13 @@ class _Stack:
     made non-continuous on its own, as a call of that instance on it would
     be, and each base formula then runs once on the consecutive runs that
     share it.  The formulas are elementwise plus row sums, so every swarm's
-    costs are bit for bit those of its own instance's call on its block.
+    costs are bit for bit those of its own instance's call on its block,
+    a block with non-finite rows included.
     """
 
     def __init__(self, functions, owner):
-        self.functions = functions
-        self.owner = np.asarray(owner)
-        cuts = [0, *(np.flatnonzero(np.diff(self.owner)) + 1), len(self.owner)]
-        self._runs = tuple((functions[self.owner[lo]], slice(lo, hi))
-                           for lo, hi in zip(cuts, cuts[1:]))
+        cuts = [0, *(np.flatnonzero(np.diff(owner)) + 1), len(owner)]
+        self._runs = tuple((functions[owner[lo]], slice(lo, hi)) for lo, hi in zip(cuts, cuts[1:]))
         groups = []
         for fn, rows in self._runs:
             if groups and groups[-1][0] == fn.id:
@@ -331,12 +330,6 @@ class _Stack:
 
     def __call__(self, x, *, _ceiling=None):
         return _costs(x, self._runs, self._groups, _ceiling)
-
-    def take(self, swarms):
-        """The cost of the swarms that ``swarms`` selects: the instance of
-        one swarm index, or the stack of a mask's swarms."""
-        owner = self.owner[swarms]
-        return self.functions[owner] if owner.ndim == 0 else _Stack(self.functions, owner)
 
 
 def _random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -79,6 +79,8 @@ class SweepConfig:
             raise ValueError(f"unknown split {self.split!r}")
         if self.iterations < 0 or self.repetitions < 1:
             raise ValueError("iterations must be >= 0 and repetitions >= 1")
+        if self.n_particles < 1 or self.dim < 1:
+            raise ValueError("n_particles and dim must be >= 1")
         if self.functions is not None:
             object.__setattr__(self, "functions", tuple(self.functions))
             if not self.functions:
@@ -86,6 +88,8 @@ class SweepConfig:
             labels = [fn.label for fn in self.functions]
             if len(set(labels)) < len(labels):
                 raise ValueError(f"repeated sweep functions in {labels}")
+            if any(fn.dim != self.dim for fn in self.functions):
+                raise ValueError(f"every sweep function must have dim {self.dim}")
 
     def resolve_functions(self) -> tuple[BenchmarkFunction, ...]:
         if self.functions is not None:

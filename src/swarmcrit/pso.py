@@ -22,17 +22,23 @@ loop would run only dim elements long: the global bests are repeated to
 full shape, and a personal best is replaced as one opaque row (``_rows``).
 
 A cost is needed only to ask whether it beats the particle's personal best,
-so a ``BenchmarkFunction`` cost, or a stack of several that gives each
-swarm its own instance, is told that best and skips each particle whose
-cost provably cannot beat it (see ``benchmarks``), reporting +inf; every
-best, trace and flag is bit-identical to evaluating every particle.  Any
-other cost maps an (n, dim) batch to n costs (see ``optimize``).
+so each iteration makes one cost call on the whole (B, n, dim) batch and
+tells it those bests (``_batch``).  A ``BenchmarkFunction`` cost, or a
+stack of several that gives each swarm its own instance, evaluates every
+row and skips each particle whose cost provably cannot beat its best (see
+``benchmarks``), reporting +inf; every best, trace and flag is
+bit-identical to evaluating every particle.  Any other cost maps an
+(n, dim) batch to n costs and is called on each swarm's finite rows (see
+``optimize``).
 
 No spatial or velocity clamping is performed; non-finite positions mark the
-run as diverged, cost evaluation for them is skipped and treated as +inf.
-The flag is set only once a position or velocity has overflowed to a
-non-finite value, so a swarm that grows without bound but stays finite
-within the budget is not flagged.
+run as diverged and their costs read +inf.  A benchmark cost evaluates them
+with the rest of their swarm's block, so a rotated instance's matrix
+product rounds the finite rows of a partly overflowed swarm as rows of the
+whole block; a user cost is not called on them.  The flag is set only once
+a position or velocity has overflowed to a non-finite value, so a swarm
+that grows without bound but stays finite within the budget is not
+flagged.
 """
 
 from __future__ import annotations
@@ -83,17 +89,23 @@ def _as_bounds(bounds, dim: int) -> np.ndarray:
 
 
 def _batch(f):
-    """``f`` as a cost of (B, n, dim) stacks: a ``BenchmarkFunction`` as it
-    is, any other ``f`` called per (n, dim) block or on its finite rows."""
-    if isinstance(f, BenchmarkFunction):
+    """``f`` as a cost of (B, n, dim) stacks that takes the particles'
+    personal best costs as ``_ceiling``: a ``BenchmarkFunction`` or a stack
+    of them (``benchmarks._Stack``) as it is, which evaluates every row;
+    any other ``f`` called on each (n, dim) block's finite rows, with +inf
+    on the others and no call for a block without a finite row."""
+    if isinstance(f, (BenchmarkFunction, _Stack)):
         return f
 
-    def cost(points):
-        if points.ndim == 3:
-            return np.array([cost(block) for block in points])
-        out = np.asarray(f(points), dtype=float)
-        if out.shape != points.shape[:1]:
-            raise ValueError(f"a cost must map an (n, dim) batch to n costs, got {out.shape}")
+    def cost(points, _ceiling=None):
+        finite = np.isfinite(points).all(axis=-1)
+        out = np.full(finite.shape, np.inf)
+        for block, keep, costs in zip(points, finite, out):
+            if keep.any():
+                c = np.asarray(f(block[keep]), dtype=float)
+                if c.shape != (keep.sum(),):
+                    raise ValueError(f"a cost must map an (n, dim) batch to n costs, got {c.shape}")
+                costs[keep] = c
         return out
 
     return cost
@@ -223,39 +235,6 @@ def _start(cost, positions: np.ndarray) -> SwarmState:
     )
 
 
-def _evaluate(cost, positions: np.ndarray, finite: np.ndarray | None,
-              ceiling: np.ndarray) -> np.ndarray:
-    """(B, n) costs of the finite particles, +inf for the others.
-
-    ``finite`` is the (B, n) mask of finite particles, or None if all are.
-    The swarms whose particles are all finite share one call on their
-    (B', n, dim) stack.  A swarm with some non-finite particles is called
-    on its finite rows alone, as a lone swarm is: a rotated cost's matrix
-    product rounds differently when the number of rows changes.  A
-    ``BenchmarkFunction`` or a stack of them gets each particle's (B, n)
-    ``ceiling``, its personal best cost, and returns +inf where the cost
-    provably is not below it, so the costs may differ but never which of
-    them are below.  A stack's whole swarms go to the stack of their
-    instances, and a swarm with some non-finite particles to its own
-    instance.
-    """
-    bounded = isinstance(cost, (BenchmarkFunction, _Stack))
-    part = cost.take if isinstance(cost, _Stack) else lambda swarms: cost
-
-    def call(f, points, ceiling):
-        return f(points, _ceiling=ceiling) if bounded else f(points)
-
-    if finite is None:
-        return call(cost, positions, ceiling)
-    whole = finite.all(axis=1)
-    out = np.full(finite.shape, np.inf)
-    if whole.any():
-        out[whole] = call(part(whole), positions[whole], ceiling[whole])
-    for b in np.flatnonzero(finite.any(axis=1) & ~whole):
-        out[b, finite[b]] = call(part(b), positions[b, finite[b]], ceiling[b, finite[b]])
-    return out
-
-
 def _advance(state: SwarmState, omega, alpha1, alpha2, r: np.ndarray, cost,
              work: np.ndarray) -> SwarmState:
     """One synchronous iteration of a batch state, written over its
@@ -263,7 +242,8 @@ def _advance(state: SwarmState, omega, alpha1, alpha2, r: np.ndarray, cost,
 
     ``omega``, ``alpha1`` and ``alpha2`` broadcast against (B, n, dim);
     ``r`` holds the (B, 2, n, dim) weights, ``r1`` then ``r2`` per swarm;
-    ``work`` is a (3, B, n, dim) scratch array.  The caller holds an
+    ``work`` is a (3, B, n, dim) scratch array, and ``cost`` a ``_batch``
+    cost, called once on the whole batch.  The caller holds an
     ``np.errstate`` that ignores overflow and invalid operations, which the
     update and the costs of a diverging swarm meet.
     """
@@ -272,15 +252,15 @@ def _advance(state: SwarmState, omega, alpha1, alpha2, r: np.ndarray, cost,
     # temporaries, which set the loop's peak memory, are made
     _affine(omega, alpha1, alpha2, v, x, r[:, 0], r[:, 1], state.p_best,
             np.repeat(state.g_best[:, None], x.shape[1], axis=1), (v, x), work)
+    c = cost(x, _ceiling=state.p_best_cost)
     # x' = x + v', so a non-finite velocity always makes the position
     # non-finite; the per-particle mask is needed only once one has overflowed
+    diverged = state.diverged
     finite = np.isfinite(x)
-    if finite.all():
-        finite, diverged = None, state.diverged
-    else:
+    if not finite.all():
         finite = finite.all(axis=-1)
-        diverged = state.diverged | ~finite.all(axis=-1)
-    c = _evaluate(cost, x, finite, state.p_best_cost)
+        diverged = diverged | ~finite.all(axis=-1)
+        c[~finite] = np.inf
     improved = c < state.p_best_cost
     p_best = np.where(improved[..., None], _rows(x), _rows(state.p_best)).view(float)
     p_best_cost = np.where(improved, c, state.p_best_cost)
@@ -298,10 +278,11 @@ def lockstep(f, params, iterations: int, bounds, seeds, trace=None) -> SwarmStat
     """Run one swarm per (``params``, ``seeds``) pair, all in lockstep.
 
     Every ``params`` entry shares ``n_particles`` and ``dim``; omega and
-    the attraction weights are per swarm.  ``f`` maps a (B, n, dim) stack
-    to (B, n) costs, each (n, dim) block evaluated as it would be alone
-    (``BenchmarkFunction`` and a stack of them do; ``optimize`` calls any
-    other cost on each swarm's block).  Each seed gives the two children
+    the attraction weights are per swarm.  ``f`` is a ``BenchmarkFunction``
+    or a stack of them (``benchmarks._Stack``), which costs the whole
+    (B, n, dim) stack in one call and each (n, dim) block as a call on it
+    alone would, or a cost as for :func:`optimize`, called on each swarm's
+    finite rows (see ``_batch``).  Each seed gives the two children
     ``SeedSequence(seed).spawn(2)`` would to an initialisation and a step
     generator (a caller's ``SeedSequence`` is not advanced, so a repeated
     call gets the same run), and per iteration each swarm draws ``r1`` then
@@ -310,10 +291,8 @@ def lockstep(f, params, iterations: int, bounds, seeds, trace=None) -> SwarmStat
     ``optimize`` gives for its parameters and seed.
     ``trace``, if given, is a (B, iterations) array that receives the
     global best costs after every iteration.  Returns the final batch state
-    (see :class:`SwarmState`).  ``f`` is given the loop's own position
-    array, which the next iteration overwrites, so it must copy what it
-    keeps.  ``seeds`` must hold one seed per ``params`` entry, and there
-    must be at least one swarm.
+    (see :class:`SwarmState`).  ``seeds`` must hold one seed per
+    ``params`` entry, and there must be at least one swarm.
     """
     children = [_children(s) for s in seeds]
     if not len(children) == len(params) >= 1:
@@ -321,11 +300,12 @@ def lockstep(f, params, iterations: int, bounds, seeds, trace=None) -> SwarmStat
     n, dim = params[0].n_particles, params[0].dim
     if any((p.n_particles, p.dim) != (n, dim) for p in params):
         raise ValueError("swarms in lockstep must share n_particles and dim")
+    cost = _batch(f)
     weights = np.array([(p.omega, p.alpha1, p.alpha2) for p in params])[:, :, None, None]
     omega, alpha1, alpha2 = weights[:, 0], weights[:, 1], weights[:, 2]
     b = _as_bounds(bounds, dim)
     # each swarm's first child seeds its start, its second its steps
-    state = _start(f, np.array([_uniform(next(c), b, n) for c in children]))
+    state = _start(cost, np.array([_uniform(next(c), b, n) for c in children]))
     rngs = [np.random.default_rng(next(c)) for c in children]
     per_swarm = 2 * n * dim
     span = max(1, min(iterations, _SWARM_DRAW_VALUES // per_swarm,
@@ -340,7 +320,7 @@ def lockstep(f, params, iterations: int, bounds, seeds, trace=None) -> SwarmStat
                 # the last block draws only the iterations that are left
                 for rng, block in zip(rngs, draws):
                     rng.random(out=block[: iterations - t])
-            state = _advance(state, omega, alpha1, alpha2, draws[:, k], f, work)
+            state = _advance(state, omega, alpha1, alpha2, draws[:, k], cost, work)
             if trace is not None:
                 trace[:, t] = state.g_best_cost
     return state
@@ -364,8 +344,8 @@ def pso_step(state: SwarmState, params: SwarmParams, f,
     Draws fresh diagonal weights ``r1 = rng.random((n, dim))`` then
     ``r2 = rng.random((n, dim))`` (independent per particle and
     dimension), applies the velocity/position update against the previous
-    iteration's bests, evaluates ``f`` (as in :func:`optimize`) on finite
-    positions, and applies strict-improvement best replacements (ties keep
+    iteration's bests, evaluates ``f`` as :func:`optimize` does, and
+    applies strict-improvement best replacements (ties keep
     the incumbent).  Returns a new state; ``state`` is left unchanged.
     """
     r = rng.random((1, 2, state.n_particles, state.dim))
@@ -377,25 +357,26 @@ def pso_step(state: SwarmState, params: SwarmParams, f,
 def optimize(f, params: SwarmParams, iterations: int, bounds=(-100.0, 100.0), seed=None) -> RunResult:
     """Run the optimiser for a fixed iteration count.
 
-    ``f`` maps an (n, dim) batch to n costs: it is called on the swarm, or
-    on its finite rows once a particle has overflowed, and a result that is
-    not one cost per row is a ``ValueError``; wrap a per-point cost ``g`` as
-    ``lambda X: np.array([g(x) for x in X])``.
+    ``f`` maps an (n, dim) batch to n costs: it is called once an
+    iteration on the swarm, or on its finite rows once a particle has
+    overflowed, and a result that is not one cost per row is a
+    ``ValueError``; wrap a per-point cost ``g`` as
+    ``lambda X: np.array([g(x) for x in X])``.  A ``BenchmarkFunction`` is
+    called on the whole swarm, its non-finite rows included, whose costs
+    then read +inf.
 
     Returns the final global best, the per-iteration best-cost trace, the
     divergence flag and the number of scheduled cost evaluations
-    (``n_particles * (iterations + 1)``, counting initialisation; skipped
-    evaluations of non-finite positions contribute +inf without calling
-    ``f``, and a ``BenchmarkFunction`` skips the rows that cannot beat
-    their personal best).  The divergence flag is set only when a position
+    (``n_particles * (iterations + 1)``, counting initialisation; non-finite
+    positions contribute +inf, and a ``BenchmarkFunction`` skips the rows
+    that cannot beat their personal best).  The divergence flag is set only when a position
     or velocity has overflowed to a non-finite value within ``iterations``;
     see :class:`RunResult`.  This is ``lockstep`` with one swarm.
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     trace = np.empty(iterations)
-    state = _lower(lockstep(_batch(f), [params], iterations, bounds, [seed],
-                            trace[None]))
+    state = _lower(lockstep(f, [params], iterations, bounds, [seed], trace[None]))
     return RunResult(
         best_cost=state.g_best_cost,
         best_position=state.g_best.copy(),

@@ -110,6 +110,14 @@ def test_non_finite_and_zero_step_exit_one_without_output(tmp_path, case):
     assert not out.exists()
 
 
+def test_sweep_without_particles_exits_one_with_a_message(tmp_path, capsys):
+    # the sweep's batch sizing divides by the particle count
+    out = tmp_path / "never.csv"
+    assert run(["sweep", "--particles", "0", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "error: n_particles and dim must be >= 1\n"
+    assert not out.exists()
+
+
 def test_numeric_failure_exits_two_without_output(tmp_path, capsys):
     # the norm overflows at the first step: a numeric failure, not a
     # validation error

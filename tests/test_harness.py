@@ -262,6 +262,11 @@ def test_config_validation():
         _tiny_config(functions=(make_function("sphere", 2, seed=1), make_function("sphere", 2, seed=2)))
     with pytest.raises(ValueError, match="at least one"):
         _tiny_config(functions=())
+    for bad in ({"n_particles": 0}, {"dim": 0}, {"dim": 0, "functions": None}):
+        with pytest.raises(ValueError, match="n_particles and dim"):
+            _tiny_config(**bad)
+    with pytest.raises(ValueError, match="dim 3"):
+        _tiny_config(dim=3)
 
 
 def test_aggregate_heatmap_normalisation():

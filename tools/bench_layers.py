@@ -1,7 +1,8 @@
 """Layer timing of two source trees: ns per lane-step of the Lyapunov orbit
 at several lane counts and of the first-passage loop at two, µs per
-iteration of the lockstep optimiser at the two sweep shapes, µs per
-swarm-iteration of the suite sweep, the cold start of the CLI and a cold
+iteration of the lockstep optimiser at the two sweep shapes, seconds of
+one lockstep call whose swarms overflow, µs per swarm-iteration of the
+suite sweep, the cold start of the CLI and a cold
 ``region`` call; and the bisection's probe requests per critical-curve
 point, with an escape point's lanes started and lane-steps.
 
@@ -10,8 +11,8 @@ Usage::
     python tools/bench_layers.py PARENT CHANGE OUT.json [--layers startup,probes]
 
 ``--layers`` names the entries to measure, of ``layers`` (Lyapunov),
-``passage``, ``lockstep``, ``sweep``, ``startup``, ``region`` and
-``probes``; the default is all of them.  Each of ``ROUNDS`` rounds
+``passage``, ``lockstep``, ``divergent``, ``sweep``, ``startup``,
+``region`` and ``probes``; the default is all of them.  Each of ``ROUNDS`` rounds
 (``STARTUP_ROUNDS`` for the startup and region layers) runs, per timing
 layer, one fresh process per tree (the package under ``<tree>/src``),
 alternating which tree runs first from one round to the next.  The script
@@ -48,6 +49,15 @@ rastrigin, 12 omegas by 10 alphas by 2 repetitions (240 swarms, the
 valley's one batch); and ``suite``, 10-d weierstrass, 4 omegas by 3 alphas
 (12 swarms; the suite sweep's batches hold several instances, which the
 sweep layer times); 25 particles each, as in the sweeps' CLI calls.
+
+Divergent layer: the process times one call of ``pso.lockstep`` for
+``DIVERGENT_ITERATIONS`` iterations on the ``DIVERGENT`` shape, a valley
+sweep at the paper's budget: 2-d rastrigin (instance seed 77), 12 omegas
+(-1.1 to 1.1 by 0.2) by 24 alphas (0.25 to 6 by 0.25, split equally), 25
+particles, 288 swarms.  By the end about a third of its swarms have
+overflowed, many of them particle by particle; no other layer and no
+benchmark workload runs such a swarm.  The start, the weight draws and the
+cost evaluations are part of the time.
 
 Sweep layer: the process times one ``harness.run_sweep`` of the
 benchmark's ``sweep-suite10`` configuration (the 15-instance suite at
@@ -92,9 +102,10 @@ the lanes started (the sum of ``n``) and the lane-steps (the sum of
 ``x.size`` over the escape update's steps).
 
 OUT.json gets, of the measured entries, a ``layers`` entry (Lyapunov), a
-``passage`` entry, a ``lockstep`` entry, a ``sweep`` entry, a ``startup``
-entry and a ``region`` entry with, per key (a lane count, a rule at a lane
-count, a shape, a sweep, a startup or a region figure), each side's median, inclusive
+``passage`` entry, a ``lockstep`` entry, a ``divergent`` entry, a ``sweep``
+entry, a ``startup`` entry and a ``region`` entry with, per key (a lane
+count, a rule at a lane count, a shape, a sweep, a startup or a region
+figure), each side's median, inclusive
 quartiles and runs, the ratio of the medians (change over parent) and
 ``change_lower_in_rounds``; and a ``probes`` entry with, per curve and
 tree, each point's requests by level, its ``std_error`` and status, and
@@ -141,6 +152,9 @@ SHAPES = {
 }
 # the sweep-suite10 sweep: (omegas, alphas, dim), one repetition
 SWEEP = ((-0.5, 1.0, 0.5), (1.0, 4.0, 1.5), 10)
+# (function id, dim, instance seed, omegas, alphas) of the divergent layer
+DIVERGENT = ("rastrigin", 2, 77, (-1.1, 1.1, 0.2), (0.25, 6.0, 0.25))
+DIVERGENT_ITERATIONS = 4000
 
 # one process: ns per lane-step at each lane count of argv[2:]
 LYAPUNOV_PROBE = """
@@ -212,6 +226,22 @@ for name, (fid, dim, omegas, alphas, reps) in shapes.items():
     lockstep(fn, params, iterations, fn.domain, [[2, i] for i in range(len(params))])
     out[name] = 1e6 * (time.perf_counter() - t) / iterations
 print(json.dumps(out))
+"""
+
+# one process: seconds of one lockstep call on the shape of the JSON argv[2]
+DIVERGENT_PROBE = """
+import json, sys, time
+from swarmcrit.benchmarks import make_function
+from swarmcrit.dynamics import SwarmParams
+from swarmcrit.harness import inclusive_grid
+from swarmcrit.pso import lockstep
+iterations, (fid, dim, seed, omegas, alphas) = int(sys.argv[1]), json.loads(sys.argv[2])
+fn = make_function(fid, dim, seed=seed)
+params = [SwarmParams(w, a / 2, a / 2, n_particles=25, dim=dim)
+          for w in inclusive_grid(*omegas) for a in inclusive_grid(*alphas)]
+t = time.perf_counter()
+lockstep(fn, params, iterations, fn.domain, [[2, i] for i in range(len(params))])
+print(json.dumps({"valley": time.perf_counter() - t}))
 """
 
 # one process: µs per swarm-iteration of the sweep of the JSON argv[2]
@@ -337,6 +367,8 @@ PROBES = {
                                 *map(str, PASSAGE_LANES)], "ns per lane-step", ROUNDS),
     "lockstep": (LOCKSTEP_PROBE, [str(ITERATIONS), json.dumps(SHAPES)], "us per iteration",
                  ROUNDS),
+    "divergent": (DIVERGENT_PROBE, [str(DIVERGENT_ITERATIONS), json.dumps(DIVERGENT)],
+                  "s per call", ROUNDS),
     "sweep": (SWEEP_PROBE, [str(ITERATIONS), json.dumps(SWEEP)], "us per swarm-iteration",
               ROUNDS),
     "startup": (STARTUP_PROBE, [], "s (import_s, cached_import_s), modules (modules)",
@@ -460,6 +492,15 @@ def main(argv=None) -> int:
                                       shape))
                        for name, shape in SHAPES.items()},
             "results": compare(runs["lockstep"]),
+        },
+        "divergent": {
+            "command": f"lockstep(make_function(id, dim, seed=seed), params, "
+                       f"{DIVERGENT_ITERATIONS}, domain, seeds), 25 particles",
+            "method": method,
+            "unit": PROBES["divergent"][2],
+            "shape": dict(zip(("function", "dim", "instance_seed", "omegas", "alphas"),
+                              DIVERGENT)),
+            "results": compare(runs["divergent"]),
         },
         "sweep": {
             "command": f"run_sweep(SweepConfig(omegas, alphas, iterations={ITERATIONS}, "

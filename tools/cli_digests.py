@@ -100,6 +100,12 @@ COMMANDS = [
       "--omega", "1.0", "--alpha", "12", "--iterations", "2000", "--particles", "5",
       "--seed", "7", "--output", "divergent.json", "--trace", "divergent_trace.csv"],
      ["divergent.json", "divergent_trace.csv"]),
+    # a rotated instance on a swarm that overflows particle by particle: its
+    # finite rows are costed as rows of the whole swarm's block
+    (["optimize", "--function", "rastrigin", "--dim", "10", "--rotated", "--omega", "1.1",
+      "--alpha", "12", "--split", "social-only", "--particles", "5", "--iterations", "1500",
+      "--seed", "1", "--output", "divergent_rotated.json", "--trace",
+      "divergent_rotated_trace.csv"], ["divergent_rotated.json", "divergent_rotated_trace.csv"]),
     (["sweep", *SWEEP, "--output", "sweep.csv", "--heatmap", "heatmap.csv"],
      ["sweep.csv", "heatmap.csv"]),
     (["sweep", *SWEEP, "--jobs", "2", "--output", "sweep_jobs.csv"], ["sweep_jobs.csv"]),
