@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import get_type_hints
 
@@ -130,7 +130,8 @@ class SweepGrid:
     def to_csv(self, path, metadata: dict | None = None) -> None:
         from .io import write_csv
 
-        write_csv(path, _SWEEP_HEADER, [astuple(c) for c in self.cells], metadata)
+        rows = [tuple(getattr(c, name) for name in _SWEEP_HEADER) for c in self.cells]
+        write_csv(path, _SWEEP_HEADER, rows, metadata)
 
     @classmethod
     def from_csv(cls, path) -> "SweepGrid":

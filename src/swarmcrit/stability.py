@@ -46,7 +46,9 @@ The estimators validate their attraction weights: ``alpha1`` and
 Critical points are found by a stochastic bisection written as a generator
 that yields probe requests and is sent each probe's sign: -1 or +1 when
 the estimate is 3-sigma significant, 0 when it is not, decided for a
-first-passage probe on its integer counts alone.  Every critical
+first-passage probe on its integer counts alone.  A Lyapunov request whose
+sign theory fixes (:func:`_known_sign`: ``|omega| >= 1``, or mean-square
+stability) is sent that sign without a probe.  Every critical
 point, alone or on a curve, runs through one driver, ``_solve``: one
 bisection per inertia value.  Lyapunov probes of all points advance
 together as one block of lanes with a per-lane ``omega``; escape and
@@ -471,21 +473,18 @@ def _chunk_steps(trials):
 def _chunk_end(done, burn_in, counted, k_max):
     """The step where a Lyapunov orbit's chunk that starts at step ``done``
     ends.  The orbit runs ``burn_in`` steps and then ``counted``; the burn-in
-    is cut every ``k_max`` steps, and the counted steps every ``k_max``
-    steps from the end of the burn-in and at each integral
-    ``counted / 2**j``.  So an orbit of ``counted * 2**L`` steps is cut
-    wherever one of ``counted`` steps is, and at the end of the latter."""
+    is cut every ``k_max`` steps.  The counted steps fall into the dyadic
+    intervals ``[0, o]``, ``[o, 2 o]``, ``[2 o, 4 o]``, ... ``[counted / 2,
+    counted]``, where ``o`` is the odd part of ``counted``, and each
+    interval is cut every ``k_max`` steps from its own start.  An orbit of
+    ``counted * 2**L`` steps has the same odd part, so it is cut wherever
+    one of ``counted`` steps is, and at the end of the latter."""
     if done < burn_in:
         return min(done + k_max, burn_in)
     t = done - burn_in
-    end = (t // k_max + 1) * k_max
-    n = counted
-    while n > t:
-        end = min(end, n)
-        if n % 2:
-            break
-        n //= 2
-    return burn_in + end
+    odd = counted // (counted & -counted)
+    start = 0 if t < odd else odd << ((t // odd).bit_length() - 1)
+    return burn_in + min(start + ((t - start) // k_max + 1) * k_max, max(odd, 2 * start))
 
 
 @dataclass
@@ -549,6 +548,45 @@ def _advance(probes, trials, burn_in):
         p.done += k
         failures.append(None)
     return failures
+
+
+def _known_sign(omega, alpha1, alpha2):
+    """The sign of the top Lyapunov exponent where theory fixes it, else
+    None.
+
+    +1 for ``|omega| >= 1``: the determinant identity ``lambda1 + lambda2 =
+    log|omega|`` and ``lambda1 >= lambda2`` give ``lambda1 >= 0``, so no
+    weight is stable.  -1 where the dynamics is mean-square stable, that is
+    where the second-moment map on ``(E v^2, E v x, E x^2)``,
+
+        [[w^2, -2 w mu,       s2         ],
+         [w^2, w (1 - 2 mu),  s2 - mu    ],
+         [w^2, 2 w (1 - mu),  1 - 2 mu + s2]],
+
+    with ``w = omega`` and ``mu`` and ``s2`` the mean and second moment of
+    the combined weight ``alpha1 r1 + alpha2 r2``, has spectral radius
+    below ``r = 1 - 1e-9``: by Jensen ``2 lambda1 <= log rho < 0``.  For the
+    equal split this is Poli's ``alpha < 24 (1 - omega^2) / (7 - 5 omega)``.
+    The map's characteristic polynomial is ``z^3 - t z^2 + m z - w^3``, with
+    ``t`` its trace and ``m`` the sum of its principal 2x2 minors; with
+    ``t``, ``m`` and ``d = w^3`` divided by ``r``, ``r^2`` and ``r^3`` its
+    roots lie within ``r`` exactly when the Schur-Cohn conditions ``|d + t|
+    < 1 + m`` and ``|m - d t| < 1 - d^2`` hold.  No eigenvalue solver runs:
+    numpy's LAPACK takes about 1 MB of resident memory on its first call.
+    """
+    if abs(omega) >= 1.0:
+        return 1
+    r = 1.0 - 1e-9
+    mu = 0.5 * (alpha1 + alpha2)
+    s2 = (alpha1 * alpha1 + alpha2 * alpha2) / 12.0 + mu * mu
+    b = 1.0 - 2.0 * mu
+    d = omega**3 / r**3
+    t = (omega * omega + omega * b + b + s2) / r
+    m = omega**3 + omega * omega * b + omega * (b * (b + s2) - 2.0 * (s2 - mu) * (1.0 - mu))
+    m /= r * r
+    if abs(d + t) < 1.0 + m and abs(m - d * t) < 1.0 - d * d:
+        return -1
+    return None
 
 
 def _sign(value, se):
@@ -726,13 +764,15 @@ def lyapunov_exponent(
     the standard error is taken across trials (0 for one trial).
 
     Arithmetic: the steps run in chunks of at most 256 steps (fewer above
-    64 trials).  The burn-in is cut every chunk length from its start, the
-    counted steps every chunk length from the end of the burn-in and at
-    each integral ``steps / 2**j``.  A chunk's matrices are multiplied in
-    pairs, level by level, with exact power-of-two rescaling, and its log
-    growth ``log ||P a||`` is added once.  The result equals the per-step
-    sum of ``log ||M a||`` to rounding (about 1e-15 relative in the value);
-    the random draws are those of one draw per step.
+    64 trials).  The burn-in is cut every chunk length from its start; the
+    counted steps fall into the dyadic intervals ``[0, o]``, ``[o, 2 o]``,
+    ... ``[steps / 2, steps]``, ``o`` the odd part of ``steps``, each cut
+    every chunk length from its own start.  A chunk's matrices are
+    multiplied in pairs, level by level, with exact power-of-two
+    rescaling, and its log growth ``log ||P a||`` is added once.  The
+    result equals the per-step sum of ``log ||M a||`` to rounding (about
+    1e-15 relative in the value); the random draws are those of one draw
+    per step.
 
     Parameters
     ----------
@@ -1036,17 +1076,29 @@ def _lyapunov_kind(omegas, steps, trials, burn_in):
     call for its request: its chunks do not depend on the other probes,
     and the identities that pad them change no bit.  A probe needs two
     trials or more: its error is the spread across them.
+
+    A request whose sign theory fixes (:func:`_known_sign`) opens no probe:
+    its reply is that sign, yielded at once.  Such a sign is nonzero, so it
+    never asks a level above 0.
     """
     group = max(1, _CHUNK_VALUES // (_chunk_steps(trials) * trials))
 
     def start(i, a1, a2, level, child, probe):
         if not level:
+            sign = _known_sign(omegas[i], a1, a2)
+            if sign is not None:
+                return sign
             probe = _Probe.open(omegas[i], child, a1, a2, trials, 0)
         probe.end = burn_in + steps * 2**level
         return probe
 
     def advance(probes):
-        items = list(probes.items())
+        items = []
+        for i, p in probes.items():
+            if isinstance(p, _Probe):
+                items.append((i, p))
+            else:
+                yield i, p
         for g in range(0, len(items), group):
             batch = items[g:g + group]
             for (i, p), failure in zip(batch, _advance([p for _, p in batch], trials, burn_in)):
@@ -1149,10 +1201,19 @@ def critical_alpha(
     With ``method="lyapunov"``, ``trials`` must be at least 2: a probe's
     error is the spread across its trials, and one trial has none.
 
+    With ``method="lyapunov"`` a probe whose sign theory fixes runs no
+    orbit: every weight at ``|omega| >= 1`` is unstable, by the determinant
+    identity, and every mean-square stable weight is stable.  So a weight
+    below the mean-square boundary, such as the bracket's low end at most
+    values of ``omega``, costs no lanes, and ``|omega| >= 1`` gives
+    ``NO_CROSSING``.
+
     Returns a :class:`CriticalPoint` whose status is ``NO_CROSSING`` if no
     significant sign change exists in the bracket and ``UNRESOLVED`` if the
     adaptive budget cannot separate the probe from zero (expected near
-    ``omega = +-1``).  An ``OK`` point is the midpoint of the last bracket
+    ``omega = +-1`` with ``method="escape"``; with ``method="lyapunov"``
+    chiefly just inside ``|omega| < 1``, where the mean-square boundary lies
+    below the bracket's low end).  An ``OK`` point is the midpoint of the last bracket
     and its ``std_error`` the bracket's half-width: at most ``tolerance``,
     unless the bisection stopped at a midpoint whose probe showed no
     significant sign even at the top budget level, where it can be far
@@ -1179,7 +1240,10 @@ def critical_curve(
     the :func:`critical_alpha` result for the ``i``-th child of ``seed`` and
     the given budget.  A point that finds no crossing or cannot resolve the
     root carries its status marker; an ``OK`` point can have a
-    ``std_error`` above ``tolerance``, as :func:`critical_alpha` says.  A
+    ``std_error`` above ``tolerance``, as :func:`critical_alpha` says.  With
+    ``method="lyapunov"`` the points at ``|omega| >= 1`` are ``NO_CROSSING``
+    without a probe, and weights below the mean-square boundary are stable
+    without one (:func:`critical_alpha`).  A
     numeric failure of a probe is not a status: it raises
     :class:`NumericOverflowError`, for the lowest failing ``omega``, as a
     loop over the grid would.

@@ -207,6 +207,28 @@ def test_mean_square_oracle_values():
 
 
 @pytest.mark.parametrize("ratio", [RATIO_EQUAL, RATIO_SOCIAL_ONLY])
+def test_known_sign_is_mean_square_stability(ratio):
+    # the search's theory reply is -1 just below the Kronecker oracle's
+    # boundary and none just above it, and +1 wherever |omega| >= 1
+    for omega in (-0.9, -0.5, 0.0, 0.5, 0.9):
+        root = _alpha_mean_square(omega, ratio)
+        assert stability._known_sign(omega, *split_alpha(root * (1 - 1e-6), ratio)) == -1
+        assert stability._known_sign(omega, *split_alpha(root * (1 + 1e-6), ratio)) is None
+    for omega in (-1.1, -1.0, 1.0, 1.1):
+        assert stability._known_sign(omega, *split_alpha(0.05, ratio)) == 1
+
+
+def test_lyapunov_curve_at_unit_inertia_runs_no_lanes(monkeypatch):
+    # the determinant identity makes every weight unstable at |omega| >= 1
+    def unused(*args):
+        raise AssertionError("a probe ran lanes")
+
+    monkeypatch.setattr(stability, "_chunk", unused)
+    curve = critical_curve([-1.1, -1.0, 1.0, 1.1], tolerance=0.05, steps=300, trials=4, seed=0)
+    assert {p.status for p in curve.points} == {STATUS_NO_CROSSING}
+
+
+@pytest.mark.parametrize("ratio", [RATIO_EQUAL, RATIO_SOCIAL_ONLY])
 def test_critical_curve_lies_above_mean_square_boundary(ratio):
     # below omega = -0.5 the curve approaches the boundary (0.007 above it
     # at omega = -0.9 on the reference curve), closer than these budgets resolve
@@ -1250,9 +1272,11 @@ _LOCKSTEP_CASES = {
     # run chunks of different lengths in one round
     "chunk_offsets": ([-0.4, 0.2, 0.8], 7, dict(tolerance=0.05, steps=333, trials=3),
                       dict(burn_in=77)),
-    "mixed_statuses": ([-1.0, -0.2, 0.99, 1.0, 1.05], 3, dict(tolerance=0.05, steps=300,
-                                                             trials=6),
-                       dict(burn_in=50, max_level=1)),
+    # |omega| >= 1 finds no crossing by theory; at omega = 0.999 the
+    # mean-square boundary lies below the bracket, so the low end runs its
+    # probe, which stays unresolved
+    "mixed_statuses": ([-1.0, -0.2, 0.99, 0.999, 1.0, 1.05], 3,
+                       dict(tolerance=0.05, steps=300, trials=6), dict(burn_in=50, max_level=1)),
     "seed_sequence": ([-0.3, 0.5], np.random.SeedSequence, dict(tolerance=0.05, steps=400,
                                                                trials=4), dict(burn_in=20)),
     # 12 points of 24 lanes: 288 lanes, so the lane cap shortens the blocks
@@ -1309,20 +1333,28 @@ def _serial_curve(grid, seed, log=None, **budgets):
     """The reference curve: each point's bisection answered one probe at a
     time by ``lyapunov_exponent``, independent of the lane-block solver; a
     level-L request is a fresh call of ``steps * 2**L`` steps with the
-    request's seed.  The search constants are read from ``stability``.  The
-    requests go to ``log``, if given."""
+    request's seed.  A request whose sign theory fixes
+    (``stability._known_sign``) is answered with that sign and runs no
+    orbit.  The search constants are read from ``stability``.  The requests
+    that run an orbit go to ``log``, if given."""
     b = {name: p.default for name, p in inspect.signature(critical_alpha).parameters.items()}
     b.update(budgets)
 
     def solve(w, child):
         def probe(a1, a2, level, probe_seed):
+            # a sign that theory fixes runs no orbit; its weight still took its child
+            sign = stability._known_sign(w, a1, a2)
+            if sign is not None:
+                return sign
+            if log is not None:
+                log.append((a1, a2, level, probe_seed))
             est = lyapunov_exponent(w, a1, a2, b["steps"] * 2**level, b["trials"],
                                     stability._BURN_IN, probe_seed)
             return stability._sign(est.value, est.std_error)
 
         search = stability._bisection(child, b["ratio"], *stability._BRACKET, b["tolerance"], w,
                                       stability._MAX_LEVEL)
-        return _one_at_a_time(search, probe, log)
+        return _one_at_a_time(search, probe)
 
     return tuple(solve(w, child) for w, child in zip(grid, _children(grid, seed)))
 
@@ -1374,21 +1406,26 @@ def test_lockstep_pads_probes_at_different_chunk_offsets(monkeypatch, search_con
     assert any(len(chunks) > 1 for chunks in lengths)
 
 
-@pytest.mark.parametrize("steps, burn_in", [(333, 77), (5, 300), (1000, 256), (37, 0)])
+@pytest.mark.parametrize("steps, burn_in", [(333, 77), (5, 300), (1000, 256), (37, 0),
+                                            (512, 40), (1000, 0), (999, 13)])
 def test_a_ladder_probe_equals_the_longer_exponent_call(steps, burn_in):
     # a level-L probe continues the orbit below it and is cut where the
-    # lyapunov_exponent call of steps * 2**L steps is, so it has its bits
+    # lyapunov_exponent call of steps * 2**L steps is, so it has its bits;
+    # the steps' odd parts run from 1 (512) to the steps themselves (999).
+    # The weight lies above the mean-square boundary, where theory fixes
+    # no sign, so every level runs its orbit
     trials = 5
+    assert stability._known_sign(0.3, 2.4, 2.9) is None
     start, advance = stability._lyapunov_kind([0.3], steps, trials, burn_in)
     child = np.random.SeedSequence(4)
     probe = None
     for level in range(4):
-        probe = start(0, 0.9, 1.4, level, child, probe)
+        probe = start(0, 2.4, 2.9, level, child, probe)
         reply = None
         while reply is None:
             (_, reply), = advance({0: probe})
         estimate = stability._estimate(probe.acc, steps * 2**level, burn_in)
-        assert estimate == lyapunov_exponent(0.3, 0.9, 1.4, steps * 2**level, trials, burn_in,
+        assert estimate == lyapunov_exponent(0.3, 2.4, 2.9, steps * 2**level, trials, burn_in,
                                              child)
 
 

@@ -99,7 +99,13 @@ ladders differ.  So for an escape curve the process also wraps
 ``stability._start`` and ``stability._step`` and charges to the point whose
 request runs, as its first-passage probe answers that request at once,
 the lanes started (the sum of ``n``) and the lane-steps (the sum of
-``x.size`` over the escape update's steps).
+``x.size`` over the escape update's steps).  For a Lyapunov curve it
+wraps ``stability._chunk``, whose calls serve the probes of every point
+at once, and counts the curve's chunk calls and padded lane-steps: a call
+on weights of shape ``(k, n)`` pads its ``k`` steps to a power of two, at
+least 2, for each of its ``n`` lanes.  The wrapper passes its arguments on
+by position, so the same probe text runs in trees whose chunk rules
+differ.
 
 OUT.json gets, of the measured entries, a ``layers`` entry (Lyapunov), a
 ``passage`` entry, a ``lockstep`` entry, a ``divergent`` entry, a ``sweep``
@@ -110,7 +116,8 @@ quartiles and runs, the ratio of the medians (change over parent) and
 ``change_lower_in_rounds``; and a ``probes`` entry with, per curve and
 tree, each point's requests by level, its ``std_error`` and status, and
 the curve's totals, with, for an escape curve, the lanes started and
-lane-steps of each point and of the curve.  Other entries of an existing
+lane-steps of each point and of the curve, and for a Lyapunov curve its
+chunk calls and padded lane-steps.  Other entries of an existing
 OUT.json, such as the ones ``tools/bench_pairs.py`` writes, are kept; run
 this after that script, which writes its file anew.
 """
@@ -268,14 +275,16 @@ CURVES = {
 }
 CURVE_SEED = 1511
 
-# one process: each point's bisection requests by level, and an escape
-# point's lanes started and lane-steps, per curve of the JSON argv[2]
+# one process: each point's bisection requests by level, an escape point's
+# lanes started and lane-steps, and a Lyapunov curve's chunk calls and
+# padded lane-steps, per curve of the JSON argv[2]
 COUNT_PROBE = """
 import json, math, sys
 from swarmcrit import stability
 seed, curves = int(sys.argv[1]), json.loads(sys.argv[2])
 bisection, start, step = stability._bisection, stability._start, stability._step
-counts, work, current = [], [], [0]
+chunk = stability._chunk
+counts, work, current, chunks = [], [], [0], {"chunk_calls": 0, "padded_lane_steps": 0}
 def counted(*args):
     levels, point = [0] * (args[-1] + 1), len(counts)
     counts.append(levels)
@@ -295,13 +304,19 @@ def started(rng, n):
 def stepped(omega, ar, v, x, *rest):
     work[current[0]]["lane_steps"] += x.size
     return step(omega, ar, v, x, *rest)
+def chunked(omega, ar, *rest):
+    chunks["chunk_calls"] += 1
+    chunks["padded_lane_steps"] += max(2, 1 << (len(ar) - 1).bit_length()) * ar.shape[1]
+    return chunk(omega, ar, *rest)
 stability._bisection = counted
 out = {}
 for name, kwargs in curves.items():
     counts.clear()
     work.clear()
+    chunks.update(dict.fromkeys(chunks, 0))
     escape = kwargs.get("method") == "escape"
     stability._start, stability._step = (started, stepped) if escape else (start, step)
+    stability._chunk = chunk if escape else chunked
     curve = stability.critical_curve(seed=seed, **kwargs)
     out[name] = {
         "points": [{"omega": p.omega, "requests": sum(levels), "by_level": levels,
@@ -314,6 +329,8 @@ for name, kwargs in curves.items():
     }
     if escape:
         out[name].update({key: sum(cost[key] for cost in work) for key in work[0]})
+    else:
+        out[name].update(chunks)
 print(json.dumps(out))
 """
 
@@ -539,7 +556,9 @@ def main(argv=None) -> int:
             "command": f"critical_curve(seed={CURVE_SEED}, **kwargs) with stability._bisection "
                        "wrapped to count each point's requests by budget level, and for an "
                        "escape curve stability._start and stability._step wrapped to count "
-                       "each point's lanes started and lane-steps",
+                       "each point's lanes started and lane-steps, and for a Lyapunov curve "
+                       "stability._chunk wrapped to count the curve's chunk calls and padded "
+                       "lane-steps",
             "method": "one fresh process per tree; the counts do not vary from run to run",
             "curves": {name: {"kwargs": kwargs, **{side: counts[side][name] for side in SIDES}}
                        for name, kwargs in CURVES.items()},

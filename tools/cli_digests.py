@@ -165,6 +165,11 @@ COMMANDS = [
     (["scaling", "--kappa", "1", "--iterations", "100", "--repetitions", "9",
       "--omega-min", "-0.6", "--omega-max", "0.6", "--step", "0.3", "--tolerance", "0.05",
       "--seed", "31", "--output", "scaling_ties.csv"], ["scaling_ties.csv"]),
+    # at omega = 1 the determinant identity fixes the exponent's sign: no
+    # crossing, where Monte Carlo probes of this budget stay unresolved
+    (["curve", "--omega-min", "0.99", "--omega-max", "1", "--step", "0.01",
+      "--tolerance", "0.05", "--steps", "300", "--trials", "6", "--seed", "2",
+      "--output", "curve_unit_omega.csv"], ["curve_unit_omega.csv"]),
     # negative reals in exponent notation are values, not options
     (["curve", "--omega-min", "-5e-1", "--omega-max", "5e-1", "--step", "5e-1",
       "--tolerance", "0.05", "--steps", "300", "--trials", "4", "--seed", "19",
