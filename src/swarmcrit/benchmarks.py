@@ -28,13 +28,13 @@ At low dims the shift and the formulas' sums over the coordinate axis run
 one column at a time (``_shifted``, ``_row_sum``), bit for bit as the
 broadcast subtract and ``np.sum`` round.
 
-An optimiser that runs the swarms of several instances in one batch
-evaluates them through one stack cost (``_Stack``): each instance
-transforms its own swarms, and each base formula then runs once on all the
-swarms that share it, such as plain, rotated and non-continuous rastrigin.
-A call of one instance is the one-instance case of the same code
-(``_costs``).  Either call takes every row, a non-finite one too, whose
-cost is then inf or NaN; the optimiser reads it as +inf.
+The sweep evaluates each batch of swarms, of one instance or several,
+through one stack cost (``_Stack``): each instance transforms its own
+swarms, and each base formula then runs once on all the swarms that share
+it, such as plain, rotated and non-continuous rastrigin.  A call of one
+instance is the one-instance case of the same code (``_costs``).  Either
+call takes every row, a non-finite one too, whose cost is then inf or NaN;
+the optimiser reads it as +inf.
 """
 
 from __future__ import annotations
@@ -306,7 +306,7 @@ def _base_costs(fid, z, ceiling):
 
 
 class _Stack:
-    """The cost of a (B, n, dim) stack whose swarms belong to several
+    """The cost of a (B, n, dim) stack whose swarms belong to one or more
     instances: ``functions[owner[b]]`` is swarm b's.
 
     Each run of consecutive swarms of one instance is shifted, rotated and

@@ -168,9 +168,8 @@ def _run_batch(config: SweepConfig, functions, pairs) -> tuple[np.ndarray, np.nd
     seeds = (np.random.SeedSequence([config.master_seed, fn_idx, *swarm])
              for fn_idx, swarm in pairs)
     owner = np.array([fn_idx for fn_idx, _ in pairs])
-    fn = functions[owner[0]]
-    cost = fn if (owner == owner[0]).all() else _Stack(functions, owner)
-    state = lockstep(cost, params, config.iterations, fn.domain, seeds)
+    state = lockstep(_Stack(functions, owner), params, config.iterations,
+                     BenchmarkFunction.domain, seeds)
     return state.g_best_cost, state.diverged
 
 

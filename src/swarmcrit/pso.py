@@ -7,19 +7,19 @@ iteration and best replacements are applied after the whole swarm has been
 evaluated, so results are reproducible under any evaluation order.
 
 ``lockstep`` advances B independent swarms together as ``(B, n, dim)``
-arrays, with per-swarm weights; ``optimize``, ``init_swarm`` and
-``pso_step`` are its one-swarm cases, so the update is written once.  Each
-swarm draws from its own generators, and its costs come from a call on its
-own ``(n, dim)`` block, so a swarm's run is bit-identical whichever swarms
-share its batch.  A swarm draws the weights of a block of iterations in one
-generator call; a generator fills its output in order, so the block holds
-the stream that one draw per iteration gives, and the run does not depend
-on the block length.  The loop owns its buffers: it allocates the draw
-block and the update's work arrays once, and each iteration writes the
-velocities and positions over the previous ones.  No operation on the
-(B, n, dim) arrays broadcasts over the coordinate axis, where numpy's inner
-loop would run only dim elements long: the global bests are repeated to
-full shape, and a personal best is replaced as one opaque row (``_rows``).
+arrays, with per-swarm weights; ``optimize`` is its one-swarm case, so the
+update is written once.  Each swarm draws from its own generators, and its
+costs come from a call on its own ``(n, dim)`` block, so a swarm's run is
+bit-identical whichever swarms share its batch.  A swarm draws the weights
+of a block of iterations in one generator call; a generator fills its
+output in order, so the block holds the stream that one draw per iteration
+gives, and the run does not depend on the block length.  The loop owns its
+buffers: it allocates the draw block and the update's work arrays once, and
+each iteration writes the velocities and positions over the previous ones.
+No operation on the (B, n, dim) arrays broadcasts over the coordinate axis,
+where numpy's inner loop would run only dim elements long: the global bests
+are repeated to full shape, and a personal best is replaced as one opaque
+row (``_rows``).
 
 A cost is needed only to ask whether it beats the particle's personal best,
 so each iteration makes one cost call on the whole (B, n, dim) batch and
@@ -53,8 +53,6 @@ from .dynamics import SwarmParams, _affine, _children
 __all__ = [
     "SwarmState",
     "RunResult",
-    "init_swarm",
-    "pso_step",
     "optimize",
     "lockstep",
 ]
@@ -113,29 +111,19 @@ def _batch(f):
 
 @dataclass(frozen=True)
 class SwarmState:
-    """Complete swarm snapshot; arrays are laid out (n_particles, dim).
-
-    Inside ``lockstep`` the same fields carry B swarms with a leading batch
-    axis: ``g_best`` is (B, dim) and ``g_best_cost`` and ``diverged`` are
-    (B,) arrays.
-    """
+    """Snapshot of B swarms run in lockstep, each of n particles in dim
+    dimensions: ``positions``, ``velocities`` and ``p_best`` are
+    (B, n, dim), ``p_best_cost`` is (B, n), ``g_best`` is (B, dim), and
+    ``g_best_cost`` and ``diverged`` are (B,) arrays."""
 
     positions: np.ndarray
     velocities: np.ndarray
     p_best: np.ndarray
     p_best_cost: np.ndarray
     g_best: np.ndarray
-    g_best_cost: float
+    g_best_cost: np.ndarray
     iteration: int
-    diverged: bool = False
-
-    @property
-    def n_particles(self) -> int:
-        return self.positions.shape[-2]
-
-    @property
-    def dim(self) -> int:
-        return self.positions.shape[-1]
+    diverged: np.ndarray
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -143,31 +131,6 @@ def _rows(a: np.ndarray) -> np.ndarray:
     of shape (..., 1): selecting rows then copies whole rows bit for bit,
     with no inner loop over a coordinate axis that may be only 2 long."""
     return a.view(np.dtype((np.void, a.itemsize * a.shape[-1])))
-
-
-def _lift(s: SwarmState) -> SwarmState:
-    """A copy of a one-swarm state as a batch of one, for ``_advance`` to
-    write over."""
-    return SwarmState(
-        *(np.array(a, dtype=float, order="C")[None] for a in
-          (s.positions, s.velocities, s.p_best, s.p_best_cost, s.g_best, s.g_best_cost)),
-        iteration=s.iteration,
-        diverged=np.asarray(s.diverged)[None],
-    )
-
-
-def _lower(s: SwarmState) -> SwarmState:
-    """The one-swarm state of a batch of one."""
-    return SwarmState(
-        positions=s.positions[0],
-        velocities=s.velocities[0],
-        p_best=s.p_best[0],
-        p_best_cost=s.p_best_cost[0],
-        g_best=s.g_best[0],
-        g_best_cost=float(s.g_best_cost[0]),
-        iteration=s.iteration,
-        diverged=bool(s.diverged[0]),
-    )
 
 
 @dataclass(frozen=True)
@@ -326,34 +289,6 @@ def lockstep(f, params, iterations: int, bounds, seeds, trace=None) -> SwarmStat
     return state
 
 
-def init_swarm(params: SwarmParams, bounds, f, seed=None) -> SwarmState:
-    """Initialise a swarm with uniform positions and zero velocities.
-
-    Personal bests start at the initial positions; the global best is the
-    cheapest of them.  ``bounds`` is a (low, high) pair applied to every
-    dimension or a (dim, 2) array.  ``f`` is a cost as for :func:`optimize`.
-    """
-    positions = _uniform(seed, _as_bounds(bounds, params.dim), params.n_particles)
-    return _lower(_start(_batch(f), positions[None]))
-
-
-def pso_step(state: SwarmState, params: SwarmParams, f,
-             rng: np.random.Generator) -> SwarmState:
-    """Advance the swarm one iteration.
-
-    Draws fresh diagonal weights ``r1 = rng.random((n, dim))`` then
-    ``r2 = rng.random((n, dim))`` (independent per particle and
-    dimension), applies the velocity/position update against the previous
-    iteration's bests, evaluates ``f`` as :func:`optimize` does, and
-    applies strict-improvement best replacements (ties keep
-    the incumbent).  Returns a new state; ``state`` is left unchanged.
-    """
-    r = rng.random((1, 2, state.n_particles, state.dim))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _lower(_advance(_lift(state), params.omega, params.alpha1, params.alpha2, r,
-                               _batch(f), np.empty((3, *r[:, 0].shape))))
-
-
 def optimize(f, params: SwarmParams, iterations: int, bounds=(-100.0, 100.0), seed=None) -> RunResult:
     """Run the optimiser for a fixed iteration count.
 
@@ -376,11 +311,17 @@ def optimize(f, params: SwarmParams, iterations: int, bounds=(-100.0, 100.0), se
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     trace = np.empty(iterations)
-    state = _lower(lockstep(f, [params], iterations, bounds, [seed], trace[None]))
+    state = lockstep(f, [params], iterations, bounds, [seed], trace[None])
     return RunResult(
-        best_cost=state.g_best_cost,
-        best_position=state.g_best.copy(),
+        best_cost=float(state.g_best_cost[0]),
+        best_position=state.g_best[0],
         cost_trace=trace,
-        diverged=state.diverged,
+        diverged=bool(state.diverged[0]),
         evaluations=params.n_particles * (iterations + 1),
     )
+
+
+# not API: the traced mode of ``bench/spans.py`` wraps these names, until
+# its spans are read from run records (ROADMAP item 5)
+init_swarm = pso_step = None
+

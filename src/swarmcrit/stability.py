@@ -7,7 +7,7 @@ vanishes, and the finite-time scaling experiments with distinct personal and
 global best positions.
 
 All estimators are Monte-Carlo and step their lanes with the one-step maps
-of ``dynamics``: the homogeneous ``_step``, or ``affine_update`` in the
+of ``dynamics``: the homogeneous ``_step``, or ``_affine`` in the
 experiments with fixed best positions.  The orbit average of the renormalised
 random product converges to the double integral over the angular measure
 and the matrix set by ergodicity.  Every function takes an explicit seed
@@ -76,8 +76,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (_affine, _check_weights, _children, _draw_weights, _step, _weights,
-                       affine_update)
+from .dynamics import _affine, _check_weights, _children, _draw_weights, _step, _weights
 
 __all__ = [
     "NumericOverflowError",
@@ -1304,12 +1303,14 @@ def finite_time_lyapunov(
         return float((m + np.log(np.mean(np.exp(ell - m)))) / steps)
     x = z0_scale * x
     v = z0_scale * v
-    for k in range(steps):
-        u = rng.random((2, repetitions))
-        v, x = affine_update(omega, alpha1, alpha2, v, x, u[0], u[1], p, g)
-        # x' = x + v': a v' that is not finite makes x' not finite too
-        if not np.isfinite(x).all():
-            raise NumericOverflowError("trajectory left floating range", step=k)
+    # an escaping trajectory overflows; one errstate for the loop, not one a step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            u = rng.random((2, repetitions))
+            v, x = _affine(omega, alpha1, alpha2, v, x, u[0], u[1], p, g)
+            # x' = x + v': a v' that is not finite makes x' not finite too
+            if not np.isfinite(x).all():
+                raise NumericOverflowError("trajectory left floating range", step=k)
     return float(np.log(np.mean(np.hypot(x, v))) / steps)
 
 

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -56,3 +57,17 @@ def test_sweep_and_region_load_no_numpy_ma(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_traced_benchmark_wraps_only_names_that_exist(monkeypatch):
+    # ``bench/run.py --trace 1`` wraps every (module, name) of ``FULL``; a
+    # name that is gone fails the traced run.  The file is read, not cached.
+    path = Path(swarmcrit.__file__).parents[2] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while it runs
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(spans)
+    for module, name, *_ in spans.FULL:
+        assert hasattr(getattr(swarmcrit, module), name), f"{module}.{name}"

@@ -1,5 +1,4 @@
 import json
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from swarmcrit import benchmarks, pso
 from swarmcrit.benchmarks import make_function
 from swarmcrit.dynamics import SwarmParams, _step
 from swarmcrit.harness import SweepConfig, inclusive_grid, run_sweep
-from swarmcrit.pso import RunResult, SwarmState, init_swarm, lockstep, optimize, pso_step
+from swarmcrit.pso import SwarmState, lockstep, optimize
 
 
 def sphere(points):
@@ -20,44 +19,54 @@ def sphere_scalar(x):
     return float(np.sum(np.asarray(x) ** 2))
 
 
+def _advance_one(state, params, f, rng):
+    """``state``, a batch of one swarm, after one ``pso._advance`` with the
+    draw and cost that ``lockstep`` gives it; the step writes over
+    ``state``'s velocities and positions."""
+    r = rng.random((1, 2, params.n_particles, params.dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return pso._advance(state, params.omega, params.alpha1, params.alpha2, r,
+                            pso._batch(f), np.empty((3, *state.positions.shape)))
+
+
 # ---------------------------------------------------------------- init
 
 
 def test_init_swarm_within_bounds():
     params = SwarmParams(0.7, 0.7, 0.7, n_particles=25, dim=10)
-    state = init_swarm(params, (-100.0, 100.0), sphere, seed=1)
-    assert state.positions.shape == (25, 10)
+    state = lockstep(sphere, [params], 0, (-100.0, 100.0), [1])
+    assert state.positions.shape == (1, 25, 10)
     assert np.all(state.positions >= -100) and np.all(state.positions <= 100)
-    assert np.array_equal(state.velocities, np.zeros((25, 10)))
+    assert np.array_equal(state.velocities, np.zeros((1, 25, 10)))
     assert np.array_equal(state.p_best, state.positions)
-    gi = int(np.argmin(state.p_best_cost))
-    assert state.g_best_cost == state.p_best_cost[gi]
-    assert np.array_equal(state.g_best, state.positions[gi])
+    gi = int(np.argmin(state.p_best_cost[0]))
+    assert state.g_best_cost[0] == state.p_best_cost[0, gi]
+    assert np.array_equal(state.g_best[0], state.positions[0, gi])
 
 
 def test_init_single_particle():
     params = SwarmParams(0.7, 0.7, 0.7, n_particles=1, dim=3)
-    state = init_swarm(params, (-5.0, 5.0), sphere, seed=2)
-    assert np.array_equal(state.g_best, state.p_best[0])
-    assert state.g_best_cost == state.p_best_cost[0]
+    state = lockstep(sphere, [params], 0, (-5.0, 5.0), [2])
+    assert np.array_equal(state.g_best[0], state.p_best[0, 0])
+    assert state.g_best_cost[0] == state.p_best_cost[0, 0]
 
 
 def test_init_deterministic():
     params = SwarmParams(0.7, 0.7, 0.7, n_particles=5, dim=2)
-    a = init_swarm(params, (-1.0, 1.0), sphere, seed=3)
-    b = init_swarm(params, (-1.0, 1.0), sphere, seed=3)
+    a = lockstep(sphere, [params], 0, (-1.0, 1.0), [3])
+    b = lockstep(sphere, [params], 0, (-1.0, 1.0), [3])
     assert np.array_equal(a.positions, b.positions)
-    assert a.g_best_cost == b.g_best_cost
+    assert a.g_best_cost[0] == b.g_best_cost[0]
 
 
 def test_init_rejects_bad_bounds():
     params = SwarmParams(0.7, 0.7, 0.7, n_particles=2, dim=2)
     with pytest.raises(ValueError):
-        init_swarm(params, (), sphere, seed=1)
+        lockstep(sphere, [params], 0, (), [1])
     with pytest.raises(ValueError):
-        init_swarm(params, (5.0, -5.0), sphere, seed=1)
+        lockstep(sphere, [params], 0, (5.0, -5.0), [1])
     with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
-        init_swarm(params, np.zeros((2, 3)), sphere, seed=1)
+        lockstep(sphere, [params], 0, np.zeros((2, 3)), [1])
 
 
 @pytest.mark.parametrize("bounds", [(-1e308, 1e308), (np.nan, 1.0), (0.0, np.inf),
@@ -68,15 +77,13 @@ def test_bounds_and_their_width_must_be_finite(bounds):
     params = SwarmParams(0.7, 0.7, 0.7, n_particles=3, dim=2)
     with pytest.raises(ValueError, match="finite"):
         optimize(sphere, params, 5, bounds=bounds, seed=1)
-    with pytest.raises(ValueError, match="finite"):
-        init_swarm(params, bounds, sphere, seed=1)
 
 
 def test_init_per_dimension_bounds():
     params = SwarmParams(0.7, 0.7, 0.7, n_particles=50, dim=2)
-    state = init_swarm(params, [(-1.0, 0.0), (10.0, 20.0)], sphere, seed=4)
-    assert np.all(state.positions[:, 0] <= 0.0) and np.all(state.positions[:, 0] >= -1.0)
-    assert np.all(state.positions[:, 1] >= 10.0) and np.all(state.positions[:, 1] <= 20.0)
+    x = lockstep(sphere, [params], 0, [(-1.0, 0.0), (10.0, 20.0)], [4]).positions[0]
+    assert np.all(x[:, 0] <= 0.0) and np.all(x[:, 0] >= -1.0)
+    assert np.all(x[:, 1] >= 10.0) and np.all(x[:, 1] <= 20.0)
 
 
 # ---------------------------------------------------------------- stepping
@@ -84,49 +91,36 @@ def test_init_per_dimension_bounds():
 
 def test_step_zero_force_fixed_point():
     params = SwarmParams(0.7, 0.7, 0.7, n_particles=3, dim=2)
-    state = init_swarm(params, (-1.0, 1.0), sphere, seed=5)
-    pinned = SwarmState(
-        positions=np.tile(state.g_best, (3, 1)),
-        velocities=np.zeros((3, 2)),
-        p_best=np.tile(state.g_best, (3, 1)),
-        p_best_cost=np.full(3, state.g_best_cost),
-        g_best=state.g_best,
-        g_best_cost=state.g_best_cost,
+    start = lockstep(sphere, [params], 0, (-1.0, 1.0), [5])
+    pinned = np.repeat(start.g_best[:, None], 3, axis=1)
+    state = SwarmState(
+        positions=pinned.copy(),
+        velocities=np.zeros((1, 3, 2)),
+        p_best=pinned.copy(),
+        p_best_cost=np.full((1, 3), start.g_best_cost[0]),
+        g_best=start.g_best,
+        g_best_cost=start.g_best_cost,
         iteration=0,
+        diverged=np.zeros(1, dtype=bool),
     )
-    rng = np.random.default_rng(6)
-    out = pso_step(pinned, params, sphere, rng)
-    assert np.array_equal(out.positions, pinned.positions)
-    assert np.array_equal(out.velocities, np.zeros((3, 2)))
+    out = _advance_one(state, params, sphere, np.random.default_rng(6))
+    assert np.array_equal(out.positions, pinned)
+    assert np.array_equal(out.velocities, np.zeros((1, 3, 2)))
     assert out.iteration == 1
-
-
-def test_pso_step_leaves_its_input_state_unchanged():
-    # the step writes velocities and positions in place, on a copy of the
-    # caller's state; stepping twice from one state gives one result
-    params = SwarmParams(0.7, 1.4, 1.4, n_particles=6, dim=3)
-    state = init_swarm(params, (-5.0, 5.0), sphere, seed=8)
-    state = pso_step(state, params, sphere, np.random.default_rng(9))
-    before = {f.name: np.copy(getattr(state, f.name)) for f in fields(state)}
-    steps = [pso_step(state, params, sphere, np.random.default_rng(10)) for _ in range(2)]
-    for name, value in before.items():
-        assert np.array_equal(getattr(state, name), value), name
-        assert np.array_equal(getattr(steps[0], name), getattr(steps[1], name)), name
-    assert not np.array_equal(steps[0].positions, state.positions)
 
 
 def test_gbest_monotone_and_personal_best_invariant():
     params = SwarmParams(0.7, 0.7, 0.7, n_particles=10, dim=3)
-    state = init_swarm(params, (-50.0, 50.0), sphere, seed=7)
+    state = lockstep(sphere, [params], 0, (-50.0, 50.0), [7])
     rng = np.random.default_rng(8)
-    last = state.g_best_cost
+    last = state.g_best_cost[0]
     for _ in range(100):
-        state = pso_step(state, params, sphere, rng)
-        assert state.g_best_cost <= last
-        last = state.g_best_cost
-        costs = sphere(state.positions)
-        assert np.all(state.p_best_cost <= costs + 1e-15)
-        assert state.g_best_cost == state.p_best_cost.min()
+        state = _advance_one(state, params, sphere, rng)
+        assert state.g_best_cost[0] <= last
+        last = state.g_best_cost[0]
+        costs = sphere(state.positions[0])
+        assert np.all(state.p_best_cost[0] <= costs + 1e-15)
+        assert state.g_best_cost[0] == state.p_best_cost.min()
 
 
 def test_stable_parameters_improve_sphere():
@@ -150,12 +144,11 @@ def test_divergent_parameters_flag_divergence():
 def test_ties_keep_incumbent():
     params = SwarmParams(0.0, 1.0, 1.0, n_particles=2, dim=1)
     flat = lambda pts: np.zeros(np.atleast_2d(pts).shape[0])
-    state = init_swarm(params, (-1.0, 1.0), flat, seed=10)
-    first_best = state.g_best.copy()
-    rng = np.random.default_rng(11)
-    out = pso_step(state, params, flat, rng)
+    state = lockstep(flat, [params], 0, (-1.0, 1.0), [10])
+    first_best, first_p_best = state.g_best.copy(), state.p_best.copy()
+    out = _advance_one(state, params, flat, np.random.default_rng(11))
     assert np.array_equal(out.g_best, first_best)
-    assert np.array_equal(out.p_best, state.p_best)
+    assert np.array_equal(out.p_best, first_p_best)
 
 
 # ---------------------------------------------------------------- optimize
@@ -172,9 +165,8 @@ def test_optimize_trace_monotone_and_evaluations():
 def test_optimize_zero_iterations_returns_init_best():
     params = SwarmParams(0.7, 0.7, 0.7, n_particles=5, dim=2)
     result = optimize(sphere, params, 0, bounds=(-10.0, 10.0), seed=13)
-    state = init_swarm(params, (-10.0, 10.0), sphere,
-                       seed=np.random.SeedSequence(13).spawn(2)[0])
-    assert result.best_cost == state.g_best_cost
+    state = lockstep(sphere, [params], 0, (-10.0, 10.0), [13])
+    assert result.best_cost == state.g_best_cost[0]
     assert result.evaluations == 5
 
 
@@ -439,10 +431,10 @@ def test_cost_without_one_value_per_row_is_rejected(cost):
     with pytest.raises(ValueError, match="n costs"):
         optimize(f, params, 3, seed=1)
     with pytest.raises(ValueError, match="n costs"):
-        init_swarm(params, (-1.0, 1.0), f, seed=1)
-    state = init_swarm(params, (-1.0, 1.0), sphere, seed=1)
+        lockstep(f, [params], 0, (-1.0, 1.0), [1])
+    state = lockstep(sphere, [params], 0, (-1.0, 1.0), [1])
     with pytest.raises(ValueError, match="n costs"):
-        pso_step(state, params, f, np.random.default_rng(2))
+        _advance_one(state, params, f, np.random.default_rng(2))
 
 
 def test_scale_equivariance_power_of_two():
@@ -463,19 +455,20 @@ def test_single_particle_matches_homogeneous_dynamics_bitwise():
     # the minimum of sphere, so no strict improvement can move the bests.
     params = SwarmParams(0.7, 0.0, 2.0, n_particles=1, dim=1)
     state = SwarmState(
-        positions=np.array([[0.8]]),
-        velocities=np.array([[0.1]]),
-        p_best=np.zeros((1, 1)),
-        p_best_cost=np.array([0.0]),
-        g_best=np.zeros(1),
-        g_best_cost=0.0,
+        positions=np.array([[[0.8]]]),
+        velocities=np.array([[[0.1]]]),
+        p_best=np.zeros((1, 1, 1)),
+        p_best_cost=np.zeros((1, 1)),
+        g_best=np.zeros((1, 1)),
+        g_best_cost=np.zeros(1),
         iteration=0,
+        diverged=np.zeros(1, dtype=bool),
     )
     rng = np.random.default_rng(16)
     swarm_traj = []
     for _ in range(50):
-        state = pso_step(state, params, sphere, rng)
-        swarm_traj.append((state.velocities[0, 0], state.positions[0, 0]))
+        state = _advance_one(state, params, sphere, rng)
+        swarm_traj.append((state.velocities[0, 0, 0], state.positions[0, 0, 0]))
 
     rng = np.random.default_rng(16)
     v, x = np.array([0.1]), np.array([0.8])

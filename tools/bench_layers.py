@@ -127,15 +127,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-from bench_pairs import refuse_bytecode
+from bench_pairs import SIDES, refuse_bytecode, summary
 
-SIDES = ("parent", "change")
 LANES = (12, 60, 368, 1024, 4096, 8192, 16384, 65536)
 ROUNDS = 7
 # a start takes about 0.2 s, and its rounds spread by about 6% either
@@ -423,11 +421,6 @@ def run_tree(tree: Path, layer: str, cache: Path) -> dict[str, float]:
         return run_probe(tree, probe, args)
     cached = run_probe(tree, probe, args, cache)
     return {**run_probe(tree, probe, args), "cached_import_s": cached["import_s"]}
-
-
-def summary(runs: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3, "runs": runs}
 
 
 def compare(runs: dict[str, dict[str, list[float]]]) -> dict:
