@@ -15,9 +15,10 @@ rastrigin is at least ``sum z**2``, griewank at least ``sum z**2 / 4000``,
 and weierstrass at least the partial sum of its first four terms, each
 ``a**k (1 + cos 2 pi 3**k (z + 1/2))`` of which is >= 0, computed with
 no sine by the tripling ``cos 3u = 4 cos**3 u - 3 cos u``.  With a
-ceiling, an instance runs its base formula only on the rows whose bound,
-less margins that cover the formula's rounding, is below their ceiling,
-and returns +inf on the others; a plain call evaluates every row.  In the
+ceiling, which only the stack cost ``_Stack`` takes, a base formula runs
+only on the rows whose bound, less margins that cover the formula's
+rounding, is below their ceiling, and +inf stands for the others; an
+instance's own call evaluates every row.  In the
 15-instance suite sweep at dim 10 (25 particles, 200 iterations) the
 weierstrass bound skips about 89% of the rows.  The other formulas carry
 none: ackley's bound ``20 (1 - exp(-0.2 rms))`` stays below the personal
@@ -28,13 +29,13 @@ At low dims the shift and the formulas' sums over the coordinate axis run
 one column at a time (``_shifted``, ``_row_sum``), bit for bit as the
 broadcast subtract and ``np.sum`` round.
 
-The sweep evaluates each batch of swarms, of one instance or several,
+The optimiser costs each batch of swarms, of one instance or several,
 through one stack cost (``_Stack``): each instance transforms its own
 swarms, and each base formula then runs once on all the swarms that share
-it, such as plain, rotated and non-continuous rastrigin.  A call of one
-instance is the one-instance case of the same code (``_costs``).  Either
-call takes every row, a non-finite one too, whose cost is then inf or NaN;
-the optimiser reads it as +inf.
+it, such as plain, rotated and non-continuous rastrigin.  A stack of one
+instance makes the same transform and formula calls as that instance's
+own call.  Either call takes every row, a non-finite one too, whose cost
+is then inf or NaN; the optimiser reads it as +inf.
 """
 
 from __future__ import annotations
@@ -249,13 +250,9 @@ class BenchmarkFunction:
             parts.append("nc")
         return "-".join(parts)
 
-    def __call__(self, x, *, _ceiling=None):
-        # ``_ceiling``, the optimiser's (..., n) personal best costs, gives
-        # +inf for each row whose bound, less its margins, is not below its
-        # ceiling: that row's cost is not below it either, or is NaN
+    def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        whole = slice(None)
-        out = _costs(np.atleast_2d(x), ((self, whole),), ((self.id, whole),), _ceiling)
+        out = _BASE[self.id](self._transform(np.atleast_2d(x)))
         return float(out[0]) if x.ndim == 1 else out
 
     def _transform(self, pts):
@@ -269,27 +266,6 @@ class BenchmarkFunction:
         if self.noncontinuous:
             z = _noncontinuous(z)
         return z
-
-
-def _costs(pts, runs, groups, ceiling):
-    """Costs of the (..., n, dim) points ``pts``: each ``(instance, rows)``
-    of ``runs`` transforms its slice ``rows`` of the leading axis, and each
-    ``(id, rows)`` of ``groups`` runs that base formula once on its slice,
-    which covers consecutive runs.  ``ceiling`` is as in
-    ``BenchmarkFunction.__call__``."""
-    if len(runs) == 1:
-        fn, rows = runs[0]
-        z = fn._transform(pts[rows])
-    else:
-        z = np.empty(pts.shape)
-        for fn, rows in runs:
-            z[rows] = fn._transform(pts[rows])
-    if len(groups) == 1:
-        return _base_costs(groups[0][0], z, ceiling)
-    out = np.empty(z.shape[:-1])
-    for fid, rows in groups:
-        out[rows] = _base_costs(fid, z[rows], None if ceiling is None else ceiling[rows])
-    return out
 
 
 def _base_costs(fid, z, ceiling):
@@ -315,6 +291,11 @@ class _Stack:
     share it.  The formulas are elementwise plus row sums, so every swarm's
     costs are bit for bit those of its own instance's call on its block,
     a block with non-finite rows included.
+
+    It is the one cost that takes a ceiling: ``_ceiling``, the optimiser's
+    (B, n) personal best costs, gives +inf for each row whose bound, less
+    its margins, is not below its ceiling, since that row's cost is not
+    below it either, or is NaN.
     """
 
     def __init__(self, functions, owner):
@@ -329,7 +310,11 @@ class _Stack:
         self._groups = tuple(groups)
 
     def __call__(self, x, *, _ceiling=None):
-        return _costs(x, self._runs, self._groups, _ceiling)
+        z = [fn._transform(x[rows]) for fn, rows in self._runs]
+        z = z[0] if len(z) == 1 else np.concatenate(z)
+        out = [_base_costs(fid, z[rows], None if _ceiling is None else _ceiling[rows])
+               for fid, rows in self._groups]
+        return out[0] if len(out) == 1 else np.concatenate(out)
 
 
 def _random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:

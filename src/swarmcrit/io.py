@@ -56,12 +56,13 @@ def write_csv(path, header, rows, metadata: dict | None = None) -> None:
 
 def read_csv(path) -> tuple[dict, list[str], list[list[str]]]:
     """Read a CSV written by :func:`write_csv`; returns (metadata, header,
-    rows) with all cells as strings."""
+    rows) with all cells as strings.  A row whose field count differs from
+    the header's is a ``ValueError`` naming the file and line."""
     meta: dict = {}
     header: list[str] = []
     rows: list[list[str]] = []
     with Path(path).open() as fh:
-        for raw in fh:
+        for number, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             if not line:
                 continue
@@ -75,6 +76,9 @@ def read_csv(path) -> tuple[dict, list[str], list[list[str]]]:
                 header = line.split(",")
             else:
                 rows.append(line.split(","))
+                if len(rows[-1]) != len(header):
+                    raise ValueError(f"{path}, line {number}: {len(rows[-1])} fields, "
+                                     f"where the header has {len(header)}")
     return meta, header, rows
 
 

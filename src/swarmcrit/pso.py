@@ -23,11 +23,12 @@ row (``_rows``).
 
 A cost is needed only to ask whether it beats the particle's personal best,
 so each iteration makes one cost call on the whole (B, n, dim) batch and
-tells it those bests (``_batch``).  A ``BenchmarkFunction`` cost, or a
-stack of several that gives each swarm its own instance, evaluates every
-row and skips each particle whose cost provably cannot beat its best (see
-``benchmarks``), reporting +inf; every best, trace and flag is
-bit-identical to evaluating every particle.  Any other cost maps an
+tells it those bests (``_batch``).  A ``BenchmarkFunction`` cost runs as
+a stack of one instance, and a stack of several (``benchmarks._Stack``)
+gives each swarm its own; the stack, the one cost that takes the bests as
+a ceiling, evaluates every row and skips each particle whose cost
+provably cannot beat its best, reporting +inf; every best, trace and flag
+is bit-identical to evaluating every particle.  Any other cost maps an
 (n, dim) batch to n costs and is called on each swarm's finite rows (see
 ``optimize``).
 
@@ -86,13 +87,17 @@ def _as_bounds(bounds, dim: int) -> np.ndarray:
     return b
 
 
-def _batch(f):
-    """``f`` as a cost of (B, n, dim) stacks that takes the particles'
-    personal best costs as ``_ceiling``: a ``BenchmarkFunction`` or a stack
-    of them (``benchmarks._Stack``) as it is, which evaluates every row;
-    any other ``f`` called on each (n, dim) block's finite rows, with +inf
-    on the others and no call for a block without a finite row."""
-    if isinstance(f, (BenchmarkFunction, _Stack)):
+def _batch(f, swarms):
+    """``f`` as a cost of (``swarms``, n, dim) stacks that takes the
+    particles' personal best costs as ``_ceiling``: a stack of instances
+    (``benchmarks._Stack``, the one cost that takes a ceiling) as it is,
+    and a lone ``BenchmarkFunction`` as a stack of one instance, each of
+    which evaluates every row; any other ``f`` called on each (n, dim)
+    block's finite rows, with +inf on the others and no call for a block
+    without a finite row."""
+    if isinstance(f, BenchmarkFunction):
+        f = _Stack((f,), np.zeros(swarms, dtype=int))
+    if isinstance(f, _Stack):
         return f
 
     def cost(points, _ceiling=None):
@@ -241,17 +246,18 @@ def lockstep(f, params, iterations: int, bounds, seeds, trace=None) -> SwarmStat
     """Run one swarm per (``params``, ``seeds``) pair, all in lockstep.
 
     Every ``params`` entry shares ``n_particles`` and ``dim``; omega and
-    the attraction weights are per swarm.  ``f`` is a ``BenchmarkFunction``
-    or a stack of them (``benchmarks._Stack``), which costs the whole
-    (B, n, dim) stack in one call and each (n, dim) block as a call on it
-    alone would, or a cost as for :func:`optimize`, called on each swarm's
-    finite rows (see ``_batch``).  Each seed gives the two children
-    ``SeedSequence(seed).spawn(2)`` would to an initialisation and a step
-    generator (a caller's ``SeedSequence`` is not advanced, so a repeated
-    call gets the same run), and per iteration each swarm draws ``r1`` then
-    ``r2`` from its step generator (a block of iterations per generator
-    call, the same stream), so every swarm follows exactly the run
-    ``optimize`` gives for its parameters and seed.
+    the attraction weights are per swarm.  ``f`` is a ``BenchmarkFunction``,
+    run as a stack of one instance, or a stack of them
+    (``benchmarks._Stack``), which costs the whole (B, n, dim) stack in one
+    call, with the personal bests as its ceiling, and each (n, dim) block
+    as a call on it alone would; or a cost as for :func:`optimize`, called
+    on each swarm's finite rows (see ``_batch``).  Each seed gives the two
+    children ``SeedSequence(seed).spawn(2)`` would to an initialisation and
+    a step generator (a caller's ``SeedSequence`` is not advanced, so a
+    repeated call gets the same run), and per iteration each swarm draws
+    ``r1`` then ``r2`` from its step generator (a block of iterations per
+    generator call, the same stream), so every swarm follows exactly the
+    run ``optimize`` gives for its parameters and seed.
     ``trace``, if given, is a (B, iterations) array that receives the
     global best costs after every iteration.  Returns the final batch state
     (see :class:`SwarmState`).  ``seeds`` must hold one seed per
@@ -263,7 +269,7 @@ def lockstep(f, params, iterations: int, bounds, seeds, trace=None) -> SwarmStat
     n, dim = params[0].n_particles, params[0].dim
     if any((p.n_particles, p.dim) != (n, dim) for p in params):
         raise ValueError("swarms in lockstep must share n_particles and dim")
-    cost = _batch(f)
+    cost = _batch(f, len(params))
     weights = np.array([(p.omega, p.alpha1, p.alpha2) for p in params])[:, :, None, None]
     omega, alpha1, alpha2 = weights[:, 0], weights[:, 1], weights[:, 2]
     b = _as_bounds(bounds, dim)
@@ -297,16 +303,18 @@ def optimize(f, params: SwarmParams, iterations: int, bounds=(-100.0, 100.0), se
     overflowed, and a result that is not one cost per row is a
     ``ValueError``; wrap a per-point cost ``g`` as
     ``lambda X: np.array([g(x) for x in X])``.  A ``BenchmarkFunction`` is
-    called on the whole swarm, its non-finite rows included, whose costs
-    then read +inf.
+    costed as a one-instance ``benchmarks._Stack``, whose ceiling is the
+    personal bests, on the whole swarm, its non-finite rows included, whose
+    costs then read +inf.
 
     Returns the final global best, the per-iteration best-cost trace, the
     divergence flag and the number of scheduled cost evaluations
     (``n_particles * (iterations + 1)``, counting initialisation; non-finite
-    positions contribute +inf, and a ``BenchmarkFunction`` skips the rows
-    that cannot beat their personal best).  The divergence flag is set only when a position
-    or velocity has overflowed to a non-finite value within ``iterations``;
-    see :class:`RunResult`.  This is ``lockstep`` with one swarm.
+    positions contribute +inf, and a ``BenchmarkFunction``'s stack skips
+    the rows that cannot beat their personal best).  The divergence flag is
+    set only when a position or velocity has overflowed to a non-finite
+    value within ``iterations``; see :class:`RunResult`.  This is
+    ``lockstep`` with one swarm.
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")

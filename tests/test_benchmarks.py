@@ -81,8 +81,9 @@ def test_stack_evaluates_each_batch_as_alone(dim):
 def test_multi_instance_stack_equals_per_instance_calls(dim):
     # a sweep batch stacks the swarms of several instances, in base-formula
     # order, and runs each formula once on the instances that share it; each
-    # swarm's costs must be its own instance's call on its block, bit for
-    # bit, with and without ceilings, also where a row is not finite
+    # swarm's costs must be a one-instance stack's on its block, bit for
+    # bit, with and without ceilings, also where a row is not finite, and
+    # without a ceiling its own instance's call on its block
     rng = np.random.default_rng(22)
     fns = suite(dim, seed=23)
     order = sorted(range(len(fns)), key=lambda i: FUNCTION_IDS.index(fns[i].id))
@@ -98,9 +99,11 @@ def test_multi_instance_stack_equals_per_instance_calls(dim):
     for c in (None, ceiling):
         with np.errstate(invalid="ignore", over="ignore"):
             out = cost(stack, _ceiling=c)
-            expected = [fns[i](stack[b], _ceiling=None if c is None else c[b])
-                        for b, i in enumerate(owner)]
+            expected = [benchmarks._Stack((fns[i],), [0])(
+                stack[b:b + 1], _ceiling=None if c is None else c[b:b + 1])[0]
+                for b, i in enumerate(owner)]
         assert out.shape == (len(owner), 25)
+        assert c is not None or out.tobytes() == alone.tobytes()
         for b, i in enumerate(owner):
             assert out[b].tobytes() == expected[b].tobytes(), (fns[i].label, b)
     assert np.isinf(out).sum() > np.isinf(alone).sum()

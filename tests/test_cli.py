@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from swarmcrit import cli, stability
+from swarmcrit import cli, harness, stability
 from swarmcrit.cli import build_parser, dispatch
 from swarmcrit.io import read_csv, read_keyvalue_config, write_json
 from swarmcrit.stability import CriticalCurve, CriticalPoint
@@ -410,6 +410,41 @@ def test_region_stats_requires_curve(tmp_path):
                 str(tmp_path / "r.csv"), "--stats", str(tmp_path / "s.json")])
     assert code == 1
     assert not (tmp_path / "r.csv").exists()
+
+
+def _resize_last_row(path, fields):
+    """Rewrite the CSV ``path`` with its last row cut to ``fields`` fields,
+    or padded with zeros to them; returns that row's line number."""
+    lines = path.read_text().splitlines()
+    cells = lines[-1].split(",")
+    lines[-1] = ",".join((cells + ["0"] * fields)[:fields])
+    path.write_text("\n".join(lines) + "\n")
+    return len(lines)
+
+
+# a sweep row has 8 fields and a curve row 4: cut short, or one too many
+@pytest.mark.parametrize("kind, fields", [("sweep", 4), ("sweep", 7), ("sweep", 9),
+                                          ("curve", 2), ("curve", 3), ("curve", 5)])
+def test_region_rejects_a_row_of_another_length(tmp_path, capsys, kind, fields):
+    sweep_csv, curve_csv = tmp_path / "sweep.csv", tmp_path / "curve.csv"
+    run(["sweep", "--omega-min", "0.4", "--omega-max", "0.7", "--omega-step", "0.3",
+         "--alpha-min", "1.0", "--alpha-max", "1.0", "--alpha-step", "0.5",
+         "--iterations", "5", "--repetitions", "1", "--functions", "sphere",
+         "--dim", "2", "--particles", "4", "--seed", "1", "--output", str(sweep_csv)])
+    CriticalCurve((CriticalPoint(0.4, 4.6, 0.01), CriticalPoint(0.7, 4.9, 0.01)),
+                  ratio="equal", method="LYAPUNOV_BISECTION").to_csv(curve_csv)
+    bad, reader = {"sweep": (sweep_csv, harness.SweepGrid.from_csv),
+                   "curve": (curve_csv, CriticalCurve.from_csv)}[kind]
+    line = _resize_last_row(bad, fields)
+    with pytest.raises(ValueError, match=f"{kind}.csv, line {line}: {fields} fields"):
+        reader(bad)
+    capsys.readouterr()
+    code = run(["region", "--sweep", str(sweep_csv), "--curve", str(curve_csv),
+                "--output", str(tmp_path / "region.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {bad}, line {line}") and "Traceback" not in err
+    assert not (tmp_path / "region.csv").exists()
 
 
 def _reject_constant(name):

@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,3 +72,14 @@ def test_traced_benchmark_wraps_only_names_that_exist(monkeypatch):
     spec.loader.exec_module(spans)
     for module, name, *_ in spans.FULL:
         assert hasattr(getattr(swarmcrit, module), name), f"{module}.{name}"
+
+
+def test_readme_library_tour_runs(tmp_path, monkeypatch):
+    # the README's one python block is the code users copy first: it runs
+    # as written, here in a temporary directory that takes its curve.csv
+    readme = (Path(swarmcrit.__file__).parents[2] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert len(blocks) == 1
+    monkeypatch.chdir(tmp_path)
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert (tmp_path / "curve.csv").is_file()

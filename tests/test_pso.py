@@ -26,7 +26,7 @@ def _advance_one(state, params, f, rng):
     r = rng.random((1, 2, params.n_particles, params.dim))
     with np.errstate(over="ignore", invalid="ignore"):
         return pso._advance(state, params.omega, params.alpha1, params.alpha2, r,
-                            pso._batch(f), np.empty((3, *state.positions.shape)))
+                            pso._batch(f, len(r)), np.empty((3, *state.positions.shape)))
 
 
 # ---------------------------------------------------------------- init
