@@ -137,10 +137,10 @@ class SweepGrid:
     def from_csv(cls, path) -> "SweepGrid":
         from .io import read_csv
 
-        _, header, rows = read_csv(path)
+        _, header, rows = read_csv(path, _SWEEP_TYPES)
         if header != _SWEEP_HEADER:
             raise ValueError(f"unexpected sweep header {header}")
-        cells = tuple(CellStats(*(t(v) for t, v in zip(_SWEEP_TYPES, r))) for r in rows)
+        cells = tuple(CellStats(*r) for r in rows)
         omegas = np.array(sorted({c.omega for c in cells}))
         alphas = np.array(sorted({c.alpha for c in cells}))
         labels = tuple(dict.fromkeys(c.function for c in cells))

@@ -54,13 +54,15 @@ def write_csv(path, header, rows, metadata: dict | None = None) -> None:
             fh.write(",".join(_cell(v) for v in row) + "\n")
 
 
-def read_csv(path) -> tuple[dict, list[str], list[list[str]]]:
+def read_csv(path, types=None) -> tuple[dict, list[str], list[list]]:
     """Read a CSV written by :func:`write_csv`; returns (metadata, header,
-    rows) with all cells as strings.  A row whose field count differs from
-    the header's is a ``ValueError`` naming the file and line."""
+    rows).  The cells are strings, or with ``types``, one converter per
+    column, what each cell's converter returns.  A row whose field count
+    differs from the header's, or a cell that its converter rejects with a
+    ``ValueError``, is a ``ValueError`` naming the file and line."""
     meta: dict = {}
     header: list[str] = []
-    rows: list[list[str]] = []
+    rows: list[list] = []
     with Path(path).open() as fh:
         for number, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
@@ -75,10 +77,16 @@ def read_csv(path) -> tuple[dict, list[str], list[list[str]]]:
             if not header:
                 header = line.split(",")
             else:
-                rows.append(line.split(","))
-                if len(rows[-1]) != len(header):
-                    raise ValueError(f"{path}, line {number}: {len(rows[-1])} fields, "
+                row = line.split(",")
+                if len(row) != len(header):
+                    raise ValueError(f"{path}, line {number}: {len(row)} fields, "
                                      f"where the header has {len(header)}")
+                if types is not None:
+                    try:
+                        row = [convert(cell) for convert, cell in zip(types, row)]
+                    except ValueError as exc:
+                        raise ValueError(f"{path}, line {number}: {exc}") from None
+                rows.append(row)
     return meta, header, rows
 
 

@@ -47,8 +47,9 @@ Critical points are found by a stochastic bisection written as a generator
 that yields probe requests and is sent each probe's sign: -1 or +1 when
 the estimate is 3-sigma significant, 0 when it is not, decided for a
 first-passage probe on its integer counts alone.  A Lyapunov request whose
-sign theory fixes (:func:`_known_sign`: ``|omega| >= 1``, or mean-square
-stability) is sent that sign without a probe.  Every critical
+sign theory fixes (:func:`_known_sign`: ``|omega| >= 1``, the exact
+exponent at ``omega = 0``, or mean-square stability) is sent that sign
+without a probe.  Every critical
 point, alone or on a curve, runs through one driver, ``_solve``: one
 bisection per inertia value.  Lyapunov probes of all points advance
 together as one block of lanes with a per-lane ``omega``; escape and
@@ -76,7 +77,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _affine, _check_weights, _children, _draw_weights, _step, _weights
+from .dynamics import (_affine, _check_weights, _children, _draw_weights, _lambda0, _step,
+                       _weights)
 
 __all__ = [
     "NumericOverflowError",
@@ -132,6 +134,14 @@ _NEUTRAL_BRACKET = (0.25, 8.0)
 _NEUTRAL_MAX_LEVEL = 2
 
 _CURVE_HEADER = ["omega", "alpha_critical", "std_error", "status"]
+
+
+def _status(cell: str) -> str:
+    """A curve CSV's status cell, which must be one of the ``STATUS_*``
+    markers."""
+    if cell not in (STATUS_OK, STATUS_NO_CROSSING, STATUS_UNRESOLVED):
+        raise ValueError(f"unknown status {cell!r}")
+    return cell
 
 
 class NumericOverflowError(RuntimeError):
@@ -240,10 +250,10 @@ class CriticalCurve:
         Lyapunov bisection."""
         from .io import read_csv
 
-        meta, header, rows = read_csv(path)
+        meta, header, rows = read_csv(path, (float, float, float, _status))
         if header != _CURVE_HEADER:
             raise ValueError(f"unexpected curve header {header}")
-        points = tuple(CriticalPoint(float(r[0]), float(r[1]), float(r[2]), r[3]) for r in rows)
+        points = tuple(CriticalPoint(*r) for r in rows)
         return cls(
             points=points,
             ratio=meta.get("ratio", RATIO_EQUAL),
@@ -555,8 +565,11 @@ def _known_sign(omega, alpha1, alpha2):
 
     +1 for ``|omega| >= 1``: the determinant identity ``lambda1 + lambda2 =
     log|omega|`` and ``lambda1 >= lambda2`` give ``lambda1 >= 0``, so no
-    weight is stable.  -1 where the dynamics is mean-square stable, that is
-    where the second-moment map on ``(E v^2, E v x, E x^2)``,
+    weight is stable.  At ``omega = 0`` the sign of the exact exponent
+    :func:`_lambda0`, where it exists and exceeds 1e-9, its rounding bound,
+    in magnitude; otherwise the rule below.  -1 where the dynamics is
+    mean-square stable, that is where the second-moment map on ``(E v^2,
+    E v x, E x^2)``,
 
         [[w^2, -2 w mu,       s2         ],
          [w^2, w (1 - 2 mu),  s2 - mu    ],
@@ -575,6 +588,10 @@ def _known_sign(omega, alpha1, alpha2):
     """
     if abs(omega) >= 1.0:
         return 1
+    if omega == 0.0:
+        lam = _lambda0(alpha1, alpha2)
+        if lam is not None and abs(lam) > 1e-9:
+            return 1 if lam > 0 else -1
     r = 1.0 - 1e-9
     mu = 0.5 * (alpha1 + alpha2)
     s2 = (alpha1 * alpha1 + alpha2 * alpha2) / 12.0 + mu * mu
@@ -1202,10 +1219,13 @@ def critical_alpha(
 
     With ``method="lyapunov"`` a probe whose sign theory fixes runs no
     orbit: every weight at ``|omega| >= 1`` is unstable, by the determinant
-    identity, and every mean-square stable weight is stable.  So a weight
-    below the mean-square boundary, such as the bracket's low end at most
-    values of ``omega``, costs no lanes, and ``|omega| >= 1`` gives
-    ``NO_CROSSING``.
+    identity, every weight at ``omega = 0`` has the sign of the exact
+    exponent ``E log|1 - s|``, and every mean-square stable weight is
+    stable.  So a weight below the mean-square boundary, such as the
+    bracket's low end at most values of ``omega``, costs no lanes,
+    ``|omega| >= 1`` gives ``NO_CROSSING``, and ``omega = 0`` gives the
+    same point for every seed and budget, within ``tolerance`` of the exact
+    root.
 
     Returns a :class:`CriticalPoint` whose status is ``NO_CROSSING`` if no
     significant sign change exists in the bracket and ``UNRESOLVED`` if the
@@ -1241,8 +1261,9 @@ def critical_curve(
     root carries its status marker; an ``OK`` point can have a
     ``std_error`` above ``tolerance``, as :func:`critical_alpha` says.  With
     ``method="lyapunov"`` the points at ``|omega| >= 1`` are ``NO_CROSSING``
-    without a probe, and weights below the mean-square boundary are stable
-    without one (:func:`critical_alpha`).  A
+    without a probe, the point at ``omega = 0`` runs none either, and
+    weights below the mean-square boundary are stable without one
+    (:func:`critical_alpha`).  A
     numeric failure of a probe is not a status: it raises
     :class:`NumericOverflowError`, for the lowest failing ``omega``, as a
     loop over the grid would.

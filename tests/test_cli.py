@@ -422,10 +422,8 @@ def _resize_last_row(path, fields):
     return len(lines)
 
 
-# a sweep row has 8 fields and a curve row 4: cut short, or one too many
-@pytest.mark.parametrize("kind, fields", [("sweep", 4), ("sweep", 7), ("sweep", 9),
-                                          ("curve", 2), ("curve", 3), ("curve", 5)])
-def test_region_rejects_a_row_of_another_length(tmp_path, capsys, kind, fields):
+def _region_inputs(tmp_path):
+    """A two-cell sweep CSV and a two-point curve CSV that ``region`` reads."""
     sweep_csv, curve_csv = tmp_path / "sweep.csv", tmp_path / "curve.csv"
     run(["sweep", "--omega-min", "0.4", "--omega-max", "0.7", "--omega-step", "0.3",
          "--alpha-min", "1.0", "--alpha-max", "1.0", "--alpha-step", "0.5",
@@ -433,18 +431,59 @@ def test_region_rejects_a_row_of_another_length(tmp_path, capsys, kind, fields):
          "--dim", "2", "--particles", "4", "--seed", "1", "--output", str(sweep_csv)])
     CriticalCurve((CriticalPoint(0.4, 4.6, 0.01), CriticalPoint(0.7, 4.9, 0.01)),
                   ratio="equal", method="LYAPUNOV_BISECTION").to_csv(curve_csv)
-    bad, reader = {"sweep": (sweep_csv, harness.SweepGrid.from_csv),
-                   "curve": (curve_csv, CriticalCurve.from_csv)}[kind]
+    return {"sweep": (sweep_csv, harness.SweepGrid.from_csv),
+            "curve": (curve_csv, CriticalCurve.from_csv)}
+
+
+def _assert_region_fails_at(tmp_path, capsys, inputs, bad, line):
+    capsys.readouterr()
+    code = run(["region", "--sweep", str(inputs["sweep"][0]), "--curve", str(inputs["curve"][0]),
+                "--output", str(tmp_path / "region.csv"), "--stats", str(tmp_path / "s.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {bad}, line {line}: ") and "Traceback" not in err
+    assert not (tmp_path / "region.csv").exists()
+
+
+# a sweep row has 8 fields and a curve row 4: cut short, or one too many
+@pytest.mark.parametrize("kind, fields", [("sweep", 4), ("sweep", 7), ("sweep", 9),
+                                          ("curve", 2), ("curve", 3), ("curve", 5)])
+def test_region_rejects_a_row_of_another_length(tmp_path, capsys, kind, fields):
+    inputs = _region_inputs(tmp_path)
+    bad, reader = inputs[kind]
     line = _resize_last_row(bad, fields)
     with pytest.raises(ValueError, match=f"{kind}.csv, line {line}: {fields} fields"):
         reader(bad)
-    capsys.readouterr()
-    code = run(["region", "--sweep", str(sweep_csv), "--curve", str(curve_csv),
-                "--output", str(tmp_path / "region.csv")])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith(f"error: {bad}, line {line}") and "Traceback" not in err
-    assert not (tmp_path / "region.csv").exists()
+    _assert_region_fails_at(tmp_path, capsys, inputs, bad, line)
+
+
+def _set_last_cell(path, column, value):
+    """Rewrite the CSV ``path`` with cell ``column`` of its last row set to
+    ``value``; returns that row's line number."""
+    lines = path.read_text().splitlines()
+    cells = lines[-1].split(",")
+    cells[column] = value
+    lines[-1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    return len(lines)
+
+
+# a non-numeric cell in each file's numeric columns, and a status outside
+# the STATUS_* markers
+@pytest.mark.parametrize("kind, column, value, message", [
+    ("sweep", 1, "abc", "could not convert string to float: 'abc'"),
+    ("sweep", 3, "1.5", "invalid literal for int() with base 10: '1.5'"),
+    ("curve", 1, "abc", "could not convert string to float: 'abc'"),
+    ("curve", 3, "BOGUS", "unknown status 'BOGUS'"),
+])
+def test_region_names_the_line_of_a_bad_cell(tmp_path, capsys, kind, column, value, message):
+    inputs = _region_inputs(tmp_path)
+    bad, reader = inputs[kind]
+    line = _set_last_cell(bad, column, value)
+    with pytest.raises(ValueError) as exc:
+        reader(bad)
+    assert str(exc.value) == f"{bad}, line {line}: {message}"
+    _assert_region_fails_at(tmp_path, capsys, inputs, bad, line)
 
 
 def _reject_constant(name):

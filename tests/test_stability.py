@@ -135,8 +135,68 @@ def test_lyapunov_matches_exact_exponent_at_omega_zero(ratio):
         assert abs(est.value - _exact_lambda0(alpha, ratio)) <= 3.0 * est.std_error, alpha
 
 
+@pytest.fixture
+def monte_carlo_at_omega_zero(monkeypatch):
+    # an exact exponent of 0 is within the rounding bound, so the searches
+    # at omega = 0 run their Monte Carlo probes as at any other omega
+    monkeypatch.setattr(stability, "_lambda0", lambda alpha1, alpha2: 0.0)
+
+
+_ALPHA_GRID = np.linspace(0.05, 8.0, 160)
+
+
 @pytest.mark.parametrize("ratio", [RATIO_EQUAL, RATIO_SOCIAL_ONLY])
-def test_critical_alpha_matches_exact_root_at_omega_zero(ratio):
+def test_lambda0_matches_the_exact_exponent(ratio):
+    # two closed forms: the search's in s = alpha1 r1 + alpha2 r2, with
+    # antiderivatives that vanish at s = 0, and the oracle's in r.  The
+    # oracle divides antiderivatives of size 1 by alpha**2, so its own
+    # rounding grows as 1 / alpha**2 below alpha = 0.1 (1.4e-13 at 0.05,
+    # against a 40-digit quadrature)
+    for alpha in _ALPHA_GRID:
+        bound = 1e-13 * max(1.0, 0.1 / alpha) ** 2
+        got = stability._lambda0(*split_alpha(alpha, ratio))
+        assert abs(got - _exact_lambda0(alpha, ratio)) <= bound, alpha
+    assert stability._lambda0(1.0, 2.0) is None
+
+
+@pytest.mark.parametrize("ratio", [RATIO_EQUAL, RATIO_SOCIAL_ONLY])
+def test_known_sign_at_omega_zero_is_the_exact_sign(ratio, monkeypatch):
+    for alpha in _ALPHA_GRID:
+        exact = _exact_lambda0(alpha, ratio)
+        assert stability._known_sign(0.0, *split_alpha(alpha, ratio)) == np.sign(exact), alpha
+    # at the root the exponent is within rounding of 0, and the reply is the
+    # mean-square rule's: none, since the root lies above its boundary
+    root = split_alpha(_exact_alpha_c0(ratio), ratio)
+    reply = stability._known_sign(0.0, *root)
+    monkeypatch.setattr(stability, "_lambda0", lambda alpha1, alpha2: None)
+    assert reply == stability._known_sign(0.0, *root)
+    assert reply is None
+    # without the exact exponent, the mean-square rule holds at omega = 0 too
+    boundary = _alpha_mean_square(0.0, ratio)
+    assert stability._known_sign(0.0, *split_alpha(boundary * (1 - 1e-6), ratio)) == -1
+    assert stability._known_sign(0.0, *split_alpha(boundary * (1 + 1e-6), ratio)) is None
+
+
+@pytest.mark.parametrize("ratio", [RATIO_EQUAL, RATIO_SOCIAL_ONLY])
+def test_critical_alpha_at_omega_zero_runs_no_lanes(ratio, monkeypatch):
+    # every probe at omega = 0 is answered by the exact exponent, so the
+    # point brackets the exact root and does not depend on the seed
+    def unused(*args):
+        raise AssertionError("a probe ran lanes")
+
+    monkeypatch.setattr(stability, "_chunk", unused)
+    tolerance = 0.02
+    points = {critical_alpha(0.0, ratio=ratio, tolerance=tolerance, seed=seed)
+              for seed in range(1, 6)}
+    assert len(points) == 1
+    point = points.pop()
+    assert point.status == STATUS_OK
+    assert point.std_error <= tolerance
+    assert abs(point.alpha - _exact_alpha_c0(ratio)) <= tolerance
+
+
+@pytest.mark.parametrize("ratio", [RATIO_EQUAL, RATIO_SOCIAL_ONLY])
+def test_critical_alpha_matches_exact_root_at_omega_zero(ratio, monte_carlo_at_omega_zero):
     tolerance = 0.02
     point = critical_alpha(0.0, ratio=ratio, tolerance=tolerance, seed=1)
     assert point.status == STATUS_OK
@@ -144,7 +204,8 @@ def test_critical_alpha_matches_exact_root_at_omega_zero(ratio):
 
 
 @pytest.mark.parametrize("ratio", [RATIO_EQUAL, RATIO_SOCIAL_ONLY])
-def test_critical_alpha_covers_the_exact_root_at_a_small_budget(ratio):
+def test_critical_alpha_covers_the_exact_root_at_a_small_budget(ratio,
+                                                              monte_carlo_at_omega_zero):
     # ten seeds, each point within its half-bracket plus the tolerance of
     # the exact root; some points stop at a bracket of 2 * tolerance, others
     # at a midpoint statistically at the root
@@ -209,8 +270,9 @@ def test_mean_square_oracle_values():
 @pytest.mark.parametrize("ratio", [RATIO_EQUAL, RATIO_SOCIAL_ONLY])
 def test_known_sign_is_mean_square_stability(ratio):
     # the search's theory reply is -1 just below the Kronecker oracle's
-    # boundary and none just above it, and +1 wherever |omega| >= 1
-    for omega in (-0.9, -0.5, 0.0, 0.5, 0.9):
+    # boundary and none just above it, and +1 wherever |omega| >= 1; at
+    # omega = 0 the exact exponent answers first
+    for omega in (-0.9, -0.5, 0.5, 0.9):
         root = _alpha_mean_square(omega, ratio)
         assert stability._known_sign(omega, *split_alpha(root * (1 - 1e-6), ratio)) == -1
         assert stability._known_sign(omega, *split_alpha(root * (1 + 1e-6), ratio)) is None
@@ -1465,7 +1527,8 @@ def _assert_same_overflow(monkeypatch, draw, grid, seed, **budgets):
     return serial.value.step
 
 
-def test_lockstep_curve_raises_the_serial_overflow(monkeypatch, search_constants):
+def test_lockstep_curve_raises_the_serial_overflow(monkeypatch, search_constants,
+                                                   monte_carlo_at_omega_zero):
     def unit_weights(rng, a1, a2, shape):
         # every weight (a1 + a2) * r is one: at omega = 0 the matrix maps x to
         # 0 in one step and the phase to zero in the next

@@ -174,6 +174,14 @@ COMMANDS = [
     (["curve", "--omega-min", "-5e-1", "--omega-max", "5e-1", "--step", "5e-1",
       "--tolerance", "0.05", "--steps", "300", "--trials", "4", "--seed", "19",
       "--output", "curve_exponent.csv"], ["curve_exponent.csv"]),
+    # at omega = 0 the exact exponent E log|1 - s| answers every probe: the
+    # point brackets the exact root whatever the budget and seed
+    (["curve", "--omega-min", "0", "--omega-max", "0", "--tolerance", "0.01",
+      "--steps", "300", "--trials", "4", "--seed", "5", "--output", "curve_omega_zero.csv"],
+     ["curve_omega_zero.csv"]),
+    (["curve", "--ratio", "social-only", "--omega-min", "0", "--omega-max", "0",
+      "--tolerance", "0.01", "--steps", "300", "--trials", "4", "--seed", "5",
+      "--output", "curve_omega_zero_social.csv"], ["curve_omega_zero_social.csv"]),
 ]
 
 
