@@ -284,7 +284,7 @@ def _sweep_config(args) -> harness.SweepConfig:
             except argparse.ArgumentTypeError as exc:
                 raise ValueError(f"config key {key}: {exc}") from exc
     functions = None
-    if values["functions"]:
+    if values["functions"] is not None:
         ids = [s.strip() for s in values["functions"].split(",") if s.strip()]
         functions = tuple(
             benchmarks.make_function(fid, values["dim"], seed=values["seed"]) for fid in ids

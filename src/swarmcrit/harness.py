@@ -9,6 +9,11 @@ instances that share a base formula evaluate it in one call (see
 ``benchmarks``).  Each swarm's run does not depend on which swarms share
 its batch, so results are bit-identical regardless of where batches are
 cut, of execution order or of the number of worker processes.
+
+A :class:`SweepGrid` is its cells alone: its function labels are read off
+them, in order of first appearance, and :func:`aggregate_heatmap` gives
+their (omega, alpha) pairs in sorted order, whatever the order of the
+cells.
 """
 
 from __future__ import annotations
@@ -54,7 +59,9 @@ class SweepConfig:
 
     The production protocol records the best cost after 200, 2000 or 20000
     iterations with 100 repetitions per cell; desk-scale runs shrink both.
-    ``functions=None`` resolves to the full benchmark suite at ``dim``.
+    ``functions=None`` resolves, when the config is built, to the full
+    benchmark suite at ``dim`` seeded by ``master_seed``, so ``functions``
+    is never None after construction.
     """
 
     omega_values: np.ndarray = field(default_factory=partial(inclusive_grid, -1.1, 1.1, 0.1))
@@ -81,20 +88,17 @@ class SweepConfig:
             raise ValueError("iterations must be >= 0 and repetitions >= 1")
         if self.n_particles < 1 or self.dim < 1:
             raise ValueError("n_particles and dim must be >= 1")
-        if self.functions is not None:
-            object.__setattr__(self, "functions", tuple(self.functions))
-            if not self.functions:
-                raise ValueError("functions must name at least one benchmark function")
-            labels = [fn.label for fn in self.functions]
-            if len(set(labels)) < len(labels):
-                raise ValueError(f"repeated sweep functions in {labels}")
-            if any(fn.dim != self.dim for fn in self.functions):
-                raise ValueError(f"every sweep function must have dim {self.dim}")
-
-    def resolve_functions(self) -> tuple[BenchmarkFunction, ...]:
-        if self.functions is not None:
-            return self.functions
-        return tuple(suite(self.dim, seed=self.master_seed))
+        functions = self.functions
+        if functions is None:
+            functions = suite(self.dim, seed=self.master_seed)
+        object.__setattr__(self, "functions", tuple(functions))
+        if not self.functions:
+            raise ValueError("functions must name at least one benchmark function")
+        labels = [fn.label for fn in self.functions]
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"repeated sweep functions in {labels}")
+        if any(fn.dim != self.dim for fn in self.functions):
+            raise ValueError(f"every sweep function must have dim {self.dim}")
 
 
 @dataclass(frozen=True)
@@ -119,13 +123,16 @@ _SWEEP_TYPES = list(get_type_hints(CellStats).values())
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """All cell records of one sweep, in fixed (function, omega, alpha)
-    order."""
+    """All cell records of one sweep: a :func:`run_sweep` grid holds them
+    in (function, omega, alpha) order, and a grid read back from a CSV in
+    the file's row order.  Grids compare by their cells."""
 
     cells: tuple[CellStats, ...]
-    omega_values: np.ndarray
-    alpha_values: np.ndarray
-    function_labels: tuple[str, ...]
+
+    @property
+    def function_labels(self) -> tuple[str, ...]:
+        """The cells' functions, in order of first appearance."""
+        return tuple(dict.fromkeys(c.function for c in self.cells))
 
     def to_csv(self, path, metadata: dict | None = None) -> None:
         from .io import write_csv
@@ -140,11 +147,7 @@ class SweepGrid:
         _, header, rows = read_csv(path, _SWEEP_TYPES)
         if header != _SWEEP_HEADER:
             raise ValueError(f"unexpected sweep header {header}")
-        cells = tuple(CellStats(*r) for r in rows)
-        omegas = np.array(sorted({c.omega for c in cells}))
-        alphas = np.array(sorted({c.alpha for c in cells}))
-        labels = tuple(dict.fromkeys(c.function for c in cells))
-        return cls(cells, omegas, alphas, labels)
+        return cls(tuple(CellStats(*r) for r in rows))
 
 
 # A batch holds at most _BATCH_VALUES particle coordinates (B * n * dim):
@@ -154,7 +157,7 @@ class SweepGrid:
 _BATCH_VALUES = 1 << 14
 
 
-def _run_batch(config: SweepConfig, functions, pairs) -> tuple[np.ndarray, np.ndarray]:
+def _run_batch(config: SweepConfig, pairs) -> tuple[np.ndarray, np.ndarray]:
     """Best costs and divergence flags of the swarms ``pairs``, each a
     function index and an (omega, alpha, repetition) index triple, run in
     lockstep."""
@@ -168,7 +171,7 @@ def _run_batch(config: SweepConfig, functions, pairs) -> tuple[np.ndarray, np.nd
     seeds = (np.random.SeedSequence([config.master_seed, fn_idx, *swarm])
              for fn_idx, swarm in pairs)
     owner = np.array([fn_idx for fn_idx, _ in pairs])
-    state = lockstep(_Stack(functions, owner), params, config.iterations,
+    state = lockstep(_Stack(config.functions, owner), params, config.iterations,
                      BenchmarkFunction.domain, seeds)
     return state.g_best_cost, state.diverged
 
@@ -229,7 +232,7 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepGrid:
     # a fork pool starts every worker at once, and more workers than cores
     # only wait; the results do not depend on the count
     jobs = min(jobs, os.cpu_count() or 1)
-    functions = config.resolve_functions()
+    functions = config.functions
     shape = (len(config.omega_values), len(config.alpha_values), config.repetitions)
     order = sorted(range(len(functions)), key=lambda i: FUNCTION_IDS.index(functions[i].id))
     pairs = [(fn_idx, swarm) for fn_idx in order for swarm in np.ndindex(shape)]
@@ -240,7 +243,7 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepGrid:
         count = jobs * -(-len(pairs) // (jobs * size))
         size = -(-len(pairs) // count)
     tasks = [pairs[i : i + size] for i in range(0, len(pairs), size)]
-    run_batch = partial(_run_batch, config, functions)
+    run_batch = partial(_run_batch, config)
     if jobs == 1:
         batches = list(map(run_batch, tasks))
     else:
@@ -272,20 +275,18 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepGrid:
         for fn_idx, fn in enumerate(functions)
         for i_w, i_a in np.ndindex(shape[:2])
     ]
-    return SweepGrid(
-        cells=tuple(cells),
-        omega_values=np.asarray(config.omega_values, dtype=float),
-        alpha_values=np.asarray(config.alpha_values, dtype=float),
-        function_labels=tuple(fn.label for fn in functions),
-    )
+    return SweepGrid(tuple(cells))
 
 
 def aggregate_heatmap(grid: SweepGrid) -> list[tuple[float, float, float]]:
     """Average cells across functions after per-function min-max
     normalisation of the log mean cost.
 
-    Returns (omega, alpha, normalized_cost) tuples in grid order, with
-    normalised cost in [0, 1] (0 = best cell of every function).
+    Returns one (omega, alpha, normalized_cost) tuple per (omega, alpha)
+    pair of the cells, sorted by omega and then alpha, whatever the order
+    of the cells, with normalised cost in [0, 1] (0 = best cell of every
+    function); each pair's cost is the mean over the functions in
+    ``grid.function_labels`` order.
     """
     if not grid.cells:
         raise ValueError("empty sweep grid")
@@ -299,13 +300,7 @@ def aggregate_heatmap(grid: SweepGrid) -> list[tuple[float, float, float]]:
         norm = np.zeros_like(logs) if hi == lo else (logs - lo) / (hi - lo)
         for c, v in zip(rows, norm):
             acc.setdefault((c.omega, c.alpha), []).append(float(v))
-    out = []
-    for omega in grid.omega_values:
-        for alpha in grid.alpha_values:
-            vals = acc.get((float(omega), float(alpha)), [])
-            if vals:
-                out.append((float(omega), float(alpha), float(np.mean(vals))))
-    return out
+    return [(omega, alpha, float(np.mean(vals))) for (omega, alpha), vals in sorted(acc.items())]
 
 
 def heatmap_to_csv(heatmap, path, metadata: dict | None = None) -> None:

@@ -52,10 +52,11 @@ exponent at ``omega = 0``, or mean-square stability) is sent that sign
 without a probe.  Every critical
 point, alone or on a curve, runs through one driver, ``_solve``: one
 bisection per inertia value.  Lyapunov probes of all points advance
-together as one block of lanes with a per-lane ``omega``; escape and
-neutral probes are answered as they are asked, and a first-passage probe
-stops at the first step after which every way its open lanes can still
-end gives the same sign.  Each probed weight of a point has one child
+together as one block of lanes with a per-lane ``omega``; an escape or
+neutral probe runs to its sign when it is asked, so those points are
+solved one after another, and a first-passage probe stops at the first
+step after which every way its open lanes can still end gives the same
+sign.  Each probed weight of a point has one child
 seed, and its budget levels form a ladder: a level-L probe continues the
 level-(L - 1) probe, a Lyapunov orbit for twice the steps and a first
 passage with as many new lanes again, so no level redoes the work below
@@ -1037,18 +1038,20 @@ def _bisection(seed, ratio, lo, hi, tolerance, omega, max_level):
     return CriticalPoint(omega, 0.5 * (lo + hi), 0.5 * (hi - lo), STATUS_OK)
 
 
-def _solve(omegas, seeds, ratio, tolerance, alpha_lo, alpha_max, max_level, start, advance):
+def _solve(omegas, seeds, ratio, tolerance, alpha_lo, alpha_max, max_level, start, advance=None):
     """Critical points: one :func:`_bisection` per value of ``omegas``,
     seeded by its entry of ``seeds``, with at most one open probe each.
 
-    ``start(i, *request, probe)`` opens point ``i``'s probe, given the
+    ``start(i, *request, probe)`` answers point ``i``'s request, given the
     point's previous probe (None before its first), which a request at a
-    level above 0 continues; ``advance(probes)`` moves the open probes,
-    keyed by point, on and yields ``(i, reply)`` for each: ``None`` while it
-    runs, then its sign (:func:`_bisection`) or the
-    :class:`NumericOverflowError` that failed it.  A failure drops the
-    points after its own, and the failure of the first failing point is
-    raised, as in a loop over them.
+    level above 0 continues.  It returns ``(probe, reply)``: the request's
+    probe, or None if it needs none, and its sign (:func:`_bisection`), or
+    None while the probe still runs.  ``advance(probes)`` moves the running
+    probes, keyed by point, on and yields ``(i, reply)`` for each: None
+    while it runs, then its sign or the :class:`NumericOverflowError` that
+    failed it; a kind whose probes always reply at once needs no
+    ``advance``.  A failure drops the points after its own, and the failure
+    of the first failing point is raised, as in a loop over them.
     """
     searches = [_bisection(seed, ratio, alpha_lo, alpha_max, tolerance, w, max_level)
                 for w, seed in zip(omegas, seeds)]
@@ -1057,9 +1060,14 @@ def _solve(omegas, seeds, ratio, tolerance, alpha_lo, alpha_max, max_level, star
     failed, failure = len(omegas), None
 
     def ask(i, reply):
-        """Open point ``i``'s next probe, or close the point with its result."""
+        """Send point ``i`` its replies until a probe runs or the point
+        closes with its result."""
+        probe = probes.get(i)
         try:
-            probes[i] = start(i, *searches[i].send(reply), probes.get(i))
+            # a probe runs once it is there with no reply yet
+            while probe is None or reply is not None:
+                probe, reply = start(i, *searches[i].send(reply), probe)
+            probes[i] = probe
         except StopIteration as stop:
             points[i] = stop.value
             probes.pop(i, None)
@@ -1094,7 +1102,7 @@ def _lyapunov_kind(omegas, steps, trials, burn_in):
     trials or more: its error is the spread across them.
 
     A request whose sign theory fixes (:func:`_known_sign`) opens no probe:
-    its reply is that sign, yielded at once.  Such a sign is nonzero, so it
+    ``start`` replies with that sign at once.  Such a sign is nonzero, so it
     never asks a level above 0.
     """
     group = max(1, _CHUNK_VALUES // (_chunk_steps(trials) * trials))
@@ -1103,18 +1111,13 @@ def _lyapunov_kind(omegas, steps, trials, burn_in):
         if not level:
             sign = _known_sign(omegas[i], a1, a2)
             if sign is not None:
-                return sign
+                return None, sign
             probe = _Probe.open(omegas[i], child, a1, a2, trials, 0)
         probe.end = burn_in + steps * 2**level
-        return probe
+        return probe, None
 
     def advance(probes):
-        items = []
-        for i, p in probes.items():
-            if isinstance(p, _Probe):
-                items.append((i, p))
-            else:
-                yield i, p
+        items = list(probes.items())
         for g in range(0, len(items), group):
             batch = items[g:g + group]
             for (i, p), failure in zip(batch, _advance([p for _, p in batch], trials, burn_in)):
@@ -1147,14 +1150,15 @@ def _grid(omega_grid, seed):
 
 
 def _passage_kind(trials, steps, rules):
-    """``(start, advance)`` of :func:`_solve` for first-passage probes,
-    answered as they are asked.
+    """``start`` of :func:`_solve` for first-passage probes, which run to
+    their sign when they are asked, so a point's probes run one after
+    another and the points one after another.
 
     A level-L probe at weights ``(a1, a2)`` of point ``i`` is a
     :class:`_FirstPassage` with ``trials * 2**L`` lanes and the
     ``(update, converged)`` of ``rules(i, a1, a2)``; above level 0 it is the
     probe below it with as many lanes again, its open lanes continued.  Its
-    sign is :func:`_early_sign` of its escaped and converged counts.
+    reply is :func:`_early_sign` of its escaped and converged counts.
     """
 
     def start(i, a1, a2, level, child, passage):
@@ -1162,13 +1166,9 @@ def _passage_kind(trials, steps, rules):
             update, converged = rules(i, a1, a2)
             passage = _FirstPassage(child, steps, update, _R_IN, _R_OUT, converged, early=True)
         passage.run(trials * 2**level)
-        return passage
+        return passage, _early_sign(passage.lanes, passage.n_esc, passage.n_conv, 0)
 
-    def advance(passages):
-        for i, p in passages.items():
-            yield i, _early_sign(p.lanes, p.n_esc, p.n_conv, 0)
-
-    return start, advance
+    return start
 
 
 def _critical_points(omegas, ratio, tolerance, seeds, method, steps, trials):
@@ -1184,8 +1184,8 @@ def _critical_points(omegas, ratio, tolerance, seeds, method, steps, trials):
         max_level, kind = _MAX_LEVEL, _lyapunov_kind(omegas, steps, trials, _BURN_IN)
     elif method == "escape":
         max_level = _ESCAPE_MAX_LEVEL
-        kind = _passage_kind(_ESCAPE_TRIALS, _ESCAPE_MAX_STEPS,
-                             lambda i, a1, a2: (_escape_update(omegas[i], a1, a2), None))
+        kind = (_passage_kind(_ESCAPE_TRIALS, _ESCAPE_MAX_STEPS,
+                              lambda i, a1, a2: (_escape_update(omegas[i], a1, a2), None)),)
     else:
         raise ValueError(f"unknown method {method!r}")
     return _solve(omegas, seeds, ratio, tolerance, *_BRACKET, max_level, *kind)
@@ -1385,9 +1385,9 @@ def _neutral_points(omega, config, ratio, tolerance, seed):
     """:func:`neutral_alpha` at each value of the list ``omega``, point ``i``
     seeded by ``seed[i]``, in one :func:`_solve` call."""
     segment = _neutral_segment(config, _R_IN)
-    kind = _passage_kind(config.repetitions, config.iterations,
-                         lambda i, a1, a2: _neutral_rules(omega[i], a1, a2, segment))
-    return _solve(omega, seed, ratio, tolerance, *_NEUTRAL_BRACKET, _NEUTRAL_MAX_LEVEL, *kind)
+    start = _passage_kind(config.repetitions, config.iterations,
+                          lambda i, a1, a2: _neutral_rules(omega[i], a1, a2, segment))
+    return _solve(omega, seed, ratio, tolerance, *_NEUTRAL_BRACKET, _NEUTRAL_MAX_LEVEL, start)
 
 
 def neutral_alpha(

@@ -49,6 +49,11 @@ def test_negative_alpha_exits_one_without_output(tmp_path, capsys):
     assert not out.exists()
 
 
+# a sweep of two swarms a function, so a case that the parser wrongly
+# accepts still ends quickly
+_TINY_SWEEP = ["--dim", "2", "--omega-min", "0.4", "--omega-max", "0.4", "--alpha-min", "1",
+               "--alpha-max", "1", "--iterations", "1", "--repetitions", "2"]
+
 _INVALID = {
     "lyapunov-alpha-nan": ["lyapunov", "--omega", "0.7", "--alpha", "nan"],
     "optimize-alpha-inf": ["optimize", "--omega", "0.7", "--alpha", "inf", "--dim", "2",
@@ -64,6 +69,9 @@ _INVALID = {
     "sweep-jobs-zero": ["sweep", "--jobs", "0"],
     "sweep-jobs-negative": ["sweep", "--jobs", "-4"],
     "sweep-functions-empty": ["sweep", "--functions", ","],
+    # an empty list given on purpose is not the default suite
+    "sweep-functions-blank": ["sweep", "--functions", "", *_TINY_SWEEP],
+    "sweep-config-functions-blank": ["sweep", "--config", "{no_functions}", *_TINY_SWEEP],
     "scaling-repetitions-zero": ["scaling", "--kappa", "1", "--repetitions", "0"],
     "scaling-iterations-zero": ["scaling", "--kappa", "1", "--iterations", "0",
                                 "--repetitions", "10"],
@@ -96,6 +104,7 @@ _CONFIGS = {
     "zero_step": "functions = sphere\ndim = 2\nomega_step = 0\n",
     "unknown_key": "functions = sphere\ndim = 2\nomega_stride = 0.1\n",
     "no_equals": "functions = sphere\ndim 2\n",
+    "no_functions": "functions =\ndim = 2\n",
 }
 
 

@@ -1,11 +1,12 @@
 import concurrent.futures
 import math
+import random
 
 import numpy as np
 import pytest
 
 from swarmcrit import harness
-from swarmcrit.benchmarks import make_function
+from swarmcrit.benchmarks import make_function, suite
 from swarmcrit.dynamics import SwarmParams
 from swarmcrit.harness import (
     CellStats,
@@ -124,7 +125,7 @@ def test_run_sweep_gives_every_worker_as_many_batches(monkeypatch):
 def _per_run_cells(config):
     """The sweep with one ``optimize`` call per repetition."""
     cells = []
-    for fn_idx, fn in enumerate(config.resolve_functions()):
+    for fn_idx, fn in enumerate(config.functions):
         for i_w, omega in enumerate(config.omega_values):
             for i_a, alpha in enumerate(config.alpha_values):
                 a1, a2 = split_alpha(float(alpha), config.split)
@@ -239,7 +240,51 @@ def test_sweep_csv_roundtrip(tmp_path):
     grid.to_csv(path, metadata={"seed": 3})
     loaded = SweepGrid.from_csv(path)
     assert loaded.cells == grid.cells
-    assert list(loaded.omega_values) == [0.4, 0.7]
+    assert loaded.function_labels == ("sphere", "rastrigin")
+
+
+def test_grids_compare_by_their_cells(tmp_path):
+    grid = run_sweep(_tiny_config())
+    path = tmp_path / "sweep.csv"
+    grid.to_csv(path)
+    assert SweepGrid.from_csv(path) == SweepGrid.from_csv(path) == grid
+    assert grid != SweepGrid(grid.cells[1:])
+
+
+def test_shuffled_sweep_rows_give_the_same_region(tmp_path):
+    # the heatmap is in (omega, alpha) order whatever the row order, so
+    # every result built on it is too
+    config = _tiny_config(omega_values=np.array([-0.3, 0.0, 0.4, 0.7]),
+                          alpha_values=np.array([1.0, 4.75]))
+    ordered = tmp_path / "ordered.csv"
+    run_sweep(config).to_csv(ordered, metadata={"seed": 3})
+    lines = ordered.read_text().splitlines(keepends=True)
+    head = sum(1 for line in lines if line.startswith("#")) + 1
+    rows = lines[head:]
+    random.Random(4).shuffle(rows)
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("".join(lines[:head] + rows))
+    a, b = SweepGrid.from_csv(ordered), SweepGrid.from_csv(shuffled)
+    assert a.cells != b.cells
+    heatmap = aggregate_heatmap(a)
+    assert [(w, al) for w, al, _ in heatmap] == [
+        (w, al) for w in (-0.3, 0.0, 0.4, 0.7) for al in (1.0, 4.75)]
+    assert aggregate_heatmap(b) == heatmap
+    curve = _synthetic_curve()
+    for q in (0.25, 0.5, 1.0):
+        region = best_region(a, quantile=q)
+        assert best_region(b, quantile=q) == region
+        assert distance_to_curve(region, curve) == distance_to_curve(best_region(b, q), curve)
+
+
+def test_config_without_functions_holds_the_suite():
+    config = _tiny_config(functions=None, dim=3, master_seed=9)
+    want = suite(3, seed=9)
+    assert isinstance(config.functions, tuple) and len(config.functions) == len(want) == 15
+    x = np.random.default_rng(0).uniform(-5, 5, (4, 3))
+    for got, fn in zip(config.functions, want):
+        assert got.label == fn.label
+        assert np.array_equal(got(x), fn(x))
 
 
 def test_sweep_csv_with_wrong_header_rejected(tmp_path):
@@ -288,8 +333,7 @@ def test_best_region_quantiles():
 
 
 def test_best_region_rejects_empty_grid():
-    empty = SweepGrid(cells=(), omega_values=np.array([0.0]),
-                      alpha_values=np.array([1.0]), function_labels=())
+    empty = SweepGrid(cells=())
     with pytest.raises(ValueError):
         best_region(empty)
 

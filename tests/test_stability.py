@@ -1482,8 +1482,8 @@ def test_a_ladder_probe_equals_the_longer_exponent_call(steps, burn_in):
     child = np.random.SeedSequence(4)
     probe = None
     for level in range(4):
-        probe = start(0, 2.4, 2.9, level, child, probe)
-        reply = None
+        probe, reply = start(0, 2.4, 2.9, level, child, probe)
+        assert reply is None
         while reply is None:
             (_, reply), = advance({0: probe})
         estimate = stability._estimate(probe.acc, steps * 2**level, burn_in)

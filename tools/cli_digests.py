@@ -40,6 +40,28 @@ dim = 2
 seed = 11
 """
 
+# the cells of the ``sweep.csv`` case's grid, in shuffled row order and
+# with 4 significant digits: ``region`` must give the heatmap in grid order
+SWEEP_SHUFFLED = """\
+function,omega,alpha,iterations,mean_best_cost,median_best_cost,divergence_fraction,repetitions
+rastrigin,0.4,3.5,20,2.183,2.183,0,2
+sphere,0.7,2.25,20,0.06413,0.06413,0,2
+rastrigin,0.7,1,20,2.727,2.727,0,2
+rastrigin,0.4,2.25,20,3.503,3.503,0,2
+rastrigin,0.7,3.5,20,18.58,18.58,0,2
+sphere,0.4,4.75,20,5.919,5.919,0,2
+sphere,0.4,1,20,0.001059,0.001059,0,2
+rastrigin,0.4,1,20,1887,1887,0,2
+rastrigin,0.7,2.25,20,7.299,7.299,0,2
+sphere,0.4,3.5,20,0.003973,0.003973,0,2
+rastrigin,0.7,4.75,20,47.41,47.41,0,2
+sphere,0.7,3.5,20,1.264,1.264,0,2
+rastrigin,0.4,4.75,20,8.969,8.969,0,2
+sphere,0.4,2.25,20,0.0003889,0.0003889,0,2
+sphere,0.7,1,20,0.3171,0.3171,0,2
+sphere,0.7,4.75,20,24.45,24.45,0,2
+"""
+
 SWEEP = ["--omega-min", "0.4", "--omega-max", "0.7", "--omega-step", "0.3",
          "--alpha-min", "1.0", "--alpha-max", "4.75", "--alpha-step", "1.25",
          "--iterations", "20", "--repetitions", "2", "--functions", "sphere,rastrigin",
@@ -69,7 +91,7 @@ COMMANDS = [
     (["curve", "--method", "escape", "--ratio", "social-only", "--omega-min", "0.4",
       "--omega-max", "0.4", "--tolerance", "0.05", "--seed", "3",
       "--output", "curve_escape.csv"], ["curve_escape.csv"]),
-    # two escape points, one OK and one NO_CROSSING, whose probes interleave
+    # two escape points, one OK and one NO_CROSSING, solved one after another
     (["curve", "--method", "escape", "--omega-min", "0.25", "--omega-max", "1.05",
       "--step", "0.8", "--tolerance", "0.05", "--seed", "21",
       "--output", "curve_escape_two.csv"], ["curve_escape_two.csv"]),
@@ -143,6 +165,9 @@ COMMANDS = [
       "--seed", "15", "--output", "sweep_batches.csv"], ["sweep_batches.csv"]),
     (["region", "--sweep", "sweep.csv", "--curve", "curve_lyapunov.csv", "--quantile", "0.5",
       "--output", "region.csv", "--stats", "region.json"], ["region.csv", "region.json"]),
+    (["region", "--sweep", "sweep_shuffled.csv", "--curve", "curve_lyapunov.csv",
+      "--quantile", "0.5", "--output", "region_shuffled.csv", "--stats",
+      "region_shuffled.json"], ["region_shuffled.csv", "region_shuffled.json"]),
     (["scaling", "--kappa", "0.5", "--split", "social-only", "--iterations", "50",
       "--repetitions", "300", "--omega-min", "0.4", "--omega-max", "0.4",
       "--tolerance", "0.05", "--seed", "8", "--output", "scaling.csv"], ["scaling.csv"]),
@@ -151,7 +176,7 @@ COMMANDS = [
       "--repetitions", "400", "--omega-min", "0.4", "--omega-max", "0.4",
       "--tolerance", "0.05", "--seed", "10", "--output", "scaling_degenerate.csv"],
      ["scaling_degenerate.csv"]),
-    # five neutral points whose probes interleave
+    # five neutral points, solved one after another
     (["scaling", "--kappa", "0.5", "--iterations", "50", "--repetitions", "300",
       "--omega-min", "-1", "--omega-max", "1", "--step", "0.5", "--tolerance", "0.05",
       "--seed", "22", "--output", "scaling_five.csv"], ["scaling_five.csv"]),
@@ -197,6 +222,7 @@ def main(argv=None) -> int:
         return 2
     out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.cfg").write_text(SWEEP_CONFIG)
+    (out / "sweep_shuffled.csv").write_text(SWEEP_SHUFFLED)
     env = {**os.environ, "PYTHONPATH": str(src)}
     status = 0
     for cmd, files in COMMANDS:
