@@ -83,26 +83,44 @@ def _omega_grid(args):
     return harness.inclusive_grid(args.omega_min, args.omega_max, args.step)
 
 
+def _add_point(p, split="equal"):
+    """Add a point's ``--omega``, ``--alpha`` and ``--split``."""
+    p.add_argument("--omega", type=_finite, required=True, help="inertia weight")
+    p.add_argument("--alpha", type=_positive, required=True, help="combined attraction weight")
+    p.add_argument("--split", type=_ratio, default=split,
+                   help=f"equal | social-only (default {split.replace('_', '-')})")
+
+
+def _add_omega_grid(p, bound):
+    """Add the omega grid ``--omega-min`` (default ``-bound``) to
+    ``--omega-max`` (default ``bound``) by ``--step``, and ``--tolerance``."""
+    p.add_argument("--omega-min", type=_finite, default=-bound)
+    p.add_argument("--omega-max", type=_finite, default=bound)
+    p.add_argument("--step", type=_positive, default=0.1, help="omega grid step (default 0.1)")
+    p.add_argument("--tolerance", type=_positive, default=0.02, help="alpha tolerance (default 0.02)")
+
+
+def _add_output(p, text, seed=True):
+    """Add ``--seed`` (unless ``seed`` is false) and the required ``--output``."""
+    if seed:
+        p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p.add_argument("--output", required=True, help=text)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="swarmcrit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("lyapunov", parents=[], help="estimate the top Lyapunov exponent")
-    p.add_argument("--omega", type=_finite, required=True, help="inertia weight")
-    p.add_argument("--alpha", type=_positive, required=True, help="combined attraction weight")
-    p.add_argument("--split", type=_ratio, default="equal", help="equal | social-only (default equal)")
+    p = sub.add_parser("lyapunov", help="estimate the top Lyapunov exponent")
+    _add_point(p)
     p.add_argument("--steps", type=int, default=100_000, help="steps per trial (default 100000)")
     p.add_argument("--trials", type=int, default=32, help="independent trials (default 32)")
     p.add_argument("--burn-in", type=int, default=1000, help="burn-in steps (default 1000)")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    p.add_argument("--output", required=True, help="output JSON path")
+    _add_output(p, "output JSON path")
 
     p = sub.add_parser("curve", help="solve the critical (omega, alpha) curve")
     p.add_argument("--ratio", type=_ratio, default="equal", help="equal | social-only (default equal)")
-    p.add_argument("--omega-min", type=_finite, default=-1.1)
-    p.add_argument("--omega-max", type=_finite, default=1.1)
-    p.add_argument("--step", type=_positive, default=0.1, help="omega grid step (default 0.1)")
-    p.add_argument("--tolerance", type=_positive, default=0.02, help="alpha tolerance (default 0.02)")
+    _add_omega_grid(p, 1.1)
     p.add_argument("--method", choices=["lyapunov", "escape"], default="lyapunov",
                    help="lyapunov (default) | escape; an escape probe runs trials of at "
                         f"most {stability._ESCAPE_MAX_STEPS} steps and starts at "
@@ -111,33 +129,25 @@ def build_parser() -> _Parser:
                         "for both, apply to lyapunov only")
     p.add_argument("--steps", type=int, default=10_000, help="Lyapunov steps per probe (default 10000)")
     p.add_argument("--trials", type=int, default=16, help="Lyapunov trials per probe, >= 2 (default 16)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", required=True, help="output CSV path")
+    _add_output(p, "output CSV path")
 
     p = sub.add_parser("stationary", help="estimate the stationary angular measure")
-    p.add_argument("--omega", type=_finite, required=True)
-    p.add_argument("--alpha", type=_positive, required=True)
-    p.add_argument("--split", type=_ratio, default="social_only",
-                   help="equal | social-only (default social-only)")
+    _add_point(p, split="social_only")
     p.add_argument("--bins", type=int, default=128, help="histogram bins, >= 64 (default 128)")
     p.add_argument("--samples", type=int, default=1_000_000, help="pooled samples (default 1000000)")
     p.add_argument("--burn-in", type=int, default=1000)
     p.add_argument("--chains", type=int, default=8, help="independent chains, >= 2 (default 8)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", required=True, help="output CSV path")
+    _add_output(p, "output CSV path")
 
     p = sub.add_parser("escape", help="inner/outer radius first-passage fractions")
-    p.add_argument("--omega", type=_finite, required=True)
-    p.add_argument("--alpha", type=_positive, required=True)
-    p.add_argument("--split", type=_ratio, default="equal")
+    _add_point(p)
     p.add_argument("--r-in", type=_positive, default=stability._R_IN,
                    help="inner radius, within [1e-150, 1) (default %(default)g)")
     p.add_argument("--r-out", type=_positive, default=stability._R_OUT,
                    help="outer radius, within (1, 1e150] (default %(default)g)")
     p.add_argument("--max-steps", type=int, default=1_000_000, help="step cap (default 1000000)")
     p.add_argument("--trials", type=int, default=10_000, help="trials (default 10000)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", required=True, help="output JSON path")
+    _add_output(p, "output JSON path")
 
     p = sub.add_parser("optimize", help="run the swarm optimiser once")
     p.add_argument("--function", default="sphere",
@@ -145,13 +155,10 @@ def build_parser() -> _Parser:
     p.add_argument("--dim", type=int, default=10, help="problem dimension (default 10)")
     p.add_argument("--rotated", action="store_true", help="apply a seeded random rotation")
     p.add_argument("--noncontinuous", action="store_true", help="apply the half-step rounding")
-    p.add_argument("--omega", type=_finite, required=True)
-    p.add_argument("--alpha", type=_positive, required=True)
-    p.add_argument("--split", type=_ratio, default="equal")
+    _add_point(p)
     p.add_argument("--iterations", type=int, default=2000, help="iterations (default 2000)")
     p.add_argument("--particles", type=int, default=25, help="swarm size (default 25)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", required=True, help="result JSON path")
+    _add_output(p, "result JSON path")
     p.add_argument("--trace", help="optional per-iteration trace CSV path")
 
     p = sub.add_parser("sweep", help="run the (omega, alpha) grid sweep")
@@ -160,14 +167,14 @@ def build_parser() -> _Parser:
         p.add_argument("--" + key.replace("_", "-"), type=kind, default=default, help=text)
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers; more than 1 starts a process pool (default 1)")
-    p.add_argument("--output", required=True, help="per-cell CSV path")
+    _add_output(p, "per-cell CSV path", seed=False)
     p.add_argument("--heatmap", help="optional aggregated heatmap CSV path")
 
     p = sub.add_parser("region", help="best-region cells and distance to a curve")
     p.add_argument("--sweep", required=True, help="sweep CSV produced by the sweep subcommand")
     p.add_argument("--curve", help="curve CSV produced by the curve subcommand")
     p.add_argument("--quantile", type=_positive, default=0.1, help="best quantile (default 0.1)")
-    p.add_argument("--output", required=True, help="region cells CSV path")
+    _add_output(p, "region cells CSV path", seed=False)
     p.add_argument("--stats", help="optional distance-stats JSON path (needs --curve)")
 
     p = sub.add_parser("scaling", help="neutral-stability curve of the scaled experiment")
@@ -177,14 +184,21 @@ def build_parser() -> _Parser:
     p.add_argument("--iterations", type=int, default=200)
     p.add_argument("--repetitions", type=int, default=100_000)
     p.add_argument("--split", type=_ratio, default="equal")
-    p.add_argument("--omega-min", type=_finite, default=-1.0)
-    p.add_argument("--omega-max", type=_finite, default=1.0)
-    p.add_argument("--step", type=_positive, default=0.1)
-    p.add_argument("--tolerance", type=_positive, default=0.02)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", required=True, help="output CSV path")
+    _add_omega_grid(p, 1.0)
+    _add_output(p, "output CSV path")
 
     return parser
+
+
+def _write_record(path, result, **keys) -> None:
+    """Write the fields of ``result`` as JSON, with the tool version and ``keys``."""
+    io.write_json(path, {"tool_version": io.__version__, **keys, **asdict(result)})
+
+
+def _write_point_record(args, result, **keys) -> None:
+    """:func:`_write_record` into ``--output``, with the seed and the point's
+    ``omega`` and ``alpha``."""
+    _write_record(args.output, result, seed=args.seed, omega=args.omega, alpha=args.alpha, **keys)
 
 
 def _cmd_lyapunov(args) -> int:
@@ -193,15 +207,7 @@ def _cmd_lyapunov(args) -> int:
         args.omega, a1, a2, steps=args.steps, trials=args.trials,
         burn_in=args.burn_in, seed=args.seed,
     )
-    io.write_json(args.output, {
-        "tool_version": io.__version__,
-        "seed": args.seed,
-        "omega": args.omega,
-        "alpha": args.alpha,
-        "alpha1": a1,
-        "alpha2": a2,
-        **asdict(est),
-    })
+    _write_point_record(args, est, alpha1=a1, alpha2=a2)
     return 0
 
 
@@ -237,14 +243,7 @@ def _cmd_escape(args) -> int:
         args.omega, a1, a2, r_in=args.r_in, r_out=args.r_out,
         max_steps=args.max_steps, trials=args.trials, seed=args.seed,
     )
-    io.write_json(args.output, {
-        "tool_version": io.__version__,
-        "seed": args.seed,
-        "omega": args.omega,
-        "alpha": args.alpha,
-        "split": args.split,
-        **asdict(st),
-    })
+    _write_point_record(args, st, split=args.split)
     return 0
 
 
@@ -332,11 +331,7 @@ def _cmd_region(args) -> int:
     })
     if args.stats:
         stats = harness.distance_to_curve(cells, curve)
-        io.write_json(args.stats, {
-            "tool_version": io.__version__,
-            "quantile": args.quantile,
-            **asdict(stats),
-        })
+        _write_record(args.stats, stats, quantile=args.quantile)
     return 0
 
 

@@ -273,7 +273,13 @@ def _step(omega, ar, v, x, out=(None, None), work=None):
 def _affine(omega, alpha1, alpha2, v, x, r1, r2, p, g, out=(None, None),
             work=(None, None, None)):
     """:func:`affine_update` without its ``np.errstate``, for loops that
-    hold one for all their steps."""
+    hold one for all their steps.
+
+    When given, ``out = (v', x')`` receives the result, and ``work`` holds
+    ``alpha1*r1*(p - x)``, ``alpha2*r2*(g - x)`` and each difference, so no
+    array is allocated; ``out`` may be ``(v, x)`` and ``work`` may begin
+    with ``r1, r2``.  Every form rounds the same operations in the same order.
+    """
     # one nested expression: the allocating form frees each temporary as
     # soon as the operator expression did, so no extra one stays live
     v_new = np.add(
@@ -285,18 +291,12 @@ def _affine(omega, alpha1, alpha2, v, x, r1, r2, p, g, out=(None, None),
     return v_new, np.add(x, v_new, out[1])
 
 
-def affine_update(omega, alpha1, alpha2, v, x, r1, r2, p, g, out=(None, None),
-                  work=(None, None, None)):
+def affine_update(omega, alpha1, alpha2, v, x, r1, r2, p, g):
     """Array form of the affine update with fixed best positions.
 
     Returns ``v' = omega*v + alpha1*r1*(p - x) + alpha2*r2*(g - x)`` and
     ``x' = x + v'``, broadcasting over any array shapes.  Divergence is not
     raised; non-finite entries are returned as they are.
-
-    When given, ``out = (v', x')`` receives the result, and ``work`` holds
-    ``alpha1*r1*(p - x)``, ``alpha2*r2*(g - x)`` and each difference, so no
-    array is allocated; ``out`` may be ``(v, x)`` and ``work`` may begin
-    with ``r1, r2``.  Every form rounds the same operations in the same order.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _affine(omega, alpha1, alpha2, v, x, r1, r2, p, g, out, work)
+        return _affine(omega, alpha1, alpha2, v, x, r1, r2, p, g)

@@ -907,8 +907,11 @@ def pushforward(
     Each bin centre is mapped through ``draws`` independent random matrices
     and its mass redistributed to the image bins.  For the stationary
     measure the result reproduces the input up to discretisation and
-    Monte-Carlo error.
+    Monte-Carlo error.  ``omega`` must be finite and the weights finite and
+    nonnegative.
     """
+    if not math.isfinite(omega):
+        raise ValueError("omega must be finite")
     _check_weights(alpha1, alpha2)
     if draws < 1:
         raise ValueError("draws must be >= 1")
@@ -953,10 +956,12 @@ def escape_probability(
     and iterate the homogeneous dynamics until the phase norm first drops
     to ``r_in`` (converged) or reaches ``r_out`` (escaped), decided from
     the squared norm by the rule of :class:`_FirstPassage`; trials hitting
-    the step cap count as undecided.  The weights must be finite and
-    nonnegative, and the radii must satisfy ``1e-150 <= r_in < 1 < r_out
-    <= 1e150``.
+    the step cap count as undecided.  ``omega`` must be finite, the weights
+    finite and nonnegative, and the radii must satisfy ``1e-150 <= r_in < 1
+    < r_out <= 1e150``.
     """
+    if not math.isfinite(omega):
+        raise ValueError("omega must be finite")
     _check_weights(alpha1, alpha2)
     # the unit start circle lies strictly between the radii, and both squares
     # are normal floats; NaN fails the comparison

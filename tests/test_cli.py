@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +190,49 @@ def test_help_smoke(capsys):
         if sub != "region":
             assert "--seed" in text
         assert "--output" in text
+
+
+_POINT = ["--omega", "0.5", "--alpha", "1"]
+_GRID = {"step": 0.1, "tolerance": 0.02}
+
+
+# each subcommand's fewest flags besides --output, and the defaults of its
+# shared flag groups: a point, an omega grid and a seed
+@pytest.mark.parametrize("sub, argv, defaults", [
+    ("lyapunov", _POINT, {"split": "equal", "seed": 0}),
+    ("stationary", _POINT, {"split": "social_only", "seed": 0}),
+    ("escape", _POINT, {"split": "equal", "seed": 0}),
+    ("optimize", _POINT, {"split": "equal", "seed": 0}),
+    ("curve", [], {"omega_min": -1.1, "omega_max": 1.1, **_GRID, "seed": 0}),
+    ("scaling", ["--kappa", "1"], {"omega_min": -1.0, "omega_max": 1.0, **_GRID, "seed": 0}),
+    ("sweep", [], {"seed": 0}),
+    ("region", ["--sweep", "sweep.csv"], {}),
+])
+def test_shared_flag_defaults(capsys, sub, argv, defaults):
+    args = vars(build_parser().parse_args([sub, *argv, "--output", "out"]))
+    assert {key: args[key] for key in defaults} == defaults
+    assert ("seed" in args) == (sub != "region")
+    if argv is _POINT:
+        # a point's --omega and --alpha are required: drop each in turn
+        for i in (0, 2):
+            assert exit_code([sub, *argv[:i], *argv[i + 2:], "--output", "out"]) == 1
+            assert "required" in capsys.readouterr().err
+
+
+def test_digest_cases_read_only_files_written_before_them(tmp_path):
+    # tools/cli_digests.py runs its cases in order in one directory: a file
+    # a case reads must be an input the set-up writes or an earlier output
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_digests.py"
+    spec = importlib.util.spec_from_file_location("cli_digests", path)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    digests.write_inputs(tmp_path)
+    written = {p.name for p in tmp_path.iterdir()}
+    for argv, outputs in digests.COMMANDS:
+        reads = {argv[i + 1] for i, flag in enumerate(argv)
+                 if flag in ("--sweep", "--curve", "--config")}
+        assert reads <= written, argv
+        written.update(outputs)
 
 
 # ---------------------------------------------------------------- lyapunov

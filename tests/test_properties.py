@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from swarmcrit import benchmarks
-from swarmcrit.dynamics import _step, _weights, affine_update, build_step_matrix
+from swarmcrit.dynamics import _affine, _step, _weights, affine_update, build_step_matrix
 from swarmcrit.io import read_csv, write_csv
 from swarmcrit.stability import RATIO_EQUAL, RATIO_SOCIAL_ONLY, split_alpha
 
@@ -116,7 +116,7 @@ def test_out_forms_equal_allocating_forms(omega, a1, a2, p, g, lanes):
 
         want = affine_update(omega, a1, a2, v, x, r1, r2, p, g)
         z, u = np.stack([v, x]), np.stack([r1, r2, np.zeros_like(r1)])
-        got = affine_update(omega, a1, a2, z[0], z[1], u[0], u[1], p, g, z, u)
+        got = _affine(omega, a1, a2, z[0], z[1], u[0], u[1], p, g, z, u)
         assert _same_floats(got, want) and _same_floats(z, want)
 
 

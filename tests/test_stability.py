@@ -834,10 +834,19 @@ _NEUTRAL_CONFIGS = {"segment": (0.5, 0.1, 0.0), "degenerate": (1.0, 0.3, 0.30000
 @pytest.mark.parametrize("case", list(_FIRST_PASSAGE_CASES))
 def test_escape_equals_per_step_loop(case):
     omega, a1, a2, r_in, r_out, max_steps, trials = _FIRST_PASSAGE_CASES[case]
+    if math.isnan(omega):
+        # escape_probability rejects a NaN omega; the first passage it runs
+        # leaves every NaN lane undecided, as the per-step loop does
+        passage = stability._FirstPassage(11, max_steps, stability._escape_update(omega, a1, a2),
+                                          r_in, r_out)
+        rules = _escape_reference_rules(omega, a1, a2, r_in)
+        reference = _ReferencePassage(11, max_steps, *rules, r_out)
+        assert passage.run(trials) == reference.run(trials) == (0, 0)
+        return
     args = (omega, a1, a2, r_in, r_out, max_steps, trials)
     stats = escape_probability(*args, seed=11)
     assert stats == _reference_escape(*args, seed=11)
-    if case in ("step_cap_leaves_undecided", "nan_omega"):
+    if case == "step_cap_leaves_undecided":
         assert stats.p_undecided > 0
 
 
@@ -1265,6 +1274,18 @@ def test_estimators_reject_bad_weights(estimator, weights):
 def test_estimators_accept_zero_weights(estimator):
     # the CLI's smallest weight, 5e-324 split equally, rounds to (0, 0)
     _WEIGHTED[estimator](0.0, 0.0)
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus_inf"])
+@pytest.mark.parametrize("estimator", [
+    lambda omega: pushforward(_UNIFORM, omega, 0.0, 1.0, draws=10, seed=1),
+    lambda omega: escape_probability(omega, 1.0, 1.0, max_steps=2000, trials=100, seed=1),
+], ids=["pushforward", "escape_probability"])
+def test_pushforward_and_escape_reject_non_finite_omega(estimator, omega):
+    # a NaN lane never retires and an infinite one escapes at once, so
+    # without the check both return a result
+    with pytest.raises(ValueError, match="omega must be finite"):
+        estimator(omega)
 
 
 def test_critical_curve_markers_and_interpolation():

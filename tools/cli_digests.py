@@ -210,6 +210,12 @@ COMMANDS = [
 ]
 
 
+def write_inputs(out: Path) -> None:
+    """Write into ``out`` the files that cases read but no case writes."""
+    (out / "sweep.cfg").write_text(SWEEP_CONFIG)
+    (out / "sweep_shuffled.csv").write_text(SWEEP_SHUFFLED)
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -221,8 +227,7 @@ def main(argv=None) -> int:
         print(f"error: no swarmcrit package under {src}", file=sys.stderr)
         return 2
     out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep.cfg").write_text(SWEEP_CONFIG)
-    (out / "sweep_shuffled.csv").write_text(SWEEP_SHUFFLED)
+    write_inputs(out)
     env = {**os.environ, "PYTHONPATH": str(src)}
     status = 0
     for cmd, files in COMMANDS:

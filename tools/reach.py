@@ -36,14 +36,14 @@ def main(root: Path) -> int:
     # set before the imports, so that calls made at import time count
     sys.setprofile(lambda frame, event, arg: event == "call" and called.add(
         (frame.f_code.co_filename, frame.f_code.co_firstlineno, frame.f_code.co_qualname)))
-    from cli_digests import COMMANDS, SWEEP_CONFIG
+    from cli_digests import COMMANDS, write_inputs
     from workloads import WORKLOADS, cli_seed
 
     from swarmcrit.cli import dispatch
 
     failed = []
     with tempfile.TemporaryDirectory() as tmp:
-        (Path(tmp) / "sweep.cfg").write_text(SWEEP_CONFIG)
+        write_inputs(Path(tmp))
         # the digest cases take paths relative to their output directory,
         # and the workloads read bench/ files relative to the tree
         runs = [(tmp, argv) for argv, _ in COMMANDS]
