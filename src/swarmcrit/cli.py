@@ -38,9 +38,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _ratio(value: str) -> str:
     key = value.replace("-", "_").lower()
-    if key not in (stability.RATIO_EQUAL, stability.RATIO_SOCIAL_ONLY):
+    if key not in stability._SHARES:
         raise argparse.ArgumentTypeError(f"unknown ratio {value!r}")
     return key
+
+
+def _split_help(default: str) -> str:
+    """``equal | social-only (default equal)``: the split names as the
+    flags take them, and ``default``."""
+    names = " | ".join(name.replace("_", "-") for name in stability._SHARES)
+    return f"{names} (default {default.replace('_', '-')})"
 
 
 def _finite(value: str) -> float:
@@ -61,19 +68,19 @@ def _positive(value: str) -> float:
 # (``--omega-min``) and the config file entry (``omega_min = ...``), and
 # both are read through the same type
 _SWEEP_KEYS = {
-    "omega_min": (_finite, -1.1, None),
-    "omega_max": (_finite, 1.1, None),
-    "omega_step": (_positive, 0.1, None),
-    "alpha_min": (_positive, 0.25, None),
-    "alpha_max": (_positive, 5.0, None),
-    "alpha_step": (_positive, 0.25, None),
-    "split": (_ratio, "equal", None),
-    "iterations": (int, 2000, None),
-    "repetitions": (int, 100, None),
+    "omega_min": (_finite, -1.1, "lowest omega of the grid (default %(default)g)"),
+    "omega_max": (_finite, 1.1, "highest omega of the grid (default %(default)g)"),
+    "omega_step": (_positive, 0.1, "omega grid step (default %(default)g)"),
+    "alpha_min": (_positive, 0.25, "lowest alpha of the grid (default %(default)g)"),
+    "alpha_max": (_positive, 5.0, "highest alpha of the grid (default %(default)g)"),
+    "alpha_step": (_positive, 0.25, "alpha grid step (default %(default)g)"),
+    "split": (_ratio, "equal", _split_help("equal")),
+    "iterations": (int, 2000, "iterations per run (default %(default)d)"),
+    "repetitions": (int, 100, "runs per cell and function (default %(default)d)"),
     "functions": (str, None, "comma-separated ids (default: full suite)"),
-    "dim": (int, 10, None),
-    "particles": (int, 25, None),
-    "seed": (int, 0, None),
+    "dim": (int, 10, "problem dimension (default %(default)d)"),
+    "particles": (int, 25, "swarm size (default %(default)d)"),
+    "seed": (int, 0, "random seed (default %(default)d)"),
 }
 
 
@@ -87,15 +94,16 @@ def _add_point(p, split="equal"):
     """Add a point's ``--omega``, ``--alpha`` and ``--split``."""
     p.add_argument("--omega", type=_finite, required=True, help="inertia weight")
     p.add_argument("--alpha", type=_positive, required=True, help="combined attraction weight")
-    p.add_argument("--split", type=_ratio, default=split,
-                   help=f"equal | social-only (default {split.replace('_', '-')})")
+    p.add_argument("--split", type=_ratio, default=split, help=_split_help(split))
 
 
 def _add_omega_grid(p, bound):
     """Add the omega grid ``--omega-min`` (default ``-bound``) to
     ``--omega-max`` (default ``bound``) by ``--step``, and ``--tolerance``."""
-    p.add_argument("--omega-min", type=_finite, default=-bound)
-    p.add_argument("--omega-max", type=_finite, default=bound)
+    p.add_argument("--omega-min", type=_finite, default=-bound,
+                   help="lowest omega of the grid (default %(default)g)")
+    p.add_argument("--omega-max", type=_finite, default=bound,
+                   help="highest omega of the grid (default %(default)g)")
     p.add_argument("--step", type=_positive, default=0.1, help="omega grid step (default 0.1)")
     p.add_argument("--tolerance", type=_positive, default=0.02, help="alpha tolerance (default 0.02)")
 
@@ -119,7 +127,7 @@ def build_parser() -> _Parser:
     _add_output(p, "output JSON path")
 
     p = sub.add_parser("curve", help="solve the critical (omega, alpha) curve")
-    p.add_argument("--ratio", type=_ratio, default="equal", help="equal | social-only (default equal)")
+    p.add_argument("--ratio", type=_ratio, default="equal", help=_split_help("equal"))
     _add_omega_grid(p, 1.1)
     p.add_argument("--method", choices=["lyapunov", "escape"], default="lyapunov",
                    help="lyapunov (default) | escape; an escape probe runs trials of at "
@@ -135,7 +143,7 @@ def build_parser() -> _Parser:
     _add_point(p, split="social_only")
     p.add_argument("--bins", type=int, default=128, help="histogram bins, >= 64 (default 128)")
     p.add_argument("--samples", type=int, default=1_000_000, help="pooled samples (default 1000000)")
-    p.add_argument("--burn-in", type=int, default=1000)
+    p.add_argument("--burn-in", type=int, default=1000, help="burn-in steps (default 1000)")
     p.add_argument("--chains", type=int, default=8, help="independent chains, >= 2 (default 8)")
     _add_output(p, "output CSV path")
 
@@ -181,9 +189,11 @@ def build_parser() -> _Parser:
     p.add_argument("--kappa", type=_positive, required=True, help="scale factor for p and g")
     p.add_argument("--p", type=_finite, default=0.1, help="personal best position (default 0.1)")
     p.add_argument("--g", type=_finite, default=0.0, help="global best position (default 0.0)")
-    p.add_argument("--iterations", type=int, default=200)
-    p.add_argument("--repetitions", type=int, default=100_000)
-    p.add_argument("--split", type=_ratio, default="equal")
+    p.add_argument("--iterations", type=int, default=200,
+                   help="step cap of each trial (default 200)")
+    p.add_argument("--repetitions", type=int, default=100_000,
+                   help="trials of a probe, doubling up to twice near the root (default 100000)")
+    p.add_argument("--split", type=_ratio, default="equal", help=_split_help("equal"))
     _add_omega_grid(p, 1.0)
     _add_output(p, "output CSV path")
 

@@ -1,8 +1,9 @@
 """Single-particle swarm dynamics: parameter and mixture-weight types, the
 random coefficient mixture and the weight draw ``_draw_weights`` that every
-stability estimator runs, the exact top exponent at ``omega = 0`` over that
-mixture (``_lambda0``), and the two one-step maps the library runs, each
-written once: the homogeneous ``_step`` of the stability estimators, and
+stability estimator runs, the density of the combined weight as linear
+pieces (``_pieces``), the exact top exponent at ``omega = 0`` over them
+(``_lambda0``), and the two one-step maps the library runs, each written
+once: the homogeneous ``_step`` of the stability estimators, and
 ``affine_update``, the step with fixed best positions, of the optimiser and
 the scaled stability experiments (``_affine`` is its body, for loops that
 hold one ``np.errstate`` for all their steps).
@@ -149,32 +150,19 @@ class StepMatrix:
 
 
 def mixture_pdf(r, w: MixtureWeight):
-    """Probability density of the combined random weight at ``r``.
-
-    Piecewise-linear trapezoid on [0, 1]: with ``a = alpha1/alpha`` and
-    ``b = alpha2/alpha`` the density is ``r/(a*b)`` on [0, min(a, b)],
-    ``1/max(a, b)`` on [min(a, b), max(a, b)] and ``(1-r)/(a*b)`` on
-    [max(a, b), 1].  Degenerates to the uniform box density when either
-    weight is zero.  Vectorised over ``r``; returns 0 outside [0, 1].
+    """Probability density of the combined random weight at ``r``: the
+    pieces of :func:`_pieces` for the weights ``alpha1/alpha`` and
+    ``alpha2/alpha``, a trapezoid on [0, 1] (a box when either weight is
+    zero, a triangle when they are equal).  Vectorised over ``r``; returns
+    0 outside [0, 1].
     """
-    r_arr = np.asarray(r, dtype=float)
-    scalar = r_arr.ndim == 0
-    r_arr = np.atleast_1d(r_arr)
+    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     out = np.zeros_like(r_arr)
-    inside = (r_arr >= 0.0) & (r_arr <= 1.0)
-    if min(w.alpha1, w.alpha2) == 0.0:
-        out[inside] = 1.0
-    else:
-        a = w.alpha1 / w.alpha
-        b = w.alpha2 / w.alpha
-        lo, hi = min(a, b), max(a, b)
-        rise = inside & (r_arr <= lo)
-        flat = inside & (r_arr > lo) & (r_arr <= hi)
-        fall = inside & (r_arr > hi)
-        out[rise] = r_arr[rise] / (a * b)
-        out[flat] = 1.0 / hi
-        out[fall] = (1.0 - r_arr[fall]) / (a * b)
-    return float(out[0]) if scalar else out
+    # a point shared by two pieces takes the later one's value
+    for a, b, c0, c1 in _pieces(w.alpha1 / w.alpha, w.alpha2 / w.alpha):
+        on = (r_arr >= a) & (r_arr <= min(b, 1.0))
+        out[on] = c0 + c1 * r_arr[on]
+    return float(out[0]) if np.ndim(r) == 0 else out
 
 
 def sample_mixture(rng: np.random.Generator, w: MixtureWeight, size=None):
@@ -190,40 +178,47 @@ def sample_mixture(rng: np.random.Generator, w: MixtureWeight, size=None):
     return ar.reshape(shape) / w.alpha
 
 
+def _pieces(alpha1, alpha2):
+    """The density of ``s = alpha1 r1 + alpha2 r2`` for independent uniform
+    ``r1, r2``, as its linear pieces ``(a, b, c0, c1)``: density ``c0 + c1 s``
+    on [a, b].  With ``lo <= hi`` the two weights it rises with slope
+    ``1/(lo hi)`` on [0, lo], is ``1/hi`` on [lo, hi] and falls to 0 on
+    [hi, lo + hi].  Only pieces of positive width are listed, so one zero
+    weight leaves the box and equal weights leave the triangle."""
+    lo, hi = sorted((alpha1, alpha2))
+    pieces = [(lo, hi, 1.0 / hi, 0.0)] if lo < hi else []
+    if lo > 0.0:
+        slope = 1.0 / (lo * hi)
+        pieces = [(0.0, lo, 0.0, slope), *pieces, (hi, lo + hi, 1.0 / lo + 1.0 / hi, -slope)]
+    return pieces
+
+
 def _lambda0(alpha1, alpha2):
     """The top Lyapunov exponent at ``omega = 0``, ``E log|1 - s|`` for the
-    combined weight ``s = alpha1 r1 + alpha2 r2``, in closed form; None
-    unless the weights are equal or one of them is 0.
+    combined weight ``s = alpha1 r1 + alpha2 r2``, in closed form for any
+    split.
 
     At ``omega = 0`` every step matrix has rank one, ``x' = (1 - s) x``, so
-    the exponent is this one-dimensional integral (Furstenberg and Kesten).
-    The density of ``s`` is ``c0 + c1 s`` on each of its pieces: a box for
-    one nonzero weight, a triangle for equal ones.  With ``u = 1 - s``,
+    the exponent is this one-dimensional integral (Furstenberg and Kesten)
+    over the pieces of :func:`_pieces`, on each of which the density of
+    ``s`` is ``c0 + c1 s``.  With ``u = 1 - s``,
 
         F(s) = -u log|u| (c0 + c1 (1 + s) / 2) - s (c0 + c1 (1/2 + s/4))
 
     is the antiderivative of ``(c0 + c1 s) log|1 - s|`` that vanishes at
     ``s = 0``, continuous through ``u = 0``.  Its terms are of the size of
     ``s`` near 0, and ``log|u|`` is taken by ``log1p``, so a piece loses no
-    digits to the ``1 / alpha^2`` of the triangle's slope: on the critical
+    digits to the ``1 / (lo hi)`` of the rising slope: on the critical
     search's bracket the result is within 1e-14 of the integral, far inside
     the 1e-9 that ``stability._known_sign`` asks of its sign.
     """
-    lo, hi = sorted((alpha1, alpha2))
-    if lo == hi > 0.0:
-        pieces = ((0.0, hi, 0.0, 1.0 / hi**2), (hi, 2.0 * hi, 2.0 / hi, -1.0 / hi**2))
-    elif lo == 0.0 < hi:
-        pieces = ((0.0, hi, 1.0 / hi, 0.0),)
-    else:
-        return None
-
-    def antiderivative(s, c0, c1):
+    def F(s, c0, c1):
         # u log|u| is 0 at u = 0
         log_u = math.log1p(-s) if s < 1.0 else math.log(s - 1.0) if s > 1.0 else 0.0
         u_log_u = (1.0 - s) * log_u
         return -u_log_u * (c0 + 0.5 * c1 * (1.0 + s)) - s * (c0 + c1 * (0.5 + 0.25 * s))
 
-    return sum(antiderivative(b, c0, c1) - antiderivative(a, c0, c1) for a, b, c0, c1 in pieces)
+    return sum(F(b, c0, c1) - F(a, c0, c1) for a, b, c0, c1 in _pieces(alpha1, alpha2))
 
 
 def build_step_matrix(omega: float, alpha: float, r: float) -> StepMatrix:

@@ -31,7 +31,7 @@ from .dynamics import SwarmParams
 from .pso import lockstep
 # not called here, but bench/spans.py wraps ``harness.optimize``
 from .pso import optimize  # noqa: F401
-from .stability import RATIO_EQUAL, RATIO_SOCIAL_ONLY, CriticalCurve, split_alpha
+from .stability import _SHARES, RATIO_EQUAL, CriticalCurve, split_alpha
 
 __all__ = [
     "SweepConfig",
@@ -59,6 +59,8 @@ class SweepConfig:
 
     The production protocol records the best cost after 200, 2000 or 20000
     iterations with 100 repetitions per cell; desk-scale runs shrink both.
+    The grids must be finite and strictly increasing, the alphas positive,
+    and ``split`` a name in ``stability._SHARES``.
     ``functions=None`` resolves, when the config is built, to the full
     benchmark suite at ``dim`` seeded by ``master_seed``, so ``functions``
     is never None after construction.
@@ -79,10 +81,14 @@ class SweepConfig:
             grid = np.asarray(getattr(self, name), dtype=float)
             if grid.size == 0:
                 raise ValueError(f"{name} must be non-empty")
+            if not np.all(np.isfinite(grid)):
+                raise ValueError(f"{name} must be finite")
             if np.any(np.diff(grid) <= 0):
                 raise ValueError(f"{name} must be strictly increasing")
             object.__setattr__(self, name, grid)
-        if self.split not in (RATIO_EQUAL, RATIO_SOCIAL_ONLY):
+        if self.alpha_values[0] <= 0:
+            raise ValueError("alpha_values must be positive")
+        if self.split not in _SHARES:
             raise ValueError(f"unknown split {self.split!r}")
         if self.iterations < 0 or self.repetitions < 1:
             raise ValueError("iterations must be >= 0 and repetitions >= 1")

@@ -109,6 +109,8 @@ __all__ = [
 
 RATIO_EQUAL = "equal"
 RATIO_SOCIAL_ONLY = "social_only"
+# each split name's cognitive share: alpha1 = share * alpha
+_SHARES = {RATIO_EQUAL: 0.5, RATIO_SOCIAL_ONLY: 0.0}
 
 STATUS_OK = "OK"
 STATUS_NO_CROSSING = "NO_CROSSING"
@@ -307,14 +309,15 @@ class ScalingConfig:
 
 
 def split_alpha(alpha: float, ratio: str) -> tuple[float, float]:
-    """Split a combined weight into (alpha1, alpha2) per the ratio mode."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if ratio == RATIO_EQUAL:
-        return alpha / 2.0, alpha / 2.0
-    if ratio == RATIO_SOCIAL_ONLY:
-        return 0.0, alpha
-    raise ValueError(f"unknown ratio {ratio!r}")
+    """Split a finite positive combined weight into ``(share * alpha,
+    (1 - share) * alpha)``, with ``share`` the cognitive share that
+    ``_SHARES`` gives the split name ``ratio``; exact for both names."""
+    if not math.isfinite(alpha) or alpha <= 0:
+        raise ValueError("alpha must be finite and positive")
+    if ratio not in _SHARES:
+        raise ValueError(f"unknown ratio {ratio!r}")
+    share = _SHARES[ratio]
+    return share * alpha, (1.0 - share) * alpha
 
 
 def _start(rng, n):
@@ -567,8 +570,8 @@ def _known_sign(omega, alpha1, alpha2):
     +1 for ``|omega| >= 1``: the determinant identity ``lambda1 + lambda2 =
     log|omega|`` and ``lambda1 >= lambda2`` give ``lambda1 >= 0``, so no
     weight is stable.  At ``omega = 0`` the sign of the exact exponent
-    :func:`_lambda0`, where it exists and exceeds 1e-9, its rounding bound,
-    in magnitude; otherwise the rule below.  -1 where the dynamics is
+    :func:`_lambda0`, where it exceeds 1e-9, its rounding bound, in
+    magnitude; otherwise the rule below.  -1 where the dynamics is
     mean-square stable, that is where the second-moment map on ``(E v^2,
     E v x, E x^2)``,
 
@@ -591,7 +594,7 @@ def _known_sign(omega, alpha1, alpha2):
         return 1
     if omega == 0.0:
         lam = _lambda0(alpha1, alpha2)
-        if lam is not None and abs(lam) > 1e-9:
+        if abs(lam) > 1e-9:
             return 1 if lam > 0 else -1
     r = 1.0 - 1e-9
     mu = 0.5 * (alpha1 + alpha2)

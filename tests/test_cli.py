@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import math
@@ -190,6 +191,19 @@ def test_help_smoke(capsys):
         if sub != "region":
             assert "--seed" in text
         assert "--output" in text
+
+
+def test_every_action_has_help():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    missing = [(name, action.option_strings) for name, p in sub.choices.items()
+               for action in p._actions if not action.help]
+    assert missing == []
+    # the split flags share one help text, built from the split names
+    for name, flag in [("lyapunov", "--split"), ("curve", "--ratio"), ("scaling", "--split"),
+                       ("sweep", "--split")]:
+        action = next(a for a in sub.choices[name]._actions if flag in a.option_strings)
+        assert action.help == "equal | social-only (default equal)", name
 
 
 _POINT = ["--omega", "0.5", "--alpha", "1"]

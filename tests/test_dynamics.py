@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from swarmcrit.dynamics import (
     SwarmParams,
     _children,
     _draw_weights,
+    _pieces,
     _step,
     affine_update,
     build_step_matrix,
@@ -105,6 +107,24 @@ def test_pdf_normalisation_simpson():
             a2 = 1.0
         integral = np.sum(weights * mixture_pdf(grid, MixtureWeight(a1, a2))) * h / 3.0
         assert abs(integral - 1.0) < 1e-6
+
+
+def test_pieces_have_mass_one_and_the_mean_of_the_weight():
+    # each piece's moments integrated exactly from its float ends and
+    # coefficients: the density of alpha1 r1 + alpha2 r2 has mass 1 and
+    # mean (alpha1 + alpha2) / 2
+    rng = np.random.default_rng(11)
+    pairs = [tuple(rng.uniform(0.0, 3.0, 2)) for _ in range(50)]
+    pairs += [(0.0, 2.5), (1.7, 0.0), (1.3, 1.3), (0.05, 0.05)]
+    for a1, a2 in pairs:
+        pieces = [tuple(map(Fraction, piece)) for piece in _pieces(a1, a2)]
+        assert all(a < b for a, b, _, _ in pieces), (a1, a2)
+        mass = sum(c0 * (b - a) + c1 * (b**2 - a**2) / 2 for a, b, c0, c1 in pieces)
+        mean = sum(c0 * (b**2 - a**2) / 2 + c1 * (b**3 - a**3) / 3 for a, b, c0, c1 in pieces)
+        assert abs(float(mass) - 1.0) <= 1e-14, (a1, a2)
+        assert abs(float(2 * mean / (Fraction(a1) + Fraction(a2))) - 1.0) <= 1e-14, (a1, a2)
+    assert len(_pieces(0.0, 2.5)) == 1 and len(_pieces(1.3, 1.3)) == 2
+    assert len(_pieces(0.7, 2.3)) == 3
 
 
 def test_pdf_asymmetric_matches_sampling_oracle():

@@ -314,6 +314,30 @@ def test_config_validation():
         _tiny_config(dim=3)
 
 
+@pytest.mark.parametrize("grid, match", [
+    ({"omega_values": [0.1, 0.4, 0.7, math.nan]}, "omega_values must be finite"),
+    ({"omega_values": [0.4, math.inf]}, "omega_values must be finite"),
+    ({"omega_values": [-math.inf, 0.4]}, "omega_values must be finite"),
+    ({"alpha_values": [1.0, math.nan]}, "alpha_values must be finite"),
+    ({"alpha_values": [1.0, math.inf]}, "alpha_values must be finite"),
+    ({"alpha_values": [-1.0, 1.0]}, "alpha_values must be positive"),
+    ({"alpha_values": [0.0, 1.0]}, "alpha_values must be positive"),
+], ids=["omega-nan", "omega-inf", "omega-neg-inf", "alpha-nan", "alpha-inf", "alpha-negative",
+        "alpha-zero"])
+def test_config_rejects_non_finite_and_non_positive_grid_values(grid, match, monkeypatch):
+    # rejected when the config is built, before any batch runs
+    monkeypatch.setattr(harness, "lockstep", None)
+    with pytest.raises(ValueError, match=match):
+        run_sweep(_tiny_config(**grid))
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+@pytest.mark.parametrize("ratio", [RATIO_EQUAL, RATIO_SOCIAL_ONLY])
+def test_split_alpha_rejects_non_finite_weights(alpha, ratio):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        split_alpha(alpha, ratio)
+
+
 def test_aggregate_heatmap_normalisation():
     grid = run_sweep(_tiny_config())
     heatmap = aggregate_heatmap(grid)

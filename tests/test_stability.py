@@ -84,14 +84,23 @@ def test_sign_consistency_with_escape_across_curve():
 # top exponent is exactly E log|1 - alpha*r| over the mixture density of r.
 
 
+# each split name's cognitive share, alpha1 / alpha
+_SHARE_OF = {RATIO_EQUAL: 0.5, RATIO_SOCIAL_ONLY: 0.0}
+
+
 def _xlogx(u):
     return u * math.log(abs(u)) if u else 0.0
 
 
 def _exact_lambda0(alpha, ratio):
     """E log|1 - alpha*r| from closed-form antiderivatives in u = 1 - alpha*r,
-    continuous through u = 0 (r = 1/alpha); the triangle density of the
-    equal split changes formula at r = 1/2."""
+    continuous through u = 0 (r = 1/alpha).  ``ratio`` is a split name or a
+    cognitive share; with lo <= hi the two weights' shares, the trapezoid
+    density of r is r/(lo*hi) on [0, lo], 1/hi on [lo, hi] and
+    (1 - r)/(lo*hi) on [hi, 1]: the box for lo = 0, the triangle of the
+    equal split for lo = hi = 1/2."""
+    share = _SHARE_OF.get(ratio, ratio)
+    lo, hi = sorted((share, 1.0 - share))
 
     def log_integral(r):  # of log|1 - alpha*r| dr
         u = 1.0 - alpha * r
@@ -101,12 +110,12 @@ def _exact_lambda0(alpha, ratio):
         u = 1.0 - alpha * r
         return -((_xlogx(u) - u) - (0.5 * u * _xlogx(u) - 0.25 * u * u)) / alpha**2
 
-    if ratio == RATIO_SOCIAL_ONLY:  # r uniform on [0, 1]
-        return log_integral(1.0) - log_integral(0.0)
-    # density 4r on [0, 1/2] and 4(1 - r) on [1/2, 1]
-    return 4.0 * (r_log_integral(0.5) - r_log_integral(0.0)
-                  + log_integral(1.0) - log_integral(0.5)
-                  - r_log_integral(1.0) + r_log_integral(0.5))
+    flat = (log_integral(hi) - log_integral(lo)) / hi
+    if lo == 0.0:
+        return flat
+    return flat + (r_log_integral(lo) - r_log_integral(0.0)
+                   + log_integral(1.0) - log_integral(hi)
+                   - r_log_integral(1.0) + r_log_integral(hi)) / (lo * hi)
 
 
 def _exact_alpha_c0(ratio, lo=4.0, hi=5.0):
@@ -127,6 +136,32 @@ def test_exact_omega_zero_oracle_values():
     assert _exact_alpha_c0(RATIO_EQUAL) == pytest.approx(4.639113044442183, abs=1e-9)
 
 
+def _graded_quadrature(f, breaks, n=40, p=8):
+    """The integral of ``f`` from ``breaks[0]`` to ``breaks[-1]`` by n-point
+    Gauss-Legendre on each interval between breaks, its nodes graded as
+    ``t**p`` toward the interval's end nearer 0, where ``f`` may have a log
+    singularity if 0 is a break."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+    total = 0.0
+    for x0, x1 in zip(breaks[:-1], breaks[1:]):
+        end, other = (x1, x0) if abs(x1) < abs(x0) else (x0, x1)
+        total += np.sum(w * f(end + (other - end) * t**p) * abs(other - end) * p * t ** (p - 1))
+    return total
+
+
+def test_exact_omega_zero_oracle_matches_quadrature():
+    # an unequal split, with the log singularity r = 1/alpha on the flat
+    # piece; the quadrature runs in the offset d = r - 1/alpha, so that
+    # log|1 - alpha r| = log(alpha |d|) keeps its digits near the singularity
+    alpha, share = 3.0, 0.25
+    lo, hi, c = share, 1.0 - share, 1.0 / alpha
+    density = lambda r: np.where(r < lo, r, np.where(r <= hi, lo, 1.0 - r)) / (lo * hi)
+    quadrature = _graded_quadrature(lambda d: density(c + d) * np.log(alpha * np.abs(d)),
+                                    [-c, lo - c, 0.0, hi - c, 1.0 - c])
+    assert _exact_lambda0(alpha, share) == pytest.approx(quadrature, abs=1e-14)
+
+
 @pytest.mark.parametrize("ratio", [RATIO_EQUAL, RATIO_SOCIAL_ONLY])
 def test_lyapunov_matches_exact_exponent_at_omega_zero(ratio):
     for alpha in (2.0, 4.0, 4.8):
@@ -145,18 +180,28 @@ def monte_carlo_at_omega_zero(monkeypatch):
 _ALPHA_GRID = np.linspace(0.05, 8.0, 160)
 
 
-@pytest.mark.parametrize("ratio", [RATIO_EQUAL, RATIO_SOCIAL_ONLY])
+@pytest.mark.parametrize("ratio", [RATIO_EQUAL, RATIO_SOCIAL_ONLY, 0.1, 0.25, 0.75])
 def test_lambda0_matches_the_exact_exponent(ratio):
     # two closed forms: the search's in s = alpha1 r1 + alpha2 r2, with
     # antiderivatives that vanish at s = 0, and the oracle's in r.  The
     # oracle divides antiderivatives of size 1 by alpha**2, so its own
     # rounding grows as 1 / alpha**2 below alpha = 0.1 (1.4e-13 at 0.05,
-    # against a 40-digit quadrature)
+    # against a 40-digit quadrature), and its rise and fall pieces divide
+    # by lo*hi, the product of the weights' shares, so it grows as
+    # 1 / (4 lo hi) against the equal split's (5.1e-13 at share 0.1 and
+    # alpha 0.05, where _lambda0 is within 3.8e-14).  A split name goes
+    # through split_alpha, a cognitive share straight to the weights
+    share = _SHARE_OF.get(ratio, ratio)
+    scale = 0.25 / (share * (1.0 - share)) if share else 1.0
     for alpha in _ALPHA_GRID:
-        bound = 1e-13 * max(1.0, 0.1 / alpha) ** 2
-        got = stability._lambda0(*split_alpha(alpha, ratio))
+        bound = 1e-13 * max(1.0, 0.1 / alpha) ** 2 * scale
+        if ratio in _SHARE_OF:
+            weights = split_alpha(alpha, ratio)
+        else:
+            weights = (ratio * alpha, (1.0 - ratio) * alpha)
+        got = stability._lambda0(*weights)
         assert abs(got - _exact_lambda0(alpha, ratio)) <= bound, alpha
-    assert stability._lambda0(1.0, 2.0) is None
+        assert stability._lambda0(*weights[::-1]) == got, alpha
 
 
 @pytest.mark.parametrize("ratio", [RATIO_EQUAL, RATIO_SOCIAL_ONLY])
@@ -168,10 +213,11 @@ def test_known_sign_at_omega_zero_is_the_exact_sign(ratio, monkeypatch):
     # mean-square rule's: none, since the root lies above its boundary
     root = split_alpha(_exact_alpha_c0(ratio), ratio)
     reply = stability._known_sign(0.0, *root)
-    monkeypatch.setattr(stability, "_lambda0", lambda alpha1, alpha2: None)
+    monkeypatch.setattr(stability, "_lambda0", lambda alpha1, alpha2: 0.0)
     assert reply == stability._known_sign(0.0, *root)
     assert reply is None
-    # without the exact exponent, the mean-square rule holds at omega = 0 too
+    # with the exact exponent within its rounding bound of 0, the
+    # mean-square rule holds at omega = 0 too
     boundary = _alpha_mean_square(0.0, ratio)
     assert stability._known_sign(0.0, *split_alpha(boundary * (1 - 1e-6), ratio)) == -1
     assert stability._known_sign(0.0, *split_alpha(boundary * (1 + 1e-6), ratio)) is None

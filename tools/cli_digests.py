@@ -8,9 +8,10 @@ Runs every ``swarmcrit`` subcommand at tiny budgets with the package under
 ``SRC/src`` (``python -m swarmcrit.cli`` with that directory on
 ``PYTHONPATH``), writes the outputs into ``OUTDIR`` and prints one
 ``name sha256`` line per output file.  A failing command prints
-``name exit=CODE`` for each of its files instead, the run goes on, and the
-script exits 1 at the end, so trees that accept different inputs still
-compare line by line.  Commands run inside ``OUTDIR`` with
+``name exit=CODE`` for each of its files instead and the run goes on, so
+trees that accept different inputs still compare line by line; the script
+exits 1 at the end if a ``COMMANDS`` case failed or a ``REJECTED`` case,
+which must exit nonzero, did not.  Commands run inside ``OUTDIR`` with
 relative paths, so file paths echoed into metadata are the same for any
 ``OUTDIR``.  Run it on two trees (say a ``git archive`` of the parent
 commit and the working tree) and diff the printed lines.
@@ -38,6 +39,12 @@ repetitions = 2
 functions = sphere,rastrigin
 dim = 2
 seed = 11
+"""
+
+# the split as a config key: with the ``sweep_social.csv`` case's flags it
+# gives that case's cells
+SWEEP_CONFIG_SOCIAL = """\
+split = social-only
 """
 
 # the cells of the ``sweep.csv`` case's grid, in shuffled row order and
@@ -140,6 +147,8 @@ COMMANDS = [
       "--seed", "13", "--output", "sweep_corner.csv"], ["sweep_corner.csv"]),
     (["sweep", *SWEEP, "--split", "social-only", "--output", "sweep_social.csv"],
      ["sweep_social.csv"]),
+    (["sweep", *SWEEP, "--config", "sweep_social.cfg", "--output", "sweep_config_social.csv"],
+     ["sweep_config_social.csv"]),
     # 16 swarms of 6 x 2 draw 170 iterations a generator call, so 400
     # iterations draw in blocks of 170, 170 and 60
     (["sweep", "--omega-min", "0.4", "--omega-max", "0.7", "--omega-step", "0.3",
@@ -209,10 +218,17 @@ COMMANDS = [
       "--output", "curve_omega_zero_social.csv"], ["curve_omega_zero_social.csv"]),
 ]
 
+# (argv, output files) of commands that must exit nonzero
+REJECTED = [
+    # a split is a name: a numeric cognitive share is not accepted
+    (["sweep", *SWEEP, "--split", "0.3", "--output", "sweep_share.csv"], ["sweep_share.csv"]),
+]
+
 
 def write_inputs(out: Path) -> None:
     """Write into ``out`` the files that cases read but no case writes."""
     (out / "sweep.cfg").write_text(SWEEP_CONFIG)
+    (out / "sweep_social.cfg").write_text(SWEEP_CONFIG_SOCIAL)
     (out / "sweep_shuffled.csv").write_text(SWEEP_SHUFFLED)
 
 
@@ -230,17 +246,15 @@ def main(argv=None) -> int:
     write_inputs(out)
     env = {**os.environ, "PYTHONPATH": str(src)}
     status = 0
-    for cmd, files in COMMANDS:
+    for cmd, files in COMMANDS + REJECTED:
         for name in files:
             (out / name).unlink(missing_ok=True)
         done = subprocess.run([sys.executable, "-m", "swarmcrit.cli", *cmd], cwd=out, env=env)
-        if done.returncode != 0:
+        if (done.returncode == 0) == ((cmd, files) in REJECTED):
             status = 1
-            for name in files:
-                print(name, f"exit={done.returncode}")
-            continue
         for name in files:
-            print(name, hashlib.sha256((out / name).read_bytes()).hexdigest())
+            print(name, f"exit={done.returncode}" if done.returncode else
+                  hashlib.sha256((out / name).read_bytes()).hexdigest())
     return status
 
 
