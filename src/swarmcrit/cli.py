@@ -123,13 +123,14 @@ def build_parser() -> _Parser:
     _add_point(p)
     p.add_argument("--steps", type=int, default=100_000, help="steps per trial (default 100000)")
     p.add_argument("--trials", type=int, default=32, help="independent trials (default 32)")
-    p.add_argument("--burn-in", type=int, default=1000, help="burn-in steps (default 1000)")
+    p.add_argument("--burn-in", type=int, default=stability._BURN_IN,
+                   help="burn-in steps (default %(default)d)")
     _add_output(p, "output JSON path")
 
     p = sub.add_parser("curve", help="solve the critical (omega, alpha) curve")
     p.add_argument("--ratio", type=_ratio, default="equal", help=_split_help("equal"))
     _add_omega_grid(p, 1.1)
-    p.add_argument("--method", choices=["lyapunov", "escape"], default="lyapunov",
+    p.add_argument("--method", choices=list(stability._METHODS), default="lyapunov",
                    help="lyapunov (default) | escape; an escape probe runs trials of at "
                         f"most {stability._ESCAPE_MAX_STEPS} steps and starts at "
                         f"{stability._ESCAPE_TRIALS} trials, doubling up to "
@@ -143,7 +144,8 @@ def build_parser() -> _Parser:
     _add_point(p, split="social_only")
     p.add_argument("--bins", type=int, default=128, help="histogram bins, >= 64 (default 128)")
     p.add_argument("--samples", type=int, default=1_000_000, help="pooled samples (default 1000000)")
-    p.add_argument("--burn-in", type=int, default=1000, help="burn-in steps (default 1000)")
+    p.add_argument("--burn-in", type=int, default=stability._BURN_IN,
+                   help="burn-in steps (default %(default)d)")
     p.add_argument("--chains", type=int, default=8, help="independent chains, >= 2 (default 8)")
     _add_output(p, "output CSV path")
 

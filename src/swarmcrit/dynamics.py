@@ -47,18 +47,21 @@ def _children(seed):
                                      pool_size=ss.pool_size)
 
 
-def _check_weights(alpha1, alpha2):
-    """The attraction weights must be finite and nonnegative."""
+def _check_point(omega, alpha1, alpha2):
+    """A point of the dynamics: ``omega`` must be finite, and the attraction
+    weights finite and nonnegative."""
+    if not math.isfinite(omega):
+        raise ValueError("omega must be finite")
     if not (math.isfinite(alpha1) and math.isfinite(alpha2)):
         raise ValueError("alpha1 and alpha2 must be finite")
     if alpha1 < 0 or alpha2 < 0:
         raise ValueError("alpha1 and alpha2 must be nonnegative")
 
 
-def _check_positive_weights(alpha1, alpha2):
-    """The attraction weights must pass :func:`_check_weights` and have a
+def _check_positive_weights(alpha1, alpha2, omega=0.0):
+    """The point must pass :func:`_check_point`, and the weights have a
     positive sum."""
-    _check_weights(alpha1, alpha2)
+    _check_point(omega, alpha1, alpha2)
     if alpha1 + alpha2 <= 0:
         raise ValueError("alpha1 + alpha2 must be positive")
 
@@ -88,9 +91,7 @@ class SwarmParams:
     dim: int = 1
 
     def __post_init__(self):
-        if not math.isfinite(self.omega):
-            raise ValueError("omega must be finite")
-        _check_positive_weights(self.alpha1, self.alpha2)
+        _check_positive_weights(self.alpha1, self.alpha2, self.omega)
         if self.n_particles < 1:
             raise ValueError("n_particles must be >= 1")
         if self.dim < 1:

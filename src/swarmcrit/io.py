@@ -12,8 +12,6 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
-
 __version__ = "0.1.0"
 
 
@@ -23,16 +21,10 @@ def format_real(value) -> str:
 
 
 def _cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
+    """A CSV cell: a real (NumPy's float64 included) by :func:`format_real`,
+    anything else, an int or a string, as ``str`` writes it."""
     if isinstance(value, float):
         return format_real(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, np.floating):
-        return format_real(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
     return str(value)
 
 

@@ -32,16 +32,17 @@ probe's bits depend neither on the other probes nor on its budget ladder.
 The escape and neutral-stability experiments share one first-passage
 loop, ``_FirstPassage``: lanes start on the unit circle, each step draws
 the weights of the live lanes, and a lane retires at its first outcome or
-at its step cap; only the update, and the neutral experiment's segment
-test for convergence, differ.
-One radius rule decides both: a lane converges when
-``v*v + x*x <= r_in*r_in`` and escapes when ``v*v + x*x >= r_out*r_out``.
-The radii must satisfy ``1e-150 <= r_in < 1 < r_out <= 1e150``, so both
-squares are normal floats and the rule is the exact norm comparison up to
-rounding.  The neutral experiment fixes them at 1e-6 and 1e6.
+at its step cap; each experiment passes its own update and its own
+convergence rule.  A lane escapes when ``v*v + x*x >= r_out*r_out``.  It
+converges by the radius rule ``v*v + x*x <= r_in*r_in`` (:func:`_inside`)
+in the escape experiment, and in the neutral one by the segment test, or
+by the radius rule where both bests are 0.  The radii must satisfy
+``1e-150 <= r_in < 1 < r_out <= 1e150``, so both squares are normal floats
+and the radius tests are the exact norm comparisons up to rounding.  The
+neutral experiment fixes them at 1e-6 and 1e6.
 
-The estimators validate their attraction weights: ``alpha1`` and
-``alpha2`` must be finite and nonnegative.
+The estimators validate their point with one check: ``omega`` must be
+finite, and ``alpha1`` and ``alpha2`` finite and nonnegative.
 
 Critical points are found by a stochastic bisection written as a generator
 that yields probe requests and is sent each probe's sign: -1 or +1 when
@@ -65,8 +66,7 @@ the critical search sets the split, the tolerance, the seed, the method
 and, for Lyapunov probes, the steps and trials; its bracket, each
 method's top budget level, the Lyapunov burn-in and the escape budget are
 module constants, as are the neutral search's bracket and top budget level.
-``escape_probability`` and the neutral fractions always run every trial
-to its end.
+``escape_probability`` always runs every trial to its end.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (_affine, _check_weights, _children, _draw_weights, _lambda0, _step,
+from .dynamics import (_affine, _check_point, _children, _draw_weights, _lambda0, _step,
                        _weights)
 
 __all__ = [
@@ -118,6 +118,8 @@ STATUS_UNRESOLVED = "UNRESOLVED"
 
 METHOD_LYAPUNOV = "LYAPUNOV_BISECTION"
 METHOD_ESCAPE = "ESCAPE_EQUALITY"
+# each critical-search method's name on its curve
+_METHODS = {"lyapunov": METHOD_LYAPUNOV, "escape": METHOD_ESCAPE}
 
 # first-passage radii: escape_probability's defaults and the neutral
 # experiment's fixed radii
@@ -650,6 +652,14 @@ def _early_sign(n, pos, neg, live):
     return None
 
 
+def _inside(r_in):
+    """The radius rule's convergence test for :class:`_FirstPassage`: a
+    lane converges when its squared norm, in ``u[2]``, is at most
+    ``r_in*r_in``."""
+    rin2 = r_in * r_in
+    return lambda u, x, out: np.less_equal(u[2], rin2, out)
+
+
 class _FirstPassage:
     """First passage of lanes started at random unit ``(v, x)``, which later
     cohorts of lanes can join: :meth:`run` starts a cohort and steps every
@@ -657,14 +667,15 @@ class _FirstPassage:
 
     Each step draws ``u[:2]`` of the loop's ``(3, live)`` buffer ``u`` as
     ``rng.random((2, live))`` would, the stream of two ``rng.random(live)``
-    calls, and advances the live lanes with ``update(u, v, x) -> (v, x)``.
-    A lane converges when ``v*v + x*x <= r_in*r_in``, or where
-    ``converged(u, x, out)``, if given, writes True into the boolean row
-    ``out``, and escapes when ``v*v + x*x >= r_out*r_out``.  With radii
-    within [1e-150, 1e150] the squares are normal floats, so the rule is the
-    exact norm comparison up to rounding.  A lane retires at its first step
-    with either outcome and counts for one only if the other does not hold;
-    a NaN lane never retires, and a lane still open after ``steps`` steps of
+    calls, advances the live lanes with ``update(u, v, x) -> (v, x)`` and
+    puts their squared norm ``v*v + x*x`` in ``u[2]``.  A lane converges
+    where the experiment's rule ``converged(u, x, out)`` writes True into
+    the boolean row ``out`` (:func:`_inside` for the radius rule), and
+    escapes when ``v*v + x*x >= r_out*r_out``.  With radii within [1e-150,
+    1e150] the squares are normal floats, so the radius tests are the exact
+    norm comparisons up to rounding.  A lane retires at its first step with
+    either outcome and counts for one only if the other does not hold; a
+    NaN lane never retires, and a lane still open after ``steps`` steps of
     its own leaves undecided.  Nothing is drawn once no lane is open.  The
     loop ignores overflow and invalid operations, so ``update`` needs no
     ``np.errstate`` of its own.  The lanes and ``u`` belong to the loop:
@@ -682,10 +693,10 @@ class _FirstPassage:
     the open lanes wait for the next run.
     """
 
-    def __init__(self, seed, steps, update, r_in, r_out, converged=None, early=False):
+    def __init__(self, seed, steps, update, converged, r_out, early=False):
         self.rng = np.random.default_rng(seed)
         self.steps, self.update, self.converged, self.early = steps, update, converged, early
-        self.rin2, self.rout2 = r_in * r_in, r_out * r_out
+        self.rout2 = r_out * r_out
         self.v = self.x = np.empty(0)
         # per cohort, the oldest first: [the step of its cap, the end of its
         # open lanes]
@@ -696,7 +707,7 @@ class _FirstPassage:
         """Start lanes until ``n`` have started and run; returns the
         converged and escaped counts of every lane started."""
         rng, update, converged, cohorts = self.rng, self.update, self.converged, self.cohorts
-        rin2, rout2, t, n_conv, n_esc = self.rin2, self.rout2, self.t, self.n_conv, self.n_esc
+        rout2, t, n_conv, n_esc = self.rout2, self.t, self.n_conv, self.n_esc
         v, x = _start(rng, n - self.lanes)
         v, x = np.concatenate((self.v, v)), np.concatenate((self.x, x))
         self.lanes = n
@@ -726,17 +737,14 @@ class _FirstPassage:
                 v, x = update(u, v, x)
                 norm2 = np.multiply(v, v, u[2])
                 np.add(norm2, np.multiply(x, x, u[0]), norm2)
-                if converged is None:
-                    np.less_equal(norm2, rin2, conv)
-                else:
-                    converged(u, x, conv)
+                converged(u, x, conv)
                 np.greater_equal(norm2, rout2, esc)
                 n_c, n_e = int(np.count_nonzero(conv)), int(np.count_nonzero(esc))
                 if n_c or n_e:
                     done = np.logical_or(conv, esc, done_buf[:m])
-                    if n_c and n_e and converged is not None:
+                    if n_c and n_e:
                         # a lane passing both tests counts for neither; under
-                        # the radius rule alone, r_in < 1 < r_out, none can
+                        # the radius rule, r_in < 1 < r_out, none can
                         n_both = n_c + n_e - int(np.count_nonzero(done))
                         n_c, n_e = n_c - n_both, n_e - n_both
                     n_conv += n_c
@@ -773,7 +781,7 @@ def lyapunov_exponent(
     alpha2: float,
     steps: int = 100_000,
     trials: int = 32,
-    burn_in: int = 1000,
+    burn_in: int = _BURN_IN,
     seed=None,
 ) -> LyapunovEstimate:
     """Estimate the top Lyapunov exponent of the random product.
@@ -797,7 +805,8 @@ def lyapunov_exponent(
     Parameters
     ----------
     omega, alpha1, alpha2 : float
-        Dynamics parameters; the weights must be finite and nonnegative.
+        Dynamics parameters; ``omega`` must be finite, and the weights
+        finite and nonnegative.
     steps, trials, burn_in : int
         Monte-Carlo budget; at least 1000 steps and 10 trials are
         recommended for production estimates.
@@ -805,13 +814,15 @@ def lyapunov_exponent(
 
     Raises
     ------
+    ValueError
+        For a non-finite ``omega``, invalid weights or an invalid budget.
     NumericOverflowError
         If renormalisation produces a norm outside (0, inf) (not expected
         for finite weights and ``|omega| <= 1.1``).  A chunk whose product
         fails is run again one step at a time from its start, so the error
         carries the first failing step, as a per-step loop would.
     """
-    _check_weights(alpha1, alpha2)
+    _check_point(omega, alpha1, alpha2)
     if trials < 1 or steps < 1 or burn_in < 0:
         raise ValueError("steps and trials must be >= 1, burn_in >= 0")
     probe = _Probe.open(omega, seed, alpha1, alpha2, trials, burn_in + steps)
@@ -828,7 +839,7 @@ def lyapunov_pair(
     alpha2: float,
     steps: int = 100_000,
     trials: int = 32,
-    burn_in: int = 1000,
+    burn_in: int = _BURN_IN,
     seed=None,
 ) -> tuple[LyapunovEstimate, LyapunovEstimate]:
     """Estimate both Lyapunov exponents via per-step orthonormalisation.
@@ -837,9 +848,11 @@ def lyapunov_pair(
     the log norms of the two legs accumulate into the two exponents.  Their
     sum equals ``log |omega|`` (the determinant identity) up to rounding.
     ``omega = 0`` makes every matrix singular, so the second exponent is
-    the ``-inf`` sentinel.
+    the ``-inf`` sentinel.  A non-finite ``omega``, invalid weights or an
+    invalid budget raise ``ValueError``, and a failed renormalisation
+    :class:`NumericOverflowError`, as in :func:`lyapunov_exponent`.
     """
-    _check_weights(alpha1, alpha2)
+    _check_point(omega, alpha1, alpha2)
     if omega == 0.0:
         top = lyapunov_exponent(omega, alpha1, alpha2, steps, trials, burn_in, seed)
         bottom = LyapunovEstimate(-math.inf, 0.0, steps, trials, burn_in)
@@ -865,7 +878,7 @@ def stationary_distribution(
     alpha2: float,
     bins: int = 128,
     samples: int = 1_000_000,
-    burn_in: int = 1000,
+    burn_in: int = _BURN_IN,
     n_chains: int = 8,
     seed=None,
 ) -> AngularHistogram:
@@ -875,8 +888,10 @@ def stationary_distribution(
     (pooling chains covers the at-most-two ergodic components that occur
     where no matrix in the set has complex eigenvalues), records the angle
     ``atan2(v, x)`` after burn-in, and bins the pooled angles on [0, 2*pi).
+    A non-finite ``omega``, invalid weights or an invalid budget raise
+    ``ValueError``.
     """
-    _check_weights(alpha1, alpha2)
+    _check_point(omega, alpha1, alpha2)
     if bins < 64:
         raise ValueError("bins must be >= 64")
     if n_chains < 2 or burn_in < 0:
@@ -913,9 +928,7 @@ def pushforward(
     Monte-Carlo error.  ``omega`` must be finite and the weights finite and
     nonnegative.
     """
-    if not math.isfinite(omega):
-        raise ValueError("omega must be finite")
-    _check_weights(alpha1, alpha2)
+    _check_point(omega, alpha1, alpha2)
     if draws < 1:
         raise ValueError("draws must be >= 1")
     rng = np.random.default_rng(seed)
@@ -963,9 +976,7 @@ def escape_probability(
     finite and nonnegative, and the radii must satisfy ``1e-150 <= r_in < 1
     < r_out <= 1e150``.
     """
-    if not math.isfinite(omega):
-        raise ValueError("omega must be finite")
-    _check_weights(alpha1, alpha2)
+    _check_point(omega, alpha1, alpha2)
     # the unit start circle lies strictly between the radii, and both squares
     # are normal floats; NaN fails the comparison
     if not 1e-150 <= r_in < 1.0 < r_out <= 1e150:
@@ -973,7 +984,7 @@ def escape_probability(
     if trials < 1 or max_steps < 1:
         raise ValueError("trials and max_steps must be >= 1")
     n_conv, n_esc = _FirstPassage(seed, max_steps, _escape_update(omega, alpha1, alpha2),
-                                  r_in, r_out).run(trials)
+                                  _inside(r_in), r_out).run(trials)
     n_und = trials - n_conv - n_esc
     return EscapeStats(
         p_converged=n_conv / trials,
@@ -1172,7 +1183,7 @@ def _passage_kind(trials, steps, rules):
     def start(i, a1, a2, level, child, passage):
         if not level:
             update, converged = rules(i, a1, a2)
-            passage = _FirstPassage(child, steps, update, _R_IN, _R_OUT, converged, early=True)
+            passage = _FirstPassage(child, steps, update, converged, _R_OUT, early=True)
         passage.run(trials * 2**level)
         return passage, _early_sign(passage.lanes, passage.n_esc, passage.n_conv, 0)
 
@@ -1191,9 +1202,9 @@ def _critical_points(omegas, ratio, tolerance, seeds, method, steps, trials):
     if method == "lyapunov":
         max_level, kind = _MAX_LEVEL, _lyapunov_kind(omegas, steps, trials, _BURN_IN)
     elif method == "escape":
-        max_level = _ESCAPE_MAX_LEVEL
+        max_level, inside = _ESCAPE_MAX_LEVEL, _inside(_R_IN)
         kind = (_passage_kind(_ESCAPE_TRIALS, _ESCAPE_MAX_STEPS,
-                              lambda i, a1, a2: (_escape_update(omegas[i], a1, a2), None)),)
+                              lambda i, a1, a2: (_escape_update(omegas[i], a1, a2), inside)),)
     else:
         raise ValueError(f"unknown method {method!r}")
     return _solve(omegas, seeds, ratio, tolerance, *_BRACKET, max_level, *kind)
@@ -1278,8 +1289,7 @@ def critical_curve(
     """
     omegas, seeds = _grid(omega_grid, seed)
     points = _critical_points(omegas, ratio, tolerance, seeds, method, steps, trials)
-    method_name = METHOD_LYAPUNOV if method == "lyapunov" else METHOD_ESCAPE
-    return CriticalCurve(points=points, ratio=ratio, method=method_name)
+    return CriticalCurve(points=points, ratio=ratio, method=_METHODS[method])
 
 
 def finite_time_lyapunov(
@@ -1306,13 +1316,14 @@ def finite_time_lyapunov(
     Raises
     ------
     ValueError
-        For invalid weights or budgets, a ``z0_scale`` that is not finite
-        and positive, or a ``p`` or ``g`` that is not finite.
+        For a non-finite ``omega``, invalid weights or budgets, a
+        ``z0_scale`` that is not finite and positive, or a ``p`` or ``g``
+        that is not finite.
     NumericOverflowError
         When a trajectory leaves the floating range; carries the step
         index reached.
     """
-    _check_weights(alpha1, alpha2)
+    _check_point(omega, alpha1, alpha2)
     if steps < 1 or repetitions < 1:
         raise ValueError("steps and repetitions must be >= 1")
     # NaN fails both comparisons
@@ -1344,49 +1355,46 @@ def finite_time_lyapunov(
 
 
 def _neutral_segment(config, r_in):
-    """The neutral experiment's scaled bests ``(p_eff, g_eff)`` and the
-    bounds ``(x_lo, x_hi)`` of the positions within ``r_in * |p - g|`` of
-    the segment between them, each rounded once, or None for bests that
-    coincide (at 0, as :class:`ScalingConfig` requires).  They depend on
-    neither the inertia nor the weights, so a curve finds them once."""
+    """The neutral experiment's scaled bests ``(p_eff, g_eff)`` and its
+    convergence rule for :class:`_FirstPassage`: a lane converges when its
+    position lies within ``r_in * |p - g|`` of the segment between the
+    bests, between two bounds each rounded once, or, for bests that
+    coincide (at 0, as :class:`ScalingConfig` requires), by the radius rule
+    :func:`_inside`.  They depend on neither the inertia nor the weights,
+    so a curve finds them once."""
     p_eff = config.kappa * config.p
     g_eff = config.kappa * config.g
     seg_lo = float(min(p_eff, g_eff))
     seg_hi = float(max(p_eff, g_eff))
     width = seg_hi - seg_lo
     if width == 0.0:
-        return p_eff, g_eff, None
+        return p_eff, g_eff, _inside(r_in)
     thr = r_in * width
     # a bound past the float range is clamped to it, so that an infinite
     # position never passes; Python floats overflow without a warning
     x_lo = max(seg_lo - thr, -sys.float_info.max)
     x_hi = min(seg_hi + thr, sys.float_info.max)
-    return p_eff, g_eff, (x_lo, x_hi)
-
-
-def _neutral_rules(omega, alpha1, alpha2, segment):
-    """The neutral experiment's ``(update, converged)`` for
-    :class:`_FirstPassage`, from the unit circle, with the bests and bounds
-    ``segment`` of :func:`_neutral_segment`.  A lane converges when its
-    position lies within the bounds, or, with both bests at 0
-    (``converged`` None), when its phase norm drops below ``r_in``; it
-    diverges when the phase norm reaches ``r_out``, and counts for neither
-    if it passes both at once."""
-    p_eff, g_eff, bounds = segment
-
-    def update(u, v, x):
-        return _affine(omega, alpha1, alpha2, v, x, u[0], u[1], p_eff, g_eff, (v, x), u)
-
-    if bounds is None:
-        return update, None
-    x_lo, x_hi = bounds
 
     def near_segment(u, x, out):
         # the bytes of u's row 1 hold the second comparison
         below = np.less_equal(x, x_hi, u[1].view(bool)[:x.size])
         return np.logical_and(np.greater_equal(x, x_lo, out), below, out)
 
-    return update, near_segment
+    return p_eff, g_eff, near_segment
+
+
+def _neutral_rules(omega, alpha1, alpha2, segment):
+    """The neutral experiment's ``(update, converged)`` for
+    :class:`_FirstPassage`, from the unit circle, with the bests and the
+    convergence rule ``segment`` of :func:`_neutral_segment`.  A lane
+    diverges when its phase norm reaches ``r_out``, and counts for neither
+    outcome if it passes both tests at once."""
+    p_eff, g_eff, converged = segment
+
+    def update(u, v, x):
+        return _affine(omega, alpha1, alpha2, v, x, u[0], u[1], p_eff, g_eff, (v, x), u)
+
+    return update, converged
 
 
 def _neutral_points(omega, config, ratio, tolerance, seed):

@@ -1,5 +1,6 @@
 import argparse
 import importlib.util
+import inspect
 import json
 import math
 from pathlib import Path
@@ -378,6 +379,39 @@ def test_escape_radii_default_to_the_library_radii(capsys):
     with pytest.raises(SystemExit):
         run(["escape", "--help"])
     assert f"(default {stability._R_IN:g})" in capsys.readouterr().out
+
+
+# the flags each subcommand requires, and (subcommand, flag's dest, the
+# library callable it feeds, its parameter there)
+_POINT = ["--omega", "0.3", "--alpha", "0.5"]
+_REQUIRED = {"lyapunov": _POINT, "curve": [], "stationary": _POINT, "escape": _POINT,
+             "scaling": ["--kappa", "1"], "sweep": []}
+_LIBRARY_DEFAULTS = [
+    *[("lyapunov", name, stability.lyapunov_exponent, name)
+      for name in ("steps", "trials", "burn_in")],
+    *[("curve", name, stability.critical_curve, name)
+      for name in ("steps", "trials", "tolerance", "method", "ratio")],
+    ("stationary", "bins", stability.stationary_distribution, "bins"),
+    ("stationary", "samples", stability.stationary_distribution, "samples"),
+    ("stationary", "burn_in", stability.stationary_distribution, "burn_in"),
+    ("stationary", "chains", stability.stationary_distribution, "n_chains"),
+    *[("escape", name, stability.escape_probability, name)
+      for name in ("r_in", "r_out", "max_steps", "trials")],
+    *[("scaling", name, stability.ScalingConfig, name)
+      for name in ("p", "g", "iterations", "repetitions")],
+    ("scaling", "tolerance", stability.neutral_stability_curve, "tolerance"),
+    *[("sweep", name, harness.SweepConfig, name)
+      for name in ("iterations", "repetitions", "dim", "split")],
+    ("sweep", "particles", harness.SweepConfig, "n_particles"),
+    ("sweep", "seed", harness.SweepConfig, "master_seed"),
+]
+
+
+@pytest.mark.parametrize("command, dest, target, name", _LIBRARY_DEFAULTS,
+                         ids=[f"{c}-{d}" for c, d, _, _ in _LIBRARY_DEFAULTS])
+def test_cli_defaults_are_the_library_defaults(command, dest, target, name):
+    args = build_parser().parse_args([command, *_REQUIRED[command], "--output", "out"])
+    assert getattr(args, dest) == inspect.signature(target).parameters[name].default
 
 
 # ---------------------------------------------------------------- optimize / sweep / region

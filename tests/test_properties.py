@@ -170,3 +170,7 @@ def test_csv_round_trips_every_real(tmp_path_factory, rows):
     assert len(back) == len(rows)
     for row, cells in zip(rows, back):
         assert all(_same_real(value, float(cell)) for value, cell in zip(row, cells))
+    # blank lines before the header and between rows are skipped
+    spaced = path.with_name("spaced.csv")
+    spaced.write_text("".join("\n" + line for line in path.read_text().splitlines(True)))
+    assert read_csv(spaced) == (meta, header, back)

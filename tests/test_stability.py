@@ -1,4 +1,5 @@
 import collections
+import functools
 import inspect
 import math
 import sys
@@ -574,8 +575,6 @@ def test_identity_padding_keeps_a_chunks_bits(k):
 
 @pytest.mark.parametrize("estimator, omega, fixed_r, step", [
     (lyapunov_exponent, 0.0, 0.5, 1),  # every matrix singular: (v, x) -> 0 at step 1
-    (lyapunov_exponent, math.nan, None, 0),
-    (lyapunov_pair, math.nan, None, 0),
     (lyapunov_pair, 1e-310, None, 2),  # the second leg underflows first
     (lyapunov_exponent, 1.7e308, None, 0),  # the norm overflows at step 0
     (lyapunov_pair, 1.3e308, None, 0),  # the second leg's projection overflows
@@ -852,8 +851,7 @@ def _neutral_passages(omega, a1, a2, config, r_in, r_out, seed, ref_seed, early=
     ``_neutral_rules``, and the per-step reference of the same experiment."""
     segment = stability._neutral_segment(config, r_in)
     update, converged = stability._neutral_rules(omega, a1, a2, segment)
-    passage = stability._FirstPassage(seed, config.iterations, update, r_in, r_out, converged,
-                                      early)
+    passage = stability._FirstPassage(seed, config.iterations, update, converged, r_out, early)
     rules = _neutral_reference_rules(omega, a1, a2, config, r_in)
     return passage, _ReferencePassage(ref_seed, config.iterations, *rules, r_out, early)
 
@@ -884,7 +882,7 @@ def test_escape_equals_per_step_loop(case):
         # escape_probability rejects a NaN omega; the first passage it runs
         # leaves every NaN lane undecided, as the per-step loop does
         passage = stability._FirstPassage(11, max_steps, stability._escape_update(omega, a1, a2),
-                                          r_in, r_out)
+                                          stability._inside(r_in), r_out)
         rules = _escape_reference_rules(omega, a1, a2, r_in)
         reference = _ReferencePassage(11, max_steps, *rules, r_out)
         assert passage.run(trials) == reference.run(trials) == (0, 0)
@@ -927,7 +925,7 @@ _LADDER = (1, 2, 4)
 def test_nested_escape_equals_per_step_cohorts(case, early):
     omega, a1, a2, r_in, r_out, max_steps, trials = _FIRST_PASSAGE_CASES[case]
     passage = stability._FirstPassage(11, max_steps, stability._escape_update(omega, a1, a2),
-                                      r_in, r_out, early=early)
+                                      stability._inside(r_in), r_out, early)
     rules = _escape_reference_rules(omega, a1, a2, r_in)
     reference = _ReferencePassage(11, max_steps, *rules, r_out, early)
     for k in _LADDER:
@@ -996,8 +994,8 @@ def test_first_passage_radius_rule(r_in, r_out):
     segment = near_segment(None, x, None)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for converged, c in ((None, conv), (near_segment, segment)):
-            counts = stability._FirstPassage(0, 1, place, r_in, r_out, converged).run(x.size)
+        for converged, c in ((stability._inside(r_in), conv), (near_segment, segment)):
+            counts = stability._FirstPassage(0, 1, place, converged, r_out).run(x.size)
             assert counts == (np.count_nonzero(c & ~esc), np.count_nonzero(esc & ~c))
     # lanes on the v axis near r_out pass both tests and count for neither
     assert np.count_nonzero(segment & esc) > 0
@@ -1016,8 +1014,8 @@ def test_first_passage_rule_on_extreme_lanes():
     # square and infinite lanes escape, NaN lanes stay live
     v = np.array([0.0, 1e-200, 1e300, np.inf, -np.inf, 3.0, np.nan])
     x = np.array([0.0, -1e-200, 0.0, -np.inf, 2.0, np.inf, np.nan])
-    counts = stability._FirstPassage(0, 1, lambda u, v_, x_: (v.copy(), x.copy()), 1e-150,
-                                     1e150).run(x.size)
+    counts = stability._FirstPassage(0, 1, lambda u, v_, x_: (v.copy(), x.copy()),
+                                     stability._inside(1e-150), 1e150).run(x.size)
     assert counts == (2, 4)
 
 
@@ -1289,22 +1287,25 @@ def test_lyapunov_rejects_negative_burn_in(estimator):
         estimator(0.5, 0.5, 0.5, steps=100, trials=2, burn_in=-1, seed=1)
 
 
-# each estimator at a tiny budget, as a function of its two weights
+# each estimator at a tiny budget, as a function of its point
 _UNIFORM = AngularHistogram(mass=np.full(64, 1.0 / 64), samples=64)
-_WEIGHTED = {
-    "lyapunov_exponent": lambda a1, a2: lyapunov_exponent(0.5, a1, a2, 10, 2, 0, seed=1),
-    "lyapunov_pair": lambda a1, a2: lyapunov_pair(0.5, a1, a2, 10, 2, 0, seed=1),
-    "lyapunov_pair_omega_zero": lambda a1, a2: lyapunov_pair(0.0, a1, a2, 10, 2, 0, seed=1),
-    "stationary_distribution": lambda a1, a2: stationary_distribution(
-        0.5, a1, a2, bins=64, samples=4, burn_in=0, n_chains=2, seed=1),
-    "pushforward": lambda a1, a2: pushforward(_UNIFORM, 0.5, a1, a2, draws=2, seed=1),
-    "escape_probability": lambda a1, a2: escape_probability(
-        0.5, a1, a2, max_steps=10, trials=10, seed=1),
-    "finite_time_lyapunov": lambda a1, a2: finite_time_lyapunov(
-        0.5, a1, a2, steps=10, repetitions=10, seed=1),
-    "finite_time_lyapunov_affine": lambda a1, a2: finite_time_lyapunov(
-        0.5, a1, a2, p=0.1, steps=10, repetitions=10, seed=1),
+_AT_POINT = {
+    "lyapunov_exponent": lambda w, a1, a2: lyapunov_exponent(w, a1, a2, 10, 2, 0, seed=1),
+    "lyapunov_pair": lambda w, a1, a2: lyapunov_pair(w, a1, a2, 10, 2, 0, seed=1),
+    "stationary_distribution": lambda w, a1, a2: stationary_distribution(
+        w, a1, a2, bins=64, samples=4, burn_in=0, n_chains=2, seed=1),
+    "pushforward": lambda w, a1, a2: pushforward(_UNIFORM, w, a1, a2, draws=2, seed=1),
+    "escape_probability": lambda w, a1, a2: escape_probability(
+        w, a1, a2, max_steps=10, trials=10, seed=1),
+    "finite_time_lyapunov": lambda w, a1, a2: finite_time_lyapunov(
+        w, a1, a2, steps=10, repetitions=10, seed=1),
+    "finite_time_lyapunov_affine": lambda w, a1, a2: finite_time_lyapunov(
+        w, a1, a2, p=0.1, steps=10, repetitions=10, seed=1),
 }
+# the same as a function of the two weights, at omega = 0.5, and the pair
+# at omega = 0 too
+_WEIGHTED = {name: functools.partial(f, 0.5) for name, f in _AT_POINT.items()}
+_WEIGHTED["lyapunov_pair_omega_zero"] = functools.partial(_AT_POINT["lyapunov_pair"], 0.0)
 
 
 @pytest.mark.parametrize("weights", [(-1.0, -1.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.inf),
@@ -1332,6 +1333,17 @@ def test_pushforward_and_escape_reject_non_finite_omega(estimator, omega):
     # without the check both return a result
     with pytest.raises(ValueError, match="omega must be finite"):
         estimator(omega)
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus_inf"])
+@pytest.mark.parametrize("estimator", list(_AT_POINT))
+def test_estimators_reject_non_finite_omega(estimator, omega):
+    # one point check serves every estimator: without it a non-finite omega
+    # fails as a numeric error or returns a result
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="omega must be finite"):
+            _AT_POINT[estimator](omega, 1.0, 1.0)
 
 
 def test_critical_curve_markers_and_interpolation():

@@ -38,7 +38,9 @@ rule (the escape experiment's update and radius rule, step cap
 experiment's update and segment test, ``ScalingConfig(kappa, p, g)`` and
 its 200 iterations), at the radii 1e-6 and 1e6 both experiments use.  The
 update is wrapped to count the lane-steps, in both trees alike; the weight
-draws, the update, the tests and the retirements are part of the time.
+draws, the update, the tests and the retirements are part of the time.  A
+tree whose ``_FirstPassage`` still takes ``r_in`` before ``r_out``, and
+stands for the radius rule by ``converged=None``, is called in that form.
 
 Lockstep layer: the process times, at each of ``SHAPES``, one call of
 ``pso.lockstep`` on the shape's swarms for ``ITERATIONS`` iterations, after
@@ -179,13 +181,16 @@ print(json.dumps(out))
 # one process: ns per lane-step of each rule of the JSON argv[2] at each
 # lane count of argv[3:]
 PASSAGE_PROBE = """
-import json, sys, time
+import inspect, json, sys, time
 from swarmcrit import stability
 lane_steps, rules, lanes = int(sys.argv[1]), json.loads(sys.argv[2]), [int(n) for n in sys.argv[3:]]
+# a tree whose _FirstPassage takes r_in stands for the radius rule by None
+takes_r_in = "r_in" in inspect.signature(stability._FirstPassage).parameters
 def passage(rule, seed, count):
     omega, a1, a2, segment = rule
     if segment is None:
-        update, converged = stability._escape_update(omega, a1, a2), None
+        update = stability._escape_update(omega, a1, a2)
+        converged = None if takes_r_in else stability._inside(stability._R_IN)
         steps = stability._ESCAPE_MAX_STEPS
     else:
         config = stability.ScalingConfig(*segment)
@@ -195,8 +200,10 @@ def passage(rule, seed, count):
     def counted(u, v, x):
         count[0] += x.size
         return update(u, v, x)
-    return stability._FirstPassage(seed, steps, counted, stability._R_IN, stability._R_OUT,
-                                   converged)
+    if takes_r_in:
+        return stability._FirstPassage(seed, steps, counted, stability._R_IN, stability._R_OUT,
+                                       converged)
+    return stability._FirstPassage(seed, steps, counted, converged, stability._R_OUT)
 out = {}
 for name, rule in rules.items():
     for n in lanes:
@@ -485,7 +492,7 @@ def main(argv=None) -> int:
             "lanes": compare(runs["layers"]),
         },
         "passage": {
-            "command": "_FirstPassage(seed, steps, update, 1e-6, 1e6, converged).run(lanes), "
+            "command": "_FirstPassage(seed, steps, update, converged, 1e6).run(lanes), "
                        f"seeds 2, 3, ... until {PASSAGE_LANE_STEPS} lane-steps",
             "method": method,
             "unit": PROBES["passage"][2],
