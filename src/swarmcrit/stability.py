@@ -389,11 +389,13 @@ def _orbit(rng, omega, alpha1, alpha2, v, x, burn_in, steps, frame=None):
 # One call of either orbit kernel, _chunk or _block, holds at most
 # _CHUNK_STEPS steps, and at most _CHUNK_VALUES lane-steps where it can: the
 # chunk kernel's arrays, about 80 bytes a lane-step, then stay within a
-# core's cache.  Above 4096 lanes a call still holds _MIN_CHUNK_STEPS steps
-# and so overruns that cap: a chunk of one or two steps would spend more
-# numpy calls a step than the per-step _block.
+# core's cache.  A cap of 512 lets the two 12-trial probes of a critical
+# curve's bisection fill _CHUNK_VALUES in one call.  Above 4096 lanes a call
+# still holds _MIN_CHUNK_STEPS steps and so overruns that cap: a chunk of
+# one or two steps would spend more numpy calls a step than the per-step
+# _block.
 _RESCALE_LEVELS = 4
-_CHUNK_STEPS = 256
+_CHUNK_STEPS = 512
 _CHUNK_VALUES = 1 << 14
 _MIN_CHUNK_STEPS = 4
 _EYE = np.eye(2).reshape(2, 2, 1, 1)
@@ -791,8 +793,8 @@ def lyapunov_exponent(
     over steps and independent trials started from random directions, and
     the standard error is taken across trials (0 for one trial).
 
-    Arithmetic: the steps run in chunks of at most 256 steps (fewer above
-    64 trials).  The burn-in is cut every chunk length from its start; the
+    Arithmetic: the steps run in chunks of at most 512 steps (fewer above
+    32 trials).  The burn-in is cut every chunk length from its start; the
     counted steps fall into the dyadic intervals ``[0, o]``, ``[o, 2 o]``,
     ... ``[steps / 2, steps]``, ``o`` the odd part of ``steps``, each cut
     every chunk length from its own start.  A chunk's matrices are

@@ -471,7 +471,7 @@ def _blocked(name, omega, a1, a2, steps, trials, burn_in, seed):
 
 # (steps, trials, burn_in, fixed_r), where fixed_r, if set, makes every
 # weight the constant (alpha1 + alpha2) * fixed_r; the orbit blocks hold up
-# to 256 steps
+# to 512 steps
 _ORBIT_CASES = {
     "below_one_block": (100, 3, 50, None),
     "exact_block_multiple": (412, 4, 100, None),
@@ -551,19 +551,48 @@ def test_exponent_kernel_matches_per_step_sum(omega, alpha, monkeypatch):
 # ---------------------------------------------------------------- the chunk rule
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 5, 64, 100, 129, 256])
+@pytest.mark.parametrize("trials, steps", [(2, 512), (12, 512), (16, 512), (32, 512),
+                                           (33, 256), (64, 256), (4096, 4), (8192, 4)])
+def test_chunk_steps_holds_512_steps_or_2_14_lane_steps(trials, steps):
+    # the largest power of two within both caps, and at least 4
+    assert stability._chunk_steps(trials) == steps
+
+
+def _record_chunks(monkeypatch):
+    """The step counts of the ``_chunk`` calls made after this call."""
+    lengths = []
+    chunk = stability._chunk
+
+    def record(omega, ar, v, x, steps=None):
+        lengths.append(len(ar))
+        return chunk(omega, ar, v, x, steps)
+
+    monkeypatch.setattr(stability, "_chunk", record)
+    return lengths
+
+
+def test_a_12_trial_orbit_runs_in_chunks_of_up_to_512_steps(monkeypatch):
+    # the burn-in is cut every 512 steps from its start; the counted steps on
+    # the dyadic intervals of their odd part 125, each cut every 512 steps
+    lengths = _record_chunks(monkeypatch)
+    lyapunov_exponent(0.5, 1.6, 1.6, steps=1000, trials=12, burn_in=1000, seed=3)
+    assert lengths == [512, 488, 125, 125, 250, 500]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 64, 100, 129, 256, 300, 512])
 def test_identity_padding_keeps_a_chunks_bits(k):
     # each lane of a chunk padded with identities to any wider width, next to
-    # lanes of other step counts, gets the bits of its steps alone
+    # lanes of other step counts, gets the bits of its steps alone; a chunk
+    # of more than 256 steps also rescales its products after level 8
     rng = np.random.default_rng(k)
     alpha = np.array([0.01, 0.5, 4.6, 8.0, 100.0, 1.0, 2.0, 3.0])
     n = alpha.size
     omega = rng.uniform(-1.1, 1.1, n)
-    ar = alpha * rng.random((256, n))
+    ar = alpha * rng.random((512, n))
     theta = rng.uniform(0.0, 2.0 * np.pi, n)
     v, x = np.sin(theta), np.cos(theta)
-    widths = {k, k + 1, 1 << (k - 1).bit_length(), 2 * k, 256}
-    for width in sorted(w for w in widths if w <= 256):
+    widths = {k, k + 1, 1 << (k - 1).bit_length(), 2 * k, 256, 512}
+    for width in sorted(w for w in widths if k <= w <= 512):
         steps = np.full(n, k)
         steps[1::2] = rng.integers(1, width + 1, n // 2)
         padded = stability._chunk(omega, ar[:width], v, x, steps)
@@ -588,6 +617,41 @@ def test_overflow_reports_first_failing_step_without_warning(estimator, omega, f
         with pytest.raises(NumericOverflowError, match="renormalisation failed") as err:
             estimator(omega, 1.0, 1.0, steps=1000, trials=4, burn_in=300, seed=3)
     assert err.value.step == step
+
+
+@pytest.mark.parametrize("steps, burn_in, step, lengths", [
+    # in the burn-in's first chunk, steps 0 to 511
+    (1000, 1000, 300, [512]),
+    # in the counted chunk of steps 1124 to 1635
+    (2048, 100, 1424, [100, 1, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 512]),
+])
+def test_overflow_deep_in_a_long_chunk_reports_its_step(steps, burn_in, step, lengths,
+                                                        monkeypatch):
+    # one lane's weight is infinite at `step`, 300 steps into a 512-step
+    # chunk: the chunk's product fails, and its per-step rerun finds the step
+    draw = stability._draw_weights
+    drawn = [0]
+
+    def poisoned(rng, a1, a2, shape):
+        ar = draw(rng, a1, a2, shape)
+        k0 = drawn[0]
+        drawn[0] += shape[0]
+        if k0 <= step < drawn[0]:
+            ar[step - k0, 5] = np.inf
+        return ar
+
+    monkeypatch.setattr(stability, "_draw_weights", poisoned)
+    chunks = _record_chunks(monkeypatch)
+    reruns = []
+    block = stability._block
+    monkeypatch.setattr(stability, "_block", lambda *args: reruns.append(args) or block(*args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflowError, match="renormalisation failed") as err:
+            lyapunov_exponent(0.5, 1.6, 1.6, steps=steps, trials=12, burn_in=burn_in, seed=3)
+    assert err.value.step == step
+    assert chunks == lengths
+    assert len(reruns) == 1
 
 
 def test_pair_reports_the_first_failing_step_of_either_leg():

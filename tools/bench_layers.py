@@ -25,8 +25,9 @@ lane-step is one lane advanced one step.  The process times, at each of
 ``LANES``, one call of ``lyapunov_exponent(0.4, 1.1, 1.3, steps, lanes,
 burn_in=0)`` with ``steps = LANE_STEPS // lanes``, after one untimed call at
 a tenth of the steps; the weight draws and the log sum are part of the
-time.  The lane counts above 4096 are those where a Lyapunov chunk holds
-its fewest steps.
+time.  32 lanes, the ``lyapunov`` command's default trials, are the most at
+which a Lyapunov chunk holds its most steps; the lane counts above 4096 are
+those where it holds its fewest.
 
 Passage layer: a lane-step is one open lane of ``stability._FirstPassage``
 advanced one step.  The process times, for each rule of ``PASSAGE_RULES``
@@ -136,8 +137,10 @@ from pathlib import Path
 
 from bench_pairs import SIDES, refuse_bytecode, summary
 
-LANES = (12, 60, 368, 1024, 4096, 8192, 16384, 65536)
-ROUNDS = 7
+LANES = (12, 32, 60, 368, 1024, 4096, 8192, 16384, 65536)
+# 15 rounds resolve a 15-25% Lyapunov layer move; 7 could not tell a
+# 10-20% move from the rounds' spread
+ROUNDS = 15
 # a start takes about 0.2 s, and its rounds spread by about 6% either
 # side of the median: a 10% move needs more rounds than the other layers
 STARTUP_ROUNDS = 31
