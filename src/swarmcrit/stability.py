@@ -27,7 +27,8 @@ the same stream in chunks and takes each chunk's log growth from the
 product of its step matrices, formed in log-depth levels of pairwise
 products (the product is associative): it agrees with the per-step sum to
 rounding.  Chunks are canonical per orbit (:func:`_chunk_end`), so a
-probe's bits depend neither on the other probes nor on its budget ladder.
+probe's bits depend neither on the other probes, nor on its budget ladder,
+nor on how many of its chunks one kernel call holds.
 
 The escape and neutral-stability experiments share one first-passage
 loop, ``_FirstPassage``: lanes start on the unit circle, each step draws
@@ -389,13 +390,13 @@ def _orbit(rng, omega, alpha1, alpha2, v, x, burn_in, steps, frame=None):
 # One call of either orbit kernel, _chunk or _block, holds at most
 # _CHUNK_STEPS steps, and at most _CHUNK_VALUES lane-steps where it can: the
 # chunk kernel's arrays, about 80 bytes a lane-step, then stay within a
-# core's cache.  A cap of 512 lets the two 12-trial probes of a critical
-# curve's bisection fill _CHUNK_VALUES in one call.  Above 4096 lanes a call
-# still holds _MIN_CHUNK_STEPS steps and so overruns that cap: a chunk of
-# one or two steps would spend more numpy calls a step than the per-step
-# _block.
+# core's cache.  Above 4096 lanes a call still holds _MIN_CHUNK_STEPS steps
+# and so overruns that cap: a chunk of one or two steps would spend more
+# numpy calls a step than the per-step _block.  Where few probes are open,
+# one _chunk call runs several chunks of each (_advance): it fills
+# _CHUNK_VALUES without longer chunks, so no cut and no bit moves.
 _RESCALE_LEVELS = 4
-_CHUNK_STEPS = 512
+_CHUNK_STEPS = 256
 _CHUNK_VALUES = 1 << 14
 _MIN_CHUNK_STEPS = 4
 _EYE = np.eye(2).reshape(2, 2, 1, 1)
@@ -426,8 +427,12 @@ def _normalised(m, scale):
 
 def _chunk(omega, ar, v, x, steps=None):
     """Log growth of unit ``(v, x)`` through the weights ``ar`` of shape
-    ``(k, n)``, and the new unit ``(v, x)``; ``omega`` is a scalar or one
-    value per lane.
+    ``(k, n)``, and the new unit ``(v, x)``, per lane; ``omega`` is a scalar
+    or one value per lane.  ``v`` and ``x`` may hold ``n / d`` lanes: then
+    the lanes of ``ar`` form ``d`` sets of ``n / d``, each set one chunk of
+    the orbits of the set before it, and each set starts from the new
+    ``(v, x)`` of the set before it.  So one call can run an orbit's next
+    ``d`` chunks, and each chunk's growth is that of its own call.
 
     The step matrices are multiplied in adjacent pairs, the later times the
     earlier, level by level.  The first level applies :func:`_step` to the
@@ -471,10 +476,23 @@ def _chunk(omega, ar, v, x, steps=None):
             if level % _RESCALE_LEVELS == 0 and h > 1:
                 m = _normalised(m, scale)
         (a, b), (c, d) = _normalised(m, scale)[:, :, 0]
-        wv = a * v + b * x
-        wx = c * v + d * x
-        norm = np.hypot(wv, wx)
-        return np.log(norm) + scale * _LN2, wv / norm, wx / norm
+        if len(v) == n:
+            return _grown(a, b, c, d, scale, v, x)
+        grown = np.empty((3, n))
+        for j in range(0, n, len(v)):
+            s = slice(j, j + len(v))
+            grown[:, s] = _grown(a[s], b[s], c[s], d[s], scale[s], v, x)
+            v, x = grown[1:, s]
+        return grown
+
+
+def _grown(a, b, c, d, scale, v, x):
+    """Log growth of unit ``(v, x)`` through the matrices ``[[a, b], [c,
+    d]]`` times ``2**scale``, and the new unit ``(v, x)``."""
+    wv = a * v + b * x
+    wx = c * v + d * x
+    norm = np.hypot(wv, wx)
+    return np.log(norm) + scale * _LN2, wv / norm, wx / norm
 
 
 def _chunk_steps(trials):
@@ -527,28 +545,53 @@ class _Probe:
 
 def _advance(probes, trials, burn_in):
     """Advance each of the Lyapunov ``probes``, all of ``trials`` lanes,
-    through its next chunk (:func:`_chunk_end`) in one :func:`_chunk` call,
-    padding the shorter chunks with identities; the growth of a counted
-    chunk is added to the probe's ``acc``.  Returns per probe None, or the
-    :class:`NumericOverflowError` that failed it.
+    through its next chunks (:func:`_chunk_end`) in one :func:`_chunk` call:
+    as many chunks each as ``_CHUNK_VALUES`` lane-steps of full chunks hold,
+    at least one, and none past the probe's end.  Set ``j`` of the call
+    holds the ``j``-th chunk of every probe, and the shorter chunks, and
+    those of 0 steps past a probe's end, are padded with identities.  The
+    growth of a counted chunk is added to the probe's ``acc``.  Returns per
+    probe None, or the :class:`NumericOverflowError` that failed it.
 
     A probe with a failed lane runs the chunk again one step at a time
     with :func:`_block`, from the same weights, and adds the logs of its
     steps with :func:`_add_logs`; a failure there is returned at its step.
+    Its later chunks in the call ran from the failed lanes, so they run
+    again from the rerun's ``(v, x)``.  A chunk's bits depend on its own
+    weights and start alone, so a probe's bits depend neither on the other
+    probes nor on the number of chunks a call holds.
     """
+    n = len(probes)
     k_max = _chunk_steps(trials)
-    ks = [_chunk_end(p.done, burn_in, p.end - burn_in, k_max) - p.done for p in probes]
-    ar = np.zeros((max(ks), trials * len(probes)))
-    for j, (p, k) in enumerate(zip(probes, ks)):
-        ar[:k, j * trials:(j + 1) * trials] = _draw_weights(p.rng, p.alpha1, p.alpha2, (k, trials))
-    omega = np.repeat(np.array([p.omega for p in probes], dtype=float), trials)
+    done = [p.done for p in probes]
+    ks = []
+    for _ in range(max(1, _CHUNK_VALUES // (k_max * trials * n))):
+        if done == [p.end for p in probes]:
+            break
+        for i, p in enumerate(probes):
+            end = _chunk_end(done[i], burn_in, p.end - burn_in, k_max) if done[i] < p.end else done[i]
+            ks.append(end - done[i])
+            done[i] = end
+    ar = np.zeros((max(ks), trials * len(ks)))
+    for i, p in enumerate(probes):
+        # one draw for all the probe's chunks: the stream of one a chunk
+        drawn = _draw_weights(p.rng, p.alpha1, p.alpha2, (sum(ks[i::n]), trials))
+        for e in range(i, len(ks), n):
+            ar[:ks[e], e * trials:(e + 1) * trials], drawn = drawn[:ks[e]], drawn[ks[e]:]
+    # a draw kept alive through the kernel call made a 64-lane call about
+    # twice as slow (measured on x86-64 with glibc)
+    del drawn
+    omega = np.repeat(np.array([p.omega for p in probes] * (len(ks) // n), dtype=float), trials)
     v = np.concatenate([p.v for p in probes])
     x = np.concatenate([p.x for p in probes])
     steps = np.repeat(ks, trials) if min(ks) < len(ar) else None
     growth, v, x = _chunk(omega, ar, v, x, steps)
-    failures = []
-    for j, (p, k) in enumerate(zip(probes, ks)):
-        lanes = slice(j * trials, (j + 1) * trials)
+    failures = [None] * n
+    for e, k in enumerate(ks):
+        p = probes[e % n]
+        if not k or failures[e % n] is not None:
+            continue
+        lanes = slice(e * trials, (e + 1) * trials)
         if np.isfinite(growth[lanes]).all():
             if p.done >= burn_in:
                 p.acc = p.acc + growth[lanes]
@@ -557,13 +600,18 @@ def _advance(probes, trials, burn_in):
             try:
                 norm, phase, _ = _block(p.omega, ar[:k, lanes], p.v, p.x, p.done)
             except NumericOverflowError as failure:
-                failures.append(failure)
+                failures[e % n] = failure
                 continue
             if p.done >= burn_in:
                 p.acc = _add_logs(p.acc, norm[0])
             p.v, p.x = phase[-1]
+            later = [f for f in range(e + n, len(ks), n) if ks[f]]
+            if later:
+                at = np.concatenate([np.arange(f * trials, (f + 1) * trials) for f in later])
+                again = _chunk(p.omega, ar[:, at], p.v, p.x, np.repeat([ks[f] for f in later], trials))
+                for out, rerun in zip((growth, v, x), again):
+                    out[at] = rerun
         p.done += k
-        failures.append(None)
     return failures
 
 
@@ -793,8 +841,8 @@ def lyapunov_exponent(
     over steps and independent trials started from random directions, and
     the standard error is taken across trials (0 for one trial).
 
-    Arithmetic: the steps run in chunks of at most 512 steps (fewer above
-    32 trials).  The burn-in is cut every chunk length from its start; the
+    Arithmetic: the steps run in chunks of at most 256 steps (fewer above
+    64 trials).  The burn-in is cut every chunk length from its start; the
     counted steps fall into the dyadic intervals ``[0, o]``, ``[o, 2 o]``,
     ... ``[steps / 2, steps]``, ``o`` the odd part of ``steps``, each cut
     every chunk length from its own start.  A chunk's matrices are
@@ -1112,7 +1160,8 @@ def _solve(omegas, seeds, ratio, tolerance, alpha_lo, alpha_max, max_level, star
 def _lyapunov_kind(omegas, steps, trials, burn_in):
     """``(start, advance)`` of :func:`_solve` for Lyapunov probes, which
     advance together through :func:`_advance`, as many probes a call as
-    ``_CHUNK_VALUES`` lane-steps of full chunks hold, and at least one.
+    ``_CHUNK_VALUES`` lane-steps of full chunks hold, and at least one; a
+    call with room to spare runs more than one chunk of each probe.
 
     A level-L probe runs ``steps * 2**L`` steps after the burn-in; above
     level 0 it continues the orbit of the probe below it, whose draws are a

@@ -471,7 +471,7 @@ def _blocked(name, omega, a1, a2, steps, trials, burn_in, seed):
 
 # (steps, trials, burn_in, fixed_r), where fixed_r, if set, makes every
 # weight the constant (alpha1 + alpha2) * fixed_r; the orbit blocks hold up
-# to 512 steps
+# to 256 steps
 _ORBIT_CASES = {
     "below_one_block": (100, 3, 50, None),
     "exact_block_multiple": (412, 4, 100, None),
@@ -551,48 +551,26 @@ def test_exponent_kernel_matches_per_step_sum(omega, alpha, monkeypatch):
 # ---------------------------------------------------------------- the chunk rule
 
 
-@pytest.mark.parametrize("trials, steps", [(2, 512), (12, 512), (16, 512), (32, 512),
-                                           (33, 256), (64, 256), (4096, 4), (8192, 4)])
-def test_chunk_steps_holds_512_steps_or_2_14_lane_steps(trials, steps):
+@pytest.mark.parametrize("trials, steps", [(2, 256), (12, 256), (64, 256), (65, 128),
+                                           (4096, 4), (8192, 4)])
+def test_chunk_steps_holds_256_steps_or_2_14_lane_steps(trials, steps):
     # the largest power of two within both caps, and at least 4
     assert stability._chunk_steps(trials) == steps
 
 
-def _record_chunks(monkeypatch):
-    """The step counts of the ``_chunk`` calls made after this call."""
-    lengths = []
-    chunk = stability._chunk
-
-    def record(omega, ar, v, x, steps=None):
-        lengths.append(len(ar))
-        return chunk(omega, ar, v, x, steps)
-
-    monkeypatch.setattr(stability, "_chunk", record)
-    return lengths
-
-
-def test_a_12_trial_orbit_runs_in_chunks_of_up_to_512_steps(monkeypatch):
-    # the burn-in is cut every 512 steps from its start; the counted steps on
-    # the dyadic intervals of their odd part 125, each cut every 512 steps
-    lengths = _record_chunks(monkeypatch)
-    lyapunov_exponent(0.5, 1.6, 1.6, steps=1000, trials=12, burn_in=1000, seed=3)
-    assert lengths == [512, 488, 125, 125, 250, 500]
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 5, 64, 100, 129, 256, 300, 512])
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 64, 100, 129, 256])
 def test_identity_padding_keeps_a_chunks_bits(k):
     # each lane of a chunk padded with identities to any wider width, next to
-    # lanes of other step counts, gets the bits of its steps alone; a chunk
-    # of more than 256 steps also rescales its products after level 8
+    # lanes of other step counts, gets the bits of its steps alone
     rng = np.random.default_rng(k)
     alpha = np.array([0.01, 0.5, 4.6, 8.0, 100.0, 1.0, 2.0, 3.0])
     n = alpha.size
     omega = rng.uniform(-1.1, 1.1, n)
-    ar = alpha * rng.random((512, n))
+    ar = alpha * rng.random((256, n))
     theta = rng.uniform(0.0, 2.0 * np.pi, n)
     v, x = np.sin(theta), np.cos(theta)
-    widths = {k, k + 1, 1 << (k - 1).bit_length(), 2 * k, 256, 512}
-    for width in sorted(w for w in widths if k <= w <= 512):
+    widths = {k, k + 1, 1 << (k - 1).bit_length(), 2 * k, 256}
+    for width in sorted(w for w in widths if w <= 256):
         steps = np.full(n, k)
         steps[1::2] = rng.integers(1, width + 1, n // 2)
         padded = stability._chunk(omega, ar[:width], v, x, steps)
@@ -600,6 +578,78 @@ def test_identity_padding_keeps_a_chunks_bits(k):
             alone = stability._chunk(omega, ar[:count], v, x)
             lanes = steps == count
             assert [a[lanes].tobytes() for a in padded] == [a[lanes].tobytes() for a in alone]
+
+
+def test_a_call_of_several_sets_equals_one_call_a_set():
+    # three sets of 4 lanes, each set the next chunk of the orbits of the set
+    # before it, some chunks shorter than others: each set gets the bits of
+    # its own call from the new (v, x) of the set before it
+    rng = np.random.default_rng(8)
+    n, sets = 4, 3
+    omega = np.tile(rng.uniform(-1.1, 1.1, n), sets)
+    ar = np.tile([0.01, 0.5, 4.6, 8.0], sets) * rng.random((128, n * sets))
+    steps = rng.integers(1, 129, n * sets)
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    v, x = np.sin(theta), np.cos(theta)
+    together = stability._chunk(omega, ar, v, x, steps)
+    for j in range(sets):
+        lanes = slice(j * n, (j + 1) * n)
+        growth, v, x = stability._chunk(omega[lanes], ar[:, lanes], v, x, steps[lanes])
+        assert [a.tobytes() for a in (growth, v, x)] == [a[lanes].tobytes() for a in together]
+
+
+def _record_calls(monkeypatch, trials):
+    """Per ``_chunk`` call made after this call, the steps of the chunks it
+    holds of ``trials`` lanes each, set after set."""
+    calls = []
+    chunk = stability._chunk
+
+    def record(omega, ar, v, x, steps=None):
+        lanes = np.full(ar.shape[1], len(ar)) if steps is None else steps
+        calls.append(lanes[::trials].tolist())
+        return chunk(omega, ar, v, x, steps)
+
+    monkeypatch.setattr(stability, "_chunk", record)
+    return calls
+
+
+def test_a_12_trial_orbit_runs_five_chunks_a_call(monkeypatch):
+    # five 256-step chunks of 12 lanes fill 2**14 lane-steps.  The burn-in is
+    # cut every 256 steps, and the counted steps on the dyadic intervals of
+    # their odd part 125, each cut every 256 steps; a call holds chunks of both
+    calls = _record_calls(monkeypatch, 12)
+    lyapunov_exponent(0.5, 1.6, 1.6, steps=1000, trials=12, burn_in=1000, seed=3)
+    assert calls == [[256, 256, 256, 232, 125], [125, 250, 256, 244]]
+
+
+@pytest.mark.parametrize("open_probes, calls", [
+    (1, [[256, 256, 256, 232, 125]]),  # five chunks: the burn-in's and the first counted
+    (2, [[256] * 4]),  # two chunks of each probe, the curve-lyapunov workload's shape
+    (3, [[256] * 3]),  # one chunk of each, as many probes a call as 2**14 lane-steps hold
+    (5, [[256] * 5]),
+    (7, [[256] * 5, [256] * 4]),  # the last two probes, two chunks each
+])
+def test_a_call_gives_its_open_probes_the_chunks_it_holds(open_probes, calls, monkeypatch):
+    trials = 12
+    start, advance = stability._lyapunov_kind([0.3] * open_probes, 1000, trials, 1000)
+    probes = {i: start(i, 2.4, 2.9, 0, np.random.SeedSequence(i), None)[0]
+              for i in range(open_probes)}
+    recorded = _record_calls(monkeypatch, trials)
+    assert [reply for _, reply in advance(probes)] == [None] * open_probes
+    assert recorded == calls
+
+
+@pytest.mark.parametrize("steps, trials, burn_in", [(1000, 12, 1000), (999, 5, 13),
+                                                    (4096, 2, 300), (333, 31, 77)])
+def test_a_call_of_one_chunk_a_probe_gives_the_same_bits(steps, trials, burn_in, monkeypatch):
+    # the chunks a call holds cut no chunk differently and mix no lanes
+    several = lyapunov_exponent(0.4, 1.1, 1.3, steps, trials, burn_in, seed=trials)
+    k = stability._chunk_steps(trials)
+    monkeypatch.setattr(stability, "_CHUNK_VALUES", k * trials)
+    assert stability._chunk_steps(trials) == k
+    calls = _record_calls(monkeypatch, trials)
+    assert lyapunov_exponent(0.4, 1.1, 1.3, steps, trials, burn_in, seed=trials) == several
+    assert all(len(call) == 1 for call in calls)
 
 
 @pytest.mark.parametrize("estimator, omega, fixed_r, step", [
@@ -619,16 +669,10 @@ def test_overflow_reports_first_failing_step_without_warning(estimator, omega, f
     assert err.value.step == step
 
 
-@pytest.mark.parametrize("steps, burn_in, step, lengths", [
-    # in the burn-in's first chunk, steps 0 to 511
-    (1000, 1000, 300, [512]),
-    # in the counted chunk of steps 1124 to 1635
-    (2048, 100, 1424, [100, 1, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 512]),
-])
-def test_overflow_deep_in_a_long_chunk_reports_its_step(steps, burn_in, step, lengths,
-                                                        monkeypatch):
-    # one lane's weight is infinite at `step`, 300 steps into a 512-step
-    # chunk: the chunk's product fails, and its per-step rerun finds the step
+def _poison(monkeypatch, weight, first, last):
+    """Make lane 5's weight ``weight`` at the counted draws ``first`` to
+    ``last``; returns the list of the ``_block`` reruns made after this
+    call."""
     draw = stability._draw_weights
     drawn = [0]
 
@@ -636,21 +680,47 @@ def test_overflow_deep_in_a_long_chunk_reports_its_step(steps, burn_in, step, le
         ar = draw(rng, a1, a2, shape)
         k0 = drawn[0]
         drawn[0] += shape[0]
-        if k0 <= step < drawn[0]:
-            ar[step - k0, 5] = np.inf
+        for step in range(max(first, k0), min(last + 1, drawn[0])):
+            ar[step - k0, 5] = weight
         return ar
 
     monkeypatch.setattr(stability, "_draw_weights", poisoned)
-    chunks = _record_chunks(monkeypatch)
     reruns = []
     block = stability._block
     monkeypatch.setattr(stability, "_block", lambda *args: reruns.append(args) or block(*args))
+    return reruns
+
+
+def test_overflow_in_a_later_chunk_of_a_call_reports_its_step(monkeypatch):
+    # one lane's weight is infinite at step 300, in the second of the five
+    # chunks of the call: that chunk's product fails, and its per-step rerun
+    # finds the step
+    reruns = _poison(monkeypatch, np.inf, 300, 300)
+    calls = _record_calls(monkeypatch, 12)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericOverflowError, match="renormalisation failed") as err:
-            lyapunov_exponent(0.5, 1.6, 1.6, steps=steps, trials=12, burn_in=burn_in, seed=3)
-    assert err.value.step == step
-    assert chunks == lengths
+            lyapunov_exponent(0.5, 1.6, 1.6, steps=1000, trials=12, burn_in=1000, seed=3)
+    assert err.value.step == 300
+    assert calls == [[256, 256, 256, 232, 125]]
+    assert len(reruns) == 1
+
+
+def test_a_rerun_chunk_restarts_the_later_chunks_of_its_call(monkeypatch):
+    # weights of 1e100 at steps 300 to 303 overflow the second chunk's
+    # product but not its steps: the rerun goes on, and the later chunks of
+    # the call run again from its (v, x), with the bits of one chunk a call
+    reruns = _poison(monkeypatch, 1e100, 300, 303)
+    calls = _record_calls(monkeypatch, 12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        several = lyapunov_exponent(0.5, 1.6, 1.6, steps=1000, trials=12, burn_in=1000, seed=3)
+    assert len(reruns) == 1
+    assert calls == [[256, 256, 256, 232, 125], [256, 232, 125], [125, 250, 256, 244]]
+    monkeypatch.undo()
+    reruns = _poison(monkeypatch, 1e100, 300, 303)
+    monkeypatch.setattr(stability, "_CHUNK_VALUES", 256 * 12)
+    assert lyapunov_exponent(0.5, 1.6, 1.6, steps=1000, trials=12, burn_in=1000, seed=3) == several
     assert len(reruns) == 1
 
 

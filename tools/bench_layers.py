@@ -25,9 +25,10 @@ lane-step is one lane advanced one step.  The process times, at each of
 ``LANES``, one call of ``lyapunov_exponent(0.4, 1.1, 1.3, steps, lanes,
 burn_in=0)`` with ``steps = LANE_STEPS // lanes``, after one untimed call at
 a tenth of the steps; the weight draws and the log sum are part of the
-time.  32 lanes, the ``lyapunov`` command's default trials, are the most at
-which a Lyapunov chunk holds its most steps; the lane counts above 4096 are
-those where it holds its fewest.
+time.  One kernel call holds five chunks of the orbit at 12 lanes, two at
+32 lanes, the ``lyapunov`` command's default trials, and one from 43 lanes
+up; the lane counts above 4096 are those where a chunk holds its fewest
+steps.
 
 Passage layer: a lane-step is one open lane of ``stability._FirstPassage``
 advanced one step.  The process times, for each rule of ``PASSAGE_RULES``
@@ -92,8 +93,8 @@ Probe layer: not a timing, so it runs once per tree.  The process wraps
 ``stability._bisection`` so that it counts the probe requests of each
 critical point, by budget level, and solves each of ``CURVES``: the
 ``boundary-escape`` workload's escape curve (omega 0.4 at the CLI's
-defaults) and the ``curve-lyapunov`` workload's curve, both at seed
-``CURVE_SEED``.  A level-L request runs ``2**L`` times the level-0 budget
+defaults), the ``curve-lyapunov`` workload's curve and two 23-point
+Lyapunov curves that keep many probes open, all at seed ``CURVE_SEED``.  A level-L request runs ``2**L`` times the level-0 budget
 (the Lyapunov steps, or the escape trials, of which it continues the
 level below), so a request at the top level is the most expensive a point
 asks.  The requests count what a point asked, not what it cost: an escape
@@ -275,11 +276,16 @@ print(json.dumps({"suite10": 1e6 * (time.perf_counter() - t) / (swarms * iterati
 """
 
 # name: critical_curve keyword arguments; the boundary-escape escape curve
-# runs the CLI's defaults, curve-lyapunov the workload's budget
+# runs the CLI's defaults, curve-lyapunov the workload's budget, with two
+# open probes a round; the grid curves keep many probes open, 23 omegas at
+# 12 and at 20 trials
+_GRID = [round(-1.1 + 0.1 * i, 10) for i in range(23)]
 CURVES = {
     "boundary-escape": dict(omega_grid=[0.4], method="escape"),
     "curve-lyapunov": dict(omega_grid=[-1.0, -0.5, 0.0, 0.5, 1.0], tolerance=0.05, steps=1000,
                            trials=12),
+    "grid-12": dict(omega_grid=_GRID, tolerance=0.05, steps=1000, trials=12),
+    "grid-20": dict(omega_grid=_GRID, tolerance=0.05, steps=1000, trials=20),
 }
 CURVE_SEED = 1511
 

@@ -91,8 +91,8 @@ COMMANDS = [
     (["curve", "--omega-min", "-1.1", "--omega-max", "1.1", "--step", "0.2",
       "--tolerance", "0.05", "--steps", "300", "--trials", "24", "--seed", "16",
       "--output", "curve_lanes.csv"], ["curve_lanes.csv"]),
-    # the curve-lyapunov workload's shape: the two open 12-trial probes of
-    # a round share one 512-step chunk call
+    # the curve-lyapunov workload's shape: one chunk call holds two chunks
+    # of each of the two open 12-trial probes
     (["curve", "--omega-min", "-1", "--omega-max", "1", "--step", "0.5",
       "--tolerance", "0.05", "--steps", "1000", "--trials", "12", "--seed", "23",
       "--output", "curve_workload.csv"], ["curve_workload.csv"]),
@@ -110,7 +110,7 @@ COMMANDS = [
     (["stationary", "--omega", "0.7", "--alpha", "0.5", "--bins", "64", "--samples", "2000",
       "--burn-in", "50", "--chains", "2", "--seed", "4", "--output", "stationary.csv"],
      ["stationary.csv"]),
-    # 100 chains: orbit blocks of 128 steps, not the 512 of a few chains
+    # 100 chains: orbit blocks of 128 steps, not the 256 of a few chains
     (["stationary", "--omega", "0.7", "--alpha", "3", "--chains", "100", "--samples", "30000",
       "--burn-in", "50", "--seed", "5", "--output", "stationary_chains.csv"],
      ["stationary_chains.csv"]),
