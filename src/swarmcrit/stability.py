@@ -477,6 +477,7 @@ def _chunk(omega, ar, v, x, steps=None):
                 m = _normalised(m, scale)
         (a, b), (c, d) = _normalised(m, scale)[:, :, 0]
         if len(v) == n:
+            # one set, as in every call with many probes open: no copies
             return _grown(a, b, c, d, scale, v, x)
         grown = np.empty((3, n))
         for j in range(0, n, len(v)):
@@ -573,14 +574,10 @@ def _advance(probes, trials, burn_in):
             ks.append(end - done[i])
             done[i] = end
     ar = np.zeros((max(ks), trials * len(ks)))
-    for i, p in enumerate(probes):
-        # one draw for all the probe's chunks: the stream of one a chunk
-        drawn = _draw_weights(p.rng, p.alpha1, p.alpha2, (sum(ks[i::n]), trials))
-        for e in range(i, len(ks), n):
-            ar[:ks[e], e * trials:(e + 1) * trials], drawn = drawn[:ks[e]], drawn[ks[e]:]
-    # a draw kept alive through the kernel call made a 64-lane call about
-    # twice as slow (measured on x86-64 with glibc)
-    del drawn
+    for e, k in enumerate(ks):
+        if k:
+            p = probes[e % n]
+            ar[:k, e * trials:(e + 1) * trials] = _draw_weights(p.rng, p.alpha1, p.alpha2, (k, trials))
     omega = np.repeat(np.array([p.omega for p in probes] * (len(ks) // n), dtype=float), trials)
     v = np.concatenate([p.v for p in probes])
     x = np.concatenate([p.x for p in probes])
