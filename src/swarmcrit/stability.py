@@ -570,14 +570,17 @@ def _advance(probes, trials, burn_in):
         if done == [p.end for p in probes]:
             break
         for i, p in enumerate(probes):
-            end = _chunk_end(done[i], burn_in, p.end - burn_in, k_max) if done[i] < p.end else done[i]
+            end = done[i]
+            if end < p.end:
+                end = _chunk_end(end, burn_in, p.end - burn_in, k_max)
             ks.append(end - done[i])
             done[i] = end
     ar = np.zeros((max(ks), trials * len(ks)))
     for e, k in enumerate(ks):
         if k:
             p = probes[e % n]
-            ar[:k, e * trials:(e + 1) * trials] = _draw_weights(p.rng, p.alpha1, p.alpha2, (k, trials))
+            ar[:k, e * trials:(e + 1) * trials] = _draw_weights(p.rng, p.alpha1, p.alpha2,
+                                                                 (k, trials))
     omega = np.repeat(np.array([p.omega for p in probes] * (len(ks) // n), dtype=float), trials)
     v = np.concatenate([p.v for p in probes])
     x = np.concatenate([p.x for p in probes])
@@ -605,7 +608,8 @@ def _advance(probes, trials, burn_in):
             later = [f for f in range(e + n, len(ks), n) if ks[f]]
             if later:
                 at = np.concatenate([np.arange(f * trials, (f + 1) * trials) for f in later])
-                again = _chunk(p.omega, ar[:, at], p.v, p.x, np.repeat([ks[f] for f in later], trials))
+                at_steps = np.repeat([ks[f] for f in later], trials)
+                again = _chunk(p.omega, ar[:, at], p.v, p.x, at_steps)
                 for out, rerun in zip((growth, v, x), again):
                     out[at] = rerun
         p.done += k

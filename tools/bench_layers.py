@@ -94,7 +94,8 @@ Probe layer: not a timing, so it runs once per tree.  The process wraps
 critical point, by budget level, and solves each of ``CURVES``: the
 ``boundary-escape`` workload's escape curve (omega 0.4 at the CLI's
 defaults), the ``curve-lyapunov`` workload's curve and two 23-point
-Lyapunov curves that keep many probes open, all at seed ``CURVE_SEED``.  A level-L request runs ``2**L`` times the level-0 budget
+Lyapunov curves that keep many probes open, all at seed ``CURVE_SEED``.
+A level-L request runs ``2**L`` times the level-0 budget
 (the Lyapunov steps, or the escape trials, of which it continues the
 level below), so a request at the top level is the most expensive a point
 asks.  The requests count what a point asked, not what it cost: an escape
