@@ -28,7 +28,9 @@ product of its step matrices, formed in log-depth levels of pairwise
 products (the product is associative): it agrees with the per-step sum to
 rounding.  Chunks are canonical per orbit (:func:`_chunk_end`), so a
 probe's bits depend neither on the other probes, nor on its budget ladder,
-nor on how many of its chunks one kernel call holds.
+nor on how many of its chunks one kernel call holds.  One function,
+``_advance``, lays the open probes' chunks out in kernel calls and applies
+each call's chunk products one chunk of a probe after another.
 
 The escape and neutral-stability experiments share one first-passage
 loop, ``_FirstPassage``: lanes start on the unit circle, each step draws
@@ -212,7 +214,9 @@ class CriticalPoint:
 
 @dataclass(frozen=True)
 class CriticalCurve:
-    """Critical combined weight as a function of the inertia weight."""
+    """Critical combined weight as a function of the inertia weight: the
+    points' omegas are finite and strictly increasing, and an ``OK`` point
+    has a finite alpha and std_error."""
 
     points: tuple[CriticalPoint, ...]
     ratio: str
@@ -220,8 +224,13 @@ class CriticalCurve:
 
     def __post_init__(self):
         omegas = [p.omega for p in self.points]
+        if not all(map(math.isfinite, omegas)):
+            raise ValueError("curve omegas must be finite")
         if any(b <= a for a, b in zip(omegas, omegas[1:])):
             raise ValueError("curve omegas must be strictly increasing")
+        if not all(math.isfinite(p.alpha) and math.isfinite(p.std_error)
+                   for p in self.points if p.status == STATUS_OK):
+            raise ValueError(f"an {STATUS_OK} curve point needs a finite alpha and std_error")
         object.__setattr__(self, "points", tuple(self.points))
 
     def resolved(self) -> list[CriticalPoint]:
@@ -392,9 +401,10 @@ def _orbit(rng, omega, alpha1, alpha2, v, x, burn_in, steps, frame=None):
 # chunk kernel's arrays, about 80 bytes a lane-step, then stay within a
 # core's cache.  Above 4096 lanes a call still holds _MIN_CHUNK_STEPS steps
 # and so overruns that cap: a chunk of one or two steps would spend more
-# numpy calls a step than the per-step _block.  Where few probes are open,
-# one _chunk call runs several chunks of each (_advance): it fills
-# _CHUNK_VALUES without longer chunks, so no cut and no bit moves.
+# numpy calls a step than the per-step _block.  _advance lays the Lyapunov
+# chunks out in _chunk calls: where few probes are open, a call holds
+# several chunks of each, which fills _CHUNK_VALUES without longer chunks,
+# so no cut and no bit moves.
 _RESCALE_LEVELS = 4
 _CHUNK_STEPS = 256
 _CHUNK_VALUES = 1 << 14
@@ -425,14 +435,12 @@ def _normalised(m, scale):
     return np.ldexp(m, -e)
 
 
-def _chunk(omega, ar, v, x, steps=None):
-    """Log growth of unit ``(v, x)`` through the weights ``ar`` of shape
-    ``(k, n)``, and the new unit ``(v, x)``, per lane; ``omega`` is a scalar
-    or one value per lane.  ``v`` and ``x`` may hold ``n / d`` lanes: then
-    the lanes of ``ar`` form ``d`` sets of ``n / d``, each set one chunk of
-    the orbits of the set before it, and each set starts from the new
-    ``(v, x)`` of the set before it.  So one call can run an orbit's next
-    ``d`` chunks, and each chunk's growth is that of its own call.
+def _chunk(omega, ar, steps):
+    """The product of each lane's step matrices over the weights ``ar`` of
+    shape ``(k, n)``, as a normalised matrix of shape ``(2, 2, n)`` and the
+    power of two that scales it back, one exponent per lane; ``omega`` is a
+    scalar or one value per lane, and ``steps`` gives each lane's number of
+    steps, at most ``k``.
 
     The step matrices are multiplied in adjacent pairs, the later times the
     earlier, level by level.  The first level applies :func:`_step` to the
@@ -441,12 +449,12 @@ def _chunk(omega, ar, v, x, steps=None):
     after every ``_RESCALE_LEVELS`` levels and at the end.  The steps are
     padded with identities to a power of two, at least 2, and stored in
     :func:`_bit_reversed` order, so each level multiplies one contiguous
-    half by the other.  Where ``steps`` gives a lane's number of steps, its
-    later steps are identities too.  A product with an identity or a power
-    of two is exact, so an odd last matrix is in effect carried to the next
-    level, and the last scaling leaves no power of two behind: a lane gets
-    the bits of its own steps alone.  Lanes never mix; a growth that is not
-    finite marks a failed lane.
+    half by the other; a lane's steps past its ``steps`` are identities
+    too.  A product with an identity or a power of two is exact, so an odd
+    last matrix is in effect carried to the next level, and the last
+    scaling leaves no power of two behind: a lane gets the bits of its own
+    steps alone.  Lanes never mix; a product that is not finite marks a
+    failed lane.
     """
     k, n = ar.shape
     order = _bit_reversed(max(2, 1 << (k - 1).bit_length()))
@@ -460,11 +468,9 @@ def _chunk(omega, ar, v, x, steps=None):
         _step(omega, ar[:h], 0.0, 1.0, early[:, 1])
         for j in (0, 1):
             _step(omega, ar[h:], *early[:, j], m[:, j])
-        ends = k if steps is None else steps
-        pad = order[h:, None] >= ends
-        if pad.any():
-            np.copyto(m, early, where=pad)
-            np.copyto(m, _EYE, where=order[:h, None] >= ends)
+        if steps.min() < 2 * h:
+            np.copyto(m, early, where=order[h:, None] >= steps)
+            np.copyto(m, _EYE, where=order[:h, None] >= steps)
         level = 1
         while h > 1:
             h //= 2
@@ -475,25 +481,20 @@ def _chunk(omega, ar, v, x, steps=None):
             level += 1
             if level % _RESCALE_LEVELS == 0 and h > 1:
                 m = _normalised(m, scale)
-        (a, b), (c, d) = _normalised(m, scale)[:, :, 0]
-        if len(v) == n:
-            # one set, as in every call with many probes open: no copies
-            return _grown(a, b, c, d, scale, v, x)
-        grown = np.empty((3, n))
-        for j in range(0, n, len(v)):
-            s = slice(j, j + len(v))
-            grown[:, s] = _grown(a[s], b[s], c[s], d[s], scale[s], v, x)
-            v, x = grown[1:, s]
-        return grown
+        m = _normalised(m, scale)[:, :, 0]
+    return m, scale
 
 
-def _grown(a, b, c, d, scale, v, x):
-    """Log growth of unit ``(v, x)`` through the matrices ``[[a, b], [c,
-    d]]`` times ``2**scale``, and the new unit ``(v, x)``."""
-    wv = a * v + b * x
-    wx = c * v + d * x
-    norm = np.hypot(wv, wx)
-    return np.log(norm) + scale * _LN2, wv / norm, wx / norm
+def _grown(m, scale, v, x):
+    """Log growth of unit ``(v, x)`` through the matrices ``m`` of shape
+    ``(2, 2, n)`` times ``2**scale``, and the new unit ``(v, x)``, per lane;
+    a failed lane's growth is not finite, and warns nothing."""
+    (a, b), (c, d) = m
+    with np.errstate(all="ignore"):
+        wv = a * v + b * x
+        wx = c * v + d * x
+        norm = np.hypot(wv, wx)
+        return np.log(norm) + scale * _LN2, wv / norm, wx / norm
 
 
 def _chunk_steps(trials):
@@ -546,73 +547,75 @@ class _Probe:
 
 def _advance(probes, trials, burn_in):
     """Advance each of the Lyapunov ``probes``, all of ``trials`` lanes,
-    through its next chunks (:func:`_chunk_end`) in one :func:`_chunk` call:
-    as many chunks each as ``_CHUNK_VALUES`` lane-steps of full chunks hold,
-    at least one, and none past the probe's end.  Set ``j`` of the call
-    holds the ``j``-th chunk of every probe, and the shorter chunks, and
-    those of 0 steps past a probe's end, are padded with identities.  The
-    growth of a counted chunk is added to the probe's ``acc``.  Returns per
-    probe None, or the :class:`NumericOverflowError` that failed it.
+    through its next chunks (:func:`_chunk_end`), and return per probe None
+    or the :class:`NumericOverflowError` that failed it.
 
-    A probe with a failed lane runs the chunk again one step at a time
-    with :func:`_block`, from the same weights, and adds the logs of its
-    steps with :func:`_add_logs`; a failure there is returned at its step.
-    Its later chunks in the call ran from the failed lanes, so they run
-    again from the rerun's ``(v, x)``.  A chunk's bits depend on its own
-    weights and start alone, so a probe's bits depend neither on the other
-    probes nor on the number of chunks a call holds.
+    The probes run in :func:`_chunk` calls of ``slots`` chunks, as many full
+    chunks as ``_CHUNK_VALUES`` lane-steps hold and at least one: a call
+    takes the next ``slots`` probes, or where only ``n`` are left,
+    ``slots // n`` chunks of each and at least one, none past a probe's
+    end.  Set ``j`` of a call holds the ``j``-th chunk of each of its probes; the
+    shorter chunks, and those of 0 steps past a probe's end, are padded
+    with identities.  The products of each set are applied (:func:`_grown`)
+    from the ``(v, x)`` the set before it left, and the growth of a counted
+    chunk is added to the probe's ``acc``.
+
+    A chunk with a failed lane runs again one step at a time with
+    :func:`_block`, from the probe's own start and the same weights, and
+    the logs of its steps are added with :func:`_add_logs`; its ``(v, x)``
+    is the start of the probe's next set, and a failure there is returned
+    at its step.  A chunk's bits depend on its own weights and start alone,
+    so a probe's bits depend neither on the other probes nor on the number
+    of chunks a call holds.
     """
-    n = len(probes)
     k_max = _chunk_steps(trials)
-    done = [p.done for p in probes]
-    ks = []
-    for _ in range(max(1, _CHUNK_VALUES // (k_max * trials * n))):
-        if done == [p.end for p in probes]:
-            break
-        for i, p in enumerate(probes):
-            end = done[i]
-            if end < p.end:
-                end = _chunk_end(end, burn_in, p.end - burn_in, k_max)
-            ks.append(end - done[i])
-            done[i] = end
-    ar = np.zeros((max(ks), trials * len(ks)))
-    for e, k in enumerate(ks):
-        if k:
-            p = probes[e % n]
-            ar[:k, e * trials:(e + 1) * trials] = _draw_weights(p.rng, p.alpha1, p.alpha2,
-                                                                 (k, trials))
-    omega = np.repeat(np.array([p.omega for p in probes] * (len(ks) // n), dtype=float), trials)
-    v = np.concatenate([p.v for p in probes])
-    x = np.concatenate([p.x for p in probes])
-    steps = np.repeat(ks, trials) if min(ks) < len(ar) else None
-    growth, v, x = _chunk(omega, ar, v, x, steps)
-    failures = [None] * n
-    for e, k in enumerate(ks):
-        p = probes[e % n]
-        if not k or failures[e % n] is not None:
-            continue
-        lanes = slice(e * trials, (e + 1) * trials)
-        if np.isfinite(growth[lanes]).all():
-            if p.done >= burn_in:
-                p.acc = p.acc + growth[lanes]
-            p.v, p.x = v[lanes], x[lanes]
-        else:
-            try:
-                norm, phase, _ = _block(p.omega, ar[:k, lanes], p.v, p.x, p.done)
-            except NumericOverflowError as failure:
-                failures[e % n] = failure
-                continue
-            if p.done >= burn_in:
-                p.acc = _add_logs(p.acc, norm[0])
-            p.v, p.x = phase[-1]
-            later = [f for f in range(e + n, len(ks), n) if ks[f]]
-            if later:
-                at = np.concatenate([np.arange(f * trials, (f + 1) * trials) for f in later])
-                at_steps = np.repeat([ks[f] for f in later], trials)
-                again = _chunk(p.omega, ar[:, at], p.v, p.x, at_steps)
-                for out, rerun in zip((growth, v, x), again):
-                    out[at] = rerun
-        p.done += k
+    slots = max(1, _CHUNK_VALUES // (k_max * trials))
+    failures = [None] * len(probes)
+    for first in range(0, len(probes), slots):
+        call = probes[first:first + slots]
+        n = len(call)
+        done = [p.done for p in call]
+        ks = []
+        for _ in range(max(1, slots // n)):
+            if done == [p.end for p in call]:
+                break
+            for i, p in enumerate(call):
+                end = done[i]
+                if end < p.end:
+                    end = _chunk_end(end, burn_in, p.end - burn_in, k_max)
+                ks.append(end - done[i])
+                done[i] = end
+        ar = np.zeros((max(ks), trials * len(ks)))
+        for e, k in enumerate(ks):
+            if k:
+                p = call[e % n]
+                ar[:k, e * trials:(e + 1) * trials] = _draw_weights(p.rng, p.alpha1, p.alpha2,
+                                                                     (k, trials))
+        omega = np.repeat(np.array([p.omega for p in call] * (len(ks) // n), dtype=float), trials)
+        m, scale = _chunk(omega, ar, np.repeat(ks, trials))
+        v, x = np.concatenate([(p.v, p.x) for p in call], axis=1)
+        for j in range(0, len(ks), n):
+            cut = slice(j * trials, (j + n) * trials)
+            growth, v, x = _grown(m[:, :, cut], scale[cut], v, x)
+            for i, p in enumerate(call):
+                k = ks[j + i]
+                if not k or failures[first + i] is not None:
+                    continue
+                lanes = slice(i * trials, (i + 1) * trials)
+                if np.isfinite(growth[lanes]).all():
+                    if p.done >= burn_in:
+                        p.acc = p.acc + growth[lanes]
+                else:
+                    try:
+                        norm, phase, _ = _block(p.omega, ar[:k, cut][:, lanes], p.v, p.x, p.done)
+                    except NumericOverflowError as failure:
+                        failures[first + i] = failure
+                        continue
+                    if p.done >= burn_in:
+                        p.acc = _add_logs(p.acc, norm[0])
+                    v[lanes], x[lanes] = phase[-1]
+                p.v, p.x = v[lanes], x[lanes]
+                p.done += k
     return failures
 
 
@@ -1160,9 +1163,8 @@ def _solve(omegas, seeds, ratio, tolerance, alpha_lo, alpha_max, max_level, star
 
 def _lyapunov_kind(omegas, steps, trials, burn_in):
     """``(start, advance)`` of :func:`_solve` for Lyapunov probes, which
-    advance together through :func:`_advance`, as many probes a call as
-    ``_CHUNK_VALUES`` lane-steps of full chunks hold, and at least one; a
-    call with room to spare runs more than one chunk of each probe.
+    advance together through :func:`_advance`, the one place that lays
+    their chunks out in kernel calls.
 
     A level-L probe runs ``steps * 2**L`` steps after the burn-in; above
     level 0 it continues the orbit of the probe below it, whose draws are a
@@ -1176,8 +1178,6 @@ def _lyapunov_kind(omegas, steps, trials, burn_in):
     ``start`` replies with that sign at once.  Such a sign is nonzero, so it
     never asks a level above 0.
     """
-    group = max(1, _CHUNK_VALUES // (_chunk_steps(trials) * trials))
-
     def start(i, a1, a2, level, child, probe):
         if not level:
             sign = _known_sign(omegas[i], a1, a2)
@@ -1188,15 +1188,12 @@ def _lyapunov_kind(omegas, steps, trials, burn_in):
         return probe, None
 
     def advance(probes):
-        items = list(probes.items())
-        for g in range(0, len(items), group):
-            batch = items[g:g + group]
-            for (i, p), failure in zip(batch, _advance([p for _, p in batch], trials, burn_in)):
-                if failure is None and p.done == p.end:
-                    est = _estimate(p.acc, p.end - burn_in, burn_in)
-                    yield i, _sign(est.value, est.std_error)
-                else:
-                    yield i, failure
+        for (i, p), failure in zip(probes.items(), _advance([*probes.values()], trials, burn_in)):
+            if failure is None and p.done == p.end:
+                est = _estimate(p.acc, p.end - burn_in, burn_in)
+                yield i, _sign(est.value, est.std_error)
+            else:
+                yield i, failure
 
     return start, advance
 

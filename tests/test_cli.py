@@ -588,6 +588,23 @@ def test_region_names_the_line_of_a_bad_cell(tmp_path, capsys, kind, column, val
     _assert_region_fails_at(tmp_path, capsys, inputs, bad, line)
 
 
+# a non-finite omega, or a non-finite value of an OK point, between two
+# finite rows: a curve that would interpolate to NaN or inf everywhere
+@pytest.mark.parametrize("row", ["nan,9.0,0.01,OK", "0.5,inf,0.01,OK"])
+def test_region_rejects_a_curve_of_non_finite_values(tmp_path, capsys, row):
+    inputs = _region_inputs(tmp_path)
+    curve_csv = inputs["curve"][0]
+    lines = curve_csv.read_text().splitlines()
+    curve_csv.write_text("\n".join([*lines[:-1], row, lines[-1]]) + "\n")
+    capsys.readouterr()
+    code = run(["region", "--sweep", str(inputs["sweep"][0]), "--curve", str(curve_csv),
+                "--output", str(tmp_path / "region.csv"), "--stats", str(tmp_path / "s.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "finite" in err and "Traceback" not in err
+    assert not (tmp_path / "region.csv").exists()
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

@@ -567,35 +567,37 @@ def test_identity_padding_keeps_a_chunks_bits(k):
     n = alpha.size
     omega = rng.uniform(-1.1, 1.1, n)
     ar = alpha * rng.random((256, n))
-    theta = rng.uniform(0.0, 2.0 * np.pi, n)
-    v, x = np.sin(theta), np.cos(theta)
     widths = {k, k + 1, 1 << (k - 1).bit_length(), 2 * k, 256}
     for width in sorted(w for w in widths if w <= 256):
         steps = np.full(n, k)
         steps[1::2] = rng.integers(1, width + 1, n // 2)
-        padded = stability._chunk(omega, ar[:width], v, x, steps)
+        padded = stability._chunk(omega, ar[:width], steps)
         for count in set(steps.tolist()):
-            alone = stability._chunk(omega, ar[:count], v, x)
+            alone = stability._chunk(omega, ar[:count], np.full(n, count))
             lanes = steps == count
-            assert [a[lanes].tobytes() for a in padded] == [a[lanes].tobytes() for a in alone]
+            assert ([a[..., lanes].tobytes() for a in padded]
+                    == [a[..., lanes].tobytes() for a in alone])
 
 
-def test_a_call_of_several_sets_equals_one_call_a_set():
-    # three sets of 4 lanes, each set the next chunk of the orbits of the set
-    # before it, some chunks shorter than others: each set gets the bits of
-    # its own call from the new (v, x) of the set before it
-    rng = np.random.default_rng(8)
-    n, sets = 4, 3
-    omega = np.tile(rng.uniform(-1.1, 1.1, n), sets)
-    ar = np.tile([0.01, 0.5, 4.6, 8.0], sets) * rng.random((128, n * sets))
-    steps = rng.integers(1, 129, n * sets)
-    theta = rng.uniform(0.0, 2.0 * np.pi, n)
-    v, x = np.sin(theta), np.cos(theta)
-    together = stability._chunk(omega, ar, v, x, steps)
-    for j in range(sets):
-        lanes = slice(j * n, (j + 1) * n)
-        growth, v, x = stability._chunk(omega[lanes], ar[:, lanes], v, x, steps[lanes])
-        assert [a.tobytes() for a in (growth, v, x)] == [a[lanes].tobytes() for a in together]
+def test_a_call_of_several_sets_equals_one_call_a_set(monkeypatch):
+    # two 12-trial probes at different chunk offsets share each call as two
+    # sets, some chunks shorter than others and some of 0 steps: each set
+    # starts from the (v, x) the set before it left, and each probe gets the
+    # bits of one chunk a call
+    def opened():
+        return [stability._Probe.open(0.3, 1, 2.4, 2.9, 12, 100 + 1000),
+                stability._Probe.open(-0.6, 2, 1.0, 1.5, 12, 100 + 333)]
+
+    def run(probes):
+        while any(p.done < p.end for p in probes):
+            assert stability._advance(probes, 12, 100) == [None] * len(probes)
+        return [[a.tobytes() for a in (p.acc, p.v, p.x)] for p in probes]
+
+    calls = _record_calls(monkeypatch, 12)
+    together = run(opened())
+    assert calls[:2] == [[100, 100, 125, 256], [125, 77, 250, 0]]
+    monkeypatch.setattr(stability, "_CHUNK_VALUES", 256 * 12)
+    assert [run([p])[0] for p in opened()] == together
 
 
 def _record_calls(monkeypatch, trials):
@@ -604,10 +606,9 @@ def _record_calls(monkeypatch, trials):
     calls = []
     chunk = stability._chunk
 
-    def record(omega, ar, v, x, steps=None):
-        lanes = np.full(ar.shape[1], len(ar)) if steps is None else steps
-        calls.append(lanes[::trials].tolist())
-        return chunk(omega, ar, v, x, steps)
+    def record(omega, ar, steps):
+        calls.append(steps[::trials].tolist())
+        return chunk(omega, ar, steps)
 
     monkeypatch.setattr(stability, "_chunk", record)
     return calls
@@ -669,18 +670,21 @@ def test_overflow_reports_first_failing_step_without_warning(estimator, omega, f
     assert err.value.step == step
 
 
-def _poison(monkeypatch, weight, first, last):
-    """Make lane 5's weight ``weight`` at the counted draws ``first`` to
-    ``last``; returns the list of the ``_block`` reruns made after this
+def _poison(monkeypatch, weight, first, last, alpha1=None):
+    """Make lane 5's weight ``weight`` at the draws ``first`` to ``last`` of
+    each generator, of the orbits at cognitive weight ``alpha1`` alone if it
+    is given; returns the list of the ``_block`` reruns made after this
     call."""
     draw = stability._draw_weights
-    drawn = [0]
+    drawn = {}
 
     def poisoned(rng, a1, a2, shape):
         ar = draw(rng, a1, a2, shape)
-        k0 = drawn[0]
-        drawn[0] += shape[0]
-        for step in range(max(first, k0), min(last + 1, drawn[0])):
+        if alpha1 is not None and a1 != alpha1:
+            return ar
+        k0 = drawn.get(rng, 0)
+        drawn[rng] = k0 + shape[0]
+        for step in range(max(first, k0), min(last + 1, drawn[rng])):
             ar[step - k0, 5] = weight
         return ar
 
@@ -709,19 +713,41 @@ def test_overflow_in_a_later_chunk_of_a_call_reports_its_step(monkeypatch):
 def test_a_rerun_chunk_restarts_the_later_chunks_of_its_call(monkeypatch):
     # weights of 1e100 at steps 300 to 303 overflow the second chunk's
     # product but not its steps: the rerun goes on, and the later chunks of
-    # the call run again from its (v, x), with the bits of one chunk a call
+    # the call start from its (v, x), with the bits of one chunk a call
     reruns = _poison(monkeypatch, 1e100, 300, 303)
     calls = _record_calls(monkeypatch, 12)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         several = lyapunov_exponent(0.5, 1.6, 1.6, steps=1000, trials=12, burn_in=1000, seed=3)
     assert len(reruns) == 1
-    assert calls == [[256, 256, 256, 232, 125], [256, 232, 125], [125, 250, 256, 244]]
+    assert calls == [[256, 256, 256, 232, 125], [125, 250, 256, 244]]
     monkeypatch.undo()
     reruns = _poison(monkeypatch, 1e100, 300, 303)
     monkeypatch.setattr(stability, "_CHUNK_VALUES", 256 * 12)
     assert lyapunov_exponent(0.5, 1.6, 1.6, steps=1000, trials=12, burn_in=1000, seed=3) == several
     assert len(reruns) == 1
+
+
+def test_a_rerun_in_a_call_of_two_probes_keeps_each_probes_bits(monkeypatch):
+    # two open 12-trial probes share each call as two sets; weights of 1e100
+    # at steps 10 to 13 of the second overflow its first chunk's product but
+    # not its steps.  Only that probe reruns, its second set starts from the
+    # rerun's (v, x), and each probe gets the bits of its lone call
+    points = [(0.3, 2.4, 2.9), (-0.2, 2.0, 2.5)]
+    reruns = _poison(monkeypatch, 1e100, 10, 13, alpha1=2.0)
+    calls = _record_calls(monkeypatch, 12)
+    probes = [stability._Probe.open(w, seed, a1, a2, 12, 1000)
+              for seed, (w, a1, a2) in enumerate(points)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        while any(p.done < p.end for p in probes):
+            assert stability._advance(probes, 12, 0) == [None, None]
+    assert calls[0] == [125, 125, 125, 125]
+    assert [(args[0], args[-1]) for args in reruns] == [(-0.2, 0)]
+    for seed, ((w, a1, a2), p) in enumerate(zip(points, probes)):
+        alone = lyapunov_exponent(w, a1, a2, steps=1000, trials=12, burn_in=0, seed=seed)
+        assert stability._estimate(p.acc, 1000, 0) == alone
+    assert len(reruns) == 2
 
 
 def test_pair_reports_the_first_failing_step_of_either_leg():
@@ -1527,6 +1553,20 @@ def test_critical_curve_rejects_falling_omegas():
         CriticalCurve(points=points, ratio=RATIO_EQUAL, method="LYAPUNOV_BISECTION")
 
 
+# a NaN omega passes the increasing-omega check, whose comparisons it fails
+@pytest.mark.parametrize("row", ["nan,9.0,0.01,OK", "inf,9.0,0.01,OK", "0.0,inf,0.01,OK",
+                                 "0.0,nan,0.01,OK", "0.0,9.0,nan,OK", "0.0,9.0,-inf,OK"])
+def test_curve_rejects_a_non_finite_omega_or_ok_value(row, tmp_path):
+    path = tmp_path / "curve.csv"
+    path.write_text(f"omega,alpha_critical,std_error,status\n-0.5,4.0,0.01,OK\n{row}\n"
+                    "0.5,4.5,0.01,OK\n")
+    with pytest.raises(ValueError, match="finite"):
+        CriticalCurve.from_csv(path)
+    point = CriticalPoint(*map(float, row.split(",")[:3]))
+    with pytest.raises(ValueError, match="finite"):
+        CriticalCurve((point,), ratio=RATIO_EQUAL, method="LYAPUNOV_BISECTION")
+
+
 def test_curve_csv_with_wrong_header_rejected(tmp_path):
     path = tmp_path / "curve.csv"
     path.write_text("omega,alpha,std_error,status\n0.5,4.5,0.03,OK\n")
@@ -1672,9 +1712,9 @@ def test_lockstep_pads_probes_at_different_chunk_offsets(monkeypatch, search_con
     lengths = []
     chunk = stability._chunk
 
-    def record(omega, ar, v, x, steps=None):
-        lengths.append(set() if steps is None else set(steps.tolist()))
-        return chunk(omega, ar, v, x, steps)
+    def record(omega, ar, steps):
+        lengths.append(set(steps.tolist()))
+        return chunk(omega, ar, steps)
 
     monkeypatch.setattr(stability, "_chunk", record)
     assert critical_curve(grid, seed=seed, **budgets).points == reference

@@ -1,8 +1,9 @@
 """Layer timing of two source trees: ns per lane-step of the Lyapunov orbit
-at several lane counts and of the first-passage loop at two, µs per
-iteration of the lockstep optimiser at the two sweep shapes, seconds of
-one lockstep call whose swarms overflow, µs per swarm-iteration of the
-suite sweep, the cold start of the CLI and a cold
+at several lane counts, with its minor page faults, seconds of one
+23-point Lyapunov curve, ns per lane-step of the first-passage loop at
+two lane counts, µs per iteration of the lockstep optimiser at the two
+sweep shapes, seconds of one lockstep call whose swarms overflow, µs per
+swarm-iteration of the suite sweep, the cold start of the CLI and a cold
 ``region`` call; and the bisection's probe requests per critical-curve
 point, with an escape point's lanes started and lane-steps.
 
@@ -11,8 +12,8 @@ Usage::
     python tools/bench_layers.py PARENT CHANGE OUT.json [--layers startup,probes]
 
 ``--layers`` names the entries to measure, of ``layers`` (Lyapunov),
-``passage``, ``lockstep``, ``divergent``, ``sweep``, ``startup``,
-``region`` and ``probes``; the default is all of them.  Each of ``ROUNDS`` rounds
+``grid``, ``passage``, ``lockstep``, ``divergent``, ``sweep``,
+``startup``, ``region`` and ``probes``; the default is all of them.  Each of ``ROUNDS`` rounds
 (``STARTUP_ROUNDS`` for the startup and region layers) runs, per timing
 layer, one fresh process per tree (the package under ``<tree>/src``),
 alternating which tree runs first from one round to the next.  The script
@@ -28,7 +29,19 @@ a tenth of the steps; the weight draws and the log sum are part of the
 time.  One kernel call holds five chunks of the orbit at 12 lanes, two at
 32 lanes, the ``lyapunov`` command's default trials, and one from 43 lanes
 up; the lane counts above 4096 are those where a chunk holds its fewest
-steps.
+steps.  Beside each lane count's time (key ``N``) the process reports the
+minor page faults of the timed call (key ``minflt-N``, the ``ru_minflt``
+difference around it): two trees whose kernels do the same numpy work
+can still differ in the memory each call maps anew.
+
+Grid layer: the process times one ``stability.critical_curve`` call of
+``GRID_CURVE``, 23 omegas from -1.1 to 1.1 at 1000 steps and 16 trials,
+seed ``CURVE_SEED``, after one untimed call at a tenth of the steps and
+the seed before, and reports its seconds and minor page faults (keys
+``grid-16`` and ``minflt-grid-16``).  Its kernel calls hold one chunk of
+each of four open probes, several calls a round: the layout of curves at
+CLI scale, which no benchmark workload runs.  It makes public calls only,
+so the same probe text runs in trees whose chunk layouts differ.
 
 Passage layer: a lane-step is one open lane of ``stability._FirstPassage``
 advanced one step.  The process times, for each rule of ``PASSAGE_RULES``
@@ -113,13 +126,13 @@ by position, so the same probe text runs in trees whose chunk rules
 differ.
 
 OUT.json gets, of the measured entries, a ``layers`` entry (Lyapunov), a
-``passage`` entry, a ``lockstep`` entry, a ``divergent`` entry, a ``sweep``
-entry, a ``startup`` entry and a ``region`` entry with, per key (a lane
-count, a rule at a lane count, a shape, a sweep, a startup or a region
-figure), each side's median, inclusive
-quartiles and runs, the ratio of the medians (change over parent) and
-``change_lower_in_rounds``; and a ``probes`` entry with, per curve and
-tree, each point's requests by level, its ``std_error`` and status, and
+``grid`` entry, a ``passage`` entry, a ``lockstep`` entry, a
+``divergent`` entry, a ``sweep`` entry, a ``startup`` entry and a
+``region`` entry with, per key (a lane count, a rule at a lane count, a
+shape, a sweep, a startup or a region figure), each side's median,
+inclusive quartiles and runs, the ratio of the medians (change over
+parent, null where the parent's is 0) and ``change_lower_in_rounds``;
+and a ``probes`` entry with, per curve and tree, each point's requests by level, its ``std_error`` and status, and
 the curve's totals, with, for an escape curve, the lanes started and
 lane-steps of each point and of the curve, and for a Lyapunov curve its
 chunk calls and padded lane-steps.  Other entries of an existing
@@ -168,18 +181,21 @@ SWEEP = ((-0.5, 1.0, 0.5), (1.0, 4.0, 1.5), 10)
 DIVERGENT = ("rastrigin", 2, 77, (-1.1, 1.1, 0.2), (0.25, 6.0, 0.25))
 DIVERGENT_ITERATIONS = 4000
 
-# one process: ns per lane-step at each lane count of argv[2:]
+# one process: ns per lane-step, and the minor page faults of the timed
+# call, at each lane count of argv[2:]
 LYAPUNOV_PROBE = """
-import json, sys, time
+import json, resource, sys, time
 from swarmcrit.stability import lyapunov_exponent
 lane_steps, lanes = int(sys.argv[1]), [int(n) for n in sys.argv[2:]]
 out = {}
 for n in lanes:
     steps = max(1, lane_steps // n)
     lyapunov_exponent(0.4, 1.1, 1.3, max(1, steps // 10), n, 0, seed=1)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t = time.perf_counter()
     lyapunov_exponent(0.4, 1.1, 1.3, steps, n, 0, seed=2)
     out[n] = 1e9 * (time.perf_counter() - t) / (steps * n)
+    out[f"minflt-{n}"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 print(json.dumps(out))
 """
 
@@ -289,6 +305,24 @@ CURVES = {
     "grid-20": dict(omega_grid=_GRID, tolerance=0.05, steps=1000, trials=20),
 }
 CURVE_SEED = 1511
+# the grid layer's curve: 23 omegas at 16 trials, four open probes a call
+GRID_CURVE = dict(omega_grid=_GRID, tolerance=0.05, steps=1000, trials=16)
+
+# one process: the seconds and minor page faults of one critical_curve
+# call of the JSON argv[2] at seed argv[1]
+GRID_PROBE = """
+import json, resource, sys, time
+from swarmcrit.stability import critical_curve
+seed, kwargs = int(sys.argv[1]), json.loads(sys.argv[2])
+critical_curve(seed=seed - 1, **{**kwargs, "steps": max(1, kwargs["steps"] // 10)})
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+t = time.perf_counter()
+critical_curve(seed=seed, **kwargs)
+wall = time.perf_counter() - t
+key = f"grid-{kwargs['trials']}"
+print(json.dumps({key: wall,
+                  f"minflt-{key}": resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults}))
+"""
 
 # one process: each point's bisection requests by level, an escape point's
 # lanes started and lane-steps, and a Lyapunov curve's chunk calls and
@@ -394,7 +428,10 @@ print(json.dumps({"region_s": region_s, "modules": len(sys.modules) - before,
 
 # entry of OUT.json: (probe, its arguments, the unit of its values, rounds)
 PROBES = {
-    "layers": (LYAPUNOV_PROBE, [str(LANE_STEPS), *map(str, LANES)], "ns per lane-step", ROUNDS),
+    "layers": (LYAPUNOV_PROBE, [str(LANE_STEPS), *map(str, LANES)],
+               "ns per lane-step (N), minor page faults per timed call (minflt-N)", ROUNDS),
+    "grid": (GRID_PROBE, [str(CURVE_SEED), json.dumps(GRID_CURVE)],
+             "s per curve (grid-T), minor page faults per timed call (minflt-grid-T)", ROUNDS),
     "passage": (PASSAGE_PROBE, [str(PASSAGE_LANE_STEPS), json.dumps(PASSAGE_RULES),
                                 *map(str, PASSAGE_LANES)], "ns per lane-step", ROUNDS),
     "lockstep": (LOCKSTEP_PROBE, [str(ITERATIONS), json.dumps(SHAPES)], "us per iteration",
@@ -446,7 +483,8 @@ def compare(runs: dict[str, dict[str, list[float]]]) -> dict:
     out = {}
     for key in runs["parent"]:
         row = {side: summary(runs[side][key]) for side in SIDES}
-        row["ratio"] = row["change"]["median"] / row["parent"]["median"]
+        parent = row["parent"]["median"]
+        row["ratio"] = row["change"]["median"] / parent if parent else None
         row["change_lower_in_rounds"] = sum(c < p for c, p in zip(runs["change"][key],
                                                                   runs["parent"][key]))
         out[key] = row
@@ -500,6 +538,13 @@ def main(argv=None) -> int:
             "unit": PROBES["layers"][2],
             "lane_steps": LANE_STEPS,
             "lanes": compare(runs["layers"]),
+        },
+        "grid": {
+            "command": f"critical_curve(seed={CURVE_SEED}, **kwargs)",
+            "method": method + "; after one untimed curve at a tenth of the steps",
+            "unit": PROBES["grid"][2],
+            "kwargs": GRID_CURVE,
+            "results": compare(runs["grid"]),
         },
         "passage": {
             "command": "_FirstPassage(seed, steps, update, converged, 1e6).run(lanes), "

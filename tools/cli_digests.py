@@ -96,6 +96,11 @@ COMMANDS = [
     (["curve", "--omega-min", "-1", "--omega-max", "1", "--step", "0.5",
       "--tolerance", "0.05", "--steps", "1000", "--trials", "12", "--seed", "23",
       "--output", "curve_workload.csv"], ["curve_workload.csv"]),
+    # 23 points of 16 trials: a chunk call holds one chunk of each of four
+    # open probes, and a round makes several calls
+    (["curve", "--omega-min", "-1.1", "--omega-max", "1.1", "--step", "0.1",
+      "--tolerance", "0.05", "--steps", "1000", "--trials", "16", "--seed", "26",
+      "--output", "curve_grid.csv"], ["curve_grid.csv"]),
     # the fewest trials a Lyapunov bisection takes
     (["curve", "--ratio", "social-only", "--omega-min", "-0.9", "--omega-max", "0.9",
       "--step", "0.6", "--tolerance", "0.05", "--steps", "400", "--trials", "2",
