@@ -49,7 +49,10 @@ __all__ = [
 
 def inclusive_grid(lo: float, hi: float, step: float) -> np.ndarray:
     """Values ``lo, lo + step, ...`` up to and including ``hi``, rounded to
-    10 decimals so that grid points print and compare as typed."""
+    10 decimals so that grid points print and compare as typed.  ``step``
+    must be finite and positive."""
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and positive, got {step}")
     return np.round(np.arange(lo, hi + 1e-9, step), 10)
 
 

@@ -47,6 +47,12 @@ def _tiny_config(**overrides):
     return SweepConfig(**defaults)
 
 
+@pytest.mark.parametrize("step", [0.0, -0.1, math.inf, math.nan])
+def test_inclusive_grid_rejects_a_step_that_is_not_finite_and_positive(step):
+    with pytest.raises(ValueError, match="step must be finite and positive"):
+        inclusive_grid(-1.0, 1.0, step)
+
+
 def test_cell_count_and_fields():
     grid = run_sweep(_tiny_config())
     assert len(grid.cells) == 2 * 2 * 3

@@ -2059,17 +2059,6 @@ def test_critical_curve_csv_roundtrip(tmp_path):
 # ---------------------------------------------------------------- finite time
 
 
-def test_finite_time_kappa_shift_is_exact():
-    t = 150
-    base = finite_time_lyapunov(0.6, 0.9, 0.9, z0_scale=1.0, p=0.07, g=0.0,
-                                steps=t, repetitions=400, seed=24)
-    for kappa in (0.04, 0.1):
-        scaled = finite_time_lyapunov(0.6, 0.9, 0.9, z0_scale=kappa,
-                                      p=0.07 * kappa, g=0.0, steps=t,
-                                      repetitions=400, seed=24)
-        assert abs((scaled - base) - math.log(kappa) / t) < 1e-9
-
-
 def test_finite_time_homogeneous_limit_matches_lyapunov():
     ref = lyapunov_exponent(0.7, 0.5, 0.5, steps=20_000, trials=16, burn_in=1000, seed=25)
     ftl = finite_time_lyapunov(0.7, 0.5, 0.5, z0_scale=1.0, p=0.0, g=0.0,

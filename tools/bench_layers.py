@@ -53,9 +53,7 @@ rule (the escape experiment's update and radius rule, step cap
 experiment's update and segment test, ``ScalingConfig(kappa, p, g)`` and
 its 200 iterations), at the radii 1e-6 and 1e6 both experiments use.  The
 update is wrapped to count the lane-steps, in both trees alike; the weight
-draws, the update, the tests and the retirements are part of the time.  A
-tree whose ``_FirstPassage`` still takes ``r_in`` before ``r_out``, and
-stands for the radius rule by ``converged=None``, is called in that form.
+draws, the update, the tests and the retirements are part of the time.
 
 Lockstep layer: the process times, at each of ``SHAPES``, one call of
 ``pso.lockstep`` on the shape's swarms for ``ITERATIONS`` iterations, after
@@ -202,16 +200,14 @@ print(json.dumps(out))
 # one process: ns per lane-step of each rule of the JSON argv[2] at each
 # lane count of argv[3:]
 PASSAGE_PROBE = """
-import inspect, json, sys, time
+import json, sys, time
 from swarmcrit import stability
 lane_steps, rules, lanes = int(sys.argv[1]), json.loads(sys.argv[2]), [int(n) for n in sys.argv[3:]]
-# a tree whose _FirstPassage takes r_in stands for the radius rule by None
-takes_r_in = "r_in" in inspect.signature(stability._FirstPassage).parameters
 def passage(rule, seed, count):
     omega, a1, a2, segment = rule
     if segment is None:
         update = stability._escape_update(omega, a1, a2)
-        converged = None if takes_r_in else stability._inside(stability._R_IN)
+        converged = stability._inside(stability._R_IN)
         steps = stability._ESCAPE_MAX_STEPS
     else:
         config = stability.ScalingConfig(*segment)
@@ -221,9 +217,6 @@ def passage(rule, seed, count):
     def counted(u, v, x):
         count[0] += x.size
         return update(u, v, x)
-    if takes_r_in:
-        return stability._FirstPassage(seed, steps, counted, stability._R_IN, stability._R_OUT,
-                                       converged)
     return stability._FirstPassage(seed, steps, counted, converged, stability._R_OUT)
 out = {}
 for name, rule in rules.items():
