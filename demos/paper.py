@@ -58,7 +58,6 @@ from swarmcrit import (
     inclusive_grid, make_function, neutral_alpha, optimize, pushforward, run_sweep, split_alpha,
     stationary_distribution,
 )
-from swarmcrit.io import write_csv
 
 HERE = Path(__file__).resolve().parent
 
@@ -113,7 +112,7 @@ def valley(out):
     heatmap = aggregate_heatmap(grid)
     heatmap_to_csv(heatmap, out / "heatmap.csv")
     top = best_region(grid, quantile=0.1)
-    write_csv(out / "region.csv", ["omega", "alpha", "normalized_cost"], top)
+    heatmap_to_csv(top, out / "region.csv")
     critical = solve_curve(omegas, RATIO_EQUAL, 5)
     top_stats = distance_to_curve(top, critical)
     all_stats = distance_to_curve(heatmap, critical)

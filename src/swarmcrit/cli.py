@@ -202,15 +202,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _write_record(path, result, **keys) -> None:
-    """Write the fields of ``result`` as JSON, with the tool version and ``keys``."""
-    io.write_json(path, {"tool_version": io.__version__, **keys, **asdict(result)})
+def _write_record(path, **fields) -> None:
+    """Write ``fields`` as one JSON record, headed by the tool version: the
+    one writer of every JSON file the CLI writes."""
+    io.write_json(path, {"tool_version": io.__version__, **fields})
 
 
-def _write_point_record(args, result, **keys) -> None:
+def _write_point_record(args, **fields) -> None:
     """:func:`_write_record` into ``--output``, with the seed and the point's
     ``omega`` and ``alpha``."""
-    _write_record(args.output, result, seed=args.seed, omega=args.omega, alpha=args.alpha, **keys)
+    _write_record(args.output, seed=args.seed, omega=args.omega, alpha=args.alpha, **fields)
 
 
 def _cmd_lyapunov(args) -> int:
@@ -219,7 +220,7 @@ def _cmd_lyapunov(args) -> int:
         args.omega, a1, a2, steps=args.steps, trials=args.trials,
         burn_in=args.burn_in, seed=args.seed,
     )
-    _write_point_record(args, est, alpha1=a1, alpha2=a2)
+    _write_point_record(args, **asdict(est), alpha1=a1, alpha2=a2)
     return 0
 
 
@@ -255,7 +256,7 @@ def _cmd_escape(args) -> int:
         args.omega, a1, a2, r_in=args.r_in, r_out=args.r_out,
         max_steps=args.max_steps, trials=args.trials, seed=args.seed,
     )
-    _write_point_record(args, st, split=args.split)
+    _write_point_record(args, **asdict(st), split=args.split)
     return 0
 
 
@@ -270,11 +271,10 @@ def _cmd_optimize(args) -> int:
         n_particles=args.particles, dim=args.dim,
     )
     result = pso.optimize(fn, params, args.iterations, bounds=fn.domain, seed=args.seed)
-    result.to_json(args.output, params, args.seed, metadata={
-        "tool_version": io.__version__,
-        "function": fn.label,
-        "iterations": args.iterations,
-    })
+    _write_record(args.output, params=asdict(params), seed=args.seed, function=fn.label,
+                  iterations=args.iterations, best_cost=result.best_cost,
+                  best_position=result.best_position.tolist(), diverged=result.diverged,
+                  evaluations=result.evaluations)
     if args.trace:
         result.trace_to_csv(args.trace, metadata={
             "seed": args.seed, "function": fn.label,
@@ -343,7 +343,7 @@ def _cmd_region(args) -> int:
     })
     if args.stats:
         stats = harness.distance_to_curve(cells, curve)
-        _write_record(args.stats, stats, quantile=args.quantile)
+        _write_record(args.stats, **asdict(stats), quantile=args.quantile)
     return 0
 
 

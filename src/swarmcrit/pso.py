@@ -44,7 +44,7 @@ flagged.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,7 +148,8 @@ class RunResult:
     short runs are a lower bound.  ``evaluations`` counts the scheduled
     cost evaluations, ``n_particles * (iterations + 1)``, including those
     skipped for non-finite positions or for a cost that cannot beat its
-    personal best.
+    personal best.  The CLI's ``optimize`` record holds every field but
+    ``cost_trace``, which ``trace_to_csv`` writes.
     """
 
     best_cost: float
@@ -162,20 +163,6 @@ class RunResult:
 
         rows = list(enumerate(self.cost_trace))
         write_csv(path, ["iteration", "g_best_cost"], rows, metadata)
-
-    def to_json(self, path, params: SwarmParams, seed, metadata: dict | None = None) -> None:
-        from .io import write_json
-
-        payload = {
-            "params": asdict(params),
-            "seed": seed,
-            "best_cost": self.best_cost,
-            "best_position": [float(v) for v in self.best_position],
-            "diverged": self.diverged,
-            "evaluations": self.evaluations,
-        }
-        payload.update(metadata or {})
-        write_json(path, payload)
 
 
 def _uniform(seed, bounds: np.ndarray, n: int) -> np.ndarray:

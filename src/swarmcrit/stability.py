@@ -1115,16 +1115,17 @@ def _solve(omegas, seeds, ratio, tolerance, alpha_lo, alpha_max, max_level, star
     """Critical points: one :func:`_bisection` per value of ``omegas``,
     seeded by its entry of ``seeds``, with at most one open probe each.
 
-    ``start(i, *request, probe)`` answers point ``i``'s request, given the
-    point's previous probe (None before its first), which a request at a
-    level above 0 continues.  It returns ``(probe, reply)``: the request's
-    probe, or None if it needs none, and its sign (:func:`_bisection`), or
-    None while the probe still runs.  ``advance(probes)`` moves the running
-    probes, keyed by point, on and yields ``(i, reply)`` for each: None
-    while it runs, then its sign or the :class:`NumericOverflowError` that
-    failed it; a kind whose probes always reply at once needs no
-    ``advance``.  A failure drops the points after its own, and the failure
-    of the first failing point is raised, as in a loop over them.
+    ``start(omega, *request, probe)`` answers a request of the point at
+    ``omega``, given the point's previous probe (None before its first),
+    which a request at a level above 0 continues.  It returns ``(probe,
+    reply)``: the request's probe, or None if it needs none, and its sign
+    (:func:`_bisection`), or None while the probe still runs.
+    ``advance(probes)`` moves the running probes, keyed by point index, on
+    and yields ``(i, reply)`` for each: None while it runs, then its sign or
+    the :class:`NumericOverflowError` that failed it; a kind whose probes
+    always reply at once needs no ``advance``.  A failure drops the points
+    after its own, and the failure of the first failing point is raised, as
+    in a loop over them.
     """
     searches = [_bisection(seed, ratio, alpha_lo, alpha_max, tolerance, w, max_level)
                 for w, seed in zip(omegas, seeds)]
@@ -1139,7 +1140,7 @@ def _solve(omegas, seeds, ratio, tolerance, alpha_lo, alpha_max, max_level, star
         try:
             # a probe runs once it is there with no reply yet
             while probe is None or reply is not None:
-                probe, reply = start(i, *searches[i].send(reply), probe)
+                probe, reply = start(omegas[i], *searches[i].send(reply), probe)
             probes[i] = probe
         except StopIteration as stop:
             points[i] = stop.value
@@ -1161,7 +1162,7 @@ def _solve(omegas, seeds, ratio, tolerance, alpha_lo, alpha_max, max_level, star
     return tuple(points)
 
 
-def _lyapunov_kind(omegas, steps, trials, burn_in):
+def _lyapunov_kind(steps, trials, burn_in):
     """``(start, advance)`` of :func:`_solve` for Lyapunov probes, which
     advance together through :func:`_advance`, the one place that lays
     their chunks out in kernel calls.
@@ -1178,12 +1179,12 @@ def _lyapunov_kind(omegas, steps, trials, burn_in):
     ``start`` replies with that sign at once.  Such a sign is nonzero, so it
     never asks a level above 0.
     """
-    def start(i, a1, a2, level, child, probe):
+    def start(omega, a1, a2, level, child, probe):
         if not level:
-            sign = _known_sign(omegas[i], a1, a2)
+            sign = _known_sign(omega, a1, a2)
             if sign is not None:
                 return None, sign
-            probe = _Probe.open(omegas[i], child, a1, a2, trials, 0)
+            probe = _Probe.open(omega, child, a1, a2, trials, 0)
         probe.end = burn_in + steps * 2**level
         return probe, None
 
@@ -1217,22 +1218,22 @@ def _grid(omega_grid, seed):
     return omegas, [child for _, child in zip(omegas, _children(seed))]
 
 
-def _passage_kind(trials, steps, rules):
+def _passage_kind(trials, steps, update, converged):
     """``start`` of :func:`_solve` for first-passage probes, which run to
     their sign when they are asked, so a point's probes run one after
     another and the points one after another.
 
-    A level-L probe at weights ``(a1, a2)`` of point ``i`` is a
-    :class:`_FirstPassage` with ``trials * 2**L`` lanes and the
-    ``(update, converged)`` of ``rules(i, a1, a2)``; above level 0 it is the
-    probe below it with as many lanes again, its open lanes continued.  Its
-    reply is :func:`_early_sign` of its escaped and converged counts.
+    A level-L probe at ``(omega, a1, a2)`` is a :class:`_FirstPassage` with
+    ``trials * 2**L`` lanes, the update ``update(omega, a1, a2)`` and the
+    convergence rule ``converged``; above level 0 it is the probe below it
+    with as many lanes again, its open lanes continued.  Its reply is
+    :func:`_early_sign` of its escaped and converged counts.
     """
 
-    def start(i, a1, a2, level, child, passage):
+    def start(omega, a1, a2, level, child, passage):
         if not level:
-            update, converged = rules(i, a1, a2)
-            passage = _FirstPassage(child, steps, update, converged, _R_OUT, early=True)
+            passage = _FirstPassage(child, steps, update(omega, a1, a2), converged, _R_OUT,
+                                    early=True)
         passage.run(trials * 2**level)
         return passage, _early_sign(passage.lanes, passage.n_esc, passage.n_conv, 0)
 
@@ -1249,11 +1250,10 @@ def _critical_points(omegas, ratio, tolerance, seeds, method, steps, trials):
     if trials < 2:
         raise ValueError("a Lyapunov bisection needs trials >= 2")
     if method == "lyapunov":
-        max_level, kind = _MAX_LEVEL, _lyapunov_kind(omegas, steps, trials, _BURN_IN)
+        max_level, kind = _MAX_LEVEL, _lyapunov_kind(steps, trials, _BURN_IN)
     elif method == "escape":
-        max_level, inside = _ESCAPE_MAX_LEVEL, _inside(_R_IN)
-        kind = (_passage_kind(_ESCAPE_TRIALS, _ESCAPE_MAX_STEPS,
-                              lambda i, a1, a2: (_escape_update(omegas[i], a1, a2), inside)),)
+        max_level, kind = _ESCAPE_MAX_LEVEL, (_passage_kind(
+            _ESCAPE_TRIALS, _ESCAPE_MAX_STEPS, _escape_update, _inside(_R_IN)),)
     else:
         raise ValueError(f"unknown method {method!r}")
     return _solve(omegas, seeds, ratio, tolerance, *_BRACKET, max_level, *kind)
@@ -1404,20 +1404,29 @@ def finite_time_lyapunov(
 
 
 def _neutral_segment(config, r_in):
-    """The neutral experiment's scaled bests ``(p_eff, g_eff)`` and its
-    convergence rule for :class:`_FirstPassage`: a lane converges when its
-    position lies within ``r_in * |p - g|`` of the segment between the
-    bests, between two bounds each rounded once, or, for bests that
-    coincide (at 0, as :class:`ScalingConfig` requires), by the radius rule
-    :func:`_inside`.  They depend on neither the inertia nor the weights,
-    so a curve finds them once."""
+    """The neutral experiment's ``(update, converged)`` for
+    :class:`_FirstPassage`, from the unit circle.  ``update(omega, alpha1,
+    alpha2)`` is the affine step towards the scaled bests ``p_eff`` and
+    ``g_eff`` at that point.  A lane converges when its position lies
+    within ``r_in * |p - g|`` of the segment between the bests, between two
+    bounds each rounded once, or, for bests that coincide (at 0, as
+    :class:`ScalingConfig` requires), by the radius rule :func:`_inside`;
+    it diverges when its phase norm reaches ``r_out``, and counts for
+    neither outcome if it passes both tests at once.  The bests and the
+    rule depend on neither the inertia nor the weights, so a curve finds
+    them once."""
     p_eff = config.kappa * config.p
     g_eff = config.kappa * config.g
+
+    def update(omega, alpha1, alpha2):
+        return lambda u, v, x: _affine(omega, alpha1, alpha2, v, x, u[0], u[1], p_eff, g_eff,
+                                       (v, x), u)
+
     seg_lo = float(min(p_eff, g_eff))
     seg_hi = float(max(p_eff, g_eff))
     width = seg_hi - seg_lo
     if width == 0.0:
-        return p_eff, g_eff, _inside(r_in)
+        return update, _inside(r_in)
     thr = r_in * width
     # a bound past the float range is clamped to it, so that an infinite
     # position never passes; Python floats overflow without a warning
@@ -1429,29 +1438,13 @@ def _neutral_segment(config, r_in):
         below = np.less_equal(x, x_hi, u[1].view(bool)[:x.size])
         return np.logical_and(np.greater_equal(x, x_lo, out), below, out)
 
-    return p_eff, g_eff, near_segment
-
-
-def _neutral_rules(omega, alpha1, alpha2, segment):
-    """The neutral experiment's ``(update, converged)`` for
-    :class:`_FirstPassage`, from the unit circle, with the bests and the
-    convergence rule ``segment`` of :func:`_neutral_segment`.  A lane
-    diverges when its phase norm reaches ``r_out``, and counts for neither
-    outcome if it passes both tests at once."""
-    p_eff, g_eff, converged = segment
-
-    def update(u, v, x):
-        return _affine(omega, alpha1, alpha2, v, x, u[0], u[1], p_eff, g_eff, (v, x), u)
-
-    return update, converged
+    return update, near_segment
 
 
 def _neutral_points(omega, config, ratio, tolerance, seed):
     """:func:`neutral_alpha` at each value of the list ``omega``, point ``i``
     seeded by ``seed[i]``, in one :func:`_solve` call."""
-    segment = _neutral_segment(config, _R_IN)
-    start = _passage_kind(config.repetitions, config.iterations,
-                          lambda i, a1, a2: _neutral_rules(omega[i], a1, a2, segment))
+    start = _passage_kind(config.repetitions, config.iterations, *_neutral_segment(config, _R_IN))
     return _solve(omega, seed, ratio, tolerance, *_NEUTRAL_BRACKET, _NEUTRAL_MAX_LEVEL, start)
 
 

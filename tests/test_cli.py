@@ -11,8 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from swarmcrit import cli, harness, stability
+from swarmcrit.benchmarks import make_function
 from swarmcrit.cli import build_parser, dispatch
+from swarmcrit.dynamics import SwarmParams
 from swarmcrit.io import read_csv, read_keyvalue_config, write_json
+from swarmcrit.pso import optimize
 from swarmcrit.stability import CriticalCurve, CriticalPoint
 
 
@@ -426,7 +429,20 @@ def test_optimize_json_and_trace(tmp_path):
                 "--output", str(out), "--trace", str(trace)])
     assert code == 0
     payload = json.loads(out.read_text())
-    assert payload["best_cost"] < 1.0
+    assert set(payload) == {"tool_version", "params", "seed", "function", "iterations",
+                            "best_cost", "best_position", "diverged", "evaluations"}
+    assert payload["params"] == {"omega": 0.7, "alpha1": 0.7, "alpha2": 0.7,
+                                 "n_particles": 25, "dim": 2}
+    assert (payload["seed"], payload["iterations"]) == (5, 200)
+    # the record holds the run of a library call with the same instance,
+    # weights and seed
+    fn = make_function("sphere", 2, seed=5)
+    result = optimize(fn, SwarmParams(0.7, 0.7, 0.7, n_particles=25, dim=2), 200,
+                      bounds=fn.domain, seed=5)
+    assert payload["function"] == fn.label
+    assert payload["best_cost"] == result.best_cost < 1.0
+    assert payload["best_position"] == result.best_position.tolist()
+    assert payload["evaluations"] == result.evaluations == 25 * 201
     assert payload["diverged"] is False
     _, header, rows = read_csv(trace)
     assert header == ["iteration", "g_best_cost"]

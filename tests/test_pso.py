@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -487,11 +485,4 @@ def test_run_result_export(tmp_path):
     lines = trace_path.read_text().splitlines()
     assert "iteration,g_best_cost" in lines
     assert any(line.startswith("# seed=17") for line in lines)
-    json_path = tmp_path / "result.json"
-    result.to_json(json_path, params, 17)
-    payload = json.loads(json_path.read_text())
-    assert payload["best_cost"] == result.best_cost
-    assert payload["params"]["omega"] == 0.7
-    assert payload["seed"] == 17
-    assert payload["diverged"] is False
 

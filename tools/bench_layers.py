@@ -43,17 +43,24 @@ each of four open probes, several calls a round: the layout of curves at
 CLI scale, which no benchmark workload runs.  It makes public calls only,
 so the same probe text runs in trees whose chunk layouts differ.
 
-Passage layer: a lane-step is one open lane of ``stability._FirstPassage``
+Passage layer: a lane-step is one open lane of the first-passage loop
 advanced one step.  The process times, for each rule of ``PASSAGE_RULES``
-at each of ``PASSAGE_LANES``, whole ``_FirstPassage(seed, ...).run(lanes)``
-calls of seeds 2, 3, ... until they have run ``PASSAGE_LANE_STEPS``
-lane-steps, after one untimed call of seed 1.  The rules are the escape
-rule (the escape experiment's update and radius rule, step cap
-``stability._ESCAPE_MAX_STEPS``) and the neutral rule (the scaled
-experiment's update and segment test, ``ScalingConfig(kappa, p, g)`` and
-its 200 iterations), at the radii 1e-6 and 1e6 both experiments use.  The
-update is wrapped to count the lane-steps, in both trees alike; the weight
-draws, the update, the tests and the retirements are part of the time.
+at each of ``PASSAGE_LANES``, whole public calls of seeds 2, 3, ... until
+they have run ``PASSAGE_LANE_STEPS`` lane-steps, after one untimed call of
+seed 1.  The escape rule calls ``escape_probability(omega, alpha1, alpha2,
+max_steps=stability._ESCAPE_MAX_STEPS, trials=lanes, seed=seed)``, at the
+default radii 1e-6 and 1e6, and runs every lane to its end.  The neutral
+rule calls ``neutral_alpha(omega, ScalingConfig(kappa, p, g,
+repetitions=lanes), seed=seed)``: a whole bisection of first-passage probes
+of the scaled experiment, its 200 iterations a lane at most, each probe
+stopping once its sign is fixed, so its time holds the search's own work
+too.  The process wraps ``stability._step`` and ``stability._affine``, the
+steps of the two experiments' updates, to count the lane-steps (the lanes
+of each call); it reports them per rule and lane count (key
+``lane_steps-RULE-N``), the same in trees that run the same passages.  It
+makes public calls only, so the same probe text runs in trees whose
+first-passage helpers differ; the weight draws, the update, the tests and
+the retirements are part of the time.
 
 Lockstep layer: the process times, at each of ``SHAPES``, one call of
 ``pso.lockstep`` on the shape's swarms for ``ITERATIONS`` iterations, after
@@ -160,10 +167,10 @@ STARTUP_ROUNDS = 31
 LANE_STEPS = 1 << 20
 ITERATIONS = 200
 # name: (omega, alpha1, alpha2, (kappa, p, g) of the neutral rule, or None
-# for the escape rule)
+# for the escape rule); the neutral bisection picks its own weights
 PASSAGE_RULES = {
     "escape": (0.4, 1.3, 1.3, None),
-    "neutral": (0.4, 1.3, 1.3, (0.1, 0.1, 0.0)),
+    "neutral": (0.4, None, None, (0.1, 0.1, 0.0)),
 }
 PASSAGE_LANES = (1000, 10_000)
 PASSAGE_LANE_STEPS = 1 << 22
@@ -197,39 +204,41 @@ for n in lanes:
 print(json.dumps(out))
 """
 
-# one process: ns per lane-step of each rule of the JSON argv[2] at each
-# lane count of argv[3:]
+# one process: ns per lane-step, and the lane-steps run, of each rule of
+# the JSON argv[2] at each lane count of argv[3:]
 PASSAGE_PROBE = """
 import json, sys, time
 from swarmcrit import stability
 lane_steps, rules, lanes = int(sys.argv[1]), json.loads(sys.argv[2]), [int(n) for n in sys.argv[3:]]
-def passage(rule, seed, count):
+count = [0]
+def counted(step, x_at):
+    def wrapped(*args, **kwargs):
+        count[0] += args[x_at].size
+        return step(*args, **kwargs)
+    return wrapped
+# the escape update steps through _step, the neutral one through _affine
+stability._step = counted(stability._step, 3)
+stability._affine = counted(stability._affine, 4)
+def call(rule, seed, n):
     omega, a1, a2, segment = rule
     if segment is None:
-        update = stability._escape_update(omega, a1, a2)
-        converged = stability._inside(stability._R_IN)
-        steps = stability._ESCAPE_MAX_STEPS
+        stability.escape_probability(omega, a1, a2, max_steps=stability._ESCAPE_MAX_STEPS,
+                                     trials=n, seed=seed)
     else:
-        config = stability.ScalingConfig(*segment)
-        segment = stability._neutral_segment(config, stability._R_IN)
-        update, converged = stability._neutral_rules(omega, a1, a2, segment)
-        steps = config.iterations
-    def counted(u, v, x):
-        count[0] += x.size
-        return update(u, v, x)
-    return stability._FirstPassage(seed, steps, counted, converged, stability._R_OUT)
+        stability.neutral_alpha(omega, stability.ScalingConfig(*segment, repetitions=n),
+                                seed=seed)
 out = {}
 for name, rule in rules.items():
     for n in lanes:
-        passage(rule, 1, [0]).run(n)
-        count, seed, busy = [0], 1, 0.0
+        call(rule, 1, n)
+        count[0], seed, busy = 0, 1, 0.0
         while count[0] < lane_steps:
             seed += 1
-            p = passage(rule, seed, count)
             t = time.perf_counter()
-            p.run(n)
+            call(rule, seed, n)
             busy += time.perf_counter() - t
         out[f"{name}-{n}"] = 1e9 * busy / count[0]
+        out[f"lane_steps-{name}-{n}"] = count[0]
 print(json.dumps(out))
 """
 
@@ -426,7 +435,8 @@ PROBES = {
     "grid": (GRID_PROBE, [str(CURVE_SEED), json.dumps(GRID_CURVE)],
              "s per curve (grid-T), minor page faults per timed call (minflt-grid-T)", ROUNDS),
     "passage": (PASSAGE_PROBE, [str(PASSAGE_LANE_STEPS), json.dumps(PASSAGE_RULES),
-                                *map(str, PASSAGE_LANES)], "ns per lane-step", ROUNDS),
+                                *map(str, PASSAGE_LANES)],
+                "ns per lane-step (RULE-N), lane-steps run (lane_steps-RULE-N)", ROUNDS),
     "lockstep": (LOCKSTEP_PROBE, [str(ITERATIONS), json.dumps(SHAPES)], "us per iteration",
                  ROUNDS),
     "divergent": (DIVERGENT_PROBE, [str(DIVERGENT_ITERATIONS), json.dumps(DIVERGENT)],
@@ -540,8 +550,11 @@ def main(argv=None) -> int:
             "results": compare(runs["grid"]),
         },
         "passage": {
-            "command": "_FirstPassage(seed, steps, update, converged, 1e6).run(lanes), "
-                       f"seeds 2, 3, ... until {PASSAGE_LANE_STEPS} lane-steps",
+            "command": "escape_probability(omega, alpha1, alpha2, "
+                       "max_steps=stability._ESCAPE_MAX_STEPS, trials=lanes, seed=seed) and "
+                       "neutral_alpha(omega, ScalingConfig(kappa, p, g, repetitions=lanes), "
+                       f"seed=seed), seeds 2, 3, ... until {PASSAGE_LANE_STEPS} lane-steps, "
+                       "counted at wrapped stability._step and stability._affine",
             "method": method,
             "unit": PROBES["passage"][2],
             "rules": {name: dict(zip(("omega", "alpha1", "alpha2", "kappa_p_g"), rule))
