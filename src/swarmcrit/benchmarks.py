@@ -9,21 +9,26 @@ rotation, then the optional non-continuous transform, then the base
 formula.  Weierstrass cubes one ``cos + i sin`` per coordinate for its 21
 terms, within 1e-11 (``|z| <= 1``) and 1e-9 (``|z| <= 100``) of exact.
 
-Three base formulas carry a cheap lower bound, which lets an optimiser
+Four base formulas carry a cheap lower bound, which lets an optimiser
 skip a point whose cost cannot beat a ceiling (its personal best):
 rastrigin is at least ``sum z**2``, griewank at least ``sum z**2 / 4000``,
-and weierstrass at least the partial sum of its first four terms, each
+ackley at least its formula with the mean cosine screened in float32, and
+weierstrass at least the partial sum of its first four terms, each
 ``a**k (1 + cos 2 pi 3**k (z + 1/2))`` of which is >= 0, computed with
-no sine by the tripling ``cos 3u = 4 cos**3 u - 3 cos u``.  With a
-ceiling, which only the stack cost ``_Stack`` takes, a base formula runs
-only on the rows whose bound, less margins that cover the formula's
-rounding, is below their ceiling, and +inf stands for the others; an
-instance's own call evaluates every row.  In the
-15-instance suite sweep at dim 10 (25 particles, 200 iterations) the
-weierstrass bound skips about 89% of the rows.  The other formulas carry
-none: ackley's bound ``20 (1 - exp(-0.2 rms))`` stays below the personal
-bests an optimiser reaches, rosenbrock costs too little for the
-bookkeeping to pay, and sphere and schwefel are their own cheapest bounds.
+no sine by the tripling ``cos 3u = 4 cos**3 u - 3 cos u`` from a float32
+cosine.  The two float32 screens take the cosine of the exact fraction
+``z - rint z`` and subtract an error budget that covers the float32
+cosine, its float32 row sum, the tripling's growth and the formula's own
+rounding of ``2 pi z``, so the float64 cosine runs only on the rows that
+can still beat their ceiling.  With a ceiling, which only the stack cost
+``_Stack`` takes, a base formula runs only on the rows whose bound, less
+margins that cover the formula's rounding, is below their ceiling, and
++inf stands for the others; an instance's own call evaluates every row.
+In the 15-instance suite sweep at dim 10 (25 particles, 200 iterations)
+the ackley screen skips about 88% of the rows and the weierstrass bound
+about 90%.  The other formulas carry none: rosenbrock costs too little
+for the bookkeeping to pay, and sphere and schwefel are their own
+cheapest bounds.
 
 At low dims the shift and the formulas' sums over the coordinate axis run
 one column at a time (``_shifted``, ``_row_sum``), bit for bit as the
@@ -151,42 +156,107 @@ _BASE = {
 FUNCTION_IDS = tuple(_BASE)
 
 
+def _dot_rows(a):
+    # row sums in a's dtype as one matrix-vector product over all rows, not
+    # a stack of them: rounded differently from ``np.sum``, within the
+    # bounds' margins, and faster at dims 2 and 10 (2-3x at 10, where
+    # ``np.sum`` sums pairwise)
+    d = a.shape[-1]
+    return (a.reshape(-1, d) @ np.ones(d, a.dtype)).reshape(a.shape[:-1])
+
+
 def _squares(z):
-    # sum z*z as one matrix-vector product over all rows, not a stack of
-    # them: rounded differently from ``_sphere``, within the margins, and
-    # faster at dims 2 and 10 (2-3x at 10, where ``np.sum`` sums pairwise)
+    return _dot_rows(np.square(z))
+
+
+# The ackley and weierstrass bounds take their cosines in float32, whose
+# numpy cosine is SIMD (under 1 ns a value on an AVX-512 x86-64 core, where
+# the float64 one is scalar libm at 5-17 ns).  ``_cos32`` reduces z by its
+# nearest integer first, exactly in float64, so the float32 argument lies
+# in [-pi, pi]: there the float32 cosine is within 7.1e-8 (1.19 * 2**-24,
+# the largest gap to the float64 cosine over every float32 in [0, pi]) and
+# the argument's rounding within 2**-23, so ``_COS32_ERR`` bounds a
+# cosine's error with room for float64's own.  A float32 sum of d terms
+# of magnitude at most m errs by at most (d - 1) 2**-24 d m, and the
+# formulas take the cosine of fl(2 pi z), which is within 9.5e-16 |z| of
+# 2 pi z.  Each bound returns its value less these errors' budget, and
+# ``_floor``'s margins then cover the float64 rounding as for the others.
+_COS32_ERR = 2.0**-21
+_SUM32_ERR = 2.0**-23  # per term of a float32 row sum, with room
+_ARG_ERR = 1e-15  # per unit |z|
+
+
+def _cos32(z):
+    """cos 2 pi z in float32, from the exact fraction z - rint z."""
+    f = np.rint(z)
+    np.subtract(z, f, out=f)
+    f *= 2.0 * np.pi
+    c = f.astype(np.float32)
+    return np.cos(c, out=c)
+
+
+def _ackley_low(z):
+    # the formula with its mean cosine raised by the budget: the float32
+    # cosines and row sum, and fl(2 pi z)'s error, whose mean over a row is
+    # at most _ARG_ERR mean|z| <= _ARG_ERR rms; clipped at 1, the most a
+    # mean cosine can be, so that huge rows keep 20 (1 - exp(-0.2 rms))
     d = z.shape[-1]
-    return (np.square(z).reshape(-1, d) @ np.ones(d)).reshape(z.shape[:-1])
+    rms = np.sqrt(_squares(z) / d)
+    budget = _COS32_ERR + d * _SUM32_ERR + _ARG_ERR * rms
+    mean_cos = _dot_rows(_cos32(z)).astype(float) / d + budget
+    return -20.0 * np.exp(-0.2 * rms) - np.exp(np.minimum(mean_cos, 1.0)) + 20.0 + np.e
 
 
 # The weierstrass bound's last term: the terms k <= 0, 1, 2, 3 and 5 skip
 # 6, 60, 83, 89 and 92% of the rows of the suite sweep at dim 10
 _W_CUT = 3
+# Up to this |z + 1/2| the formula's t = fl(2 pi (z + 1/2)) lies within
+# 1e-9 of 2 pi (z + 1/2), inside _COS32_ERR's room; above it the bound
+# takes t's own float64 cosine
+_W_NEAR = 2.0**20
+# The bound's error a coordinate.  A tripling scales the error of its cosine
+# by at most |d cos 3u / d cos u| = |12 cos^2 u - 3| <= 9 and adds its
+# float32 rounding, under 6.5 * 2**-24 < _COS32_ERR, so term k errs by at
+# most (9^(k+1) - 1) / 8 _COS32_ERR; each float32 add into a coordinate's
+# sum rounds by at most 3 * 2**-24 < 2**-22.
+_W_ERR = float(sum(a * (9 ** (k + 1) - 1) / 8 * _COS32_ERR
+                   for k, a in enumerate(_W_A[:_W_CUT + 1]))) + (_W_CUT + 1) * 2.0**-22
 
 
 def _weierstrass_low(z):
     # sum_{k <= _W_CUT} a^k (1 + cos 3^k t), t = 2 pi (z + 1/2): the terms
-    # of ``_weierstrass`` it drops are each >= 0.  Both start from the same
-    # rounded t and cos t, and each tripling (here real, there complex)
-    # drifts from the exact cosine by about 3^k eps, so over all 21 terms
-    # the computed cost stays within sum_k 1.5^k eps ~ 2e-12 a coordinate
-    # of the computed bound, well under ``_floor``'s 1e-9 at dim 30.  A row
-    # whose t overflows has a NaN bound and is skipped as +inf, where its
-    # cost would be NaN: neither beats a best.
-    c = np.cos(2.0 * np.pi * (z + 0.5))
+    # of ``_weierstrass`` it drops are each >= 0.  ``_weierstrass`` cubes
+    # its rounded t's cos + i sin, drifting from the exact cos 3^k t by
+    # about 3^k eps, so over all 21 terms its cost stays within
+    # sum_k 1.5^k eps ~ 2e-12 a coordinate of the exact sum at its t, well
+    # under ``_floor``'s 1e-9 at dim 128.  The bound cubes cos t in float32
+    # by the tripling cos 3u = 4 cos^3 u - 3 cos u, less _W_ERR a
+    # coordinate, and its row sum of terms >= 0 less _SUM32_ERR of itself a
+    # term.  A row whose t overflows has a NaN bound and is skipped as
+    # +inf, where its cost would be NaN: neither beats a best.
+    y = z + 0.5
+    c = _cos32(y)
+    far = np.abs(y) > _W_NEAR
+    if far.any():
+        np.cos(2.0 * np.pi * y, out=c, where=far)
     low = 1.0 + c
-    for a in _W_A[1:_W_CUT + 1]:
+    # Python floats, so that the arithmetic stays float32
+    for a in _W_A[1:_W_CUT + 1].tolist():
         c = c * (4.0 * c * c - 3.0)
         low += a * (1.0 + c)
-    return _row_sum(low)
+    d = z.shape[-1]
+    return _dot_rows(low).astype(float) * (1.0 - d * _SUM32_ERR) - d * _W_ERR
 
 
 # Lower bounds of the base formulas that have a cheap one, by id: a row
 # whose bound, less its margins (``_floor``), is not below a ceiling costs
-# no less than that ceiling.
+# no less than that ceiling.  Rastrigin's and griewank's are float64 sums
+# of squares; ackley's and weierstrass's screens take float32 cosines and
+# subtract their own error budget.
 _BOUND = {
     "rastrigin": _squares,  # every 10 (1 - cos 2 pi z) >= 0
     "griewank": lambda z: _squares(z) / 4000.0,  # 1 - prod cos >= 0
+    "ackley": _ackley_low,
     "weierstrass": _weierstrass_low,
 }
 

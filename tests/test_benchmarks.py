@@ -232,11 +232,47 @@ def test_weierstrass_matches_exact_reference(radius, bound):
 
 
 def test_weierstrass_bound_matches_exact_partial_sum():
-    # random points, and points n/81 where every dropped term vanishes
+    # random points, points n/81 where every dropped term vanishes, and
+    # points on either side of the |z + 1/2| above which the bound takes
+    # the float64 cosine.  The bound subtracts a budget that its float32
+    # error does not exceed either way, so it lies below the exact partial
+    # sum by at most twice the budget
+    near = benchmarks._W_NEAR
+    edge = np.array([near, -near]) - 0.5
     z = np.concatenate([np.random.default_rng(22).uniform(-1.0, 1.0, 200),
-                        np.arange(-81, 82) / 81.0])
+                        np.arange(-81, 82) / 81.0,
+                        edge, np.nextafter(edge, 0.0), np.nextafter(edge, 2.0 * edge)])
     exact = np.array([_weierstrass_exact(v, benchmarks._W_CUT) for v in z])
-    assert np.max(np.abs(benchmarks._BOUND["weierstrass"](z[:, None]) - exact)) < 1e-12
+    bound = benchmarks._BOUND["weierstrass"](z[:, None])
+    budget = benchmarks._W_ERR + benchmarks._SUM32_ERR * exact
+    assert np.all(bound <= exact)
+    assert np.all(exact - bound <= 2.0 * budget)
+
+
+def _ackley_exact(row):
+    # each cosine's argument reduced mod 1 in exact rationals, the sums by
+    # math.fsum
+    d = len(row)
+    rms = math.sqrt(math.fsum(v * v for v in row) / d)
+    mean_cos = math.fsum(math.cos(2.0 * math.pi * float(Fraction(v) % 1)) for v in row) / d
+    return -20.0 * math.exp(-0.2 * rms) - math.exp(mean_cos) + 20.0 + math.e
+
+
+@pytest.mark.parametrize("dim", [1, 2, 10, 128])
+def test_ackley_bound_lies_within_its_budget_below_exact(dim):
+    # rows near the optimum, in the domain and far out, and rows of
+    # half-integers.  The bound raises the mean cosine by a budget no
+    # smaller than its own error, so it lies below the exact cost, by at
+    # most what twice the budget costs: e^1 a unit of mean cosine
+    rng = np.random.default_rng(23)
+    z = np.concatenate([rng.uniform(-r, r, (20, dim)) for r in (1e-3, 1.0, 100.0, 1e6)]
+                       + [rng.integers(-50, 50, (5, dim)) + 0.5])
+    exact = np.array([_ackley_exact(row) for row in z])
+    bound = benchmarks._BOUND["ackley"](z)
+    rms = np.sqrt(np.sum(z * z, axis=-1) / dim)
+    budget = benchmarks._COS32_ERR + dim * benchmarks._SUM32_ERR + benchmarks._ARG_ERR * rms
+    assert np.all(bound <= exact)
+    assert np.all(exact - bound <= 2.0 * math.e * budget)
 
 
 @pytest.mark.parametrize("dim", [2, 10])

@@ -120,20 +120,33 @@ def test_out_forms_equal_allocating_forms(omega, a1, a2, p, g, lanes):
         assert _same_floats(got, want) and _same_floats(z, want)
 
 
+# coordinates at the edges of the bounds' argument reductions: either side
+# of the |z + 1/2| above which the weierstrass bound takes the float64
+# cosine, and magnitudes from 2**52 on, where every float64 is an integer
+_NEAR = np.array([benchmarks._W_NEAR - 0.5, -benchmarks._W_NEAR - 0.5])
+_EDGES = np.concatenate([_NEAR, np.nextafter(_NEAR, 0.0), np.nextafter(_NEAR, 2.0 * _NEAR),
+                         [2.0**52, 2.0**52 + 1.0, -(2.0**52) - 2.0, 2.0**53, 2.0**53 + 2.0, 1e17]])
+
+
 @settings(deadline=None, max_examples=200)
-@given(fid=st.sampled_from(sorted(benchmarks._BOUND)), dim=st.integers(1, 30),
+@given(fid=st.sampled_from(sorted(benchmarks._BOUND)), dim=st.integers(1, 128),
        a=st.floats(-8.0, 150.0), b=st.floats(-8.0, 150.0), near_integer=st.floats(0.0, 1.0),
-       seed=st.integers(0, 2**32 - 1))
-def test_bounded_formulas_never_fall_below_their_floor(fid, dim, a, b, near_integer, seed):
+       edge=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_bounded_formulas_never_fall_below_their_floor(fid, dim, a, b, near_integer, edge, seed):
     # a row skipped for its floor must not have cost less than its ceiling.
     # 1024 rows of coordinates with magnitudes from 10**a to 10**b, a share
     # of them within 1e-6 of an integer, where a rastrigin term's cosine
-    # part nearly vanishes
+    # part nearly vanishes, and a share of them integers, half-integers,
+    # where z - rint z is +-1/2, or ``_EDGES``
     rng = np.random.default_rng(seed)
     shape = (1024, dim)
     z = rng.choice([-1.0, 1.0], shape) * 10.0 ** (a + (b - a) * rng.random(shape))
     snap = rng.random(shape) < near_integer
     z[snap] = np.round(z[snap]) + rng.uniform(-1e-6, 1e-6, np.count_nonzero(snap))
+    at_edge = rng.random(shape) < edge
+    n = np.count_nonzero(at_edge)
+    grid = rng.integers(-100, 100, n) + rng.choice([0.0, 0.5], n)
+    z[at_edge] = np.where(rng.random(n) < 0.5, grid, rng.choice(_EDGES, n))
     floor = benchmarks._floor(benchmarks._BOUND[fid](z))
     assert np.all(benchmarks._BASE[fid](z) >= floor)
 

@@ -281,6 +281,8 @@ _BOUNDED = {
     "rastrigin-rot": dict(id="rastrigin", rotated=True),
     "rastrigin-rot-nc": dict(id="rastrigin", rotated=True, noncontinuous=True),
     "griewank": dict(id="griewank"),
+    "ackley": dict(id="ackley"),
+    "ackley-rot": dict(id="ackley", rotated=True),
     "weierstrass": dict(id="weierstrass"),
     "weierstrass-rot": dict(id="weierstrass", rotated=True),
 }
@@ -333,19 +335,26 @@ def test_valley_sweep_skips_half_the_scheduled_rastrigin_rows(monkeypatch):
     assert sum(rows) <= 0.5 * scheduled
 
 
-def test_suite_sweep_skips_four_fifths_of_the_scheduled_weierstrass_rows(monkeypatch):
-    # the suite sweep's grid at dim 10: 4 omegas x 3 alphas, one repetition,
-    # 25 particles, 200 iterations, plain and rotated weierstrass
-    fns = (make_function("weierstrass", 10, seed=1),
-           make_function("weierstrass", 10, seed=2, rotated=True))
+def _suite_grid_share(monkeypatch, fid):
+    """The share of its scheduled rows that base formula ``fid`` runs in
+    the suite sweep's grid at dim 10: 4 omegas x 3 alphas, one repetition,
+    25 particles, 200 iterations, a plain and a rotated instance."""
+    fns = (make_function(fid, 10, seed=1), make_function(fid, 10, seed=2, rotated=True))
     config = SweepConfig(
         omega_values=inclusive_grid(-0.5, 1.0, 0.5), alpha_values=inclusive_grid(1.0, 4.0, 1.5),
         iterations=200, repetitions=1, functions=fns, n_particles=25, dim=10, master_seed=14,
     )
-    rows = _count_rows(monkeypatch, "weierstrass")
+    rows = _count_rows(monkeypatch, fid)
     run_sweep(config)
-    scheduled = 2 * 4 * 3 * 25 * 201
-    assert sum(rows) <= 0.2 * scheduled
+    return sum(rows) / (2 * 4 * 3 * 25 * 201)
+
+
+def test_suite_sweep_skips_four_fifths_of_the_scheduled_weierstrass_rows(monkeypatch):
+    assert _suite_grid_share(monkeypatch, "weierstrass") <= 0.2
+
+
+def test_suite_sweep_skips_four_fifths_of_the_scheduled_ackley_rows(monkeypatch):
+    assert _suite_grid_share(monkeypatch, "ackley") <= 0.2
 
 
 def test_seed_sequence_argument_is_not_advanced():

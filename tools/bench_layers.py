@@ -3,9 +3,10 @@ at several lane counts, with its minor page faults, seconds of one
 23-point Lyapunov curve, ns per lane-step of the first-passage loop at
 two lane counts, µs per iteration of the lockstep optimiser at the two
 sweep shapes, seconds of one lockstep call whose swarms overflow, µs per
-swarm-iteration of the suite sweep, the cold start of the CLI and a cold
-``region`` call; and the bisection's probe requests per critical-curve
-point, with an escape point's lanes started and lane-steps.
+swarm-iteration of the suite sweep with the share of its rows each base
+formula ran, the cold start of the CLI and a cold ``region`` call; and
+the bisection's probe requests per critical-curve point, with an escape
+point's lanes started and lane-steps.
 
 Usage::
 
@@ -87,6 +88,12 @@ dim 10, 4 omegas by 3 alphas, one repetition, ``ITERATIONS`` iterations,
 25 particles), after one untimed sweep of a tenth of the iterations, and
 divides by the swarm-iterations (180 swarms times ``ITERATIONS``); batching,
 the start, the weight draws and the cost evaluations are part of the time.
+It then runs the timed sweep again, untimed, with each ``benchmarks._BASE``
+entry wrapped to count the rows it evaluates, and reports the share of its
+scheduled rows (its instances' swarms times 25 particles times
+``ITERATIONS`` + 1 evaluations) that each base formula ran (key
+``rows-FID``): 1 for a formula without a bound, less where a bound skips
+rows, so a bound's screen shows as rows as well as time.
 
 Startup layer: the process imports numpy, then times ``import
 swarmcrit.cli`` and counts the modules that import adds to
@@ -279,9 +286,11 @@ lockstep(fn, params, iterations, fn.domain, [[2, i] for i in range(len(params))]
 print(json.dumps({"valley": time.perf_counter() - t}))
 """
 
-# one process: µs per swarm-iteration of the sweep of the JSON argv[2]
+# one process: µs per swarm-iteration of the sweep of the JSON argv[2], and
+# the share of its scheduled rows that each base formula ran
 SWEEP_PROBE = """
 import json, sys, time
+from swarmcrit import benchmarks
 from swarmcrit.harness import SweepConfig, inclusive_grid, run_sweep
 iterations, (omegas, alphas, dim) = int(sys.argv[1]), json.loads(sys.argv[2])
 def config(seed, iterations):
@@ -291,7 +300,21 @@ def config(seed, iterations):
 run_sweep(config(1, max(1, iterations // 10)))
 t = time.perf_counter()
 swarms = len(run_sweep(config(2, iterations)).cells)
-print(json.dumps({"suite10": 1e6 * (time.perf_counter() - t) / (swarms * iterations)}))
+out = {"suite10": 1e6 * (time.perf_counter() - t) / (swarms * iterations)}
+rows, scheduled = dict.fromkeys(benchmarks._BASE, 0), dict.fromkeys(benchmarks._BASE, 0)
+def counted(fid, base):
+    def formula(z):
+        rows[fid] += z.size // z.shape[-1]
+        return base(z)
+    return formula
+for fid, base in list(benchmarks._BASE.items()):
+    benchmarks._BASE[fid] = counted(fid, base)
+instances = benchmarks.suite(dim)
+for fn in instances:
+    scheduled[fn.id] += swarms // len(instances) * 25 * (iterations + 1)
+run_sweep(config(2, iterations))
+out.update((f"rows-{fid}", rows[fid] / scheduled[fid]) for fid in rows)
+print(json.dumps(out))
 """
 
 # name: critical_curve keyword arguments; the boundary-escape escape curve
@@ -441,8 +464,8 @@ PROBES = {
                  ROUNDS),
     "divergent": (DIVERGENT_PROBE, [str(DIVERGENT_ITERATIONS), json.dumps(DIVERGENT)],
                   "s per call", ROUNDS),
-    "sweep": (SWEEP_PROBE, [str(ITERATIONS), json.dumps(SWEEP)], "us per swarm-iteration",
-              ROUNDS),
+    "sweep": (SWEEP_PROBE, [str(ITERATIONS), json.dumps(SWEEP)],
+              "us per swarm-iteration (suite10), share of scheduled rows run (rows-FID)", ROUNDS),
     "startup": (STARTUP_PROBE, [], "s (import_s, cached_import_s), modules (modules)",
                 STARTUP_ROUNDS),
     # the arguments name each tree's own files, so run_tree fills them in
@@ -582,7 +605,8 @@ def main(argv=None) -> int:
         },
         "sweep": {
             "command": f"run_sweep(SweepConfig(omegas, alphas, iterations={ITERATIONS}, "
-                       "repetitions=1, n_particles=25, dim=dim, master_seed=2))",
+                       "repetitions=1, n_particles=25, dim=dim, master_seed=2)), then once "
+                       "more, untimed, with benchmarks._BASE entries wrapped to count rows",
             "method": method,
             "unit": PROBES["sweep"][2],
             "config": dict(zip(("omegas", "alphas", "dim"), SWEEP)),

@@ -177,6 +177,13 @@ COMMANDS = [
       "--alpha-min", "1", "--alpha-max", "2.5", "--alpha-step", "1.5", "--repetitions", "1",
       "--functions", "weierstrass", "--seed", "25", "--output", "sweep_weierstrass.csv"],
      ["sweep_weierstrass.csv"]),
+    # the full suite at the suite sweep's dim, particles and iterations: the
+    # CLI's one way to run ackley-rot, and plain and rotated ackley where
+    # their float32 screen skips most rows
+    (["sweep", "--dim", "10", "--particles", "25", "--iterations", "200",
+      "--omega-min", "0.4", "--omega-max", "0.7", "--omega-step", "0.3",
+      "--alpha-min", "1", "--alpha-max", "2.5", "--alpha-step", "1.5", "--repetitions", "1",
+      "--seed", "26", "--output", "sweep_suite10_ackley.csv"], ["sweep_suite10_ackley.csv"]),
     # 23 x 20 cells of 25 x 2 swarms: more swarms than one batch holds
     (["sweep", "--omega-min", "-1.1", "--omega-max", "1.1", "--omega-step", "0.1",
       "--alpha-min", "0.25", "--alpha-max", "5", "--alpha-step", "0.25", "--iterations", "5",
