@@ -5,6 +5,10 @@ best bookkeeping, batch cost evaluation, and divergence telemetry.  Updates
 are synchronous: all particles read the global best of the previous
 iteration and best replacements are applied after the whole swarm has been
 evaluated, so results are reproducible under any evaluation order.
+One function, ``_bests``, sets every best, and replaces a best only with a
+cost below it, so a NaN cost never becomes a best.  The start is that
+rule's first use: from zero velocities and no bests (best costs of +inf),
+the first positions are costed and their bests set as any iteration's are.
 
 ``lockstep`` advances B independent swarms together as ``(B, n, dim)``
 arrays, with per-swarm weights; ``optimize`` is its one-swarm case, so the
@@ -48,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmarks import BenchmarkFunction, _Stack
+from .benchmarks import DEFAULT_DOMAIN, BenchmarkFunction, _Stack
 from .dynamics import SwarmParams, _affine, _children
 
 __all__ = [
@@ -119,7 +123,9 @@ class SwarmState:
     """Snapshot of B swarms run in lockstep, each of n particles in dim
     dimensions: ``positions``, ``velocities`` and ``p_best`` are
     (B, n, dim), ``p_best_cost`` is (B, n), ``g_best`` is (B, dim), and
-    ``g_best_cost`` and ``diverged`` are (B,) arrays."""
+    ``g_best_cost`` and ``diverged`` are (B,) arrays.  A best cost of +inf
+    means no best yet, and its position is a placeholder: the particle's
+    start, or its swarm's first particle's."""
 
     positions: np.ndarray
     velocities: np.ndarray
@@ -173,40 +179,16 @@ def _uniform(seed, bounds: np.ndarray, n: int) -> np.ndarray:
     return low + (high - low) * np.random.default_rng(seed).random((n, len(bounds)))
 
 
-def _start(cost, positions: np.ndarray) -> SwarmState:
-    """B swarms at (B, n, dim) ``positions`` with zero velocities."""
-    c = cost(positions)
-    rows = np.arange(len(positions))
-    gi = np.argmin(c, axis=1)
-    return SwarmState(
-        positions=positions,
-        velocities=np.zeros_like(positions),
-        p_best=positions.copy(),
-        p_best_cost=c,
-        g_best=positions[rows, gi],
-        g_best_cost=c[rows, gi],
-        iteration=0,
-        diverged=np.zeros(len(positions), dtype=bool),
-    )
+def _bests(state: SwarmState, cost, iteration: int) -> SwarmState:
+    """``state`` at ``iteration``, its positions costed and its bests set:
+    the one rule that sets every best, at the start as in every iteration.
 
-
-def _advance(state: SwarmState, omega, alpha1, alpha2, r: np.ndarray, cost,
-             work: np.ndarray) -> SwarmState:
-    """One synchronous iteration of a batch state, written over its
-    velocities and positions, so the caller must own them.
-
-    ``omega``, ``alpha1`` and ``alpha2`` broadcast against (B, n, dim);
-    ``r`` holds the (B, 2, n, dim) weights, ``r1`` then ``r2`` per swarm;
-    ``work`` is a (3, B, n, dim) scratch array, and ``cost`` a ``_batch``
-    cost, called once on the whole batch.  The caller holds an
-    ``np.errstate`` that ignores overflow and invalid operations, which the
-    update and the costs of a diverging swarm meet.
+    ``cost``, a ``_batch`` cost, is called once on the whole batch with the
+    personal best costs as its ceiling.  A non-finite position's cost reads
+    +inf and flags its swarm, and a best is replaced only by a cost below
+    it, so a NaN cost never becomes a best.
     """
-    v, x = state.velocities, state.positions
-    # the repeated global bests die with the call, before the cost's
-    # temporaries, which set the loop's peak memory, are made
-    _affine(omega, alpha1, alpha2, v, x, r[:, 0], r[:, 1], state.p_best,
-            np.repeat(state.g_best[:, None], x.shape[1], axis=1), (v, x), work)
+    x = state.positions
     c = cost(x, _ceiling=state.p_best_cost)
     # x' = x + v', so a non-finite velocity always makes the position
     # non-finite; the per-particle mask is needed only once one has overflowed
@@ -225,8 +207,28 @@ def _advance(state: SwarmState, omega, alpha1, alpha2, r: np.ndarray, cost,
     better = found < state.g_best_cost
     g_best = np.where(better[:, None], p_best[rows, gi], state.g_best)
     g_best_cost = np.where(better, found, state.g_best_cost)
-    return SwarmState(x, v, p_best, p_best_cost, g_best, g_best_cost,
-                      state.iteration + 1, diverged)
+    return SwarmState(x, state.velocities, p_best, p_best_cost, g_best, g_best_cost,
+                      iteration, diverged)
+
+
+def _advance(state: SwarmState, omega, alpha1, alpha2, r: np.ndarray, cost,
+             work: np.ndarray) -> SwarmState:
+    """One synchronous iteration of a batch state, written over its
+    velocities and positions, so the caller must own them.
+
+    ``omega``, ``alpha1`` and ``alpha2`` broadcast against (B, n, dim);
+    ``r`` holds the (B, 2, n, dim) weights, ``r1`` then ``r2`` per swarm;
+    ``work`` is a (3, B, n, dim) scratch array, and ``cost`` a ``_batch``
+    cost, which ``_bests`` calls once on the whole batch.  The caller holds
+    an ``np.errstate`` that ignores overflow and invalid operations, which
+    the update and the costs of a diverging swarm meet.
+    """
+    v, x = state.velocities, state.positions
+    # the repeated global bests die with the call, before the cost's
+    # temporaries, which set the loop's peak memory, are made
+    _affine(omega, alpha1, alpha2, v, x, r[:, 0], r[:, 1], state.p_best,
+            np.repeat(state.g_best[:, None], x.shape[1], axis=1), (v, x), work)
+    return _bests(state, cost, state.iteration + 1)
 
 
 def lockstep(f, params, iterations: int, bounds, seeds, trace=None) -> SwarmState:
@@ -244,7 +246,9 @@ def lockstep(f, params, iterations: int, bounds, seeds, trace=None) -> SwarmStat
     repeated call gets the same run), and per iteration each swarm draws
     ``r1`` then ``r2`` from its step generator (a block of iterations per
     generator call, the same stream), so every swarm follows exactly the
-    run ``optimize`` gives for its parameters and seed.
+    run ``optimize`` gives for its parameters and seed.  The start sets
+    the bests by the rule of every iteration, from no bests, so a NaN
+    cost never becomes one.
     ``trace``, if given, is a (B, iterations) array that receives the
     global best costs after every iteration.  Returns the final batch state
     (see :class:`SwarmState`).  ``seeds`` must hold one seed per
@@ -260,8 +264,12 @@ def lockstep(f, params, iterations: int, bounds, seeds, trace=None) -> SwarmStat
     weights = np.array([(p.omega, p.alpha1, p.alpha2) for p in params])[:, :, None, None]
     omega, alpha1, alpha2 = weights[:, 0], weights[:, 1], weights[:, 2]
     b = _as_bounds(bounds, dim)
-    # each swarm's first child seeds its start, its second its steps
-    state = _start(cost, np.array([_uniform(next(c), b, n) for c in children]))
+    # each swarm's first child seeds its start, its second its steps; the
+    # start sets its bests from none, of cost +inf at placeholder positions
+    x = np.array([_uniform(next(c), b, n) for c in children])
+    inf = np.full(x.shape[:2], np.inf)
+    state = _bests(SwarmState(x, np.zeros_like(x), x, inf, x[:, 0], inf[:, 0], 0,
+                              np.zeros(len(x), dtype=bool)), cost, 0)
     rngs = [np.random.default_rng(next(c)) for c in children]
     per_swarm = 2 * n * dim
     span = max(1, min(iterations, _SWARM_DRAW_VALUES // per_swarm,
@@ -282,7 +290,7 @@ def lockstep(f, params, iterations: int, bounds, seeds, trace=None) -> SwarmStat
     return state
 
 
-def optimize(f, params: SwarmParams, iterations: int, bounds=(-100.0, 100.0), seed=None) -> RunResult:
+def optimize(f, params: SwarmParams, iterations: int, bounds=DEFAULT_DOMAIN, seed=None) -> RunResult:
     """Run the optimiser for a fixed iteration count.
 
     ``f`` maps an (n, dim) batch to n costs: it is called once an
@@ -300,8 +308,10 @@ def optimize(f, params: SwarmParams, iterations: int, bounds=(-100.0, 100.0), se
     positions contribute +inf, and a ``BenchmarkFunction``'s stack skips
     the rows that cannot beat their personal best).  The divergence flag is
     set only when a position or velocity has overflowed to a non-finite
-    value within ``iterations``; see :class:`RunResult`.  This is
-    ``lockstep`` with one swarm.
+    value within ``iterations``; see :class:`RunResult`.  A NaN cost, at
+    the start as in any iteration, never becomes the best, so a run that
+    never meets a cost below +inf returns +inf.  This is ``lockstep`` with
+    one swarm.
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")

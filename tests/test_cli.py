@@ -237,6 +237,44 @@ def test_shared_flag_defaults(capsys, sub, argv, defaults):
             assert "required" in capsys.readouterr().err
 
 
+# each subcommand's fewest flags besides --output, a library callee, and
+# the flags that restate its defaults, as {flag: the callee's parameter}
+@pytest.mark.parametrize("sub, argv, callee, names", [
+    ("lyapunov", _POINT, stability.lyapunov_exponent,
+     {"steps": "steps", "trials": "trials", "burn_in": "burn_in"}),
+    ("curve", [], stability.critical_curve,
+     {"ratio": "ratio", "tolerance": "tolerance", "method": "method", "steps": "steps",
+      "trials": "trials"}),
+    ("stationary", _POINT, stability.stationary_distribution,
+     {"bins": "bins", "samples": "samples", "burn_in": "burn_in", "chains": "n_chains"}),
+    ("escape", _POINT, stability.escape_probability,
+     {"r_in": "r_in", "r_out": "r_out", "max_steps": "max_steps", "trials": "trials"}),
+    ("region", ["--sweep", "sweep.csv"], harness.best_region, {"quantile": "quantile"}),
+    ("scaling", ["--kappa", "1"], stability.ScalingConfig,
+     {"p": "p", "g": "g", "iterations": "iterations", "repetitions": "repetitions"}),
+    ("scaling", ["--kappa", "1"], stability.neutral_stability_curve,
+     {"tolerance": "tolerance", "split": "ratio"}),
+    ("sweep", [], harness.SweepConfig,
+     {"split": "split", "iterations": "iterations", "repetitions": "repetitions", "dim": "dim",
+      "particles": "n_particles", "seed": "master_seed", "functions": "functions"}),
+    ("optimize", _POINT, SwarmParams, {"particles": "n_particles"}),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_flag_defaults_are_the_library_defaults(sub, argv, callee, names):
+    # a default the CLI restates must move with the library's
+    args = vars(build_parser().parse_args([sub, *argv, "--output", "out"]))
+    params = inspect.signature(callee).parameters
+    assert {flag: args[flag] for flag in names} == \
+        {flag: params[name].default for flag, name in names.items()}
+
+
+def test_sweep_grid_defaults_are_the_library_grids():
+    args = build_parser().parse_args(["sweep", "--output", "out"])
+    config = harness.SweepConfig()
+    for axis, grid in (("omega", config.omega_values), ("alpha", config.alpha_values)):
+        flags = [getattr(args, f"{axis}_{end}") for end in ("min", "max", "step")]
+        assert np.array_equal(harness.inclusive_grid(*flags), grid), axis
+
+
 def test_digest_cases_read_only_files_written_before_them(tmp_path):
     # tools/cli_digests.py runs its cases in order in one directory: a file
     # a case reads must be an input the set-up writes or an earlier output

@@ -1,4 +1,6 @@
+import ast
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -72,6 +74,38 @@ def test_traced_benchmark_wraps_only_names_that_exist(monkeypatch):
     spec.loader.exec_module(spans)
     for module, name, *_ in spans.FULL:
         assert hasattr(getattr(swarmcrit, module), name), f"{module}.{name}"
+
+
+def test_layer_probes_name_only_attributes_that_exist(monkeypatch):
+    # ``tools/bench_layers.py`` runs each ``*_PROBE`` text in a fresh process
+    # of both trees; a name that is gone fails that measurement run
+    tools = Path(swarmcrit.__file__).parents[2] / "tools"
+    monkeypatch.syspath_prepend(str(tools))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("_bench_layers", tools / "bench_layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    probes = {name: text for name, text in vars(layers).items() if name.endswith("_PROBE")}
+    assert "COUNT_PROBE" in probes and "SWEEP_PROBE" in probes
+    for probe, text in probes.items():
+        tree, modules = ast.parse(text), {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "swarmcrit":
+                        importlib.import_module(alias.name)
+            elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "swarmcrit":
+                source = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(source, alias.name), f"{probe}: {node.module}.{alias.name}"
+                    if inspect.ismodule(getattr(source, alias.name)):
+                        modules[alias.asname or alias.name] = getattr(source, alias.name)
+        # the attributes read or assigned on a swarmcrit module the probe binds
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                assert hasattr(modules[node.value.id], node.attr), \
+                    f"{probe}: {node.value.id}.{node.attr}"
 
 
 def test_readme_library_tour_runs(tmp_path, monkeypatch):

@@ -179,6 +179,40 @@ def test_optimize_deterministic_and_scalar_cost_agrees():
     assert np.array_equal(a.cost_trace, c.cost_trace)
 
 
+def _nan_beyond_90(points):
+    return np.where(points[:, 0] > 90, np.nan, np.sum(points * points, axis=1))
+
+
+def test_nan_start_cost_never_becomes_a_best():
+    # the start sets its bests by the rule of every iteration, so a NaN
+    # first cost is not a best that no later cost can beat
+    params = SwarmParams(0.7, 1.0, 1.0, n_particles=25, dim=2)
+    results = [optimize(_nan_beyond_90, params, 100, seed=s) for s in range(6)]
+    assert all(np.isfinite([r.best_cost, r.cost_trace[-1]]).all() for r in results)
+    # seeds 0 and 2 start with no NaN cost and keep their bits
+    assert results[0].best_cost == 1.722600543754696e-14
+    assert results[2].best_cost == 2.1092914579408743e-14
+
+
+@pytest.mark.parametrize("iterations", [0, 1])
+def test_lockstep_start_of_nan_costs_leaves_no_nan_best(iterations):
+    # each swarm's first call, its start, costs NaN on every row
+    params = [SwarmParams(0.7, 0.7, 0.7, n_particles=5, dim=2)] * 3
+    calls = []
+
+    def nan_at_start(points):
+        calls.append(1)
+        return np.full(len(points), np.nan) if len(calls) <= len(params) else sphere(points)
+
+    state = lockstep(nan_at_start, params, iterations, (-10.0, 10.0), [1, 2, 3])
+    assert not np.isnan(state.p_best_cost).any()
+    if iterations == 0:
+        # no best yet: every best cost reads +inf
+        assert np.isposinf(state.g_best_cost).all()
+    else:
+        assert np.isfinite(state.g_best_cost).all()
+
+
 def _rows_cost(points):
     # depends on how many rows one call holds, so it shows whether each
     # swarm's costs come from calls on its own rows alone
